@@ -1,261 +1,20 @@
-"""Hot quadrature kernels: numba-compiled loops with a numpy fallback.
+"""The O(N^2) Cauchy-kernel sums behind every surface integral.
 
-The numba path is used when numba imports cleanly and the environment
-variable HYPERCAUCHY_NO_NUMBA is unset/0; otherwise vectorized numpy
-implementations take over.  Both paths accumulate in a fixed order
-(serial over source nodes per target), so results do not depend on the
-thread count.  HYPERCAUCHY_THREADS limits the numba thread pool.
+Each sum builds blocks of kernel values E(x_j - w_i), shape
+(targets, nodes, n+1), contracts them with the density rows in one
+einsum and scatters the (n+1) x 2^n contracted terms onto the result
+blades.  The order of every sum is fixed (chunks of targets, one
+contraction per chunk, a fixed scatter order per side), so results do not
+depend on the thread count.  Products of the density rows go through
+clifford_core.batch_product.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_DISABLED = os.environ.get("HYPERCAUCHY_NO_NUMBA", "0") not in ("", "0")
+from .clifford_core import batch_product
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by HYPERCAUCHY_NO_NUMBA")
-    import numba
-    from numba import njit, prange
-
-    _threads = os.environ.get("HYPERCAUCHY_THREADS")
-    if _threads:
-        numba.set_num_threads(max(1, int(_threads)))
-    HAVE_NUMBA = True
-except ImportError:
-    numba = None
-    HAVE_NUMBA = False
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _accum_left_par(targets, excl, nodes, g, pidx, psign, n, out):
-        M = targets.shape[0]
-        N = nodes.shape[0]
-        p = n + 1
-        dim = g.shape[1]
-        for i in prange(M):
-            acc = np.zeros(dim)
-            E = np.empty(p)
-            for j in range(N):
-                if j == excl[i]:
-                    continue
-                r2 = 0.0
-                for c in range(p):
-                    d = nodes[j, c] - targets[i, c]
-                    E[c] = d
-                    r2 += d * d
-                if r2 == 0.0:
-                    continue
-                if n == 1:
-                    rp = r2
-                elif n == 2:
-                    rp = r2 * np.sqrt(r2)
-                elif n == 3:
-                    rp = r2 * r2
-                else:
-                    rp = r2 ** (0.5 * (n + 1))
-                inv = 1.0 / rp
-                E[0] = E[0] * inv
-                for c in range(1, p):
-                    E[c] = -E[c] * inv
-                for k in range(p):
-                    ek = E[k]
-                    for b in range(dim):
-                        gv = g[j, b]
-                        if gv != 0.0:
-                            acc[pidx[k, b]] += psign[k, b] * ek * gv
-            for b in range(dim):
-                out[i, b] = acc[b]
-
-    @njit(cache=True, parallel=True)
-    def _accum_right_par(targets, excl, nodes, g, ridx, rsign, n, out):
-        M = targets.shape[0]
-        N = nodes.shape[0]
-        p = n + 1
-        dim = g.shape[1]
-        for i in prange(M):
-            acc = np.zeros(dim)
-            E = np.empty(p)
-            for j in range(N):
-                if j == excl[i]:
-                    continue
-                r2 = 0.0
-                for c in range(p):
-                    d = nodes[j, c] - targets[i, c]
-                    E[c] = d
-                    r2 += d * d
-                if r2 == 0.0:
-                    continue
-                if n == 1:
-                    rp = r2
-                elif n == 2:
-                    rp = r2 * np.sqrt(r2)
-                elif n == 3:
-                    rp = r2 * r2
-                else:
-                    rp = r2 ** (0.5 * (n + 1))
-                inv = 1.0 / rp
-                E[0] = E[0] * inv
-                for c in range(1, p):
-                    E[c] = -E[c] * inv
-                for b in range(dim):
-                    gv = g[j, b]
-                    if gv == 0.0:
-                        continue
-                    for k in range(p):
-                        acc[ridx[b, k]] += rsign[b, k] * gv * E[k]
-            for b in range(dim):
-                out[i, b] = acc[b]
-
-    @njit(cache=True, parallel=True)
-    def _pv_matrix_par(nodes, nuw, dmat, sign_full, pblades, n, out):
-        N = nodes.shape[0]
-        p = n + 1
-        dim = dmat.shape[2]
-        for i in prange(N):
-            acc = np.zeros(dim)
-            A = np.empty(dim)
-            E = np.empty(p)
-            for j in range(N):
-                if j == i:
-                    continue
-                r2 = 0.0
-                for c in range(p):
-                    d = nodes[j, c] - nodes[i, c]
-                    E[c] = d
-                    r2 += d * d
-                if n == 1:
-                    rp = r2
-                elif n == 2:
-                    rp = r2 * np.sqrt(r2)
-                elif n == 3:
-                    rp = r2 * r2
-                else:
-                    rp = r2 ** (0.5 * (n + 1))
-                inv = 1.0 / rp
-                E[0] = E[0] * inv
-                for c in range(1, p):
-                    E[c] = -E[c] * inv
-                for b in range(dim):
-                    A[b] = 0.0
-                for k in range(p):
-                    ek = E[k]
-                    bk = pblades[k]
-                    for l in range(p):
-                        bl = pblades[l]
-                        A[bk ^ bl] += sign_full[bk, bl] * ek * nuw[j, l]
-                for a in range(dim):
-                    av = A[a]
-                    if av == 0.0:
-                        continue
-                    for b in range(dim):
-                        dv = dmat[j, i, b] - dmat[i, i, b]
-                        if dv != 0.0:
-                            acc[a ^ b] += sign_full[a, b] * av * dv
-            for b in range(dim):
-                out[i, b] = acc[b]
-
-    @njit(cache=True)
-    def _pb_rhs_nb(nodes, nuw, kmat, it, sign_full, pblades, n, partial):
-        N = nodes.shape[0]
-        p = n + 1
-        dim = kmat.shape[2]
-        A = np.zeros((N, dim))
-        E = np.empty(p)
-        for i in range(N):
-            if i == it:
-                continue
-            r2 = 0.0
-            for c in range(p):
-                d = nodes[i, c] - nodes[it, c]
-                E[c] = d
-                r2 += d * d
-            if n == 1:
-                rp = r2
-            elif n == 2:
-                rp = r2 * np.sqrt(r2)
-            elif n == 3:
-                rp = r2 * r2
-            else:
-                rp = r2 ** (0.5 * (n + 1))
-            inv = 1.0 / rp
-            E[0] = E[0] * inv
-            for c in range(1, p):
-                E[c] = -E[c] * inv
-            for k in range(p):
-                ek = E[k]
-                bk = pblades[k]
-                for l in range(p):
-                    bl = pblades[l]
-                    A[i, bk ^ bl] += sign_full[bk, bl] * ek * nuw[i, l]
-        C = np.empty(dim)
-        D = np.empty(dim)
-        dk = np.empty(dim)
-        Ej = np.empty(p)
-        for j in range(N):
-            for b in range(dim):
-                partial[j, b] = 0.0
-            if j == it:
-                continue
-            acc = np.zeros(dim)
-            for i in range(N):
-                if i == it or i == j:
-                    continue
-                r2 = 0.0
-                for c in range(p):
-                    d = nodes[j, c] - nodes[i, c]
-                    Ej[c] = d
-                    r2 += d * d
-                if n == 1:
-                    rp = r2
-                elif n == 2:
-                    rp = r2 * np.sqrt(r2)
-                elif n == 3:
-                    rp = r2 * r2
-                else:
-                    rp = r2 ** (0.5 * (n + 1))
-                inv = 1.0 / rp
-                Ej[0] = Ej[0] * inv
-                for c in range(1, p):
-                    Ej[c] = -Ej[c] * inv
-                for b in range(dim):
-                    C[b] = 0.0
-                for k in range(p):
-                    ek = Ej[k]
-                    bk = pblades[k]
-                    for l in range(p):
-                        bl = pblades[l]
-                        C[bk ^ bl] += sign_full[bk, bl] * ek * nuw[j, l]
-                for b in range(dim):
-                    dk[b] = kmat[j, i, b] - kmat[j, it, b]
-                for b in range(dim):
-                    D[b] = 0.0
-                for a in range(dim):
-                    cv = C[a]
-                    if cv == 0.0:
-                        continue
-                    for b in range(dim):
-                        kv = dk[b]
-                        if kv != 0.0:
-                            D[a ^ b] += sign_full[a, b] * cv * kv
-                for a in range(dim):
-                    av = A[i, a]
-                    if av == 0.0:
-                        continue
-                    for b in range(dim):
-                        dv = D[b]
-                        if dv != 0.0:
-                            acc[a ^ b] += sign_full[a, b] * av * dv
-            for b in range(dim):
-                partial[j, b] = acc[b]
-
-
-# -- numpy fallbacks -----------------------------------------------------------
 
 def _kernel_E_block(targets_chunk, nodes, n):
     """E(x_j - w_i) paravector components, shape (C, N, n+1); 0 at r=0."""
@@ -269,147 +28,52 @@ def _kernel_E_block(targets_chunk, nodes, n):
     return E
 
 
-def _accum_left_np(targets, excl, nodes, g, pidx, psign, n, out, chunk=128):
-    M = targets.shape[0]
-    dim = g.shape[1]
-    for s in range(0, M, chunk):
-        e = min(s + chunk, M)
-        E = _kernel_E_block(targets[s:e], nodes, n)
-        for c in range(e - s):
-            if excl[s + c] >= 0:
-                E[c, excl[s + c], :] = 0.0
-        T = np.einsum("ijk,jb->ikb", E, g)
-        blk = np.zeros((e - s, dim))
-        for k in range(n + 1):
-            for b in range(dim):
-                blk[:, pidx[k, b]] += psign[k, b] * T[:, k, b]
-        out[s:e] = blk
+def _contract(ctx, E, g, side):
+    """sum_j E_ij g_j (left) or sum_j g_j E_ij (right), shape (C, 2^n).
 
-
-def _accum_right_np(targets, excl, nodes, g, ridx, rsign, n, out, chunk=128):
-    M = targets.shape[0]
-    dim = g.shape[1]
-    for s in range(0, M, chunk):
-        e = min(s + chunk, M)
-        E = _kernel_E_block(targets[s:e], nodes, n)
-        for c in range(e - s):
-            if excl[s + c] >= 0:
-                E[c, excl[s + c], :] = 0.0
-        T = np.einsum("jb,ijk->ibk", g, E)
-        blk = np.zeros((e - s, dim))
-        for b in range(dim):
-            for k in range(n + 1):
-                blk[:, ridx[b, k]] += rsign[b, k] * T[:, b, k]
-        out[s:e] = blk
-
-
-def _pp_products_np(E, nuw, sign_full, pblades, dim):
-    """Row-wise products E_i nuw_i of paravector component arrays (N, p)."""
-    N, p = E.shape
-    out = np.zeros((N, dim))
-    for k in range(p):
-        for l in range(p):
-            bk, bl = int(pblades[k]), int(pblades[l])
-            out[:, bk ^ bl] += sign_full[bk, bl] * E[:, k] * nuw[:, l]
+    E is a (C, N, n+1) kernel block and g an (N, 2^n) density.  The left
+    side scatters paravector component k outer, the right side density
+    blade b outer.
+    """
+    T = np.einsum("ijk,jb->ikb", E, g)
+    out = np.zeros((E.shape[0], ctx.dim))
+    if side == "left":
+        for k in range(ctx.n + 1):
+            for b in range(ctx.dim):
+                out[:, ctx.para_idx[k, b]] += ctx.para_sign[k, b] * T[:, k, b]
+    else:
+        for b in range(ctx.dim):
+            for k in range(ctx.n + 1):
+                out[:, ctx.para_idx_right[b, k]] += \
+                    ctx.para_sign_right[b, k] * T[:, k, b]
     return out
 
 
-def _mv_products_np(A, B, sign_full, dim):
-    """Row-wise geometric products of dense coefficient arrays (N, dim)."""
-    N = max(A.shape[0], B.shape[0])
-    A = np.broadcast_to(A, (N, dim))
-    B = np.broadcast_to(B, (N, dim))
-    out = np.zeros((N, dim))
-    cols = np.arange(dim)
-    for a in range(dim):
-        col = A[:, a]
-        if not np.any(col):
-            continue
-        out[:, a ^ cols] += col[:, None] * sign_full[a][None, :] * B
-    return out
-
-
-def _pv_matrix_np(nodes, nuw, dmat, sign_full, pblades, n, out):
-    N = nodes.shape[0]
-    dim = dmat.shape[2]
-    for i in range(N):
-        E = _kernel_E_block(nodes[i : i + 1], nodes, n)[0]
-        E[i] = 0.0
-        A = _pp_products_np(E, nuw, sign_full, pblades, dim)
-        D = dmat[:, i, :] - dmat[i, i, :][None, :]
-        out[i] = _mv_products_np(A, D, sign_full, dim).sum(axis=0)
-
-
-def _pb_rhs_np(nodes, nuw, kmat, it, sign_full, pblades, n, partial):
-    N = nodes.shape[0]
-    p = n + 1
-    dim = kmat.shape[2]
-    Et = _kernel_E_block(nodes[it : it + 1], nodes, n)[0]
-    Et[it] = 0.0
-    A = _pp_products_np(Et, nuw, sign_full, pblades, dim)
-    for j in range(N):
-        partial[j] = 0.0
-        if j == it:
-            continue
-        # E(x_j - x_i) for all i: x_j is the source, node rows are targets
-        Eji = _kernel_E_block(nodes, nodes[j : j + 1], n)[:, 0, :]
-        Eji[j] = 0.0
-        nuwj = np.broadcast_to(nuw[j], (N, p))
-        Cmat = _pp_products_np(Eji, nuwj, sign_full, pblades, dim)
-        D = _mv_products_np(Cmat, kmat[j] - kmat[j, it][None, :],
-                            sign_full, dim)
-        D[it] = 0.0
-        partial[j] = _mv_products_np(A, D, sign_full, dim).sum(axis=0)
-
-
-# -- dispatchers ---------------------------------------------------------------
-
-def accum_left(ctx, targets, nodes, g, excl=None):
-    """sum_j E(x_j - w_i) g_j for each target row w_i, skipping node excl[i]."""
+def _accumulate(ctx, targets, nodes, g, excl, side, chunk=128):
     targets = np.ascontiguousarray(np.atleast_2d(targets), dtype=np.float64)
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
     g = np.ascontiguousarray(g, dtype=np.float64)
     M = targets.shape[0]
-    if excl is None:
-        excl = np.full(M, -1, dtype=np.int64)
-    else:
-        excl = np.asarray(excl, dtype=np.int64)
     out = np.empty((M, ctx.dim))
-    if HAVE_NUMBA:
-        _accum_left_par(targets, excl, nodes, g, ctx.para_idx,
-                        ctx.para_sign, ctx.n, out)
-    else:
-        _accum_left_np(targets, excl, nodes, g, ctx.para_idx,
-                       ctx.para_sign, ctx.n, out)
+    for s in range(0, M, chunk):
+        e = min(s + chunk, M)
+        E = _kernel_E_block(targets[s:e], nodes, ctx.n)
+        if excl is not None:
+            skip = np.asarray(excl[s:e], dtype=np.int64)
+            rows = np.flatnonzero(skip >= 0)
+            E[rows, skip[rows], :] = 0.0
+        out[s:e] = _contract(ctx, E, g, side)
     return out
+
+
+def accum_left(ctx, targets, nodes, g, excl=None):
+    """sum_j E(x_j - w_i) g_j for each target row w_i, skipping node excl[i]."""
+    return _accumulate(ctx, targets, nodes, g, excl, "left")
 
 
 def accum_right(ctx, targets, nodes, g, excl=None):
     """sum_j g_j E(x_j - w_i) for each target row w_i, skipping node excl[i]."""
-    targets = np.ascontiguousarray(np.atleast_2d(targets), dtype=np.float64)
-    nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    g = np.ascontiguousarray(g, dtype=np.float64)
-    M = targets.shape[0]
-    if excl is None:
-        excl = np.full(M, -1, dtype=np.int64)
-    else:
-        excl = np.asarray(excl, dtype=np.int64)
-    out = np.empty((M, ctx.dim))
-    if HAVE_NUMBA:
-        _accum_right_par(targets, excl, nodes, g, ctx.para_idx_right,
-                         ctx.para_sign_right, ctx.n, out)
-    else:
-        _accum_right_np(targets, excl, nodes, g, ctx.para_idx_right,
-                        ctx.para_sign_right, ctx.n, out)
-    return out
-
-
-def _pblades(ctx):
-    return np.array([0] + [1 << i for i in range(ctx.n)], dtype=np.int64)
-
-
-def _sign_full(ctx):
-    return np.ascontiguousarray(ctx.sign_table, dtype=np.float64)
+    return _accumulate(ctx, targets, nodes, g, excl, "right")
 
 
 def pv_matrix(ctx, nodes, nuw, dmat):
@@ -420,14 +84,13 @@ def pv_matrix(ctx, nodes, nuw, dmat):
     index target node.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    nuw = np.ascontiguousarray(nuw, dtype=np.float64)
-    dmat = np.ascontiguousarray(dmat, dtype=np.float64)
     N = nodes.shape[0]
     out = np.empty((N, ctx.dim))
-    if HAVE_NUMBA:
-        _pv_matrix_par(nodes, nuw, dmat, _sign_full(ctx), _pblades(ctx), ctx.n, out)
-    else:
-        _pv_matrix_np(nodes, nuw, dmat, _sign_full(ctx), _pblades(ctx), ctx.n, out)
+    for i in range(N):
+        E = _kernel_E_block(nodes[i : i + 1], nodes, ctx.n)[0]
+        E[i] = 0.0
+        A = batch_product(ctx, E, nuw)
+        out[i] = batch_product(ctx, A, dmat[:, i, :] - dmat[i, i, :]).sum(axis=0)
     return out
 
 
@@ -442,14 +105,20 @@ def pb_rhs(ctx, nodes, nuw, kmat, t_index):
     punctured sum converges.
     """
     nodes = np.ascontiguousarray(nodes, dtype=np.float64)
-    nuw = np.ascontiguousarray(nuw, dtype=np.float64)
-    kmat = np.ascontiguousarray(kmat, dtype=np.float64)
+    it = t_index
     N = nodes.shape[0]
-    partial = np.empty((N, ctx.dim))
-    if HAVE_NUMBA:
-        _pb_rhs_nb(nodes, nuw, kmat, np.int64(t_index),
-                   _sign_full(ctx), _pblades(ctx), ctx.n, partial)
-    else:
-        _pb_rhs_np(nodes, nuw, kmat, np.int64(t_index),
-                   _sign_full(ctx), _pblades(ctx), ctx.n, partial)
+    Et = _kernel_E_block(nodes[it : it + 1], nodes, ctx.n)[0]
+    Et[it] = 0.0
+    A = batch_product(ctx, Et, nuw)
+    partial = np.zeros((N, ctx.dim))
+    for j in range(N):
+        if j == it:
+            continue
+        # E(x_j - x_i) for all i: x_j is the source, node rows are targets
+        Eji = _kernel_E_block(nodes, nodes[j : j + 1], ctx.n)[:, 0, :]
+        Eji[j] = 0.0
+        C = batch_product(ctx, Eji, nuw[j])
+        D = batch_product(ctx, C, kmat[j] - kmat[j, it])
+        D[it] = 0.0
+        partial[j] = batch_product(ctx, A, D).sum(axis=0)
     return partial.sum(axis=0)

@@ -8,8 +8,8 @@ deterministic for a fixed (mesh spec, seed) pair.
 
 import numpy as np
 
-from .cauchy import (BoundaryDensity, kernel_E_rows, nuw_to_coeffs,
-                     _mv_rows_product)
+from .clifford_core import batch_product, paravectors_as_coeffs
+from .cauchy import BoundaryDensity, kernel_E_rows
 from .fueter import multi_indices, symmetric_power_rows
 
 SMOOTH_DEGREE = 2
@@ -80,7 +80,7 @@ def symmetric_power_trace(mesh, alpha):
 
 
 def _kernel_coeff_rows(ctx, pts, pole):
-    return nuw_to_coeffs(ctx, kernel_E_rows(pts, pole))
+    return paravectors_as_coeffs(ctx, kernel_E_rows(pts, pole))
 
 
 def kernel_trace(mesh, pole, scale=1.0):
@@ -276,7 +276,7 @@ def _right_combo(mesh, parts, coeffs):
         out = np.zeros((pts.shape[0], ctx.dim))
         for part, c in zip(parts, coeffs):
             block = part(pts)
-            out += _mv_rows_product(ctx, block, np.broadcast_to(c, block.shape))
+            out += batch_product(ctx, block, c)
         return out
 
     return rows
@@ -397,7 +397,7 @@ def product_kernel(mesh, seed=23):
         block = np.atleast_2d(fe(x_rows))
         tail = 0.2 * np.asarray(ge(t), dtype=np.float64)
         tail[0] += 1.0
-        return _mv_rows_product(ctx, block, np.broadcast_to(tail, block.shape))
+        return batch_product(ctx, block, tail)
 
     return k
 

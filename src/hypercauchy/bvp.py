@@ -20,13 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _accel
-from .clifford_core import Multivector, SingularInputError
+from .clifford_core import (Multivector, SingularInputError, batch_product,
+                            paravectors_as_coeffs)
 from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, gradient_stencil, kernel_E_rows,
-                     nuw_to_coeffs, principal_value_nodes,
-                     symmetric_difference_limit, unit_sphere_area,
-                     _as_coeff_rows, _mv_rows_product, _para_mul_left,
-                     _para_mul_right, _scale, _warn_if_continuous)
+                     principal_value_nodes, symmetric_difference_limit,
+                     unit_sphere_area, _as_coeff_rows, _cell_corrections,
+                     _scale, _warn_if_continuous)
 from .fueter import (MAX_DEGREE, DegreeOverflowError, boundary_moment,
                      multi_indices, symmetric_power_rows)
 from .surface import refine
@@ -81,11 +81,10 @@ class SectionalSolution:
             if not c.any():
                 continue
             Z = symmetric_power_rows(ctx, alpha, pts)
-            C = np.broadcast_to(c, Z.shape)
             if self.side == "left":
-                out += _mv_rows_product(ctx, Z, C)
+                out += batch_product(ctx, Z, c)
             else:
-                out += _mv_rows_product(ctx, C, Z)
+                out += batch_product(ctx, c, Z)
         return out
 
     def _evaluate(self, w, tag, method):
@@ -96,8 +95,7 @@ class SectionalSolution:
                               side=self.side, method=method)
         total = val.value.coeffs + self._poly_rows(point[None, :])[0]
         if tag == "exterior" and self.gap_inverse is not None:
-            total = _mv_rows_product(ctx, total[None, :],
-                                     np.asarray(self.gap_inverse)[None, :])[0]
+            total = batch_product(ctx, total, self.gap_inverse)
         return Multivector(ctx, total)
 
     def interior(self, w, method="raw") -> Multivector:
@@ -243,20 +241,6 @@ def jump_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
 
 # -- general multivector row inversion --------------------------------------------
 
-def _left_mult_matrices(ctx, rows):
-    """Batched matrices L with (x y)_c = (L[x] y)_c for each row x."""
-    N = rows.shape[0]
-    L = np.zeros((N, ctx.dim, ctx.dim))
-    sign = ctx.sign_table
-    for a in range(ctx.dim):
-        col = rows[:, a]
-        if not np.any(col):
-            continue
-        for b in range(ctx.dim):
-            L[:, a ^ b, b] += sign[a, b] * col
-    return L
-
-
 def invert_rows(ctx, rows, rtol=1e-10):
     """Two-sided inverses of multivector coefficient rows (N, dim).
 
@@ -267,15 +251,15 @@ def invert_rows(ctx, rows, rtol=1e-10):
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     e0 = np.zeros(ctx.dim)
     e0[0] = 1.0
-    L = _left_mult_matrices(ctx, rows)
+    # left-multiplication matrices: column b of L[x] is x e_b
+    L = batch_product(ctx, rows[:, None, :], np.eye(ctx.dim)).swapaxes(1, 2)
     try:
         rhs = np.broadcast_to(e0, rows.shape)[..., None].copy()
         inv = np.linalg.solve(L, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularInputError("non-invertible coefficient row") from exc
     scale = np.linalg.norm(rows, axis=1) * np.linalg.norm(inv, axis=1)
-    for prod in (_mv_rows_product(ctx, rows, inv),
-                 _mv_rows_product(ctx, inv, rows)):
+    for prod in (batch_product(ctx, rows, inv), batch_product(ctx, inv, rows)):
         err = np.linalg.norm(prod - e0[None, :], axis=1)
         bad = err > rtol * np.maximum(scale, 1.0)
         if np.any(bad):
@@ -304,9 +288,8 @@ def solve_constant_gap(mesh, g: BoundaryDensity, G, m: int, side="left",
         Ginv = _as_coeff_rows(ctx, G_inverse, 1)[0]
         e0 = np.zeros(ctx.dim)
         e0[0] = 1.0
-        for prod in (_mv_rows_product(ctx, Gc[None, :], Ginv[None, :]),
-                     _mv_rows_product(ctx, Ginv[None, :], Gc[None, :])):
-            if not np.allclose(prod[0], e0, atol=1e-9 * max(
+        for prod in (batch_product(ctx, Gc, Ginv), batch_product(ctx, Ginv, Gc)):
+            if not np.allclose(prod, e0, atol=1e-9 * max(
                     1.0, float(np.abs(Gc).max()))):
                 raise SingularInputError("supplied G_inverse does not invert G")
     else:
@@ -337,9 +320,8 @@ def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
         plus = pl.coeffs + poly
         minus = mi.coeffs + poly
         if sol.gap_inverse is not None:
-            minus = _mv_rows_product(ctx, minus[None, :],
-                                     np.asarray(sol.gap_inverse)[None, :])[0]
-        recomposed = _mv_rows_product(ctx, minus[None, :], Gc[None, :])[0]
+            minus = batch_product(ctx, minus, sol.gap_inverse)
+        recomposed = batch_product(ctx, minus, Gc)
         diff = plus - recomposed - g.samples[int(i)]
         worst = max(worst, float(np.linalg.norm(diff)))
     return worst
@@ -506,7 +488,7 @@ class CharacteristicCoefficients:
         ctx = mesh.context
         sum_inv = invert_rows(ctx, a.samples + b.samples)
         diff_inv = invert_rows(ctx, a.samples - b.samples)
-        Grows = _mv_rows_product(ctx, a.samples - b.samples, sum_inv)
+        Grows = batch_product(ctx, a.samples - b.samples, sum_inv)
         Gmean = Grows.mean(axis=0)
         spread = float(np.linalg.norm(Grows - Gmean[None, :], axis=1).max())
         spread /= max(float(np.linalg.norm(Gmean)), 1e-300)
@@ -531,8 +513,8 @@ def apply_characteristic_lhs(mesh, a: BoundaryDensity, b: BoundaryDensity,
     """Rows of phi a + (2/V_n) [PV int E dsigma phi] b at the nodes."""
     ctx = mesh.context
     pv = principal_value_nodes(mesh, phi)
-    return (_mv_rows_product(ctx, phi.samples, a.samples)
-            + 2.0 * _mv_rows_product(ctx, pv, b.samples))
+    return (batch_product(ctx, phi.samples, a.samples)
+            + 2.0 * batch_product(ctx, pv, b.samples))
 
 
 def solve_characteristic_sie(mesh, coefficients, f: BoundaryDensity,
@@ -552,11 +534,10 @@ def solve_characteristic_sie(mesh, coefficients, f: BoundaryDensity,
         co = CharacteristicCoefficients.from_ab(mesh, a, b)
     ctx = mesh.context
     reg = regularity if regularity is not None else f.regularity
-    half = 0.5 * (_mv_rows_product(ctx, f.samples, co.sum_inverse)
-                  + _mv_rows_product(ctx, f.samples, co.diff_inverse))
-    psi = _mv_rows_product(
-        ctx, _mv_rows_product(ctx, _mv_rows_product(
-            ctx, f.samples, co.diff_inverse), co.b.samples), co.sum_inverse)
+    half = 0.5 * (batch_product(ctx, f.samples, co.sum_inverse)
+                  + batch_product(ctx, f.samples, co.diff_inverse))
+    psi = batch_product(ctx, batch_product(ctx, batch_product(
+        ctx, f.samples, co.diff_inverse), co.b.samples), co.sum_inverse)
     pv_psi = principal_value_nodes(mesh, BoundaryDensity(mesh, psi,
                                                          regularity=reg))
     phi = BoundaryDensity(mesh, half - 2.0 * pv_psi, regularity=reg)
@@ -602,21 +583,11 @@ def _matrix_pv_rows(mesh, dmat, correction=True):
     out = core + 0.5 * vol * diag
     if not correction:
         return out
-    d = mesh.n
+    # derivatives of target i's density dmat[:, i] at node i
     nb, wts, frame = gradient_stencil(mesh)
     cols = dmat[nb, np.arange(N)[:, None], :]
     derivs = np.einsum("ank,nkm->anm", wts, cols)
-    sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
-    prefac = (d * mesh.weights / sigma_d) ** (1.0 / d) * (sigma_d / d)
-    nu = mesh.normals
-    corr = np.zeros((N, ctx.dim))
-    for a in range(d):
-        Tbar = frame[:, a, :].copy()
-        Tbar[:, 1:] *= -1.0
-        TbarNu = _accel._pp_products_np(Tbar, nu, _accel._sign_full(ctx),
-                                        _accel._pblades(ctx), ctx.dim)
-        corr += _mv_rows_product(ctx, TbarNu, derivs[a])
-    return out + corr * prefac[:, None]
+    return out + _cell_corrections(mesh, derivs, frame, "left")
 
 
 def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
@@ -631,10 +602,10 @@ def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     N = mesh.node_count
     dmat = np.empty_like(kmat)
     for i in range(N):
-        dmat[:, i, :] = _mv_rows_product(ctx, phi.samples, kmat[:, i, :])
+        dmat[:, i, :] = batch_product(ctx, phi.samples, kmat[:, i, :])
     vol = unit_sphere_area(mesh.n)
     pv = _matrix_pv_rows(mesh, dmat) / vol
-    return _mv_rows_product(ctx, phi.samples, a.samples) + 2.0 * pv
+    return batch_product(ctx, phi.samples, a.samples) + 2.0 * pv
 
 
 # -- iterated principal values -------------------------------------------------------
@@ -669,14 +640,10 @@ def _pair_orthogonality(mesh, it, jt):
     t = nodes[it]
     tau = nodes[jt]
     # density rows d(x_l) = E(tau - x_l) = -E(x_l - tau)
-    comps = -kernel_E_rows(nodes, tau)
-    dens = nuw_to_coeffs(ctx, comps)
-    Ecomp = _accel._kernel_E_block(t[None, :], nodes, mesh.n)[0]
-    Erows = nuw_to_coeffs(ctx, Ecomp)
-    nuw_rows = nuw_to_coeffs(ctx, mesh.measure_coeffs())
-    A = _mv_rows_product(ctx, Erows, nuw_rows)
+    dens = paravectors_as_coeffs(ctx, -kernel_E_rows(nodes, tau))
+    A = batch_product(ctx, kernel_E_rows(nodes, t), mesh.measure_coeffs())
     diff = dens - dens[it][None, :]
-    terms = _mv_rows_product(ctx, A, diff)
+    terms = batch_product(ctx, A, diff)
     terms[it] = 0.0
     terms[jt] = 0.0
     vol = unit_sphere_area(mesh.n)

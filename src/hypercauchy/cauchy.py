@@ -28,9 +28,11 @@ from .clifford_core import (
     Multivector,
     Paravector,
     SingularInputError,
-    get_context,
+    batch_product,
+    paravectors_as_coeffs,
 )
-from .surface import CapExclusion, SurfaceMesh, exclude_cap
+from .surface import (CapExclusion, SurfaceMesh, _first_nonfinite_row,
+                      exclude_cap)
 
 RICHARDSON_RATIO = 2.0   # step shrinks by 1/2 per term
 RICHARDSON_TERMS = 4
@@ -116,6 +118,9 @@ class BoundaryDensity:
         if samples.shape != (self.mesh.node_count, ctx.dim):
             raise ValueError("samples must have shape (N, 2^n) = %s"
                              % ((self.mesh.node_count, ctx.dim),))
+        bad = _first_nonfinite_row(samples)
+        if bad is not None:
+            raise ValueError("samples row %d is not finite" % bad)
         tag = self.regularity[0]
         if tag == "holder":
             mu = self.regularity[1]
@@ -227,45 +232,14 @@ class CauchyValue:
     side: str = "unknown"
 
 
-# -- paravector-times-multivector row products ----------------------------------
-
-def _para_mul_left(ctx, P, F):
-    """Row products P_j F_j with P (N, n+1) paravector comps, F (N, 2^n)."""
-    N = F.shape[0]
-    out = np.zeros((N, ctx.dim))
-    pidx, psign = ctx.para_idx, ctx.para_sign
-    for k in range(ctx.n + 1):
-        col = P[:, k]
-        for b in range(ctx.dim):
-            out[:, pidx[k, b]] += psign[k, b] * col * F[:, b]
-    return out
-
-
-def _para_mul_right(ctx, F, P):
-    """Row products F_j P_j with the paravector on the right."""
-    N = F.shape[0]
-    out = np.zeros((N, ctx.dim))
-    ridx, rsign = ctx.para_idx_right, ctx.para_sign_right
-    for b in range(ctx.dim):
-        col = F[:, b]
-        for k in range(ctx.n + 1):
-            out[:, ridx[b, k]] += rsign[b, k] * col * P[:, k]
-    return out
-
-
-def _mv_rows_product(ctx, A, B):
-    return _accel._mv_products_np(np.atleast_2d(A), np.atleast_2d(B),
-                                  _accel._sign_full(ctx), ctx.dim)
-
-
 def _measure_density(mesh, f, side):
     """(nu w f)_j for left integrals, (f nu w)_j for right ones."""
     ctx = mesh.context
     nuw = mesh.measure_coeffs()
     if side == "left":
-        return _para_mul_left(ctx, nuw, f.samples)
+        return batch_product(ctx, nuw, f.samples)
     if side == "right":
-        return _para_mul_right(ctx, f.samples, nuw)
+        return batch_product(ctx, f.samples, nuw)
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -339,9 +313,6 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
 
 
 # -- tangential gradients on the mesh -------------------------------------------
-
-_GRAD_CACHE: dict = {}
-
 
 def _tangent_frame(mesh):
     """Orthonormal tangent vectors per node, shape (N, d, n+1), d = n."""
@@ -426,16 +397,14 @@ def _tangent_frame_circle(mesh, center):
 
 
 def gradient_stencil(mesh):
-    """Cached per-node tangential-derivative stencil (nb, wts, frame)."""
-    key = id(mesh)
-    entry = _GRAD_CACHE.get(key)
-    if entry is None or entry[0]() is None:
-        import weakref
+    """Per-node tangential-derivative stencil (nb, wts, frame).
 
-        op = _build_gradient_stencil(mesh)
-        _GRAD_CACHE[key] = (weakref.ref(mesh), op)
-        entry = _GRAD_CACHE[key]
-    return entry[1]
+    Built on first use and kept on the mesh, so it lives as long as the
+    mesh does.
+    """
+    if mesh.stencil_cache is None:
+        object.__setattr__(mesh, "stencil_cache", _build_gradient_stencil(mesh))
+    return mesh.stencil_cache
 
 
 def tangential_gradient(mesh, samples):
@@ -453,18 +422,25 @@ def tangential_gradient(mesh, samples):
 # -- principal values ------------------------------------------------------------
 
 def _singular_cell_corrections(mesh, f, side):
-    """Per-node corrections for the dropped singular cell, shape (N, dim).
+    """Per-node corrections for the dropped singular cell, shape (N, dim)."""
+    derivs, frame = tangential_gradient(mesh, f.samples)
+    return _cell_corrections(mesh, derivs, frame, side)
 
-    The subtracted integrand E(x-t) nu [f(x)-f(t)] tends to
-    sum_k bar(T_k) nu(t) d_k f(t) as x -> t along tangent direction T_k;
-    integrating it over a flat d-ball cell of the node's weight gives
+
+def _cell_corrections(mesh, derivs, frame, side):
+    """Singular-cell corrections from tangential derivatives at the nodes.
+
+    derivs[a] holds the (N, dim) derivatives of the density along
+    frame[:, a, :].  The subtracted integrand E(x-t) nu [f(x)-f(t)] tends
+    to sum_k bar(T_k) nu(t) d_k f(t) as x -> t along tangent direction
+    T_k; integrating it over a flat d-ball cell of the node's weight gives
     (d w / sigma_d)^{1/d} (sigma_d / d) sum_k bar(T_k) nu(t) d_k f(t),
-    where d = n and sigma_d = area(S^{d-1}).
+    where d = n and sigma_d = area(S^{d-1}).  The right side mirrors every
+    product.
     """
     ctx = mesh.context
     d = mesh.n
     sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
-    derivs, frame = tangential_gradient(mesh, f.samples)
     prefac = (d * mesh.weights / sigma_d) ** (1.0 / d) * (sigma_d / d)
     nu = mesh.normals
     out = np.zeros((mesh.node_count, ctx.dim))
@@ -472,13 +448,9 @@ def _singular_cell_corrections(mesh, f, side):
         Tbar = frame[:, a, :].copy()
         Tbar[:, 1:] *= -1.0
         if side == "left":
-            TbarNu = _accel._pp_products_np(Tbar, nu, _accel._sign_full(ctx),
-                                            _accel._pblades(ctx), ctx.dim)
-            out += _mv_rows_product(ctx, TbarNu, derivs[a])
+            out += batch_product(ctx, batch_product(ctx, Tbar, nu), derivs[a])
         else:
-            NuTbar = _accel._pp_products_np(nu, Tbar, _accel._sign_full(ctx),
-                                            _accel._pblades(ctx), ctx.dim)
-            out += _mv_rows_product(ctx, derivs[a], NuTbar)
+            out += batch_product(ctx, derivs[a], batch_product(ctx, nu, Tbar))
     return out * prefac[:, None]
 
 
@@ -495,38 +467,20 @@ def principal_value_nodes(mesh, f: BoundaryDensity, side="left",
         idx = np.arange(N, dtype=np.int64)
     else:
         idx = np.asarray(indices, dtype=np.int64)
-    nuw = mesh.measure_coeffs()
     vol = unit_sphere_area(mesh.n)
     targets = mesh.nodes[idx]
     ft = f.samples[idx]
+    S1 = _accum(mesh, targets, _measure_density(mesh, f, side), side, idx)
+    S2 = _accum(mesh, targets, paravectors_as_coeffs(ctx, mesh.measure_coeffs()),
+                side, idx)
     if side == "left":
-        g1 = _para_mul_left(ctx, nuw, f.samples)
-        S1 = _accel.accum_left(ctx, targets, mesh.nodes, g1, idx)
-        S2 = _accel.accum_left(ctx, targets, mesh.nodes, nuw_to_coeffs(ctx, nuw),
-                               idx)
-        S2f = _mv_rows_product(ctx, S2, ft)
-    elif side == "right":
-        g1 = _para_mul_right(ctx, f.samples, nuw)
-        S1 = _accel.accum_right(ctx, targets, mesh.nodes, g1, idx)
-        S2 = _accel.accum_right(ctx, targets, mesh.nodes,
-                                nuw_to_coeffs(ctx, nuw), idx)
-        S2f = _mv_rows_product(ctx, ft, S2)
+        S2f = batch_product(ctx, S2, ft)
     else:
-        raise ValueError("side must be 'left' or 'right'")
+        S2f = batch_product(ctx, ft, S2)
     core = S1 - S2f
     if correction:
         core = core + _singular_cell_corrections(mesh, f, side)[idx]
     return core / vol + 0.5 * ft
-
-
-def nuw_to_coeffs(ctx, nuw):
-    """Paravector component rows (N, n+1) -> dense coefficients (N, 2^n)."""
-    N = nuw.shape[0]
-    out = np.zeros((N, ctx.dim))
-    out[:, 0] = nuw[:, 0]
-    for i in range(ctx.n):
-        out[:, 1 << i] = nuw[:, i + 1]
-    return out
 
 
 def _snap_node(mesh, t):
@@ -760,19 +714,6 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
     comps = kd.evaluate_components(mesh.nodes - point[None, :])  # (N, n+1)
     # d^alpha_w E(x - w) = (-1)^{|alpha|} [d^alpha E](x - w)
     signf = (-1.0) ** k / unit_sphere_area(mesh.n)
-    if side == "left":
-        g = _measure_density(mesh, f, "left")
-        T = np.einsum("jk,jb->kb", comps, g)
-        out = np.zeros(ctx.dim)
-        for kk in range(ctx.n + 1):
-            for b in range(ctx.dim):
-                out[ctx.para_idx[kk, b]] += ctx.para_sign[kk, b] * T[kk, b]
-    else:
-        g = _measure_density(mesh, f, "right")
-        T = np.einsum("jb,jk->bk", g, comps)
-        out = np.zeros(ctx.dim)
-        for b in range(ctx.dim):
-            for kk in range(ctx.n + 1):
-                out[ctx.para_idx_right[b, kk]] += \
-                    ctx.para_sign_right[b, kk] * T[b, kk]
+    g = _measure_density(mesh, f, side)
+    out = _accel._contract(ctx, comps[None], g, side)[0]
     return Multivector(ctx, signf * out)

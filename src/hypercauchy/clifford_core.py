@@ -7,6 +7,8 @@ by subset bitmask (bit i-1 set  <=>  e_i present in the blade).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -74,24 +76,6 @@ class AlgebraContext:
         self.para_sign = psign
         self.para_idx_right = ridx
         self.para_sign_right = rsign
-
-        self._mul_tensor = None
-
-    def mul_tensor(self) -> np.ndarray:
-        """Dense product tensor M with (ab)_c = sum_ab M[a,b,c] a_a b_b.
-
-        Only built on demand; kept for n <= 5 where d^3 is small.
-        """
-        if self._mul_tensor is None:
-            if self.n > 5:
-                raise ValueError("mul_tensor is limited to n <= 5")
-            d = self.dim
-            M = np.zeros((d, d, d))
-            for a in range(d):
-                for b in range(d):
-                    M[a, b, a ^ b] = self.sign_table[a, b]
-            self._mul_tensor = M
-        return self._mul_tensor
 
     def blade_name(self, a: int) -> str:
         if a == 0:
@@ -337,11 +321,66 @@ def project_paravector(X) -> np.ndarray | Paravector:
     return np.concatenate(([X.coeffs[0]], vec))
 
 
-# -- batched helpers (coefficient arrays of shape (..., dim)) -----------------
+# -- batched helpers (dense (..., dim) or paravector (..., n+1) rows) ---------
+
+@lru_cache(maxsize=None)
+def _column_pairs(n: int, left_width: int, right_width: int) -> tuple:
+    """Per left column i: (i, ((j, blade of e_i e_j, sign), ...)).
+
+    Columns of a dense row are the 2^n blades in bitmask order; columns
+    of a compact row are the paravector blades 1, e_1, ..., e_n.
+    """
+    ctx = get_context(n)
+    blades = []
+    for width in (left_width, right_width):
+        if width == ctx.dim:
+            blades.append(range(ctx.dim))
+        elif width == n + 1:
+            blades.append([0] + [1 << k for k in range(n)])
+        else:
+            raise ValueError(f"rows of width {width} are neither {ctx.dim} "
+                             f"coefficients nor {n + 1} paravector components")
+    return tuple(
+        (i, tuple((j, a ^ b, float(ctx.sign_table[a, b]))
+                  for j, b in enumerate(blades[1])))
+        for i, a in enumerate(blades[0]))
+
 
 def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Geometric product over trailing coefficient axes via the dense tensor."""
-    return np.einsum("...a,...b,abc->...c", A, B, ctx.mul_tensor())
+    """Row-wise geometric products A_i B_i in C(V_n), as dense rows.
+
+    Each operand comes in one of two row layouts along its last axis:
+    dense ``(..., 2^n)`` blade coefficients indexed by bitmask, or compact
+    ``(..., n+1)`` paravector components x_0, x_1, ..., x_n.  Either
+    operand may use either layout; for n = 1 the two layouts are the same
+    array.  Leading axes broadcast, and the result has shape
+    ``broadcast(leading axes) + (2^n,)``.  Terms are summed in the order
+    of the left operand's blades, skipping all-zero left columns, so the
+    result does not depend on the layouts chosen.
+    """
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    lead = A.shape[:-1]
+    if lead != B.shape[:-1]:
+        lead = np.broadcast_shapes(lead, B.shape[:-1])
+    out = np.zeros(lead + (ctx.dim,))
+    if ctx.n >= 2 and A.shape[-1] == B.shape[-1] == ctx.dim:
+        # one block update per left blade: for n >= 2 it beats the
+        # (2^n)^2 column pairs, for n = 1 four scalar updates are cheaper
+        cols = np.arange(ctx.dim)
+        for a in range(ctx.dim):
+            col = A[..., a]
+            if col.any():
+                out[..., a ^ cols] += col[..., None] * ctx.sign_table[a] * B
+        return out
+    for i, terms in _column_pairs(ctx.n, A.shape[-1], B.shape[-1]):
+        col = A[..., i]
+        if not col.any():
+            continue
+        for j, blade, sign in terms:
+            out[..., blade] += sign * col * B[..., j]
+    return out
+
 
 def batch_conjugate(ctx: AlgebraContext, A: np.ndarray) -> np.ndarray:
     return A * ctx.conj_sign

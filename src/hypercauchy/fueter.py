@@ -18,14 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _accel
-from .clifford_core import Multivector, Paravector, get_context
+from .clifford_core import Multivector, Paravector, batch_product
 from .cauchy import (
     BoundaryDensity,
     _measure_density,
-    _mv_rows_product,
-    _para_mul_left,
-    _para_mul_right,
     cauchy_integral,
     unit_sphere_area,
 )
@@ -140,7 +136,7 @@ def symmetric_power_rows(ctx, alpha, points):
     for word in _arrangements(alpha):
         acc = zrows[word[0]]
         for j in word[1:]:
-            acc = _mv_rows_product(ctx, acc, zrows[j])
+            acc = batch_product(ctx, acc, zrows[j])
         out += acc
     return out
 
@@ -253,11 +249,6 @@ def kernel_derivative(ctx, alpha) -> KernelDerivative:
     return _kernel_derivative_cached(ctx.n, alpha)
 
 
-def _kd_mul_left_rows(ctx, comps, rows):
-    """Products kd_j rows_j with kd (N, n+1) paravector comps on the left."""
-    return _para_mul_left(ctx, comps, rows)
-
-
 # -- boundary moments -------------------------------------------------------------
 
 def boundary_moment(mesh, g: BoundaryDensity, alpha, side="left") -> Multivector:
@@ -265,15 +256,11 @@ def boundary_moment(mesh, g: BoundaryDensity, alpha, side="left") -> Multivector
     ctx = mesh.context
     alpha = _as_alpha(alpha, ctx.n)
     Z = symmetric_power_rows(ctx, alpha, mesh.nodes)
-    nuw = mesh.measure_coeffs()
+    t = _measure_density(mesh, g, side)
     if side == "left":
-        t = _para_mul_left(ctx, nuw, g.samples)
-        rows = _mv_rows_product(ctx, Z, t)
-    elif side == "right":
-        t = _para_mul_right(ctx, g.samples, nuw)
-        rows = _mv_rows_product(ctx, t, Z)
+        rows = batch_product(ctx, Z, t)
     else:
-        raise ValueError("side must be 'left' or 'right'")
+        rows = batch_product(ctx, t, Z)
     return Multivector(ctx, rows.sum(axis=0))
 
 
@@ -313,14 +300,12 @@ def derivative_at_origin(mesh, f: BoundaryDensity, alpha, side="left"):
     k = sum(alpha)
     kd = kernel_derivative(ctx, alpha)
     comps = kd.evaluate_components(mesh.nodes)
-    nuw = mesh.measure_coeffs()
     vol = unit_sphere_area(ctx.n)
+    t = _measure_density(mesh, f, side)
     if side == "left":
-        t = _para_mul_left(ctx, nuw, f.samples)
-        rows = _para_mul_left(ctx, comps, t)
+        rows = batch_product(ctx, comps, t)
     else:
-        t = _para_mul_right(ctx, f.samples, nuw)
-        rows = _para_mul_right(ctx, t, comps)
+        rows = batch_product(ctx, t, comps)
     return (-1.0) ** k / vol * rows.sum(axis=0)
 
 
@@ -362,9 +347,9 @@ def taylor_component(f, k, R, mesh, side="left"):
         for alpha, c in coeffs.items():
             Z = symmetric_power_rows(ctx, alpha, pts)
             if side == "left":
-                out += _mv_rows_product(ctx, Z, c[None, :])
+                out += batch_product(ctx, Z, c)
             else:
-                out += _mv_rows_product(ctx, c[None, :], Z)
+                out += batch_product(ctx, c, Z)
         out *= inv_kfact
         if np.asarray(x).ndim == 1:
             return Multivector(ctx, out[0])
@@ -408,13 +393,9 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
         for alpha, m in moments.items():
             comps = kds[alpha].evaluate_components(pts)
             if side == "left":
-                out += _para_mul_left(ctx, comps,
-                                      np.broadcast_to(m, (pts.shape[0],
-                                                          ctx.dim)))
+                out += batch_product(ctx, comps, m)
             else:
-                out += _para_mul_right(ctx,
-                                       np.broadcast_to(m, (pts.shape[0],
-                                                           ctx.dim)), comps)
+                out += batch_product(ctx, m, comps)
         out *= scale
         if np.asarray(w).ndim == 1:
             return Multivector(ctx, out[0])

@@ -10,7 +10,7 @@ a built mesh does except refine().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -100,6 +100,9 @@ class SurfaceMesh:
         Refinement index used by the builder (0 for loaded meshes).
     spec : DomainSpec or None
         Builder spec when constructed by build_mesh; None for loaded meshes.
+    stencil_cache : tuple or None
+        Tangential-derivative stencil, filled on first use by
+        cauchy.gradient_stencil; not a constructor argument.
     """
 
     nodes: np.ndarray
@@ -108,6 +111,8 @@ class SurfaceMesh:
     h: float
     level: int = 0
     spec: DomainSpec | None = None
+    stencil_cache: tuple | None = field(default=None, init=False,
+                                        compare=False, repr=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
@@ -116,6 +121,11 @@ class SurfaceMesh:
         if nodes.ndim != 2 or nodes.shape != normals.shape or \
                 weights.shape != (nodes.shape[0],):
             raise MeshFormatError("inconsistent mesh array shapes")
+        for name, values in (("nodes", nodes), ("normals", normals),
+                             ("weights", weights)):
+            bad = _first_nonfinite_row(values)
+            if bad is not None:
+                raise MeshFormatError("%s row %d is not finite" % (name, bad))
         misfit = np.abs(np.linalg.norm(normals, axis=1) - 1.0)
         if misfit.size and misfit.max() > NORMAL_UNIT_TOL:
             raise MeshFormatError("normals deviate from unit length by %.3g"
@@ -142,6 +152,15 @@ class SurfaceMesh:
     def measure_coeffs(self):
         """nu_i w_i as paravector component rows, shape (N, n+1)."""
         return self.normals * self.weights[:, None]
+
+
+def _first_nonfinite_row(values):
+    """Index of the first row holding a NaN or infinity, or None."""
+    finite = np.isfinite(values)
+    if finite.all():
+        return None
+    rows = finite.reshape(finite.shape[0], -1).all(axis=1)
+    return int(np.argmin(rows))
 
 
 def _mesh_h(nodes):
@@ -290,7 +309,13 @@ def load_mesh(path) -> SurfaceMesh:
     nodes = data[:, : n + 1]
     normals = data[:, n + 1 : 2 * (n + 1)]
     weights = data[:, -1]
-    return SurfaceMesh(nodes, normals, weights, _mesh_h(nodes))
+    mesh = SurfaceMesh(nodes, normals, weights, 0.0)  # validates the arrays
+    _, first = np.unique(mesh.nodes, axis=0, return_index=True)
+    if first.size < count:
+        j = int(np.setdiff1d(np.arange(count), first)[0])
+        i = int(np.flatnonzero((mesh.nodes == mesh.nodes[j]).all(axis=1))[0])
+        raise MeshFormatError("nodes rows %d and %d coincide" % (i, j))
+    return replace(mesh, h=_mesh_h(mesh.nodes))
 
 
 def parse_mesh_spec(text: str):

@@ -1,76 +1,156 @@
-"""Numba and pure-numpy kernel paths must agree to rounding error."""
+"""Kernel sums against a plain per-pair loop over kernel_E and product.
 
-import json
-import os
-import subprocess
-import sys
-
-import numpy as np
-
-from hypercauchy.cauchy import cauchy_integral, principal_value_nodes
-from hypercauchy.surface import DomainSpec, build_mesh
-from hypercauchy._corpus import random_smooth
-import hypercauchy._accel as _accel
-
-PATH_AGREEMENT_TOL = 1e-10
-
-_SCRIPT = r"""
-import json, sys
-import numpy as np
-from hypercauchy.surface import DomainSpec, build_mesh
-from hypercauchy.cauchy import cauchy_integral, principal_value_nodes
-from hypercauchy._corpus import random_smooth
-import hypercauchy._accel as _accel
-
-spec = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
-mesh = build_mesh(spec, 3)
-f = rand = random_smooth(mesh, 5)
-integral = cauchy_integral(mesh, f, np.array([0.3, 0.2])).value.coeffs
-pv = principal_value_nodes(mesh, f, indices=[0, 17])
-print(json.dumps({
-    "numba_active": _accel.HAVE_NUMBA,
-    "integral": integral.tolist(),
-    "pv": np.asarray(pv).ravel().tolist(),
-}))
+Each reference value is a straight double loop over target and source
+nodes, built only from cauchy.kernel_E and clifford_core.product, so it
+shares no code with the batched kernel path.  The tolerances are fixed
+from float64 rounding alone: a sum of m rounded terms in any order is off
+by at most gamma_m = m u / (1 - m u) times the sum of the absolute terms
+(u = 2^-53), and every term carries a few roundings of its own from the
+kernel evaluation and the products.  Both paths err, hence the factor 2.
 """
 
+import numpy as np
+import pytest
 
-def _run_fallback():
-    env = dict(os.environ, HYPERCAUCHY_NO_NUMBA="1")
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+from hypercauchy import _accel
+from hypercauchy.cauchy import kernel_E
+from hypercauchy.clifford_core import Multivector, Paravector, product
+from hypercauchy.surface import DomainSpec, build_mesh
+from hypercauchy._corpus import random_smooth
+
+UNIT_ROUNDOFF = 2.0 ** -53
+# roundings per term outside the summation: r^2 (n+1 <= 4 products and
+# sums), the power, the scaling and up to three geometric products
+TERM_ROUNDINGS = 32
+
+SPECS = {
+    "circle": DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+    "sphere2": DomainSpec("sphere", 2, center=(0.0, 0.0, 0.0), radius=1.0),
+    "sphere3": DomainSpec("sphere", 3, center=(0.0, 0.0, 0.0, 0.0),
+                          radius=1.0),
+}
 
 
-def test_fallback_path_matches_inprocess_values():
-    fallback = _run_fallback()
-    assert fallback["numba_active"] is False
+@pytest.fixture(scope="module", params=sorted(SPECS))
+def mesh(request):
+    return build_mesh(SPECS[request.param], 0)
 
-    spec = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
-    mesh = build_mesh(spec, 3)
+
+def _tolerance(terms, abs_sum):
+    """2 gamma_m * abs_sum for m = terms + TERM_ROUNDINGS roundings."""
+    m = terms + TERM_ROUNDINGS
+    return 2.0 * m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF) * abs_sum
+
+
+def _kernel_mv(ctx, x, w):
+    return kernel_E(x, w).as_multivector(ctx)
+
+
+def _paravector(ctx, row):
+    return Paravector(row[0], row[1:]).as_multivector(ctx)
+
+
+def _l1(mv):
+    return float(np.abs(mv.coeffs).sum())
+
+
+def _assert_within(got, want, tol):
+    err = np.abs(np.asarray(got) - np.asarray(want))
+    assert np.all(err <= tol[..., None]), (float(err.max()), float(tol.min()))
+
+
+def _reference_accum(ctx, targets, nodes, g, excl, side):
+    out = np.zeros((len(targets), ctx.dim))
+    abs_sum = np.zeros(len(targets))
+    for i, w in enumerate(targets):
+        total = Multivector.zero(ctx)
+        for j, x in enumerate(nodes):
+            if excl is not None and j == excl[i]:
+                continue
+            E = _kernel_mv(ctx, x, w)
+            gj = Multivector(ctx, g[j])
+            total = total + (product(E, gj) if side == "left"
+                             else product(gj, E))
+            abs_sum[i] += _l1(E) * _l1(gj)
+        out[i] = total.coeffs
+    return out, abs_sum
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_accumulators_match_pair_loop(mesh, side):
+    ctx = mesh.context
     f = random_smooth(mesh, 5)
-    integral = cauchy_integral(mesh, f, np.array([0.3, 0.2])).value.coeffs
-    pv = np.asarray(principal_value_nodes(mesh, f, indices=[0, 17])).ravel()
+    g = f.samples * mesh.weights[:, None]
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    N = mesh.node_count
+    rng = np.random.default_rng(11)
+    picks = np.sort(rng.choice(N, size=6, replace=False))
+    cases = [
+        # off-surface targets, no exclusion
+        (np.concatenate([0.4 * mesh.nodes[picks[:3]],
+                         1.7 * mesh.nodes[picks[3:]]]), None),
+        # node targets, each skipping its own node (principal-value sums)
+        (mesh.nodes[picks], picks),
+        # off-surface targets skipping some other node, or none
+        (0.5 * mesh.nodes[picks[:4]],
+         np.array([picks[5], picks[4], -1, picks[0]])),
+    ]
+    for targets, excl in cases:
+        got = accum(ctx, targets, mesh.nodes, g, excl)
+        want, abs_sum = _reference_accum(ctx, targets, mesh.nodes, g, excl,
+                                         side)
+        _assert_within(got, want, _tolerance(N * (ctx.n + 1), abs_sum))
 
-    assert np.max(np.abs(integral - fallback["integral"])) <= PATH_AGREEMENT_TOL
-    assert np.max(np.abs(pv - fallback["pv"])) <= PATH_AGREEMENT_TOL
+
+def test_pv_matrix_matches_pair_loop(mesh):
+    ctx = mesh.context
+    N = mesh.node_count
+    rng = np.random.default_rng(3)
+    dmat = rng.normal(size=(N, N, ctx.dim))
+    nuw = mesh.measure_coeffs()
+    got = _accel.pv_matrix(ctx, mesh.nodes, nuw, dmat)
+    rows = rng.choice(N, size=3, replace=False)
+    for i in rows:
+        total = Multivector.zero(ctx)
+        abs_sum = 0.0
+        for j in range(N):
+            if j == i:
+                continue
+            E = _kernel_mv(ctx, mesh.nodes[j], mesh.nodes[i])
+            dens = _paravector(ctx, nuw[j])
+            D = Multivector(ctx, dmat[j, i] - dmat[i, i])
+            total = total + product(product(E, dens), D)
+            abs_sum += _l1(E) * _l1(dens) * _l1(D)
+        terms = N * (ctx.n + 1) ** 2 * ctx.dim
+        _assert_within(got[i], total.coeffs,
+                       np.asarray(_tolerance(terms, abs_sum)))
 
 
-def test_numpy_accumulators_match_active_path(circle_mesh):
-    ctx = circle_mesh.context
-    f = random_smooth(circle_mesh, 5)
-    g = f.samples * circle_mesh.weights[:, None]
-    targets = circle_mesh.nodes[:3] * 1.5
-    active_l = _accel.accum_left(ctx, targets, circle_mesh.nodes, g)
-    active_r = _accel.accum_right(ctx, targets, circle_mesh.nodes, g)
-    out_l = np.zeros_like(active_l)
-    out_r = np.zeros_like(active_r)
-    excl = np.full(targets.shape[0], -1, dtype=np.int64)
-    _accel._accum_left_np(targets, excl, circle_mesh.nodes, g,
-                          ctx.para_idx, ctx.para_sign, ctx.n, out_l)
-    _accel._accum_right_np(targets, excl, circle_mesh.nodes, g,
-                           ctx.para_idx_right, ctx.para_sign_right, ctx.n,
-                           out_r)
-    assert np.max(np.abs(active_l - out_l)) <= PATH_AGREEMENT_TOL
-    assert np.max(np.abs(active_r - out_r)) <= PATH_AGREEMENT_TOL
+def test_pb_rhs_matches_pair_loop(mesh):
+    ctx = mesh.context
+    # the double sum is O(N^2) products per target; a slice of the mesh
+    # keeps the reference loop short while every index case still occurs
+    N = min(mesh.node_count, 48)
+    nodes = mesh.nodes[:N]
+    nuw = mesh.measure_coeffs()[:N]
+    rng = np.random.default_rng(7)
+    kmat = rng.normal(size=(N, N, ctx.dim))
+    dens = [_paravector(ctx, row) for row in nuw]
+    for t in (0, N // 2):
+        got = _accel.pb_rhs(ctx, nodes, nuw, kmat, t)
+        total = Multivector.zero(ctx)
+        abs_sum = 0.0
+        for j in range(N):
+            if j == t:
+                continue
+            for i in range(N):
+                if i in (t, j):
+                    continue
+                A = product(_kernel_mv(ctx, nodes[i], nodes[t]), dens[i])
+                C = product(_kernel_mv(ctx, nodes[j], nodes[i]), dens[j])
+                K = Multivector(ctx, kmat[j, i] - kmat[j, t])
+                total = total + product(A, product(C, K))
+                abs_sum += _l1(A) * _l1(C) * _l1(K)
+        terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
+        _assert_within(got, total.coeffs,
+                       np.asarray(_tolerance(terms, abs_sum)))

@@ -112,6 +112,15 @@ def test_density_shape_and_regularity_validated(circle_mesh):
         BoundaryDensity(circle_mesh, np.ones((N, 2)), regularity=("smooth",))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_density_rejects_nonfinite_samples(circle_mesh, bad):
+    samples = np.ones((circle_mesh.node_count, 2))
+    samples[4, 1] = bad
+    samples[30, 0] = bad
+    with pytest.raises(ValueError, match=r"samples row 4\b"):
+        BoundaryDensity(circle_mesh, samples)
+
+
 def test_from_function_batch_and_rowwise_agree(circle_mesh):
     batch = BoundaryDensity.from_function(circle_mesh, _z_trace(2))
     fn = _z_trace(2)

@@ -84,6 +84,21 @@ def test_run_byte_deterministic(tmp_path, capsys):
     assert (tmp_path / "out.json").read_bytes() == first_json
 
 
+@pytest.mark.parametrize("surface", ["circle", "sphere2"])
+def test_outputs_independent_of_thread_count(tmp_path, capsys, monkeypatch,
+                                             surface):
+    # levels run concurrently with 2 threads; each level's mesh carries
+    # its own stencil, so the reports must not change by a single byte
+    cfg = _fast_config(tmp_path, surface=surface, levels="0,1,2")
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("HYPERCAUCHY_THREADS", threads)
+        assert main(["run", cfg]) == 0
+        outputs.append(((tmp_path / "out.csv").read_bytes(),
+                        (tmp_path / "out.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_run_records_runtime_when_asked(tmp_path, capsys):
     cfg = _fast_config(tmp_path, record_runtime="true")
     assert main(["run", cfg]) == 0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, seed
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -191,17 +191,66 @@ def test_blade_names():
 
 
 def test_batch_helpers_match_scalar_paths():
-    ctx = get_context(2)
-    rng = np.random.default_rng(13)
-    A = rng.normal(size=(20, 4))
-    B = rng.normal(size=(20, 4))
-    got = batch_product(ctx, A, B)
-    for i in range(20):
-        want = product(Multivector(ctx, A[i]), Multivector(ctx, B[i]))
-        assert np.allclose(got[i], want.coeffs, atol=1e-13)
-    got_c = batch_conjugate(ctx, A)
-    for i in range(20):
-        assert np.allclose(got_c[i], conjugate(Multivector(ctx, A[i])).coeffs)
+    # up to n = 8, the largest algebra a context supports
+    for n in (2, 6, 7, 8):
+        ctx = get_context(n)
+        rng = np.random.default_rng(13)
+        A = rng.normal(size=(20, ctx.dim))
+        B = rng.normal(size=(20, ctx.dim))
+        got = batch_product(ctx, A, B)
+        for i in range(20):
+            want = product(Multivector(ctx, A[i]), Multivector(ctx, B[i]))
+            assert np.allclose(got[i], want.coeffs, atol=1e-13)
+        got_c = batch_conjugate(ctx, A)
+        for i in range(20):
+            assert np.allclose(got_c[i],
+                               conjugate(Multivector(ctx, A[i])).coeffs)
+
+
+@seed(5)
+@settings(deadline=None)
+@given(data=st.data(), n=st.integers(1, 4), rows=st.integers(1, 4))
+def test_batch_product_layouts_agree_bitwise(data, n, rows):
+    # compact paravector rows give exactly the dense product of their
+    # expansion, whichever operand is compact
+    ctx = get_context(n)
+    finite = st.floats(-10, 10, allow_nan=False)
+    compact = [data.draw(arrays(np.float64, (rows, n + 1), elements=finite))
+               for _ in range(2)]
+    dense = [data.draw(arrays(np.float64, (rows, ctx.dim), elements=finite))
+             for _ in range(2)]
+    expanded = [paravectors_as_coeffs(ctx, P) for P in compact]
+    for A, A_dense in ((compact[0], expanded[0]), (dense[0], dense[0])):
+        for B, B_dense in ((compact[1], expanded[1]), (dense[1], dense[1])):
+            want = batch_product(ctx, A_dense, B_dense)
+            assert np.array_equal(batch_product(ctx, A, B), want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batch_product_broadcasts_leading_axes(n):
+    ctx = get_context(n)
+    rng = np.random.default_rng(29)
+    N = 6
+    one = rng.normal(size=(1, ctx.dim))
+    many = rng.normal(size=(N, ctx.dim))
+    assert np.array_equal(batch_product(ctx, one, many),
+                          batch_product(ctx, np.repeat(one, N, axis=0), many))
+    assert np.array_equal(batch_product(ctx, many, one),
+                          batch_product(ctx, many, np.repeat(one, N, axis=0)))
+    # (N, 1, dim) against (dim, dim): every row times every basis blade
+    blades = np.eye(ctx.dim)
+    table = batch_product(ctx, many[:, None, :], blades)
+    assert table.shape == (N, ctx.dim, ctx.dim)
+    for i in range(N):
+        for b in range(ctx.dim):
+            want = product(Multivector(ctx, many[i]), ctx.basis_blade(b))
+            assert np.array_equal(table[i, b], want.coeffs)
+
+
+def test_batch_product_rejects_unknown_row_width():
+    ctx = get_context(3)
+    with pytest.raises(ValueError, match="width 5"):
+        batch_product(ctx, np.ones((2, 5)), np.ones((2, 8)))
 
 
 def test_paravector_coeff_layout_roundtrip():

@@ -131,6 +131,29 @@ def test_mesh_invariants_enforced(circle_mesh):
                     circle_mesh.weights[:-1], circle_mesh.h)
 
 
+@pytest.mark.parametrize("field", ["nodes", "normals", "weights"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_mesh_rejects_nonfinite_values(circle_mesh, field, bad):
+    arrays = {"nodes": circle_mesh.nodes.copy(),
+              "normals": circle_mesh.normals.copy(),
+              "weights": circle_mesh.weights.copy()}
+    arrays[field][7] = bad
+    arrays[field][9] = bad
+    with pytest.raises(MeshFormatError, match=r"%s row 7\b" % field):
+        SurfaceMesh(arrays["nodes"], arrays["normals"], arrays["weights"],
+                    circle_mesh.h)
+
+
+def test_load_rejects_duplicate_nodes(tmp_path, circle_mesh):
+    path = tmp_path / "dup.txt"
+    save_mesh(circle_mesh, path)
+    lines = path.read_text().splitlines()
+    lines[1 + 12] = lines[1 + 5]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=r"nodes rows 5 and 12 coincide"):
+        load_mesh(path)
+
+
 def test_exclude_cap(circle_mesh):
     t = circle_mesh.nodes[0]
     delta = 5 * circle_mesh.h
