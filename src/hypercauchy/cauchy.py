@@ -65,10 +65,9 @@ def kernel_E(x, w) -> Paravector:
 
 def kernel_E_rows(points, w):
     """E(x_j - w) paravector component rows for an (N, n+1) point array."""
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[1] - 1
-    return _accel._kernel_E_block(np.atleast_2d(np.asarray(w, float)),
-                                  points, n)[0]
+    points_T = np.asarray(points, dtype=np.float64).T
+    n = points_T.shape[0] - 1
+    return _accel._kernel_E_block(np.atleast_2d(w), points_T, n)[:, 0, :].T
 
 
 # -- densities and tagged points ------------------------------------------------
@@ -399,12 +398,13 @@ def _tangent_frame_circle(mesh, center):
 def gradient_stencil(mesh):
     """Per-node tangential-derivative stencil (nb, wts, frame).
 
-    Built on first use and kept on the mesh, so it lives as long as the
-    mesh does.
+    Built on first use and kept in the mesh's cache, so it lives as long
+    as the mesh does.
     """
-    if mesh.stencil_cache is None:
-        object.__setattr__(mesh, "stencil_cache", _build_gradient_stencil(mesh))
-    return mesh.stencil_cache
+    stencil = mesh.cache.get("gradient_stencil")
+    if stencil is None:
+        stencil = mesh.cache["gradient_stencil"] = _build_gradient_stencil(mesh)
+    return stencil
 
 
 def tangential_gradient(mesh, samples):
@@ -454,25 +454,48 @@ def _cell_corrections(mesh, derivs, frame, side):
     return out * prefac[:, None]
 
 
+def _self_sums(mesh, side, idx):
+    """S2 at the nodes idx: sum_{j != i} E(x_j - x_i) nu_j w_j (or mirrored)."""
+    measure = paravectors_as_coeffs(mesh.context, mesh.measure_coeffs())
+    return _accum(mesh, mesh.nodes[idx], measure, side, idx)
+
+
+def _cached_self_sums(mesh, side):
+    """S2 at every node, computed once per mesh and side; read-only.
+
+    Threads sharing a mesh may both fill the entry; they store equal arrays.
+    """
+    key = ("self_sums", side)
+    S2 = mesh.cache.get(key)
+    if S2 is None:
+        S2 = _self_sums(mesh, side, np.arange(mesh.node_count, dtype=np.int64))
+        S2.flags.writeable = False
+        mesh.cache[key] = S2
+    return S2
+
+
 def principal_value_nodes(mesh, f: BoundaryDensity, side="left",
                           indices=None, correction=True):
     """Regularized principal values at mesh nodes, shape (len(indices), dim).
 
     Computes (S1 - S2 f_t + c_t)/V_n + f_t/2 where S1, S2 are the
-    desingularized kernel sums and c_t the singular-cell correction.
+    desingularized kernel sums and c_t the singular-cell correction.  S2
+    does not depend on f: over the full mesh (indices None) it is kept in
+    the mesh's cache per side, while explicit indices compute their rows
+    and leave the cache alone.
     """
     ctx = mesh.context
     N = mesh.node_count
     if indices is None:
         idx = np.arange(N, dtype=np.int64)
+        S2 = _cached_self_sums(mesh, side)
     else:
         idx = np.asarray(indices, dtype=np.int64)
+        S2 = _self_sums(mesh, side, idx)
     vol = unit_sphere_area(mesh.n)
     targets = mesh.nodes[idx]
     ft = f.samples[idx]
     S1 = _accum(mesh, targets, _measure_density(mesh, f, side), side, idx)
-    S2 = _accum(mesh, targets, paravectors_as_coeffs(ctx, mesh.measure_coeffs()),
-                side, idx)
     if side == "left":
         S2f = batch_product(ctx, S2, ft)
     else:
@@ -551,7 +574,7 @@ def plemelj_values(mesh, f: BoundaryDensity, t, side="left"):
     """Plemelj boundary values (plus, minus) at node t.
 
     plus = f(t)/2 + PV C[f](t), minus = -f(t)/2 + PV C[f](t); their
-    difference is f(t) exactly by construction.
+    difference is f(t) up to the rounding of the two sums.
     """
     i = _snap_node(mesh, t)
     pv = principal_value(mesh, f, i, side=side)
@@ -715,5 +738,5 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
     # d^alpha_w E(x - w) = (-1)^{|alpha|} [d^alpha E](x - w)
     signf = (-1.0) ** k / unit_sphere_area(mesh.n)
     g = _measure_density(mesh, f, side)
-    out = _accel._contract(ctx, comps[None], g, side)[0]
+    out = _accel._contract(ctx, comps.T[:, None, :], g, side)[0]
     return Multivector(ctx, signf * out)

@@ -82,6 +82,16 @@ def _parse_bool(value, key):
     raise ConfigError("%s: expected a boolean, got %r" % (key, value))
 
 
+def _finite(key, texts):
+    """Parse floats, rejecting NaN and infinities (NaN means "not set")."""
+    values = tuple(float(v) for v in texts)
+    for v in values:
+        if not math.isfinite(v):
+            raise ConfigError("%s: expected a finite number, got %r"
+                              % (key, v))
+    return values
+
+
 def _parse_field(key, value):
     value = value.strip()
     try:
@@ -92,13 +102,13 @@ def _parse_field(key, value):
         pass
     try:
         if key == "center":
-            return tuple(float(v) for v in value.split(",")) if value else ()
+            return _finite(key, value.split(",")) if value else ()
         if key == "gap_g":
-            return tuple(float(v) for v in value.split(","))
+            return _finite(key, value.split(","))
         if key == "levels":
             return tuple(int(v) for v in value.split(","))
         if key in ("radius", "sie_a", "sie_b", "tolerance", "min_order"):
-            return float(value)
+            return _finite(key, [value])[0]
         if key in ("jump_m", "sample_nodes", "kernel_seed", "seed"):
             return int(value)
         if key in ("monotone", "record_runtime"):

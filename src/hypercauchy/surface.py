@@ -100,9 +100,13 @@ class SurfaceMesh:
         Refinement index used by the builder (0 for loaded meshes).
     spec : DomainSpec or None
         Builder spec when constructed by build_mesh; None for loaded meshes.
-    stencil_cache : tuple or None
-        Tangential-derivative stencil, filled on first use by
-        cauchy.gradient_stencil; not a constructor argument.
+    cache : dict
+        Mesh-owned operator data that depends on the mesh alone, filled on
+        first use: the tangential-derivative stencil of
+        cauchy.gradient_stencil and the read-only full-mesh self-sums S2
+        of cauchy.principal_value_nodes, one per side.  Never a
+        constructor argument; every new mesh (build_mesh, refine,
+        dataclasses.replace) starts with an empty one.
     """
 
     nodes: np.ndarray
@@ -111,8 +115,8 @@ class SurfaceMesh:
     h: float
     level: int = 0
     spec: DomainSpec | None = None
-    stencil_cache: tuple | None = field(default=None, init=False,
-                                        compare=False, repr=False)
+    cache: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
@@ -132,6 +136,9 @@ class SurfaceMesh:
                                   % misfit.max())
         if weights.size and weights.min() <= 0:
             raise MeshFormatError("weights must be positive")
+        pair = _coincident_rows(nodes)
+        if pair is not None:
+            raise MeshFormatError("nodes rows %d and %d coincide" % pair)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "weights", weights)
@@ -161,6 +168,16 @@ def _first_nonfinite_row(values):
         return None
     rows = finite.reshape(finite.shape[0], -1).all(axis=1)
     return int(np.argmin(rows))
+
+
+def _coincident_rows(nodes):
+    """(i, j), i < j, for the first repeated row j and its first copy i."""
+    _, first = np.unique(nodes, axis=0, return_index=True)
+    if first.size == nodes.shape[0]:
+        return None
+    j = int(np.setdiff1d(np.arange(nodes.shape[0]), first)[0])
+    i = int(np.flatnonzero((nodes == nodes[j]).all(axis=1))[0])
+    return i, j
 
 
 def _mesh_h(nodes):
@@ -310,11 +327,6 @@ def load_mesh(path) -> SurfaceMesh:
     normals = data[:, n + 1 : 2 * (n + 1)]
     weights = data[:, -1]
     mesh = SurfaceMesh(nodes, normals, weights, 0.0)  # validates the arrays
-    _, first = np.unique(mesh.nodes, axis=0, return_index=True)
-    if first.size < count:
-        j = int(np.setdiff1d(np.arange(count), first)[0])
-        i = int(np.flatnonzero((mesh.nodes == mesh.nodes[j]).all(axis=1))[0])
-        raise MeshFormatError("nodes rows %d and %d coincide" % (i, j))
     return replace(mesh, h=_mesh_h(mesh.nodes))
 
 

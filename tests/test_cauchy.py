@@ -4,11 +4,15 @@ The circle (n = 1) doubles as an exact oracle: paravectors are complex
 numbers there, so monomial traces z^k reproduce w^k inside and 0 outside.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+from hypercauchy import _accel
 from hypercauchy.cauchy import (
     BoundaryDensity,
     InconclusiveSpanError,
@@ -17,6 +21,7 @@ from hypercauchy.cauchy import (
     cauchy_derivative,
     cauchy_integral,
     extrapolate_to_zero,
+    gradient_stencil,
     kernel_E,
     kernel_E_rows,
     plemelj_values,
@@ -29,8 +34,8 @@ from hypercauchy.cauchy import (
     tangential_gradient,
     unit_sphere_area,
 )
-from hypercauchy.clifford_core import SingularInputError
-from hypercauchy.surface import DomainSpec, build_mesh
+from hypercauchy.clifford_core import SingularInputError, paravectors_as_coeffs
+from hypercauchy.surface import DomainSpec, build_mesh, refine
 from hypercauchy._corpus import random_smooth, rough_holder
 
 ORACLE_TOL = 1e-12          # circle quadrature of low-degree traces is spectral
@@ -335,3 +340,195 @@ def test_extrapolate_to_zero_polynomial():
     rows = np.array([[1.0 + 0.5 * lam + 2.0 * lam ** 2] for lam in lams])
     got = extrapolate_to_zero(lams, rows)
     assert abs(got[0] - 1.0) <= 1e-10
+
+
+# -- the full-mesh self-sum cache -------------------------------------------------
+
+UNIT_ROUNDOFF = 2.0 ** -53
+# roundings per term outside the summation, as in tests/test_accel.py
+TERM_ROUNDINGS = 32
+
+SMALL_MESHES = {
+    "circle-L0": (DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0), 0),
+    "circle-L1": (DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0), 1),
+    "sphere2-L0": (DomainSpec("sphere", 2, center=(0.0, 0.0, 0.0),
+                              radius=1.0), 0),
+}
+
+
+def _gamma(m):
+    """Relative error bound of a float64 sum of m rounded terms."""
+    return m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
+
+
+def _small_mesh(name):
+    return build_mesh(*SMALL_MESHES[name])
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(_accel, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_accel, name, counted)
+    return calls
+
+
+def _core_bound(mesh, f, idx):
+    """Rounding bound on S1 - S2 f_t at the nodes idx, per coefficient.
+
+    Each sum has N (n+1) kernel terms; its error is at most 2 gamma_m
+    times the sum of the absolute terms, which l1 norms bound:
+    sum_j l1(E_ij) l1(nu_j w_j) (l1(f_j) + l1(f_i)).
+    """
+    nuw_l1 = np.abs(mesh.measure_coeffs()).sum(axis=1)
+    f_l1 = np.abs(f.samples).sum(axis=1)
+    m = mesh.node_count * (mesh.n + 1) + TERM_ROUNDINGS
+    out = np.empty(len(idx))
+    for row, i in enumerate(idx):
+        e_l1 = np.abs(kernel_E_rows(mesh.nodes, mesh.nodes[i])).sum(axis=1)
+        out[row] = e_l1 @ (nuw_l1 * (f_l1 + f_l1[i]))
+    return 2.0 * _gamma(m) * out
+
+
+def test_full_mesh_pv_caches_self_sums(monkeypatch):
+    name = "circle-L1"
+    f1 = random_smooth(_small_mesh(name), 3)
+    f2 = random_smooth(_small_mesh(name), 4)
+    cold1 = principal_value_nodes(_small_mesh(name), f1)
+    cold2 = principal_value_nodes(_small_mesh(name), f2)
+    mesh = _small_mesh(name)
+    first = principal_value_nodes(mesh, BoundaryDensity(mesh, f1.samples))
+    calls = _count_calls(monkeypatch, "accum_left")
+    second = principal_value_nodes(mesh, BoundaryDensity(mesh, f2.samples))
+    assert len(calls) == 1
+    assert np.array_equal(first, cold1)
+    assert np.array_equal(second, cold2)
+
+
+def test_self_sums_cached_per_side(monkeypatch):
+    mesh = _small_mesh("sphere2-L0")
+    f = random_smooth(mesh, 5)
+    left = principal_value_nodes(mesh, f, side="left")
+    assert set(mesh.cache) == {"gradient_stencil", ("self_sums", "left")}
+    calls = _count_calls(monkeypatch, "accum_right")
+    right = principal_value_nodes(mesh, f, side="right")
+    assert len(calls) == 2
+    assert ("self_sums", "right") in mesh.cache
+    cold = _small_mesh("sphere2-L0")
+    assert np.array_equal(right, principal_value_nodes(
+        cold, BoundaryDensity(cold, f.samples), side="right"))
+    assert np.array_equal(left, principal_value_nodes(
+        mesh, f, side="left"))
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_MESHES))
+def test_indexed_pv_leaves_cache_alone(name):
+    mesh = _small_mesh(name)
+    f = random_smooth(mesh, 2)
+    full = principal_value_nodes(mesh, f)
+    cached = dict(mesh.cache)
+    idx = [0, mesh.node_count // 3, mesh.node_count - 1]
+    for i in idx:
+        row = principal_value_nodes(mesh, f, indices=[i])[0]
+        assert mesh.cache.keys() == cached.keys()
+        assert all(mesh.cache[k] is cached[k] for k in cached)
+        tol = _core_bound(mesh, f, [i])[0] / unit_sphere_area(mesh.n)
+        assert np.all(np.abs(row - full[i]) <= tol)
+    fresh = _small_mesh(name)
+    principal_value_nodes(fresh, BoundaryDensity(fresh, f.samples),
+                          indices=idx, correction=False)
+    assert fresh.cache == {}
+
+
+def test_new_meshes_start_with_empty_cache():
+    mesh = _small_mesh("circle-L0")
+    principal_value_nodes(mesh, random_smooth(mesh, 1))
+    assert mesh.cache
+    assert refine(mesh).cache == {}
+    assert dataclasses.replace(mesh, h=mesh.h).cache == {}
+
+
+def test_cached_self_sums_are_read_only():
+    mesh = _small_mesh("circle-L0")
+    principal_value_nodes(mesh, random_smooth(mesh, 1))
+    S2 = mesh.cache[("self_sums", "left")]
+    with pytest.raises(ValueError):
+        S2[0, 0] = 1.0
+
+
+# -- kernel identities as properties ----------------------------------------------
+
+
+def _constant_paravector(mesh, comps):
+    ctx = mesh.context
+    row = paravectors_as_coeffs(ctx, np.asarray(comps[: ctx.n + 1]))[0]
+    return BoundaryDensity.constant(mesh, row)
+
+
+def _cell_correction_bound(mesh, f):
+    """Rounding bound on the singular-cell correction of a constant density.
+
+    The stencil derivatives of a constant are pure rounding: at most
+    gamma_k sum_m |wts| l1(f) for k stencil terms.  The correction scales
+    them by the cell prefactor and by l1(bar(T) nu) <= n+1.
+    """
+    nb, wts, _ = gradient_stencil(mesh)
+    d = mesh.n
+    sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
+    prefac = (d * mesh.weights / sigma_d) ** (1.0 / d) * (sigma_d / d)
+    deriv = _gamma(nb.shape[1] + TERM_ROUNDINGS) * np.abs(wts).sum(axis=2)
+    f_l1 = np.abs(f.samples).sum(axis=1)
+    return 2.0 * prefac * (d + 1) * deriv.sum(axis=0) * f_l1
+
+
+def _mesh_with_cache(name, hot, side):
+    """A fresh small mesh; with hot, its cache filled by an earlier PV."""
+    mesh = _small_mesh(name)
+    if hot:
+        principal_value_nodes(mesh, random_smooth(mesh, 0), side=side)
+        assert ("self_sums", side) in mesh.cache
+    return mesh
+
+
+# magnitudes below 1e-100 become 0, so no product underflows and every
+# rounding is relative, as the bounds assume
+_COMPONENTS = st.lists(
+    st.floats(-10, 10, allow_nan=False).map(
+        lambda v: v if abs(v) >= 1e-100 else 0.0),
+    min_size=3, max_size=3)
+
+
+@seed(6)
+@settings(deadline=None, max_examples=30)
+@given(name=st.sampled_from(sorted(SMALL_MESHES)), hot=st.booleans(),
+       side=st.sampled_from(["left", "right"]), comps=_COMPONENTS)
+def test_pv_of_constant_is_half(name, hot, side, comps):
+    mesh = _mesh_with_cache(name, hot, side)
+    f = _constant_paravector(mesh, comps)
+    got = principal_value_nodes(mesh, f, side=side)
+    idx = np.arange(mesh.node_count)
+    tol = ((_core_bound(mesh, f, idx) + _cell_correction_bound(mesh, f))
+           / unit_sphere_area(mesh.n)
+           + UNIT_ROUNDOFF * np.abs(f.samples).sum(axis=1))
+    assert np.all(np.abs(got - 0.5 * f.samples) <= tol[:, None])
+
+
+@seed(7)
+@settings(deadline=None, max_examples=30)
+@given(name=st.sampled_from(sorted(SMALL_MESHES)), hot=st.booleans(),
+       side=st.sampled_from(["left", "right"]), comps=_COMPONENTS,
+       node=st.integers(0, 10 ** 6))
+def test_plemelj_jump_is_density(name, hot, side, comps, node):
+    mesh = _mesh_with_cache(name, hot, side)
+    f = _constant_paravector(mesh, comps)
+    t = node % mesh.node_count
+    plus, minus = plemelj_values(mesh, f, t, side=side)
+    # plus = f/2 + pv and minus = -f/2 + pv differ by f exactly in exact
+    # arithmetic; in float64 each of the three additions rounds once
+    scale = np.abs(plus.coeffs) + np.abs(minus.coeffs)
+    tol = 3.0 * UNIT_ROUNDOFF * scale
+    assert np.all(np.abs((plus - minus).coeffs - f.samples[t]) <= tol)

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from hypercauchy.cli import EXPERIMENTS, list_builtins, main
+from hypercauchy.cli import (EXPERIMENTS, ConfigError, list_builtins, main,
+                             resolve_config)
 from hypercauchy.surface import load_mesh
 
 CSV_HEADER = "level,h,nodes,error_maxnorm,error_l2,runtime_ms"
@@ -130,6 +131,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert field in capsys.readouterr().err
     cfg = _fast_config(tmp_path)
     assert main(["run", cfg, "--set", "levels"]) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key, template", [
+    ("radius", "%s"), ("sie_a", "%s"), ("sie_b", "%s"),
+    ("tolerance", "%s"), ("min_order", "%s"),
+    ("center", "0,%s"), ("gap_g", "%s,1"),
+])
+def test_config_rejects_nonfinite_numbers(key, template, bad):
+    setting = "%s=%s" % (key, template % bad)
+    with pytest.raises(ConfigError, match=r"^%s: expected a finite number"
+                       % key):
+        resolve_config({"experiment": "pv-constant"}, [setting])
+
+
+def test_config_file_rejects_nan_min_order(tmp_path, capsys):
+    cfg = _fast_config(tmp_path, min_order="nan")
+    assert main(["run", cfg]) == 2
+    assert "min_order" in capsys.readouterr().err
 
 
 def test_numerical_failure_exit_1(tmp_path, capsys):

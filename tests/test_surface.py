@@ -154,6 +154,14 @@ def test_load_rejects_duplicate_nodes(tmp_path, circle_mesh):
         load_mesh(path)
 
 
+def test_mesh_rejects_coincident_nodes(circle_spec):
+    mesh = build_mesh(circle_spec, 0)
+    nodes = mesh.nodes.copy()
+    nodes[5] = nodes[4]
+    with pytest.raises(MeshFormatError, match=r"nodes rows 4 and 5 coincide"):
+        SurfaceMesh(nodes, mesh.normals, mesh.weights, mesh.h)
+
+
 def test_exclude_cap(circle_mesh):
     t = circle_mesh.nodes[0]
     delta = 5 * circle_mesh.h
