@@ -26,7 +26,7 @@ from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, gradient_stencil, kernel_E_rows,
                      principal_value_nodes, symmetric_difference_limit,
                      unit_sphere_area, _as_coeff_rows, _cell_corrections,
-                     _scale, _warn_if_continuous)
+                     _integral_rows, _scale, _warn_if_continuous)
 from .fueter import (MAX_DEGREE, DegreeOverflowError, boundary_moment,
                      multi_indices, symmetric_power_rows)
 from .surface import refine
@@ -216,6 +216,24 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
     return SectionalSolution(mesh, g, side, m, ()), report
 
 
+def _sampled_limits(mesh, sol, sample_nodes, seed, limit_kw):
+    """Sampled nodes idx and the (len(idx), dim) rows of the interior and
+    exterior limits of S[g] there, from boundary_limit tuned by limit_kw."""
+    kw = dict(limit_kw or {})
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(mesh.node_count, size=min(sample_nodes,
+                                               mesh.node_count),
+                     replace=False)
+    rows = [[boundary_limit(mesh, sol.density, int(i), sign, side=sol.side,
+                            **kw).coeffs for i in idx] for sign in "+-"]
+    plus, minus = np.reshape(rows, (2, idx.size, mesh.context.dim))
+    return idx, plus, minus
+
+
+def _max_row_norm(rows):
+    return float(np.linalg.norm(rows, axis=1).max(initial=0.0))
+
+
 def jump_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
                   sample_nodes=8, seed=0, limit_kw=None):
     """Max-norm of Phi+ - Phi- - g at sampled nodes via approach limits.
@@ -223,20 +241,9 @@ def jump_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
     Independent of the Plemelj identities: both one-sided values come
     from Richardson limits along the normal; limit_kw tunes them.
     """
-    kw = dict(limit_kw or {})
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(mesh.node_count, size=min(sample_nodes,
-                                               mesh.node_count),
-                     replace=False)
-    worst = 0.0
-    for i in idx:
-        plus = boundary_limit(mesh, sol.density, int(i), "+", side=sol.side,
-                              **kw)
-        minus = boundary_limit(mesh, sol.density, int(i), "-", side=sol.side,
-                               **kw)
-        diff = plus.coeffs - minus.coeffs - g.samples[i]
-        worst = max(worst, float(np.linalg.norm(diff)))
-    return worst
+    idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed,
+                                       limit_kw)
+    return _max_row_norm(plus - minus - g.samples[idx])
 
 
 # -- general multivector row inversion --------------------------------------------
@@ -304,27 +311,15 @@ def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
                           G, sample_nodes=8, seed=0, limit_kw=None):
     """Max-norm of Phi+ - Phi- G - g at sampled nodes via approach limits."""
     ctx = mesh.context
-    kw = dict(limit_kw or {})
     Gc = _as_coeff_rows(ctx, G, 1)[0]
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(mesh.node_count, size=min(sample_nodes,
-                                               mesh.node_count),
-                     replace=False)
-    worst = 0.0
-    for i in idx:
-        pl = boundary_limit(mesh, sol.density, int(i), "+", side=sol.side,
-                            **kw)
-        mi = boundary_limit(mesh, sol.density, int(i), "-", side=sol.side,
-                            **kw)
-        poly = sol._poly_rows(mesh.nodes[int(i)][None, :])[0]
-        plus = pl.coeffs + poly
-        minus = mi.coeffs + poly
-        if sol.gap_inverse is not None:
-            minus = batch_product(ctx, minus, sol.gap_inverse)
-        recomposed = batch_product(ctx, minus, Gc)
-        diff = plus - recomposed - g.samples[int(i)]
-        worst = max(worst, float(np.linalg.norm(diff)))
-    return worst
+    idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed,
+                                       limit_kw)
+    poly = sol._poly_rows(mesh.nodes[idx])
+    plus = plus + poly
+    minus = minus + poly
+    if sol.gap_inverse is not None:
+        minus = batch_product(ctx, minus, sol.gap_inverse)
+    return _max_row_norm(plus - batch_product(ctx, minus, Gc) - g.samples[idx])
 
 
 # -- interior Dirichlet-type problem ----------------------------------------------
@@ -362,13 +357,9 @@ def _dirichlet_residuals(mesh, g, criterion, sample_idx, probe_dirs):
         R = mesh.spec.radius if mesh.spec is not None else _scale(mesh)
         center = (mesh.spec.center_array if mesh.spec is not None
                   else mesh.nodes.mean(axis=0))
-        vals = []
-        for v in probe_dirs:
-            w = center + 2.0 * R * v
-            val = cauchy_integral(mesh, g, w, method="raw").value
-            vals.append(float(np.linalg.norm(val.coeffs)))
-        vol_probe = max(vals)
-        field = np.asarray(vals)
+        rows = _integral_rows(mesh, g, center + 2.0 * R * probe_dirs, "left")
+        field = np.linalg.norm(rows, axis=1)
+        vol_probe = float(field.max())
     if criterion in ("pv", "both"):
         pv = principal_value_nodes(mesh, g, indices=sample_idx)
         res = pv - 0.5 * g.samples[sample_idx]

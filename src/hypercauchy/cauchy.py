@@ -231,14 +231,14 @@ class CauchyValue:
     side: str = "unknown"
 
 
-def _measure_density(mesh, f, side):
-    """(nu w f)_j for left integrals, (f nu w)_j for right ones."""
+def _measure_density(mesh, samples, side):
+    """Rows (nu w f)_j for left integrals, (f nu w)_j for right ones."""
     ctx = mesh.context
     nuw = mesh.measure_coeffs()
     if side == "left":
-        return batch_product(ctx, nuw, f.samples)
+        return batch_product(ctx, nuw, samples)
     if side == "right":
-        return batch_product(ctx, f.samples, nuw)
+        return batch_product(ctx, samples, nuw)
     raise ValueError("side must be 'left' or 'right'")
 
 
@@ -257,6 +257,24 @@ def _accum(mesh, targets, g, side, excl=None):
 
 # -- Cauchy-type integral off the surface ---------------------------------------
 
+def _integral_rows(mesh, f, points, side, node=None, interior=False):
+    """Rows of C[f] at the (M, n+1) points off Gamma, in one kernel call.
+
+    With node None the raw sums; with a node index t, every row is shifted
+    by f(t): C[f - f(t)](w) + f(t) X(w), X = 1 on the rows flagged in the
+    boolean mask interior and 0 elsewhere.
+    """
+    samples = f.samples
+    if node is not None:
+        f0 = samples[node]
+        samples = samples - f0[None, :]
+    g = _measure_density(mesh, samples, side)
+    rows = _accum(mesh, points, g, side) / unit_sphere_area(mesh.n)
+    if node is not None:
+        rows[interior] += f0
+    return rows
+
+
 def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
                     method="raw") -> CauchyValue:
     """Cauchy-type integral C[f](w) for w off Gamma.
@@ -272,7 +290,9 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
         'subtract' evaluates C[f - f(t*)](w) + f(t*) X(w) with t* the
         nearest node and X the exact span (1 interior / 0 exterior),
         which stays accurate close to the surface; it requires a
-        non-boundary side tag.
+        non-boundary side tag.  A Richardson ladder (boundary_limit,
+        symmetric_difference_limit) shares one shift, f at its node t,
+        the nearest node to all its points on spec-built meshes.
 
     Returns
     -------
@@ -289,26 +309,20 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
         tagged = (SideTaggedPoint.tag(mesh.spec, point)
                   if mesh.spec is not None else None)
     dist = _boundary_distance(mesh, point)
-    band = NEAR_BAND_FACTOR * mesh.h
-    vol = unit_sphere_area(mesh.n)
     side_name = tagged.side if tagged is not None else "unknown"
-    if method == "raw":
-        g = _measure_density(mesh, f, side)
-        total = _accum(mesh, [point], g, side)[0] / vol
-        return CauchyValue(Multivector(ctx, total), dist >= band, dist, side_name)
-    if method != "subtract":
+    node = None
+    if method == "subtract":
+        if side_name not in ("interior", "exterior"):
+            raise ValueError("subtract method needs an interior/exterior "
+                             "side tag")
+        node = int(np.linalg.norm(mesh.nodes - point[None, :],
+                                  axis=1).argmin())
+    elif method != "raw":
         raise ValueError("method must be 'raw' or 'subtract'")
-    if side_name not in ("interior", "exterior"):
-        raise ValueError("subtract method needs an interior/exterior side tag")
-    i_star = int(np.linalg.norm(mesh.nodes - point[None, :], axis=1).argmin())
-    f0 = f.samples[i_star]
-    shifted = BoundaryDensity(mesh, f.samples - f0[None, :],
-                              regularity=f.regularity)
-    g = _measure_density(mesh, shifted, side)
-    total = _accum(mesh, [point], g, side)[0] / vol
-    if side_name == "interior":
-        total = total + f0
-    return CauchyValue(Multivector(ctx, total), True, dist, side_name)
+    total = _integral_rows(mesh, f, point[None, :], side, node,
+                           [side_name == "interior"])[0]
+    reliable = node is not None or dist >= NEAR_BAND_FACTOR * mesh.h
+    return CauchyValue(Multivector(ctx, total), reliable, dist, side_name)
 
 
 # -- tangential gradients on the mesh -------------------------------------------
@@ -407,33 +421,38 @@ def gradient_stencil(mesh):
     return stencil
 
 
-def tangential_gradient(mesh, samples):
+def tangential_gradient(mesh, samples, idx=slice(None)):
     """Tangential derivatives of node samples along the cached frame.
 
-    Returns (derivs, frame): derivs[a] is the (N, m) array of directional
-    derivatives along frame[:, a, :].
+    Returns (derivs, frame) at the nodes idx (default every node): derivs[a]
+    is the (len(idx), m) array of directional derivatives along
+    frame[:, a, :].  Only the stencil rows of idx are applied.
     """
     nb, wts, frame = gradient_stencil(mesh)
     samples = np.asarray(samples, dtype=np.float64)
-    vals = samples[nb]                                      # (N, k, m)
-    return np.einsum("ank,nkm->anm", wts, vals), frame
+    vals = samples[nb[idx]]                                 # (len(idx), k, m)
+    return np.einsum("ank,nkm->anm", wts[:, idx], vals), frame[idx]
 
 
 # -- principal values ------------------------------------------------------------
 
-def _singular_cell_corrections(mesh, f, side):
-    """Per-node corrections for the dropped singular cell, shape (N, dim)."""
-    derivs, frame = tangential_gradient(mesh, f.samples)
-    return _cell_corrections(mesh, derivs, frame, side)
+def _singular_cell_corrections(mesh, f, side, idx=slice(None)):
+    """Corrections for the dropped singular cell at the nodes idx.
+
+    Shape (len(idx), dim); the default idx is every node.
+    """
+    derivs, frame = tangential_gradient(mesh, f.samples, idx)
+    return _cell_corrections(mesh, derivs, frame, side, idx)
 
 
-def _cell_corrections(mesh, derivs, frame, side):
-    """Singular-cell corrections from tangential derivatives at the nodes.
+def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
+    """Singular-cell corrections from tangential derivatives at the nodes idx.
 
-    derivs[a] holds the (N, dim) derivatives of the density along
-    frame[:, a, :].  The subtracted integrand E(x-t) nu [f(x)-f(t)] tends
-    to sum_k bar(T_k) nu(t) d_k f(t) as x -> t along tangent direction
-    T_k; integrating it over a flat d-ball cell of the node's weight gives
+    derivs[a] holds the (len(idx), dim) derivatives of the density along
+    frame[:, a, :], both taken at the nodes idx (default every node).  The
+    subtracted integrand E(x-t) nu [f(x)-f(t)] tends to
+    sum_k bar(T_k) nu(t) d_k f(t) as x -> t along tangent direction T_k;
+    integrating it over a flat d-ball cell of the node's weight gives
     (d w / sigma_d)^{1/d} (sigma_d / d) sum_k bar(T_k) nu(t) d_k f(t),
     where d = n and sigma_d = area(S^{d-1}).  The right side mirrors every
     product.
@@ -441,9 +460,9 @@ def _cell_corrections(mesh, derivs, frame, side):
     ctx = mesh.context
     d = mesh.n
     sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
-    prefac = (d * mesh.weights / sigma_d) ** (1.0 / d) * (sigma_d / d)
-    nu = mesh.normals
-    out = np.zeros((mesh.node_count, ctx.dim))
+    prefac = (d * mesh.weights[idx] / sigma_d) ** (1.0 / d) * (sigma_d / d)
+    nu = mesh.normals[idx]
+    out = np.zeros((nu.shape[0], ctx.dim))
     for a in range(d):
         Tbar = frame[:, a, :].copy()
         Tbar[:, 1:] *= -1.0
@@ -495,14 +514,15 @@ def principal_value_nodes(mesh, f: BoundaryDensity, side="left",
     vol = unit_sphere_area(mesh.n)
     targets = mesh.nodes[idx]
     ft = f.samples[idx]
-    S1 = _accum(mesh, targets, _measure_density(mesh, f, side), side, idx)
+    S1 = _accum(mesh, targets, _measure_density(mesh, f.samples, side), side,
+               idx)
     if side == "left":
         S2f = batch_product(ctx, S2, ft)
     else:
         S2f = batch_product(ctx, ft, S2)
     core = S1 - S2f
     if correction:
-        core = core + _singular_cell_corrections(mesh, f, side)[idx]
+        core = core + _singular_cell_corrections(mesh, f, side, idx)
     return core / vol + 0.5 * ft
 
 
@@ -548,7 +568,7 @@ def principal_value(mesh, f: BoundaryDensity, t, side="left",
     if method != "delta_limit":
         raise ValueError("method must be 'regularized' or 'delta_limit'")
     vol = unit_sphere_area(mesh.n)
-    g = _measure_density(mesh, f, side)
+    g = _measure_density(mesh, f.samples, side)
     t_point = mesh.nodes[i]
     dist = np.linalg.norm(mesh.nodes - t_point[None, :], axis=1)
     delta0 = 16.0 * mesh.h
@@ -618,23 +638,24 @@ def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left",
 
     sign '+' approaches from the interior (against the outward normal),
     '-' from the exterior.  Used as the independent oracle for the
-    Plemelj formulas.
+    Plemelj formulas.  The ladder takes one kernel call and, with method
+    'subtract' (the default on spec-built meshes), shares one shift, f at
+    its node t.
     """
     i = _snap_node(mesh, t)
-    t_point = mesh.nodes[i]
-    nu = mesh.normals[i]
     if lam0 is None:
         lam0 = 0.35 * _scale(mesh)
     if method is None:
         method = "subtract" if mesh.spec is not None else "raw"
+    if method not in ("raw", "subtract"):
+        raise ValueError("method must be 'raw' or 'subtract'")
+    nu = mesh.normals[i]
     direction = -nu if sign == "+" else nu
-    tag = "interior" if sign == "+" else "exterior"
-    vals = []
-    for k in range(terms):
-        lam = lam0 / RICHARDSON_RATIO**k
-        w = SideTaggedPoint(tuple(t_point + lam * direction), tag)
-        vals.append(cauchy_integral(mesh, f, w, side=side,
-                                    method=method).value.coeffs)
+    lams = lam0 / RICHARDSON_RATIO ** np.arange(terms)
+    points = mesh.nodes[i] + lams[:, None] * direction[None, :]
+    vals = _integral_rows(mesh, f, points, side,
+                          i if method == "subtract" else None,
+                          np.full(terms, sign == "+"))
     return Multivector(mesh.context, richardson_limit(RICHARDSON_RATIO, vals))
 
 
@@ -661,21 +682,18 @@ def symmetric_difference_limit(mesh, f: BoundaryDensity, p, lambdas,
                          "decreasing")
     i = _snap_node(mesh, p)
     t_point = mesh.nodes[i]
-    M = -mesh.normals[i]
-    use_subtract = mesh.spec is not None
-    rows = []
-    for lam in lams:
-        wp = SideTaggedPoint(tuple(t_point + lam * M), "interior")
-        wm = SideTaggedPoint(tuple(t_point - lam * M), "exterior")
-        meth = "subtract" if use_subtract else "raw"
-        a = cauchy_integral(mesh, f, wp, side=side, method=meth).value.coeffs
-        b = cauchy_integral(mesh, f, wm, side=side, method=meth).value.coeffs
-        rows.append(a - b)
+    step = lams[:, None] * -mesh.normals[i][None, :]
+    points = np.concatenate([t_point + step, t_point - step])
+    L = lams.size
+    vals = _integral_rows(mesh, f, points, side,
+                          i if mesh.spec is not None else None,
+                          np.arange(2 * L) < L)
+    rows = vals[:L] - vals[L:]
     ratios = lams[:-1] / lams[1:]
     if np.allclose(ratios, ratios[0], rtol=1e-9):
         out = richardson_limit(float(ratios[0]), rows)
     else:
-        out = extrapolate_to_zero(lams, np.asarray(rows))
+        out = extrapolate_to_zero(lams, rows)
     return Multivector(mesh.context, out)
 
 
@@ -737,6 +755,6 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
     comps = kd.evaluate_components(mesh.nodes - point[None, :])  # (N, n+1)
     # d^alpha_w E(x - w) = (-1)^{|alpha|} [d^alpha E](x - w)
     signf = (-1.0) ** k / unit_sphere_area(mesh.n)
-    g = _measure_density(mesh, f, side)
+    g = _measure_density(mesh, f.samples, side)
     out = _accel._contract(ctx, comps.T[:, None, :], g, side)[0]
     return Multivector(ctx, signf * out)

@@ -24,9 +24,9 @@ import numpy as np
 from . import _corpus
 from .clifford_core import get_context
 from .surface import DomainSpec, build_mesh, parse_mesh_spec, save_mesh
-from .cauchy import (BoundaryDensity, boundary_limit, cauchy_integral,
-                     plemelj_values, principal_value_nodes, span_indicator,
-                     symmetric_difference_limit, _scale)
+from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
+                     span_indicator, symmetric_difference_limit,
+                     _integral_rows, _scale)
 from .fueter import order_at_infinity
 from .bvp import (CharacteristicCoefficients, invert_rows, jump_residual,
                   poincare_bertrand_discrepancy, solve_characteristic_sie,
@@ -94,12 +94,8 @@ def _finite(key, texts):
 
 def _parse_field(key, value):
     value = value.strip()
-    try:
-        if key in ("experiment", "surface", "density", "expect", "csv",
-                   "json"):
-            return value
-    except Exception:  # pragma: no cover - strings cannot fail
-        pass
+    if key in ("experiment", "surface", "density", "expect", "csv", "json"):
+        return value
     try:
         if key == "center":
             return _finite(key, value.split(",")) if value else ()
@@ -272,8 +268,9 @@ def _run_reproduction(cfg, mesh):
     rng = np.random.default_rng(cfg.seed + 4)
     dirs = rng.standard_normal((2, mesh.n + 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    interior = [spec.center_array + 0.55 * spec.radius * d for d in dirs]
-    exterior = [spec.center_array + 1.8 * spec.radius * dirs[0]]
+    interior = spec.center_array + 0.55 * spec.radius * dirs
+    points = np.concatenate([interior,
+                             spec.center_array + 1.8 * spec.radius * dirs[:1]])
     if cfg.density == "corpus":
         alphas = [a for k in range(4) for a in multi_indices(mesh.n, k)]
         densities = [_corpus.symmetric_power_trace(mesh, a) for a in alphas]
@@ -281,14 +278,12 @@ def _run_reproduction(cfg, mesh):
         densities = [_corpus.make_density(mesh, cfg.density, seed=cfg.seed)]
     errs = []
     for dens in densities:
-        for w in interior:
-            got = cauchy_integral(mesh, dens, w).value.coeffs
-            want = np.asarray(dens.evaluator(np.asarray(w)))
+        rows = _integral_rows(mesh, dens, points, "left")
+        for got, w in zip(rows, interior):
+            want = np.asarray(dens.evaluator(w))
             errs.append(np.abs(got - want).max()
                         / max(1.0, float(np.abs(want).max())))
-        for w in exterior:
-            got = cauchy_integral(mesh, dens, w).value.coeffs
-            errs.append(np.abs(got).max())
+        errs.extend(np.abs(rows[len(interior):]).max(axis=1))
     return _norms(errs) + ({},)
 
 
@@ -308,13 +303,14 @@ def _run_plemelj(cfg, mesh):
     kw = _limit_params(mesh)
     errs = []
     for dens in densities:
-        for i in idx:
+        pv = principal_value_nodes(mesh, dens, indices=idx)
+        half = 0.5 * dens.samples[idx]
+        for i, plus, minus in zip(idx, half + pv, -half + pv):
             t = mesh.nodes[i]
-            plus, minus = plemelj_values(mesh, dens, t)
             lp = boundary_limit(mesh, dens, t, "+", **kw)
             lm = boundary_limit(mesh, dens, t, "-", **kw)
-            errs.append(np.abs(lp.coeffs - plus.coeffs).max())
-            errs.append(np.abs(lm.coeffs - minus.coeffs).max())
+            errs.append(np.abs(lp.coeffs - plus).max())
+            errs.append(np.abs(lm.coeffs - minus).max())
     return _norms(errs) + ({},)
 
 
@@ -641,6 +637,17 @@ def _jsonable(value):
     return value
 
 
+def _config_doc(cfg):
+    """The config echo of the JSON report: unset floats become null."""
+    return {f.name: _jsonable(getattr(cfg, f.name)) for f in fields(cfg)}
+
+
+def _dump_json(doc, path):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def write_reports(cfg, report):
     """Write the CSV error table and the JSON report; returns their paths."""
     paths = []
@@ -657,10 +664,7 @@ def write_reports(cfg, report):
         paths.append(cfg.csv)
     if cfg.json:
         doc = {
-            "config": {f.name: _jsonable(getattr(cfg, f.name))
-                       if not isinstance(getattr(cfg, f.name), tuple)
-                       else list(getattr(cfg, f.name))
-                       for f in fields(cfg)},
+            "config": _config_doc(cfg),
             "experiment": report.experiment,
             "table": [{"level": r.level, "h": _jsonable(r.h),
                        "nodes": r.nodes,
@@ -675,9 +679,7 @@ def write_reports(cfg, report):
             "auxiliary": _jsonable(report.auxiliary),
             "passed": report.passed,
         }
-        with open(cfg.json, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _dump_json(doc, cfg.json)
         paths.append(cfg.json)
     return paths
 
@@ -765,17 +767,12 @@ def main(argv=None):
     try:
         report = run_experiment(cfg)
     except Exception as exc:  # numerical failure: report what we can
-        doc = {"config": {f.name: getattr(cfg, f.name)
-                          if not isinstance(getattr(cfg, f.name), tuple)
-                          else list(getattr(cfg, f.name))
-                          for f in fields(cfg)},
+        doc = {"config": _config_doc(cfg),
                "experiment": cfg.experiment,
                "error": "%s: %s" % (type(exc).__name__, exc),
                "passed": False}
         if cfg.json:
-            with open(cfg.json, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            _dump_json(doc, cfg.json)
         print("run failed: %s" % doc["error"], file=sys.stderr)
         return 1
 

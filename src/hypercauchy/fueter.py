@@ -21,8 +21,8 @@ import numpy as np
 from .clifford_core import Multivector, Paravector, batch_product
 from .cauchy import (
     BoundaryDensity,
+    _integral_rows,
     _measure_density,
-    cauchy_integral,
     unit_sphere_area,
 )
 
@@ -256,7 +256,7 @@ def boundary_moment(mesh, g: BoundaryDensity, alpha, side="left") -> Multivector
     ctx = mesh.context
     alpha = _as_alpha(alpha, ctx.n)
     Z = symmetric_power_rows(ctx, alpha, mesh.nodes)
-    t = _measure_density(mesh, g, side)
+    t = _measure_density(mesh, g.samples, side)
     if side == "left":
         rows = batch_product(ctx, Z, t)
     else:
@@ -301,7 +301,7 @@ def derivative_at_origin(mesh, f: BoundaryDensity, alpha, side="left"):
     kd = kernel_derivative(ctx, alpha)
     comps = kd.evaluate_components(mesh.nodes)
     vol = unit_sphere_area(ctx.n)
-    t = _measure_density(mesh, f, side)
+    t = _measure_density(mesh, f.samples, side)
     if side == "left":
         rows = batch_product(ctx, comps, t)
     else:
@@ -448,13 +448,16 @@ def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
     """
     if evaluator is None and (mesh is None or g is None):
         raise ValueError("need a (mesh, g) pair or an evaluator")
+    if mesh is None:
+        raise ValueError("evaluator-only route requires a mesh for "
+                         "dimension and scale; pass mesh too")
     moment_order = math.nan
     first_deg = -1
     threshold = math.nan
     norms = {}
     undetermined = False
-    n = mesh.n if mesh is not None else None
-    if mesh is not None and g is not None:
+    n = mesh.n
+    if g is not None:
         scale = max(float(np.abs(g.samples).max()), 1e-300)
         norms = _moment_norms(mesh, g, max_degree, side)
         quad_est = 0.0
@@ -477,44 +480,29 @@ def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
         else:
             undetermined = True
 
-    slope_order = math.nan
     rng = np.random.default_rng(seed)
-    if evaluator is not None or (mesh is not None and g is not None):
-        if mesh is not None:
-            rho = surface_hull_radius(mesh)
-        else:
-            rho = 1.0
-        radii = np.geomspace(5.0 * rho, 50.0 * rho, 8)
-        if n is None:
-            # evaluator-only route: probe dimension from a trial call
-            raise ValueError("evaluator-only route requires a mesh for "
-                             "dimension and scale; pass mesh too")
-        logs = []
-        mags = []
-        for _ in range(rays):
-            v = rng.standard_normal(n + 1)
-            v /= np.linalg.norm(v)
-            for r in radii:
-                w = r * v
-                if evaluator is not None:
-                    val = evaluator(w)
-                    row = val.coeffs if isinstance(val, Multivector) \
-                        else np.asarray(val, dtype=np.float64)
-                else:
-                    row = cauchy_integral(mesh, g, w, side=side,
-                                          method="raw").value.coeffs
-                mag = float(np.linalg.norm(row))
-                mags.append(mag)
-                if mag > 0:
-                    logs.append((math.log(r), math.log(mag)))
-        floor = 1e-13 * (float(np.abs(g.samples).max()) if g is not None
-                         else 1.0)
-        if max(mags, default=0.0) <= floor:
-            return OrderReport(-math.inf, -math.inf, -math.inf, -math.inf,
-                               first_deg, threshold, norms, False)
-        A = np.array(logs)
-        slope_raw = float(np.polyfit(A[:, 0], A[:, 1], 1)[0])
-        slope_order = float(np.round(slope_raw))
+    rho = surface_hull_radius(mesh)
+    radii = np.geomspace(5.0 * rho, 50.0 * rho, 8)
+    dirs = rng.standard_normal((rays, n + 1))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # ray-major: point k * len(radii) + j is radii[j] * dirs[k]
+    points = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n + 1)
+    if evaluator is None:
+        mags = np.linalg.norm(_integral_rows(mesh, g, points, side), axis=1)
+    else:
+        vals = [evaluator(w) for w in points]
+        mags = np.array([np.linalg.norm(
+            v.coeffs if isinstance(v, Multivector)
+            else np.asarray(v, dtype=np.float64)) for v in vals])
+    floor = 1e-13 * (float(np.abs(g.samples).max()) if g is not None
+                     else 1.0)
+    if mags.max(initial=0.0) <= floor:
+        return OrderReport(-math.inf, -math.inf, -math.inf, -math.inf,
+                           first_deg, threshold, norms, False)
+    keep = mags > 0
+    slope_raw = float(np.polyfit(np.log(np.tile(radii, rays))[keep],
+                                 np.log(mags[keep]), 1)[0])
+    slope_order = float(np.round(slope_raw))
 
     order = moment_order if not math.isnan(moment_order) else slope_order
     if undetermined:

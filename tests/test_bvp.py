@@ -151,6 +151,19 @@ def test_constant_gap_reduces_to_jump(circle_mesh):
     assert res <= JUMP_TOL
 
 
+def test_unit_gap_residual_is_jump_residual(circle_mesh):
+    # one sampler feeds both residuals; with G = 1, no gap inverse and no
+    # polynomial part the two differ only by the rounding of the product
+    # with G and of the final sums
+    g = random_smooth(circle_mesh, 9)
+    sol, rep = solve_jump_rm(circle_mesh, g, -1)
+    assert rep.verdict == "unconditional" and sol.polynomial == ()
+    jump = jump_residual(circle_mesh, sol, g, limit_kw=LIMIT_KW)
+    gap = constant_gap_residual(circle_mesh, sol, g, 1.0, limit_kw=LIMIT_KW)
+    scale = 3.0 * float(np.abs(g.samples).max()) + jump
+    assert abs(gap - jump) <= 8.0 * 2.0 ** -53 * scale
+
+
 def test_constant_gap_validates_inverse(circle_mesh):
     g = random_smooth(circle_mesh, 7)
     G = np.array([2.0, 1.0])

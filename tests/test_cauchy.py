@@ -33,6 +33,9 @@ from hypercauchy.cauchy import (
     symmetric_difference_limit,
     tangential_gradient,
     unit_sphere_area,
+    _integral_rows,
+    _scale,
+    _singular_cell_corrections,
 )
 from hypercauchy.clifford_core import SingularInputError, paravectors_as_coeffs
 from hypercauchy.surface import DomainSpec, build_mesh, refine
@@ -366,11 +369,12 @@ def _small_mesh(name):
 
 
 def _count_calls(monkeypatch, name):
+    """Record the target count of every call to _accel.<name>."""
     calls = []
     original = getattr(_accel, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(len(np.atleast_2d(args[1])))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(_accel, name, counted)
@@ -460,6 +464,78 @@ def test_cached_self_sums_are_read_only():
         S2[0, 0] = 1.0
 
 
+# -- batched off-surface evaluation ----------------------------------------------
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_ladders_take_one_kernel_call(monkeypatch, side):
+    mesh = _small_mesh("sphere2-L0")
+    f = random_smooth(mesh, 4)
+    other = "accum_right" if side == "left" else "accum_left"
+    for terms in (3, 5):
+        calls = _count_calls(monkeypatch, "accum_" + side)
+        unused = _count_calls(monkeypatch, other)
+        boundary_limit(mesh, f, 2, "+", side=side, terms=terms)
+        boundary_limit(mesh, f, 2, "-", side=side, terms=terms,
+                       method="raw")
+        assert calls == [terms, terms] and unused == []
+    lams = [0.2, 0.1, 0.05, 0.025]
+    calls = _count_calls(monkeypatch, "accum_" + side)
+    unused = _count_calls(monkeypatch, other)
+    symmetric_difference_limit(mesh, f, 5, lams, side=side)
+    assert calls == [2 * len(lams)] and unused == []
+
+
+@pytest.mark.parametrize("method", ["raw", "subtract"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ["circle-L0", "sphere2-L0"])
+def test_integral_rows_match_single_point_integrals(name, side, method):
+    mesh = _small_mesh(name)
+    f = random_smooth(mesh, 6)
+    t = mesh.node_count // 3
+    # four points inside, then four outside, along the normal at node t
+    lams = 0.3 * _scale(mesh) / 2.0 ** np.arange(4)
+    steps = np.concatenate([-lams, lams])[:, None] * mesh.normals[t][None, :]
+    points = mesh.nodes[t] + steps
+    interior = np.arange(8) < 4
+    node = t if method == "subtract" else None
+    got = _integral_rows(mesh, f, points, side, node, interior)
+    assert got.shape == (len(points), mesh.context.dim)
+    f0 = f.samples[t] if node is not None else np.zeros(mesh.context.dim)
+    # rounding bound as in _core_bound, for the density f - f0 at w
+    terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * np.abs(
+        f.samples - f0).sum(axis=1)
+    m = mesh.node_count * (mesh.n + 1) + TERM_ROUNDINGS
+    for row, w, inside in zip(got, points, interior):
+        tagged = SideTaggedPoint(tuple(w), "interior" if inside
+                                 else "exterior")
+        want = cauchy_integral(mesh, f, tagged, side=side,
+                               method=method).value.coeffs
+        e_l1 = np.abs(kernel_E_rows(mesh.nodes, w)).sum(axis=1)
+        tol = (2.0 * _gamma(m) * (e_l1 @ terms) / unit_sphere_area(mesh.n)
+               + 2.0 * UNIT_ROUNDOFF * (np.abs(want) + np.abs(f0)))
+        assert np.all(np.abs(row - want) <= tol)
+
+
+def _correction_meshes():
+    return [build_mesh(DomainSpec(kind, n, center=(0.0,) * (n + 1),
+                                  radius=1.0), 0)
+            for kind, n in (("circle", 1), ("sphere", 2), ("sphere", 3))]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_cell_corrections_at_indices_match_full_rows(side):
+    rng = np.random.default_rng(5)
+    for mesh in _correction_meshes():
+        f = random_smooth(mesh, 3)
+        full = _singular_cell_corrections(mesh, f, side)
+        idx = rng.choice(mesh.node_count, size=5, replace=False)
+        got = _singular_cell_corrections(mesh, f, side, idx)
+        tol = _cell_correction_bound(mesh, f)[idx]
+        assert got.shape == (len(idx), mesh.context.dim)
+        assert np.all(np.abs(got - full[idx]) <= tol[:, None])
+
+
 # -- kernel identities as properties ----------------------------------------------
 
 
@@ -470,19 +546,22 @@ def _constant_paravector(mesh, comps):
 
 
 def _cell_correction_bound(mesh, f):
-    """Rounding bound on the singular-cell correction of a constant density.
+    """Rounding bound per node on the singular-cell correction of f.
 
-    The stencil derivatives of a constant are pure rounding: at most
-    gamma_k sum_m |wts| l1(f) for k stencil terms.  The correction scales
-    them by the cell prefactor and by l1(bar(T) nu) <= n+1.
+    A stencil derivative of k terms rounds by at most
+    gamma_k sum_m |wts| l1(f) over its stencil nodes; for a constant
+    density, whose derivatives vanish, that is all there is.  The
+    correction scales the derivatives by the cell prefactor and by
+    l1(bar(T) nu) <= n+1.
     """
     nb, wts, _ = gradient_stencil(mesh)
     d = mesh.n
     sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
     prefac = (d * mesh.weights / sigma_d) ** (1.0 / d) * (sigma_d / d)
-    deriv = _gamma(nb.shape[1] + TERM_ROUNDINGS) * np.abs(wts).sum(axis=2)
     f_l1 = np.abs(f.samples).sum(axis=1)
-    return 2.0 * prefac * (d + 1) * deriv.sum(axis=0) * f_l1
+    deriv = _gamma(nb.shape[1] + TERM_ROUNDINGS) * np.einsum(
+        "ank,nk->n", np.abs(wts), f_l1[nb])
+    return 2.0 * prefac * (d + 1) * deriv
 
 
 def _mesh_with_cache(name, hot, side):

@@ -170,6 +170,26 @@ def test_numerical_failure_exit_1(tmp_path, capsys):
     assert "error" in doc and "SingularInputError" in doc["error"]
 
 
+def test_failure_report_is_strict_json(tmp_path, capsys):
+    # an unset min_order is NaN in the config; the report must say null
+    body = "\n".join([
+        "experiment = jump-rm",
+        "levels = 1",
+        "jump_m = -10",
+        "json = %s" % (tmp_path / "err.json"),
+    ])
+    cfg = _write_config(tmp_path, "jump.cfg", body + "\n")
+    assert main(["run", cfg]) == 1
+
+    def reject(name):
+        raise ValueError("non-standard JSON constant %s" % name)
+
+    text = (tmp_path / "err.json").read_text()
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["config"]["min_order"] is None
+    assert "DegreeOverflowError" in doc["error"]
+
+
 def test_failed_criterion_exit_1(tmp_path, capsys):
     cfg = _fast_config(tmp_path, tolerance="1e-30")
     assert main(["run", cfg]) == 1
