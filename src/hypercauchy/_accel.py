@@ -10,6 +10,16 @@ The order of every sum is fixed (chunks of targets, one gemm per plane and
 chunk, a fixed scatter order per side), so results do not depend on the
 thread count.  Products of the density rows go through
 clifford_core.batch_product.
+
+The node-target sums with an (N, N, 2^n) matrix argument, pv_matrix and
+pb_rhs, run over row blocks of C[i, j] = E(x_j - x_i) nuw_j, zero at
+j = i: block_len targets at a time, stored source index first, so that a
+sum over j adds contiguous rows in index order (pv_matrix's rows equal a
+per-target loop bitwise).  pb_rhs takes all sampled nodes t in one pass
+and sums i outside: per block it forms P[i] = sum_j C[i, j] kmat[j, i] and
+Q[i, t] = sum_j C[i, j] kmat[j, t] (one gemm against the kmat[:, t]
+columns), then adds sum_i A_t[i] S_t[i] over the block, blocks in index
+order (see pb_rhs).
 """
 
 from __future__ import annotations
@@ -22,11 +32,12 @@ from .clifford_core import batch_product
 BLOCK_PAIRS = 1 << 16
 
 
-def _kernel_E_block(targets, nodes_T, n):
+def _kernel_E_block(targets, nodes_T, n, skip=None):
     """E(x_j - w_i) component planes, shape (n+1, C, N); 0 at r = 0.
 
     targets holds the C target rows w_i, shape (C, n+1); nodes_T the
-    transposed nodes x_j, shape (n+1, N).
+    transposed nodes x_j, shape (n+1, N).  skip[i] >= 0 names a node whose
+    entry is zeroed for target i (the excluded node of a punctured sum).
     """
     E = nodes_T[:, None, :] - np.asarray(targets, dtype=np.float64).T[:, :, None]
     r2 = E[0] * E[0]
@@ -37,6 +48,10 @@ def _kernel_E_block(targets, nodes_T, n):
     inv[r2 == 0.0] = 0.0
     E *= inv
     E[1:] *= -1.0
+    if skip is not None:
+        skip = np.asarray(skip, dtype=np.int64)
+        rows = np.flatnonzero(skip >= 0)
+        E[:, rows, skip[rows]] = 0.0
     return E
 
 
@@ -70,11 +85,8 @@ def _accumulate(ctx, targets, nodes, g, excl, side):
     out = np.empty((M, ctx.dim))
     for s in range(0, M, chunk):
         e = min(s + chunk, M)
-        E = _kernel_E_block(targets[s:e], nodes_T, ctx.n)
-        if excl is not None:
-            skip = np.asarray(excl[s:e], dtype=np.int64)
-            rows = np.flatnonzero(skip >= 0)
-            E[:, rows, skip[rows]] = 0.0
+        E = _kernel_E_block(targets[s:e], nodes_T, ctx.n,
+                            None if excl is None else excl[s:e])
         out[s:e] = _contract(ctx, E, g, side)
     return out
 
@@ -89,6 +101,34 @@ def accum_right(ctx, targets, nodes, g, excl=None):
     return _accumulate(ctx, targets, nodes, g, excl, "right")
 
 
+def block_len(N, dim):
+    """Targets (or columns) per block of dense products against N nodes.
+
+    A block holds about BLOCK_PAIRS // dim pairs, so each (..., dim) array
+    of it holds about BLOCK_PAIRS values and stays in cache.
+    """
+    return max(1, BLOCK_PAIRS // (dim * N))
+
+
+def _kernel_blocks(ctx, nodes, nuw):
+    """Yield (s, e, C) with C[j, r] = E(x_j - x_{s+r}) nuw_j, 0 at j = s+r.
+
+    C holds the kernel rows of the targets s..e-1 (block_len of them),
+    source index first: shape (N, e - s, 2^n), so a sum over j adds whole
+    contiguous rows in index order.
+    """
+    nodes = np.asarray(nodes, dtype=np.float64)
+    nodes_T = np.ascontiguousarray(nodes.T)
+    N = nodes.shape[0]
+    chunk = block_len(N, ctx.dim)
+    for s in range(0, N, chunk):
+        e = min(s + chunk, N)
+        E = _kernel_E_block(nodes[s:e], nodes_T, ctx.n, np.arange(s, e))
+        C = batch_product(ctx, E.transpose(2, 1, 0), nuw[:, None, :])
+        del E  # not held while the caller uses the block
+        yield s, e, C
+
+
 def pv_matrix(ctx, nodes, nuw, dmat):
     """Regularized core sums with a target-dependent density matrix.
 
@@ -96,44 +136,46 @@ def pv_matrix(ctx, nodes, nuw, dmat):
     with dmat of shape (N, N, dim): first index integration node, second
     index target node.
     """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    nodes_T = np.ascontiguousarray(nodes.T)
-    N = nodes.shape[0]
-    out = np.empty((N, ctx.dim))
-    for i in range(N):
-        E = _kernel_E_block(nodes[i : i + 1], nodes_T, ctx.n)[:, 0, :].T
-        E[i] = 0.0
-        A = batch_product(ctx, E, nuw)
-        out[i] = batch_product(ctx, A, dmat[:, i, :] - dmat[i, i, :]).sum(axis=0)
+    out = np.empty((len(nodes), ctx.dim))
+    for s, e, C in _kernel_blocks(ctx, nodes, nuw):
+        blk = np.arange(s, e)
+        D = dmat[:, s:e] - dmat[blk, blk]
+        out[s:e] = batch_product(ctx, C, D).sum(axis=0)
     return out
 
 
 def pb_rhs(ctx, nodes, nuw, kmat, t_index):
-    """Exchanged-order double singular sum at node t_index.
+    """Exchanged-order double singular sums at one node or at several.
 
     Computes sum_{j != t} sum_{i not in {t, j}} [E(x_i - t) nuw_i]
-    [E(x_j - x_i) nuw_j] (kmat[j, i] - kmat[j, t]), summed in index
-    order for reproducibility.  The subtraction of the kmat[j, t] slice
-    uses the kernel-pair orthogonality (the dropped block integrates to
-    zero), leaving only a weak singularity at x = t so the plain
-    punctured sum converges.
+    [E(x_j - x_i) nuw_j] (kmat[j, i] - kmat[j, t]); returns (dim,) for an
+    int t_index and (T, dim) for T indices.  The subtraction of the
+    kmat[j, t] slice uses the kernel-pair orthogonality (the dropped block
+    integrates to zero), leaving only a weak singularity at x = t so the
+    plain punctured sum converges.  With C[i, j] = E(x_j - x_i) nuw_j the
+    sum runs i outside, rhs_t = sum_{i != t} A_t[i] S_t[i], where
+    A_t[i] = E(x_i - t) nuw_i and
+    S_t[i] = P[i] - Q[i, t] - C[i, t] (kmat[t, i] - kmat[t, t]) with
+    P[i] = sum_{j != i} C[i, j] kmat[j, i] and
+    Q[i, t] = sum_{j != i} C[i, j] kmat[j, t].
     """
     nodes = np.asarray(nodes, dtype=np.float64)
-    nodes_T = np.ascontiguousarray(nodes.T)
-    it = t_index
-    N = nodes.shape[0]
-    Et = _kernel_E_block(nodes[it : it + 1], nodes_T, ctx.n)[:, 0, :].T
-    Et[it] = 0.0
-    A = batch_product(ctx, Et, nuw)
-    partial = np.zeros((N, ctx.dim))
-    for j in range(N):
-        if j == it:
-            continue
-        # E(x_j - x_i) for all i: x_j is the source, node rows are targets
-        Eji = _kernel_E_block(nodes, nodes_T[:, j : j + 1], ctx.n)[:, :, 0].T
-        Eji[j] = 0.0
-        C = batch_product(ctx, Eji, nuw[j])
-        D = batch_product(ctx, C, kmat[j] - kmat[j, it])
-        D[it] = 0.0
-        partial[j] = batch_product(ctx, A, D).sum(axis=0)
-    return partial.sum(axis=0)
+    ts = np.atleast_1d(np.asarray(t_index, dtype=np.int64))
+    N, T, dim = nodes.shape[0], ts.size, ctx.dim
+    Et = _kernel_E_block(nodes[ts], np.ascontiguousarray(nodes.T), ctx.n, ts)
+    A = batch_product(ctx, Et.transpose(1, 2, 0), nuw)
+    Kt = kmat[:, ts].reshape(N, T * dim)
+    ktt = kmat[ts, ts][:, None, :]
+    cols = np.arange(dim)
+    rhs = np.zeros((T, dim))
+    for s, e, C in _kernel_blocks(ctx, nodes, nuw):
+        P = batch_product(ctx, C, kmat[:, s:e]).sum(axis=0)
+        S = P - batch_product(ctx, C[ts], kmat[ts, s:e] - ktt)
+        # Q as one gemm, G[a, t, r, b] = sum_j C[j, r, a] kmat[j, t, b],
+        # scattered onto blade a ^ b like batch_product
+        G = (C.reshape(N, -1).T @ Kt).reshape(e - s, dim, T, dim)
+        G = G.transpose(1, 2, 0, 3)
+        for a in range(dim):
+            S[..., a ^ cols] -= ctx.sign_table[a] * G[a]
+        rhs += batch_product(ctx, A[:, s:e], S).sum(axis=1)
+    return rhs if np.ndim(t_index) else rhs[0]

@@ -8,6 +8,7 @@ deterministic for a fixed (mesh spec, seed) pair.
 
 import numpy as np
 
+from .bvp import _column_products
 from .clifford_core import batch_product, paravectors_as_coeffs
 from .cauchy import BoundaryDensity, kernel_E_rows
 from .fueter import multi_indices, symmetric_power_rows
@@ -387,19 +388,17 @@ def dirichlet_corpus(mesh, seed=19):
 
 
 def product_kernel(mesh, seed=23):
-    """Smooth two-point kernel k(x, t) for iterated-integral experiments."""
-    ctx = mesh.context
-    f = random_smooth(mesh, seed)
-    g = random_smooth(mesh, seed + 1)
-    fe, ge = f.evaluator, g.evaluator
+    """Smooth two-point kernel k(x, t) = f(x) (1 + 0.2 g(t)), sampled.
 
-    def k(x_rows, t):
-        block = np.atleast_2d(fe(x_rows))
-        tail = 0.2 * np.asarray(ge(t), dtype=np.float64)
-        tail[0] += 1.0
-        return batch_product(ctx, block, tail)
-
-    return k
+    f and g are seeded smooth densities.  Returns the (N, N, 2^n) array
+    kmat[j, i] = k(x_j, x_i) that apply_full_sie_lhs and
+    poincare_bertrand_discrepancy take, built in column blocks; it is
+    refused above bvp.KERNEL_MATRIX_BYTE_CAP before it is allocated.
+    """
+    tail = 0.2 * random_smooth(mesh, seed + 1).samples
+    tail[:, 0] += 1.0
+    return _column_products(mesh.context, random_smooth(mesh, seed).samples,
+                            tail[None])
 
 
 def make_density(mesh, name, seed=0):

@@ -539,21 +539,55 @@ def solve_characteristic_sie(mesh, coefficients, f: BoundaryDensity,
 
 # -- full equation left-hand side ----------------------------------------------------
 
+def _check_kernel_bytes(nbytes):
+    if nbytes > KERNEL_MATRIX_BYTE_CAP:
+        raise ValueError("kernel matrix would need %d bytes, above "
+                         "KERNEL_MATRIX_BYTE_CAP = %d; use a coarser mesh "
+                         "level" % (nbytes, KERNEL_MATRIX_BYTE_CAP))
+
+
+def _column_products(ctx, left, right):
+    """out[j, i] = left[j] right[j, i] as an (N, M, dim) array.
+
+    left holds (N, dim) rows; right has shape (N, M, dim), or (1, M, dim)
+    for one factor per column shared by every row.  The byte cap is checked
+    before the output is allocated, and the products are taken in blocks
+    of _accel.block_len columns, so temporaries stay small.
+    """
+    N, M = left.shape[0], right.shape[1]
+    _check_kernel_bytes(N * M * ctx.dim * 8)
+    out = np.empty((N, M, ctx.dim))
+    step = _accel.block_len(N, ctx.dim)
+    for s in range(0, M, step):
+        out[:, s:s + step] = batch_product(ctx, left[:, None, :],
+                                           right[:, s:s + step])
+    return out
+
+
 def _kernel_matrix(mesh, k):
-    """Sample k into kmat[j, i] = coefficients of k(x_j, t_i)."""
+    """Sample k into kmat[j, i] = coefficients of k(x_j, t_i).
+
+    k is a presampled (N, N, dim) array, as _corpus.product_kernel
+    returns, or a callable k(x_rows, t) -> (N, dim) rows for one t, called
+    once per node t_i.  Every entry must be finite.
+    """
     ctx = mesh.context
     N = mesh.node_count
-    nbytes = N * N * ctx.dim * 8
-    if nbytes > KERNEL_MATRIX_BYTE_CAP:
-        raise ValueError("kernel matrix would need %.2g GB; use a coarser "
-                         "mesh level" % (nbytes / 1e9))
+    _check_kernel_bytes(N * N * ctx.dim * 8)
     if isinstance(k, np.ndarray):
         if k.shape != (N, N, ctx.dim):
             raise ValueError("kernel matrix must have shape (N, N, 2^n)")
-        return np.ascontiguousarray(k, dtype=np.float64)
-    kmat = np.empty((N, N, ctx.dim))
-    for i in range(N):
-        kmat[:, i, :] = _as_coeff_rows(ctx, k(mesh.nodes, mesh.nodes[i]), N)
+        kmat = np.ascontiguousarray(k, dtype=np.float64)
+    else:
+        kmat = np.empty((N, N, ctx.dim))
+        for i in range(N):
+            kmat[:, i, :] = _as_coeff_rows(ctx, k(mesh.nodes, mesh.nodes[i]),
+                                           N)
+    # min and max propagate NaN and show inf without an (N, N, dim) mask
+    if not (np.isfinite(kmat.min()) and np.isfinite(kmat.max())):
+        j, i = np.argwhere(~np.isfinite(kmat))[0, :2]
+        raise ValueError("k is not finite at (j, i) = (%d, %d), "
+                         "kmat[j, i] = k(x_j, t_i)" % (j, i))
     return kmat
 
 
@@ -584,16 +618,15 @@ def _matrix_pv_rows(mesh, dmat, correction=True):
 def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     """Rows of phi a + (2/V_n) PV int E dsigma phi(x) k(x, t) at the nodes.
 
-    k is a callable k(x_rows, t) -> (N, dim) coefficient rows for fixed
-    t, or a presampled (N, N, dim) array kmat[j, i] = k(x_j, t_i).
-    Evaluation-only: no inversion theory is attached to the full kernel.
+    k is a presampled (N, N, dim) array kmat[j, i] = k(x_j, t_i), as
+    _corpus.product_kernel returns, or a callable k(x_rows, t) -> (N, dim)
+    coefficient rows for fixed t.  The densities phi(x_j) kmat[j, i] are
+    formed in column blocks.  Evaluation-only: no inversion theory is
+    attached to the full kernel.
     """
     ctx = mesh.context
     kmat = _kernel_matrix(mesh, k)
-    N = mesh.node_count
-    dmat = np.empty_like(kmat)
-    for i in range(N):
-        dmat[:, i, :] = batch_product(ctx, phi.samples, kmat[:, i, :])
+    dmat = _column_products(ctx, phi.samples, kmat)
     vol = unit_sphere_area(mesh.n)
     pv = _matrix_pv_rows(mesh, dmat) / vol
     return batch_product(ctx, phi.samples, a.samples) + 2.0 * pv
@@ -645,11 +678,15 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
                                   sample_nodes=8, seed=0):
     """Probe the commutation defect of iterated principal values.
 
-    Pass a two-point kernel k (callable or presampled matrix) for the
-    general experiment, or a density f for the separable case
-    k(tau, x) = f(tau) whose iterated integral collapses to
-    (V_n/2)^2 f(t).  Returns a PoincareBertrandReport; interpretation
-    (convergence trends under refinement) is left to the caller.
+    Pass a two-point kernel k for the general experiment, or a density f
+    for the separable case k(tau, x) = f(tau) whose iterated integral
+    collapses to (V_n/2)^2 f(t).  k is a presampled (N, N, dim) matrix,
+    as _corpus.product_kernel returns, or a callable (see
+    apply_full_sie_lhs).  The general case builds the inner principal
+    values with one _accel.pv_matrix call and the exchanged-order sums of
+    all sampled nodes with one _accel.pb_rhs call.  Returns a
+    PoincareBertrandReport; interpretation (convergence trends under
+    refinement) is left to the caller.
     """
     if (k is None) == (f is None):
         raise ValueError("pass exactly one of k or f")
@@ -672,12 +709,9 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
         inner_d = BoundaryDensity(mesh, inner,
                                   regularity=("holder", 1.0, None))
         lhs = vol * principal_value_nodes(mesh, inner_d, indices=idx)
-        nuw = mesh.measure_coeffs()
-        diag = kmat[np.arange(N), np.arange(N), :]
-        rhs = np.empty((idx.size, ctx.dim))
-        for row, it in enumerate(idx):
-            exchanged = _accel.pb_rhs(ctx, mesh.nodes, nuw, kmat, int(it))
-            rhs[row] = (0.5 * vol) ** 2 * diag[it] + exchanged
+        exchanged = _accel.pb_rhs(ctx, mesh.nodes, mesh.measure_coeffs(),
+                                  kmat, idx)
+        rhs = (0.5 * vol) ** 2 * kmat[idx, idx] + exchanged
         disc = lhs - rhs
         sep_err = math.nan
 

@@ -154,3 +154,36 @@ def test_pb_rhs_matches_pair_loop(mesh):
         terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
         _assert_within(got, total.coeffs,
                        np.asarray(_tolerance(terms, abs_sum)))
+
+
+def _kernel_l1(x, w):
+    """|E(x_j - w_i)|_1 = |x_j - w_i|_1 / |x_j - w_i|^(n+1), 0 at r = 0."""
+    d = x[None, :, :] - w[:, None, :]
+    r = np.linalg.norm(d, axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.abs(d).sum(axis=2) / r ** d.shape[2]
+    out[r == 0.0] = 0.0
+    return out
+
+
+def test_pb_rhs_index_array_matches_int_calls(mesh):
+    ctx = mesh.context
+    N = min(mesh.node_count, 48)
+    nodes = mesh.nodes[:N]
+    nuw = mesh.measure_coeffs()[:N]
+    rng = np.random.default_rng(7)
+    kmat = rng.normal(size=(N, N, ctx.dim))
+    ts = np.array([0, 5, N // 2, N - 1])
+    got = _accel.pb_rhs(ctx, nodes, nuw, kmat, ts)
+    assert got.shape == (ts.size, ctx.dim)
+    # both sum A_t[i] (P[i] - Q[i, t] - ...), P and Q carrying kmat[j, i]
+    # and kmat[j, t] apart, so the bound takes |kmat[j, i]| + |kmat[j, t]|
+    nuw_l1 = np.abs(nuw).sum(axis=1)
+    C = _kernel_l1(nodes, nodes) * nuw_l1[None, :]
+    k_l1 = np.abs(kmat).sum(axis=2)
+    for row, t in enumerate(ts):
+        A = _kernel_l1(nodes, nodes[t:t + 1])[0] * nuw_l1
+        abs_sum = A @ (C * (k_l1.T + k_l1[:, t][None, :])).sum(axis=1)
+        terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
+        _assert_within(got[row], _accel.pb_rhs(ctx, nodes, nuw, kmat, int(t)),
+                       np.asarray(_tolerance(terms, abs_sum)))

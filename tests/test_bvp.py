@@ -1,12 +1,15 @@
 """Jump problems, gap conjugation, Dirichlet verdicts, SIE and iterated PVs."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hypercauchy import _accel
 from hypercauchy.bvp import (
     CharacteristicCoefficients,
+    _column_products,
     apply_characteristic_lhs,
     apply_full_sie_lhs,
     constant_gap_residual,
@@ -24,7 +27,8 @@ from hypercauchy.cauchy import (
     principal_value_nodes,
     unit_sphere_area,
 )
-from hypercauchy.clifford_core import SingularInputError, get_context
+from hypercauchy.clifford_core import (SingularInputError, batch_product,
+                                      get_context)
 from hypercauchy.fueter import DegreeOverflowError
 from hypercauchy.surface import DomainSpec, build_mesh
 from hypercauchy._corpus import (
@@ -33,6 +37,7 @@ from hypercauchy._corpus import (
     interior_pole,
     kernel_combo,
     kernel_trace,
+    product_kernel,
     random_smooth,
 )
 
@@ -291,6 +296,88 @@ def test_kernel_matrix_byte_cap(circle_mesh, monkeypatch):
 
     with pytest.raises(ValueError):
         apply_full_sie_lhs(circle_mesh, a, k_const, phi)
+
+
+def test_sampled_kernel_over_cap_raises_before_allocating(circle_spec,
+                                                          monkeypatch):
+    mesh = build_mesh(circle_spec, 3)
+    need = mesh.node_count ** 2 * 2 * 8
+    cap = need // 4
+    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", cap)
+    message = "%d bytes, above KERNEL_MATRIX_BYTE_CAP = %d" % (need, cap)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            product_kernel(mesh, 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap
+    calls = []
+
+    def k(x_rows, t):
+        calls.append(t)
+        return np.ones((x_rows.shape[0], 2))
+
+    with pytest.raises(ValueError, match=message):
+        poincare_bertrand_discrepancy(mesh, k=k)
+    assert calls == []
+
+
+def test_kernel_matrix_rejects_non_finite_entries(circle_spec):
+    mesh = build_mesh(circle_spec, 0)
+    N = mesh.node_count
+
+    def k(x_rows, t):
+        out = np.ones((x_rows.shape[0], 2))
+        if np.array_equal(t, mesh.nodes[5]):
+            out[3] = np.nan
+        return out
+
+    with pytest.raises(ValueError, match=r"k is not finite at \(j, i\) = "
+                                         r"\(3, 5\)"):
+        poincare_bertrand_discrepancy(mesh, k=k)
+    kmat = np.ones((N, N, 2))
+    kmat[7, 2, 1] = np.inf
+    with pytest.raises(ValueError, match=r"\(j, i\) = \(7, 2\)"):
+        apply_full_sie_lhs(mesh, BoundaryDensity.constant(mesh, 1.0), kmat,
+                           random_smooth(mesh, 3))
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
+], ids=["circle", "sphere2"])
+def test_column_products_match_column_loop(spec):
+    mesh = build_mesh(spec, 0)
+    ctx = mesh.context
+    rng = np.random.default_rng(4)
+    left = rng.normal(size=(mesh.node_count, ctx.dim))
+    for rows in (1, mesh.node_count):
+        right = rng.normal(size=(rows, mesh.node_count, ctx.dim))
+        got = _column_products(ctx, left, right)
+        for i in range(mesh.node_count):
+            want = batch_product(ctx, left, right[:, i])
+            assert np.array_equal(got[:, i], want)
+
+
+def test_general_kernel_makes_one_pv_matrix_and_one_pb_rhs_call(circle_spec,
+                                                                 monkeypatch):
+    mesh = build_mesh(circle_spec, 0)
+    calls = {"pv_matrix": [], "pb_rhs": []}
+    for name, seen in calls.items():
+        original = getattr(_accel, name)
+
+        def counted(*args, _original=original, _seen=seen, **kwargs):
+            _seen.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(_accel, name, counted)
+    rep = poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23),
+                                        sample_nodes=6)
+    assert len(calls["pv_matrix"]) == 1
+    assert len(calls["pb_rhs"]) == 1
+    assert np.array_equal(calls["pb_rhs"][0][4], rep.sample_indices)
 
 
 def test_invert_cauchy_pv_involution(circle_mesh):

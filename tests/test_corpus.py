@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from hypercauchy.surface import refine
+from hypercauchy.surface import DomainSpec, build_mesh, refine
 from hypercauchy.cauchy import BoundaryDensity
+from hypercauchy.clifford_core import batch_product
 from hypercauchy._corpus import (
     dirichlet_corpus,
     exterior_pole,
@@ -134,7 +135,26 @@ def test_trig_polynomial_closed_form_pv(circle_fine):
 
 
 def test_product_kernel_shape(circle_mesh):
-    k = product_kernel(circle_mesh, 23)
-    rows = k(circle_mesh.nodes, circle_mesh.nodes[0])
-    assert rows.shape == (circle_mesh.node_count, 2)
-    assert np.isfinite(rows).all()
+    kmat = product_kernel(circle_mesh, 23)
+    N = circle_mesh.node_count
+    assert kmat.shape == (N, N, 2)
+    assert np.isfinite(kmat).all()
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
+    DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0),
+], ids=["circle", "sphere2", "sphere3"])
+def test_product_kernel_matches_column_formula(spec):
+    mesh = build_mesh(spec, 0)
+    ctx = mesh.context
+    fe = random_smooth(mesh, 23).evaluator
+    ge = random_smooth(mesh, 24).evaluator
+    kmat = product_kernel(mesh, 23)
+    # k(x_j, t_i) = f(x_j) (0.2 g(t_i) + e_0), one column per node
+    for i, t in enumerate(mesh.nodes):
+        tail = 0.2 * np.asarray(ge(t), dtype=np.float64)
+        tail[0] += 1.0
+        want = batch_product(ctx, np.atleast_2d(fe(mesh.nodes)), tail)
+        assert np.array_equal(kmat[:, i], want)
