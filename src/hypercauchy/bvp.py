@@ -27,9 +27,8 @@ from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      principal_value_nodes, symmetric_difference_limit,
                      unit_sphere_area, _as_coeff_rows, _cell_corrections,
                      _integral_rows, _scale, _warn_if_continuous)
-from .fueter import (MAX_DEGREE, DegreeOverflowError, boundary_moment,
-                     multi_indices, symmetric_power_rows)
-from .surface import refine
+from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
+                     _moment_threshold, _polynomial_rows, _refined_density)
 
 # Full-matrix kernels (N x N densities) are refused above this many bytes.
 KERNEL_MATRIX_BYTE_CAP = 1_200_000_000
@@ -74,18 +73,8 @@ class SectionalSolution:
     interior_only: bool = False
 
     def _poly_rows(self, pts):
-        ctx = self.mesh.context
-        out = np.zeros((pts.shape[0], ctx.dim))
-        for alpha, c in self.polynomial:
-            c = np.asarray(c, dtype=np.float64)
-            if not c.any():
-                continue
-            Z = symmetric_power_rows(ctx, alpha, pts)
-            if self.side == "left":
-                out += batch_product(ctx, Z, c)
-            else:
-                out += batch_product(ctx, c, Z)
-        return out
+        return _polynomial_rows(self.mesh.context, self.polynomial, pts,
+                                self.side)
 
     def _evaluate(self, w, tag, method):
         ctx = self.mesh.context
@@ -140,29 +129,8 @@ class SolvabilityReport:
     threshold: float
 
 
-def _moment_residuals(mesh, g, max_deg, side):
-    out = {}
-    for k in range(max_deg + 1):
-        for alpha in multi_indices(mesh.n, k):
-            out[alpha] = float(np.linalg.norm(
-                boundary_moment(mesh, g, alpha, side).coeffs))
-    return out
-
-
-def _moment_threshold(mesh, g, max_deg, side, residuals):
-    scale = max(float(np.abs(g.samples).max()), 1e-300)
-    quad_est = 0.0
-    fine_res = None
-    if g.evaluator is not None and mesh.spec is not None:
-        fine = refine(mesh)
-        gf = BoundaryDensity.from_function(fine, g.evaluator,
-                                           regularity=g.regularity)
-        fine_res = _moment_residuals(fine, gf, max_deg, side)
-        quad_est = max(abs(fine_res[a] - residuals[a]) for a in residuals)
-    else:
-        warnings.warn("no evaluator/spec for refinement; using the absolute "
-                      "moment floor only", stacklevel=3)
-    return max(10.0 * quad_est, 1e-8 * scale), fine_res
+def _alpha_norms(entries):
+    return {alpha: float(np.linalg.norm(m)) for alpha, m in entries.items()}
 
 
 def _zero_poly_slots(ctx, m):
@@ -204,10 +172,11 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
         raise DegreeOverflowError(
             "order bound m = %d needs moment degree %d > max %d"
             % (m, K, MAX_DEGREE))
-    residuals = _moment_residuals(mesh, g, K, side)
-    threshold, fine_res = _moment_threshold(mesh, g, K, side, residuals)
-    if fine_res is not None:
-        residuals = fine_res
+    residuals, threshold, refined = _moment_threshold(mesh, g, K, side,
+                                                      _alpha_norms)
+    if not refined:
+        warnings.warn("no evaluator/spec for refinement; using the absolute "
+                      "moment floor only", stacklevel=2)
     solvable = all(v <= threshold for v in residuals.values())
     report = SolvabilityReport("solvable" if solvable else "unsolvable",
                                math.comb(-m - 1, n), 0, residuals, threshold)
@@ -404,9 +373,8 @@ def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
         if g.evaluator is None or mesh.spec is None:
             raise ValueError("automatic threshold needs an evaluator-backed "
                              "density on a spec-built mesh; pass threshold=")
-        fine = refine(mesh)
-        gf = BoundaryDensity.from_function(fine, g.evaluator,
-                                           regularity=g.regularity)
+        gf = _refined_density(mesh, g)
+        fine = gf.mesh
         idx_f = np.unique(np.linspace(0, fine.node_count - 1,
                                       min(sample_nodes, fine.node_count)
                                       ).astype(np.int64))
@@ -539,11 +507,11 @@ def solve_characteristic_sie(mesh, coefficients, f: BoundaryDensity,
 
 # -- full equation left-hand side ----------------------------------------------------
 
-def _check_kernel_bytes(nbytes):
+def _check_kernel_bytes(nbytes, what="kernel matrix"):
     if nbytes > KERNEL_MATRIX_BYTE_CAP:
-        raise ValueError("kernel matrix would need %d bytes, above "
+        raise ValueError("%s would need %d bytes, above "
                          "KERNEL_MATRIX_BYTE_CAP = %d; use a coarser mesh "
-                         "level" % (nbytes, KERNEL_MATRIX_BYTE_CAP))
+                         "level" % (what, nbytes, KERNEL_MATRIX_BYTE_CAP))
 
 
 def _column_products(ctx, left, right):
@@ -621,10 +589,14 @@ def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     k is a presampled (N, N, dim) array kmat[j, i] = k(x_j, t_i), as
     _corpus.product_kernel returns, or a callable k(x_rows, t) -> (N, dim)
     coefficient rows for fixed t.  The densities phi(x_j) kmat[j, i] are
-    formed in column blocks.  Evaluation-only: no inversion theory is
-    attached to the full kernel.
+    formed in column blocks.  Both N x N matrices are held at once, so
+    their bytes together are checked against KERNEL_MATRIX_BYTE_CAP before
+    either is allocated.  Evaluation-only: no inversion theory is attached
+    to the full kernel.
     """
     ctx = mesh.context
+    _check_kernel_bytes(2 * mesh.node_count ** 2 * ctx.dim * 8,
+                        "kernel and density matrices")
     kmat = _kernel_matrix(mesh, k)
     dmat = _column_products(ctx, phi.samples, kmat)
     vol = unit_sphere_area(mesh.n)

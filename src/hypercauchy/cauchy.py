@@ -153,9 +153,6 @@ class BoundaryDensity:
     def is_holder(self):
         return self.regularity[0] == "holder"
 
-    def value_at(self, i: int) -> Multivector:
-        return Multivector(self.mesh.context, self.samples[i].copy())
-
     def spot_check(self, rng=None, pairs=64, slack=1.05):
         """Spot-check the declared regularity on random node pairs.
 

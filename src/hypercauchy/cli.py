@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import _corpus
-from .clifford_core import get_context
+from .clifford_core import batch_conjugate, batch_product, get_context
 from .surface import DomainSpec, build_mesh, parse_mesh_spec, save_mesh
 from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      span_indicator, symmetric_difference_limit,
@@ -418,35 +418,28 @@ def _run_algebra(cfg, mesh_level):
     n = mesh_level
     ctx = get_context(n)
     rng = np.random.default_rng(cfg.seed + n)
-    errs = [0.0]
-    # associativity and anti-automorphism on all blade triples
-    from .clifford_core import Multivector, conjugate, product
-    blades = []
-    for mask in range(ctx.dim):
-        c = np.zeros(ctx.dim)
-        c[mask] = 1.0
-        blades.append(Multivector(ctx, c))
-    for a in blades:
-        for b in blades:
-            ab = product(a, b)
-            err_conj = np.abs(conjugate(ab).coeffs
-                              - product(conjugate(b), conjugate(a)).coeffs)
-            errs.append(float(err_conj.max()))
-            for c in blades[:: max(1, ctx.dim // 4)]:
-                lhs = product(ab, c)
-                rhs = product(a, product(b, c))
-                errs.append(float(np.abs(lhs.coeffs - rhs.coeffs).max()))
-    # paravector inversion residual on a random batch
-    from .clifford_core import Paravector, paravector_inverse
-    pts = rng.standard_normal((10_000, n + 1))
-    keep = np.linalg.norm(pts, axis=1) > 1e-6
-    for row in pts[keep][:10_000]:
-        P = Paravector(row[0], row[1:])
-        Q = paravector_inverse(P)
-        prod = product(P.as_multivector(ctx), Q.as_multivector(ctx))
-        unit = np.zeros(ctx.dim)
-        unit[0] = 1.0
-        errs.append(float(np.abs(prod.coeffs - unit).max()))
+    # per blade pair (a, b): the anti-automorphism residual, then the
+    # associativity residual of (a, b, c) for every dim/4-th blade c
+    E = np.eye(ctx.dim)
+    C = E[:: max(1, ctx.dim // 4)]
+    Ebar = batch_conjugate(ctx, E)
+    AB = batch_product(ctx, E[:, None], E)
+    conj = batch_conjugate(ctx, AB) - batch_product(ctx, Ebar, Ebar[:, None])
+    assoc = (batch_product(ctx, AB[:, :, None], C)
+             - batch_product(ctx, E[:, None, None],
+                             batch_product(ctx, E[:, None], C)))
+    laws = np.concatenate([conj[:, :, None], assoc], axis=2)
+    # paravector inversion residual P (bar P / |P|^2) - 1 on a random batch;
+    # |P|^2 = x_0^2 + vec . vec, the dot taken per row as Paravector.inverse
+    P = rng.standard_normal((10_000, n + 1))
+    P = P[np.linalg.norm(P, axis=1) > 1e-6]
+    V = P[:, 1:]
+    n2 = P[:, 0] * P[:, 0] + (V[:, None] @ V[:, :, None])[:, 0, 0]
+    Q = np.concatenate([P[:, :1], -V], axis=1) / n2[:, None]
+    unit = batch_product(ctx, P, Q)
+    unit[:, 0] -= 1.0
+    errs = np.concatenate([[0.0], np.abs(laws).max(axis=-1).ravel(),
+                           np.abs(unit).max(axis=1)])
     return _norms(errs) + ({},)
 
 

@@ -169,14 +169,6 @@ class Multivector:
         return NotImplemented
 
     # -- structure ------------------------------------------------------------
-    @property
-    def scalar_part(self) -> float:
-        return float(self.coeffs[0])
-
-    def grade_select(self, k: int) -> "Multivector":
-        out = np.where(self.ctx.grade == k, self.coeffs, 0.0)
-        return Multivector(self.ctx, out)
-
     def is_paravector(self, tol: float = 0.0) -> bool:
         mask = self.ctx.grade > 1
         return bool(np.all(np.abs(self.coeffs[mask]) <= tol))

@@ -25,6 +25,7 @@ from .cauchy import (
     _measure_density,
     unit_sphere_area,
 )
+from .surface import refine
 
 MAX_DEGREE = 6
 
@@ -251,17 +252,26 @@ def kernel_derivative(ctx, alpha) -> KernelDerivative:
 
 # -- boundary moments -------------------------------------------------------------
 
+def _sided_product(ctx, side, Z, c):
+    """Rows of Z c for left-regular terms, c Z for right-regular ones."""
+    if side == "left":
+        return batch_product(ctx, Z, c)
+    return batch_product(ctx, c, Z)
+
+
+def _moments(mesh, g: BoundaryDensity, alphas, side):
+    """{alpha: moment coefficients}, with one measure density for all alpha."""
+    ctx = mesh.context
+    t = _measure_density(mesh, g.samples, side)
+    return {alpha: _sided_product(
+        ctx, side, symmetric_power_rows(ctx, alpha, mesh.nodes), t).sum(axis=0)
+        for alpha in alphas}
+
+
 def boundary_moment(mesh, g: BoundaryDensity, alpha, side="left") -> Multivector:
     """Moment integral int Z^alpha dsigma g (left) or int g dsigma Z^alpha."""
-    ctx = mesh.context
-    alpha = _as_alpha(alpha, ctx.n)
-    Z = symmetric_power_rows(ctx, alpha, mesh.nodes)
-    t = _measure_density(mesh, g.samples, side)
-    if side == "left":
-        rows = batch_product(ctx, Z, t)
-    else:
-        rows = batch_product(ctx, t, Z)
-    return Multivector(ctx, rows.sum(axis=0))
+    alpha = _as_alpha(alpha, mesh.n)
+    return Multivector(mesh.context, _moments(mesh, g, [alpha], side)[alpha])
 
 
 @dataclass(frozen=True)
@@ -280,11 +290,63 @@ def build_moment_table(mesh, g: BoundaryDensity, max_degree, side="left"):
     if max_degree > MAX_DEGREE:
         raise DegreeOverflowError("max degree %d exceeds %d"
                                   % (max_degree, MAX_DEGREE))
-    entries = {}
-    for k in range(max_degree + 1):
-        for alpha in multi_indices(mesh.n, k):
-            entries[alpha] = boundary_moment(mesh, g, alpha, side).coeffs
-    return MomentTable(side, max_degree, entries)
+    alphas = [a for k in range(max_degree + 1)
+              for a in multi_indices(mesh.n, k)]
+    return MomentTable(side, max_degree, _moments(mesh, g, alphas, side))
+
+
+def _refined_density(mesh, g: BoundaryDensity) -> BoundaryDensity:
+    """g resampled from its evaluator on the next refinement level of mesh.
+
+    The refined mesh is built once per mesh and kept in mesh.cache, so its
+    own cache (stencil, self-sums) serves every later density as well.
+    """
+    fine = mesh.cache.get("refined")
+    if fine is None:
+        fine = mesh.cache["refined"] = refine(mesh)
+    return BoundaryDensity.from_function(fine, g.evaluator,
+                                         regularity=g.regularity)
+
+
+def _moment_threshold(mesh, g: BoundaryDensity, max_degree, side, reduce):
+    """(values, threshold, refined): values = reduce(moment table entries).
+
+    With an evaluator and a mesh spec the values are taken again from g
+    on the refined mesh and returned; the error estimate is their largest
+    change (0 when not refined) and threshold = max(10 estimate, 1e-8 |g|).
+    """
+    scale = max(float(np.abs(g.samples).max()), 1e-300)
+    values = reduce(build_moment_table(mesh, g, max_degree, side).entries)
+    quad_est = 0.0
+    refined = g.evaluator is not None and mesh.spec is not None
+    if refined:
+        gf = _refined_density(mesh, g)
+        fine = reduce(build_moment_table(gf.mesh, gf, max_degree,
+                                         side).entries)
+        quad_est = max(abs(fine[key] - values[key]) for key in values)
+        values = fine
+    return values, max(10.0 * quad_est, 1e-8 * scale), refined
+
+
+def _degree_maxima(entries):
+    """Largest moment norm of each degree |alpha|."""
+    out = {}
+    for alpha, m in entries.items():
+        k = sum(alpha)
+        out[k] = max(out.get(k, 0.0), float(np.linalg.norm(m)))
+    return out
+
+
+def _polynomial_rows(ctx, terms, points, side):
+    """(M, 2^n) rows of sum Z^alpha c_alpha (left) or c_alpha Z^alpha (right)
+    at (M, n+1) points, from (alpha, c) terms; zero c are skipped."""
+    out = np.zeros((points.shape[0], ctx.dim))
+    for alpha, c in terms:
+        c = np.asarray(c, dtype=np.float64)
+        if c.any():
+            out += _sided_product(
+                ctx, side, symmetric_power_rows(ctx, alpha, points), c)
+    return out
 
 
 # -- Taylor components -------------------------------------------------------------
@@ -302,11 +364,7 @@ def derivative_at_origin(mesh, f: BoundaryDensity, alpha, side="left"):
     comps = kd.evaluate_components(mesh.nodes)
     vol = unit_sphere_area(ctx.n)
     t = _measure_density(mesh, f.samples, side)
-    if side == "left":
-        rows = batch_product(ctx, comps, t)
-    else:
-        rows = batch_product(ctx, t, comps)
-    return (-1.0) ** k / vol * rows.sum(axis=0)
+    return (-1.0) ** k / vol * _sided_product(ctx, side, comps, t).sum(axis=0)
 
 
 def taylor_component(f, k, R, mesh, side="left"):
@@ -343,13 +401,7 @@ def taylor_component(f, k, R, mesh, side="left"):
 
     def evaluator(x):
         pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = np.zeros((pts.shape[0], ctx.dim))
-        for alpha, c in coeffs.items():
-            Z = symmetric_power_rows(ctx, alpha, pts)
-            if side == "left":
-                out += batch_product(ctx, Z, c)
-            else:
-                out += batch_product(ctx, c, Z)
+        out = _polynomial_rows(ctx, coeffs.items(), pts, side)
         out *= inv_kfact
         if np.asarray(x).ndim == 1:
             return Multivector(ctx, out[0])
@@ -378,8 +430,7 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
     if k > MAX_DEGREE:
         raise DegreeOverflowError("degree %d exceeds max %d" % (k, MAX_DEGREE))
     rho = surface_hull_radius(mesh)
-    moments = {alpha: boundary_moment(mesh, g, alpha, side).coeffs
-               for alpha in multi_indices(ctx.n, k)}
+    moments = _moments(mesh, g, multi_indices(ctx.n, k), side)
     vol = unit_sphere_area(ctx.n)
     scale = (-1.0) ** k / (vol * math.factorial(k))
     kds = {alpha: kernel_derivative(ctx, alpha) for alpha in moments}
@@ -391,11 +442,8 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
                              % rho)
         out = np.zeros((pts.shape[0], ctx.dim))
         for alpha, m in moments.items():
-            comps = kds[alpha].evaluate_components(pts)
-            if side == "left":
-                out += batch_product(ctx, comps, m)
-            else:
-                out += batch_product(ctx, m, comps)
+            out += _sided_product(
+                ctx, side, kds[alpha].evaluate_components(pts), m)
         out *= scale
         if np.asarray(w).ndim == 1:
             return Multivector(ctx, out[0])
@@ -423,17 +471,6 @@ class OrderReport:
     undetermined: bool
 
 
-def _moment_norms(mesh, g, max_degree, side):
-    out = {}
-    for k in range(max_degree + 1):
-        total = 0.0
-        for alpha in multi_indices(mesh.n, k):
-            m = boundary_moment(mesh, g, alpha, side).coeffs
-            total = max(total, float(np.linalg.norm(m)))
-        out[k] = total
-    return out
-
-
 def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
                       max_degree=MAX_DEGREE, rays=3, seed=7) -> OrderReport:
     """Order at infinity of a Cauchy-type integral or a sampled evaluator.
@@ -458,19 +495,8 @@ def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
     undetermined = False
     n = mesh.n
     if g is not None:
-        scale = max(float(np.abs(g.samples).max()), 1e-300)
-        norms = _moment_norms(mesh, g, max_degree, side)
-        quad_est = 0.0
-        if g.evaluator is not None and mesh.spec is not None:
-            from .surface import refine
-
-            fine = refine(mesh)
-            gf = BoundaryDensity.from_function(fine, g.evaluator,
-                                               regularity=g.regularity)
-            fine_norms = _moment_norms(fine, gf, max_degree, side)
-            quad_est = max(abs(fine_norms[k] - norms[k]) for k in norms)
-            norms = fine_norms
-        threshold = max(10.0 * quad_est, 1e-8 * scale)
+        norms, threshold, _ = _moment_threshold(mesh, g, max_degree, side,
+                                                _degree_maxima)
         for k in sorted(norms):
             if norms[k] > threshold:
                 first_deg = k

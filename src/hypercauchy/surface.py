@@ -103,8 +103,10 @@ class SurfaceMesh:
     cache : dict
         Mesh-owned operator data that depends on the mesh alone, filled on
         first use: the tangential-derivative stencil of
-        cauchy.gradient_stencil and the read-only full-mesh self-sums S2
-        of cauchy.principal_value_nodes, one per side.  Never a
+        cauchy.gradient_stencil, the read-only full-mesh self-sums S2
+        of cauchy.principal_value_nodes, one per side, and the refined
+        mesh (refine(mesh), with its own cache) on which the solvability
+        thresholds resample evaluator-backed densities.  Never a
         constructor argument; every new mesh (build_mesh, refine,
         dataclasses.replace) starts with an empty one.
     """

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypercauchy import _accel
+from hypercauchy import _accel, cauchy, fueter
 from hypercauchy.bvp import (
     CharacteristicCoefficients,
     _column_products,
@@ -27,12 +27,15 @@ from hypercauchy.cauchy import (
     principal_value_nodes,
     unit_sphere_area,
 )
-from hypercauchy.clifford_core import (SingularInputError, batch_product,
-                                      get_context)
-from hypercauchy.fueter import DegreeOverflowError
-from hypercauchy.surface import DomainSpec, build_mesh
+from hypercauchy.clifford_core import (Multivector, SingularInputError,
+                                      batch_product, get_context)
+from hypercauchy.fueter import (DegreeOverflowError, boundary_moment,
+                                multi_indices, order_at_infinity,
+                                symmetric_power)
+from hypercauchy.surface import DomainSpec, build_mesh, refine
 from hypercauchy._corpus import (
     coordinate_trace,
+    dirichlet_corpus,
     holomorphic_combo,
     interior_pole,
     kernel_combo,
@@ -72,6 +75,50 @@ def test_jump_polynomial_part_preserves_jump(circle_mesh):
     assert np.max(np.abs(delta)) > 1e-3  # the section itself does move
     with pytest.raises(KeyError):
         sol.with_polynomial({(2,): np.array([1.0, 0.0])})
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_polynomial_part_multiplies_on_the_regularity_side(sphere_mesh, side):
+    ctx = sphere_mesh.context
+    rng = np.random.default_rng(3)
+    sol, _ = solve_jump_rm(sphere_mesh, random_smooth(sphere_mesh, 7), 1,
+                           side=side)
+    coeffs = {alpha: rng.standard_normal(ctx.dim)
+              for alpha, _ in sol.polynomial}
+    w = np.array([0.1, 0.2, -0.3])
+    want = 0.0
+    for alpha, c in coeffs.items():
+        Z, c = symmetric_power(ctx, alpha, w), Multivector(ctx, c)
+        want = want + (Z * c if side == "left" else c * Z).coeffs
+    delta = (sol.with_polynomial(coeffs).interior(w).coeffs
+             - sol.interior(w).coeffs)
+    assert np.max(np.abs(delta - want)) <= 1e-12
+
+
+def test_jump_and_order_share_the_refinement_threshold(sphere_spec):
+    # both judge fine-mesh moment norms, the jump problem per alpha and the
+    # order per degree, against max(10 * largest coarse-to-fine change,
+    # 1e-8 * max|g|)
+    mesh = build_mesh(sphere_spec, 0)
+    g = kernel_combo(mesh, 1)
+    fine = refine(mesh)
+    gf = BoundaryDensity.from_function(fine, g.evaluator,
+                                       regularity=g.regularity)
+    floor = 1e-8 * float(np.abs(g.samples).max())
+    alphas = [a for k in range(7) for a in multi_indices(2, k)]
+    norms = [{a: float(np.linalg.norm(boundary_moment(d.mesh, d, a).coeffs))
+              for a in alphas} for d in (g, gf)]
+    jump_alphas = [a for a in alphas if sum(a) <= 2]
+    est = max(abs(norms[1][a] - norms[0][a]) for a in jump_alphas)
+    _, rep = solve_jump_rm(mesh, g, -5)   # |alpha| <= -(n + m) - 1 = 2
+    assert rep.residuals == {a: norms[1][a] for a in jump_alphas}
+    assert rep.threshold == max(10.0 * est, floor)
+    maxima = [{k: max(v[a] for a in multi_indices(2, k)) for k in range(7)}
+              for v in norms]
+    est = max(abs(maxima[1][k] - maxima[0][k]) for k in range(7))
+    order = order_at_infinity(mesh, g)
+    assert order.moment_norms == maxima[1]
+    assert order.threshold == max(10.0 * est, floor)
 
 
 def test_jump_decaying_class_needs_vanishing_moments(circle_spec, circle_mesh):
@@ -236,6 +283,30 @@ def test_dirichlet_continuous_mode(circle_spec):
     assert np.isfinite(rep.attainment_error)
 
 
+def _counted(fn, calls):
+    def wrapper(mesh):
+        calls.append(mesh)
+        return fn(mesh)
+    return wrapper
+
+
+def test_dirichlet_refines_each_mesh_once(circle_spec, monkeypatch):
+    # the refined mesh is kept in the mesh's cache, and its own stencil
+    # serves every density
+    refined, stencils = [], []
+    monkeypatch.setattr(fueter, "refine", _counted(fueter.refine, refined))
+    monkeypatch.setattr(cauchy, "_build_gradient_stencil",
+                        _counted(cauchy._build_gradient_stencil, stencils))
+    mesh = build_mesh(circle_spec, 3)
+    corpus = dirichlet_corpus(mesh, seed=19)
+    verdicts = [solve_dirichlet(mesh, dens).solvable for _, dens, _ in corpus]
+    assert verdicts == [truth for _, _, truth in corpus]
+    assert len(corpus) > 2
+    assert len(refined) == 1 and refined[0] is mesh
+    fine = mesh.cache["refined"]
+    assert [m.level for m in stencils] == [mesh.level, fine.level]
+
+
 def test_sie_constant_coefficient_oracle(circle_mesh):
     # phi a + 2 PV C[phi] b = f with a = 3, b = 1, f = 1 has phi = 1/4:
     # the PV of a constant is the half charge, so lhs = phi (a + b)
@@ -322,6 +393,36 @@ def test_sampled_kernel_over_cap_raises_before_allocating(circle_spec,
     with pytest.raises(ValueError, match=message):
         poincare_bertrand_discrepancy(mesh, k=k)
     assert calls == []
+
+
+def test_full_sie_lhs_checks_both_matrices_against_cap(circle_spec,
+                                                       monkeypatch):
+    # kmat and the density matrix are held at once: each fits under a cap
+    # of one matrix's bytes, the two together do not
+    mesh = build_mesh(circle_spec, 3)
+    one = mesh.node_count ** 2 * 2 * 8
+    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", one)
+    a = BoundaryDensity.constant(mesh, 1.0)
+    phi = random_smooth(mesh, 3)
+    calls = []
+
+    def k(x_rows, t):
+        calls.append(t)
+        return np.ones((x_rows.shape[0], 2))
+
+    message = "%d bytes, above KERNEL_MATRIX_BYTE_CAP = %d" % (2 * one, one)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            apply_full_sie_lhs(mesh, a, k, phi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one
+    assert calls == []
+    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", 2 * one)
+    assert np.all(np.isfinite(apply_full_sie_lhs(mesh, a, k, phi)))
+    assert len(calls) == mesh.node_count
 
 
 def test_kernel_matrix_rejects_non_finite_entries(circle_spec):

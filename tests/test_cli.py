@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
+from hypercauchy import cli
 from hypercauchy.cli import (EXPERIMENTS, ConfigError, list_builtins, main,
                              resolve_config)
+from hypercauchy.clifford_core import (Paravector, conjugate, get_context,
+                                       paravector_inverse, product)
 from hypercauchy.surface import load_mesh
 
 CSV_HEADER = "level,h,nodes,error_maxnorm,error_l2,runtime_ms"
@@ -85,12 +88,22 @@ def test_run_byte_deterministic(tmp_path, capsys):
     assert (tmp_path / "out.json").read_bytes() == first_json
 
 
-@pytest.mark.parametrize("surface", ["circle", "sphere2"])
+@pytest.mark.parametrize("surface, extra", [
+    pytest.param("circle", {}, id="circle"),
+    pytest.param("sphere2", {}, id="sphere2"),
+    # refined-mesh thresholds: each level's mesh caches its own refinement
+    pytest.param("circle", {"experiment": "dirichlet", "levels": "2,3",
+                            "tolerance": "1e-2"}, id="dirichlet"),
+    pytest.param("circle", {"experiment": "order-at-infinity",
+                            "levels": "3,4", "tolerance": "0.2"},
+                 id="order-at-infinity"),
+])
 def test_outputs_independent_of_thread_count(tmp_path, capsys, monkeypatch,
-                                             surface):
+                                             surface, extra):
     # levels run concurrently with 2 threads; each level's mesh carries
     # its own stencil, so the reports must not change by a single byte
-    cfg = _fast_config(tmp_path, surface=surface, levels="0,1,2")
+    fields = {"surface": surface, "levels": "0,1,2", **extra}
+    cfg = _fast_config(tmp_path, **fields)
     outputs = []
     for threads in ("1", "2"):
         monkeypatch.setenv("HYPERCAUCHY_THREADS", threads)
@@ -98,6 +111,37 @@ def test_outputs_independent_of_thread_count(tmp_path, capsys, monkeypatch,
         outputs.append(((tmp_path / "out.csv").read_bytes(),
                         (tmp_path / "out.json").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+def _algebra_law_errors(seed, n):
+    """The algebra-laws residuals, one clifford_core.product call at a time."""
+    ctx = get_context(n)
+    rng = np.random.default_rng(seed + n)
+    blades = [ctx.basis_blade(a) for a in range(ctx.dim)]
+    errs = [0.0]
+    for a in blades:
+        for b in blades:
+            ab = product(a, b)
+            errs.append(np.abs(conjugate(ab).coeffs - product(
+                conjugate(b), conjugate(a)).coeffs).max())
+            for c in blades[:: max(1, ctx.dim // 4)]:
+                errs.append(np.abs(product(ab, c).coeffs
+                                   - product(a, product(b, c)).coeffs).max())
+    pts = rng.standard_normal((10_000, n + 1))
+    for row in pts[np.linalg.norm(pts, axis=1) > 1e-6]:
+        P = Paravector(row[0], row[1:])
+        prod = product(P.as_multivector(ctx),
+                       paravector_inverse(P).as_multivector(ctx))
+        errs.append(np.abs(prod.coeffs - ctx.scalar(1.0).coeffs).max())
+    return errs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_algebra_laws_batches_match_product_loop(n):
+    cfg = resolve_config({"experiment": "algebra-laws"}, ["seed=7"])
+    mx, l2, _ = cli._run_algebra(cfg, n)
+    assert (mx, l2) == cli._norms(_algebra_law_errors(cfg.seed, n))
+    assert 0.0 < mx <= cfg.tolerance
 
 
 def test_run_records_runtime_when_asked(tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hypercauchy.cauchy import BoundaryDensity, cauchy_integral, unit_sphere_area
-from hypercauchy.clifford_core import batch_product, get_context
+from hypercauchy.clifford_core import Multivector, batch_product, get_context
 from hypercauchy.fueter import (
     DegreeOverflowError,
     MAX_DEGREE,
@@ -26,8 +26,10 @@ from hypercauchy.fueter import (
     symmetric_power_rows,
     taylor_component,
 )
+from hypercauchy import fueter
 from hypercauchy.surface import DomainSpec, build_mesh
-from hypercauchy._corpus import interior_pole, kernel_trace
+from hypercauchy._corpus import (interior_pole, kernel_combo, kernel_trace,
+                                 random_smooth)
 
 MONOGENIC_TOL = 1e-6        # central-difference truncation at step 1e-4
 MONOGENIC_TOL_KERNEL = 1e-6  # kernel has large higher derivatives
@@ -170,6 +172,20 @@ def test_moment_table(circle_mesh):
         build_moment_table(circle_mesh, f, MAX_DEGREE + 1)
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("spec", [DomainSpec("circle", 1),
+                                  DomainSpec("sphere", 2)],
+                         ids=["circle", "sphere2"])
+def test_moment_table_equals_per_alpha_moments_bitwise(spec, side):
+    mesh = build_mesh(spec, 0)
+    f = random_smooth(mesh, 5)
+    table = build_moment_table(mesh, f, 4, side)
+    assert list(table.entries) == [a for k in range(5)
+                                   for a in multi_indices(mesh.n, k)]
+    for alpha, m in table.entries.items():
+        assert np.array_equal(m, boundary_moment(mesh, f, alpha, side).coeffs)
+
+
 def test_derivative_at_origin_orthogonality(circle_mesh):
     # [d^alpha Z^beta](0) = |alpha|! delta_{alpha beta}
     f = _sym_density(circle_mesh, (2,))
@@ -206,6 +222,20 @@ def test_taylor_component_recovers_coefficients(circle_mesh):
                            math.factorial(k) * c, atol=1e-12)
         total += ev(x).coeffs
     assert np.max(np.abs(total - fn(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_taylor_evaluator_multiplies_on_the_regularity_side(sphere_mesh,
+                                                           side):
+    ctx = sphere_mesh.context
+    ev = taylor_component(random_smooth(sphere_mesh, 4), 2, 1.0, sphere_mesh,
+                          side=side)
+    w = np.array([0.1, 0.2, -0.3])
+    want = 0.0
+    for alpha, c in ev.coefficients.items():
+        Z, c = symmetric_power(ctx, alpha, w), Multivector(ctx, c)
+        want = want + (Z * c if side == "left" else c * Z).coeffs / 2.0
+    assert np.max(np.abs(ev(w).coeffs - want)) <= 1e-12
 
 
 def test_taylor_component_degeneracy_guards(circle_spec):
@@ -249,6 +279,22 @@ def test_order_at_infinity_moment_and_slope(circle_spec, circle_mesh):
     assert rep.first_moment_degree == 0
     assert not rep.undetermined
     assert abs(rep.slope_raw - rep.slope_route) <= SLOPE_DEV
+
+
+def test_order_at_infinity_refines_each_mesh_once(circle_spec, monkeypatch):
+    built = []
+
+    def counted(mesh, _refine=fueter.refine):
+        built.append(mesh)
+        return _refine(mesh)
+
+    monkeypatch.setattr(fueter, "refine", counted)
+    mesh = build_mesh(circle_spec, 4)
+    routes = [order_at_infinity(mesh, kernel_combo(mesh, N)).moment_route
+              for N in (0, 1, 2)]
+    assert routes == [-1, -2, -3]
+    assert len(built) == 1 and built[0] is mesh
+    assert mesh.cache["refined"].level == mesh.level + 1
 
 
 def test_order_at_infinity_zero_density(circle_mesh):
