@@ -5,18 +5,19 @@ targets against N nodes has shape (n+1, C, N), plane k holding paravector
 component k.  The nodes enter transposed, (n+1, N), so every plane is built
 from contiguous rows.  A sum contracts the planes with the (N, 2^n)
 density rows in one matmul, E @ g, which runs one BLAS gemm per plane and
-gives the (n+1, C, 2^n) terms; these are scattered onto the result blades.
-The order of every sum is fixed (chunks of targets, one gemm per plane and
-chunk, a fixed scatter order per side), so results do not depend on the
-thread count.  Products of the density rows go through
-clifford_core.batch_product.
+gives the (n+1, C, 2^n) terms; clifford_core.scatter_pairs puts them on
+the result blades from the one blade-pair table that batch_product uses
+too.  The order of every sum is fixed (chunks of targets, one gemm per
+plane and chunk, the table's scatter order), so results do not depend on
+the thread count.
 
 The node-target sums with an (N, N, 2^n) matrix argument, pv_matrix and
 pb_rhs, run over row blocks of C[i, j] = E(x_j - x_i) nuw_j, zero at
-j = i: block_len targets at a time, stored source index first, so that a
-sum over j adds contiguous rows in index order (pv_matrix's rows equal a
-per-target loop bitwise).  pb_rhs takes all sampled nodes t in one pass
-and sums i outside: per block it forms P[i] = sum_j C[i, j] kmat[j, i] and
+j = i: block_len targets at a time, stored source index first.  Each sum
+over j is a clifford_core.sided_sum, one batched matmul per block and a
+scatter, so pv_matrix's rows agree with a per-target loop of products to
+rounding, not bitwise.  pb_rhs takes all sampled nodes t in one pass and
+sums i outside: per block it forms P[i] = sum_j C[i, j] kmat[j, i] and
 Q[i, t] = sum_j C[i, j] kmat[j, t] (one gemm against the kmat[:, t]
 columns), then adds sum_i A_t[i] S_t[i] over the block, blocks in index
 order (see pb_rhs).
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford_core import batch_product
+from .clifford_core import batch_product, scatter_pairs, sided_sum
 
 # target-node pairs per kernel block: each block of planes stays in cache
 BLOCK_PAIRS = 1 << 16
@@ -58,22 +59,11 @@ def _kernel_E_block(targets, nodes_T, n, skip=None):
 def _contract(ctx, E, g, side):
     """sum_j E_ij g_j (left) or sum_j g_j E_ij (right), shape (C, 2^n).
 
-    E holds (n+1, C, N) kernel planes and g an (N, 2^n) density.  The left
-    side scatters paravector component k outer, the right side density
-    blade b outer.
+    E holds (n+1, C, N) kernel planes and g an (N, 2^n) density; the terms
+    E @ g are scattered with the left factor's columns outer.
     """
     T = E @ g
-    out = np.zeros((E.shape[1], ctx.dim))
-    if side == "left":
-        for k in range(ctx.n + 1):
-            for b in range(ctx.dim):
-                out[:, ctx.para_idx[k, b]] += ctx.para_sign[k, b] * T[k, :, b]
-    else:
-        for b in range(ctx.dim):
-            for k in range(ctx.n + 1):
-                out[:, ctx.para_idx_right[b, k]] += \
-                    ctx.para_sign_right[b, k] * T[k, :, b]
-    return out
+    return scatter_pairs(ctx, T if side == "left" else T.transpose(2, 1, 0))
 
 
 def _accumulate(ctx, targets, nodes, g, excl, side):
@@ -114,8 +104,8 @@ def _kernel_blocks(ctx, nodes, nuw):
     """Yield (s, e, C) with C[j, r] = E(x_j - x_{s+r}) nuw_j, 0 at j = s+r.
 
     C holds the kernel rows of the targets s..e-1 (block_len of them),
-    source index first: shape (N, e - s, 2^n), so a sum over j adds whole
-    contiguous rows in index order.
+    source index first: shape (N, e - s, 2^n), so C.reshape(N, -1) is one
+    gemm operand (pb_rhs's Q).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     nodes_T = np.ascontiguousarray(nodes.T)
@@ -140,7 +130,7 @@ def pv_matrix(ctx, nodes, nuw, dmat):
     for s, e, C in _kernel_blocks(ctx, nodes, nuw):
         blk = np.arange(s, e)
         D = dmat[:, s:e] - dmat[blk, blk]
-        out[s:e] = batch_product(ctx, C, D).sum(axis=0)
+        out[s:e] = sided_sum(ctx, "left", C.swapaxes(0, 1), D.swapaxes(0, 1))
     return out
 
 
@@ -166,16 +156,13 @@ def pb_rhs(ctx, nodes, nuw, kmat, t_index):
     A = batch_product(ctx, Et.transpose(1, 2, 0), nuw)
     Kt = kmat[:, ts].reshape(N, T * dim)
     ktt = kmat[ts, ts][:, None, :]
-    cols = np.arange(dim)
     rhs = np.zeros((T, dim))
     for s, e, C in _kernel_blocks(ctx, nodes, nuw):
-        P = batch_product(ctx, C, kmat[:, s:e]).sum(axis=0)
-        S = P - batch_product(ctx, C[ts], kmat[ts, s:e] - ktt)
-        # Q as one gemm, G[a, t, r, b] = sum_j C[j, r, a] kmat[j, t, b],
-        # scattered onto blade a ^ b like batch_product
+        P = sided_sum(ctx, "left", C.swapaxes(0, 1),
+                      kmat[:, s:e].swapaxes(0, 1))
+        # Q as one gemm, G[r, a, t, b] = sum_j C[j, r, a] kmat[j, t, b]
         G = (C.reshape(N, -1).T @ Kt).reshape(e - s, dim, T, dim)
-        G = G.transpose(1, 2, 0, 3)
-        for a in range(dim):
-            S[..., a ^ cols] -= ctx.sign_table[a] * G[a]
-        rhs += batch_product(ctx, A[:, s:e], S).sum(axis=1)
+        S = (P - batch_product(ctx, C[ts], kmat[ts, s:e] - ktt)
+             - scatter_pairs(ctx, G.transpose(1, 2, 0, 3)))
+        rhs += sided_sum(ctx, "left", A[:, s:e], S)
     return rhs if np.ndim(t_index) else rhs[0]

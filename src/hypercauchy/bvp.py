@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _accel
 from .clifford_core import (Multivector, SingularInputError, batch_product,
-                            paravectors_as_coeffs)
+                            paravectors_as_coeffs, sided_sum)
 from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, gradient_stencil, kernel_E_rows,
                      principal_value_nodes, symmetric_difference_limit,
@@ -559,13 +559,12 @@ def _kernel_matrix(mesh, k):
     return kmat
 
 
-def _matrix_pv_rows(mesh, dmat, correction=True):
+def _matrix_pv_rows(mesh, dmat):
     """Raw PV int E dsigma d_i(.) at every node i for per-target densities.
 
     dmat[j, i] holds the density of target i sampled at node j; returns
     (N, dim) rows of the unnormalized principal values, with the
-    singular-cell gradient correction (optional) and the (V_n/2)
-    diagonal term.
+    singular-cell gradient correction and the (V_n/2) diagonal term.
     """
     ctx = mesh.context
     nuw = mesh.measure_coeffs()
@@ -574,8 +573,6 @@ def _matrix_pv_rows(mesh, dmat, correction=True):
     vol = unit_sphere_area(mesh.n)
     diag = dmat[np.arange(N), np.arange(N), :]
     out = core + 0.5 * vol * diag
-    if not correction:
-        return out
     # derivatives of target i's density dmat[:, i] at node i
     nb, wts, frame = gradient_stencil(mesh)
     cols = dmat[nb, np.arange(N)[:, None], :]
@@ -639,11 +636,9 @@ def _pair_orthogonality(mesh, it, jt):
     dens = paravectors_as_coeffs(ctx, -kernel_E_rows(nodes, tau))
     A = batch_product(ctx, kernel_E_rows(nodes, t), mesh.measure_coeffs())
     diff = dens - dens[it][None, :]
-    terms = batch_product(ctx, A, diff)
-    terms[it] = 0.0
-    terms[jt] = 0.0
+    diff[[it, jt]] = 0.0
     vol = unit_sphere_area(mesh.n)
-    return terms.sum(axis=0) + 0.5 * vol * dens[it]
+    return sided_sum(ctx, "left", A, diff) + 0.5 * vol * dens[it]
 
 
 def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,

@@ -28,8 +28,9 @@ from .clifford_core import (
     Multivector,
     Paravector,
     SingularInputError,
-    batch_product,
+    _check_side,
     paravectors_as_coeffs,
+    sided_product,
 )
 from .surface import (CapExclusion, SurfaceMesh, _first_nonfinite_row,
                       exclude_cap)
@@ -230,13 +231,7 @@ class CauchyValue:
 
 def _measure_density(mesh, samples, side):
     """Rows (nu w f)_j for left integrals, (f nu w)_j for right ones."""
-    ctx = mesh.context
-    nuw = mesh.measure_coeffs()
-    if side == "left":
-        return batch_product(ctx, nuw, samples)
-    if side == "right":
-        return batch_product(ctx, samples, nuw)
-    raise ValueError("side must be 'left' or 'right'")
+    return sided_product(mesh.context, side, mesh.measure_coeffs(), samples)
 
 
 def _boundary_distance(mesh, w):
@@ -245,11 +240,15 @@ def _boundary_distance(mesh, w):
     return float(np.linalg.norm(mesh.nodes - w[None, :], axis=1).min())
 
 
-def _accum(mesh, targets, g, side, excl=None):
-    ctx = mesh.context
-    if side == "left":
-        return _accel.accum_left(ctx, targets, mesh.nodes, g, excl)
-    return _accel.accum_right(ctx, targets, mesh.nodes, g, excl)
+def _accum(mesh, targets, g, side, excl=None, keep=slice(None)):
+    """Kernel sums over the mesh nodes keep (default all) at the targets.
+
+    side picks accum_left or accum_right; any other side raises before
+    any work is done.
+    """
+    _check_side(side)
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    return accum(mesh.context, targets, mesh.nodes[keep], g[keep], excl)
 
 
 # -- Cauchy-type integral off the surface ---------------------------------------
@@ -463,10 +462,8 @@ def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
     for a in range(d):
         Tbar = frame[:, a, :].copy()
         Tbar[:, 1:] *= -1.0
-        if side == "left":
-            out += batch_product(ctx, batch_product(ctx, Tbar, nu), derivs[a])
-        else:
-            out += batch_product(ctx, derivs[a], batch_product(ctx, nu, Tbar))
+        out += sided_product(ctx, side, sided_product(ctx, side, Tbar, nu),
+                             derivs[a])
     return out * prefac[:, None]
 
 
@@ -491,16 +488,16 @@ def _cached_self_sums(mesh, side):
 
 
 def principal_value_nodes(mesh, f: BoundaryDensity, side="left",
-                          indices=None, correction=True):
+                          indices=None):
     """Regularized principal values at mesh nodes, shape (len(indices), dim).
 
     Computes (S1 - S2 f_t + c_t)/V_n + f_t/2 where S1, S2 are the
     desingularized kernel sums and c_t the singular-cell correction.  S2
     does not depend on f: over the full mesh (indices None) it is kept in
     the mesh's cache per side, while explicit indices compute their rows
-    and leave the cache alone.
+    and leave the cache alone.  A side other than 'left' or 'right'
+    raises before any sum is taken.
     """
-    ctx = mesh.context
     N = mesh.node_count
     if indices is None:
         idx = np.arange(N, dtype=np.int64)
@@ -513,13 +510,8 @@ def principal_value_nodes(mesh, f: BoundaryDensity, side="left",
     ft = f.samples[idx]
     S1 = _accum(mesh, targets, _measure_density(mesh, f.samples, side), side,
                idx)
-    if side == "left":
-        S2f = batch_product(ctx, S2, ft)
-    else:
-        S2f = batch_product(ctx, ft, S2)
-    core = S1 - S2f
-    if correction:
-        core = core + _singular_cell_corrections(mesh, f, side, idx)
+    core = S1 - sided_product(mesh.context, side, S2, ft)
+    core = core + _singular_cell_corrections(mesh, f, side, idx)
     return core / vol + 0.5 * ft
 
 
@@ -574,17 +566,8 @@ def principal_value(mesh, f: BoundaryDensity, t, side="left",
         delta = delta0 / RICHARDSON_RATIO**k
         exclude_cap(mesh, CapExclusion(tuple(t_point), delta))  # validates
         keep = dist > delta
-        vals.append(_partial_sum(mesh, g, keep, t_point, side) / vol)
+        vals.append(_accum(mesh, [t_point], g, side, keep=keep)[0] / vol)
     return Multivector(ctx, richardson_limit(RICHARDSON_RATIO, vals))
-
-
-def _partial_sum(mesh, g, keep, t_point, side):
-    ctx = mesh.context
-    nodes = mesh.nodes[keep]
-    gk = g[keep]
-    if side == "left":
-        return _accel.accum_left(ctx, [t_point], nodes, gk)[0]
-    return _accel.accum_right(ctx, [t_point], nodes, gk)[0]
 
 
 def plemelj_values(mesh, f: BoundaryDensity, t, side="left"):
@@ -729,29 +712,3 @@ def span_indicator(mesh, w, boundary_tol=None) -> SpanResult:
             "raw span value %r is %.3g away from the nearest admissible "
             "value %g" % (raw, best_dist, best))
     return SpanResult(best, raw)
-
-
-def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
-    """d^alpha of C[f] at an off-surface point via closed-form kernel
-    derivatives (alpha differentiates the x_1..x_n coordinates; |alpha| <= 4).
-    """
-    from .fueter import kernel_derivative
-
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != mesh.n or any(a < 0 for a in alpha):
-        raise ValueError("alpha must be %d nonnegative integers" % mesh.n)
-    k = sum(alpha)
-    if k > 4:
-        raise ValueError("|alpha| <= 4 supported")
-    ctx = mesh.context
-    point = np.asarray(w, dtype=np.float64)
-    dist = _boundary_distance(mesh, point)
-    if dist < 1e-12:
-        raise SingularInputError("derivative target lies on the surface")
-    kd = kernel_derivative(ctx, alpha)
-    comps = kd.evaluate_components(mesh.nodes - point[None, :])  # (N, n+1)
-    # d^alpha_w E(x - w) = (-1)^{|alpha|} [d^alpha E](x - w)
-    signf = (-1.0) ** k / unit_sphere_area(mesh.n)
-    g = _measure_density(mesh, f.samples, side)
-    out = _accel._contract(ctx, comps.T[:, None, :], g, side)[0]
-    return Multivector(ctx, signf * out)

@@ -60,23 +60,6 @@ class AlgebraContext:
             [(-1) ** ((k * (k + 1) // 2) % 2) for k in self.grade], dtype=np.float64
         )
 
-        # paravector-times-blade tables: row k = 0..n stands for e_k (e_0 = 1)
-        pidx = np.empty((n + 1, d), dtype=np.int64)
-        psign = np.empty((n + 1, d), dtype=np.float64)
-        ridx = np.empty((d, n + 1), dtype=np.int64)
-        rsign = np.empty((d, n + 1), dtype=np.float64)
-        for k in range(n + 1):
-            blade = 0 if k == 0 else (1 << (k - 1))
-            for b in range(d):
-                pidx[k, b] = blade ^ b
-                psign[k, b] = sign[blade, b]
-                ridx[b, k] = b ^ blade
-                rsign[b, k] = sign[b, blade]
-        self.para_idx = pidx
-        self.para_sign = psign
-        self.para_idx_right = ridx
-        self.para_sign_right = rsign
-
     def blade_name(self, a: int) -> str:
         if a == 0:
             return "1"
@@ -283,12 +266,9 @@ def divide(a: Multivector, b: Paravector, side: str = "left") -> Multivector:
         if not b.is_paravector():
             raise SingularInputError("divisor must be a paravector")
         b = project_paravector(b)
+    _check_side(side)
     binv = b.inverse().as_multivector(a.ctx)
-    if side == "left":
-        return product(binv, a)
-    if side == "right":
-        return product(a, binv)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return product(binv, a) if side == "left" else product(a, binv)
 
 
 def embed_point(p) -> Paravector:
@@ -348,7 +328,8 @@ def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
     array.  Leading axes broadcast, and the result has shape
     ``broadcast(leading axes) + (2^n,)``.  Terms are summed in the order
     of the left operand's blades, skipping all-zero left columns, so the
-    result does not depend on the layouts chosen.
+    result does not depend on the layouts chosen.  A sum of products over
+    rows is sided_sum, not batch_product(...).sum(): it takes one matmul.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -372,6 +353,49 @@ def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
         for j, blade, sign in terms:
             out[..., blade] += sign * col * B[..., j]
     return out
+
+
+def scatter_pairs(ctx: AlgebraContext, T: np.ndarray) -> np.ndarray:
+    """sum over blade pairs (a, b) of sign(a, b) T[a, ..., b] on blade a b.
+
+    T's first axis runs over the left factor's columns and its last axis
+    over the right factor's, each dense (2^n) or paravector (n+1) as in
+    batch_product; the result has shape T.shape[1:-1] + (2^n,).  Terms
+    are added in the order of _column_pairs, left column outer.
+    """
+    out = np.zeros(T.shape[1:-1] + (ctx.dim,))
+    for i, terms in _column_pairs(ctx.n, T.shape[0], T.shape[-1]):
+        for j, blade, sign in terms:
+            out[..., blade] += sign * T[i, ..., j]
+    return out
+
+
+def _check_side(side):
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def sided_product(ctx: AlgebraContext, side: str, K, f) -> np.ndarray:
+    """Rows K f for side 'left', f K for side 'right' (see batch_product)."""
+    _check_side(side)
+    if side == "left":
+        return batch_product(ctx, K, f)
+    return batch_product(ctx, f, K)
+
+
+def sided_sum(ctx: AlgebraContext, side: str, K, f) -> np.ndarray:
+    """sum_j K_j f_j for side 'left', sum_j f_j K_j for side 'right'.
+
+    K and f hold rows along their last axis (layouts as in batch_product)
+    and run over j on the axis before it: shapes (..., N, w_K) and
+    (..., N, w_f), leading axes broadcast, result (..., 2^n).  The sum is
+    one matmul of the columns, T[..., a, b] = sum_j left_j[a] right_j[b],
+    then scatter_pairs.
+    """
+    _check_side(side)
+    A, B = (K, f) if side == "left" else (f, K)
+    T = np.swapaxes(A, -1, -2) @ B
+    return scatter_pairs(ctx, np.moveaxis(T, -2, 0))
 
 
 def batch_conjugate(ctx: AlgebraContext, A: np.ndarray) -> np.ndarray:

@@ -18,9 +18,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford_core import Multivector, Paravector, batch_product
+from .clifford_core import (Multivector, Paravector, SingularInputError,
+                            _check_side, batch_product, sided_product,
+                            sided_sum)
 from .cauchy import (
     BoundaryDensity,
+    _boundary_distance,
     _integral_rows,
     _measure_density,
     unit_sphere_area,
@@ -250,21 +253,37 @@ def kernel_derivative(ctx, alpha) -> KernelDerivative:
     return _kernel_derivative_cached(ctx.n, alpha)
 
 
+def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
+    """d^alpha of C[f] at an off-surface point via closed-form kernel
+    derivatives (alpha differentiates the x_1..x_n coordinates; |alpha| <= 4).
+    """
+    alpha = tuple(int(a) for a in alpha)
+    if len(alpha) != mesh.n or any(a < 0 for a in alpha):
+        raise ValueError("alpha must be %d nonnegative integers" % mesh.n)
+    k = sum(alpha)
+    if k > 4:
+        raise ValueError("|alpha| <= 4 supported")
+    ctx = mesh.context
+    point = np.asarray(w, dtype=np.float64)
+    dist = _boundary_distance(mesh, point)
+    if dist < 1e-12:
+        raise SingularInputError("derivative target lies on the surface")
+    kd = kernel_derivative(ctx, alpha)
+    comps = kd.evaluate_components(mesh.nodes - point[None, :])  # (N, n+1)
+    # d^alpha_w E(x - w) = (-1)^{|alpha|} [d^alpha E](x - w)
+    signf = (-1.0) ** k / unit_sphere_area(mesh.n)
+    g = _measure_density(mesh, f.samples, side)
+    return Multivector(ctx, signf * sided_sum(ctx, side, comps, g))
+
+
 # -- boundary moments -------------------------------------------------------------
-
-def _sided_product(ctx, side, Z, c):
-    """Rows of Z c for left-regular terms, c Z for right-regular ones."""
-    if side == "left":
-        return batch_product(ctx, Z, c)
-    return batch_product(ctx, c, Z)
-
 
 def _moments(mesh, g: BoundaryDensity, alphas, side):
     """{alpha: moment coefficients}, with one measure density for all alpha."""
     ctx = mesh.context
     t = _measure_density(mesh, g.samples, side)
-    return {alpha: _sided_product(
-        ctx, side, symmetric_power_rows(ctx, alpha, mesh.nodes), t).sum(axis=0)
+    return {alpha: sided_sum(
+        ctx, side, symmetric_power_rows(ctx, alpha, mesh.nodes), t)
         for alpha in alphas}
 
 
@@ -340,11 +359,12 @@ def _degree_maxima(entries):
 def _polynomial_rows(ctx, terms, points, side):
     """(M, 2^n) rows of sum Z^alpha c_alpha (left) or c_alpha Z^alpha (right)
     at (M, n+1) points, from (alpha, c) terms; zero c are skipped."""
+    _check_side(side)
     out = np.zeros((points.shape[0], ctx.dim))
     for alpha, c in terms:
         c = np.asarray(c, dtype=np.float64)
         if c.any():
-            out += _sided_product(
+            out += sided_product(
                 ctx, side, symmetric_power_rows(ctx, alpha, points), c)
     return out
 
@@ -364,7 +384,7 @@ def derivative_at_origin(mesh, f: BoundaryDensity, alpha, side="left"):
     comps = kd.evaluate_components(mesh.nodes)
     vol = unit_sphere_area(ctx.n)
     t = _measure_density(mesh, f.samples, side)
-    return (-1.0) ** k / vol * _sided_product(ctx, side, comps, t).sum(axis=0)
+    return (-1.0) ** k / vol * sided_sum(ctx, side, comps, t)
 
 
 def taylor_component(f, k, R, mesh, side="left"):
@@ -442,7 +462,7 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
                              % rho)
         out = np.zeros((pts.shape[0], ctx.dim))
         for alpha, m in moments.items():
-            out += _sided_product(
+            out += sided_product(
                 ctx, side, kds[alpha].evaluate_components(pts), m)
         out *= scale
         if np.asarray(w).ndim == 1:
@@ -546,18 +566,16 @@ def dirac_apply(ctx, f, x, step=1e-4, side="left") -> Multivector:
     'right' from the right.  Near 0 for (bi)regular f.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = Multivector.zero(ctx)
+    derivs = np.empty((ctx.n + 1, ctx.dim))
     for k in range(ctx.n + 1):
         xp = x.copy()
         xm = x.copy()
         xp[k] += step
         xm[k] -= step
-        fp = _to_mv(ctx, f(xp))
-        fm = _to_mv(ctx, f(xm))
-        d = (fp - fm) / (2.0 * step)
-        e_k = ctx.scalar(1.0) if k == 0 else ctx.basis_blade(1 << (k - 1))
-        out = out + (e_k * d if side == "left" else d * e_k)
-    return out
+        d = _to_mv(ctx, f(xp)) - _to_mv(ctx, f(xm))
+        derivs[k] = d.coeffs / (2.0 * step)
+    # row k of the identity is e_k in paravector layout
+    return Multivector(ctx, sided_sum(ctx, side, np.eye(ctx.n + 1), derivs))
 
 
 def _to_mv(ctx, val):

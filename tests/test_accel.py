@@ -1,5 +1,8 @@
 """Kernel sums against a plain per-pair loop over kernel_E and product.
 
+The product-sum helpers behind them (scatter_pairs, sided_product and
+sided_sum of clifford_core) are checked the same way against product.
+
 Each reference value is a straight double loop over target and source
 nodes, built only from cauchy.kernel_E and clifford_core.product, so it
 shares no code with the batched kernel path.  The tolerances are fixed
@@ -14,7 +17,9 @@ import pytest
 
 from hypercauchy import _accel
 from hypercauchy.cauchy import kernel_E
-from hypercauchy.clifford_core import Multivector, Paravector, product
+from hypercauchy.clifford_core import (Multivector, Paravector, get_context,
+                                       product, scatter_pairs, sided_product,
+                                       sided_sum)
 from hypercauchy.surface import DomainSpec, build_mesh
 from hypercauchy._corpus import random_smooth
 
@@ -187,3 +192,91 @@ def test_pb_rhs_index_array_matches_int_calls(mesh):
         terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
         _assert_within(got[row], _accel.pb_rhs(ctx, nodes, nuw, kmat, int(t)),
                        np.asarray(_tolerance(terms, abs_sum)))
+
+
+def _row_mv(ctx, row):
+    """A dense (2^n) or paravector (n+1) row as a Multivector."""
+    if row.shape[0] == ctx.dim:
+        return Multivector(ctx, row)
+    return _paravector(ctx, row)
+
+
+def _widths(ctx):
+    return sorted({ctx.dim, ctx.n + 1})
+
+
+def _sided_mv(side, K, f):
+    return product(K, f) if side == "left" else product(f, K)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scatter_pairs_matches_blade_products(n):
+    ctx = get_context(n)
+    rng = np.random.default_rng(n)
+    for wl in _widths(ctx):
+        for wr in _widths(ctx):
+            T = rng.normal(size=(wl, 2, 3, wr))
+            got = scatter_pairs(ctx, T)
+            assert got.shape == (2, 3, ctx.dim)
+            for m in np.ndindex(2, 3):
+                total = Multivector.zero(ctx)
+                for a in range(wl):
+                    for b in range(wr):
+                        pair = product(_row_mv(ctx, np.eye(wl)[a]),
+                                       _row_mv(ctx, np.eye(wr)[b]))
+                        total = total + T[(a,) + m + (b,)] * pair
+                abs_sum = np.abs(T[(slice(None),) + m]).sum()
+                _assert_within(got[m], total.coeffs,
+                               np.asarray(_tolerance(wl * wr, abs_sum)))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sided_product_matches_product(n, side):
+    ctx = get_context(n)
+    rng = np.random.default_rng(10 + n)
+    for wk in _widths(ctx):
+        for wf in _widths(ctx):
+            K = rng.normal(size=(5, wk))
+            f = rng.normal(size=(5, wf))
+            got = sided_product(ctx, side, K, f)
+            for i in range(5):
+                want = _sided_mv(side, _row_mv(ctx, K[i]), _row_mv(ctx, f[i]))
+                abs_sum = np.abs(K[i]).sum() * np.abs(f[i]).sum()
+                _assert_within(got[i], want.coeffs,
+                               np.asarray(_tolerance(wk * wf, abs_sum)))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sided_sum_matches_product_loop(n, side):
+    ctx = get_context(n)
+    rng = np.random.default_rng(20 + n)
+    N = 37
+    for wk in _widths(ctx):
+        for wf in _widths(ctx):
+            # a stack of 3 kernels against one density, and a single pair
+            K = rng.normal(size=(3, N, wk))
+            f = rng.normal(size=(N, wf))
+            cases = [(K, f, sided_sum(ctx, side, K, f)),
+                     (K[:1], f, sided_sum(ctx, side, K[0], f)[None])]
+            for Ks, fs, got in cases:
+                assert got.shape == (Ks.shape[0], ctx.dim)
+                for r in range(Ks.shape[0]):
+                    total = Multivector.zero(ctx)
+                    for j in range(N):
+                        total = total + _sided_mv(side, _row_mv(ctx, Ks[r, j]),
+                                                  _row_mv(ctx, fs[j]))
+                    abs_sum = np.abs(Ks[r]).sum(axis=1) @ np.abs(fs).sum(axis=1)
+                    _assert_within(got[r], total.coeffs,
+                                   np.asarray(_tolerance(N * wk * wf,
+                                                         abs_sum)))
+
+
+@pytest.mark.parametrize("helper", [sided_product, sided_sum])
+def test_sided_helpers_reject_unknown_side(helper):
+    ctx = get_context(2)
+    rows = np.ones((3, ctx.dim))
+    for side in ("up", "Right", None):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            helper(ctx, side, rows, rows)

@@ -10,6 +10,7 @@ from hypercauchy import _accel, cauchy, fueter
 from hypercauchy.bvp import (
     CharacteristicCoefficients,
     _column_products,
+    _pair_orthogonality,
     apply_characteristic_lhs,
     apply_full_sie_lhs,
     constant_gap_residual,
@@ -24,11 +25,13 @@ from hypercauchy.bvp import (
 )
 from hypercauchy.cauchy import (
     BoundaryDensity,
+    kernel_E,
     principal_value_nodes,
     unit_sphere_area,
 )
-from hypercauchy.clifford_core import (Multivector, SingularInputError,
-                                      batch_product, get_context)
+from hypercauchy.clifford_core import (Multivector, Paravector,
+                                      SingularInputError, batch_product,
+                                      get_context, product)
 from hypercauchy.fueter import (DegreeOverflowError, boundary_moment,
                                 multi_indices, order_at_infinity,
                                 symmetric_power)
@@ -460,6 +463,40 @@ def test_column_products_match_column_loop(spec):
         for i in range(mesh.node_count):
             want = batch_product(ctx, left, right[:, i])
             assert np.array_equal(got[:, i], want)
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
+], ids=["circle", "sphere2"])
+def test_pair_orthogonality_matches_pair_loop(spec):
+    mesh = build_mesh(spec, 0)
+    ctx = mesh.context
+    nodes, nuw = mesh.nodes, mesh.measure_coeffs()
+    N = mesh.node_count
+    it, jt = 1, N // 3
+
+    def mv(p):
+        return p.as_multivector(ctx)
+
+    # density d(x_l) = E(tau - x_l), tau = x_jt; both nodes are dropped
+    d_t = mv(-kernel_E(nodes[it], nodes[jt]))
+    total = Multivector.zero(ctx)
+    abs_sum = 0.0
+    for l in range(N):
+        if l in (it, jt):
+            continue
+        A = product(mv(kernel_E(nodes[l], nodes[it])),
+                    mv(Paravector(nuw[l, 0], nuw[l, 1:])))
+        d = mv(-kernel_E(nodes[l], nodes[jt])) - d_t
+        total = total + product(A, d)
+        abs_sum += np.abs(A.coeffs).sum() * np.abs(d.coeffs).sum()
+    half = 0.5 * unit_sphere_area(mesh.n) * d_t.coeffs
+    want = total.coeffs + half
+    # a sum of N products of dim terms, each with a few roundings
+    abs_sum += np.abs(half).sum()
+    tol = 4.0 * (N * ctx.dim + 32) * 2.0 ** -53 * abs_sum
+    assert np.max(np.abs(_pair_orthogonality(mesh, it, jt) - want)) <= tol
 
 
 def test_general_kernel_makes_one_pv_matrix_and_one_pb_rhs_call(circle_spec,

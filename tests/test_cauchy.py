@@ -18,7 +18,6 @@ from hypercauchy.cauchy import (
     InconclusiveSpanError,
     SideTaggedPoint,
     boundary_limit,
-    cauchy_derivative,
     cauchy_integral,
     extrapolate_to_zero,
     gradient_stencil,
@@ -38,6 +37,7 @@ from hypercauchy.cauchy import (
     _singular_cell_corrections,
 )
 from hypercauchy.clifford_core import SingularInputError, paravectors_as_coeffs
+from hypercauchy.fueter import cauchy_derivative
 from hypercauchy.surface import DomainSpec, build_mesh, refine
 from hypercauchy._corpus import random_smooth, rough_holder
 
@@ -444,8 +444,17 @@ def test_indexed_pv_leaves_cache_alone(name):
         assert np.all(np.abs(row - full[i]) <= tol)
     fresh = _small_mesh(name)
     principal_value_nodes(fresh, BoundaryDensity(fresh, f.samples),
-                          indices=idx, correction=False)
-    assert fresh.cache == {}
+                          indices=idx)
+    assert ("self_sums", "left") not in fresh.cache
+
+
+@pytest.mark.parametrize("indices", [None, [0, 2]])
+def test_pv_rejects_unknown_side_before_any_sum(indices):
+    mesh = _small_mesh("circle-L0")
+    f = random_smooth(mesh, 2)
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        principal_value_nodes(mesh, f, side="up", indices=indices)
+    assert mesh.cache == {}
 
 
 def test_new_meshes_start_with_empty_cache():

@@ -321,3 +321,30 @@ def test_dirac_apply_detects_non_monogenic():
     f = lambda x: ctx.scalar(x[1] ** 2)  # not in the kernel of D
     got = dirac_apply(ctx, f, np.array([0.3, 0.7, -0.2]))
     assert np.max(np.abs(got.coeffs)) > 1e-2
+
+
+def test_dirac_apply_tells_the_sides_apart():
+    # z_1 e_2 is left-regular, D(z_1 e_2) = (-e_1 + e_1) e_2 = 0, but
+    # (z_1 e_2) D = -e_1 e_2 + e_2 e_1 = -2 e_12 is not zero
+    ctx = get_context(2)
+    e2 = ctx.basis_blade(2)
+    f = lambda x: hyper_variable(ctx, 1, x) * e2
+    x = np.array([0.3, 0.7, -0.2])
+    left = dirac_apply(ctx, f, x, side="left")
+    assert np.max(np.abs(left.coeffs)) <= MONOGENIC_TOL
+    right = dirac_apply(ctx, f, x, side="right")
+    want = np.zeros(ctx.dim)
+    want[3] = -2.0
+    assert np.max(np.abs(right.coeffs - want)) <= MONOGENIC_TOL
+
+
+def test_polynomial_rows_reject_unknown_side(sphere_mesh):
+    ctx = sphere_mesh.context
+    pts = sphere_mesh.nodes[:4]
+    terms = [((1, 0), np.ones(ctx.dim))]
+    for side in ("up", "Left", None):
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            fueter._polynomial_rows(ctx, terms, pts, side)
+        # an empty polynomial part is rejected the same way
+        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+            fueter._polynomial_rows(ctx, (), pts, side)
