@@ -11,6 +11,13 @@ too.  The order of every sum is fixed (chunks of targets, one gemm per
 plane and chunk, the table's scatter order), so results do not depend on
 the thread count.
 
+accum_left and accum_right also take a stack of K densities, (K, N, 2^n).
+The kernel planes are the costly part of a sum (the gemm is almost
+free), so each block is built once and contracted with every density, one
+gemm per density: the rows of density k are bitwise those of a call with
+that density alone.  One gemm over the widened (N, K 2^n) operand would
+round differently from the single-density sums, so it is not used.
+
 The node-target sums with an (N, N, 2^n) matrix argument, pv_matrix and
 pb_rhs, run over row blocks of C[i, j] = E(x_j - x_i) nuw_j, zero at
 j = i: block_len targets at a time, stored source index first.  Each sum
@@ -67,27 +74,41 @@ def _contract(ctx, E, g, side):
 
 
 def _accumulate(ctx, targets, nodes, g, excl, side):
+    """Kernel sums of g, one density (N, 2^n) or a stack (K, N, 2^n).
+
+    Each kernel block is built once and contracted with every density in
+    turn, so the rows of density k are bitwise those of a call with g[k].
+    Returns (M, 2^n), or (K, M, 2^n) for a stack.
+    """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     nodes_T = np.ascontiguousarray(np.asarray(nodes, dtype=np.float64).T)
     g = np.ascontiguousarray(g, dtype=np.float64)
+    G = g.reshape((-1,) + g.shape[-2:])
     M = targets.shape[0]
     chunk = max(1, BLOCK_PAIRS // nodes_T.shape[1])
-    out = np.empty((M, ctx.dim))
+    out = np.empty((G.shape[0], M, ctx.dim))
     for s in range(0, M, chunk):
         e = min(s + chunk, M)
         E = _kernel_E_block(targets[s:e], nodes_T, ctx.n,
                             None if excl is None else excl[s:e])
-        out[s:e] = _contract(ctx, E, g, side)
-    return out
+        for k, gk in enumerate(G):
+            out[k, s:e] = _contract(ctx, E, gk, side)
+    return out.reshape(g.shape[:-2] + (M, ctx.dim))
 
 
 def accum_left(ctx, targets, nodes, g, excl=None):
-    """sum_j E(x_j - w_i) g_j for each target row w_i, skipping node excl[i]."""
+    """sum_j E(x_j - w_i) g_j for each target row w_i, skipping node excl[i].
+
+    g is one (N, 2^n) density or a (K, N, 2^n) stack (see _accumulate).
+    """
     return _accumulate(ctx, targets, nodes, g, excl, "left")
 
 
 def accum_right(ctx, targets, nodes, g, excl=None):
-    """sum_j g_j E(x_j - w_i) for each target row w_i, skipping node excl[i]."""
+    """sum_j g_j E(x_j - w_i) for each target row w_i, skipping node excl[i].
+
+    g is one (N, 2^n) density or a (K, N, 2^n) stack (see _accumulate).
+    """
     return _accumulate(ctx, targets, nodes, g, excl, "right")
 
 

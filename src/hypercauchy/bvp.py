@@ -26,7 +26,8 @@ from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, gradient_stencil, kernel_E_rows,
                      principal_value_nodes, symmetric_difference_limit,
                      unit_sphere_area, _as_coeff_rows, _cell_corrections,
-                     _integral_rows, _scale, _warn_if_continuous)
+                     _density_samples, _integral_rows, _scale,
+                     _warn_if_continuous)
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
                      _moment_threshold, _polynomial_rows, _refined_density)
 
@@ -468,16 +469,19 @@ class SIESolution:
 
 
 def apply_characteristic_lhs(mesh, a: BoundaryDensity, b: BoundaryDensity,
-                             phi: BoundaryDensity):
-    """Rows of phi a + (2/V_n) [PV int E dsigma phi] b at the nodes."""
+                             phi):
+    """Rows of phi a + (2/V_n) [PV int E dsigma phi] b at the nodes.
+
+    phi is one density, giving (N, dim) rows, or a sequence of K, giving
+    (K, N, dim) rows from one principal-value call.
+    """
     ctx = mesh.context
     pv = principal_value_nodes(mesh, phi)
-    return (batch_product(ctx, phi.samples, a.samples)
+    return (batch_product(ctx, _density_samples(mesh, phi), a.samples)
             + 2.0 * batch_product(ctx, pv, b.samples))
 
 
-def solve_characteristic_sie(mesh, coefficients, f: BoundaryDensity,
-                             regularity=None) -> SIESolution:
+def solve_characteristic_sie(mesh, coefficients, f, regularity=None):
     """Solve phi a + (2/V_n)[PV int E dsigma phi] b = f in closed form.
 
     phi = (1/2)[f (a+b)^{-1} + f (a-b)^{-1}] - 2 PV C[psi] with
@@ -485,6 +489,12 @@ def solve_characteristic_sie(mesh, coefficients, f: BoundaryDensity,
     (a-b)(a+b)^{-1} is constant.  coefficients may be a
     CharacteristicCoefficients or an (a, b) pair of densities.  The
     residual of the equation at the nodes is computed and reported.
+
+    f is one right-hand side, which gives one SIESolution, or a sequence
+    of them, which gives a list with one SIESolution each.  However many
+    there are, they take two principal-value calls: PV C[psi] for all,
+    then the left-hand side of all; each solution is bitwise the one of
+    its right-hand side alone.
     """
     if isinstance(coefficients, CharacteristicCoefficients):
         co = coefficients
@@ -492,17 +502,26 @@ def solve_characteristic_sie(mesh, coefficients, f: BoundaryDensity,
         a, b = coefficients
         co = CharacteristicCoefficients.from_ab(mesh, a, b)
     ctx = mesh.context
-    reg = regularity if regularity is not None else f.regularity
-    half = 0.5 * (batch_product(ctx, f.samples, co.sum_inverse)
-                  + batch_product(ctx, f.samples, co.diff_inverse))
+    single = isinstance(f, BoundaryDensity)
+    fs = [f] if single else list(f)
+    F = _density_samples(mesh, fs)
+    regs = [regularity if regularity is not None else fk.regularity
+            for fk in fs]
     psi = batch_product(ctx, batch_product(ctx, batch_product(
-        ctx, f.samples, co.diff_inverse), co.b.samples), co.sum_inverse)
-    pv_psi = principal_value_nodes(mesh, BoundaryDensity(mesh, psi,
-                                                         regularity=reg))
-    phi = BoundaryDensity(mesh, half - 2.0 * pv_psi, regularity=reg)
-    lhs = apply_characteristic_lhs(mesh, co.a, co.b, phi)
-    residual = float(np.linalg.norm(lhs - f.samples, axis=1).max())
-    return SIESolution(phi, residual, co)
+        ctx, F, co.diff_inverse), co.b.samples), co.sum_inverse)
+    pv_psi = principal_value_nodes(mesh, [
+        BoundaryDensity(mesh, p, regularity=reg)
+        for p, reg in zip(psi, regs)])
+    half = 0.5 * (batch_product(ctx, F, co.sum_inverse)
+                  + batch_product(ctx, F, co.diff_inverse))
+    phis = [BoundaryDensity(mesh, h - 2.0 * p, regularity=reg)
+            for h, p, reg in zip(half, pv_psi, regs)]
+    del F, psi, pv_psi, half  # only the phis are held during the next pass
+    lhs = apply_characteristic_lhs(mesh, co.a, co.b, phis)
+    sols = [SIESolution(phi, float(np.linalg.norm(rows - fk.samples,
+                                                  axis=1).max()), co)
+            for phi, rows, fk in zip(phis, lhs, fs)]
+    return sols[0] if single else sols
 
 
 # -- full equation left-hand side ----------------------------------------------------

@@ -230,8 +230,31 @@ class CauchyValue:
 
 
 def _measure_density(mesh, samples, side):
-    """Rows (nu w f)_j for left integrals, (f nu w)_j for right ones."""
+    """Rows (nu w f)_j for left integrals, (f nu w)_j for right ones.
+
+    samples is one (N, 2^n) density or a (K, N, 2^n) stack.
+    """
     return sided_product(mesh.context, side, mesh.measure_coeffs(), samples)
+
+
+def _density_samples(mesh, f):
+    """Node samples of one density, (N, 2^n), or of a sequence, (K, N, 2^n).
+
+    Every density must be sampled on mesh: one from another mesh object
+    with other nodes is rejected, naming its position in the sequence.
+    """
+    single = isinstance(f, BoundaryDensity)
+    fs = [f] if single else list(f)
+    if not fs:
+        raise ValueError("need at least one density")
+    for k, fk in enumerate(fs):
+        if fk.mesh is not mesh and not np.array_equal(fk.mesh.nodes,
+                                                      mesh.nodes):
+            where = "density" if single else "densities[%d]" % k
+            raise ValueError("%s is sampled on another mesh (%d nodes) than "
+                             "the one summed over (%d nodes)"
+                             % (where, fk.mesh.node_count, mesh.node_count))
+    return f.samples if single else np.stack([fk.samples for fk in fs])
 
 
 def _boundary_distance(mesh, w):
@@ -248,7 +271,8 @@ def _accum(mesh, targets, g, side, excl=None, keep=slice(None)):
     """
     _check_side(side)
     accum = _accel.accum_left if side == "left" else _accel.accum_right
-    return accum(mesh.context, targets, mesh.nodes[keep], g[keep], excl)
+    return accum(mesh.context, targets, mesh.nodes[keep], g[..., keep, :],
+                 excl)
 
 
 # -- Cauchy-type integral off the surface ---------------------------------------
@@ -420,14 +444,23 @@ def gradient_stencil(mesh):
 def tangential_gradient(mesh, samples, idx=slice(None)):
     """Tangential derivatives of node samples along the cached frame.
 
-    Returns (derivs, frame) at the nodes idx (default every node): derivs[a]
-    is the (len(idx), m) array of directional derivatives along
-    frame[:, a, :].  Only the stencil rows of idx are applied.
+    samples is (N, m) or a stack (..., N, m).  Returns (derivs, frame) at
+    the nodes idx (default every node): derivs[a] is the (..., len(idx), m)
+    array of directional derivatives along frame[:, a, :].  Only the
+    stencil rows of idx are applied, one neighbour column at a time, so no
+    (len(idx), k, m) gather of every stack member is held.
     """
     nb, wts, frame = gradient_stencil(mesh)
     samples = np.asarray(samples, dtype=np.float64)
-    vals = samples[nb[idx]]                                 # (len(idx), k, m)
-    return np.einsum("ank,nkm->anm", wts[:, idx], vals), frame[idx]
+    nb = nb[idx]
+    lead = samples.shape[:-2]
+    # (d, 1, ..., len(idx), k): weights broadcast over the stack axes
+    wts = wts[:, idx].reshape(wts.shape[:1] + (1,) * len(lead)
+                              + nb.shape)
+    derivs = np.zeros(wts.shape[:1] + lead + (nb.shape[0], samples.shape[-1]))
+    for m in range(nb.shape[1]):
+        derivs += wts[..., m, None] * samples[..., nb[:, m], :]
+    return derivs, frame[idx]
 
 
 # -- principal values ------------------------------------------------------------
@@ -435,9 +468,11 @@ def tangential_gradient(mesh, samples, idx=slice(None)):
 def _singular_cell_corrections(mesh, f, side, idx=slice(None)):
     """Corrections for the dropped singular cell at the nodes idx.
 
-    Shape (len(idx), dim); the default idx is every node.
+    f is one density or a sequence of K (see principal_value_nodes).
+    Shape (len(idx), dim), or (K, len(idx), dim); the default idx is every
+    node.
     """
-    derivs, frame = tangential_gradient(mesh, f.samples, idx)
+    derivs, frame = tangential_gradient(mesh, _density_samples(mesh, f), idx)
     return _cell_corrections(mesh, derivs, frame, side, idx)
 
 
@@ -445,7 +480,8 @@ def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
     """Singular-cell corrections from tangential derivatives at the nodes idx.
 
     derivs[a] holds the (len(idx), dim) derivatives of the density along
-    frame[:, a, :], both taken at the nodes idx (default every node).  The
+    frame[:, a, :], both taken at the nodes idx (default every node), or a
+    (K, len(idx), dim) stack of them, one per density.  The
     subtracted integrand E(x-t) nu [f(x)-f(t)] tends to
     sum_k bar(T_k) nu(t) d_k f(t) as x -> t along tangent direction T_k;
     integrating it over a flat d-ball cell of the node's weight gives
@@ -458,7 +494,7 @@ def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
     sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
     prefac = (d * mesh.weights[idx] / sigma_d) ** (1.0 / d) * (sigma_d / d)
     nu = mesh.normals[idx]
-    out = np.zeros((nu.shape[0], ctx.dim))
+    out = np.zeros(np.shape(derivs)[1:])
     for a in range(d):
         Tbar = frame[:, a, :].copy()
         Tbar[:, 1:] *= -1.0
@@ -487,17 +523,25 @@ def _cached_self_sums(mesh, side):
     return S2
 
 
-def principal_value_nodes(mesh, f: BoundaryDensity, side="left",
-                          indices=None):
+def principal_value_nodes(mesh, f, side="left", indices=None):
     """Regularized principal values at mesh nodes, shape (len(indices), dim).
 
     Computes (S1 - S2 f_t + c_t)/V_n + f_t/2 where S1, S2 are the
-    desingularized kernel sums and c_t the singular-cell correction.  S2
-    does not depend on f: over the full mesh (indices None) it is kept in
-    the mesh's cache per side, while explicit indices compute their rows
-    and leave the cache alone.  A side other than 'left' or 'right'
-    raises before any sum is taken.
+    desingularized kernel sums and c_t the singular-cell correction.  f is
+    one BoundaryDensity, or a sequence of K of them, which gives shape
+    (K, len(indices), dim): S1 for all K takes one kernel pass, each
+    kernel block contracted with every density, so row k is bitwise the
+    principal value of f[k] alone.  A density sampled on a mesh with other
+    nodes raises ValueError.  S2 does not depend on f: over the full mesh
+    (indices None) it is kept in the mesh's cache per side, while explicit
+    indices compute their rows and leave the cache alone.  A side other
+    than 'left' or 'right' raises before any sum is taken.
     """
+    _check_side(side)
+    # building the stencil takes the largest temporaries of the call (the
+    # per-node least-squares fits), so build it before any stack is held
+    gradient_stencil(mesh)
+    samples = _density_samples(mesh, f)
     N = mesh.node_count
     if indices is None:
         idx = np.arange(N, dtype=np.int64)
@@ -507,11 +551,12 @@ def principal_value_nodes(mesh, f: BoundaryDensity, side="left",
         S2 = _self_sums(mesh, side, idx)
     vol = unit_sphere_area(mesh.n)
     targets = mesh.nodes[idx]
-    ft = f.samples[idx]
-    S1 = _accum(mesh, targets, _measure_density(mesh, f.samples, side), side,
-               idx)
-    core = S1 - sided_product(mesh.context, side, S2, ft)
-    core = core + _singular_cell_corrections(mesh, f, side, idx)
+    ft = samples[..., idx, :]
+    # core = S1 - S2 f_t + c_t, updated in place: a stack holds K rows each
+    core = _accum(mesh, targets, _measure_density(mesh, samples, side), side,
+                  idx)
+    core -= sided_product(mesh.context, side, S2, ft)
+    core += _singular_cell_corrections(mesh, f, side, idx)
     return core / vol + 0.5 * ft
 
 
@@ -557,7 +602,7 @@ def principal_value(mesh, f: BoundaryDensity, t, side="left",
     if method != "delta_limit":
         raise ValueError("method must be 'regularized' or 'delta_limit'")
     vol = unit_sphere_area(mesh.n)
-    g = _measure_density(mesh, f.samples, side)
+    g = _measure_density(mesh, _density_samples(mesh, f), side)
     t_point = mesh.nodes[i]
     dist = np.linalg.norm(mesh.nodes - t_point[None, :], axis=1)
     delta0 = 16.0 * mesh.h

@@ -302,8 +302,8 @@ def _run_plemelj(cfg, mesh):
     idx = rng.integers(0, mesh.node_count, size=3)
     kw = _limit_params(mesh)
     errs = []
-    for dens in densities:
-        pv = principal_value_nodes(mesh, dens, indices=idx)
+    pvs = principal_value_nodes(mesh, densities, indices=idx)
+    for dens, pv in zip(densities, pvs):
         half = 0.5 * dens.samples[idx]
         for i, plus, minus in zip(idx, half + pv, -half + pv):
             t = mesh.nodes[i]
@@ -318,12 +318,12 @@ def _run_inversion(cfg, mesh):
     densities = (_corpus.inversion_corpus(mesh, seed=cfg.seed + 13)
                  if cfg.density == "corpus"
                  else [_corpus.make_density(mesh, cfg.density, seed=cfg.seed)])
-    errs = []
-    for dens in densities:
-        once = BoundaryDensity(mesh, 2.0 * principal_value_nodes(mesh, dens),
-                               regularity=dens.regularity)
-        twice = 2.0 * principal_value_nodes(mesh, once)
-        errs.append(np.abs(twice - dens.samples).max())
+    once_rows = 2.0 * principal_value_nodes(mesh, densities)
+    once = [BoundaryDensity(mesh, rows, regularity=dens.regularity)
+            for dens, rows in zip(densities, once_rows)]
+    twice = 2.0 * principal_value_nodes(mesh, once)
+    errs = [np.abs(rows - dens.samples).max()
+            for dens, rows in zip(densities, twice)]
     return _norms(errs) + ({},)
 
 
@@ -389,10 +389,11 @@ def _dirichlet_extra(cfg, rows):
 def _run_classical(cfg, mesh):
     if mesh.n != 1:
         raise ConfigError("surface: classical-degeneration requires circle")
+    polys = [_corpus.trig_polynomial(mesh, cfg.seed + 100 + k)
+             for k in range(5)]
+    pvs = principal_value_nodes(mesh, [dens for dens, _ in polys])
     errs = []
-    for k in range(5):
-        dens, coeffs = _corpus.trig_polynomial(mesh, cfg.seed + 100 + k)
-        pv = principal_value_nodes(mesh, dens)
+    for pv, (_, coeffs) in zip(pvs, polys):
         want = _corpus.trig_polynomial_pv(mesh, coeffs)(mesh.nodes)
         errs.append(np.abs(pv - want).max())
     return _norms(errs) + ({},)
@@ -450,8 +451,8 @@ def _run_sie(cfg, mesh):
     densities = (_corpus.sie_corpus(mesh, seed=cfg.seed + 17)
                  if cfg.density == "corpus"
                  else [_corpus.make_density(mesh, cfg.density, seed=cfg.seed)])
-    errs = [solve_characteristic_sie(mesh, coeffs, f).residual
-            for f in densities]
+    errs = [sol.residual
+            for sol in solve_characteristic_sie(mesh, coeffs, densities)]
     return _norms(errs) + ({},)
 
 

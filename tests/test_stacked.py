@@ -1,0 +1,138 @@
+"""Stacked densities: one kernel pass for K densities, bitwise as K passes.
+
+A stack of densities shares each kernel block and contracts it with every
+density by its own gemm, so every result here must equal the one of a
+single-density call bit for bit, not just to rounding.
+"""
+
+import numpy as np
+import pytest
+
+from hypercauchy import _accel, cli
+from hypercauchy.bvp import (CharacteristicCoefficients,
+                             apply_characteristic_lhs,
+                             solve_characteristic_sie)
+from hypercauchy.cauchy import BoundaryDensity, principal_value_nodes
+from hypercauchy.surface import DomainSpec, build_mesh
+from hypercauchy._corpus import (inversion_corpus, random_smooth,
+                                 rough_holder, sie_corpus)
+
+SPECS = {
+    "circle": DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+    "sphere2": DomainSpec("sphere", 2, center=(0.0, 0.0, 0.0), radius=1.0),
+    "sphere3": DomainSpec("sphere", 3, center=(0.0, 0.0, 0.0, 0.0),
+                          radius=1.0),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(SPECS))
+def mesh(request):
+    return build_mesh(SPECS[request.param], 0)
+
+
+def _densities(mesh, count=3):
+    out = [random_smooth(mesh, 20 + k) for k in range(count - 1)]
+    return out + [rough_holder(mesh, 7)]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("excluded", [False, True])
+def test_stacked_accumulators_match_single_calls(mesh, side, excluded,
+                                                 monkeypatch):
+    # small blocks, so the stack runs through several kernel blocks
+    monkeypatch.setattr(_accel, "BLOCK_PAIRS", 4 * mesh.node_count)
+    ctx = mesh.context
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    G = np.stack([f.samples * mesh.weights[:, None]
+                  for f in _densities(mesh)])
+    idx = np.arange(0, mesh.node_count, 5)
+    excl = idx if excluded else None
+    targets = mesh.nodes[idx] if excluded else 0.5 * mesh.nodes[idx]
+    got = accum(ctx, targets, mesh.nodes, G, excl)
+    assert got.shape == (len(G), len(idx), ctx.dim)
+    for k, g in enumerate(G):
+        assert _same_bits(got[k], accum(ctx, targets, mesh.nodes, g, excl))
+    one = accum(ctx, targets, mesh.nodes, G[:1], excl)
+    assert _same_bits(one[0], got[0])
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("indices", [None, [0, 3, 17, 40]])
+def test_stacked_pv_matches_single_calls(mesh, side, indices):
+    fs = _densities(mesh)
+    got = principal_value_nodes(mesh, fs, side=side, indices=indices)
+    rows = mesh.node_count if indices is None else len(indices)
+    assert got.shape == (len(fs), rows, mesh.context.dim)
+    for k, f in enumerate(fs):
+        single = principal_value_nodes(mesh, f, side=side, indices=indices)
+        assert _same_bits(got[k], single)
+    one = principal_value_nodes(mesh, fs[1:2], side=side, indices=indices)
+    assert _same_bits(one, got[1:2])
+
+
+@pytest.mark.parametrize("name", ["circle", "sphere2"])
+def test_sie_list_matches_single_calls(name):
+    mesh = build_mesh(SPECS[name], 1)
+    a = BoundaryDensity.constant(mesh, 3.0)
+    b = BoundaryDensity.constant(mesh, 1.0)
+    co = CharacteristicCoefficients.from_ab(mesh, a, b)
+    fs = sie_corpus(mesh)
+    sols = solve_characteristic_sie(mesh, co, fs)
+    assert len(sols) == len(fs)
+    for sol, f in zip(sols, fs):
+        single = solve_characteristic_sie(mesh, co, f)
+        assert _same_bits(sol.phi.samples, single.phi.samples)
+        assert sol.residual == single.residual
+        assert sol.phi.regularity == f.regularity
+    lhs = apply_characteristic_lhs(mesh, a, b, [s.phi for s in sols])
+    assert _same_bits(lhs[2], apply_characteristic_lhs(mesh, a, b,
+                                                       sols[2].phi))
+
+
+def test_pv_rejects_density_from_another_mesh():
+    unit = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
+    wide = DomainSpec("circle", 1, center=(0.0, 0.0), radius=2.0)
+    mesh = build_mesh(unit, 3)
+    same_nodes = random_smooth(build_mesh(unit, 3), 1)
+    moved = random_smooth(build_mesh(wide, 3), 1)
+    coarse = random_smooth(build_mesh(unit, 2), 1)
+    # another mesh object with the same nodes is accepted
+    assert principal_value_nodes(mesh, same_nodes).shape == (
+        mesh.node_count, 2)
+    with pytest.raises(ValueError, match=r"^density is sampled on another"):
+        principal_value_nodes(mesh, moved)
+    with pytest.raises(ValueError, match=r"another mesh \(256 nodes\)"):
+        principal_value_nodes(mesh, coarse, indices=[0, 1])
+    with pytest.raises(ValueError, match=r"^densities\[1\] is sampled"):
+        principal_value_nodes(mesh, [same_nodes, moved])
+    with pytest.raises(ValueError, match="at least one density"):
+        principal_value_nodes(mesh, [])
+
+
+@pytest.mark.parametrize("experiment, corpus", [
+    ("inversion", inversion_corpus), ("characteristic-sie", sie_corpus)])
+def test_corpus_level_takes_three_kernel_passes(monkeypatch, experiment,
+                                                corpus):
+    # S2 once per mesh, then one stacked pass per stage, however many
+    # densities the corpus holds
+    calls = []
+    for name in ("accum_left", "accum_right"):
+        original = getattr(_accel, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(np.shape(args[3]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(_accel, name, counted)
+    cfg = cli.resolve_config({"experiment": experiment},
+                             ["levels=2", "seed=0"])
+    cli.run_experiment(cfg)
+    size = len(corpus(build_mesh(cfg.domain_spec(), 2)))
+    assert size > 2
+    assert len(calls) == 3
+    assert sorted(len(shape) for shape in calls) == [2, 3, 3]
