@@ -16,7 +16,20 @@ The kernel planes are the costly part of a sum (the gemm is almost
 free), so each block is built once and contracted with every density, one
 gemm per density: the rows of density k are bitwise those of a call with
 that density alone.  One gemm over the widened (N, K 2^n) operand would
-round differently from the single-density sums, so it is not used.
+round differently from the single-density sums, so it is not used.  The
+terms E @ g of every block are collected in one (K, n+1, M, 2^n) array
+and scattered once per density at the end.
+
+A full-mesh node-to-node sum (the targets are the N nodes themselves, in
+order, each skipping only its own node) builds each kernel value once.
+E(x_i - x_j) = -E(x_j - x_i) holds exactly in float64: negating a
+difference is exact, and r^2, the power and the sign flip of the vector
+planes then round identically.  So the sum runs over upper-triangular
+tiles (I, J >= I) of edge isqrt(BLOCK_PAIRS): a tile adds E @ g[J] onto
+rows I and, for J != I, subtracts E^T @ g[I] from rows J.  The sum over j
+is then added tile by tile, so these rows agree with the row-block sums of
+any other call to rounding, not bitwise; a stack still takes one gemm per
+density, so its rows stay bitwise those of single-density calls.
 
 The node-target sums with an (N, N, 2^n) matrix argument, pv_matrix and
 pb_rhs, run over row blocks of C[i, j] = E(x_j - x_i) nuw_j, zero at
@@ -31,6 +44,8 @@ order (see pb_rhs).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -63,14 +78,37 @@ def _kernel_E_block(targets, nodes_T, n, skip=None):
     return E
 
 
-def _contract(ctx, E, g, side):
-    """sum_j E_ij g_j (left) or sum_j g_j E_ij (right), shape (C, 2^n).
+def _row_block_terms(T, targets, nodes_T, G, excl, n):
+    """T[k] = E @ G[k] over row blocks of about BLOCK_PAIRS target-node pairs."""
+    M = targets.shape[0]
+    chunk = max(1, BLOCK_PAIRS // nodes_T.shape[1])
+    for s in range(0, M, chunk):
+        e = min(s + chunk, M)
+        E = _kernel_E_block(targets[s:e], nodes_T, n,
+                            None if excl is None else excl[s:e])
+        for Tk, gk in zip(T, G):
+            Tk[:, s:e] = E @ gk
 
-    E holds (n+1, C, N) kernel planes and g an (N, 2^n) density; the terms
-    E @ g are scattered with the left factor's columns outer.
+
+def _node_node_terms(T, nodes, nodes_T, G, n):
+    """T[k] = E @ G[k] over the node pairs, each kernel tile built once.
+
+    Tile (I, J >= I) holds E(x_j - x_i) for i in I, j in J; its transpose,
+    negated, is the kernel of rows J against nodes I (see the module
+    docstring).  The diagonal tiles skip i = j.
     """
-    T = E @ g
-    return scatter_pairs(ctx, T if side == "left" else T.transpose(2, 1, 0))
+    N = nodes.shape[0]
+    edge = max(1, math.isqrt(BLOCK_PAIRS))
+    for s in range(0, N, edge):
+        I = slice(s, min(s + edge, N))
+        for t in range(s, N, edge):
+            J = slice(t, min(t + edge, N))
+            E = _kernel_E_block(nodes[I], nodes_T[:, J], n,
+                                np.arange(I.stop - s) if t == s else None)
+            for Tk, gk in zip(T, G):
+                Tk[:, I] += E @ gk[J]
+                if t != s:
+                    Tk[:, J] -= E.transpose(0, 2, 1) @ gk[I]
 
 
 def _accumulate(ctx, targets, nodes, g, excl, side):
@@ -78,21 +116,28 @@ def _accumulate(ctx, targets, nodes, g, excl, side):
 
     Each kernel block is built once and contracted with every density in
     turn, so the rows of density k are bitwise those of a call with g[k].
-    Returns (M, 2^n), or (K, M, 2^n) for a stack.
+    When the targets are the nodes, each skipping its own, the sum takes
+    the tile path (see the module docstring).  Returns (M, 2^n), or
+    (K, M, 2^n) for a stack.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    nodes_T = np.ascontiguousarray(np.asarray(nodes, dtype=np.float64).T)
+    nodes = np.asarray(nodes, dtype=np.float64)
+    nodes_T = np.ascontiguousarray(nodes.T)
     g = np.ascontiguousarray(g, dtype=np.float64)
     G = g.reshape((-1,) + g.shape[-2:])
     M = targets.shape[0]
-    chunk = max(1, BLOCK_PAIRS // nodes_T.shape[1])
+    # the terms E @ g of every density before the blade scatter
+    T = np.zeros((G.shape[0], ctx.n + 1, M, ctx.dim))
+    if (excl is not None and M == nodes.shape[0]
+            and np.array_equal(excl, np.arange(M))
+            and np.array_equal(targets, nodes)):
+        _node_node_terms(T, nodes, nodes_T, G, ctx.n)
+    else:
+        _row_block_terms(T, targets, nodes_T, G, excl, ctx.n)
     out = np.empty((G.shape[0], M, ctx.dim))
-    for s in range(0, M, chunk):
-        e = min(s + chunk, M)
-        E = _kernel_E_block(targets[s:e], nodes_T, ctx.n,
-                            None if excl is None else excl[s:e])
-        for k, gk in enumerate(G):
-            out[k, s:e] = _contract(ctx, E, gk, side)
+    for k, Tk in enumerate(T):
+        out[k] = scatter_pairs(ctx, Tk if side == "left"
+                               else Tk.transpose(2, 1, 0))
     return out.reshape(g.shape[:-2] + (M, ctx.dim))
 
 

@@ -284,7 +284,7 @@ def _integral_rows(mesh, f, points, side, node=None, interior=False):
     by f(t): C[f - f(t)](w) + f(t) X(w), X = 1 on the rows flagged in the
     boolean mask interior and 0 elsewhere.
     """
-    samples = f.samples
+    samples = _density_samples(mesh, f)
     if node is not None:
         f0 = samples[node]
         samples = samples - f0[None, :]
@@ -468,11 +468,12 @@ def tangential_gradient(mesh, samples, idx=slice(None)):
 def _singular_cell_corrections(mesh, f, side, idx=slice(None)):
     """Corrections for the dropped singular cell at the nodes idx.
 
-    f is one density or a sequence of K (see principal_value_nodes).
-    Shape (len(idx), dim), or (K, len(idx), dim); the default idx is every
-    node.
+    f is node samples, (N, 2^n) or a (K, N, 2^n) stack, taken as given, or
+    one density or a sequence of K (see principal_value_nodes).  Shape
+    (len(idx), dim), or (K, len(idx), dim); the default idx is every node.
     """
-    derivs, frame = tangential_gradient(mesh, _density_samples(mesh, f), idx)
+    samples = f if isinstance(f, np.ndarray) else _density_samples(mesh, f)
+    derivs, frame = tangential_gradient(mesh, samples, idx)
     return _cell_corrections(mesh, derivs, frame, side, idx)
 
 
@@ -503,26 +504,6 @@ def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
     return out * prefac[:, None]
 
 
-def _self_sums(mesh, side, idx):
-    """S2 at the nodes idx: sum_{j != i} E(x_j - x_i) nu_j w_j (or mirrored)."""
-    measure = paravectors_as_coeffs(mesh.context, mesh.measure_coeffs())
-    return _accum(mesh, mesh.nodes[idx], measure, side, idx)
-
-
-def _cached_self_sums(mesh, side):
-    """S2 at every node, computed once per mesh and side; read-only.
-
-    Threads sharing a mesh may both fill the entry; they store equal arrays.
-    """
-    key = ("self_sums", side)
-    S2 = mesh.cache.get(key)
-    if S2 is None:
-        S2 = _self_sums(mesh, side, np.arange(mesh.node_count, dtype=np.int64))
-        S2.flags.writeable = False
-        mesh.cache[key] = S2
-    return S2
-
-
 def principal_value_nodes(mesh, f, side="left", indices=None):
     """Regularized principal values at mesh nodes, shape (len(indices), dim).
 
@@ -532,31 +513,45 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     (K, len(indices), dim): S1 for all K takes one kernel pass, each
     kernel block contracted with every density, so row k is bitwise the
     principal value of f[k] alone.  A density sampled on a mesh with other
-    nodes raises ValueError.  S2 does not depend on f: over the full mesh
-    (indices None) it is kept in the mesh's cache per side, while explicit
-    indices compute their rows and leave the cache alone.  A side other
-    than 'left' or 'right' raises before any sum is taken.
+    nodes raises ValueError.  S2 = sum_{j != i} E(x_j - x_i) nu_j w_j (or
+    mirrored) does not depend on f; when it is not at hand it is taken in
+    the same pass, nu w riding as the last density of the stack, so it is
+    bitwise what a pass of its own would give.  Over the full mesh
+    (indices None) it is kept, read-only, in the mesh's cache per side,
+    and later calls take one pass for S1 alone; explicit indices take
+    their rows and leave the cache alone.  A side other than 'left' or
+    'right' raises before any sum is taken.
     """
     _check_side(side)
     # building the stencil takes the largest temporaries of the call (the
     # per-node least-squares fits), so build it before any stack is held
     gradient_stencil(mesh)
     samples = _density_samples(mesh, f)
-    N = mesh.node_count
-    if indices is None:
-        idx = np.arange(N, dtype=np.int64)
-        S2 = _cached_self_sums(mesh, side)
-    else:
-        idx = np.asarray(indices, dtype=np.int64)
-        S2 = _self_sums(mesh, side, idx)
+    N, dim = mesh.node_count, mesh.context.dim
+    idx = (np.arange(N, dtype=np.int64) if indices is None
+           else np.asarray(indices, dtype=np.int64))
+    key = ("self_sums", side)
+    S2 = mesh.cache.get(key) if indices is None else None
+    g = _measure_density(mesh, samples, side).reshape(-1, N, dim)
+    if S2 is None:
+        measure = paravectors_as_coeffs(mesh.context, mesh.measure_coeffs())
+        g = np.concatenate([g, measure[None]])
+    sums = _accum(mesh, mesh.nodes[idx], g, side, idx)
+    del g
+    if S2 is None:
+        S2, sums = sums[-1], sums[:-1]
+        if indices is None:
+            # a copy, so the cache does not hold the whole stack of sums;
+            # threads sharing a mesh may both store it, with equal arrays
+            S2 = S2.copy()
+            S2.flags.writeable = False
+            mesh.cache[key] = S2
     vol = unit_sphere_area(mesh.n)
-    targets = mesh.nodes[idx]
     ft = samples[..., idx, :]
     # core = S1 - S2 f_t + c_t, updated in place: a stack holds K rows each
-    core = _accum(mesh, targets, _measure_density(mesh, samples, side), side,
-                  idx)
+    core = sums.reshape(samples.shape[:-2] + (len(idx), dim))
     core -= sided_product(mesh.context, side, S2, ft)
-    core += _singular_cell_corrections(mesh, f, side, idx)
+    core += _singular_cell_corrections(mesh, samples, side, idx)
     return core / vol + 0.5 * ft
 
 

@@ -107,6 +107,44 @@ def test_accumulators_match_pair_loop(mesh, side):
         _assert_within(got, want, _tolerance(N * (ctx.n + 1), abs_sum))
 
 
+def _count_kernel_pairs(monkeypatch):
+    """Record the target-node pairs of every kernel block built."""
+    built = []
+    original = _accel._kernel_E_block
+
+    def counted(targets, nodes_T, n, skip=None):
+        built.append(len(targets) * nodes_T.shape[1])
+        return original(targets, nodes_T, n, skip)
+
+    monkeypatch.setattr(_accel, "_kernel_E_block", counted)
+    return built
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [7, 300, 1500])
+def test_node_node_tiles_match_row_blocks(N, n, side, monkeypatch):
+    # the nodes summed over themselves, each skipping its own, take the
+    # tile path; the same sums with the targets reversed take row blocks
+    ctx = get_context(n)
+    rng = np.random.default_rng(N + n)
+    nodes = rng.normal(size=(N, n + 1))
+    G = rng.normal(size=(3, N, ctx.dim))
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    excl = np.arange(N)
+    rows = accum(ctx, nodes[::-1], nodes, G, excl[::-1])[:, ::-1]
+    one = accum(ctx, nodes, nodes, G[1], excl)
+    built = _count_kernel_pairs(monkeypatch)
+    tiles = accum(ctx, nodes, nodes, G, excl)
+    # each kernel value is built once: upper-triangular tiles of edge 256
+    edges = np.diff(np.r_[0:N:256, N])
+    assert sum(built) == (N ** 2 + (edges ** 2).sum()) // 2
+    abs_sum = _kernel_l1(nodes, nodes) @ np.abs(G).sum(axis=2).T
+    tol = _tolerance(N * (n + 1), abs_sum.T)
+    _assert_within(tiles, rows, tol)
+    _assert_within(one, rows[1], tol[1])
+
+
 def test_pv_matrix_matches_pair_loop(mesh):
     ctx = mesh.context
     N = mesh.node_count

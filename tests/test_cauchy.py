@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hypercauchy import _accel
+from hypercauchy import _accel, cauchy
 from hypercauchy.cauchy import (
     BoundaryDensity,
     InconclusiveSpanError,
@@ -420,13 +420,49 @@ def test_self_sums_cached_per_side(monkeypatch):
     assert set(mesh.cache) == {"gradient_stencil", ("self_sums", "left")}
     calls = _count_calls(monkeypatch, "accum_right")
     right = principal_value_nodes(mesh, f, side="right")
-    assert len(calls) == 2
+    # S2 of the cold side rides in the pass that sums f
+    assert len(calls) == 1
     assert ("self_sums", "right") in mesh.cache
     cold = _small_mesh("sphere2-L0")
     assert np.array_equal(right, principal_value_nodes(
         cold, BoundaryDensity(cold, f.samples), side="right"))
     assert np.array_equal(left, principal_value_nodes(
         mesh, f, side="left"))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", sorted(SMALL_MESHES))
+def test_self_sums_from_first_pass_match_a_pass_of_their_own(name, side):
+    # S2 rides as the last density of the first full-mesh pass; its own
+    # pass on a fresh mesh, the measure density alone, gives the same bits
+    mesh = _small_mesh(name)
+    fs = [random_smooth(mesh, 2), rough_holder(mesh, 3)]
+    principal_value_nodes(mesh, fs, side=side)
+    S2 = mesh.cache[("self_sums", side)]
+    fresh = _small_mesh(name)
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    measure = paravectors_as_coeffs(fresh.context, fresh.measure_coeffs())
+    cold = accum(fresh.context, fresh.nodes, fresh.nodes, measure,
+                 np.arange(fresh.node_count))
+    assert S2.tobytes() == cold.tobytes()
+
+
+def test_pv_takes_density_samples_once(monkeypatch):
+    mesh = _small_mesh("sphere2-L0")
+    fs = [random_smooth(mesh, 2), random_smooth(mesh, 3)]
+    calls = []
+    original = cauchy._density_samples
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cauchy, "_density_samples", counted)
+    for f in (fs, fs[0]):
+        for indices in (None, [0, 5]):
+            calls.clear()
+            principal_value_nodes(mesh, f, indices=indices)
+            assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", sorted(SMALL_MESHES))
@@ -493,6 +529,24 @@ def test_ladders_take_one_kernel_call(monkeypatch, side):
     unused = _count_calls(monkeypatch, other)
     symmetric_difference_limit(mesh, f, 5, lams, side=side)
     assert calls == [2 * len(lams)] and unused == []
+
+
+def test_off_surface_integrals_reject_density_from_another_mesh():
+    unit = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
+    wide = DomainSpec("circle", 1, center=(0.0, 0.0), radius=2.0)
+    mesh = build_mesh(unit, 3)
+    moved = random_smooth(build_mesh(wide, 3), 1)
+    message = r"^density is sampled on another mesh"
+    with pytest.raises(ValueError, match=message):
+        cauchy_integral(mesh, moved, np.array([0.2, 0.1]))
+    with pytest.raises(ValueError, match=message):
+        boundary_limit(mesh, moved, 0, "+")
+    with pytest.raises(ValueError, match=message):
+        symmetric_difference_limit(mesh, moved, 0, [0.2, 0.1])
+    # another mesh object with the same nodes is accepted
+    same = random_smooth(build_mesh(unit, 3), 1)
+    assert np.all(np.isfinite(cauchy_integral(
+        mesh, same, np.array([0.2, 0.1])).value.coeffs))
 
 
 @pytest.mark.parametrize("method", ["raw", "subtract"])
