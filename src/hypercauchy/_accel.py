@@ -1,46 +1,30 @@
 """The O(N^2) Cauchy-kernel sums behind every surface integral.
 
-Kernel values E(x_j - w_i) are built as component planes: a block of C
-targets against N nodes has shape (n+1, C, N), plane k holding paravector
-component k.  The nodes enter transposed, (n+1, N), so every plane is built
-from contiguous rows.  A sum contracts the planes with the (N, 2^n)
-density rows in one matmul, E @ g, which runs one BLAS gemm per plane and
-gives the (n+1, C, 2^n) terms; clifford_core.scatter_pairs puts them on
-the result blades from the one blade-pair table that batch_product uses
-too.  The order of every sum is fixed (chunks of targets, one gemm per
-plane and chunk, the table's scatter order), so results do not depend on
-the thread count.
+Every kernel value E(x_j - w_i) is built here as component planes: a block
+of C targets against N nodes has shape (n+1, C, N), plane k holding
+paravector component k, built from the transposed (n+1, N) nodes.  Two
+kinds of sum contract the planes, each a matmul plus one
+clifford_core.scatter_pairs over the blade-pair table that batch_product
+uses too.  Their order is fixed (blocks of targets, gemms in order, the
+table's scatter order), so results do not depend on the thread count.
 
-accum_left and accum_right also take a stack of K densities, (K, N, 2^n).
-The kernel planes are the costly part of a sum (the gemm is almost
-free), so each block is built once and contracted with every density, one
-gemm per density: the rows of density k are bitwise those of a call with
-that density alone.  One gemm over the widened (N, K 2^n) operand would
-round differently from the single-density sums, so it is not used.  The
-terms E @ g of every block are collected in one (K, n+1, M, 2^n) array
-and scattered once per density at the end.
+One density row per node, g of shape (N, 2^n) (accum_left, accum_right):
+E @ g runs one BLAS gemm per plane.  The planes are the costly part, so a
+stack of K densities shares each block, one gemm per density, and the
+rows of density k are bitwise those of a call with that density alone.
+A full-mesh node-to-node sum (each node a target skipping only itself)
+builds each kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly in
+float64 (negating a difference is exact, and r^2, the power and the sign
+flip then round identically), so it runs over upper-triangular tiles
+(I, J >= I) of edge isqrt(BLOCK_PAIRS), adding E @ g[J] onto rows I and,
+for J != I, subtracting E^T @ g[I] from rows J.  Its rows agree with the
+row-block sums of other calls to rounding, not bitwise.
 
-A full-mesh node-to-node sum (the targets are the N nodes themselves, in
-order, each skipping only its own node) builds each kernel value once.
-E(x_i - x_j) = -E(x_j - x_i) holds exactly in float64: negating a
-difference is exact, and r^2, the power and the sign flip of the vector
-planes then round identically.  So the sum runs over upper-triangular
-tiles (I, J >= I) of edge isqrt(BLOCK_PAIRS): a tile adds E @ g[J] onto
-rows I and, for J != I, subtracts E^T @ g[I] from rows J.  The sum over j
-is then added tile by tile, so these rows agree with the row-block sums of
-any other call to rounding, not bitwise; a stack still takes one gemm per
-density, so its rows stay bitwise those of single-density calls.
-
-The node-target sums with an (N, N, 2^n) matrix argument, pv_matrix and
-pb_rhs, run over row blocks of C[i, j] = E(x_j - x_i) nuw_j, zero at
-j = i: block_len targets at a time, stored source index first.  Each sum
-over j is a clifford_core.sided_sum, one batched matmul per block and a
-scatter, so pv_matrix's rows agree with a per-target loop of products to
-rounding, not bitwise.  pb_rhs takes all sampled nodes t in one pass and
-sums i outside: per block it forms P[i] = sum_j C[i, j] kmat[j, i] and
-Q[i, t] = sum_j C[i, j] kmat[j, t] (one gemm against the kmat[:, t]
-columns), then adds sum_i A_t[i] S_t[i] over the block, blocks in index
-order (see pb_rhs).
+One density per target, column i of an (N, N, 2^n) matrix (pv_matrix,
+pb_rhs): per row block of block_len node targets, nu w is folded into the
+density columns by one batch_product, and each target's planes are
+contracted with its own column by one batched sided_sum.  The rows agree
+with a per-target loop of products to rounding, not bitwise.
 """
 
 from __future__ import annotations
@@ -158,31 +142,32 @@ def accum_right(ctx, targets, nodes, g, excl=None):
 
 
 def block_len(N, dim):
-    """Targets (or columns) per block of dense products against N nodes.
+    """Targets (or columns) per block against N nodes.
 
-    A block holds about BLOCK_PAIRS // dim pairs, so each (..., dim) array
-    of it holds about BLOCK_PAIRS values and stays in cache.
+    Each (..., dim) array of a block holds about BLOCK_PAIRS values.
     """
     return max(1, BLOCK_PAIRS // (dim * N))
 
 
-def _kernel_blocks(ctx, nodes, nuw):
-    """Yield (s, e, C) with C[j, r] = E(x_j - x_{s+r}) nuw_j, 0 at j = s+r.
+def _matrix_rows(ctx, nodes, nuw, mat, centred):
+    """sum_{j != i} E(x_j - x_i) nuw_j D[j, i] at every node i, (N, dim).
 
-    C holds the kernel rows of the targets s..e-1 (block_len of them),
-    source index first: shape (N, e - s, 2^n), so C.reshape(N, -1) is one
-    gemm operand (pb_rhs's Q).
+    D = mat, an (N, N, dim) matrix, less its diagonal mat[i, i] from
+    column i if centred (see the module docstring).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     nodes_T = np.ascontiguousarray(nodes.T)
     N = nodes.shape[0]
+    out = np.empty((N, ctx.dim))
     chunk = block_len(N, ctx.dim)
     for s in range(0, N, chunk):
         e = min(s + chunk, N)
-        E = _kernel_E_block(nodes[s:e], nodes_T, ctx.n, np.arange(s, e))
-        C = batch_product(ctx, E.transpose(2, 1, 0), nuw[:, None, :])
-        del E  # not held while the caller uses the block
-        yield s, e, C
+        blk = np.arange(s, e)
+        D = mat[:, s:e] - mat[blk, blk] if centred else mat[:, s:e]
+        H = batch_product(ctx, nuw[:, None, :], D).swapaxes(0, 1)
+        E = _kernel_E_block(nodes[s:e], nodes_T, ctx.n, blk)
+        out[s:e] = sided_sum(ctx, "left", E.transpose(1, 2, 0), H)
+    return out
 
 
 def pv_matrix(ctx, nodes, nuw, dmat):
@@ -192,12 +177,7 @@ def pv_matrix(ctx, nodes, nuw, dmat):
     with dmat of shape (N, N, dim): first index integration node, second
     index target node.
     """
-    out = np.empty((len(nodes), ctx.dim))
-    for s, e, C in _kernel_blocks(ctx, nodes, nuw):
-        blk = np.arange(s, e)
-        D = dmat[:, s:e] - dmat[blk, blk]
-        out[s:e] = sided_sum(ctx, "left", C.swapaxes(0, 1), D.swapaxes(0, 1))
-    return out
+    return _matrix_rows(ctx, nodes, nuw, dmat, True)
 
 
 def pb_rhs(ctx, nodes, nuw, kmat, t_index):
@@ -208,27 +188,22 @@ def pb_rhs(ctx, nodes, nuw, kmat, t_index):
     int t_index and (T, dim) for T indices.  The subtraction of the
     kmat[j, t] slice uses the kernel-pair orthogonality (the dropped block
     integrates to zero), leaving only a weak singularity at x = t so the
-    plain punctured sum converges.  With C[i, j] = E(x_j - x_i) nuw_j the
-    sum runs i outside, rhs_t = sum_{i != t} A_t[i] S_t[i], where
-    A_t[i] = E(x_i - t) nuw_i and
-    S_t[i] = P[i] - Q[i, t] - C[i, t] (kmat[t, i] - kmat[t, t]) with
-    P[i] = sum_{j != i} C[i, j] kmat[j, i] and
-    Q[i, t] = sum_{j != i} C[i, j] kmat[j, t].
+    plain punctured sum converges.  It runs i outside: rhs_t =
+    sum_{i != t} A_t[i] (P[i] - Q[i, t] - C_t[i]), A_t[i] = E(x_i - t) nuw_i,
+    P[i] = sum_{j != i} E(x_j - x_i) nuw_j kmat[j, i] (pv_matrix's row
+    blocks), Q[i, t] the same sum of kmat[j, t] (node-to-node tiles, one
+    density nuw kmat[:, t] per t) and C_t[i] = E(t - x_i) nuw_t
+    (kmat[t, i] - kmat[t, t]), the term j = t.  E(t - x_i) = -E(x_i - t).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     ts = np.atleast_1d(np.asarray(t_index, dtype=np.int64))
-    N, T, dim = nodes.shape[0], ts.size, ctx.dim
-    Et = _kernel_E_block(nodes[ts], np.ascontiguousarray(nodes.T), ctx.n, ts)
-    A = batch_product(ctx, Et.transpose(1, 2, 0), nuw)
-    Kt = kmat[:, ts].reshape(N, T * dim)
-    ktt = kmat[ts, ts][:, None, :]
-    rhs = np.zeros((T, dim))
-    for s, e, C in _kernel_blocks(ctx, nodes, nuw):
-        P = sided_sum(ctx, "left", C.swapaxes(0, 1),
-                      kmat[:, s:e].swapaxes(0, 1))
-        # Q as one gemm, G[r, a, t, b] = sum_j C[j, r, a] kmat[j, t, b]
-        G = (C.reshape(N, -1).T @ Kt).reshape(e - s, dim, T, dim)
-        S = (P - batch_product(ctx, C[ts], kmat[ts, s:e] - ktt)
-             - scatter_pairs(ctx, G.transpose(1, 2, 0, 3)))
-        rhs += sided_sum(ctx, "left", A[:, s:e], S)
+    P = _matrix_rows(ctx, nodes, nuw, kmat, False)
+    G = batch_product(ctx, nuw, kmat[:, ts].swapaxes(0, 1))
+    Q = _accumulate(ctx, nodes, nodes, G, np.arange(len(nodes)), "left")
+    Et = _kernel_E_block(nodes[ts], np.ascontiguousarray(nodes.T), ctx.n,
+                         ts).transpose(1, 2, 0)
+    A = batch_product(ctx, Et, nuw)
+    Ct = batch_product(ctx, -Et, nuw[ts][:, None, :])
+    S = P - Q - batch_product(ctx, Ct, kmat[ts] - kmat[ts, ts][:, None, :])
+    rhs = sided_sum(ctx, "left", A, S)
     return rhs if np.ndim(t_index) else rhs[0]

@@ -539,7 +539,8 @@ def _column_products(ctx, left, right):
     left holds (N, dim) rows; right has shape (N, M, dim), or (1, M, dim)
     for one factor per column shared by every row.  The byte cap is checked
     before the output is allocated, and the products are taken in blocks
-    of _accel.block_len columns, so temporaries stay small.
+    of _accel.block_len columns (the target blocks of _accel.pv_matrix), so
+    temporaries stay small.
     """
     N, M = left.shape[0], right.shape[1]
     _check_kernel_bytes(N * M * ctx.dim * 8)
@@ -670,7 +671,10 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
     as _corpus.product_kernel returns, or a callable (see
     apply_full_sie_lhs).  The general case builds the inner principal
     values with one _accel.pv_matrix call and the exchanged-order sums of
-    all sampled nodes with one _accel.pb_rhs call.  Returns a
+    all sampled nodes with one _accel.pb_rhs call.  Both take their kernel
+    values from the same planes: pv_matrix and pb_rhs's P each build the
+    N^2 node pairs in row blocks, and pb_rhs's Q builds half of them on
+    node-pair tiles.  Returns a
     PoincareBertrandReport; interpretation (convergence trends under
     refinement) is left to the caller.
     """

@@ -160,7 +160,27 @@ def resolve_config(raw, overrides=()):
                           % sorted(SURFACES))
     if name in ("classical-degeneration",) and cfg.surface != "circle":
         raise ConfigError("surface: %s requires circle" % name)
+    if EXPERIMENTS[name].meshless:
+        for level in cfg.levels:
+            _checked("levels", get_context, level)
+    else:
+        if cfg.levels[0] < 0:
+            raise ConfigError("levels: mesh levels must be >= 0")
+        _checked("surface %s" % cfg.surface, cfg.domain_spec)
+    if cfg.sample_nodes < 1:
+        raise ConfigError("sample_nodes: must be >= 1, got %d"
+                          % cfg.sample_nodes)
+    for key in ("seed", "kernel_seed"):
+        _checked(key, np.random.SeedSequence, getattr(cfg, key))
     return cfg
+
+
+def _checked(key, check, *args):
+    """Run check(*args), raising its ValueError as a ConfigError on key."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (key, exc)) from None
 
 
 # -- generic sweep machinery -------------------------------------------------------

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from hypercauchy import _accel
-from hypercauchy.cauchy import kernel_E
-from hypercauchy.clifford_core import (Multivector, Paravector, get_context,
-                                       product, scatter_pairs, sided_product,
-                                       sided_sum)
+from hypercauchy.cauchy import kernel_E, kernel_E_rows
+from hypercauchy.clifford_core import (Multivector, Paravector, batch_product,
+                                       get_context, product, scatter_pairs,
+                                       sided_product, sided_sum)
 from hypercauchy.surface import DomainSpec, build_mesh
 from hypercauchy._corpus import random_smooth
 
@@ -230,6 +230,59 @@ def test_pb_rhs_index_array_matches_int_calls(mesh):
         terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
         _assert_within(got[row], _accel.pb_rhs(ctx, nodes, nuw, kmat, int(t)),
                        np.asarray(_tolerance(terms, abs_sum)))
+
+
+@pytest.fixture(scope="module", params=[("circle", 3), ("sphere2", 1)],
+                ids=lambda p: "%s-L%d" % p)
+def wide_mesh(request):
+    # more nodes than a 256-node tile edge, so node-to-node sums run over
+    # off-diagonal tiles and their transposes
+    spec, level = request.param
+    return build_mesh(SPECS[spec], level)
+
+
+def _dense_kernel(mesh):
+    """E[i, j] = E(x_j - x_i) as paravector rows, one kernel_E_rows per i."""
+    return np.stack([kernel_E_rows(mesh.nodes, x) for x in mesh.nodes])
+
+
+def test_pv_matrix_matches_dense_sums(wide_mesh):
+    ctx, N = wide_mesh.context, wide_mesh.node_count
+    nuw = wide_mesh.measure_coeffs()
+    dmat = np.random.default_rng(13).normal(size=(N, N, ctx.dim))
+    got = _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, dmat)
+    E = _dense_kernel(wide_mesh)
+    # D[i, j] = dmat[j, i] - dmat[i, i]
+    D = (dmat - dmat[np.arange(N), np.arange(N)][None]).swapaxes(0, 1)
+    want = batch_product(ctx, batch_product(ctx, E, nuw[None]), D).sum(axis=1)
+    abs_sum = (np.abs(E).sum(axis=2) * np.abs(nuw).sum(axis=1)
+               * np.abs(D).sum(axis=2)).sum(axis=1)
+    _assert_within(got, want,
+                   _tolerance(N * (ctx.n + 1) ** 2 * ctx.dim, abs_sum))
+
+
+def test_pb_rhs_matches_dense_sums(wide_mesh):
+    ctx, N = wide_mesh.context, wide_mesh.node_count
+    nuw = wide_mesh.measure_coeffs()
+    kmat = np.random.default_rng(17).normal(size=(N, N, ctx.dim))
+    # sampled nodes in the first, second and last tile of 256 nodes
+    ts = np.array([0, 255, 256, N - 1])
+    got = _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, kmat, ts)
+    E = _dense_kernel(wide_mesh)
+    C = batch_product(ctx, E, nuw[None])
+    C_l1 = np.abs(E).sum(axis=2) * np.abs(nuw).sum(axis=1)
+    k_l1 = np.abs(kmat).sum(axis=2)
+    terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
+    for row, t in enumerate(ts):
+        # S[i] = sum_{j not in {i, t}} C[i, j] (kmat[j, i] - kmat[j, t])
+        CK = batch_product(ctx, C, (kmat - kmat[:, t][:, None]).swapaxes(0, 1))
+        CK[:, t] = 0.0
+        # A[i] = E(x_i - x_t) nuw_i, zero at i = t
+        A = batch_product(ctx, E[t], nuw)
+        want = batch_product(ctx, A, CK.sum(axis=1)).sum(axis=0)
+        bound = C_l1 * (k_l1.T + k_l1[:, t][None, :])
+        abs_sum = C_l1[t] @ bound.sum(axis=1)
+        _assert_within(got[row], want, np.asarray(_tolerance(terms, abs_sum)))
 
 
 def _row_mv(ctx, row):

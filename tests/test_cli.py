@@ -169,6 +169,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = pv-constant\nlevels = 1\nbogus = 3\n", "bogus"),
         ("experiment = classical-degeneration\nsurface = sphere2\n"
          "levels = 1\n", "surface"),
+        # caught where the config enters, not by a failed run (exit 1)
+        ("experiment = jump-rm\nlevels = 1\nsample_nodes = 0\n",
+         "sample_nodes"),
+        ("experiment = pv-constant\nlevels = -1,1\n", "levels"),
+        ("experiment = algebra-laws\nlevels = 0,1\n", "levels"),
+        ("experiment = algebra-laws\nlevels = 8,9\n", "levels"),
+        ("experiment = pv-constant\nlevels = 1\nradius = 0\n", "radius"),
+        ("experiment = pv-constant\nlevels = 1\nradius = -1\n", "radius"),
+        ("experiment = pv-constant\nlevels = 1\ncenter = 0,0,0\n", "center"),
+        ("experiment = pv-constant\nlevels = 1\nseed = -1\n", "seed"),
+        ("experiment = poincare-bertrand\nlevels = 1\nkernel_seed = -1\n",
+         "kernel_seed"),
     ]:
         cfg = _write_config(tmp_path, "bad.cfg", body)
         assert main(["run", cfg]) == 2
