@@ -2,29 +2,29 @@
 
 Every kernel value E(x_j - w_i) is built here as component planes: a block
 of C targets against N nodes has shape (n+1, C, N), plane k holding
-paravector component k, built from the transposed (n+1, N) nodes.  Two
-kinds of sum contract the planes, each a matmul plus one
-clifford_core.scatter_pairs over the blade-pair table that batch_product
-uses too.  Their order is fixed (blocks of targets, gemms in order, the
-table's scatter order), so results do not depend on the thread count.
+paravector component k, built from the transposed (n+1, N) nodes.  Every
+sum is a matmul of the planes plus one clifford_core.scatter_pairs over
+the blade-pair table that batch_product uses too.  Their order is fixed
+(blocks, tiles and gemms in order, the table's scatter order), so results
+do not depend on the thread count.
 
-One density row per node, g of shape (N, 2^n) (accum_left, accum_right):
-E @ g runs one BLAS gemm per plane.  The planes are the costly part, so a
-stack of K densities shares each block, one gemm per density, and the
-rows of density k are bitwise those of a call with that density alone.
-A full-mesh node-to-node sum (each node a target skipping only itself)
-builds each kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly in
-float64 (negating a difference is exact, and r^2, the power and the sign
-flip then round identically), so it runs over upper-triangular tiles
-(I, J >= I) of edge isqrt(BLOCK_PAIRS), adding E @ g[J] onto rows I and,
-for J != I, subtracting E^T @ g[I] from rows J.  Its rows agree with the
-row-block sums of other calls to rounding, not bitwise.
-
-One density per target, column i of an (N, N, 2^n) matrix (pv_matrix,
-pb_rhs): per row block of block_len node targets, nu w is folded into the
-density columns by one batch_product, and each target's planes are
-contracted with its own column by one batched sided_sum.  The rows agree
-with a per-target loop of products to rounding, not bitwise.
+Targets that are not the nodes take row blocks of about BLOCK_PAIRS
+target-node pairs.  Node targets, each skipping its own node, build each
+kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly in float64
+(negating a difference is exact, and r^2, the power and the sign flip
+then round identically), so _node_pair_tiles yields upper-triangular
+tiles (I, J >= I) of edge isqrt(BLOCK_PAIRS), each taken onto rows I and,
+for J != I, negated and transposed onto rows J.  Tile sums agree with
+row-block sums to rounding, not bitwise.  Two kinds of density contract
+the planes:
+- one density row per node, g of shape (N, 2^n), shared by every target
+  (accum_left, accum_right, pb_rhs's Q): one BLAS gemm per plane.  The
+  planes are the costly part, so a stack of K densities shares each
+  block, one gemm per density, and the rows of density k are bitwise
+  those of a call with that density alone;
+- one density per node target, column i of an (N, N, 2^n) matrix with
+  nu w folded in by one batch_product per tile (pv_matrix, pb_rhs's P):
+  each target's planes take a batched matmul with its own column.
 """
 
 from __future__ import annotations
@@ -62,8 +62,9 @@ def _kernel_E_block(targets, nodes_T, n, skip=None):
     return E
 
 
-def _row_block_terms(T, targets, nodes_T, G, excl, n):
+def _row_block_terms(T, targets, nodes, G, excl, n):
     """T[k] = E @ G[k] over row blocks of about BLOCK_PAIRS target-node pairs."""
+    nodes_T = np.ascontiguousarray(nodes.T)
     M = targets.shape[0]
     chunk = max(1, BLOCK_PAIRS // nodes_T.shape[1])
     for s in range(0, M, chunk):
@@ -74,25 +75,40 @@ def _row_block_terms(T, targets, nodes_T, G, excl, n):
             Tk[:, s:e] = E @ gk
 
 
-def _node_node_terms(T, nodes, nodes_T, G, n):
-    """T[k] = E @ G[k] over the node pairs, each kernel tile built once.
+def _node_pair_tiles(nodes, n):
+    """Yield (I, J, E) over the node-pair tiles J >= I, each pair once.
 
-    Tile (I, J >= I) holds E(x_j - x_i) for i in I, j in J; its transpose,
-    negated, is the kernel of rows J against nodes I (see the module
-    docstring).  The diagonal tiles skip i = j.
+    E holds E(x_j - x_i) for i in I, j in J, and -E^T the kernel of rows J
+    against nodes I (see the module docstring).  Diagonal tiles skip i = j.
     """
     N = nodes.shape[0]
+    nodes_T = np.ascontiguousarray(nodes.T)
     edge = max(1, math.isqrt(BLOCK_PAIRS))
     for s in range(0, N, edge):
         I = slice(s, min(s + edge, N))
         for t in range(s, N, edge):
-            J = slice(t, min(t + edge, N))
-            E = _kernel_E_block(nodes[I], nodes_T[:, J], n,
-                                np.arange(I.stop - s) if t == s else None)
-            for Tk, gk in zip(T, G):
-                Tk[:, I] += E @ gk[J]
-                if t != s:
-                    Tk[:, J] -= E.transpose(0, 2, 1) @ gk[I]
+            yield I, slice(t, min(t + edge, N)), _kernel_E_block(
+                nodes[I], nodes_T[:, t:t + edge], n,
+                np.arange(I.stop - s) if t == s else None)
+
+
+def _shared_terms(T, I, J, E, G):
+    """Tile (I, J) of T[k] = E @ G[k], T of shape (K, n+1, N, dim)."""
+    for Tk, gk in zip(T, G):
+        Tk[:, I] += E @ gk[J]
+        if J != I:
+            Tk[:, J] -= E.transpose(0, 2, 1) @ gk[I]
+
+
+def _column_terms(T, I, J, E, H):
+    """Tile (I, J) of T[i] = sum_j E[:, i, j] H[j, i]; T is (N, n+1, dim).
+
+    H(rows, cols) returns the (rows, cols, dim) block of H, the densities
+    of the targets cols at the nodes rows.
+    """
+    T[I] += E.transpose(1, 0, 2) @ H(J, I).swapaxes(0, 1)
+    if J != I:
+        T[J] -= E.transpose(2, 0, 1) @ H(I, J).swapaxes(0, 1)
 
 
 def _accumulate(ctx, targets, nodes, g, excl, side):
@@ -106,7 +122,6 @@ def _accumulate(ctx, targets, nodes, g, excl, side):
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     nodes = np.asarray(nodes, dtype=np.float64)
-    nodes_T = np.ascontiguousarray(nodes.T)
     g = np.ascontiguousarray(g, dtype=np.float64)
     G = g.reshape((-1,) + g.shape[-2:])
     M = targets.shape[0]
@@ -115,9 +130,10 @@ def _accumulate(ctx, targets, nodes, g, excl, side):
     if (excl is not None and M == nodes.shape[0]
             and np.array_equal(excl, np.arange(M))
             and np.array_equal(targets, nodes)):
-        _node_node_terms(T, nodes, nodes_T, G, ctx.n)
+        for I, J, E in _node_pair_tiles(nodes, ctx.n):
+            _shared_terms(T, I, J, E, G)
     else:
-        _row_block_terms(T, targets, nodes_T, G, excl, ctx.n)
+        _row_block_terms(T, targets, nodes, G, excl, ctx.n)
     out = np.empty((G.shape[0], M, ctx.dim))
     for k, Tk in enumerate(T):
         out[k] = scatter_pairs(ctx, Tk if side == "left"
@@ -141,43 +157,21 @@ def accum_right(ctx, targets, nodes, g, excl=None):
     return _accumulate(ctx, targets, nodes, g, excl, "right")
 
 
-def block_len(N, dim):
-    """Targets (or columns) per block against N nodes.
-
-    Each (..., dim) array of a block holds about BLOCK_PAIRS values.
-    """
-    return max(1, BLOCK_PAIRS // (dim * N))
-
-
-def _matrix_rows(ctx, nodes, nuw, mat, centred):
-    """sum_{j != i} E(x_j - x_i) nuw_j D[j, i] at every node i, (N, dim).
-
-    D = mat, an (N, N, dim) matrix, less its diagonal mat[i, i] from
-    column i if centred (see the module docstring).
-    """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    nodes_T = np.ascontiguousarray(nodes.T)
-    N = nodes.shape[0]
-    out = np.empty((N, ctx.dim))
-    chunk = block_len(N, ctx.dim)
-    for s in range(0, N, chunk):
-        e = min(s + chunk, N)
-        blk = np.arange(s, e)
-        D = mat[:, s:e] - mat[blk, blk] if centred else mat[:, s:e]
-        H = batch_product(ctx, nuw[:, None, :], D).swapaxes(0, 1)
-        E = _kernel_E_block(nodes[s:e], nodes_T, ctx.n, blk)
-        out[s:e] = sided_sum(ctx, "left", E.transpose(1, 2, 0), H)
-    return out
-
-
 def pv_matrix(ctx, nodes, nuw, dmat):
     """Regularized core sums with a target-dependent density matrix.
 
     out_i = sum_{j != i} E(x_j - x_i) nuw_j (dmat[j, i] - dmat[i, i]),
     with dmat of shape (N, N, dim): first index integration node, second
-    index target node.
+    index target node.  One pass over the node-pair tiles.
     """
-    return _matrix_rows(ctx, nodes, nuw, dmat, True)
+    nodes = np.asarray(nodes, dtype=np.float64)
+    N = nodes.shape[0]
+    diag = dmat[np.arange(N), np.arange(N)]
+    T = np.zeros((N, ctx.n + 1, ctx.dim))
+    for I, J, E in _node_pair_tiles(nodes, ctx.n):
+        _column_terms(T, I, J, E, lambda rows, cols: batch_product(
+            ctx, nuw[rows, None], dmat[rows, cols] - diag[cols]))
+    return scatter_pairs(ctx, T.transpose(1, 0, 2))
 
 
 def pb_rhs(ctx, nodes, nuw, kmat, t_index):
@@ -190,18 +184,24 @@ def pb_rhs(ctx, nodes, nuw, kmat, t_index):
     integrates to zero), leaving only a weak singularity at x = t so the
     plain punctured sum converges.  It runs i outside: rhs_t =
     sum_{i != t} A_t[i] (P[i] - Q[i, t] - C_t[i]), A_t[i] = E(x_i - t) nuw_i,
-    P[i] = sum_{j != i} E(x_j - x_i) nuw_j kmat[j, i] (pv_matrix's row
-    blocks), Q[i, t] the same sum of kmat[j, t] (node-to-node tiles, one
-    density nuw kmat[:, t] per t) and C_t[i] = E(t - x_i) nuw_t
-    (kmat[t, i] - kmat[t, t]), the term j = t.  E(t - x_i) = -E(x_i - t).
+    P[i] = sum_{j != i} E(x_j - x_i) nuw_j kmat[j, i] (a density per
+    target), Q[i, t] the same sum of kmat[j, t] (one density nuw kmat[:, t]
+    per t) and C_t[i] = E(t - x_i) nuw_t (kmat[t, i] - kmat[t, t]), the
+    term j = t.  P and Q take one pass over the node-pair tiles; A_t and
+    C_t share one kernel block, since E(t - x_i) = -E(x_i - t).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     ts = np.atleast_1d(np.asarray(t_index, dtype=np.int64))
-    P = _matrix_rows(ctx, nodes, nuw, kmat, False)
     G = batch_product(ctx, nuw, kmat[:, ts].swapaxes(0, 1))
-    Q = _accumulate(ctx, nodes, nodes, G, np.arange(len(nodes)), "left")
-    Et = _kernel_E_block(nodes[ts], np.ascontiguousarray(nodes.T), ctx.n,
-                         ts).transpose(1, 2, 0)
+    TP = np.zeros((nodes.shape[0], ctx.n + 1, ctx.dim))
+    TQ = np.zeros((ts.size, ctx.n + 1, nodes.shape[0], ctx.dim))
+    for I, J, E in _node_pair_tiles(nodes, ctx.n):
+        _column_terms(TP, I, J, E, lambda rows, cols: batch_product(
+            ctx, nuw[rows, None], kmat[rows, cols]))
+        _shared_terms(TQ, I, J, E, G)
+    P = scatter_pairs(ctx, TP.transpose(1, 0, 2))
+    Q = scatter_pairs(ctx, TQ.swapaxes(0, 1))
+    Et = _kernel_E_block(nodes[ts], nodes.T, ctx.n, ts).transpose(1, 2, 0)
     A = batch_product(ctx, Et, nuw)
     Ct = batch_product(ctx, -Et, nuw[ts][:, None, :])
     S = P - Q - batch_product(ctx, Ct, kmat[ts] - kmat[ts, ts][:, None, :])

@@ -229,18 +229,7 @@ def trig_polynomial(mesh, seed, degree=5, coeffs=None):
         ms = range(-degree, degree + 1)
         coeffs = {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in ms}
     coeffs = {int(m): complex(c) for m, c in coeffs.items()}
-    c0, R = spec.center_array, spec.radius
-
-    def rows(pts):
-        w = ((pts[:, 0] - c0[0]) + 1j * (pts[:, 1] - c0[1])) / R
-        vals = np.zeros(pts.shape[0], dtype=np.complex128)
-        for m, c in coeffs.items():
-            vals += c * w ** m
-        out = np.zeros((pts.shape[0], 2))
-        out[:, 0] = vals.real
-        out[:, 1] = vals.imag
-        return out
-
+    rows = _trig_rows(spec, coeffs, lambda m: 1.0)
     dens = BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
                            regularity=("holder", 1.0, None))
     return dens, coeffs
@@ -253,20 +242,25 @@ def trig_polynomial_pv(mesh, coeffs):
     e^{i m theta} as multiplication by +1/2 for m >= 0 and -1/2 for m < 0
     (residue calculus after mapping to the complex plane).
     """
-    spec = _require_spec(mesh)
+    return _rowwise(_trig_rows(_require_spec(mesh), coeffs,
+                               lambda m: 0.5 if m >= 0 else -0.5))
+
+
+def _trig_rows(spec, coeffs, weight):
+    """Rows of sum_m weight(m) c_m e^{i m theta} on spec's circle, e1 <-> i."""
     c0, R = spec.center_array, spec.radius
 
     def rows(pts):
         w = ((pts[:, 0] - c0[0]) + 1j * (pts[:, 1] - c0[1])) / R
         vals = np.zeros(pts.shape[0], dtype=np.complex128)
         for m, c in coeffs.items():
-            vals += (0.5 if m >= 0 else -0.5) * c * w ** m
+            vals += weight(m) * c * w ** m
         out = np.zeros((pts.shape[0], 2))
         out[:, 0] = vals.real
         out[:, 1] = vals.imag
         return out
 
-    return _rowwise(rows)
+    return rows
 
 
 def _right_combo(mesh, parts, coeffs):

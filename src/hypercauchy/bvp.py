@@ -338,6 +338,12 @@ def _dirichlet_residuals(mesh, g, criterion, sample_idx, probe_dirs):
     return vol_probe, pv_res, field
 
 
+def _probe_indices(mesh, count):
+    """min(count, N) node indices, evenly spaced from 0 to N - 1, ascending."""
+    return np.unique(np.linspace(0, mesh.node_count - 1,
+                                 min(count, mesh.node_count)).astype(np.int64))
+
+
 def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
                     threshold=None, sample_nodes=64, probes=8, seed=0):
     """Decide and solve the interior problem Phi+ regular, Phi+|Gamma = g.
@@ -358,9 +364,7 @@ def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
         criterion = "both" if mode == "holder" else "exterior"
     ctx = mesh.context
     rng = np.random.default_rng(seed)
-    sample_idx = np.unique(np.linspace(0, mesh.node_count - 1,
-                                       min(sample_nodes, mesh.node_count)
-                                       ).astype(np.int64))
+    sample_idx = _probe_indices(mesh, sample_nodes)
     probe_dirs = rng.standard_normal((probes, ctx.n + 1))
     probe_dirs /= np.linalg.norm(probe_dirs, axis=1, keepdims=True)
 
@@ -376,10 +380,8 @@ def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
                              "density on a spec-built mesh; pass threshold=")
         gf = _refined_density(mesh, g)
         fine = gf.mesh
-        idx_f = np.unique(np.linspace(0, fine.node_count - 1,
-                                      min(sample_nodes, fine.node_count)
-                                      ).astype(np.int64))
-        ef, pf, _ = _dirichlet_residuals(fine, gf, criterion, idx_f,
+        ef, pf, _ = _dirichlet_residuals(fine, gf, criterion,
+                                         _probe_indices(fine, sample_nodes),
                                          probe_dirs)
         fine_val = np.nanmax([ef, pf])
         threshold = max(10.0 * max(coarse - fine_val, 0.0), 1e-10 * gmax)
@@ -538,14 +540,13 @@ def _column_products(ctx, left, right):
 
     left holds (N, dim) rows; right has shape (N, M, dim), or (1, M, dim)
     for one factor per column shared by every row.  The byte cap is checked
-    before the output is allocated, and the products are taken in blocks
-    of _accel.block_len columns (the target blocks of _accel.pv_matrix), so
-    temporaries stay small.
+    before the output is allocated, and the products are taken in column
+    blocks of about _accel.BLOCK_PAIRS values, so temporaries stay small.
     """
     N, M = left.shape[0], right.shape[1]
     _check_kernel_bytes(N * M * ctx.dim * 8)
     out = np.empty((N, M, ctx.dim))
-    step = _accel.block_len(N, ctx.dim)
+    step = max(1, _accel.BLOCK_PAIRS // (ctx.dim * N))
     for s in range(0, M, step):
         out[:, s:s + step] = batch_product(ctx, left[:, None, :],
                                            right[:, s:s + step])
@@ -671,10 +672,9 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
     as _corpus.product_kernel returns, or a callable (see
     apply_full_sie_lhs).  The general case builds the inner principal
     values with one _accel.pv_matrix call and the exchanged-order sums of
-    all sampled nodes with one _accel.pb_rhs call.  Both take their kernel
-    values from the same planes: pv_matrix and pb_rhs's P each build the
-    N^2 node pairs in row blocks, and pb_rhs's Q builds half of them on
-    node-pair tiles.  Returns a
+    all sampled nodes with one _accel.pb_rhs call.  Each call builds every
+    node pair's kernel value once, on the node-pair tiles; pb_rhs takes
+    its P and Q from the same tiles.  Returns a
     PoincareBertrandReport; interpretation (convergence trends under
     refinement) is left to the caller.
     """

@@ -723,13 +723,13 @@ class SpanResult:
     raw: Multivector
 
 
-def span_indicator(mesh, w, boundary_tol=None) -> SpanResult:
+def span_indicator(mesh, w) -> SpanResult:
     """Span of the surface at w: C[1](w) rounded to {0, 1/2, 1}.
 
-    Off-surface points use the Cauchy integral of the constant density;
-    points that coincide with a mesh node (within h/2) use the principal
-    value.  A raw value farther than 0.25 from every admissible value
-    raises InconclusiveSpanError.
+    Points within 1e-9 max(R, 1) of a node (R the mesh scale) take the
+    principal value there; all others, even near the surface, take the raw
+    Cauchy integral of the constant density.  A raw value farther than
+    0.25 from every admissible value raises InconclusiveSpanError.
     """
     ctx = mesh.context
     point = np.asarray(w, dtype=np.float64)

@@ -30,7 +30,8 @@ from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
 from .fueter import order_at_infinity
 from .bvp import (CharacteristicCoefficients, invert_rows, jump_residual,
                   poincare_bertrand_discrepancy, solve_characteristic_sie,
-                  solve_constant_gap, solve_dirichlet, solve_jump_rm)
+                  solve_constant_gap, solve_dirichlet, solve_jump_rm,
+                  _probe_indices)
 
 # fitted-order criteria are waived once errors sit at the rounding floor
 ORDER_FLOOR = 1e-12
@@ -255,11 +256,6 @@ def _standard_criteria(cfg, rows, fitted):
         crits.append(_criterion("monotone_decrease", worst, 1.0, "<=",
                                 worst <= 1.0, waived=len(live) < len(errs)))
     return crits
-
-
-def _probe_indices(mesh, count):
-    return np.unique(np.linspace(0, mesh.node_count - 1,
-                                 min(count, mesh.node_count)).astype(np.int64))
 
 
 def _norms(err_rows):

@@ -285,6 +285,24 @@ def test_pb_rhs_matches_dense_sums(wide_mesh):
         _assert_within(got[row], want, np.asarray(_tolerance(terms, abs_sum)))
 
 
+def test_pv_matrix_and_pb_rhs_build_each_node_pair_once(wide_mesh,
+                                                       monkeypatch):
+    ctx, N = wide_mesh.context, wide_mesh.node_count
+    nuw = wide_mesh.measure_coeffs()
+    mat = np.random.default_rng(19).normal(size=(N, N, ctx.dim))
+    # upper-triangular tiles of edge 256, as in the accumulator test
+    edges = np.diff(np.r_[0:N:256, N])
+    pairs = (N ** 2 + (edges ** 2).sum()) // 2
+    built = _count_kernel_pairs(monkeypatch)
+    _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, mat)
+    assert sum(built) == pairs
+    built.clear()
+    ts = np.array([0, 255, 256, N - 1])
+    _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, mat, ts)
+    # P and Q share the tiles; the sampled nodes' rows take one block
+    assert sum(built) == pairs + ts.size * N
+
+
 def _row_mv(ctx, row):
     """A dense (2^n) or paravector (n+1) row as a Multivector."""
     if row.shape[0] == ctx.dim:

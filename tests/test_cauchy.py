@@ -674,3 +674,114 @@ def test_plemelj_jump_is_density(name, hot, side, comps, node):
     scale = np.abs(plus.coeffs) + np.abs(minus.coeffs)
     tol = 3.0 * UNIT_ROUNDOFF * scale
     assert np.all(np.abs((plus - minus).coeffs - f.samples[t]) <= tol)
+
+
+# -- left and right integrals mirror each other ------------------------------------
+#
+# Reversion rev(e_A) = (-1)^(k(k-1)/2) e_A, k = |A|, reverses products,
+# rev(a b) = rev(b) rev(a), and fixes paravectors: the kernel, nu w and the
+# frame vectors of the cell corrections.  So rev(E nu w f) = rev(f) nu w E,
+# and every left integral of f, reversed, is the right integral of rev(f).
+# Bar conjugation also reverses products but negates the paravectors'
+# vector parts, so it is not this mirror.  n = 1 is commutative.
+
+MIRROR_MESHES = {
+    "sphere2-L0": SMALL_MESHES["sphere2-L0"],
+    "sphere3-L0": (DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0), 0),
+}
+
+
+def _reverse(rows):
+    grade = np.array([bin(a).count("1") for a in range(rows.shape[-1])])
+    return rows * (-1.0) ** (grade * (grade - 1) // 2)
+
+
+def _mirror_pair(name):
+    mesh = build_mesh(*MIRROR_MESHES[name])
+    f = random_smooth(mesh, 3)
+    return mesh, f, BoundaryDensity(mesh, _reverse(f.samples))
+
+
+@pytest.mark.parametrize("indices", [None, [0, 7, 40]])
+@pytest.mark.parametrize("name", sorted(MIRROR_MESHES))
+def test_left_and_right_pvs_mirror(name, indices):
+    mesh, f, rf = _mirror_pair(name)
+    left = principal_value_nodes(mesh, f, side="left", indices=indices)
+    right = principal_value_nodes(mesh, rf, side="right", indices=indices)
+    idx = np.arange(mesh.node_count) if indices is None else indices
+    # the stencil derivatives of rev(f) are those of f reversed, bit for
+    # bit; the bound of the correction's derivatives also covers the
+    # roundings of its two products on both sides
+    tol = ((_core_bound(mesh, f, idx) + _cell_correction_bound(mesh, f)[idx])
+           / unit_sphere_area(mesh.n))[:, None]
+    tol = tol + 4.0 * UNIT_ROUNDOFF * (np.abs(right)
+                                       + np.abs(f.samples[idx]))
+    assert np.all(np.abs(_reverse(left) - right) <= tol)
+
+
+def _row_bounds(mesh, f, points, node):
+    """Bound on the gap between both sides' rows, and a bound on |rows|.
+
+    The sums' term is that of
+    test_integral_rows_match_single_point_integrals; the roundings of the
+    scaling and the shift are bounded through |rows| instead of the output.
+    """
+    f0 = f.samples[node] if node is not None else np.zeros(mesh.context.dim)
+    terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * np.abs(
+        f.samples - f0).sum(axis=1)
+    m = mesh.node_count * (mesh.n + 1) + TERM_ROUNDINGS
+    abs_sum = np.array([np.abs(kernel_E_rows(mesh.nodes, w)).sum(axis=1)
+                        @ terms for w in points]) / unit_sphere_area(mesh.n)
+    size = abs_sum[:, None] + np.abs(f0)
+    tol = 2.0 * _gamma(m) * abs_sum[:, None] + 4.0 * UNIT_ROUNDOFF * size
+    return tol, size
+
+
+@pytest.mark.parametrize("method", ["raw", "subtract"])
+@pytest.mark.parametrize("name", sorted(MIRROR_MESHES))
+def test_left_and_right_integrals_mirror(name, method):
+    mesh, f, rf = _mirror_pair(name)
+    t = mesh.node_count // 3
+    # one point inside and one outside; the nearest node of both is t
+    points = np.array([0.6, 1.5])[:, None] * mesh.nodes[t][None, :]
+    tol, _ = _row_bounds(mesh, f, points, t if method == "subtract" else None)
+    for w, row_tol in zip(points, tol):
+        left = cauchy_integral(mesh, f, w, side="left", method=method)
+        right = cauchy_integral(mesh, rf, w, side="right", method=method)
+        diff = _reverse(left.value.coeffs) - right.value.coeffs
+        assert np.all(np.abs(diff) <= row_tol)
+
+
+def _richardson_bound(ratio, rows):
+    """richardson_limit's table with every difference taken as a sum.
+
+    For rows >= 0 it bounds sum_k |c_k| rows_k, c the limit's weights, and
+    every entry of the table the limit passes through.
+    """
+    last = list(rows)
+    order = 1
+    while len(last) > 1:
+        fact = ratio ** order
+        last = [(fact * b + a) / (fact - 1.0) for a, b in zip(last, last[1:])]
+        order += 1
+    return last[0]
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_MESHES))
+def test_left_and_right_ladders_mirror(name):
+    mesh, f, rf = _mirror_pair(name)
+    t = mesh.node_count // 3
+    left = boundary_limit(mesh, f, t, "+", side="left")
+    right = boundary_limit(mesh, rf, t, "+", side="right")
+    # the ladder's points: lam0 = 0.35 R, halving, against the normal
+    terms = cauchy.RICHARDSON_TERMS
+    lams = 0.35 * _scale(mesh) / cauchy.RICHARDSON_RATIO ** np.arange(terms)
+    points = mesh.nodes[t] - lams[:, None] * mesh.normals[t][None, :]
+    tol, size = _row_bounds(mesh, f, points, t)
+    # the rows' errors carried through the table, then the table's own
+    # roundings (a subtraction and a division per level) on both sides
+    tol = (_richardson_bound(cauchy.RICHARDSON_RATIO, tol)
+           + 2.0 * _gamma(2 * terms)
+           * _richardson_bound(cauchy.RICHARDSON_RATIO, size))
+    diff = _reverse(left.coeffs) - right.coeffs
+    assert np.all(np.abs(diff) <= tol)
