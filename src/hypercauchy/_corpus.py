@@ -28,6 +28,13 @@ def _rowwise(fn):
     return ev
 
 
+def _from_rows(mesh, rows, regularity=("holder", 1.0, None)):
+    """The density sampled at the nodes from a batch rows map, which stays
+    its exact evaluator."""
+    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
+                           regularity=regularity)
+
+
 def _require_spec(mesh):
     if mesh.spec is None:
         raise ValueError("corpus densities need a mesh built from a DomainSpec")
@@ -64,8 +71,7 @@ def coordinate_trace(mesh, j):
         out[:, 0] = pts[:, j]
         return out
 
-    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
-                           regularity=("holder", 1.0, 1.0))
+    return _from_rows(mesh, rows, ("holder", 1.0, 1.0))
 
 
 def symmetric_power_trace(mesh, alpha):
@@ -76,8 +82,7 @@ def symmetric_power_trace(mesh, alpha):
     def rows(pts):
         return symmetric_power_rows(ctx, alpha, pts)
 
-    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
-                           regularity=("holder", 1.0, None))
+    return _from_rows(mesh, rows)
 
 
 def _kernel_coeff_rows(ctx, pts, pole):
@@ -92,8 +97,7 @@ def kernel_trace(mesh, pole, scale=1.0):
     def rows(pts):
         return scale * _kernel_coeff_rows(ctx, pts, pole)
 
-    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
-                           regularity=("holder", 1.0, None))
+    return _from_rows(mesh, rows)
 
 
 def kernel_combo(mesh, vanishing_degree, seed=5, spacing_frac=0.15):
@@ -136,8 +140,7 @@ def kernel_combo(mesh, vanishing_degree, seed=5, spacing_frac=0.15):
             out += c * _kernel_coeff_rows(ctx, pts, a)
         return out
 
-    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
-                           regularity=("holder", 1.0, None))
+    return _from_rows(mesh, rows)
 
 
 def _monomials(n_coords, degree):
@@ -162,8 +165,7 @@ def random_smooth(mesh, seed, degree=SMOOTH_DEGREE):
             out += mono[:, None] * c[None, :]
         return out
 
-    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
-                           regularity=("holder", 1.0, None))
+    return _from_rows(mesh, rows)
 
 
 def rough_holder(mesh, seed, exponent=ROUGH_EXPONENT):
@@ -188,8 +190,7 @@ def rough_holder(mesh, seed, exponent=ROUGH_EXPONENT):
         return (d ** exponent / norm)[:, None] * cdir[None, :]
 
     mu = min(1.0, exponent)
-    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
-                           regularity=("holder", mu, None))
+    return _from_rows(mesh, rows, ("holder", mu, None))
 
 
 def polynomial_trace(mesh, coeffs, max_degree=6):
@@ -211,8 +212,7 @@ def polynomial_trace(mesh, coeffs, max_degree=6):
                 out += c * symmetric_power_rows(ctx, alpha, pts)
         return out
 
-    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
-                           regularity=("holder", 1.0, None))
+    return _from_rows(mesh, rows)
 
 
 def trig_polynomial(mesh, seed, degree=5, coeffs=None):
@@ -230,9 +230,7 @@ def trig_polynomial(mesh, seed, degree=5, coeffs=None):
         coeffs = {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for m in ms}
     coeffs = {int(m): complex(c) for m, c in coeffs.items()}
     rows = _trig_rows(spec, coeffs, lambda m: 1.0)
-    dens = BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
-                           regularity=("holder", 1.0, None))
-    return dens, coeffs
+    return _from_rows(mesh, rows), coeffs
 
 
 def trig_polynomial_pv(mesh, coeffs):
@@ -296,8 +294,7 @@ def holomorphic_combo(mesh, seed, max_degree=2, pole_count=1):
         parts.append(lambda pts, p=a: _kernel_coeff_rows(ctx, pts, p))
     coeffs = rng.uniform(-1.0, 1.0, size=(len(parts), ctx.dim)) / len(parts)
     rows = _right_combo(mesh, parts, coeffs)
-    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
-                           regularity=("holder", 1.0, None))
+    return _from_rows(mesh, rows)
 
 
 # -- corpora ---------------------------------------------------------------------
@@ -395,12 +392,15 @@ def product_kernel(mesh, seed=23):
                             tail[None])
 
 
-def make_density(mesh, name, seed=0):
-    """Build a named density for the command-line experiments.
+# the names make_density recognizes, with their arguments, as `list` shows them
+DENSITY_FAMILIES = ("constant", "coord:<j>", "zpow:<a1,..,an>",
+                    "poly:<c0,c1,..>", "etrace:<in|out>", "netrace:in",
+                    "ecombo:<0|1|2>", "smooth:<seed>", "rough:<seed>",
+                    "trig:<seed>")
 
-    Recognized names: ``constant``, ``coord:<j>``, ``zpow:<a1,..,an>``,
-    ``poly:<c0,c1,..>``, ``etrace:<in|out>``, ``netrace:in``, ``ecombo:<N>``,
-    ``smooth:<seed>``, ``rough:<seed>``, ``trig:<seed>``.
+
+def make_density(mesh, name, seed=0):
+    """Build a named density (one of DENSITY_FAMILIES) for the experiments.
 
     Parameters
     ----------

@@ -324,7 +324,7 @@ def _dirichlet_residuals(mesh, g, criterion, sample_idx, probe_dirs):
     pv_res = math.nan
     field = np.zeros(0)
     if criterion in ("exterior", "both"):
-        R = mesh.spec.radius if mesh.spec is not None else _scale(mesh)
+        R = _scale(mesh)
         center = (mesh.spec.center_array if mesh.spec is not None
                   else mesh.nodes.mean(axis=0))
         rows = _integral_rows(mesh, g, center + 2.0 * R * probe_dirs, "left")
@@ -358,6 +358,12 @@ def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
     """
     if mode is None:
         mode = "holder" if g.is_holder else "continuous"
+    if mode not in ("holder", "continuous"):
+        raise ValueError("mode must be 'holder' or 'continuous', "
+                         f"got {mode!r}")
+    if criterion not in (None, "exterior", "pv", "both"):
+        raise ValueError("criterion must be 'exterior', 'pv' or 'both', "
+                         f"got {criterion!r}")
     if mode == "continuous" and criterion == "pv":
         raise ValueError("the principal-value criterion requires Holder data")
     if criterion is None:

@@ -662,6 +662,8 @@ def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left",
     'subtract' (the default on spec-built meshes), shares one shift, f at
     its node t.
     """
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     i = _snap_node(mesh, t)
     if lam0 is None:
         lam0 = 0.35 * _scale(mesh)

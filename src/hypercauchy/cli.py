@@ -13,11 +13,9 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,11 +25,11 @@ from .surface import DomainSpec, build_mesh, parse_mesh_spec, save_mesh
 from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      span_indicator, symmetric_difference_limit,
                      _integral_rows, _scale)
-from .fueter import order_at_infinity
-from .bvp import (CharacteristicCoefficients, invert_rows, jump_residual,
-                  poincare_bertrand_discrepancy, solve_characteristic_sie,
-                  solve_constant_gap, solve_dirichlet, solve_jump_rm,
-                  _probe_indices)
+from .fueter import multi_indices, order_at_infinity
+from .bvp import (CharacteristicCoefficients, constant_gap_residual,
+                  jump_residual, poincare_bertrand_discrepancy,
+                  solve_characteristic_sie, solve_constant_gap,
+                  solve_dirichlet, solve_jump_rm, _probe_indices)
 
 # fitted-order criteria are waived once errors sit at the rounding floor
 ORDER_FLOOR = 1e-12
@@ -161,6 +159,10 @@ def resolve_config(raw, overrides=()):
                           % sorted(SURFACES))
     if name in ("classical-degeneration",) and cfg.surface != "circle":
         raise ConfigError("surface: %s requires circle" % name)
+    if cfg.density != "corpus" and cfg.density.partition(":")[0] not in [
+            e.partition(":")[0] for e in _corpus.DENSITY_FAMILIES]:
+        raise ConfigError("density: unknown family %r (see `list`)"
+                          % cfg.density)
     if EXPERIMENTS[name].meshless:
         for level in cfg.levels:
             _checked("levels", get_context, level)
@@ -168,6 +170,10 @@ def resolve_config(raw, overrides=()):
         if cfg.levels[0] < 0:
             raise ConfigError("levels: mesh levels must be >= 0")
         _checked("surface %s" % cfg.surface, cfg.domain_spec)
+        dim = 2 ** SURFACES[cfg.surface][1]
+        if len(cfg.gap_g) > dim:
+            raise ConfigError("gap_g: at most %d entries on %s, got %d"
+                              % (dim, cfg.surface, len(cfg.gap_g)))
     if cfg.sample_nodes < 1:
         raise ConfigError("sample_nodes: must be >= 1, got %d"
                           % cfg.sample_nodes)
@@ -268,18 +274,23 @@ def _norms(err_rows):
 # -- experiment runners -------------------------------------------------------------
 
 
+def _densities(cfg, mesh, corpus):
+    """corpus() when density = corpus, else the one named density."""
+    if cfg.density == "corpus":
+        return corpus()
+    return [_corpus.make_density(mesh, cfg.density, seed=cfg.seed)]
+
+
 def _run_pv_constant(cfg, mesh):
     ones = BoundaryDensity.constant(mesh, 1.0)
     idx = _probe_indices(mesh, 32)
     pv = principal_value_nodes(mesh, ones, indices=idx)
     err = pv.copy()
     err[:, 0] -= 0.5
-    mx, l2 = _norms(err)
-    return mx, l2, {}
+    return _norms(err) + ({},)
 
 
 def _run_reproduction(cfg, mesh):
-    from .fueter import multi_indices
     spec = mesh.spec
     rng = np.random.default_rng(cfg.seed + 4)
     dirs = rng.standard_normal((2, mesh.n + 1))
@@ -287,11 +298,9 @@ def _run_reproduction(cfg, mesh):
     interior = spec.center_array + 0.55 * spec.radius * dirs
     points = np.concatenate([interior,
                              spec.center_array + 1.8 * spec.radius * dirs[:1]])
-    if cfg.density == "corpus":
-        alphas = [a for k in range(4) for a in multi_indices(mesh.n, k)]
-        densities = [_corpus.symmetric_power_trace(mesh, a) for a in alphas]
-    else:
-        densities = [_corpus.make_density(mesh, cfg.density, seed=cfg.seed)]
+    densities = _densities(cfg, mesh, lambda: [
+        _corpus.symmetric_power_trace(mesh, a)
+        for k in range(4) for a in multi_indices(mesh.n, k)])
     errs = []
     for dens in densities:
         rows = _integral_rows(mesh, dens, points, "left")
@@ -311,9 +320,8 @@ def _limit_params(mesh):
 
 
 def _run_plemelj(cfg, mesh):
-    densities = (_corpus.plemelj_corpus(mesh, seed=cfg.seed + 11)
-                 if cfg.density == "corpus"
-                 else [_corpus.make_density(mesh, cfg.density, seed=cfg.seed)])
+    densities = _densities(cfg, mesh, lambda: _corpus.plemelj_corpus(
+        mesh, seed=cfg.seed + 11))
     rng = np.random.default_rng(cfg.seed + 3)
     idx = rng.integers(0, mesh.node_count, size=3)
     kw = _limit_params(mesh)
@@ -331,9 +339,8 @@ def _run_plemelj(cfg, mesh):
 
 
 def _run_inversion(cfg, mesh):
-    densities = (_corpus.inversion_corpus(mesh, seed=cfg.seed + 13)
-                 if cfg.density == "corpus"
-                 else [_corpus.make_density(mesh, cfg.density, seed=cfg.seed)])
+    densities = _densities(cfg, mesh, lambda: _corpus.inversion_corpus(
+        mesh, seed=cfg.seed + 13))
     once_rows = 2.0 * principal_value_nodes(mesh, densities)
     once = [BoundaryDensity(mesh, rows, regularity=dens.regularity)
             for dens, rows in zip(densities, once_rows)]
@@ -343,39 +350,38 @@ def _run_inversion(cfg, mesh):
     return _norms(errs) + ({},)
 
 
-def _run_jump_rm(cfg, mesh):
-    dens = _corpus.make_density(mesh, cfg.density, seed=cfg.seed) \
-        if cfg.density != "corpus" \
-        else _corpus.kernel_trace(
-            mesh, _corpus.interior_pole(mesh.spec, seed=cfg.seed + 2,
-                                        frac=0.35), scale=-1.0)
-    sol, rep = solve_jump_rm(mesh, dens, cfg.jump_m)
-    aux = {"verdict": rep.verdict, "conditions": rep.condition_count,
-           "freedom": rep.freedom_count}
+def _solve_and_score(cfg, mesh, solve, residual, data, aux):
+    """Solve in the class R_{jump_m}; an unsolvable problem scores its
+    worst moment residual, a solved one its sampled residual."""
+    sol, rep = solve(mesh, *data, cfg.jump_m)
+    aux = aux(rep)
     if sol is None:
         worst = max(rep.residuals.values()) if rep.residuals else math.inf
         return worst, worst, aux
-    res = jump_residual(mesh, sol, dens, sample_nodes=cfg.sample_nodes,
-                        seed=cfg.seed, limit_kw=_limit_params(mesh))
+    res = residual(mesh, sol, *data, sample_nodes=cfg.sample_nodes,
+                   seed=cfg.seed, limit_kw=_limit_params(mesh))
     return _norms([res]) + (aux,)
+
+
+def _run_jump_rm(cfg, mesh):
+    dens, = _densities(cfg, mesh, lambda: [_corpus.kernel_trace(
+        mesh, _corpus.interior_pole(mesh.spec, seed=cfg.seed + 2, frac=0.35),
+        scale=-1.0)])
+    return _solve_and_score(
+        cfg, mesh, solve_jump_rm, jump_residual, (dens,),
+        lambda rep: {"verdict": rep.verdict,
+                     "conditions": rep.condition_count,
+                     "freedom": rep.freedom_count})
 
 
 def _run_constant_gap(cfg, mesh):
-    ctx = mesh.context
-    G = np.zeros(ctx.dim)
+    G = np.zeros(mesh.context.dim)
     G[:len(cfg.gap_g)] = cfg.gap_g
-    dens = _corpus.make_density(mesh, cfg.density, seed=cfg.seed) \
-        if cfg.density != "corpus" else _corpus.random_smooth(mesh, cfg.seed)
-    sol, rep = solve_constant_gap(mesh, dens, G, cfg.jump_m)
-    aux = {"verdict": rep.verdict}
-    if sol is None:
-        worst = max(rep.residuals.values()) if rep.residuals else math.inf
-        return worst, worst, aux
-    from .bvp import constant_gap_residual
-    res = constant_gap_residual(mesh, sol, dens, G,
-                                sample_nodes=cfg.sample_nodes, seed=cfg.seed,
-                                limit_kw=_limit_params(mesh))
-    return _norms([res]) + (aux,)
+    dens, = _densities(cfg, mesh,
+                       lambda: [_corpus.random_smooth(mesh, cfg.seed)])
+    return _solve_and_score(cfg, mesh, solve_constant_gap,
+                            constant_gap_residual, (dens, G),
+                            lambda rep: {"verdict": rep.verdict})
 
 
 def _run_dirichlet(cfg, mesh):
@@ -403,8 +409,6 @@ def _dirichlet_extra(cfg, rows):
 
 
 def _run_classical(cfg, mesh):
-    if mesh.n != 1:
-        raise ConfigError("surface: classical-degeneration requires circle")
     polys = [_corpus.trig_polynomial(mesh, cfg.seed + 100 + k)
              for k in range(5)]
     pvs = principal_value_nodes(mesh, [dens for dens, _ in polys])
@@ -464,26 +468,21 @@ def _run_sie(cfg, mesh):
     a = BoundaryDensity.constant(mesh, cfg.sie_a)
     b = BoundaryDensity.constant(mesh, cfg.sie_b)
     coeffs = CharacteristicCoefficients.from_ab(mesh, a, b)
-    densities = (_corpus.sie_corpus(mesh, seed=cfg.seed + 17)
-                 if cfg.density == "corpus"
-                 else [_corpus.make_density(mesh, cfg.density, seed=cfg.seed)])
+    densities = _densities(cfg, mesh, lambda: _corpus.sie_corpus(
+        mesh, seed=cfg.seed + 17))
     errs = [sol.residual
             for sol in solve_characteristic_sie(mesh, coeffs, densities)]
     return _norms(errs) + ({},)
 
 
 def _run_pbx(cfg, mesh):
-    f = (_corpus.random_smooth(mesh, cfg.seed + 31)
-         if cfg.density == "corpus"
-         else _corpus.make_density(mesh, cfg.density, seed=cfg.seed))
-    rep = poincare_bertrand_discrepancy(mesh, f=f,
-                                        sample_nodes=cfg.sample_nodes,
-                                        seed=cfg.seed)
+    f, = _densities(cfg, mesh,
+                    lambda: [_corpus.random_smooth(mesh, cfg.seed + 31)])
+    rep = poincare_bertrand_discrepancy(
+        mesh, f=f, sample_nodes=cfg.sample_nodes, seed=cfg.seed)
     k = _corpus.product_kernel(mesh, seed=cfg.kernel_seed)
-    rep_k = poincare_bertrand_discrepancy(mesh, k=k,
-                                          sample_nodes=min(4,
-                                                           cfg.sample_nodes),
-                                          seed=cfg.seed)
+    rep_k = poincare_bertrand_discrepancy(
+        mesh, k=k, sample_nodes=min(4, cfg.sample_nodes), seed=cfg.seed)
     aux = {"general_kernel_discrepancy": rep_k.discrepancy_max,
            "pair_orthogonality": rep_k.orthogonality_max}
     return rep.discrepancy_max, rep.discrepancy_max, aux
@@ -492,23 +491,16 @@ def _run_pbx(cfg, mesh):
 def _run_span(cfg, mesh):
     spec = mesh.spec
     rng = np.random.default_rng(cfg.seed + 9)
-    d = _unit(rng, mesh.n + 1)
+    d = _corpus._unit_direction(rng, mesh.n + 1)
     cases = [(spec.center_array, 1.0),
              (spec.center_array + 0.4 * spec.radius * d, 1.0),
              (mesh.nodes[int(rng.integers(0, mesh.node_count))], 0.5),
              (spec.center_array + 2.0 * spec.radius * d, 0.0)]
     errs = []
     for w, want in cases:
-        res = span_indicator(mesh, w)
-        coeffs = res.raw.coeffs
-        err = abs(coeffs[0] - want) + float(np.abs(coeffs[1:]).max())
-        errs.append(err)
+        coeffs = span_indicator(mesh, w).raw.coeffs
+        errs.append(abs(coeffs[0] - want) + float(np.abs(coeffs[1:]).max()))
     return _norms(errs) + ({},)
-
-
-def _unit(rng, m):
-    v = rng.standard_normal(m)
-    return v / np.linalg.norm(v)
 
 
 def _verdict_matches(verdict, expect):
@@ -599,8 +591,8 @@ EXPERIMENTS = {
 def run_experiment(cfg) -> ConvergenceReport:
     """Execute the configured experiment across its refinement levels."""
     exp = EXPERIMENTS[cfg.experiment]
-
-    def one_level(level):
+    rows = []
+    for level in cfg.levels:
         t0 = time.perf_counter()
         if exp.meshless:
             mx, l2, aux = exp.runner(cfg, level)
@@ -610,22 +602,14 @@ def run_experiment(cfg) -> ConvergenceReport:
             mx, l2, aux = exp.runner(cfg, mesh)
             h, nodes = mesh.h, mesh.node_count
         ms = (time.perf_counter() - t0) * 1e3 if cfg.record_runtime else 0.0
-        return LevelRow(level, h, nodes, mx, l2, ms, aux)
-
-    workers = int(os.environ.get("HYPERCAUCHY_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(one_level, cfg.levels))
-    else:
-        rows = tuple(one_level(level) for level in cfg.levels)
-
+        rows.append(LevelRow(level, h, nodes, mx, l2, ms, aux))
     fitted, width = _fit_order(rows)
     crits = _standard_criteria(cfg, rows, fitted)
     if exp.extra is not None:
         crits.extend(exp.extra(cfg, rows))
     auxiliary = {"level_%d" % r.level: r.aux for r in rows if r.aux}
     passed = all(c["passed"] for c in crits)
-    return ConvergenceReport(cfg.experiment, rows, fitted, width,
+    return ConvergenceReport(cfg.experiment, tuple(rows), fitted, width,
                              tuple(crits), passed, auxiliary)
 
 
@@ -718,10 +702,7 @@ def list_builtins():
     for name in sorted(EXPERIMENTS):
         lines.append("  %-24s %s" % (name, EXPERIMENTS[name].description))
     lines.append("density families:")
-    for entry in ("constant", "coord:<j>", "zpow:<a1,..,an>",
-                  "poly:<c0,c1,..>", "etrace:<in|out>", "netrace:in",
-                  "ecombo:<0|1|2>", "smooth:<seed>", "rough:<seed>",
-                  "trig:<seed>", "corpus"):
+    for entry in _corpus.DENSITY_FAMILIES + ("corpus",):
         lines.append("  %s" % entry)
     return "\n".join(lines)
 

@@ -113,13 +113,28 @@ def _hyper_variable_rows(ctx, j, points):
     return out
 
 
-@lru_cache(maxsize=None)
-def _arrangements(alpha):
-    """Distinct orderings of the multiset {j repeated alpha_j times}."""
-    letters = []
-    for j, a in enumerate(alpha, start=1):
-        letters.extend([j] * a)
-    return tuple(sorted(set(itertools.permutations(letters))))
+def _symmetric_powers(ctx, alphas, points):
+    """{alpha: Z^alpha rows at the (N, n+1) points} for each of alphas.
+
+    Grouping the arrangements of alpha by their last factor gives
+    Z^alpha = sum_{j: alpha_j > 0} Z^{alpha - e_j} z_j, with Z^0 = 1; the
+    Z^beta of every beta <= alpha are built once, by increasing degree.
+    """
+    alphas = list(alphas)
+    zrows = [_hyper_variable_rows(ctx, j, points)
+             for j in range(1, ctx.n + 1)]
+    betas = {beta for alpha in alphas
+             for beta in itertools.product(*(range(a + 1) for a in alpha))}
+    memo = {}
+    for beta in sorted(betas, key=sum):
+        out = memo[beta] = np.zeros((points.shape[0], ctx.dim))
+        if not any(beta):
+            out[:, 0] = 1.0
+        for j, b in enumerate(beta):
+            if b:
+                lower = beta[:j] + (b - 1,) + beta[j + 1:]
+                out += batch_product(ctx, memo[lower], zrows[j])
+    return {alpha: memo[alpha] for alpha in alphas}
 
 
 def symmetric_power_rows(ctx, alpha, points):
@@ -130,19 +145,7 @@ def symmetric_power_rows(ctx, alpha, points):
     """
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     alpha = _as_alpha(alpha, ctx.n)
-    N = points.shape[0]
-    out = np.zeros((N, ctx.dim))
-    if sum(alpha) == 0:
-        out[:, 0] = 1.0
-        return out
-    zrows = {j: _hyper_variable_rows(ctx, j, points)
-             for j, a in enumerate(alpha, start=1) if a > 0}
-    for word in _arrangements(alpha):
-        acc = zrows[word[0]]
-        for j in word[1:]:
-            acc = batch_product(ctx, acc, zrows[j])
-        out += acc
-    return out
+    return _symmetric_powers(ctx, [alpha], points)[alpha]
 
 
 def symmetric_power(ctx, alpha, x) -> Multivector:
@@ -260,20 +263,26 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != mesh.n or any(a < 0 for a in alpha):
         raise ValueError("alpha must be %d nonnegative integers" % mesh.n)
-    k = sum(alpha)
-    if k > 4:
+    if sum(alpha) > 4:
         raise ValueError("|alpha| <= 4 supported")
-    ctx = mesh.context
     point = np.asarray(w, dtype=np.float64)
     dist = _boundary_distance(mesh, point)
     if dist < 1e-12:
         raise SingularInputError("derivative target lies on the surface")
+    return Multivector(mesh.context,
+                       _kernel_derivative_sum(mesh, f, point, alpha, side))
+
+
+def _kernel_derivative_sum(mesh, f, w, alpha, side):
+    """((-1)^|alpha|/V_n) sum_j [d^alpha E](x_j - w) nu w_j f_j (left case;
+    the right case mirrors the product order): d^alpha_w C[f](w), since
+    d^alpha_w E(x - w) = (-1)^|alpha| [d^alpha E](x - w)."""
+    ctx = mesh.context
     kd = kernel_derivative(ctx, alpha)
-    comps = kd.evaluate_components(mesh.nodes - point[None, :])  # (N, n+1)
-    # d^alpha_w E(x - w) = (-1)^{|alpha|} [d^alpha E](x - w)
-    signf = (-1.0) ** k / unit_sphere_area(mesh.n)
-    g = _measure_density(mesh, f.samples, side)
-    return Multivector(ctx, signf * sided_sum(ctx, side, comps, g))
+    comps = kd.evaluate_components(mesh.nodes - w[None, :])  # (N, n+1)
+    t = _measure_density(mesh, f.samples, side)
+    vol = unit_sphere_area(ctx.n)
+    return (-1.0) ** sum(alpha) / vol * sided_sum(ctx, side, comps, t)
 
 
 # -- boundary moments -------------------------------------------------------------
@@ -282,9 +291,9 @@ def _moments(mesh, g: BoundaryDensity, alphas, side):
     """{alpha: moment coefficients}, with one measure density for all alpha."""
     ctx = mesh.context
     t = _measure_density(mesh, g.samples, side)
-    return {alpha: sided_sum(
-        ctx, side, symmetric_power_rows(ctx, alpha, mesh.nodes), t)
-        for alpha in alphas}
+    powers = _symmetric_powers(ctx, alphas, mesh.nodes)
+    return {alpha: sided_sum(ctx, side, rows, t)
+            for alpha, rows in powers.items()}
 
 
 def boundary_moment(mesh, g: BoundaryDensity, alpha, side="left") -> Multivector:
@@ -377,14 +386,8 @@ def derivative_at_origin(mesh, f: BoundaryDensity, alpha, side="left"):
     ((-1)^{|alpha|}/V_n) int_dB [d^alpha E](x) dsigma f(x) for the left
     case; the right case mirrors the product order.
     """
-    ctx = mesh.context
-    alpha = _as_alpha(alpha, ctx.n)
-    k = sum(alpha)
-    kd = kernel_derivative(ctx, alpha)
-    comps = kd.evaluate_components(mesh.nodes)
-    vol = unit_sphere_area(ctx.n)
-    t = _measure_density(mesh, f.samples, side)
-    return (-1.0) ** k / vol * sided_sum(ctx, side, comps, t)
+    alpha = _as_alpha(alpha, mesh.n)
+    return _kernel_derivative_sum(mesh, f, np.zeros(mesh.n + 1), alpha, side)
 
 
 def taylor_component(f, k, R, mesh, side="left"):

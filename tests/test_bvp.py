@@ -275,6 +275,24 @@ def test_dirichlet_explicit_threshold_and_guards(circle_mesh):
         solve_dirichlet(circle_mesh, good, mode="continuous", criterion="pv")
 
 
+@pytest.mark.parametrize("kw, field", [
+    pytest.param({"mode": "holdr"}, "mode", id="mode"),
+    pytest.param({"criterion": "bogus"}, "criterion", id="criterion"),
+    pytest.param({"mode": "continuous", "criterion": "bogus"}, "criterion",
+                 id="continuous-criterion"),
+])
+def test_dirichlet_rejects_unknown_mode_and_criterion(circle_mesh, monkeypatch,
+                                                      kw, field):
+    # these used to run (mode) or end in NaN residuals (criterion)
+    calls = []
+    monkeypatch.setattr(_accel, "accum_left",
+                        lambda *args, **kwargs: calls.append(args))
+    good = holomorphic_combo(circle_mesh, 19)
+    with pytest.raises(ValueError, match="^%s must be" % field):
+        solve_dirichlet(circle_mesh, good, **kw)
+    assert calls == []
+
+
 def test_dirichlet_continuous_mode(circle_spec):
     mesh = build_mesh(circle_spec, 3)
     good = holomorphic_combo(mesh, 19)

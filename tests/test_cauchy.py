@@ -531,6 +531,16 @@ def test_ladders_take_one_kernel_call(monkeypatch, side):
     assert calls == [2 * len(lams)] and unused == []
 
 
+@pytest.mark.parametrize("sign", ["x", "", "+-", None])
+def test_boundary_limit_rejects_unknown_sign(monkeypatch, sign):
+    # an unknown sign used to take the exterior ladder without a word
+    mesh = _small_mesh("circle-L0")
+    calls = _count_calls(monkeypatch, "accum_left")
+    with pytest.raises(ValueError, match=r"^sign must be '\+' or '-'"):
+        boundary_limit(mesh, BoundaryDensity.constant(mesh, 1.0), 0, sign)
+    assert calls == []
+
+
 def test_off_surface_integrals_reject_density_from_another_mesh():
     unit = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
     wide = DomainSpec("circle", 1, center=(0.0, 0.0), radius=2.0)

@@ -1,6 +1,7 @@
 """Command-line interface: configs, outputs, determinism and exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -12,9 +13,12 @@ from hypercauchy.cli import (EXPERIMENTS, ConfigError, list_builtins, main,
                              resolve_config)
 from hypercauchy.clifford_core import (Paravector, conjugate, get_context,
                                        paravector_inverse, product)
-from hypercauchy.surface import load_mesh
+from hypercauchy.bvp import solve_jump_rm
+from hypercauchy.surface import build_mesh, load_mesh
+from hypercauchy._corpus import make_density
 
 CSV_HEADER = "level,h,nodes,error_maxnorm,error_l2,runtime_ms"
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 ALL_EXPERIMENTS = [
     "pv-constant",
@@ -78,16 +82,6 @@ def test_run_writes_reports(tmp_path, capsys):
         assert row.rsplit(",", 1)[1] == "0"
 
 
-def test_run_byte_deterministic(tmp_path, capsys):
-    cfg = _fast_config(tmp_path)
-    assert main(["run", cfg]) == 0
-    first_csv = (tmp_path / "out.csv").read_bytes()
-    first_json = (tmp_path / "out.json").read_bytes()
-    assert main(["run", cfg]) == 0
-    assert (tmp_path / "out.csv").read_bytes() == first_csv
-    assert (tmp_path / "out.json").read_bytes() == first_json
-
-
 @pytest.mark.parametrize("surface, extra", [
     pytest.param("circle", {}, id="circle"),
     pytest.param("sphere2", {}, id="sphere2"),
@@ -98,15 +92,12 @@ def test_run_byte_deterministic(tmp_path, capsys):
                             "levels": "3,4", "tolerance": "0.2"},
                  id="order-at-infinity"),
 ])
-def test_outputs_independent_of_thread_count(tmp_path, capsys, monkeypatch,
-                                             surface, extra):
-    # levels run concurrently with 2 threads; each level's mesh carries
-    # its own stencil, so the reports must not change by a single byte
+def test_run_byte_deterministic(tmp_path, capsys, surface, extra):
+    # two runs in one process: no cache may carry over into the reports
     fields = {"surface": surface, "levels": "0,1,2", **extra}
     cfg = _fast_config(tmp_path, **fields)
     outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("HYPERCAUCHY_THREADS", threads)
+    for _ in range(2):
         assert main(["run", cfg]) == 0
         outputs.append(((tmp_path / "out.csv").read_bytes(),
                         (tmp_path / "out.json").read_bytes()))
@@ -142,6 +133,29 @@ def test_algebra_laws_batches_match_product_loop(n):
     mx, l2, _ = cli._run_algebra(cfg, n)
     assert (mx, l2) == cli._norms(_algebra_law_errors(cfg.seed, n))
     assert 0.0 < mx <= cfg.tolerance
+
+
+def test_named_density_replaces_the_corpus():
+    named = resolve_config({"experiment": "inversion"}, ["density=smooth:4"])
+    mesh = build_mesh(named.domain_spec(), 1)
+    dens, = cli._densities(named, mesh, lambda: pytest.fail("corpus built"))
+    want = make_density(mesh, "smooth:4", seed=named.seed)
+    assert np.array_equal(dens.samples, want.samples)
+    corpus = resolve_config({"experiment": "inversion"}, ["density=corpus"])
+    assert cli._densities(corpus, mesh, lambda: ["corpus"]) == ["corpus"]
+
+
+def test_unsolvable_jump_scores_its_worst_moment_residual():
+    # an interior-pole trace has a nonzero degree-0 moment, so no solution
+    # decays like |w|^-2 and no sampled residual exists to report
+    cfg = resolve_config({"experiment": "jump-rm"},
+                         ["density=etrace:in", "jump_m=-2"])
+    mesh = build_mesh(cfg.domain_spec(), 3)
+    mx, l2, aux = cli._run_jump_rm(cfg, mesh)
+    g = make_density(mesh, "etrace:in", seed=cfg.seed)
+    sol, rep = solve_jump_rm(mesh, g, -2)
+    assert sol is None and aux["verdict"] == rep.verdict == "unsolvable"
+    assert mx == l2 == max(rep.residuals.values()) > 1.0
 
 
 def test_run_records_runtime_when_asked(tmp_path, capsys):
@@ -181,6 +195,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = pv-constant\nlevels = 1\nseed = -1\n", "seed"),
         ("experiment = poincare-bertrand\nlevels = 1\nkernel_seed = -1\n",
          "kernel_seed"),
+        ("experiment = constant-gap\nlevels = 1\ngap_g = 2,1,3\n", "gap_g"),
+        ("experiment = inversion\nlevels = 1\ndensity = bogus:3\n",
+         "density"),
     ]:
         cfg = _write_config(tmp_path, "bad.cfg", body)
         assert main(["run", cfg]) == 2
@@ -200,6 +217,13 @@ def test_config_rejects_nonfinite_numbers(key, template, bad):
     with pytest.raises(ConfigError, match=r"^%s: expected a finite number"
                        % key):
         resolve_config({"experiment": "pv-constant"}, [setting])
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_shipped_configs_resolve(path):
+    cfg = resolve_config(cli.parse_config_file(path))
+    assert path.stem.startswith(cfg.experiment)
 
 
 def test_config_file_rejects_nan_min_order(tmp_path, capsys):

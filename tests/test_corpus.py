@@ -7,6 +7,7 @@ from hypercauchy.surface import DomainSpec, build_mesh, refine
 from hypercauchy.cauchy import BoundaryDensity
 from hypercauchy.clifford_core import batch_product
 from hypercauchy._corpus import (
+    DENSITY_FAMILIES,
     dirichlet_corpus,
     exterior_pole,
     interior_pole,
@@ -95,6 +96,10 @@ def test_make_density_names(circle_mesh):
         assert np.isfinite(dens.samples).all()
     with pytest.raises(ValueError):
         make_density(circle_mesh, "fourier:3")
+    # `hypercauchy list` prints DENSITY_FAMILIES: every family, each built
+    family = lambda entry: entry.partition(":")[0]
+    assert sorted({family(e) for e in DENSITY_NAMES}) == \
+        sorted(family(e) for e in DENSITY_FAMILIES)
 
 
 def test_regularity_tags(circle_mesh):

@@ -1,5 +1,6 @@
 """Fueter polynomials, moments, Taylor/Laurent machinery, order at infinity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypercauchy.fueter import (
     QuadratureDegeneracyError,
     boundary_moment,
     build_moment_table,
+    cauchy_derivative,
     derivative_at_origin,
     dirac_apply,
     hyper_variable,
@@ -88,6 +90,57 @@ def test_symmetric_power_is_symmetrized_product():
     assert np.allclose(got.coeffs, want, atol=1e-14)
     rows = symmetric_power_rows(ctx, (1, 1), np.atleast_2d(x))
     assert np.allclose(rows[0], want, atol=1e-14)
+
+
+def _arrangement_sum(ctx, alpha, points):
+    """Z^alpha as the sum over every distinct arrangement of its z_j
+    factors, each multiplied out from the left; also each row's largest
+    entry of the arrangements' absolute sum, which scales their rounding."""
+    letters = [j for j, a in enumerate(alpha, start=1) for _ in range(a)]
+    out = np.zeros((points.shape[0], ctx.dim))
+    if not letters:
+        out[:, 0] = 1.0
+        return out, out
+    z = {j: np.array([hyper_variable(ctx, j, x).coeffs for x in points])
+         for j in set(letters)}
+    mag = np.zeros_like(out)
+    for word in sorted(set(itertools.permutations(letters))):
+        acc = z[word[0]]
+        for j in word[1:]:
+            acc = batch_product(ctx, acc, z[j])
+        out += acc
+        mag += np.abs(acc)
+    return out, mag.max(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_symmetric_powers_match_arrangement_sum(n):
+    # Z^alpha = sum_j Z^{alpha - e_j} z_j groups the arrangements by their
+    # last factor; for n = 1 that is the same product chain, and sums of
+    # degree <= 2 add the same two terms, so those agree bitwise
+    ctx = get_context(n)
+    rng = np.random.default_rng(n)
+    points = rng.standard_normal((16, n + 1))
+    points[::5, 0] = 0.0
+    for k in range(MAX_DEGREE + 1):
+        for alpha in multi_indices(n, k):
+            got = symmetric_power_rows(ctx, alpha, points)
+            want, mag = _arrangement_sum(ctx, alpha, points)
+            if n == 1 or k <= 2:
+                assert np.array_equal(got, want), alpha
+            bound = 4 * k * ctx.dim * np.finfo(float).eps * mag
+            assert np.all(np.abs(got - want) <= bound), alpha
+
+
+def test_derivative_at_origin_is_cauchy_derivative_at_origin(sphere_mesh):
+    f = random_smooth(sphere_mesh, 3)
+    origin = np.zeros(3)
+    for k in range(5):
+        for alpha in multi_indices(2, k):
+            for side in ("left", "right"):
+                want = cauchy_derivative(sphere_mesh, f, origin, alpha, side)
+                got = derivative_at_origin(sphere_mesh, f, alpha, side)
+                assert np.array_equal(got, want.coeffs)
 
 
 @pytest.mark.parametrize("n,alpha", [
