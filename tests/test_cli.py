@@ -82,6 +82,16 @@ def test_run_writes_reports(tmp_path, capsys):
         assert row.rsplit(",", 1)[1] == "0"
 
 
+def test_run_byte_deterministic(tmp_path, capsys):
+    cfg = _fast_config(tmp_path)
+    assert main(["run", cfg]) == 0
+    first_csv = (tmp_path / "out.csv").read_bytes()
+    first_json = (tmp_path / "out.json").read_bytes()
+    assert main(["run", cfg]) == 0
+    assert (tmp_path / "out.csv").read_bytes() == first_csv
+    assert (tmp_path / "out.json").read_bytes() == first_json
+
+
 @pytest.mark.parametrize("surface, extra", [
     pytest.param("circle", {}, id="circle"),
     pytest.param("sphere2", {}, id="sphere2"),
@@ -92,7 +102,7 @@ def test_run_writes_reports(tmp_path, capsys):
                             "levels": "3,4", "tolerance": "0.2"},
                  id="order-at-infinity"),
 ])
-def test_run_byte_deterministic(tmp_path, capsys, surface, extra):
+def test_repeat_runs_byte_identical(tmp_path, capsys, surface, extra):
     # two runs in one process: no cache may carry over into the reports
     fields = {"surface": surface, "levels": "0,1,2", **extra}
     cfg = _fast_config(tmp_path, **fields)
