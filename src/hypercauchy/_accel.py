@@ -18,13 +18,13 @@ for J != I, negated and transposed onto rows J.  Tile sums agree with
 row-block sums to rounding, not bitwise.  Two kinds of density contract
 the planes:
 - one density row per node, g of shape (N, 2^n), shared by every target
-  (accum_left, accum_right, pb_rhs's Q): one BLAS gemm per plane.  The
+  (accum_left, accum_right, pb_rhs): one BLAS gemm per plane.  The
   planes are the costly part, so a stack of K densities shares each
   block, one gemm per density, and the rows of density k are bitwise
   those of a call with that density alone;
 - one density per node target, column i of an (N, N, 2^n) matrix with
-  nu w folded in by one batch_product per tile (pv_matrix, pb_rhs's P):
-  each target's planes take a batched matmul with its own column.
+  nu w folded in by one batch_product per tile (pv_matrix): each
+  target's planes take a batched matmul with its own column.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import math
 
 import numpy as np
 
-from .clifford_core import batch_product, scatter_pairs, sided_sum
+from .clifford_core import (batch_product, paravectors_as_coeffs,
+                            scatter_pairs, sided_sum)
 
 # target-node pairs per kernel block: each block of planes stays in cache
 BLOCK_PAIRS = 1 << 16
@@ -92,25 +93,6 @@ def _node_pair_tiles(nodes, n):
                 np.arange(I.stop - s) if t == s else None)
 
 
-def _shared_terms(T, I, J, E, G):
-    """Tile (I, J) of T[k] = E @ G[k], T of shape (K, n+1, N, dim)."""
-    for Tk, gk in zip(T, G):
-        Tk[:, I] += E @ gk[J]
-        if J != I:
-            Tk[:, J] -= E.transpose(0, 2, 1) @ gk[I]
-
-
-def _column_terms(T, I, J, E, H):
-    """Tile (I, J) of T[i] = sum_j E[:, i, j] H[j, i]; T is (N, n+1, dim).
-
-    H(rows, cols) returns the (rows, cols, dim) block of H, the densities
-    of the targets cols at the nodes rows.
-    """
-    T[I] += E.transpose(1, 0, 2) @ H(J, I).swapaxes(0, 1)
-    if J != I:
-        T[J] -= E.transpose(2, 0, 1) @ H(I, J).swapaxes(0, 1)
-
-
 def _accumulate(ctx, targets, nodes, g, excl, side):
     """Kernel sums of g, one density (N, 2^n) or a stack (K, N, 2^n).
 
@@ -131,7 +113,10 @@ def _accumulate(ctx, targets, nodes, g, excl, side):
             and np.array_equal(excl, np.arange(M))
             and np.array_equal(targets, nodes)):
         for I, J, E in _node_pair_tiles(nodes, ctx.n):
-            _shared_terms(T, I, J, E, G)
+            for Tk, gk in zip(T, G):
+                Tk[:, I] += E @ gk[J]
+                if J != I:
+                    Tk[:, J] -= E.transpose(0, 2, 1) @ gk[I]
     else:
         _row_block_terms(T, targets, nodes, G, excl, ctx.n)
     out = np.empty((G.shape[0], M, ctx.dim))
@@ -167,14 +152,21 @@ def pv_matrix(ctx, nodes, nuw, dmat):
     nodes = np.asarray(nodes, dtype=np.float64)
     N = nodes.shape[0]
     diag = dmat[np.arange(N), np.arange(N)]
+
+    def H(rows, cols):  # nuw_j (dmat[j, i] - diag[i]), j in rows, i in cols
+        return batch_product(ctx, nuw[rows, None],
+                             dmat[rows, cols] - diag[cols])
+
+    # T[i] = sum_j E[:, i, j] H[j, i]; one H block is alive at a time
     T = np.zeros((N, ctx.n + 1, ctx.dim))
     for I, J, E in _node_pair_tiles(nodes, ctx.n):
-        _column_terms(T, I, J, E, lambda rows, cols: batch_product(
-            ctx, nuw[rows, None], dmat[rows, cols] - diag[cols]))
+        T[I] += E.transpose(1, 0, 2) @ H(J, I).swapaxes(0, 1)
+        if J != I:
+            T[J] -= E.transpose(2, 0, 1) @ H(I, J).swapaxes(0, 1)
     return scatter_pairs(ctx, T.transpose(1, 0, 2))
 
 
-def pb_rhs(ctx, nodes, nuw, kmat, t_index):
+def pb_rhs(ctx, nodes, nuw, kmat, t_index, core):
     """Exchanged-order double singular sums at one node or at several.
 
     Computes sum_{j != t} sum_{i not in {t, j}} [E(x_i - t) nuw_i]
@@ -184,23 +176,22 @@ def pb_rhs(ctx, nodes, nuw, kmat, t_index):
     integrates to zero), leaving only a weak singularity at x = t so the
     plain punctured sum converges.  It runs i outside: rhs_t =
     sum_{i != t} A_t[i] (P[i] - Q[i, t] - C_t[i]), A_t[i] = E(x_i - t) nuw_i,
-    P[i] = sum_{j != i} E(x_j - x_i) nuw_j kmat[j, i] (a density per
-    target), Q[i, t] the same sum of kmat[j, t] (one density nuw kmat[:, t]
-    per t) and C_t[i] = E(t - x_i) nuw_t (kmat[t, i] - kmat[t, t]), the
-    term j = t.  P and Q take one pass over the node-pair tiles; A_t and
-    C_t share one kernel block, since E(t - x_i) = -E(x_i - t).
+    P[i] = sum_{j != i} E(x_j - x_i) nuw_j kmat[j, i], Q[i, t] the same sum
+    of kmat[j, t] (one density nuw kmat[:, t] per t) and C_t[i] =
+    E(t - x_i) nuw_t (kmat[t, i] - kmat[t, t]), the term j = t.  core is
+    pv_matrix(ctx, nodes, nuw, kmat), so P[i] = core[i] + S2[i] kmat[i, i]
+    with S2[i] = sum_{j != i} E(x_j - x_i) nuw_j; S2 rides as one more
+    shared density on Q's stack, one pass over the node-pair tiles.  A_t
+    and C_t share one kernel block, since E(t - x_i) = -E(x_i - t).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
+    N = nodes.shape[0]
     ts = np.atleast_1d(np.asarray(t_index, dtype=np.int64))
-    G = batch_product(ctx, nuw, kmat[:, ts].swapaxes(0, 1))
-    TP = np.zeros((nodes.shape[0], ctx.n + 1, ctx.dim))
-    TQ = np.zeros((ts.size, ctx.n + 1, nodes.shape[0], ctx.dim))
-    for I, J, E in _node_pair_tiles(nodes, ctx.n):
-        _column_terms(TP, I, J, E, lambda rows, cols: batch_product(
-            ctx, nuw[rows, None], kmat[rows, cols]))
-        _shared_terms(TQ, I, J, E, G)
-    P = scatter_pairs(ctx, TP.transpose(1, 0, 2))
-    Q = scatter_pairs(ctx, TQ.swapaxes(0, 1))
+    G = np.concatenate([batch_product(ctx, nuw, kmat[:, ts].swapaxes(0, 1)),
+                        paravectors_as_coeffs(ctx, nuw)[None]])
+    sums = _accumulate(ctx, nodes, nodes, G, np.arange(N), "left")
+    Q, S2 = sums[:-1], sums[-1]
+    P = core + batch_product(ctx, S2, kmat[np.arange(N), np.arange(N)])
     Et = _kernel_E_block(nodes[ts], nodes.T, ctx.n, ts).transpose(1, 2, 0)
     A = batch_product(ctx, Et, nuw)
     Ct = batch_product(ctx, -Et, nuw[ts][:, None, :])

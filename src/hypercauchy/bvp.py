@@ -589,9 +589,11 @@ def _kernel_matrix(mesh, k):
 def _matrix_pv_rows(mesh, dmat):
     """Raw PV int E dsigma d_i(.) at every node i for per-target densities.
 
-    dmat[j, i] holds the density of target i sampled at node j; returns
-    (N, dim) rows of the unnormalized principal values, with the
-    singular-cell gradient correction and the (V_n/2) diagonal term.
+    dmat[j, i] holds the density of target i sampled at node j.  Returns
+    (rows, core): (N, dim) rows of the unnormalized principal values, with
+    the singular-cell gradient correction and the (V_n/2) diagonal term,
+    and the _accel.pv_matrix core sums they were built from, which
+    _accel.pb_rhs takes for the same matrix.
     """
     ctx = mesh.context
     nuw = mesh.measure_coeffs()
@@ -604,7 +606,7 @@ def _matrix_pv_rows(mesh, dmat):
     nb, wts, frame = gradient_stencil(mesh)
     cols = dmat[nb, np.arange(N)[:, None], :]
     derivs = np.einsum("ank,nkm->anm", wts, cols)
-    return out + _cell_corrections(mesh, derivs, frame, "left")
+    return out + _cell_corrections(mesh, derivs, frame, "left"), core
 
 
 def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
@@ -619,13 +621,15 @@ def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     to the full kernel.
     """
     ctx = mesh.context
+    phi_rows = _density_samples(mesh, phi)
+    a_rows = _density_samples(mesh, a)
     _check_kernel_bytes(2 * mesh.node_count ** 2 * ctx.dim * 8,
                         "kernel and density matrices")
     kmat = _kernel_matrix(mesh, k)
-    dmat = _column_products(ctx, phi.samples, kmat)
+    dmat = _column_products(ctx, phi_rows, kmat)
     vol = unit_sphere_area(mesh.n)
-    pv = _matrix_pv_rows(mesh, dmat) / vol
-    return batch_product(ctx, phi.samples, a.samples) + 2.0 * pv
+    pv = _matrix_pv_rows(mesh, dmat)[0] / vol
+    return batch_product(ctx, phi_rows, a_rows) + 2.0 * pv
 
 
 # -- iterated principal values -------------------------------------------------------
@@ -676,11 +680,11 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
     for the separable case k(tau, x) = f(tau) whose iterated integral
     collapses to (V_n/2)^2 f(t).  k is a presampled (N, N, dim) matrix,
     as _corpus.product_kernel returns, or a callable (see
-    apply_full_sie_lhs).  The general case builds the inner principal
-    values with one _accel.pv_matrix call and the exchanged-order sums of
-    all sampled nodes with one _accel.pb_rhs call.  Each call builds every
-    node pair's kernel value once, on the node-pair tiles; pb_rhs takes
-    its P and Q from the same tiles.  Returns a
+    apply_full_sie_lhs).  The general case makes one _accel.pv_matrix
+    call, whose core sums give the inner principal values and also feed
+    the one _accel.pb_rhs call for the exchanged-order sums of all
+    sampled nodes.  Each call builds every node pair's kernel value once,
+    on the node-pair tiles.  Returns a
     PoincareBertrandReport; interpretation (convergence trends under
     refinement) is left to the caller.
     """
@@ -701,12 +705,12 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
         sep_err = float(np.linalg.norm(disc, axis=1).max())
     else:
         kmat = _kernel_matrix(mesh, k)
-        inner = _matrix_pv_rows(mesh, kmat)
+        inner, core = _matrix_pv_rows(mesh, kmat)
         inner_d = BoundaryDensity(mesh, inner,
                                   regularity=("holder", 1.0, None))
         lhs = vol * principal_value_nodes(mesh, inner_d, indices=idx)
         exchanged = _accel.pb_rhs(ctx, mesh.nodes, mesh.measure_coeffs(),
-                                  kmat, idx)
+                                  kmat, idx, core)
         rhs = (0.5 * vol) ** 2 * kmat[idx, idx] + exchanged
         disc = lhs - rhs
         sep_err = math.nan

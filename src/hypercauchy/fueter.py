@@ -24,6 +24,7 @@ from .clifford_core import (Multivector, Paravector, SingularInputError,
 from .cauchy import (
     BoundaryDensity,
     _boundary_distance,
+    _density_samples,
     _integral_rows,
     _measure_density,
     unit_sphere_area,
@@ -280,7 +281,7 @@ def _kernel_derivative_sum(mesh, f, w, alpha, side):
     ctx = mesh.context
     kd = kernel_derivative(ctx, alpha)
     comps = kd.evaluate_components(mesh.nodes - w[None, :])  # (N, n+1)
-    t = _measure_density(mesh, f.samples, side)
+    t = _measure_density(mesh, _density_samples(mesh, f), side)
     vol = unit_sphere_area(ctx.n)
     return (-1.0) ** sum(alpha) / vol * sided_sum(ctx, side, comps, t)
 
@@ -290,7 +291,7 @@ def _kernel_derivative_sum(mesh, f, w, alpha, side):
 def _moments(mesh, g: BoundaryDensity, alphas, side):
     """{alpha: moment coefficients}, with one measure density for all alpha."""
     ctx = mesh.context
-    t = _measure_density(mesh, g.samples, side)
+    t = _measure_density(mesh, _density_samples(mesh, g), side)
     powers = _symmetric_powers(ctx, alphas, mesh.nodes)
     return {alpha: sided_sum(ctx, side, rows, t)
             for alpha, rows in powers.items()}

@@ -318,6 +318,8 @@ def load_mesh(path) -> SurfaceMesh:
             n, count = int(header[1]), int(header[3])
         except ValueError:
             raise MeshFormatError("non-integer header fields") from None
+        if not 1 <= n <= 8:
+            raise MeshFormatError("header n = %d is outside 1..8" % n)
         try:
             data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
         except ValueError as exc:

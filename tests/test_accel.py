@@ -179,8 +179,9 @@ def test_pb_rhs_matches_pair_loop(mesh):
     rng = np.random.default_rng(7)
     kmat = rng.normal(size=(N, N, ctx.dim))
     dens = [_paravector(ctx, row) for row in nuw]
+    core = _accel.pv_matrix(ctx, nodes, nuw, kmat)
     for t in (0, N // 2):
-        got = _accel.pb_rhs(ctx, nodes, nuw, kmat, t)
+        got = _accel.pb_rhs(ctx, nodes, nuw, kmat, t, core)
         total = Multivector.zero(ctx)
         abs_sum = 0.0
         for j in range(N):
@@ -217,7 +218,8 @@ def test_pb_rhs_index_array_matches_int_calls(mesh):
     rng = np.random.default_rng(7)
     kmat = rng.normal(size=(N, N, ctx.dim))
     ts = np.array([0, 5, N // 2, N - 1])
-    got = _accel.pb_rhs(ctx, nodes, nuw, kmat, ts)
+    core = _accel.pv_matrix(ctx, nodes, nuw, kmat)
+    got = _accel.pb_rhs(ctx, nodes, nuw, kmat, ts, core)
     assert got.shape == (ts.size, ctx.dim)
     # both sum A_t[i] (P[i] - Q[i, t] - ...), P and Q carrying kmat[j, i]
     # and kmat[j, t] apart, so the bound takes |kmat[j, i]| + |kmat[j, t]|
@@ -228,7 +230,8 @@ def test_pb_rhs_index_array_matches_int_calls(mesh):
         A = _kernel_l1(nodes, nodes[t:t + 1])[0] * nuw_l1
         abs_sum = A @ (C * (k_l1.T + k_l1[:, t][None, :])).sum(axis=1)
         terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
-        _assert_within(got[row], _accel.pb_rhs(ctx, nodes, nuw, kmat, int(t)),
+        _assert_within(got[row],
+                       _accel.pb_rhs(ctx, nodes, nuw, kmat, int(t), core),
                        np.asarray(_tolerance(terms, abs_sum)))
 
 
@@ -267,7 +270,8 @@ def test_pb_rhs_matches_dense_sums(wide_mesh):
     kmat = np.random.default_rng(17).normal(size=(N, N, ctx.dim))
     # sampled nodes in the first, second and last tile of 256 nodes
     ts = np.array([0, 255, 256, N - 1])
-    got = _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, kmat, ts)
+    core = _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, kmat)
+    got = _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, kmat, ts, core)
     E = _dense_kernel(wide_mesh)
     C = batch_product(ctx, E, nuw[None])
     C_l1 = np.abs(E).sum(axis=2) * np.abs(nuw).sum(axis=1)
@@ -294,12 +298,13 @@ def test_pv_matrix_and_pb_rhs_build_each_node_pair_once(wide_mesh,
     edges = np.diff(np.r_[0:N:256, N])
     pairs = (N ** 2 + (edges ** 2).sum()) // 2
     built = _count_kernel_pairs(monkeypatch)
-    _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, mat)
+    core = _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, mat)
     assert sum(built) == pairs
     built.clear()
     ts = np.array([0, 255, 256, N - 1])
-    _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, mat, ts)
-    # P and Q share the tiles; the sampled nodes' rows take one block
+    _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, mat, ts, core)
+    # Q and the self-sum S2 share one stacked pass over the tiles, P is
+    # the core plus S2 kmat[i, i]; the sampled nodes' rows take one block
     assert sum(built) == pairs + ts.size * N
 
 

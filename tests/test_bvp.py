@@ -446,6 +446,39 @@ def test_full_sie_lhs_checks_both_matrices_against_cap(circle_spec,
     assert len(calls) == mesh.node_count
 
 
+def _unit_and_wide_densities():
+    """(mesh, same, moved): a radius-1 circle L3 mesh, a density on another
+    mesh object with the same nodes and one on a radius-2 circle."""
+    unit = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
+    wide = DomainSpec("circle", 1, center=(0.0, 0.0), radius=2.0)
+    return (build_mesh(unit, 3), random_smooth(build_mesh(unit, 3), 1),
+            random_smooth(build_mesh(wide, 3), 1))
+
+
+def test_jump_rm_rejects_density_from_another_mesh():
+    mesh, same, moved = _unit_and_wide_densities()
+    with pytest.raises(ValueError, match=r"^density is sampled on another"):
+        solve_jump_rm(mesh, moved, -3)
+    assert solve_jump_rm(mesh, same, -3)[1].residuals
+
+
+def test_full_sie_lhs_rejects_densities_from_another_mesh():
+    mesh, same, moved = _unit_and_wide_densities()
+    calls = []
+
+    def k(x_rows, t):
+        calls.append(t)
+        return np.ones((x_rows.shape[0], 2))
+
+    # both densities are checked before the kernel matrix is sampled
+    for a, phi in ((same, moved), (moved, same)):
+        with pytest.raises(ValueError,
+                           match=r"^density is sampled on another"):
+            apply_full_sie_lhs(mesh, a, k, phi)
+    assert calls == []
+    assert np.all(np.isfinite(apply_full_sie_lhs(mesh, same, k, same)))
+
+
 def test_kernel_matrix_rejects_non_finite_entries(circle_spec):
     mesh = build_mesh(circle_spec, 0)
     N = mesh.node_count
@@ -525,15 +558,19 @@ def test_general_kernel_makes_one_pv_matrix_and_one_pb_rhs_call(circle_spec,
         original = getattr(_accel, name)
 
         def counted(*args, _original=original, _seen=seen, **kwargs):
-            _seen.append(args)
-            return _original(*args, **kwargs)
+            out = _original(*args, **kwargs)
+            _seen.append((args, out))
+            return out
 
         monkeypatch.setattr(_accel, name, counted)
     rep = poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23),
                                         sample_nodes=6)
     assert len(calls["pv_matrix"]) == 1
     assert len(calls["pb_rhs"]) == 1
-    assert np.array_equal(calls["pb_rhs"][0][4], rep.sample_indices)
+    pb_args = calls["pb_rhs"][0][0]
+    assert np.array_equal(pb_args[4], rep.sample_indices)
+    # pb_rhs takes the core that pv_matrix returned, not a recomputation
+    assert pb_args[5] is calls["pv_matrix"][0][1]
 
 
 def test_invert_cauchy_pv_involution(circle_mesh):

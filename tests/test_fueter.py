@@ -401,3 +401,22 @@ def test_polynomial_rows_reject_unknown_side(sphere_mesh):
         # an empty polynomial part is rejected the same way
         with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
             fueter._polynomial_rows(ctx, (), pts, side)
+
+
+@pytest.mark.parametrize("call", [
+    lambda mesh, f: cauchy_derivative(mesh, f, np.array([0.2, 0.1]),
+                                      (1,)).coeffs,
+    lambda mesh, f: derivative_at_origin(mesh, f, (1,)),
+    lambda mesh, f: boundary_moment(mesh, f, (2,)).coeffs,
+    lambda mesh, f: build_moment_table(mesh, f, 2).moment((2,)),
+], ids=["cauchy_derivative", "derivative_at_origin", "boundary_moment",
+        "build_moment_table"])
+def test_moments_and_derivatives_reject_density_from_another_mesh(call):
+    unit = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
+    wide = DomainSpec("circle", 1, center=(0.0, 0.0), radius=2.0)
+    mesh = build_mesh(unit, 3)
+    with pytest.raises(ValueError, match=r"^density is sampled on another"):
+        call(mesh, random_smooth(build_mesh(wide, 3), 1))
+    # another mesh object with the same nodes is accepted
+    same = random_smooth(build_mesh(unit, 3), 1)
+    assert np.all(np.isfinite(call(mesh, same)))

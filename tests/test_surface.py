@@ -102,12 +102,16 @@ def test_save_load_roundtrip(tmp_path, sphere_mesh):
 
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("nodes 4 n 1\n")
-    with pytest.raises(MeshFormatError):
-        load_mesh(path)
-    path.write_text("n one nodes 4\n")
-    with pytest.raises(MeshFormatError):
-        load_mesh(path)
+    for text, message in [
+            ("nodes 4 n 1\n", "bad header"),
+            ("n one nodes 4\n", "non-integer header fields"),
+            # n out of range is named before any record is read
+            ("n 0 nodes 2\n1 1 1\n-1 -1 1\n",
+             r"header n = 0 is outside 1\.\.8"),
+            ("n 9 nodes 1\n", r"header n = 9 is outside 1\.\.8")]:
+        path.write_text(text)
+        with pytest.raises(MeshFormatError, match=message):
+            load_mesh(path)
 
 
 def test_load_rejects_truncated_records(tmp_path, circle_mesh):
