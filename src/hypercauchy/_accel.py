@@ -25,6 +25,21 @@ the planes:
 - one density per node target, column i of an (N, N, 2^n) matrix with
   nu w folded in by one batch_product per tile (pv_matrix): each
   target's planes take a batched matmul with its own column.
+
+Node targets on a uniform circle grid (uniform_circle) take no tiles in
+accum_left, accum_right and pb_rhs: there C(V_1) is the complex plane
+(e1 = i), E(x) = 1/x and x_q - x_p = (x_p - c)(omega^(q-p) - 1) for the
+nodes in angular order, omega = exp(2 pi i / N).  So sum_{q != p}
+E(x_q - x_p) g_q = (x_p - c)^-1 sum_m c_m g_(p+m), c_m = 1/(omega^m - 1),
+one circular correlation per density: an FFT, the exact symbol of c and
+an inverse FFT (_circle_sums), O(N log N) against the tiles' O(N^2).  The
+complex product commutes, so both sides give the same sums.  The route
+is picked by the nodes alone; off-surface targets, indexed rows, trimmed
+or capped circles and spheres stay on the direct paths above, which are
+its parity reference.  The FFT takes the grid as ideal, which costs
+about N eps relative against the direct sums over the rounded nodes; in
+S1 - S2 f_t that part cancels when S2 takes the same route, and it
+does, as both come from node-target sums over the same nodes.
 """
 
 from __future__ import annotations
@@ -38,6 +53,10 @@ from .clifford_core import (batch_product, paravectors_as_coeffs,
 
 # target-node pairs per kernel block: each block of planes stays in cache
 BLOCK_PAIRS = 1 << 16
+
+# largest node distance from the ideal uniform grid, relative to its radius
+# (uniform_circle): small enough that the FFT's ideal grid costs rounding only
+CIRCLE_GRID_TOL = 1e-12
 
 
 def _kernel_E_block(targets, nodes_T, n, skip=None):
@@ -93,25 +112,80 @@ def _node_pair_tiles(nodes, n):
                 np.arange(I.stop - s) if t == s else None)
 
 
+def uniform_circle(nodes):
+    """(order, R, center) when the nodes form a uniform circle grid, else None.
+
+    Other shapes than (N, 2) with N >= 8 give None.  center is the nodes'
+    mean, R their mean distance from it and order sorts them by angle
+    about it.  The grid is uniform
+    when the node at sorted position p lies within CIRCLE_GRID_TOL * R of
+    center + R exp(i (theta_0 + 2 pi p / N)), theta_0 the mean angular
+    offset.  The gradient stencil and the FFT route both ask this one
+    test, so they agree on which meshes are uniform circles.
+    """
+    nodes = np.asarray(nodes, dtype=np.float64)
+    if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 8:
+        return None
+    N = nodes.shape[0]
+    center = nodes.mean(axis=0)
+    z = (nodes - center).view(np.complex128)[:, 0]
+    R = np.abs(z).mean()
+    theta = np.angle(z)
+    order = np.argsort(theta)
+    steps = 2.0 * np.pi * np.arange(N) / N
+    ideal = R * np.exp(1j * ((theta[order] - steps).mean() + steps))
+    # "not <=" so that R = 0 or a non-finite node is no circle either
+    if not (R > 0.0 and np.abs(z[order] - ideal).max() <= CIRCLE_GRID_TOL * R):
+        return None
+    return order, R, center
+
+
+def _circle_sums(G, nodes, circle):
+    """sum_{j != i} E(x_j - x_i) g_j over a uniform circle, by FFT.
+
+    G is a (K, N, 2) stack; circle is uniform_circle(nodes).  The symbol
+    chat[k] = sum_m c_m omega^(k m) of c_m = 1/(omega^m - 1) =
+    -1/2 - (i/2) cot(pi m / N), c_0 = 0, is (1 - N)/2 at k = 0 and
+    (N + 1 - 2k)/2 elsewhere: half-integers, exact in float64.  numpy
+    transforms each row of the stack on its own, so the rows of density k
+    are bitwise those of a call with that density alone.  Returns
+    (K, N, 2).
+    """
+    order, _, center = circle
+    N = order.size
+    chat = (N + 1 - 2.0 * np.arange(N)) / 2.0
+    chat[0] = (1 - N) / 2.0
+    zc = (nodes[order] - center).view(np.complex128)[:, 0]
+    g = G[:, order].view(np.complex128)[..., 0]
+    h = np.fft.ifft(np.fft.fft(g) * chat) / zc
+    out = np.empty_like(G)
+    out[:, order] = h[..., None].view(np.float64)
+    return out
+
+
 def _accumulate(ctx, targets, nodes, g, excl, side):
     """Kernel sums of g, one density (N, 2^n) or a stack (K, N, 2^n).
 
     Each kernel block is built once and contracted with every density in
     turn, so the rows of density k are bitwise those of a call with g[k].
     When the targets are the nodes, each skipping its own, the sum takes
-    the tile path (see the module docstring).  Returns (M, 2^n), or
-    (K, M, 2^n) for a stack.
+    the FFT route on a uniform circle and the tile path elsewhere (see the
+    module docstring).  Returns (M, 2^n), or (K, M, 2^n) for a stack.
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     nodes = np.asarray(nodes, dtype=np.float64)
     g = np.ascontiguousarray(g, dtype=np.float64)
     G = g.reshape((-1,) + g.shape[-2:])
     M = targets.shape[0]
+    node_targets = (excl is not None and M == nodes.shape[0]
+                    and np.array_equal(excl, np.arange(M))
+                    and np.array_equal(targets, nodes))
+    circle = uniform_circle(nodes) if node_targets else None
+    if circle is not None:
+        return _circle_sums(G, nodes, circle).reshape(g.shape)
     # the terms E @ g of every density before the blade scatter
     T = np.zeros((G.shape[0], ctx.n + 1, M, ctx.dim))
-    if (excl is not None and M == nodes.shape[0]
-            and np.array_equal(excl, np.arange(M))
-            and np.array_equal(targets, nodes)):
+    if node_targets:
         for I, J, E in _node_pair_tiles(nodes, ctx.n):
             for Tk, gk in zip(T, G):
                 Tk[:, I] += E @ gk[J]

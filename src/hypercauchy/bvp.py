@@ -454,9 +454,10 @@ class CharacteristicCoefficients:
     def from_ab(cls, mesh, a: BoundaryDensity, b: BoundaryDensity,
                 spread_tol=1e-8):
         ctx = mesh.context
-        sum_inv = invert_rows(ctx, a.samples + b.samples)
-        diff_inv = invert_rows(ctx, a.samples - b.samples)
-        Grows = batch_product(ctx, a.samples - b.samples, sum_inv)
+        A, B = _density_samples(mesh, a), _density_samples(mesh, b)
+        sum_inv = invert_rows(ctx, A + B)
+        diff_inv = invert_rows(ctx, A - B)
+        Grows = batch_product(ctx, A - B, sum_inv)
         Gmean = Grows.mean(axis=0)
         spread = float(np.linalg.norm(Grows - Gmean[None, :], axis=1).max())
         spread /= max(float(np.linalg.norm(Gmean)), 1e-300)
@@ -484,9 +485,10 @@ def apply_characteristic_lhs(mesh, a: BoundaryDensity, b: BoundaryDensity,
     (K, N, dim) rows from one principal-value call.
     """
     ctx = mesh.context
+    A, B = _density_samples(mesh, a), _density_samples(mesh, b)
     pv = principal_value_nodes(mesh, phi)
-    return (batch_product(ctx, _density_samples(mesh, phi), a.samples)
-            + 2.0 * batch_product(ctx, pv, b.samples))
+    return (batch_product(ctx, _density_samples(mesh, phi), A)
+            + 2.0 * batch_product(ctx, pv, B))
 
 
 def solve_characteristic_sie(mesh, coefficients, f, regularity=None):
@@ -502,7 +504,8 @@ def solve_characteristic_sie(mesh, coefficients, f, regularity=None):
     of them, which gives a list with one SIESolution each.  However many
     there are, they take two principal-value calls: PV C[psi] for all,
     then the left-hand side of all; each solution is bitwise the one of
-    its right-hand side alone.
+    its right-hand side alone.  A coefficient or right-hand side sampled
+    on a mesh with other nodes raises ValueError.
     """
     if isinstance(coefficients, CharacteristicCoefficients):
         co = coefficients
@@ -513,10 +516,13 @@ def solve_characteristic_sie(mesh, coefficients, f, regularity=None):
     single = isinstance(f, BoundaryDensity)
     fs = [f] if single else list(f)
     F = _density_samples(mesh, fs)
+    # a coefficient from another mesh raises here, before any sum is taken
+    _density_samples(mesh, co.a)
+    B = _density_samples(mesh, co.b)
     regs = [regularity if regularity is not None else fk.regularity
             for fk in fs]
     psi = batch_product(ctx, batch_product(ctx, batch_product(
-        ctx, F, co.diff_inverse), co.b.samples), co.sum_inverse)
+        ctx, F, co.diff_inverse), B), co.sum_inverse)
     pv_psi = principal_value_nodes(mesh, [
         BoundaryDensity(mesh, p, regularity=reg)
         for p, reg in zip(psi, regs)])

@@ -359,26 +359,6 @@ def _tangent_frame(mesh):
     return np.swapaxes(Q[:, :, 1:], 1, 2)
 
 
-def _circle_uniform_order(mesh):
-    """Sorted order and validation for a uniform circle grid, else None."""
-    if mesh.n != 1:
-        return None
-    center = (mesh.spec.center_array if mesh.spec is not None
-              else mesh.nodes.mean(axis=0))
-    rel = mesh.nodes - center[None, :]
-    radii = np.linalg.norm(rel, axis=1)
-    R = radii.mean()
-    if radii.size < 8 or np.abs(radii - R).max() > 1e-9 * R:
-        return None
-    theta = np.arctan2(rel[:, 1], rel[:, 0])
-    order = np.argsort(theta)
-    ts = theta[order]
-    gaps = np.diff(np.concatenate([ts, [ts[0] + 2 * np.pi]]))
-    if np.abs(gaps - gaps.mean()).max() > 1e-9:
-        return None
-    return order, R, center
-
-
 def _build_gradient_stencil(mesh):
     """Per-node derivative stencils: (nb, wts, frame).
 
@@ -388,9 +368,11 @@ def _build_gradient_stencil(mesh):
     periodic 4th-order central-difference stencil; other meshes a local
     quadratic least-squares fit over nearest neighbors.
     """
-    circ = _circle_uniform_order(mesh)
+    circ = _accel.uniform_circle(mesh.nodes)
     if circ is not None:
         order, R, center = circ
+        if mesh.spec is not None:  # the exact centre, not the nodes' mean
+            center = mesh.spec.center_array
         N = mesh.node_count
         pos = np.empty(N, dtype=np.int64)
         pos[order] = np.arange(N)

@@ -10,18 +10,26 @@ from float64 rounding alone: a sum of m rounded terms in any order is off
 by at most gamma_m = m u / (1 - m u) times the sum of the absolute terms
 (u = 2^-53), and every term carries a few roundings of its own from the
 kernel evaluation and the products.  Both paths err, hence the factor 2.
+
+The FFT route of node-target sums on uniform circles is checked against
+the direct paths, which the pair loops check, with a bound of its own.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from hypercauchy import _accel
-from hypercauchy.cauchy import kernel_E, kernel_E_rows
+from hypercauchy.cauchy import (BoundaryDensity, gradient_stencil, kernel_E,
+                                kernel_E_rows, principal_value_nodes)
 from hypercauchy.clifford_core import (Multivector, Paravector, batch_product,
-                                       get_context, product, scatter_pairs,
-                                       sided_product, sided_sum)
-from hypercauchy.surface import DomainSpec, build_mesh
-from hypercauchy._corpus import random_smooth
+                                       get_context, paravectors_as_coeffs,
+                                       product, scatter_pairs, sided_product,
+                                       sided_sum)
+from hypercauchy.surface import (CapExclusion, DomainSpec, build_mesh,
+                                 exclude_cap, load_mesh, save_mesh)
+from hypercauchy._corpus import random_smooth, rough_holder
 
 UNIT_ROUNDOFF = 2.0 ** -53
 # roundings per term outside the summation: r^2 (n+1 <= 4 products and
@@ -303,9 +311,138 @@ def test_pv_matrix_and_pb_rhs_build_each_node_pair_once(wide_mesh,
     built.clear()
     ts = np.array([0, 255, 256, N - 1])
     _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, mat, ts, core)
-    # Q and the self-sum S2 share one stacked pass over the tiles, P is
-    # the core plus S2 kmat[i, i]; the sampled nodes' rows take one block
-    assert sum(built) == pairs + ts.size * N
+    # Q and the self-sum S2 share one stacked node-target pass, P is the
+    # core plus S2 kmat[i, i]; the sampled nodes' rows take one block.  On
+    # the uniform circle that pass is the FFT route and builds no tiles
+    stacked = 0 if wide_mesh.n == 1 else pairs
+    assert sum(built) == stacked + ts.size * N
+
+
+# -- the FFT route on uniform circles -------------------------------------------
+
+# the FFT sums the ideal grid, the direct paths the rounded nodes: their
+# difference stays below FFT_PARITY N u max|sum| (measured: under 1.0 on
+# circle L0-L8 for these densities)
+FFT_PARITY = 4.0
+# a circle off the origin with radius != 1, so neither hides a slip
+SHIFTED = DomainSpec("circle", 1, center=(0.3, -1.2), radius=1.7)
+
+
+def _fft_calls(monkeypatch):
+    """Record the stack size of every call of the FFT route."""
+    calls = []
+    original = _accel._circle_sums
+
+    def counted(G, nodes, circle):
+        calls.append(len(G))
+        return original(G, nodes, circle)
+
+    monkeypatch.setattr(_accel, "_circle_sums", counted)
+    return calls
+
+
+def _circle_stack(mesh):
+    """Two measured densities and the measure itself (S2's density)."""
+    w = mesh.weights[:, None]
+    return np.stack([random_smooth(mesh, 5).samples * w,
+                     rough_holder(mesh, 3).samples * w,
+                     paravectors_as_coeffs(mesh.context,
+                                           mesh.measure_coeffs())])
+
+
+def _node_sums(mesh, G, side, nodes=None):
+    nodes = mesh.nodes if nodes is None else nodes
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    return accum(mesh.context, nodes, nodes, G, np.arange(len(nodes)))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("level", range(9))
+def test_circle_fft_matches_direct_sums(level, side, monkeypatch):
+    mesh = build_mesh(SHIFTED, level)
+    ctx, N = mesh.context, mesh.node_count
+    G = _circle_stack(mesh)
+    calls = _fft_calls(monkeypatch)
+    fft = _node_sums(mesh, G, side)
+    assert calls == [len(G)]
+    # at most 512 rows, in reverse: indexed targets take the direct row
+    # blocks, so the reference stays cheap at L8 (N = 16,384)
+    rows = np.arange(0, N, max(1, N // 512))[::-1]
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    direct = accum(ctx, mesh.nodes[rows], mesh.nodes, G, rows)
+    assert calls == [len(G)]
+    for k in range(len(G)):
+        bound = FFT_PARITY * N * UNIT_ROUNDOFF * np.abs(direct[k]).max()
+        assert np.abs(fft[k, rows] - direct[k]).max() <= bound
+    # the complex product commutes: both sides give the same sums
+    other = "right" if side == "left" else "left"
+    assert np.array_equal(fft, _node_sums(mesh, G, other))
+
+
+def test_permuted_circle_takes_fft_route(monkeypatch):
+    mesh = build_mesh(SHIFTED, 2)
+    N = mesh.node_count
+    G = _circle_stack(mesh)
+    perm = np.random.default_rng(5).permutation(N)
+    calls = _fft_calls(monkeypatch)
+    sorted_sums = _node_sums(mesh, G, "left")
+    permuted = _node_sums(mesh, G[:, perm], "left", mesh.nodes[perm])
+    assert calls == [len(G), len(G)]
+    # the nodes' mean, the centre, rounds with their order
+    for k in range(len(G)):
+        bound = FFT_PARITY * N * UNIT_ROUNDOFF * np.abs(sorted_sums[k]).max()
+        assert np.abs(permuted[k] - sorted_sums[k, perm]).max() <= bound
+
+
+def test_reloaded_circle_takes_fft_route(monkeypatch, tmp_path):
+    mesh = build_mesh(SHIFTED, 2)
+    save_mesh(mesh, tmp_path / "circle.mesh")
+    loaded = load_mesh(tmp_path / "circle.mesh")
+    assert loaded.spec is None
+    f = random_smooth(mesh, 5)
+    calls = _fft_calls(monkeypatch)
+    pv = principal_value_nodes(loaded, BoundaryDensity(loaded, f.samples))
+    assert calls == [2]
+    # the loaded mesh also keeps the periodic circle stencil
+    assert gradient_stencil(loaded)[0].shape[1] == 4
+    assert np.allclose(pv, principal_value_nodes(mesh, f), rtol=0.0,
+                       atol=1e-12)
+
+
+def _assert_direct_route(mesh, monkeypatch, indices=None):
+    calls = _fft_calls(monkeypatch)
+    built = _count_kernel_pairs(monkeypatch)
+    principal_value_nodes(mesh, random_smooth(mesh, 5), indices=indices)
+    assert calls == [] and sum(built) > 0
+
+
+def test_perturbed_circle_takes_direct_route(monkeypatch):
+    mesh = build_mesh(SHIFTED, 2)
+    assert _accel.uniform_circle(mesh.nodes) is not None
+    nodes = mesh.nodes.copy()
+    # one node off the grid by 1e-10 R, along the radius
+    nodes[7] += 1e-10 * SHIFTED.radius * mesh.normals[7]
+    moved = dataclasses.replace(mesh, nodes=nodes)
+    assert _accel.uniform_circle(nodes) is None
+    _assert_direct_route(moved, monkeypatch)
+    # the stencil asks the same test: a least-squares fit, not the
+    # periodic 4-point stencil
+    assert gradient_stencil(moved)[0].shape[1] != 4
+
+
+def test_capped_circle_takes_direct_route(monkeypatch):
+    mesh = build_mesh(SHIFTED, 2)
+    capped = exclude_cap(mesh, CapExclusion(tuple(mesh.nodes[0]), 0.1))
+    assert capped.node_count < mesh.node_count
+    _assert_direct_route(capped, monkeypatch)
+
+
+def test_indexed_circle_rows_take_direct_route(monkeypatch):
+    mesh = build_mesh(SHIFTED, 2)
+    _assert_direct_route(mesh, monkeypatch, indices=[0, 5, 9])
+    # every node, but in another order than the nodes', is indexed too
+    _assert_direct_route(mesh, monkeypatch,
+                         indices=np.arange(mesh.node_count)[::-1])
 
 
 def _row_mv(ctx, row):

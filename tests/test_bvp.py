@@ -479,6 +479,61 @@ def test_full_sie_lhs_rejects_densities_from_another_mesh():
     assert np.all(np.isfinite(apply_full_sie_lhs(mesh, same, k, same)))
 
 
+def _sie_coefficients(mesh):
+    return (BoundaryDensity.constant(mesh, 3.0),
+            BoundaryDensity.constant(mesh, 1.0))
+
+
+def _wide_sie_coefficients():
+    wide = DomainSpec("circle", 1, center=(0.0, 0.0), radius=2.0)
+    return _sie_coefficients(build_mesh(wide, 3))
+
+
+def test_sie_coefficients_reject_another_mesh():
+    mesh = _unit_and_wide_densities()[0]
+    with pytest.raises(ValueError, match=r"^density is sampled on another"):
+        CharacteristicCoefficients.from_ab(mesh, *_wide_sie_coefficients())
+    co = CharacteristicCoefficients.from_ab(mesh, *_sie_coefficients(
+        build_mesh(mesh.spec, 3)))
+    assert co.quotient_spread == 0.0
+
+
+def test_characteristic_lhs_rejects_coefficients_from_another_mesh(
+        monkeypatch):
+    mesh, same, _ = _unit_and_wide_densities()
+    calls = []
+    monkeypatch.setattr("hypercauchy.bvp.principal_value_nodes",
+                        lambda *args, **kw: calls.append(1))
+    wide_a, wide_b = _wide_sie_coefficients()
+    a, b = _sie_coefficients(mesh)
+    # both coefficients are checked before the principal-value pass
+    for ca, cb in ((wide_a, b), (a, wide_b)):
+        with pytest.raises(ValueError,
+                           match=r"^density is sampled on another"):
+            apply_characteristic_lhs(mesh, ca, cb, same)
+    assert calls == []
+
+
+def test_characteristic_sie_rejects_coefficients_from_another_mesh(
+        monkeypatch):
+    mesh, same, _ = _unit_and_wide_densities()
+    wide_a, wide_b = _wide_sie_coefficients()
+    wide = CharacteristicCoefficients.from_ab(wide_a.mesh, wide_a, wide_b)
+    calls = []
+    original = cauchy.principal_value_nodes
+    monkeypatch.setattr("hypercauchy.bvp.principal_value_nodes",
+                        lambda *args, **kw: calls.append(1)
+                        or original(*args, **kw))
+    # a validated pair from the other mesh, and a raw (a, b) pair
+    for coefficients in (wide, (wide_a, wide_b)):
+        with pytest.raises(ValueError,
+                           match=r"^density is sampled on another"):
+            solve_characteristic_sie(mesh, coefficients, same)
+    assert calls == []
+    assert solve_characteristic_sie(mesh, _sie_coefficients(mesh),
+                                    same).residual <= SIE_RESIDUAL_TOL
+
+
 def test_kernel_matrix_rejects_non_finite_entries(circle_spec):
     mesh = build_mesh(circle_spec, 0)
     N = mesh.node_count

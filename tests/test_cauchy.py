@@ -509,6 +509,63 @@ def test_cached_self_sums_are_read_only():
         S2[0, 0] = 1.0
 
 
+# -- principal values by the FFT route on uniform circles -------------------------
+
+# both routes reach rounding by L7, where the direct route's max error is
+# 16-29 u max|f| (FFT/direct 0.62-1.23 over L4-L8); below 16 u a ratio of
+# two errors shows nothing
+PV_ROUNDING_FLOOR = 16 * UNIT_ROUNDOFF
+
+
+def _shifted_powers(mesh, center):
+    """(zeta - c)^3 and (zeta - c)^-2 on mesh, and their PVs f/2 and -f/2."""
+    rel = mesh.nodes - np.asarray(center)[None, :]
+    z = rel[:, 0] + 1j * rel[:, 1]
+    fs, pvs = [], []
+    for k, half in ((3, 0.5), (-2, -0.5)):
+        rows = np.stack([(z ** k).real, (z ** k).imag], axis=1)
+        fs.append(BoundaryDensity(mesh, rows))
+        pvs.append(half * rows)
+    return fs, np.stack(pvs)
+
+
+@pytest.mark.parametrize("level", range(4, 9))
+def test_circle_fft_pv_as_accurate_as_direct(level, monkeypatch):
+    center = (0.5, 0.25)
+    mesh = build_mesh(DomainSpec("circle", 1, center=center, radius=1.0),
+                      level)
+    N = mesh.node_count
+    fs, want = _shifted_powers(mesh, center)
+    calls = _count_calls(monkeypatch, "_circle_sums")
+    fft = principal_value_nodes(mesh, fs)
+    assert len(calls) == 1
+    # 256 nodes in reverse order are indexed rows: the direct route, with
+    # S2 in the same pass.  Turning zeta about c turns f, so every node
+    # shows the same error up to rounding and these rows show the max
+    rows = np.arange(0, N, N // 256)[::-1]
+    direct = principal_value_nodes(mesh, fs, indices=rows)
+    assert len(calls) == 1
+    for k in range(len(fs)):
+        err_fft = np.abs(fft[k, rows] - want[k, rows]).max()
+        err_direct = np.abs(direct[k] - want[k, rows]).max()
+        floor = PV_ROUNDING_FLOOR * np.abs(want[k]).max()
+        assert err_fft <= 1.5 * max(err_direct, floor)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", sorted(SMALL_MESHES))
+def test_cached_self_sums_and_later_sums_take_one_route(name, side,
+                                                        monkeypatch):
+    # an FFT S1 against a direct S2 would lose about three digits
+    mesh = _small_mesh(name)
+    fft = _count_calls(monkeypatch, "_circle_sums")
+    tiles = _count_calls(monkeypatch, "_node_pair_tiles")
+    principal_value_nodes(mesh, random_smooth(mesh, 2), side=side)
+    assert ("self_sums", side) in mesh.cache
+    principal_value_nodes(mesh, random_smooth(mesh, 3), side=side)
+    assert (len(fft), len(tiles)) == ((2, 0) if mesh.n == 1 else (0, 2))
+
+
 # -- batched off-surface evaluation ----------------------------------------------
 
 
