@@ -426,6 +426,9 @@ def make_density(mesh, name, seed=0):
     if head == "poly":
         return polynomial_trace(mesh, [float(c) for c in arg.split(",")])
     if head in ("etrace", "netrace"):
+        if arg not in ("", "in", "out"):
+            raise ValueError("%s pole side must be 'in' or 'out', got %r"
+                             % (head, arg))
         scale = -1.0 if head == "netrace" else 1.0
         if arg == "out":
             pole = exterior_pole(spec, seed=seed)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _accel
-from .clifford_core import (Multivector, SingularInputError, batch_product,
-                            paravectors_as_coeffs, sided_sum)
+from .clifford_core import (Multivector, SingularInputError, as_coeffs,
+                            batch_product, paravectors_as_coeffs, sided_sum)
 from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, gradient_stencil, kernel_E_rows,
                      principal_value_nodes, symmetric_difference_limit,
@@ -101,7 +101,7 @@ class SectionalSolution:
     def with_polynomial(self, coefficients) -> "SectionalSolution":
         """Copy with polynomial coefficients set from {alpha: coeffs}."""
         ctx = self.mesh.context
-        table = {tuple(a): _as_coeff_rows(ctx, c, 1)[0]
+        table = {tuple(a): as_coeffs(ctx, c)
                  for a, c in coefficients.items()}
         slots = []
         for alpha, c in self.polynomial:
@@ -249,28 +249,18 @@ def invert_rows(ctx, rows, rtol=1e-10):
 
 # -- constant-gap conjugation ------------------------------------------------------
 
-def solve_constant_gap(mesh, g: BoundaryDensity, G, m: int, side="left",
-                       G_inverse=None):
+def solve_constant_gap(mesh, g: BoundaryDensity, G, m: int, side="left"):
     """Solve Phi+ = Phi- G + g with a constant invertible gap factor G.
 
     The transform Phi = (S[g] + P) X with X = 1 on Omega+ and X = G^{-1}
     on Omega- reduces the problem to the jump problem for g, so the
     solvability conditions and free polynomial slots are those of
-    solve_jump_rm.  G may be any invertible constant multivector; pass
-    G_inverse to skip the generic inversion.
+    solve_jump_rm.  G may be any constant multivector (value formats as in
+    clifford_core.as_coeffs); invert_rows computes G^{-1} and raises
+    SingularInputError when G is not two-sided invertible.
     """
     ctx = mesh.context
-    Gc = _as_coeff_rows(ctx, G, 1)[0]
-    if G_inverse is not None:
-        Ginv = _as_coeff_rows(ctx, G_inverse, 1)[0]
-        e0 = np.zeros(ctx.dim)
-        e0[0] = 1.0
-        for prod in (batch_product(ctx, Gc, Ginv), batch_product(ctx, Ginv, Gc)):
-            if not np.allclose(prod, e0, atol=1e-9 * max(
-                    1.0, float(np.abs(Gc).max()))):
-                raise SingularInputError("supplied G_inverse does not invert G")
-    else:
-        Ginv = invert_rows(ctx, Gc[None, :])[0]
+    Ginv = invert_rows(ctx, as_coeffs(ctx, G)[None, :])[0]
     sol, report = solve_jump_rm(mesh, g, m, side=side)
     if sol is None:
         return None, report
@@ -281,7 +271,7 @@ def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
                           G, sample_nodes=8, seed=0, limit_kw=None):
     """Max-norm of Phi+ - Phi- G - g at sampled nodes via approach limits."""
     ctx = mesh.context
-    Gc = _as_coeff_rows(ctx, G, 1)[0]
+    Gc = as_coeffs(ctx, G)
     idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed,
                                        limit_kw)
     poly = sol._poly_rows(mesh.nodes[idx])

@@ -29,6 +29,7 @@ from .clifford_core import (
     Paravector,
     SingularInputError,
     _check_side,
+    as_coeffs,
     paravectors_as_coeffs,
     sided_product,
 )
@@ -76,18 +77,11 @@ def kernel_E_rows(points, w):
 
 def _as_coeff_rows(ctx, values, count):
     """Normalize evaluator output to an (N, 2^n) coefficient array."""
-    if isinstance(values, Multivector):
-        return np.tile(values.coeffs, (count, 1))
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 0:
-        out = np.zeros((count, ctx.dim))
-        out[:, 0] = float(arr)
-        return out
-    if arr.ndim == 1 and arr.shape[0] == ctx.dim:
-        return np.tile(arr, (count, 1))
-    if arr.shape == (count, ctx.dim):
-        return arr
-    raise ValueError("cannot interpret density values of shape %s" % (arr.shape,))
+    if np.ndim(values) == 2:
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.shape == (count, ctx.dim):
+            return arr
+    return np.tile(as_coeffs(ctx, values), (count, 1))
 
 
 @dataclass(frozen=True)
@@ -134,9 +128,9 @@ class BoundaryDensity:
     def from_function(cls, mesh, fn, regularity=("holder", 1.0, None)):
         ctx = mesh.context
         vals = fn(mesh.nodes)
-        if isinstance(vals, Multivector) or np.asarray(vals).ndim <= 1:
+        if np.ndim(vals) <= 1:
             # not vectorized over nodes; evaluate per node
-            rows = [_as_coeff_rows(ctx, fn(x), 1)[0] for x in mesh.nodes]
+            rows = [as_coeffs(ctx, fn(x)) for x in mesh.nodes]
             samples = np.array(rows)
         else:
             samples = _as_coeff_rows(ctx, vals, mesh.node_count)
@@ -182,7 +176,7 @@ class BoundaryDensity:
         if self.evaluator is not None:
             ctx = self.mesh.context
             for i in ii[:4]:
-                want = _as_coeff_rows(ctx, self.evaluator(self.mesh.nodes[i]), 1)[0]
+                want = as_coeffs(ctx, self.evaluator(self.mesh.nodes[i]))
                 if not np.allclose(want, self.samples[i], atol=1e-10):
                     raise ValueError("samples disagree with evaluator at node %d"
                                      % i)
@@ -523,8 +517,7 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     if S2 is None:
         S2, sums = sums[-1], sums[:-1]
         if indices is None:
-            # a copy, so the cache does not hold the whole stack of sums;
-            # threads sharing a mesh may both store it, with equal arrays
+            # a copy, so the cache does not hold the whole stack of sums
             S2 = S2.copy()
             S2.flags.writeable = False
             mesh.cache[key] = S2

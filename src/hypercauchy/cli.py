@@ -174,6 +174,11 @@ def resolve_config(raw, overrides=()):
         if len(cfg.gap_g) > dim:
             raise ConfigError("gap_g: at most %d entries on %s, got %d"
                               % (dim, cfg.surface, len(cfg.gap_g)))
+        if cfg.density != "corpus":
+            # build the density once on the coarsest mesh, so a bad
+            # family argument fails here with the field named
+            _checked("density", _corpus.make_density,
+                     build_mesh(cfg.domain_spec(), 0), cfg.density, cfg.seed)
     if cfg.sample_nodes < 1:
         raise ConfigError("sample_nodes: must be >= 1, got %d"
                           % cfg.sample_nodes)

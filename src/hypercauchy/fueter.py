@@ -19,8 +19,8 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford_core import (Multivector, Paravector, SingularInputError,
-                            _check_side, batch_product, sided_product,
-                            sided_sum)
+                            _check_side, as_coeffs, batch_product,
+                            sided_product, sided_sum)
 from .cauchy import (
     BoundaryDensity,
     _boundary_distance,
@@ -100,17 +100,13 @@ def hyper_variable(ctx, j, x) -> Multivector:
     """z_j(x) = x_j e_0 - x_0 e_j for j in 1..n."""
     if not 1 <= j <= ctx.n:
         raise ValueError("j must be in 1..n")
-    x = np.asarray(x, dtype=np.float64)
-    c = np.zeros(ctx.dim)
-    c[0] = x[j]
-    c[1 << (j - 1)] = -x[0]
-    return Multivector(ctx, c)
+    return Multivector(ctx, _hyper_variable_rows(ctx, j, np.atleast_2d(x))[0])
 
 
 def _hyper_variable_rows(ctx, j, points):
     out = np.zeros((points.shape[0], ctx.dim))
     out[:, 0] = points[:, j]
-    out[:, 1 << (j - 1)] = -points[:, 0]
+    out[:, ctx.paravector_blades[j]] = -points[:, 0]
     return out
 
 
@@ -540,10 +536,8 @@ def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
     if evaluator is None:
         mags = np.linalg.norm(_integral_rows(mesh, g, points, side), axis=1)
     else:
-        vals = [evaluator(w) for w in points]
-        mags = np.array([np.linalg.norm(
-            v.coeffs if isinstance(v, Multivector)
-            else np.asarray(v, dtype=np.float64)) for v in vals])
+        mags = np.array([np.linalg.norm(as_coeffs(mesh.context, evaluator(w)))
+                         for w in points])
     floor = 1e-13 * (float(np.abs(g.samples).max()) if g is not None
                      else 1.0)
     if mags.max(initial=0.0) <= floor:
@@ -576,18 +570,8 @@ def dirac_apply(ctx, f, x, step=1e-4, side="left") -> Multivector:
         xm = x.copy()
         xp[k] += step
         xm[k] -= step
-        d = _to_mv(ctx, f(xp)) - _to_mv(ctx, f(xm))
-        derivs[k] = d.coeffs / (2.0 * step)
+        d = as_coeffs(ctx, f(xp)) - as_coeffs(ctx, f(xm))
+        derivs[k] = d / (2.0 * step)
     # row k of the identity is e_k in paravector layout
     return Multivector(ctx, sided_sum(ctx, side, np.eye(ctx.n + 1), derivs))
 
-
-def _to_mv(ctx, val):
-    if isinstance(val, Multivector):
-        return val
-    if isinstance(val, Paravector):
-        return val.as_multivector(ctx)
-    arr = np.asarray(val, dtype=np.float64)
-    if arr.ndim == 0:
-        return ctx.scalar(float(arr))
-    return Multivector(ctx, arr)

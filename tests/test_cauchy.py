@@ -36,7 +36,8 @@ from hypercauchy.cauchy import (
     _scale,
     _singular_cell_corrections,
 )
-from hypercauchy.clifford_core import SingularInputError, paravectors_as_coeffs
+from hypercauchy.clifford_core import (SingularInputError, embed_point,
+                                       paravectors_as_coeffs)
 from hypercauchy.fueter import cauchy_derivative
 from hypercauchy.surface import DomainSpec, build_mesh, refine
 from hypercauchy._corpus import random_smooth, rough_holder
@@ -135,6 +136,15 @@ def test_from_function_batch_and_rowwise_agree(circle_mesh):
     rowwise = BoundaryDensity.from_function(
         circle_mesh, lambda x: fn(np.atleast_2d(x))[0])
     assert np.allclose(batch.samples, rowwise.samples, atol=1e-15)
+
+
+def test_from_function_accepts_paravector_values(circle_mesh):
+    # evaluated per node, like any evaluator that returns one value
+    f = BoundaryDensity.from_function(
+        circle_mesh, lambda x: embed_point(2.0 * np.atleast_2d(x)[0]))
+    want = paravectors_as_coeffs(circle_mesh.context, 2.0 * circle_mesh.nodes)
+    assert np.array_equal(f.samples, want)
+    f.spot_check()
 
 
 def test_spot_check_accepts_and_rejects(circle_mesh):

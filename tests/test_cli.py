@@ -208,6 +208,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = constant-gap\nlevels = 1\ngap_g = 2,1,3\n", "gap_g"),
         ("experiment = inversion\nlevels = 1\ndensity = bogus:3\n",
          "density"),
+    ] + [
+        # a known family with an argument that cannot build a density
+        ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"
+         % case, "density")
+        for case in [("circle", "coord:x"), ("circle", "smooth:abc"),
+                     ("circle", "coord:7"), ("circle", "ecombo:5"),
+                     ("circle", "poly:"), ("circle", "zpow:1,2"),
+                     ("sphere2", "trig:3"), ("circle", "etrace:sideways")]
     ]:
         cfg = _write_config(tmp_path, "bad.cfg", body)
         assert main(["run", cfg]) == 2

@@ -1,5 +1,7 @@
 """Algebraic laws of the Clifford arithmetic layer."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -11,9 +13,9 @@ from hypercauchy.clifford_core import (
     Multivector,
     Paravector,
     SingularInputError,
+    as_coeffs,
     batch_conjugate,
     batch_product,
-    coeffs_as_paravectors,
     conjugate,
     divide,
     embed_point,
@@ -153,6 +155,15 @@ def test_divide_left_right():
         divide(a, b, side="middle")
 
 
+def test_divide_by_paravector_multivector():
+    ctx = get_context(2)
+    b = Paravector(1.0, [1.0, 0.0])
+    for a in (ctx.scalar(2.0), Multivector(ctx, [1.0, -2.0, 0.5, 3.0])):
+        for side in ("left", "right"):
+            got = divide(a, b.as_multivector(ctx), side=side)
+            assert np.array_equal(got.coeffs, divide(a, b, side=side).coeffs)
+
+
 def test_divide_rejects_non_paravector():
     ctx = get_context(2)
     a = ctx.scalar(1.0)
@@ -263,5 +274,56 @@ def test_paravector_coeff_layout_roundtrip():
     mask = np.ones(8, dtype=bool)
     mask[[0, 1, 2, 4]] = False
     assert np.all(coeffs[:, mask] == 0.0)
-    back = coeffs_as_paravectors(ctx, coeffs)
+    back = coeffs[:, ctx.paravector_blades]
     assert np.array_equal(back, nuw)
+
+
+def test_paravector_blades_is_the_layout():
+    # every paravector conversion reads its blades from this one table
+    for n in range(1, 9):
+        ctx = get_context(n)
+        blades = ctx.paravector_blades
+        assert blades.shape == (n + 1,)
+        assert np.array_equal(ctx.grade[blades], [0] + [1] * n)
+        coords = np.arange(1.0, n + 2.0)
+        want = np.zeros(ctx.dim)
+        want[blades] = coords
+        mv = embed_point(coords).as_multivector(ctx)
+        assert np.array_equal(mv.coeffs, want)
+        assert np.array_equal(project_paravector(mv), coords)
+        assert np.array_equal(paravectors_as_coeffs(ctx, coords)[0], want)
+        for i in range(1, n + 1):
+            assert ctx.blade_name(blades[i]) == "e%d" % i
+
+
+def test_as_coeffs_accepts_each_value_kind():
+    ctx = get_context(2)
+    row = np.array([1.0, 2.0, 3.0, 4.0])
+    mv = Multivector(ctx, row)
+    cases = [
+        (mv, row),
+        (Paravector(1.0, [2.0, 3.0]), np.array([1.0, 2.0, 3.0, 0.0])),
+        (2.5, np.array([2.5, 0.0, 0.0, 0.0])),
+        (np.float64(-1.0), np.array([-1.0, 0.0, 0.0, 0.0])),
+        (3, np.array([3.0, 0.0, 0.0, 0.0])),
+        (row, row),
+        ([1, 2, 3, 4], row),
+    ]
+    for value, want in cases:
+        got = as_coeffs(ctx, value)
+        assert got.dtype == np.float64 and np.array_equal(got, want)
+        got[0] = 99.0   # a fresh array: the input is left alone
+    assert np.array_equal(mv.coeffs, row)
+    assert np.array_equal(row, [1.0, 2.0, 3.0, 4.0])
+
+
+def test_as_coeffs_rejects_other_values():
+    ctx = get_context(2)
+    with pytest.raises(ContextMismatchError):
+        as_coeffs(ctx, get_context(3).scalar(1.0))
+    with pytest.raises(ContextMismatchError):
+        as_coeffs(ctx, Paravector(1.0, [1.0, 2.0, 3.0]))
+    for value, shape in [(np.ones(3), "(3,)"), (np.ones((2, 4)), "(2, 4)"),
+                         ("abc", "()")]:
+        with pytest.raises(ValueError, match=re.escape("shape " + shape)):
+            as_coeffs(ctx, value)
