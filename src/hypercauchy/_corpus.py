@@ -8,7 +8,7 @@ deterministic for a fixed (mesh spec, seed) pair.
 
 import numpy as np
 
-from .bvp import _column_products
+from .bvp import ProductKernel
 from .clifford_core import batch_product, paravectors_as_coeffs
 from .cauchy import BoundaryDensity, kernel_E_rows
 from .fueter import multi_indices, symmetric_power_rows
@@ -379,17 +379,16 @@ def dirichlet_corpus(mesh, seed=19):
 
 
 def product_kernel(mesh, seed=23):
-    """Smooth two-point kernel k(x, t) = f(x) (1 + 0.2 g(t)), sampled.
+    """Smooth two-point kernel k(x, t) = f(x) (1 + 0.2 g(t)), factored.
 
-    f and g are seeded smooth densities.  Returns the (N, N, 2^n) array
-    kmat[j, i] = k(x_j, x_i) that apply_full_sie_lhs and
-    poincare_bertrand_discrepancy take, built in column blocks; it is
-    refused above bvp.KERNEL_MATRIX_BYTE_CAP before it is allocated.
+    f and g are seeded smooth densities.  Returns the bvp.ProductKernel
+    with k[j, i] = k(x_j, x_i) that apply_full_sie_lhs and
+    poincare_bertrand_discrepancy take: it holds the (N, 2^n) rows f(x_j)
+    and 1 + 0.2 g(t_i), and each caller forms the products it reads.
     """
     tail = 0.2 * random_smooth(mesh, seed + 1).samples
     tail[:, 0] += 1.0
-    return _column_products(mesh.context, random_smooth(mesh, seed).samples,
-                            tail[None])
+    return ProductKernel(mesh, random_smooth(mesh, seed).samples, tail)
 
 
 # the names make_density recognizes, with their arguments, as `list` shows them

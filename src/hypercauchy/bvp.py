@@ -28,10 +28,12 @@ from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      unit_sphere_area, _as_coeff_rows, _cell_corrections,
                      _density_samples, _integral_rows, _scale,
                      _warn_if_continuous)
+from .surface import _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
                      _moment_threshold, _polynomial_rows, _refined_density)
 
-# Full-matrix kernels (N x N densities) are refused above this many bytes.
+# Held N x N matrices (sampled kernel arrays, density matrices) are refused
+# above this many bytes; a ProductKernel holds only its factors.
 KERNEL_MATRIX_BYTE_CAP = 1_200_000_000
 
 # Auto-thresholded Dirichlet verdicts never accept residuals above this
@@ -555,15 +557,64 @@ def _column_products(ctx, left, right):
     return out
 
 
-def _kernel_matrix(mesh, k):
-    """Sample k into kmat[j, i] = coefficients of k(x_j, t_i).
+class ProductKernel:
+    """Two-point kernel k[j, i] = left[j] right[i], formed where it is read.
 
-    k is a presampled (N, N, dim) array, as _corpus.product_kernel
-    returns, or a callable k(x_rows, t) -> (N, dim) rows for one t, called
-    once per node t_i.  Every entry must be finite.
+    Stands in for the (N, N, dim) array kmat[j, i] = k(x_j, t_i) on mesh,
+    holding only the (N, dim) factor rows left[j] = f(x_j) and
+    right[i] = g(t_i).  Indexed like that array for two key forms: a
+    slice in either position gives the outer block (k[rows, cols],
+    k[:, ts], k[ts]); two index arrays or ints broadcast (k[ar, ar],
+    k[nb, ar[:, None]]).  Each lookup is one elementwise batch_product,
+    so every value is bitwise the one a held array would store.
+    """
+
+    def __init__(self, mesh, left, right):
+        N, dim = mesh.node_count, mesh.context.dim
+        self.mesh = mesh
+        self.left = np.asarray(left, dtype=np.float64)
+        self.right = np.asarray(right, dtype=np.float64)
+        if self.left.shape != (N, dim) or self.right.shape != (N, dim):
+            raise ValueError("kernel factors must have shape (N, 2^n)")
+        self.shape = (N, N, dim)
+
+    @property
+    def nbytes(self):
+        return self.left.nbytes + self.right.nbytes
+
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        L, R = self.left[rows], self.right[cols]
+        if isinstance(rows, slice) or isinstance(cols, slice):
+            # outer block: the row axes of L come before those of R
+            L = L.reshape(L.shape[:-1] + (1,) * (R.ndim - 1) + L.shape[-1:])
+        return batch_product(self.mesh.context, L, R)
+
+
+def _kernel_matrix(mesh, k):
+    """The kernel kmat[j, i] = coefficients of k(x_j, t_i), checked.
+
+    k is a ProductKernel, as _corpus.product_kernel returns, which is
+    passed through: it must be sampled on mesh with finite factor rows,
+    and no byte cap applies since nothing N x N is held.  Otherwise k is
+    a presampled (N, N, dim) array or a callable k(x_rows, t) -> (N, dim)
+    rows for one t, called once per node t_i; either is held whole under
+    KERNEL_MATRIX_BYTE_CAP, and every entry must be finite.
     """
     ctx = mesh.context
     N = mesh.node_count
+    if isinstance(k, ProductKernel):
+        if k.mesh is not mesh and not np.array_equal(k.mesh.nodes,
+                                                     mesh.nodes):
+            raise ValueError("kernel is sampled on another mesh (%d nodes) "
+                             "than the one summed over (%d nodes)"
+                             % (k.mesh.node_count, N))
+        for name, rows in (("left", k.left), ("right", k.right)):
+            bad = _first_nonfinite_row(rows)
+            if bad is not None:
+                raise ValueError("kernel %s factor is not finite at row %d"
+                                 % (name, bad))
+        return k
     _check_kernel_bytes(N * N * ctx.dim * 8)
     if isinstance(k, np.ndarray):
         if k.shape != (N, N, ctx.dim):
@@ -596,11 +647,11 @@ def _matrix_pv_rows(mesh, dmat):
     core = _accel.pv_matrix(ctx, mesh.nodes, nuw, dmat)
     N = mesh.node_count
     vol = unit_sphere_area(mesh.n)
-    diag = dmat[np.arange(N), np.arange(N), :]
+    diag = dmat[np.arange(N), np.arange(N)]
     out = core + 0.5 * vol * diag
     # derivatives of target i's density dmat[:, i] at node i
     nb, wts, frame = gradient_stencil(mesh)
-    cols = dmat[nb, np.arange(N)[:, None], :]
+    cols = dmat[nb, np.arange(N)[:, None]]
     derivs = np.einsum("ank,nkm->anm", wts, cols)
     return out + _cell_corrections(mesh, derivs, frame, "left"), core
 
@@ -608,13 +659,15 @@ def _matrix_pv_rows(mesh, dmat):
 def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     """Rows of phi a + (2/V_n) PV int E dsigma phi(x) k(x, t) at the nodes.
 
-    k is a presampled (N, N, dim) array kmat[j, i] = k(x_j, t_i), as
-    _corpus.product_kernel returns, or a callable k(x_rows, t) -> (N, dim)
-    coefficient rows for fixed t.  The densities phi(x_j) kmat[j, i] are
-    formed in column blocks.  Both N x N matrices are held at once, so
-    their bytes together are checked against KERNEL_MATRIX_BYTE_CAP before
-    either is allocated.  Evaluation-only: no inversion theory is attached
-    to the full kernel.
+    k is a ProductKernel, as _corpus.product_kernel returns, a presampled
+    (N, N, dim) array kmat[j, i] = k(x_j, t_i), or a callable
+    k(x_rows, t) -> (N, dim) coefficient rows for fixed t (see
+    _kernel_matrix).  The density matrix phi(x_j) kmat[j, i] is held
+    whole, formed in column blocks.  With an array or a callable both
+    N x N matrices are held at once; either way the bytes of the two
+    together are checked against KERNEL_MATRIX_BYTE_CAP before either is
+    allocated.  Evaluation-only: no inversion theory is attached to the
+    full kernel.
     """
     ctx = mesh.context
     phi_rows = _density_samples(mesh, phi)
@@ -674,13 +727,16 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
 
     Pass a two-point kernel k for the general experiment, or a density f
     for the separable case k(tau, x) = f(tau) whose iterated integral
-    collapses to (V_n/2)^2 f(t).  k is a presampled (N, N, dim) matrix,
-    as _corpus.product_kernel returns, or a callable (see
-    apply_full_sie_lhs).  The general case makes one _accel.pv_matrix
-    call, whose core sums give the inner principal values and also feed
-    the one _accel.pb_rhs call for the exchanged-order sums of all
-    sampled nodes.  Each call builds every node pair's kernel value once,
-    on the node-pair tiles.  Returns a
+    collapses to (V_n/2)^2 f(t).  k is a ProductKernel, as
+    _corpus.product_kernel returns, a presampled (N, N, dim) matrix or a
+    callable (see _kernel_matrix); a ProductKernel sampled on another mesh
+    is refused.  The general case makes one _accel.pv_matrix call, whose
+    core sums give the inner principal values and also feed the one
+    _accel.pb_rhs call for the exchanged-order sums of all sampled nodes.
+    Each call builds every node pair's Cauchy kernel value once, on the
+    node-pair tiles; a ProductKernel's values are formed in those tiles,
+    at the stencil neighbours and in the sampled rows and columns, so no
+    (N, N, dim) array is held.  Returns a
     PoincareBertrandReport; interpretation (convergence trends under
     refinement) is left to the caller.
     """

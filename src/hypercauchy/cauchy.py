@@ -126,12 +126,17 @@ class BoundaryDensity:
 
     @classmethod
     def from_function(cls, mesh, fn, regularity=("holder", 1.0, None)):
+        """Sample fn at the nodes: once on the (N, n+1) node array, or per
+        node when that call raises TypeError or ValueError or returns at
+        most one dimension."""
         ctx = mesh.context
-        vals = fn(mesh.nodes)
+        try:
+            vals = fn(mesh.nodes)
+        except (TypeError, ValueError):
+            vals = None
         if np.ndim(vals) <= 1:
             # not vectorized over nodes; evaluate per node
-            rows = [as_coeffs(ctx, fn(x)) for x in mesh.nodes]
-            samples = np.array(rows)
+            samples = np.array([as_coeffs(ctx, fn(x)) for x in mesh.nodes])
         else:
             samples = _as_coeff_rows(ctx, vals, mesh.node_count)
         return cls(mesh, samples, evaluator=fn, regularity=regularity)

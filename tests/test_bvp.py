@@ -9,6 +9,7 @@ import pytest
 from hypercauchy import _accel, cauchy, fueter
 from hypercauchy.bvp import (
     CharacteristicCoefficients,
+    ProductKernel,
     _column_products,
     _pair_orthogonality,
     apply_characteristic_lhs,
@@ -393,14 +394,6 @@ def test_sampled_kernel_over_cap_raises_before_allocating(circle_spec,
     cap = need // 4
     monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", cap)
     message = "%d bytes, above KERNEL_MATRIX_BYTE_CAP = %d" % (need, cap)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=message):
-            product_kernel(mesh, 23)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < cap
     calls = []
 
     def k(x_rows, t):
@@ -565,6 +558,74 @@ def test_column_products_match_column_loop(spec):
         for i in range(mesh.node_count):
             want = batch_product(ctx, left, right[:, i])
             assert np.array_equal(got[:, i], want)
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
+    DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0),
+], ids=["circle", "sphere2", "sphere3"])
+def test_product_kernel_lookups_match_held_array(spec):
+    mesh = build_mesh(spec, 0)
+    ctx = mesh.context
+    N = mesh.node_count
+    k = product_kernel(mesh, 23)
+    held = _column_products(ctx, k.left, k.right[None])
+    rng = np.random.default_rng(5)
+    ar = np.arange(N)
+    ts = np.sort(rng.choice(N, size=4, replace=False))
+    nb = rng.integers(0, N, size=(N, 6))
+    rows, cols = slice(1, N // 2), slice(N // 3, N)
+    every = slice(None)
+    for key in [(rows, cols), (every, ts), ts, (every, 3), (every, every),
+                (ar, ar), (ts, ts), (nb, ar[:, None])]:
+        assert k[key].shape == held[key].shape
+        assert np.array_equal(k[key], held[key])
+    assert k.shape == held.shape
+    assert k.nbytes == k.left.nbytes + k.right.nbytes
+
+
+def test_full_sie_lhs_takes_product_kernel_like_its_array(circle_mesh):
+    k = product_kernel(circle_mesh, 23)
+    a = random_smooth(circle_mesh, 3)
+    phi = random_smooth(circle_mesh, 5)
+    assert np.array_equal(apply_full_sie_lhs(circle_mesh, a, k, phi),
+                          apply_full_sie_lhs(circle_mesh, a, k[:, :], phi))
+
+
+def test_product_kernel_is_never_held_whole(circle_spec):
+    mesh = build_mesh(circle_spec, 5)
+    held = mesh.node_count ** 2 * 2 * 8
+    assert held == 67_108_864
+    tracemalloc.start()
+    try:
+        poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held
+
+
+def test_product_kernel_from_another_mesh_is_refused(circle_spec):
+    mesh = build_mesh(circle_spec, 2)
+    other = build_mesh(DomainSpec("circle", 1, center=(0.0, 0.0),
+                                  radius=2.0), 2)
+    assert other.node_count == mesh.node_count
+    with pytest.raises(ValueError, match="kernel is sampled on another mesh"):
+        poincare_bertrand_discrepancy(mesh, k=product_kernel(other, 23))
+
+
+@pytest.mark.parametrize("factor", ["left", "right"])
+def test_product_kernel_factor_rows_must_be_finite(circle_mesh, factor):
+    k = product_kernel(circle_mesh, 23)
+    rows = {"left": k.left.copy(), "right": k.right.copy()}
+    rows[factor][7, 1] = np.nan
+    rows[factor][20, 0] = np.inf
+    bad = ProductKernel(circle_mesh, rows["left"], rows["right"])
+    with pytest.raises(ValueError,
+                       match=r"kernel %s factor is not finite at row 7\b"
+                       % factor):
+        poincare_bertrand_discrepancy(circle_mesh, k=bad)
 
 
 @pytest.mark.parametrize("spec", [

@@ -147,6 +147,14 @@ def test_from_function_accepts_paravector_values(circle_mesh):
     f.spot_check()
 
 
+def test_from_function_takes_pointwise_evaluator_per_node():
+    # embed_point cannot take the whole node array; it is asked per node
+    mesh = build_mesh(DomainSpec("circle", 1), 0)
+    f = BoundaryDensity.from_function(mesh, embed_point)
+    want = paravectors_as_coeffs(mesh.context, mesh.nodes)
+    assert np.array_equal(f.samples, want)
+
+
 def test_spot_check_accepts_and_rejects(circle_mesh):
     f = BoundaryDensity.from_function(circle_mesh, _z_trace(1),
                                       regularity=("holder", 1.0, 1.0))
