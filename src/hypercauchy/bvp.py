@@ -32,8 +32,8 @@ from .surface import _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
                      _moment_threshold, _polynomial_rows, _refined_density)
 
-# Held N x N matrices (sampled kernel arrays, density matrices) are refused
-# above this many bytes; a ProductKernel holds only its factors.
+# A held N x N kernel array (presampled or sampled from a callable) is
+# refused above this many bytes; a ProductKernel holds only its factors.
 KERNEL_MATRIX_BYTE_CAP = 1_200_000_000
 
 # Auto-thresholded Dirichlet verdicts never accept residuals above this
@@ -532,50 +532,34 @@ def solve_characteristic_sie(mesh, coefficients, f, regularity=None):
 
 # -- full equation left-hand side ----------------------------------------------------
 
-def _check_kernel_bytes(nbytes, what="kernel matrix"):
-    if nbytes > KERNEL_MATRIX_BYTE_CAP:
-        raise ValueError("%s would need %d bytes, above "
-                         "KERNEL_MATRIX_BYTE_CAP = %d; use a coarser mesh "
-                         "level" % (what, nbytes, KERNEL_MATRIX_BYTE_CAP))
-
-
-def _column_products(ctx, left, right):
-    """out[j, i] = left[j] right[j, i] as an (N, M, dim) array.
-
-    left holds (N, dim) rows; right has shape (N, M, dim), or (1, M, dim)
-    for one factor per column shared by every row.  The byte cap is checked
-    before the output is allocated, and the products are taken in column
-    blocks of about _accel.BLOCK_PAIRS values, so temporaries stay small.
-    """
-    N, M = left.shape[0], right.shape[1]
-    _check_kernel_bytes(N * M * ctx.dim * 8)
-    out = np.empty((N, M, ctx.dim))
-    step = max(1, _accel.BLOCK_PAIRS // (ctx.dim * N))
-    for s in range(0, M, step):
-        out[:, s:s + step] = batch_product(ctx, left[:, None, :],
-                                           right[:, s:s + step])
-    return out
-
-
 class ProductKernel:
     """Two-point kernel k[j, i] = left[j] right[i], formed where it is read.
 
     Stands in for the (N, N, dim) array kmat[j, i] = k(x_j, t_i) on mesh,
     holding only the (N, dim) factor rows left[j] = f(x_j) and
-    right[i] = g(t_i).  Indexed like that array for two key forms: a
-    slice in either position gives the outer block (k[rows, cols],
-    k[:, ts], k[ts]); two index arrays or ints broadcast (k[ar, ar],
-    k[nb, ar[:, None]]).  Each lookup is one elementwise batch_product,
-    so every value is bitwise the one a held array would store.
+    right[i] = g(t_i).  The right factor may instead be an (N, N, dim)
+    kernel, a held array or another ProductKernel; then k[j, i] =
+    left[j] right[j, i], as for the density matrix phi(x_j) kmat[j, i],
+    and only that kernel is held.  Indexed like the array it stands in
+    for, for two key forms: a slice in either position gives the outer
+    block (k[rows, cols], k[:, ts], k[ts]); two index arrays or ints
+    broadcast (k[ar, ar], k[nb, ar[:, None]]).  Each lookup is one
+    elementwise batch_product, so every value is bitwise the one a held
+    array would store.
     """
+
+    ndim = 3
 
     def __init__(self, mesh, left, right):
         N, dim = mesh.node_count, mesh.context.dim
         self.mesh = mesh
         self.left = np.asarray(left, dtype=np.float64)
-        self.right = np.asarray(right, dtype=np.float64)
-        if self.left.shape != (N, dim) or self.right.shape != (N, dim):
-            raise ValueError("kernel factors must have shape (N, 2^n)")
+        self.right = (right if isinstance(right, ProductKernel)
+                      else np.asarray(right, dtype=np.float64))
+        if self.left.shape != (N, dim) or self.right.shape not in (
+                (N, dim), (N, N, dim)):
+            raise ValueError("kernel factors must have shape (N, 2^n); the "
+                             "right one may be an (N, N, 2^n) kernel")
         self.shape = (N, N, dim)
 
     @property
@@ -584,10 +568,12 @@ class ProductKernel:
 
     def __getitem__(self, key):
         rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        L, R = self.left[rows], self.right[cols]
+        L = self.left[rows]
+        R = self.right[rows, cols] if self.right.ndim == 3 else self.right[cols]
         if isinstance(rows, slice) or isinstance(cols, slice):
-            # outer block: the row axes of L come before those of R
-            L = L.reshape(L.shape[:-1] + (1,) * (R.ndim - 1) + L.shape[-1:])
+            # outer block: the row axes of L come before the column axes
+            col_axes = 1 if isinstance(cols, slice) else np.ndim(cols)
+            L = L.reshape(L.shape[:-1] + (1,) * col_axes + L.shape[-1:])
         return batch_product(self.mesh.context, L, R)
 
 
@@ -596,10 +582,11 @@ def _kernel_matrix(mesh, k):
 
     k is a ProductKernel, as _corpus.product_kernel returns, which is
     passed through: it must be sampled on mesh with finite factor rows,
-    and no byte cap applies since nothing N x N is held.  Otherwise k is
-    a presampled (N, N, dim) array or a callable k(x_rows, t) -> (N, dim)
-    rows for one t, called once per node t_i; either is held whole under
-    KERNEL_MATRIX_BYTE_CAP, and every entry must be finite.
+    and a right factor that is itself a kernel is checked as one here.
+    Otherwise k is a presampled (N, N, dim) array or a callable
+    k(x_rows, t) -> (N, dim) rows for one t, called once per node t_i;
+    either is held whole, its bytes checked against KERNEL_MATRIX_BYTE_CAP
+    before the callable is first called, and every entry must be finite.
     """
     ctx = mesh.context
     N = mesh.node_count
@@ -610,12 +597,19 @@ def _kernel_matrix(mesh, k):
                              "than the one summed over (%d nodes)"
                              % (k.mesh.node_count, N))
         for name, rows in (("left", k.left), ("right", k.right)):
+            if rows.ndim == 3:
+                _kernel_matrix(mesh, rows)
+                continue
             bad = _first_nonfinite_row(rows)
             if bad is not None:
                 raise ValueError("kernel %s factor is not finite at row %d"
                                  % (name, bad))
         return k
-    _check_kernel_bytes(N * N * ctx.dim * 8)
+    nbytes = N * N * ctx.dim * 8
+    if nbytes > KERNEL_MATRIX_BYTE_CAP:
+        raise ValueError("kernel matrix would need %d bytes, above "
+                         "KERNEL_MATRIX_BYTE_CAP = %d; use a coarser mesh "
+                         "level" % (nbytes, KERNEL_MATRIX_BYTE_CAP))
     if isinstance(k, np.ndarray):
         if k.shape != (N, N, ctx.dim):
             raise ValueError("kernel matrix must have shape (N, N, 2^n)")
@@ -662,20 +656,17 @@ def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     k is a ProductKernel, as _corpus.product_kernel returns, a presampled
     (N, N, dim) array kmat[j, i] = k(x_j, t_i), or a callable
     k(x_rows, t) -> (N, dim) coefficient rows for fixed t (see
-    _kernel_matrix).  The density matrix phi(x_j) kmat[j, i] is held
-    whole, formed in column blocks.  With an array or a callable both
-    N x N matrices are held at once; either way the bytes of the two
-    together are checked against KERNEL_MATRIX_BYTE_CAP before either is
-    allocated.  Evaluation-only: no inversion theory is attached to the
-    full kernel.
+    _kernel_matrix).  The density matrix phi(x_j) kmat[j, i] is the
+    ProductKernel of the phi rows and kmat, formed where it is read, so
+    only what _kernel_matrix holds is held: the factor rows of a
+    ProductKernel, or the one N x N array of an array or a callable,
+    under KERNEL_MATRIX_BYTE_CAP.  Evaluation-only: no inversion theory is
+    attached to the full kernel.
     """
     ctx = mesh.context
     phi_rows = _density_samples(mesh, phi)
     a_rows = _density_samples(mesh, a)
-    _check_kernel_bytes(2 * mesh.node_count ** 2 * ctx.dim * 8,
-                        "kernel and density matrices")
-    kmat = _kernel_matrix(mesh, k)
-    dmat = _column_products(ctx, phi_rows, kmat)
+    dmat = ProductKernel(mesh, phi_rows, _kernel_matrix(mesh, k))
     vol = unit_sphere_area(mesh.n)
     pv = _matrix_pv_rows(mesh, dmat)[0] / vol
     return batch_product(ctx, phi_rows, a_rows) + 2.0 * pv

@@ -182,6 +182,13 @@ def resolve_config(raw, overrides=()):
     if cfg.sample_nodes < 1:
         raise ConfigError("sample_nodes: must be >= 1, got %d"
                           % cfg.sample_nodes)
+    if cfg.expect not in ("solvable", "unsolvable"):
+        raise ConfigError("expect: expected solvable or unsolvable, got %r"
+                          % cfg.expect)
+    if name == "characteristic-sie" and abs(cfg.sie_a) == abs(cfg.sie_b):
+        # a + b or a - b is zero, so it has no inverse
+        raise ConfigError("sie_a, sie_b: a + b and a - b must be nonzero, "
+                          "got sie_a = %r, sie_b = %r" % (cfg.sie_a, cfg.sie_b))
     for key in ("seed", "kernel_seed"):
         _checked(key, np.random.SeedSequence, getattr(cfg, key))
     return cfg

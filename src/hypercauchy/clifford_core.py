@@ -348,10 +348,12 @@ def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
     ``(..., n+1)`` paravector components x_0, x_1, ..., x_n.  Either
     operand may use either layout; for n = 1 the two layouts are the same
     array.  Leading axes broadcast, and the result has shape
-    ``broadcast(leading axes) + (2^n,)``.  Terms are summed in the order
-    of the left operand's blades, skipping all-zero left columns, so the
-    result does not depend on the layouts chosen.  A sum of products over
-    rows is sided_sum, not batch_product(...).sum(): it takes one matmul.
+    ``broadcast(leading axes) + (2^n,)``.  One loop over the blade-pair
+    table _column_pairs adds sign * A[..., i] * B[..., j] onto the blade
+    of the two columns' product, left columns outer and all-zero left
+    columns skipped, so the result does not depend on the layouts chosen.
+    A sum of products over rows is sided_sum, not
+    batch_product(...).sum(): it takes one matmul.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -359,17 +361,6 @@ def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
     if lead != B.shape[:-1]:
         lead = np.broadcast_shapes(lead, B.shape[:-1])
     out = np.zeros(lead + (ctx.dim,))
-    if ctx.n >= 2 and A.shape[-1] == B.shape[-1] == ctx.dim:
-        # one block update per left blade (at n = 1 four scalar updates
-        # are cheaper).  It beats the (2^n)^2 column pairs only on a few
-        # rows (up to about 8) or at large n; on 51,200 rows the column
-        # pairs are 2-4x faster at n = 2 and 3
-        cols = np.arange(ctx.dim)
-        for a in range(ctx.dim):
-            col = A[..., a]
-            if col.any():
-                out[..., a ^ cols] += col[..., None] * ctx.sign_table[a] * B
-        return out
     for i, terms in _column_pairs(ctx.n, A.shape[-1], B.shape[-1]):
         col = A[..., i]
         if not col.any():

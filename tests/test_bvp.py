@@ -10,7 +10,6 @@ from hypercauchy import _accel, cauchy, fueter
 from hypercauchy.bvp import (
     CharacteristicCoefficients,
     ProductKernel,
-    _column_products,
     _pair_orthogonality,
     apply_characteristic_lhs,
     apply_full_sie_lhs,
@@ -405,13 +404,12 @@ def test_sampled_kernel_over_cap_raises_before_allocating(circle_spec,
     assert calls == []
 
 
-def test_full_sie_lhs_checks_both_matrices_against_cap(circle_spec,
-                                                       monkeypatch):
-    # kmat and the density matrix are held at once: each fits under a cap
-    # of one matrix's bytes, the two together do not
+def test_full_sie_lhs_holds_only_the_kernel_matrix_under_cap(circle_spec,
+                                                             monkeypatch):
+    # the density matrix is formed where it is read, so a cap of one
+    # matrix's bytes admits a callable kernel and one byte less refuses it
     mesh = build_mesh(circle_spec, 3)
     one = mesh.node_count ** 2 * 2 * 8
-    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", one)
     a = BoundaryDensity.constant(mesh, 1.0)
     phi = random_smooth(mesh, 3)
     calls = []
@@ -420,7 +418,12 @@ def test_full_sie_lhs_checks_both_matrices_against_cap(circle_spec,
         calls.append(t)
         return np.ones((x_rows.shape[0], 2))
 
-    message = "%d bytes, above KERNEL_MATRIX_BYTE_CAP = %d" % (2 * one, one)
+    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", one)
+    assert np.all(np.isfinite(apply_full_sie_lhs(mesh, a, k, phi)))
+    assert len(calls) == mesh.node_count
+    calls.clear()
+    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", one - 1)
+    message = "%d bytes, above KERNEL_MATRIX_BYTE_CAP = %d" % (one, one - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=message):
@@ -430,9 +433,6 @@ def test_full_sie_lhs_checks_both_matrices_against_cap(circle_spec,
         tracemalloc.stop()
     assert peak < one
     assert calls == []
-    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", 2 * one)
-    assert np.all(np.isfinite(apply_full_sie_lhs(mesh, a, k, phi)))
-    assert len(calls) == mesh.node_count
 
 
 def _unit_and_wide_densities():
@@ -541,23 +541,53 @@ def test_kernel_matrix_rejects_non_finite_entries(circle_spec):
     with pytest.raises(ValueError, match=r"\(j, i\) = \(7, 2\)"):
         apply_full_sie_lhs(mesh, BoundaryDensity.constant(mesh, 1.0), kmat,
                            random_smooth(mesh, 3))
+    # a held right factor of a ProductKernel is checked as a kernel
+    with pytest.raises(ValueError, match=r"\(j, i\) = \(7, 2\)"):
+        poincare_bertrand_discrepancy(
+            mesh, k=ProductKernel(mesh, np.ones((N, 2)), kmat))
+
+
+def _column_loop(ctx, left, right):
+    """held[j, i] = left[j] right[j, i], one batch_product per column i."""
+    N = left.shape[0]
+    held = np.empty((N, N, ctx.dim))
+    for i in range(N):
+        held[:, i] = batch_product(ctx, left, right[:, i])
+    return held
+
+
+def _lookup_keys(N, seed):
+    """Every key form a ProductKernel takes, in the ways the sums read it."""
+    rng = np.random.default_rng(seed)
+    ar = np.arange(N)
+    ts = np.sort(rng.choice(N, size=4, replace=False))
+    nb = rng.integers(0, N, size=(N, 6))
+    rows, cols = slice(1, N // 2), slice(N // 3, N)
+    every = slice(None)
+    return [(rows, cols), (every, ts), ts, (every, 3), (every, every),
+            (ar, ar), (ts, ts), (nb, ar[:, None])]
 
 
 @pytest.mark.parametrize("spec", [
     DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
     DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
 ], ids=["circle", "sphere2"])
-def test_column_products_match_column_loop(spec):
+def test_kernel_valued_right_factor_matches_column_loop(spec):
+    # phi_j k[j, i] with k a held array or a product_kernel, formed where it
+    # is read, is bitwise the per-column loop's held density matrix
     mesh = build_mesh(spec, 0)
     ctx = mesh.context
-    rng = np.random.default_rng(4)
-    left = rng.normal(size=(mesh.node_count, ctx.dim))
-    for rows in (1, mesh.node_count):
-        right = rng.normal(size=(rows, mesh.node_count, ctx.dim))
-        got = _column_products(ctx, left, right)
-        for i in range(mesh.node_count):
-            want = batch_product(ctx, left, right[:, i])
-            assert np.array_equal(got[:, i], want)
+    N = mesh.node_count
+    left = np.random.default_rng(4).normal(size=(N, ctx.dim))
+    k = product_kernel(mesh, 23)
+    held_k = k[:, :]
+    held = _column_loop(ctx, left, held_k)
+    for right in (held_k, k):
+        dmat = ProductKernel(mesh, left, right)
+        assert dmat.shape == held.shape and dmat.ndim == 3
+        for key in _lookup_keys(N, 5):
+            assert dmat[key].shape == held[key].shape
+            assert np.array_equal(dmat[key], held[key])
 
 
 @pytest.mark.parametrize("spec", [
@@ -570,15 +600,8 @@ def test_product_kernel_lookups_match_held_array(spec):
     ctx = mesh.context
     N = mesh.node_count
     k = product_kernel(mesh, 23)
-    held = _column_products(ctx, k.left, k.right[None])
-    rng = np.random.default_rng(5)
-    ar = np.arange(N)
-    ts = np.sort(rng.choice(N, size=4, replace=False))
-    nb = rng.integers(0, N, size=(N, 6))
-    rows, cols = slice(1, N // 2), slice(N // 3, N)
-    every = slice(None)
-    for key in [(rows, cols), (every, ts), ts, (every, 3), (every, every),
-                (ar, ar), (ts, ts), (nb, ar[:, None])]:
+    held = _column_loop(ctx, k.left, np.broadcast_to(k.right, k.shape))
+    for key in _lookup_keys(N, 5):
         assert k[key].shape == held[key].shape
         assert np.array_equal(k[key], held[key])
     assert k.shape == held.shape
@@ -600,6 +623,22 @@ def test_product_kernel_is_never_held_whole(circle_spec):
     tracemalloc.start()
     try:
         poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < held
+
+
+def test_full_sie_lhs_never_holds_the_density_matrix(circle_spec):
+    mesh = build_mesh(circle_spec, 5)
+    held = mesh.node_count ** 2 * 2 * 8
+    assert held == 67_108_864
+    a = random_smooth(mesh, 3)
+    phi = random_smooth(mesh, 5)
+    k = product_kernel(mesh, 23)
+    tracemalloc.start()
+    try:
+        apply_full_sie_lhs(mesh, a, k, phi)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -208,6 +208,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = constant-gap\nlevels = 1\ngap_g = 2,1,3\n", "gap_g"),
         ("experiment = inversion\nlevels = 1\ndensity = bogus:3\n",
          "density"),
+        ("experiment = jump-rm\nlevels = 1\nexpect = unsolveable\n",
+         "expect"),
+        ("experiment = characteristic-sie\nlevels = 1\nsie_a = 1\n"
+         "sie_b = 1\n", "sie_a"),
+        ("experiment = characteristic-sie\nlevels = 1\nsie_a = 2\n"
+         "sie_b = -2\n", "sie_b"),
     ] + [
         # a known family with an argument that cannot build a density
         ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"
@@ -251,13 +257,13 @@ def test_config_file_rejects_nan_min_order(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_1(tmp_path, capsys):
-    # a - b identically zero makes the closed-form inversion singular
+    # G = 1 + e123 is a zero divisor in C(V_3): (1 + e123)(1 - e123) = 0,
+    # so the gap conjugation cannot invert it
     body = "\n".join([
-        "experiment = characteristic-sie",
-        "surface = circle",
-        "levels = 1",
-        "sie_a = 1.0",
-        "sie_b = 1.0",
+        "experiment = constant-gap",
+        "surface = sphere3",
+        "levels = 0",
+        "gap_g = 1,0,0,0,0,0,0,1",
         "tolerance = 1e-4",
         "json = %s" % (tmp_path / "err.json"),
     ])
