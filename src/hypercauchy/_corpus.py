@@ -100,7 +100,7 @@ def kernel_trace(mesh, pole, scale=1.0):
     return _from_rows(mesh, rows)
 
 
-def kernel_combo(mesh, vanishing_degree, seed=5, spacing_frac=0.15):
+def kernel_combo(mesh, vanishing_degree, seed=5):
     """Collinear combination of Cauchy-kernel traces with prescribed decay.
 
     Finite-difference coefficient patterns (1), (1, -1), (1, -2, 1) along a
@@ -113,9 +113,8 @@ def kernel_combo(mesh, vanishing_degree, seed=5, spacing_frac=0.15):
     vanishing_degree : int
         N in {0, 1, 2}: the first degree whose moment survives.
     seed : int
-        Seeds the base pole and the pole line direction.
-    spacing_frac : float
-        Pole spacing as a fraction of the surface radius.
+        Seeds the base pole and the pole line direction; the poles are
+        0.15 R apart on that line, R the surface radius.
 
     Returns
     -------
@@ -128,7 +127,7 @@ def kernel_combo(mesh, vanishing_degree, seed=5, spacing_frac=0.15):
     rng = np.random.default_rng(seed)
     base = spec.center_array + 0.35 * spec.radius * _unit_direction(rng, spec.n + 1)
     line = _unit_direction(rng, spec.n + 1)
-    s = spacing_frac * spec.radius
+    s = 0.15 * spec.radius
     coeffs = patterns[vanishing_degree]
     poles = [base + l * s * line for l in range(len(coeffs))]
 
@@ -147,12 +146,12 @@ def _monomials(n_coords, degree):
     return [e for k in range(degree + 1) for e in multi_indices(n_coords, k)]
 
 
-def random_smooth(mesh, seed, degree=SMOOTH_DEGREE):
-    """Seeded multivector-valued polynomial trace in normalized coordinates."""
+def random_smooth(mesh, seed):
+    """Seeded multivector polynomial of degree SMOOTH_DEGREE in (x - c)/R."""
     spec = _require_spec(mesh)
     ctx = mesh.context
     rng = np.random.default_rng(seed)
-    exps = _monomials(mesh.n + 1, degree)
+    exps = _monomials(mesh.n + 1, SMOOTH_DEGREE)
     coeffs = rng.uniform(-1.0, 1.0, size=(len(exps), ctx.dim))
     coeffs /= len(exps)
     c0, R = spec.center_array, spec.radius
@@ -193,15 +192,15 @@ def rough_holder(mesh, seed, exponent=ROUGH_EXPONENT):
     return _from_rows(mesh, rows, ("holder", mu, None))
 
 
-def polynomial_trace(mesh, coeffs, max_degree=6):
+def polynomial_trace(mesh, coeffs):
     """Trace of sum_k Z^{alpha_k} c_k with scalar coefficients.
 
-    Multi-indices are enumerated by total degree, lexicographically inside
-    each degree, and consumed until the coefficient list is exhausted.
+    Multi-indices of degree <= 6 go by total degree, lexicographically
+    inside each degree, until the coefficient list is exhausted.
     """
     ctx = mesh.context
     coeffs = [float(c) for c in coeffs]
-    alphas = _monomials(mesh.n, max_degree)
+    alphas = _monomials(mesh.n, 6)
     if len(coeffs) > len(alphas):
         raise ValueError("coefficient list longer than the multi-index table")
 
@@ -275,8 +274,9 @@ def _right_combo(mesh, parts, coeffs):
     return rows
 
 
-def holomorphic_combo(mesh, seed, max_degree=2, pole_count=1):
-    """Seeded right-module combination of Z^alpha and exterior-pole kernels.
+def holomorphic_combo(mesh, seed):
+    """Seeded right-module combination of Z^alpha, |alpha| <= 2, and the
+    kernel of one exterior pole, 1.6 to 2.4 radii from the centre.
 
     Every member is the trace of a field that is two-sided regular inside
     the surface, hence Dirichlet-solvable by construction.
@@ -284,14 +284,11 @@ def holomorphic_combo(mesh, seed, max_degree=2, pole_count=1):
     spec = _require_spec(mesh)
     ctx = mesh.context
     rng = np.random.default_rng(seed)
-    parts = []
-    for k in range(max_degree + 1):
-        for alpha in multi_indices(mesh.n, k):
-            parts.append(lambda pts, a=alpha: symmetric_power_rows(ctx, a, pts))
-    for _ in range(pole_count):
-        a = spec.center_array + \
-            rng.uniform(1.6, 2.4) * spec.radius * _unit_direction(rng, spec.n + 1)
-        parts.append(lambda pts, p=a: _kernel_coeff_rows(ctx, pts, p))
+    parts = [lambda pts, a=alpha: symmetric_power_rows(ctx, a, pts)
+             for alpha in _monomials(mesh.n, 2)]
+    pole = spec.center_array + \
+        rng.uniform(1.6, 2.4) * spec.radius * _unit_direction(rng, spec.n + 1)
+    parts.append(lambda pts: _kernel_coeff_rows(ctx, pts, pole))
     coeffs = rng.uniform(-1.0, 1.0, size=(len(parts), ctx.dim)) / len(parts)
     rows = _right_combo(mesh, parts, coeffs)
     return _from_rows(mesh, rows)

@@ -188,16 +188,16 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
     return SectionalSolution(mesh, g, side, m, ()), report
 
 
-def _sampled_limits(mesh, sol, sample_nodes, seed, limit_kw):
+def _sampled_limits(mesh, sol, sample_nodes, seed):
     """Sampled nodes idx and the (len(idx), dim) rows of the interior and
-    exterior limits of S[g] there, from boundary_limit tuned by limit_kw."""
-    kw = dict(limit_kw or {})
+    exterior limits of S[g] there, from boundary_limit's ladders (depth
+    from the mesh: 0.25 R with 5 rungs on circles, else 0.35 R, 4 rungs)."""
     rng = np.random.default_rng(seed)
     idx = rng.choice(mesh.node_count, size=min(sample_nodes,
                                                mesh.node_count),
                      replace=False)
-    rows = [[boundary_limit(mesh, sol.density, int(i), sign, side=sol.side,
-                            **kw).coeffs for i in idx] for sign in "+-"]
+    rows = [[boundary_limit(mesh, sol.density, int(i), sign, side=sol.side)
+             .coeffs for i in idx] for sign in "+-"]
     plus, minus = np.reshape(rows, (2, idx.size, mesh.context.dim))
     return idx, plus, minus
 
@@ -207,14 +207,14 @@ def _max_row_norm(rows):
 
 
 def jump_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
-                  sample_nodes=8, seed=0, limit_kw=None):
+                  sample_nodes=8, seed=0):
     """Max-norm of Phi+ - Phi- - g at sampled nodes via approach limits.
 
     Independent of the Plemelj identities: both one-sided values come
-    from Richardson limits along the normal; limit_kw tunes them.
+    from boundary_limit's Richardson ladders along the normal, sized by
+    the mesh (0.25 R with 5 rungs on circles, else 0.35 R with 4).
     """
-    idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed,
-                                       limit_kw)
+    idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed)
     return _max_row_norm(plus - minus - g.samples[idx])
 
 
@@ -270,12 +270,12 @@ def solve_constant_gap(mesh, g: BoundaryDensity, G, m: int, side="left"):
 
 
 def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
-                          G, sample_nodes=8, seed=0, limit_kw=None):
-    """Max-norm of Phi+ - Phi- G - g at sampled nodes via approach limits."""
+                          G, sample_nodes=8, seed=0):
+    """Max-norm of Phi+ - Phi- G - g at sampled nodes via approach limits,
+    boundary_limit's ladders as in jump_residual."""
     ctx = mesh.context
     Gc = as_coeffs(ctx, G)
-    idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed,
-                                       limit_kw)
+    idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed)
     poly = sol._poly_rows(mesh.nodes[idx])
     plus = plus + poly
     minus = minus + poly
@@ -337,16 +337,15 @@ def _probe_indices(mesh, count):
 
 
 def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
-                    threshold=None, sample_nodes=64, probes=8, seed=0):
+                    threshold=None, seed=0):
     """Decide and solve the interior problem Phi+ regular, Phi+|Gamma = g.
 
-    Solvability criteria: the exterior integral C[g] vanishes off the
-    closure ('exterior'), or equivalently PV C[g] = g/2 at the nodes
-    ('pv').  Holder mode may use either (default 'both' cross-checks);
-    continuous mode uses 'exterior' plus a symmetric-difference
-    attainment check.  Without an explicit threshold the verdict comes
-    from a refinement trend, which needs the density to carry an exact
-    evaluator.
+    Solvability criteria: the exterior integral C[g] vanishes at 8 seeded
+    probes at twice the radius ('exterior'), or equivalently PV C[g] = g/2
+    at 64 evenly spaced nodes ('pv').  Holder mode may use either (default
+    'both' cross-checks); continuous mode uses 'exterior' plus a symmetric-
+    difference attainment check.  Without an explicit threshold the
+    verdict comes from a refinement trend, which needs an exact evaluator.
     """
     if mode is None:
         mode = "holder" if g.is_holder else "continuous"
@@ -362,8 +361,8 @@ def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
         criterion = "both" if mode == "holder" else "exterior"
     ctx = mesh.context
     rng = np.random.default_rng(seed)
-    sample_idx = _probe_indices(mesh, sample_nodes)
-    probe_dirs = rng.standard_normal((probes, ctx.n + 1))
+    sample_idx = _probe_indices(mesh, 64)
+    probe_dirs = rng.standard_normal((8, ctx.n + 1))
     probe_dirs /= np.linalg.norm(probe_dirs, axis=1, keepdims=True)
 
     ext_res, pv_res, field = _dirichlet_residuals(mesh, g, criterion,
@@ -379,7 +378,7 @@ def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
         gf = _refined_density(mesh, g)
         fine = gf.mesh
         ef, pf, _ = _dirichlet_residuals(fine, gf, criterion,
-                                         _probe_indices(fine, sample_nodes),
+                                         _probe_indices(fine, 64),
                                          probe_dirs)
         fine_val = np.nanmax([ef, pf])
         threshold = max(10.0 * max(coarse - fine_val, 0.0), 1e-10 * gmax)
@@ -431,8 +430,8 @@ class CharacteristicCoefficients:
     """Validated coefficient pair (a, b) of the characteristic equation.
 
     Requires a +/- b invertible at every node and the right quotient
-    G = (a - b)(a + b)^{-1} constant across nodes (relative spread below
-    spread_tol); the closed-form solution is only valid in that class.
+    G = (a - b)(a + b)^{-1} constant across nodes (relative spread at most
+    1e-8); the closed-form solution is only valid in that class.
     """
 
     a: BoundaryDensity
@@ -443,8 +442,7 @@ class CharacteristicCoefficients:
     diff_inverse: np.ndarray
 
     @classmethod
-    def from_ab(cls, mesh, a: BoundaryDensity, b: BoundaryDensity,
-                spread_tol=1e-8):
+    def from_ab(cls, mesh, a: BoundaryDensity, b: BoundaryDensity):
         ctx = mesh.context
         A, B = _density_samples(mesh, a), _density_samples(mesh, b)
         sum_inv = invert_rows(ctx, A + B)
@@ -453,10 +451,10 @@ class CharacteristicCoefficients:
         Gmean = Grows.mean(axis=0)
         spread = float(np.linalg.norm(Grows - Gmean[None, :], axis=1).max())
         spread /= max(float(np.linalg.norm(Gmean)), 1e-300)
-        if spread > spread_tol:
+        if spread > 1e-8:
             raise ValueError(
                 "right quotient (a-b)(a+b)^{-1} varies across nodes "
-                "(relative spread %.3g > %.3g)" % (spread, spread_tol))
+                "(relative spread %.3g > 1e-08)" % spread)
         return cls(a, b, Gmean, spread, sum_inv, diff_inv)
 
 

@@ -153,18 +153,18 @@ class BoundaryDensity:
     def is_holder(self):
         return self.regularity[0] == "holder"
 
-    def spot_check(self, rng=None, pairs=64, slack=1.05):
-        """Spot-check the declared regularity on random node pairs.
+    def spot_check(self, rng=None):
+        """Spot-check the declared regularity on 64 random node pairs.
 
         For a ("holder", mu, M) tag with M given, verifies
-        |f(x) - f(y)| <= slack * M * |x - y|^mu; returns the max quotient
+        |f(x) - f(y)| <= 1.05 M |x - y|^mu; returns the max quotient
         |f(x)-f(y)| / |x-y|^mu seen.  Raises on violation; also verifies
         samples match the evaluator on a few nodes when one is present.
         """
         rng = np.random.default_rng(0) if rng is None else rng
         N = self.mesh.node_count
-        ii = rng.integers(0, N, size=pairs)
-        jj = rng.integers(0, N, size=pairs)
+        ii = rng.integers(0, N, size=64)
+        jj = rng.integers(0, N, size=64)
         keep = ii != jj
         ii, jj = ii[keep], jj[keep]
         dx = np.linalg.norm(self.mesh.nodes[ii] - self.mesh.nodes[jj], axis=1)
@@ -173,7 +173,7 @@ class BoundaryDensity:
             mu, M = self.regularity[1], self.regularity[2]
             quot = df / dx**mu
             top = float(quot.max()) if quot.size else 0.0
-            if M is not None and top > slack * M:
+            if M is not None and top > 1.05 * M:
                 raise ValueError("Holder spot check failed: quotient %.3g > "
                                  "M = %.3g" % (top, M))
         else:
@@ -188,11 +188,12 @@ class BoundaryDensity:
         return top
 
 
-def side_of(spec, w, boundary_tol=1e-9):
-    """Membership side of point w for a sphere/circle spec."""
+def side_of(spec, w):
+    """Membership side of point w for a sphere/circle spec; points within
+    1e-9 max(1, R) of the sphere of radius R are on the boundary."""
     w = np.asarray(w, dtype=np.float64)
     r = np.linalg.norm(w - spec.center_array)
-    if abs(r - spec.radius) <= boundary_tol * max(1.0, spec.radius):
+    if abs(r - spec.radius) <= 1e-9 * max(1.0, spec.radius):
         return "boundary"
     return "interior" if r < spec.radius else "exterior"
 
@@ -210,8 +211,8 @@ class SideTaggedPoint:
         object.__setattr__(self, "w", tuple(float(v) for v in self.w))
 
     @classmethod
-    def tag(cls, spec, w, boundary_tol=1e-9):
-        return cls(tuple(np.asarray(w, float)), side_of(spec, w, boundary_tol))
+    def tag(cls, spec, w):
+        return cls(tuple(np.asarray(w, float)), side_of(spec, w))
 
     @property
     def point(self):
@@ -256,10 +257,17 @@ def _density_samples(mesh, f):
     return f.samples if single else np.stack([fk.samples for fk in fs])
 
 
+def _nearest_node(mesh, point):
+    """Index of the mesh node nearest to point, and its distance."""
+    dist = np.linalg.norm(mesh.nodes - point[None, :], axis=1)
+    i = int(dist.argmin())
+    return i, float(dist[i])
+
+
 def _boundary_distance(mesh, w):
     if mesh.spec is not None:
         return abs(np.linalg.norm(w - mesh.spec.center_array) - mesh.spec.radius)
-    return float(np.linalg.norm(mesh.nodes - w[None, :], axis=1).min())
+    return _nearest_node(mesh, w)[1]
 
 
 def _accum(mesh, targets, g, side, excl=None, keep=slice(None)):
@@ -334,8 +342,7 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
         if side_name not in ("interior", "exterior"):
             raise ValueError("subtract method needs an interior/exterior "
                              "side tag")
-        node = int(np.linalg.norm(mesh.nodes - point[None, :],
-                                  axis=1).argmin())
+        node = _nearest_node(mesh, point)[0]
     elif method != "raw":
         raise ValueError("method must be 'raw' or 'subtract'")
     total = _integral_rows(mesh, f, point[None, :], side, node,
@@ -541,12 +548,10 @@ def _snap_node(mesh, t):
         if not 0 <= i < mesh.node_count:
             raise IndexError("node index out of range")
         return i
-    t = np.asarray(t, dtype=np.float64)
-    dist = np.linalg.norm(mesh.nodes - t[None, :], axis=1)
-    i = int(dist.argmin())
-    if dist[i] > 0.5 * mesh.h + 1e-12:
+    i, dist = _nearest_node(mesh, np.asarray(t, dtype=np.float64))
+    if dist > 0.5 * mesh.h + 1e-12:
         raise ValueError("point is not a mesh node (nearest is %.3g away, "
-                         "snap tolerance h/2 = %.3g)" % (dist[i], 0.5 * mesh.h))
+                         "snap tolerance h/2 = %.3g)" % (dist, 0.5 * mesh.h))
     return i
 
 
@@ -581,10 +586,11 @@ def principal_value(mesh, f: BoundaryDensity, t, side="left",
     t_point = mesh.nodes[i]
     dist = np.linalg.norm(mesh.nodes - t_point[None, :], axis=1)
     delta0 = 16.0 * mesh.h
+    # validates the largest cap, which every smaller one lies inside
+    exclude_cap(mesh, CapExclusion(tuple(t_point), delta0))
     vals = []
     for k in range(RICHARDSON_TERMS):
         delta = delta0 / RICHARDSON_RATIO**k
-        exclude_cap(mesh, CapExclusion(tuple(t_point), delta))  # validates
         keep = dist > delta
         vals.append(_accum(mesh, [t_point], g, side, keep=keep)[0] / vol)
     return Multivector(ctx, richardson_limit(RICHARDSON_RATIO, vals))
@@ -621,11 +627,12 @@ def richardson_limit(step_ratio, values):
     return last[0]
 
 
-def extrapolate_to_zero(lams, rows, max_points=4):
-    """Polynomial-in-lambda extrapolation of rows (k, dim) to lambda = 0."""
+def extrapolate_to_zero(lams, rows):
+    """Polynomial-in-lambda extrapolation of rows (k, dim) to lambda = 0,
+    through the last min(4, k) points."""
     lams = np.asarray(lams, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.float64)
-    m = min(max_points, len(lams))
+    m = min(4, len(lams))
     lam = lams[-m:]
     V = np.vander(lam, m, increasing=True)
     coef = np.linalg.solve(V, rows[-m:])
@@ -633,27 +640,29 @@ def extrapolate_to_zero(lams, rows, max_points=4):
 
 
 def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left",
-                   lam0=None, terms=RICHARDSON_TERMS, method=None):
+                   method=None):
     """Richardson limit of C[f] along the normal through node t.
 
     sign '+' approaches from the interior (against the outward normal),
     '-' from the exterior.  Used as the independent oracle for the
-    Plemelj formulas.  The ladder takes one kernel call and, with method
-    'subtract' (the default on spec-built meshes), shares one shift, f at
-    its node t.
+    Plemelj formulas.  The ladder's steps halve from 0.25 R over 5 rungs
+    on circles and from 0.35 R over RICHARDSON_TERMS rungs on other
+    meshes, R the spec radius or half the nodes' widest extent.  It takes
+    one kernel call and, with method 'subtract' (the default on
+    spec-built meshes), shares one shift, f at its node t.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     i = _snap_node(mesh, t)
-    if lam0 is None:
-        lam0 = 0.35 * _scale(mesh)
+    # the circle mesh is fine enough for a deeper extrapolation ladder
+    frac, terms = (0.25, 5) if mesh.n == 1 else (0.35, RICHARDSON_TERMS)
     if method is None:
         method = "subtract" if mesh.spec is not None else "raw"
     if method not in ("raw", "subtract"):
         raise ValueError("method must be 'raw' or 'subtract'")
     nu = mesh.normals[i]
     direction = -nu if sign == "+" else nu
-    lams = lam0 / RICHARDSON_RATIO ** np.arange(terms)
+    lams = frac * _scale(mesh) / RICHARDSON_RATIO ** np.arange(terms)
     points = mesh.nodes[i] + lams[:, None] * direction[None, :]
     vals = _integral_rows(mesh, f, points, side,
                           i if method == "subtract" else None,
@@ -716,8 +725,7 @@ def span_indicator(mesh, w) -> SpanResult:
     ctx = mesh.context
     point = np.asarray(w, dtype=np.float64)
     ones = BoundaryDensity.constant(mesh, 1.0)
-    node_dist = np.linalg.norm(mesh.nodes - point[None, :], axis=1).min()
-    if node_dist <= 1e-9 * max(_scale(mesh), 1.0):
+    if _nearest_node(mesh, point)[1] <= 1e-9 * max(_scale(mesh), 1.0):
         raw = principal_value(mesh, ones, point)
     else:
         raw = cauchy_integral(mesh, ones, point, method="raw").value

@@ -25,7 +25,7 @@ from .surface import DomainSpec, build_mesh, parse_mesh_spec, save_mesh
 from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      span_indicator, symmetric_difference_limit,
                      _integral_rows, _scale)
-from .fueter import multi_indices, order_at_infinity
+from .fueter import MAX_DEGREE, multi_indices, order_at_infinity
 from .bvp import (CharacteristicCoefficients, constant_gap_residual,
                   jump_residual, poincare_bertrand_discrepancy,
                   solve_characteristic_sie, solve_constant_gap,
@@ -182,6 +182,11 @@ def resolve_config(raw, overrides=()):
     if cfg.sample_nodes < 1:
         raise ConfigError("sample_nodes: must be >= 1, got %d"
                           % cfg.sample_nodes)
+    # the solvability conditions of R_m need moments of degree -n - m - 1
+    low = -SURFACES[cfg.surface][1] - MAX_DEGREE - 1
+    if name in ("jump-rm", "constant-gap") and cfg.jump_m < low:
+        raise ConfigError("jump_m: must be >= %d on %s, got %d"
+                          % (low, cfg.surface, cfg.jump_m))
     if cfg.expect not in ("solvable", "unsolvable"):
         raise ConfigError("expect: expected solvable or unsolvable, got %r"
                           % cfg.expect)
@@ -324,27 +329,18 @@ def _run_reproduction(cfg, mesh):
     return _norms(errs) + ({},)
 
 
-def _limit_params(mesh):
-    # the circle mesh is fine enough for a deeper extrapolation ladder
-    if mesh.n == 1:
-        return {"lam0": 0.25 * _scale(mesh), "terms": 5}
-    return {}
-
-
 def _run_plemelj(cfg, mesh):
     densities = _densities(cfg, mesh, lambda: _corpus.plemelj_corpus(
         mesh, seed=cfg.seed + 11))
     rng = np.random.default_rng(cfg.seed + 3)
     idx = rng.integers(0, mesh.node_count, size=3)
-    kw = _limit_params(mesh)
     errs = []
     pvs = principal_value_nodes(mesh, densities, indices=idx)
     for dens, pv in zip(densities, pvs):
         half = 0.5 * dens.samples[idx]
         for i, plus, minus in zip(idx, half + pv, -half + pv):
-            t = mesh.nodes[i]
-            lp = boundary_limit(mesh, dens, t, "+", **kw)
-            lm = boundary_limit(mesh, dens, t, "-", **kw)
+            lp = boundary_limit(mesh, dens, int(i), "+")
+            lm = boundary_limit(mesh, dens, int(i), "-")
             errs.append(np.abs(lp.coeffs - plus).max())
             errs.append(np.abs(lm.coeffs - minus).max())
     return _norms(errs) + ({},)
@@ -371,7 +367,7 @@ def _solve_and_score(cfg, mesh, solve, residual, data, aux):
         worst = max(rep.residuals.values()) if rep.residuals else math.inf
         return worst, worst, aux
     res = residual(mesh, sol, *data, sample_nodes=cfg.sample_nodes,
-                   seed=cfg.seed, limit_kw=_limit_params(mesh))
+                   seed=cfg.seed)
     return _norms([res]) + (aux,)
 
 
@@ -407,8 +403,7 @@ def _run_dirichlet(cfg, mesh):
         agree += int(rep.solvable == truth)
         if truth and rep.solvable:
             for i in rng.integers(0, mesh.node_count, size=2):
-                rec = symmetric_difference_limit(mesh, dens, mesh.nodes[i],
-                                                 lams)
+                rec = symmetric_difference_limit(mesh, dens, int(i), lams)
                 recon.append(float(np.abs(rec.coeffs
                                           - dens.samples[i]).max()))
     aux = {"verdict_agreement": agree / len(corpus), "corpus_size": len(corpus)}

@@ -492,16 +492,16 @@ class OrderReport:
 
 
 def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
-                      max_degree=MAX_DEGREE, rays=3, seed=7) -> OrderReport:
+                      seed=7) -> OrderReport:
     """Order at infinity of a Cauchy-type integral or a sampled evaluator.
 
     Moment route (needs mesh+g): Ord = -n - N^l with N^l the smallest
-    |alpha| whose moment norm clears max(10 * quadrature error estimate,
-    1e-8 * density scale); the error estimate comes from one mesh
-    refinement when the density carries an evaluator.  Empirical route:
-    least-squares slope of log|Phi| against log|w| on rays with radii in
-    [5 rho, 50 rho], rounded to the nearest integer.  Both are reported;
-    `order` is the moment route when available, else the slope fit.
+    |alpha| <= MAX_DEGREE whose moment norm clears max(10 * quadrature
+    error estimate, 1e-8 * density scale); the error estimate comes from
+    one mesh refinement when the density carries an evaluator.  Empirical
+    route: least-squares slope of log|Phi| against log|w| on 3 seeded rays
+    with radii in [5 rho, 50 rho], rounded to the nearest integer.  Both
+    are reported; `order` is the moment route if available, else the slope.
     """
     if evaluator is None and (mesh is None or g is None):
         raise ValueError("need a (mesh, g) pair or an evaluator")
@@ -515,7 +515,7 @@ def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
     undetermined = False
     n = mesh.n
     if g is not None:
-        norms, threshold, _ = _moment_threshold(mesh, g, max_degree, side,
+        norms, threshold, _ = _moment_threshold(mesh, g, MAX_DEGREE, side,
                                                 _degree_maxima)
         for k in sorted(norms):
             if norms[k] > threshold:
@@ -529,7 +529,7 @@ def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
     rng = np.random.default_rng(seed)
     rho = surface_hull_radius(mesh)
     radii = np.geomspace(5.0 * rho, 50.0 * rho, 8)
-    dirs = rng.standard_normal((rays, n + 1))
+    dirs = rng.standard_normal((3, n + 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     # ray-major: point k * len(radii) + j is radii[j] * dirs[k]
     points = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n + 1)
@@ -544,7 +544,7 @@ def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
         return OrderReport(-math.inf, -math.inf, -math.inf, -math.inf,
                            first_deg, threshold, norms, False)
     keep = mags > 0
-    slope_raw = float(np.polyfit(np.log(np.tile(radii, rays))[keep],
+    slope_raw = float(np.polyfit(np.log(np.tile(radii, 3))[keep],
                                  np.log(mags[keep]), 1)[0])
     slope_order = float(np.round(slope_raw))
 

@@ -58,7 +58,6 @@ PV_CONST_TOL_SPHERE = 1e-3
 REPRODUCTION_TOL = 1e-3
 PLEMELJ_TOL_CIRCLE = 1e-4
 PLEMELJ_TOL_SPHERE = 1e-2
-CIRCLE_LIMIT_KW = {"lam0": 0.25, "terms": 5}
 INVERSION_TOL = 1e-3
 INVERSION_MIN_ORDER = 1.0
 JUMP_REL_TOL = 1e-3
@@ -119,15 +118,15 @@ def test_reproduction_and_annihilation_of_monogenic_traces():
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
-def _plemelj_worst(mesh, limit_kw):
+def _plemelj_worst(mesh):
     rng = np.random.default_rng(3)
     idx = rng.choice(mesh.node_count, size=3, replace=False)
     worst = 0.0
     for f in plemelj_corpus(mesh):
         for i in idx:
             plus, minus = plemelj_values(mesh, f, int(i))
-            lim_p = boundary_limit(mesh, f, int(i), "+", **limit_kw)
-            lim_m = boundary_limit(mesh, f, int(i), "-", **limit_kw)
+            lim_p = boundary_limit(mesh, f, int(i), "+")
+            lim_m = boundary_limit(mesh, f, int(i), "-")
             worst = max(worst,
                         float(np.abs(plus.coeffs - lim_p.coeffs).max()),
                         float(np.abs(minus.coeffs - lim_m.coeffs).max()))
@@ -135,12 +134,12 @@ def _plemelj_worst(mesh, limit_kw):
 
 
 def test_plemelj_limits_circle(circle_fine):
-    assert _plemelj_worst(circle_fine, CIRCLE_LIMIT_KW) <= PLEMELJ_TOL_CIRCLE
+    assert _plemelj_worst(circle_fine) <= PLEMELJ_TOL_CIRCLE
 
 
 def test_plemelj_limits_sphere():
     mesh = build_mesh(SPHERE, 4)
-    assert _plemelj_worst(mesh, {}) <= PLEMELJ_TOL_SPHERE
+    assert _plemelj_worst(mesh) <= PLEMELJ_TOL_SPHERE
 
 
 def test_singular_operator_involution_converges():

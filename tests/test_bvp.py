@@ -47,7 +47,6 @@ from hypercauchy._corpus import (
     random_smooth,
 )
 
-LIMIT_KW = {"lam0": 0.25, "terms": 5}   # tuned normal-limit parameters (circle)
 JUMP_TOL = 1e-4
 MOMENT_EXACT_TOL = 1e-10
 SIE_CONST_TOL = 1e-14
@@ -63,15 +62,15 @@ def test_jump_unconditional_with_free_slots(circle_mesh):
     assert rep.condition_count == 0
     assert rep.freedom_count == math.comb(2, 1)
     assert [a for a, _ in sol.polynomial] == [(0,), (1,)]
-    assert jump_residual(circle_mesh, sol, g, limit_kw=LIMIT_KW) <= JUMP_TOL
+    assert jump_residual(circle_mesh, sol, g) <= JUMP_TOL
 
 
 def test_jump_polynomial_part_preserves_jump(circle_mesh):
     g = random_smooth(circle_mesh, 7)
     sol, _ = solve_jump_rm(circle_mesh, g, 1)
     shifted = sol.with_polynomial({(1,): np.array([0.3, -0.2])})
-    base = jump_residual(circle_mesh, sol, g, limit_kw=LIMIT_KW)
-    moved = jump_residual(circle_mesh, shifted, g, limit_kw=LIMIT_KW)
+    base = jump_residual(circle_mesh, sol, g)
+    moved = jump_residual(circle_mesh, shifted, g)
     assert abs(base - moved) <= 1e-12
     w = np.array([0.2, 0.3])
     delta = shifted.interior(w).coeffs - sol.interior(w).coeffs
@@ -131,7 +130,7 @@ def test_jump_decaying_class_needs_vanishing_moments(circle_spec, circle_mesh):
     assert rep.verdict == "solvable"
     assert rep.condition_count == 1
     assert max(rep.residuals.values()) <= rep.threshold
-    assert jump_residual(circle_mesh, sol, g, limit_kw=LIMIT_KW) <= JUMP_TOL
+    assert jump_residual(circle_mesh, sol, g) <= JUMP_TOL
     # a single pole has full charge: unsolvable, residual is exactly V_n
     bad = kernel_trace(circle_mesh, interior_pole(circle_spec, seed=2,
                                                   frac=0.35), scale=-1.0)
@@ -202,7 +201,7 @@ def test_constant_gap_reduces_to_jump(circle_mesh):
     sol, rep = solve_constant_gap(circle_mesh, g, G, 0)
     assert rep.verdict == "unconditional"
     assert sol.gap_inverse is not None
-    res = constant_gap_residual(circle_mesh, sol, g, G, limit_kw=LIMIT_KW)
+    res = constant_gap_residual(circle_mesh, sol, g, G)
     assert res <= JUMP_TOL
 
 
@@ -213,8 +212,8 @@ def test_unit_gap_residual_is_jump_residual(circle_mesh):
     g = random_smooth(circle_mesh, 9)
     sol, rep = solve_jump_rm(circle_mesh, g, -1)
     assert rep.verdict == "unconditional" and sol.polynomial == ()
-    jump = jump_residual(circle_mesh, sol, g, limit_kw=LIMIT_KW)
-    gap = constant_gap_residual(circle_mesh, sol, g, 1.0, limit_kw=LIMIT_KW)
+    jump = jump_residual(circle_mesh, sol, g)
+    gap = constant_gap_residual(circle_mesh, sol, g, 1.0)
     scale = 3.0 * float(np.abs(g.samples).max()) + jump
     assert abs(gap - jump) <= 8.0 * 2.0 ** -53 * scale
 

@@ -257,8 +257,8 @@ def test_plemelj_identities(circle_mesh):
 def test_plemelj_against_normal_limits(circle_fine):
     f = random_smooth(circle_fine, 5)
     plus, minus = plemelj_values(circle_fine, f, 7)
-    lim_p = boundary_limit(circle_fine, f, 7, "+", lam0=0.25, terms=5)
-    lim_m = boundary_limit(circle_fine, f, 7, "-", lam0=0.25, terms=5)
+    lim_p = boundary_limit(circle_fine, f, 7, "+")
+    lim_m = boundary_limit(circle_fine, f, 7, "-")
     assert np.max(np.abs(plus.coeffs - lim_p.coeffs)) <= PLEMELJ_TOL
     assert np.max(np.abs(minus.coeffs - lim_m.coeffs)) <= PLEMELJ_TOL
 
@@ -592,18 +592,30 @@ def test_ladders_take_one_kernel_call(monkeypatch, side):
     mesh = _small_mesh("sphere2-L0")
     f = random_smooth(mesh, 4)
     other = "accum_right" if side == "left" else "accum_left"
-    for terms in (3, 5):
-        calls = _count_calls(monkeypatch, "accum_" + side)
-        unused = _count_calls(monkeypatch, other)
-        boundary_limit(mesh, f, 2, "+", side=side, terms=terms)
-        boundary_limit(mesh, f, 2, "-", side=side, terms=terms,
-                       method="raw")
-        assert calls == [terms, terms] and unused == []
+    calls = _count_calls(monkeypatch, "accum_" + side)
+    unused = _count_calls(monkeypatch, other)
+    boundary_limit(mesh, f, 2, "+", side=side)
+    boundary_limit(mesh, f, 2, "-", side=side, method="raw")
+    assert calls == [4, 4] and unused == []
     lams = [0.2, 0.1, 0.05, 0.025]
     calls = _count_calls(monkeypatch, "accum_" + side)
     unused = _count_calls(monkeypatch, other)
     symmetric_difference_limit(mesh, f, 5, lams, side=side)
     assert calls == [2 * len(lams)] and unused == []
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+def test_circle_ladder_depth_comes_from_the_mesh(sign):
+    # circles take lam0 = 0.25 R with 5 rungs; R = 2 here
+    mesh = build_mesh(DomainSpec("circle", 1, radius=2.0), 4)
+    f = random_smooth(mesh, 5)
+    t = 3
+    lams = 0.5 / 2.0 ** np.arange(5)
+    direction = -mesh.normals[t] if sign == "+" else mesh.normals[t]
+    points = mesh.nodes[t] + lams[:, None] * direction[None, :]
+    rows = _integral_rows(mesh, f, points, "left", t, np.full(5, sign == "+"))
+    got = boundary_limit(mesh, f, t, sign)
+    assert np.array_equal(got.coeffs, richardson_limit(2, rows))
 
 
 @pytest.mark.parametrize("sign", ["x", "", "+-", None])

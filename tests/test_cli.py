@@ -14,6 +14,7 @@ from hypercauchy.cli import (EXPERIMENTS, ConfigError, list_builtins, main,
 from hypercauchy.clifford_core import (Paravector, conjugate, get_context,
                                        paravector_inverse, product)
 from hypercauchy.bvp import solve_jump_rm
+from hypercauchy.fueter import DegreeOverflowError
 from hypercauchy.surface import build_mesh, load_mesh
 from hypercauchy._corpus import make_density
 
@@ -196,6 +197,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
         # caught where the config enters, not by a failed run (exit 1)
         ("experiment = jump-rm\nlevels = 1\nsample_nodes = 0\n",
          "sample_nodes"),
+        ("experiment = jump-rm\nlevels = 1\njump_m = -10\n", "jump_m"),
+        ("experiment = constant-gap\nsurface = sphere2\nlevels = 1\n"
+         "jump_m = -10\n", "jump_m"),
         ("experiment = pv-constant\nlevels = -1,1\n", "levels"),
         ("experiment = algebra-laws\nlevels = 0,1\n", "levels"),
         ("experiment = algebra-laws\nlevels = 8,9\n", "levels"),
@@ -274,12 +278,17 @@ def test_numerical_failure_exit_1(tmp_path, capsys):
     assert "error" in doc and "SingularInputError" in doc["error"]
 
 
-def test_failure_report_is_strict_json(tmp_path, capsys):
+def test_failure_report_is_strict_json(tmp_path, capsys, monkeypatch):
     # an unset min_order is NaN in the config; the report must say null
+    def overflow(*args, **kwargs):
+        raise DegreeOverflowError("order bound needs moment degree 8 > max 6")
+
+    # the config check refuses such an order bound, so the solver is made
+    # to fail in its place
+    monkeypatch.setattr(cli, "solve_jump_rm", overflow)
     body = "\n".join([
         "experiment = jump-rm",
         "levels = 1",
-        "jump_m = -10",
         "json = %s" % (tmp_path / "err.json"),
     ])
     cfg = _write_config(tmp_path, "jump.cfg", body + "\n")
