@@ -24,7 +24,9 @@ the planes:
   those of a call with that density alone;
 - one density per node target, column i of an (N, N, 2^n) matrix with
   nu w folded in by one batch_product per tile (pv_matrix): each
-  target's planes take a batched matmul with its own column.
+  target's planes take a batched matmul with its own column.  Only
+  kernels that do not factor come here; a kernel L_j R_i takes two
+  shared densities, nu w L and nu w, instead (bvp._matrix_pv_rows).
 
 Node targets on a uniform circle grid (uniform_circle) take no tiles in
 accum_left, accum_right and pb_rhs: there C(V_1) is the complex plane
@@ -221,7 +223,10 @@ def pv_matrix(ctx, nodes, nuw, dmat):
 
     out_i = sum_{j != i} E(x_j - x_i) nuw_j (dmat[j, i] - dmat[i, i]),
     with dmat of shape (N, N, dim): first index integration node, second
-    index target node.  One pass over the node-pair tiles.
+    index target node.  One pass over the node-pair tiles.  This is the
+    general route, for held and callable kernels and the parity reference
+    of the separable one: bvp._matrix_pv_rows sums a kernel that factors
+    as L_j R_i as two shared densities instead.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     N = nodes.shape[0]
@@ -253,10 +258,12 @@ def pb_rhs(ctx, nodes, nuw, kmat, t_index, core):
     P[i] = sum_{j != i} E(x_j - x_i) nuw_j kmat[j, i], Q[i, t] the same sum
     of kmat[j, t] (one density nuw kmat[:, t] per t) and C_t[i] =
     E(t - x_i) nuw_t (kmat[t, i] - kmat[t, t]), the term j = t.  core is
-    pv_matrix(ctx, nodes, nuw, kmat), so P[i] = core[i] + S2[i] kmat[i, i]
-    with S2[i] = sum_{j != i} E(x_j - x_i) nuw_j; S2 rides as one more
-    shared density on Q's stack, one pass over the node-pair tiles.  A_t
-    and C_t share one kernel block, since E(t - x_i) = -E(x_i - t).
+    the core sums of kmat, as pv_matrix(ctx, nodes, nuw, kmat) or the
+    separable route of bvp._matrix_pv_rows gives them, so P[i] = core[i]
+    + S2[i] kmat[i, i] with S2[i] = sum_{j != i} E(x_j - x_i) nuw_j; S2
+    rides as one more shared density on Q's stack, one pass over the
+    node-pair tiles.  A_t and C_t share one kernel block, since
+    E(t - x_i) = -E(x_i - t).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     N = nodes.shape[0]

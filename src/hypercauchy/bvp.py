@@ -25,7 +25,8 @@ from .clifford_core import (Multivector, SingularInputError, as_coeffs,
 from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, gradient_stencil, kernel_E_rows,
                      principal_value_nodes, symmetric_difference_limit,
-                     unit_sphere_area, _as_coeff_rows, _cell_corrections,
+                     symmetric_difference_steps, unit_sphere_area,
+                     _as_coeff_rows, _cell_corrections,
                      _density_samples, _integral_rows, _scale,
                      _warn_if_continuous)
 from .surface import _first_nonfinite_row
@@ -394,8 +395,7 @@ def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
 
     attain = math.nan
     if mode == "continuous" and solvable:
-        lam0 = 0.35 * _scale(mesh)
-        lams = lam0 / 2.0 ** np.arange(4)
+        lams = symmetric_difference_steps(mesh)
         errs = []
         for i in rng.choice(mesh.node_count, size=3, replace=False):
             rec = symmetric_difference_limit(mesh, g, int(i), lams)
@@ -543,7 +543,10 @@ class ProductKernel:
     block (k[rows, cols], k[:, ts], k[ts]); two index arrays or ints
     broadcast (k[ar, ar], k[nb, ar[:, None]]).  Each lookup is one
     elementwise batch_product, so every value is bitwise the one a held
-    array would store.
+    array would store.  A kernel with factor rows, or one whose right
+    kernel has them, is separable (_factors): its principal-value core is
+    two shared-density sums, and lookups read only its diagonal, its
+    stencil neighbours and pb_rhs's sampled rows and columns.
     """
 
     ndim = 3
@@ -625,19 +628,50 @@ def _kernel_matrix(mesh, k):
     return kmat
 
 
+def _factors(dmat):
+    """(left, right) rows with dmat[j, i] = left[j] right[i], or None.
+
+    A ProductKernel factors when its right factor is (N, dim) rows, or a
+    kernel that factors: left[j] (l[j] r[i]) = (left[j] l[j]) r[i].  A held
+    array, a callable's matrix, or a kernel over one, does not.
+    """
+    if not isinstance(dmat, ProductKernel):
+        return None
+    if dmat.right.ndim == 2:
+        return dmat.left, dmat.right
+    inner = _factors(dmat.right)
+    if inner is None:
+        return None
+    return batch_product(dmat.mesh.context, dmat.left, inner[0]), inner[1]
+
+
 def _matrix_pv_rows(mesh, dmat):
     """Raw PV int E dsigma d_i(.) at every node i for per-target densities.
 
     dmat[j, i] holds the density of target i sampled at node j.  Returns
     (rows, core): (N, dim) rows of the unnormalized principal values, with
     the singular-cell gradient correction and the (V_n/2) diagonal term,
-    and the _accel.pv_matrix core sums they were built from, which
-    _accel.pb_rhs takes for the same matrix.
+    and the core sums sum_{j != i} E(x_j - x_i) nu_j w_j (dmat[j, i] -
+    dmat[i, i]) they were built from, which _accel.pb_rhs takes for the
+    same matrix.  When dmat factors as L_j R_i (_factors), the core is
+    (S1_i - S2_i L_i) R_i by associativity, S1 and S2 the node sums of
+    the two shared densities nu w L and nu w: one accum_left call, which
+    takes the FFT route on uniform circles.  Other kernels take the
+    per-target tiles of _accel.pv_matrix.
     """
     ctx = mesh.context
     nuw = mesh.measure_coeffs()
-    core = _accel.pv_matrix(ctx, mesh.nodes, nuw, dmat)
     N = mesh.node_count
+    factors = _factors(dmat)
+    if factors is None:
+        core = _accel.pv_matrix(ctx, mesh.nodes, nuw, dmat)
+    else:
+        L, R = factors
+        g = np.stack([batch_product(ctx, nuw, L),
+                      paravectors_as_coeffs(ctx, nuw)])
+        S1, S2 = _accel.accum_left(ctx, mesh.nodes, mesh.nodes, g,
+                                   np.arange(N))
+        core = batch_product(ctx, S1 - batch_product(ctx, S2, L), R)
     vol = unit_sphere_area(mesh.n)
     diag = dmat[np.arange(N), np.arange(N)]
     out = core + 0.5 * vol * diag
@@ -658,8 +692,11 @@ def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     ProductKernel of the phi rows and kmat, formed where it is read, so
     only what _kernel_matrix holds is held: the factor rows of a
     ProductKernel, or the one N x N array of an array or a callable,
-    under KERNEL_MATRIX_BYTE_CAP.  Evaluation-only: no inversion theory is
-    attached to the full kernel.
+    under KERNEL_MATRIX_BYTE_CAP.  For a ProductKernel k with factor rows
+    f, g the density matrix factors as (phi f)_j g_i, so its principal
+    values take _matrix_pv_rows's two shared-density sums; an array, a
+    callable or a kernel over a held array takes the per-target tiles.
+    Evaluation-only: no inversion theory is attached to the full kernel.
     """
     ctx = mesh.context
     phi_rows = _density_samples(mesh, phi)
@@ -719,13 +756,14 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
     collapses to (V_n/2)^2 f(t).  k is a ProductKernel, as
     _corpus.product_kernel returns, a presampled (N, N, dim) matrix or a
     callable (see _kernel_matrix); a ProductKernel sampled on another mesh
-    is refused.  The general case makes one _accel.pv_matrix call, whose
-    core sums give the inner principal values and also feed the one
+    is refused.  The general case takes the core sums of _matrix_pv_rows
+    once: for a ProductKernel with factor rows, one accum_left call with
+    two shared densities, and for other kernels one _accel.pv_matrix
+    call.  They give the inner principal values and also feed the one
     _accel.pb_rhs call for the exchanged-order sums of all sampled nodes.
-    Each call builds every node pair's Cauchy kernel value once, on the
-    node-pair tiles; a ProductKernel's values are formed in those tiles,
-    at the stencil neighbours and in the sampled rows and columns, so no
-    (N, N, dim) array is held.  Returns a
+    A ProductKernel's values are formed at the diagonal, the stencil
+    neighbours and in the sampled rows and columns, so no (N, N, dim)
+    array is held.  Returns a
     PoincareBertrandReport; interpretation (convergence trends under
     refinement) is left to the caller.
     """

@@ -33,8 +33,8 @@ from .clifford_core import (
     paravectors_as_coeffs,
     sided_product,
 )
-from .surface import (CapExclusion, SurfaceMesh, _first_nonfinite_row,
-                      exclude_cap)
+from .surface import (DegenerateExclusionError, SurfaceMesh,
+                      _first_nonfinite_row)
 
 RICHARDSON_RATIO = 2.0   # step shrinks by 1/2 per term
 RICHARDSON_TERMS = 4
@@ -586,8 +586,11 @@ def principal_value(mesh, f: BoundaryDensity, t, side="left",
     t_point = mesh.nodes[i]
     dist = np.linalg.norm(mesh.nodes - t_point[None, :], axis=1)
     delta0 = 16.0 * mesh.h
-    # validates the largest cap, which every smaller one lies inside
-    exclude_cap(mesh, CapExclusion(tuple(t_point), delta0))
+    # the largest cap, centred on node i, holds every smaller one; it is
+    # degenerate when no node lies outside it
+    if not np.any(dist > delta0):
+        raise DegenerateExclusionError("cap of radius %g removed every node"
+                                       % delta0)
     vals = []
     for k in range(RICHARDSON_TERMS):
         delta = delta0 / RICHARDSON_RATIO**k
@@ -662,7 +665,7 @@ def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left",
         raise ValueError("method must be 'raw' or 'subtract'")
     nu = mesh.normals[i]
     direction = -nu if sign == "+" else nu
-    lams = frac * _scale(mesh) / RICHARDSON_RATIO ** np.arange(terms)
+    lams = _halving_steps(mesh, frac, terms)
     points = mesh.nodes[i] + lams[:, None] * direction[None, :]
     vals = _integral_rows(mesh, f, points, side,
                           i if method == "subtract" else None,
@@ -675,6 +678,22 @@ def _scale(mesh):
         return mesh.spec.radius
     span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
     return 0.5 * float(span.max())
+
+
+def _halving_steps(mesh, frac, terms):
+    """Steps frac R / RICHARDSON_RATIO^k, k < terms, with R = _scale(mesh)."""
+    return frac * _scale(mesh) / RICHARDSON_RATIO ** np.arange(terms)
+
+
+def symmetric_difference_steps(mesh):
+    """The lambdas of the symmetric-difference ladder on mesh.
+
+    They halve from 0.35 R over RICHARDSON_TERMS rungs, the depth of
+    boundary_limit's ladder off circles, R the spec radius or half the
+    nodes' widest extent; solve_dirichlet and the dirichlet experiment
+    pass them to symmetric_difference_limit.
+    """
+    return _halving_steps(mesh, 0.35, RICHARDSON_TERMS)
 
 
 def symmetric_difference_limit(mesh, f: BoundaryDensity, p, lambdas,

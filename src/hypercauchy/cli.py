@@ -24,7 +24,7 @@ from .clifford_core import batch_conjugate, batch_product, get_context
 from .surface import DomainSpec, build_mesh, parse_mesh_spec, save_mesh
 from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      span_indicator, symmetric_difference_limit,
-                     _integral_rows, _scale)
+                     symmetric_difference_steps, _integral_rows)
 from .fueter import MAX_DEGREE, multi_indices, order_at_infinity
 from .bvp import (CharacteristicCoefficients, constant_gap_residual,
                   jump_residual, poincare_bertrand_discrepancy,
@@ -395,7 +395,7 @@ def _run_constant_gap(cfg, mesh):
 def _run_dirichlet(cfg, mesh):
     corpus = _corpus.dirichlet_corpus(mesh, seed=cfg.seed + 19)
     rng = np.random.default_rng(cfg.seed + 7)
-    lams = 0.35 * _scale(mesh) / 2.0 ** np.arange(4)
+    lams = symmetric_difference_steps(mesh)
     agree = 0
     recon = [0.0]
     for name, dens, truth in corpus:

@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hypercauchy import _accel, cauchy, fueter
+from hypercauchy import _accel, bvp, cauchy, fueter
 from hypercauchy.bvp import (
     CharacteristicCoefficients,
     ProductKernel,
+    _matrix_pv_rows,
     _pair_orthogonality,
     apply_characteristic_lhs,
     apply_full_sie_lhs,
@@ -26,6 +27,7 @@ from hypercauchy.bvp import (
 from hypercauchy.cauchy import (
     BoundaryDensity,
     kernel_E,
+    kernel_E_rows,
     principal_value_nodes,
     unit_sphere_area,
 )
@@ -607,12 +609,105 @@ def test_product_kernel_lookups_match_held_array(spec):
     assert k.nbytes == k.left.nbytes + k.right.nbytes
 
 
+UNIT_ROUNDOFF = 2.0 ** -53
+TERM_ROUNDINGS = 32
+
+
+def _separable_bounds(mesh, left_l1, right_l1, core, rows):
+    """Rounding bounds on separable against tile core sums and rows.
+
+    For a kernel left[j] right[i] whose factor rows have the l1 norms
+    left_l1 and right_l1, each route's core sum at node i has N (n+1)
+    kernel terms and a few products per term; as in test_cauchy's
+    _core_bound, its error is at most 2 gamma_m times sum_j l1(E_ij)
+    l1(nu_j w_j) (l1(L_j) + l1(L_i)) l1(R_i), and the two routes differ
+    by at most twice that.  The rows add the same diagonal term and cell
+    correction to either core, two more roundings on each side.  core and
+    rows are the tile route's, shape (N, dim); returns bounds of that
+    shape.
+    """
+    N = mesh.node_count
+    m = N * (mesh.n + 1) + TERM_ROUNDINGS
+    gamma = m * UNIT_ROUNDOFF / (1.0 - m * UNIT_ROUNDOFF)
+    nuw_l1 = np.abs(mesh.measure_coeffs()).sum(axis=1)
+    out = np.empty(N)
+    for i in range(N):
+        e_l1 = np.abs(kernel_E_rows(mesh.nodes, mesh.nodes[i])).sum(axis=1)
+        e_l1[i] = 0.0
+        out[i] = e_l1 @ (nuw_l1 * (left_l1 + left_l1[i])) * right_l1[i]
+    core_tol = 4.0 * gamma * np.broadcast_to(out[:, None], core.shape)
+    half = 0.5 * unit_sphere_area(mesh.n) * right_l1 * left_l1
+    rows_tol = core_tol + 4.0 * UNIT_ROUNDOFF * (
+        np.abs(core) + half[:, None] + np.abs(rows))
+    return core_tol, rows_tol
+
+
+def _l1(rows):
+    return np.abs(rows).sum(axis=-1)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+@pytest.mark.parametrize("spec", [
+    DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
+    DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0),
+], ids=["circle", "sphere2", "sphere3"])
+def test_separable_pv_rows_match_tiles(spec, level):
+    # a ProductKernel takes the two shared-density sums, its held array
+    # the per-target tiles of pv_matrix
+    mesh = build_mesh(spec, level)
+    k = product_kernel(mesh, 23)
+    rows, core = _matrix_pv_rows(mesh, k)
+    tile_rows, tile_core = _matrix_pv_rows(mesh, k[:, :])
+    core_tol, rows_tol = _separable_bounds(mesh, _l1(k.left), _l1(k.right),
+                                           tile_core, tile_rows)
+    assert np.all(np.abs(core - tile_core) <= core_tol)
+    assert np.all(np.abs(rows - tile_rows) <= rows_tol)
+    # a few ulps relative, as the bound allows
+    assert np.abs(rows - tile_rows).max() <= 1e-13 * np.abs(tile_rows).max()
+
+
+def test_separable_kernels_take_no_pv_matrix_tiles(circle_spec, monkeypatch):
+    mesh = build_mesh(circle_spec, 0)
+    k = product_kernel(mesh, 23)
+    a = random_smooth(mesh, 3)
+    phi = random_smooth(mesh, 5)
+    calls = []
+    original = _accel.pv_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(_accel, "pv_matrix", counted)
+    _matrix_pv_rows(mesh, k)
+    assert len(calls) == 0
+    # phi_j (f_j g_i): the nested kernel of apply_full_sie_lhs factors too
+    apply_full_sie_lhs(mesh, a, k, phi)
+    assert len(calls) == 0
+    held = k[:, :]
+    for kernel in (held, lambda x_rows, t: k.left,
+                   ProductKernel(mesh, k.left, held)):
+        apply_full_sie_lhs(mesh, a, kernel, phi)
+        assert len(calls) == 1
+        calls.clear()
+
+
 def test_full_sie_lhs_takes_product_kernel_like_its_array(circle_mesh):
+    # the two routes differ by the rounding of the separable sums only
     k = product_kernel(circle_mesh, 23)
     a = random_smooth(circle_mesh, 3)
     phi = random_smooth(circle_mesh, 5)
-    assert np.array_equal(apply_full_sie_lhs(circle_mesh, a, k, phi),
-                          apply_full_sie_lhs(circle_mesh, a, k[:, :], phi))
+    got = apply_full_sie_lhs(circle_mesh, a, k, phi)
+    want = apply_full_sie_lhs(circle_mesh, a, k[:, :], phi)
+    tile_rows, tile_core = _matrix_pv_rows(
+        circle_mesh, ProductKernel(circle_mesh, phi.samples, k[:, :]))
+    _, rows_tol = _separable_bounds(
+        circle_mesh, _l1(phi.samples) * _l1(k.left), _l1(k.right),
+        tile_core, tile_rows)
+    tol = (2.0 / unit_sphere_area(circle_mesh.n) * rows_tol
+           + 4.0 * UNIT_ROUNDOFF * np.abs(want))
+    assert np.all(np.abs(got - want) <= tol)
 
 
 def test_product_kernel_is_never_held_whole(circle_spec):
@@ -702,25 +797,32 @@ def test_pair_orthogonality_matches_pair_loop(spec):
 
 def test_general_kernel_makes_one_pv_matrix_and_one_pb_rhs_call(circle_spec,
                                                                  monkeypatch):
+    # a held kernel makes one pv_matrix call, a ProductKernel none; either
+    # takes one _matrix_pv_rows and one pb_rhs call
     mesh = build_mesh(circle_spec, 0)
-    calls = {"pv_matrix": [], "pb_rhs": []}
-    for name, seen in calls.items():
-        original = getattr(_accel, name)
+    k = product_kernel(mesh, 23)
+    for kernel, tile_calls in ((k[:, :], 1), (k, 0)):
+        calls = {"pv_matrix": [], "pb_rhs": [], "_matrix_pv_rows": []}
+        for name, seen in calls.items():
+            owner = bvp if name == "_matrix_pv_rows" else _accel
+            original = getattr(owner, name)
 
-        def counted(*args, _original=original, _seen=seen, **kwargs):
-            out = _original(*args, **kwargs)
-            _seen.append((args, out))
-            return out
+            def counted(*args, _original=original, _seen=seen, **kwargs):
+                out = _original(*args, **kwargs)
+                _seen.append((args, out))
+                return out
 
-        monkeypatch.setattr(_accel, name, counted)
-    rep = poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23),
-                                        sample_nodes=6)
-    assert len(calls["pv_matrix"]) == 1
-    assert len(calls["pb_rhs"]) == 1
-    pb_args = calls["pb_rhs"][0][0]
-    assert np.array_equal(pb_args[4], rep.sample_indices)
-    # pb_rhs takes the core that pv_matrix returned, not a recomputation
-    assert pb_args[5] is calls["pv_matrix"][0][1]
+            monkeypatch.setattr(owner, name, counted)
+        rep = poincare_bertrand_discrepancy(mesh, k=kernel, sample_nodes=6)
+        monkeypatch.undo()
+        assert len(calls["pv_matrix"]) == tile_calls
+        assert len(calls["_matrix_pv_rows"]) == 1
+        assert len(calls["pb_rhs"]) == 1
+        pb_args = calls["pb_rhs"][0][0]
+        assert np.array_equal(pb_args[4], rep.sample_indices)
+        # pb_rhs takes the core that _matrix_pv_rows returned, not a
+        # recomputation
+        assert pb_args[5] is calls["_matrix_pv_rows"][0][1][1]
 
 
 def test_invert_cauchy_pv_involution(circle_mesh):

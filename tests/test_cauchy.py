@@ -6,6 +6,7 @@ numbers there, so monomial traces z^k reproduce w^k inside and 0 outside.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hypercauchy.cauchy import (
     side_of,
     span_indicator,
     symmetric_difference_limit,
+    symmetric_difference_steps,
     tangential_gradient,
     unit_sphere_area,
     _integral_rows,
@@ -39,7 +41,8 @@ from hypercauchy.cauchy import (
 from hypercauchy.clifford_core import (SingularInputError, embed_point,
                                        paravectors_as_coeffs)
 from hypercauchy.fueter import cauchy_derivative
-from hypercauchy.surface import DomainSpec, build_mesh, refine
+from hypercauchy.surface import (DegenerateExclusionError, DomainSpec,
+                                 build_mesh, refine)
 from hypercauchy._corpus import random_smooth, rough_holder
 
 ORACLE_TOL = 1e-12          # circle quadrature of low-degree traces is spectral
@@ -219,6 +222,19 @@ def test_pv_methods_cross_validate(circle_mesh):
         principal_value(circle_mesh, f, 11, method="cap")
 
 
+def test_delta_limit_cap_over_the_whole_sphere_is_degenerate():
+    # on sphere2 L0 the largest cap, 16 h across, exceeds the diameter 2 R
+    mesh = build_mesh(DomainSpec("sphere", 2, center=(0.0,) * 3,
+                                 radius=1.0), 0)
+    assert 16.0 * mesh.h > 2.0
+    f = random_smooth(mesh, 5)
+    with pytest.raises(DegenerateExclusionError,
+                       match="^%s$" % re.escape(
+                           "cap of radius %g removed every node"
+                           % (16.0 * mesh.h))):
+        principal_value(mesh, f, 3, method="delta_limit")
+
+
 def test_pv_point_snapping(circle_mesh):
     f = random_smooth(circle_mesh, 5)
     by_index = principal_value(circle_mesh, f, 11)
@@ -252,6 +268,18 @@ def test_plemelj_identities(circle_mesh):
     assert np.allclose((plus - minus).coeffs, f.samples[11], atol=1e-15)
     pv = principal_value(circle_mesh, f, 11)
     assert np.allclose((plus + minus).coeffs, 2 * pv.coeffs, atol=1e-15)
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec("circle", 1, center=(0.4, -0.2), radius=0.7),
+    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
+    None,
+], ids=["circle", "sphere2", "loaded"])
+def test_symmetric_difference_steps_halve_from_0_35_R(spec, shifted_circle):
+    mesh = (build_mesh(spec, 0) if spec is not None
+            else dataclasses.replace(shifted_circle, spec=None))
+    want = 0.35 * _scale(mesh) / 2.0 ** np.arange(4)
+    assert np.array_equal(symmetric_difference_steps(mesh), want)
 
 
 def test_plemelj_against_normal_limits(circle_fine):
