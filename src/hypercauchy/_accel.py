@@ -25,8 +25,8 @@ the planes:
 - one density per node target, column i of an (N, N, 2^n) matrix with
   nu w folded in by one batch_product per tile (pv_matrix): each
   target's planes take a batched matmul with its own column.  Only
-  kernels that do not factor come here; a kernel L_j R_i takes two
-  shared densities, nu w L and nu w, instead (bvp._matrix_pv_rows).
+  kernels that do not factor come here; a kernel L_j R_i takes the
+  shared density nu w L instead (bvp._matrix_pv_rows).
 
 Node targets on a uniform circle grid (uniform_circle) take no tiles in
 accum_left, accum_right and pb_rhs: there C(V_1) is the complex plane
@@ -41,7 +41,8 @@ or capped circles and spheres stay on the direct paths above, which are
 its parity reference.  The FFT takes the grid as ideal, which costs
 about N eps relative against the direct sums over the rounded nodes; in
 S1 - S2 f_t that part cancels when S2 takes the same route, and it
-does, as both come from node-target sums over the same nodes.
+does: every S1 - S2 f_t is cauchy._shifted_sums, whose full-mesh S2
+(the mesh's cache, which pb_rhs takes too) is a node-target sum.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ import math
 
 import numpy as np
 
-from .clifford_core import (batch_product, paravectors_as_coeffs,
-                            scatter_pairs, sided_sum)
+from .clifford_core import batch_product, scatter_pairs, sided_sum
 
 # target-node pairs per kernel block: each block of planes stays in cache
 BLOCK_PAIRS = 1 << 16
@@ -245,7 +245,7 @@ def pv_matrix(ctx, nodes, nuw, dmat):
     return scatter_pairs(ctx, T.transpose(1, 0, 2))
 
 
-def pb_rhs(ctx, nodes, nuw, kmat, t_index, core):
+def pb_rhs(ctx, nodes, nuw, kmat, t_index, core, S2):
     """Exchanged-order double singular sums at one node or at several.
 
     Computes sum_{j != t} sum_{i not in {t, j}} [E(x_i - t) nuw_i]
@@ -259,19 +259,17 @@ def pb_rhs(ctx, nodes, nuw, kmat, t_index, core):
     of kmat[j, t] (one density nuw kmat[:, t] per t) and C_t[i] =
     E(t - x_i) nuw_t (kmat[t, i] - kmat[t, t]), the term j = t.  core is
     the core sums of kmat, as pv_matrix(ctx, nodes, nuw, kmat) or the
-    separable route of bvp._matrix_pv_rows gives them, so P[i] = core[i]
-    + S2[i] kmat[i, i] with S2[i] = sum_{j != i} E(x_j - x_i) nuw_j; S2
-    rides as one more shared density on Q's stack, one pass over the
-    node-pair tiles.  A_t and C_t share one kernel block, since
-    E(t - x_i) = -E(x_i - t).
+    separable route of bvp._matrix_pv_rows gives them, and S2[i] =
+    sum_{j != i} E(x_j - x_i) nuw_j (cauchy._self_sums), so P[i] = core[i]
+    + S2[i] kmat[i, i] and only Q takes a node-target pass.  A_t and C_t
+    share one kernel block, since E(t - x_i) = -E(x_i - t).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     N = nodes.shape[0]
     ts = np.atleast_1d(np.asarray(t_index, dtype=np.int64))
-    G = np.concatenate([batch_product(ctx, nuw, kmat[:, ts].swapaxes(0, 1)),
-                        paravectors_as_coeffs(ctx, nuw)[None]])
-    sums = _accumulate(ctx, nodes, nodes, G, np.arange(N), "left")
-    Q, S2 = sums[:-1], sums[-1]
+    Q = _accumulate(ctx, nodes, nodes,
+                    batch_product(ctx, nuw, kmat[:, ts].swapaxes(0, 1)),
+                    np.arange(N), "left")
     P = core + batch_product(ctx, S2, kmat[np.arange(N), np.arange(N)])
     Et = _kernel_E_block(nodes[ts], nodes.T, ctx.n, ts).transpose(1, 2, 0)
     A = batch_product(ctx, Et, nuw)

@@ -28,7 +28,7 @@ from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      symmetric_difference_steps, unit_sphere_area,
                      _as_coeff_rows, _cell_corrections,
                      _density_samples, _integral_rows, _scale,
-                     _warn_if_continuous)
+                     _self_sums, _shifted_sums, _warn_if_continuous)
 from .surface import _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
                      _moment_threshold, _polynomial_rows, _refined_density)
@@ -189,17 +189,20 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
     return SectionalSolution(mesh, g, side, m, ()), report
 
 
+def _sample_indices(N, sample_nodes, seed):
+    """min(sample_nodes, N) distinct seeded node indices; none raises."""
+    if sample_nodes < 1:
+        raise ValueError("sample_nodes must be >= 1, got %r" % (sample_nodes,))
+    return np.random.default_rng(seed).choice(N, size=min(sample_nodes, N),
+                                              replace=False)
+
+
 def _sampled_limits(mesh, sol, sample_nodes, seed):
     """Sampled nodes idx and the (len(idx), dim) rows of the interior and
-    exterior limits of S[g] there, from boundary_limit's ladders (depth
-    from the mesh: 0.25 R with 5 rungs on circles, else 0.35 R, 4 rungs)."""
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(mesh.node_count, size=min(sample_nodes,
-                                               mesh.node_count),
-                     replace=False)
-    rows = [[boundary_limit(mesh, sol.density, int(i), sign, side=sol.side)
-             .coeffs for i in idx] for sign in "+-"]
-    plus, minus = np.reshape(rows, (2, idx.size, mesh.context.dim))
+    exterior limits of S[g] there, one boundary_limit call per side."""
+    idx = _sample_indices(mesh.node_count, sample_nodes, seed)
+    plus, minus = (boundary_limit(mesh, sol.density, idx, sign, side=sol.side)
+                   for sign in "+-")
     return idx, plus, minus
 
 
@@ -212,8 +215,7 @@ def jump_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
     """Max-norm of Phi+ - Phi- - g at sampled nodes via approach limits.
 
     Independent of the Plemelj identities: both one-sided values come
-    from boundary_limit's Richardson ladders along the normal, sized by
-    the mesh (0.25 R with 5 rungs on circles, else 0.35 R with 4).
+    from boundary_limit's Richardson ladders along the normal.
     """
     idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed)
     return _max_row_norm(plus - minus - g.samples[idx])
@@ -395,12 +397,10 @@ def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
 
     attain = math.nan
     if mode == "continuous" and solvable:
-        lams = symmetric_difference_steps(mesh)
-        errs = []
-        for i in rng.choice(mesh.node_count, size=3, replace=False):
-            rec = symmetric_difference_limit(mesh, g, int(i), lams)
-            errs.append(float(np.linalg.norm(rec.coeffs - g.samples[i])))
-        attain = max(errs)
+        idx = rng.choice(mesh.node_count, size=3, replace=False)
+        rec = symmetric_difference_limit(mesh, g, idx,
+                                         symmetric_difference_steps(mesh))
+        attain = float(np.linalg.norm(rec - g.samples[idx], axis=1).max())
         solvable = solvable and attain <= 0.05 * gmax
 
     sol = None
@@ -654,24 +654,19 @@ def _matrix_pv_rows(mesh, dmat):
     and the core sums sum_{j != i} E(x_j - x_i) nu_j w_j (dmat[j, i] -
     dmat[i, i]) they were built from, which _accel.pb_rhs takes for the
     same matrix.  When dmat factors as L_j R_i (_factors), the core is
-    (S1_i - S2_i L_i) R_i by associativity, S1 and S2 the node sums of
-    the two shared densities nu w L and nu w: one accum_left call, which
-    takes the FFT route on uniform circles.  Other kernels take the
-    per-target tiles of _accel.pv_matrix.
+    (S1_i - S2_i L_i) R_i by associativity, _shifted_sums of L at the
+    nodes: one accum_left call.  Other kernels take the per-target tiles
+    of _accel.pv_matrix.
     """
     ctx = mesh.context
-    nuw = mesh.measure_coeffs()
     N = mesh.node_count
     factors = _factors(dmat)
     if factors is None:
-        core = _accel.pv_matrix(ctx, mesh.nodes, nuw, dmat)
+        core = _accel.pv_matrix(ctx, mesh.nodes, mesh.measure_coeffs(), dmat)
     else:
         L, R = factors
-        g = np.stack([batch_product(ctx, nuw, L),
-                      paravectors_as_coeffs(ctx, nuw)])
-        S1, S2 = _accel.accum_left(ctx, mesh.nodes, mesh.nodes, g,
-                                   np.arange(N))
-        core = batch_product(ctx, S1 - batch_product(ctx, S2, L), R)
+        core = batch_product(ctx, _shifted_sums(
+            mesh, L, "left", mesh.nodes, np.arange(N), np.arange(N)), R)
     vol = unit_sphere_area(mesh.n)
     diag = dmat[np.arange(N), np.arange(N)]
     out = core + 0.5 * vol * diag
@@ -756,24 +751,21 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
     collapses to (V_n/2)^2 f(t).  k is a ProductKernel, as
     _corpus.product_kernel returns, a presampled (N, N, dim) matrix or a
     callable (see _kernel_matrix); a ProductKernel sampled on another mesh
-    is refused.  The general case takes the core sums of _matrix_pv_rows
-    once: for a ProductKernel with factor rows, one accum_left call with
-    two shared densities, and for other kernels one _accel.pv_matrix
-    call.  They give the inner principal values and also feed the one
-    _accel.pb_rhs call for the exchanged-order sums of all sampled nodes.
-    A ProductKernel's values are formed at the diagonal, the stencil
-    neighbours and in the sampled rows and columns, so no (N, N, dim)
-    array is held.  Returns a
-    PoincareBertrandReport; interpretation (convergence trends under
-    refinement) is left to the caller.
+    is refused.  The core sums of _matrix_pv_rows give the inner
+    principal values and, with the mesh's cached self-sums (_self_sums),
+    the one _accel.pb_rhs call for the exchanged-order sums of all sampled
+    nodes.  A ProductKernel's values are formed at the diagonal, the
+    stencil neighbours and in the sampled rows and columns, so no
+    (N, N, dim) array is held.  sample_nodes < 1 raises ValueError.
+    Returns a PoincareBertrandReport; interpretation (convergence trends
+    under refinement) is left to the caller.
     """
     if (k is None) == (f is None):
         raise ValueError("pass exactly one of k or f")
     ctx = mesh.context
     N = mesh.node_count
     vol = unit_sphere_area(mesh.n)
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(N, size=min(sample_nodes, N), replace=False))
+    idx = np.sort(_sample_indices(N, sample_nodes, seed))
 
     if f is not None:
         inner = vol * principal_value_nodes(mesh, f)
@@ -789,7 +781,7 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
                                   regularity=("holder", 1.0, None))
         lhs = vol * principal_value_nodes(mesh, inner_d, indices=idx)
         exchanged = _accel.pb_rhs(ctx, mesh.nodes, mesh.measure_coeffs(),
-                                  kmat, idx, core)
+                                  kmat, idx, core, _self_sums(mesh, "left"))
         rhs = (0.5 * vol) ** 2 * kmat[idx, idx] + exchanged
         disc = lhs - rhs
         sep_err = math.nan

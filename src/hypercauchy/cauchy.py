@@ -282,23 +282,68 @@ def _accum(mesh, targets, g, side, excl=None, keep=slice(None)):
                  excl)
 
 
+def _shifted_sums(mesh, samples, side, targets, t, excl=None):
+    """The one home of every subtracted sum: S1 - S2 f(t_m) at the M targets.
+
+    S1 = sum_j E(x_j - w_m) nu_j w_j f(x_j) and S2 the same sum of nu w
+    alone (mirrored on the right); samples is one density (N, 2^n) or a
+    (K, N, 2^n) stack, giving (M, 2^n) or (K, M, 2^n), t one node index per
+    target and excl as in _accum.  All K take one kernel pass, so row k is
+    bitwise that of f[k] alone; S2 rides as its last density unless the
+    mesh's cache holds it.  Full-mesh node targets (excl = arange(N)) keep
+    S2 there, read-only, per side, so S1 and S2 take one route.
+    """
+    N, dim = mesh.node_count, mesh.context.dim
+    key = ("self_sums", side)
+    full = excl is not None and np.array_equal(excl, np.arange(N))
+    S2 = mesh.cache.get(key) if full else None
+    g = _measure_density(mesh, samples, side).reshape(-1, N, dim)
+    if S2 is None:
+        measure = paravectors_as_coeffs(mesh.context, mesh.measure_coeffs())
+        g = np.concatenate([g, measure[None]])
+    sums = _accum(mesh, targets, g, side, excl)
+    del g
+    if S2 is None:
+        S2, sums = sums[-1], sums[:-1]
+        if full:
+            # a copy, so the cache does not hold the whole stack of sums
+            S2 = S2.copy()
+            S2.flags.writeable = False
+            mesh.cache[key] = S2
+    # S1 - S2 f_t, updated in place: a stack holds K rows each
+    core = sums.reshape(samples.shape[:-2] + (len(targets), dim))
+    core -= sided_product(mesh.context, side, S2, samples[..., t, :])
+    return core
+
+
+def _self_sums(mesh, side):
+    """The full-mesh S2 of _shifted_sums, cached; a cold cache takes one
+    pass of nu w alone."""
+    N = mesh.node_count
+    if ("self_sums", side) not in mesh.cache:
+        _shifted_sums(mesh, np.zeros((0, N, mesh.context.dim)), side,
+                      mesh.nodes, np.arange(N), np.arange(N))
+    return mesh.cache[("self_sums", side)]
+
+
 # -- Cauchy-type integral off the surface ---------------------------------------
 
-def _integral_rows(mesh, f, points, side, node=None, interior=False):
+def _integral_rows(mesh, f, points, side, node=None, interior=None):
     """Rows of C[f] at the (M, n+1) points off Gamma, in one kernel call.
 
-    With node None the raw sums; with a node index t, every row is shifted
-    by f(t): C[f - f(t)](w) + f(t) X(w), X = 1 on the rows flagged in the
-    boolean mask interior and 0 elsewhere.
+    With node None the raw sums.  Otherwise node is one node index or one
+    per row, and row m is C[f - f(t_m)](w_m) + f(t_m) X(w_m) (_shifted_sums),
+    X = 1 on the rows flagged in the length-M boolean mask interior, else
+    0.  f is one density, giving (M, 2^n), or a sequence of K, (K, M, 2^n).
     """
     samples = _density_samples(mesh, f)
-    if node is not None:
-        f0 = samples[node]
-        samples = samples - f0[None, :]
-    g = _measure_density(mesh, samples, side)
-    rows = _accum(mesh, points, g, side) / unit_sphere_area(mesh.n)
-    if node is not None:
-        rows[interior] += f0
+    vol = unit_sphere_area(mesh.n)
+    if node is None:
+        return _accum(mesh, points, _measure_density(mesh, samples, side),
+                      side) / vol
+    t = np.broadcast_to(node, (len(points),))
+    rows = _shifted_sums(mesh, samples, side, points, t) / vol
+    rows[..., interior, :] += samples[..., t[interior], :]
     return rows
 
 
@@ -317,9 +362,7 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
         'subtract' evaluates C[f - f(t*)](w) + f(t*) X(w) with t* the
         nearest node and X the exact span (1 interior / 0 exterior),
         which stays accurate close to the surface; it requires a
-        non-boundary side tag.  A Richardson ladder (boundary_limit,
-        symmetric_difference_limit) shares one shift, f at its node t,
-        the nearest node to all its points on spec-built meshes.
+        non-boundary side tag.
 
     Returns
     -------
@@ -495,51 +538,23 @@ def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
 def principal_value_nodes(mesh, f, side="left", indices=None):
     """Regularized principal values at mesh nodes, shape (len(indices), dim).
 
-    Computes (S1 - S2 f_t + c_t)/V_n + f_t/2 where S1, S2 are the
-    desingularized kernel sums and c_t the singular-cell correction.  f is
-    one BoundaryDensity, or a sequence of K of them, which gives shape
-    (K, len(indices), dim): S1 for all K takes one kernel pass, each
-    kernel block contracted with every density, so row k is bitwise the
-    principal value of f[k] alone.  A density sampled on a mesh with other
-    nodes raises ValueError.  S2 = sum_{j != i} E(x_j - x_i) nu_j w_j (or
-    mirrored) does not depend on f; when it is not at hand it is taken in
-    the same pass, nu w riding as the last density of the stack, so it is
-    bitwise what a pass of its own would give.  Over the full mesh
-    (indices None) it is kept, read-only, in the mesh's cache per side,
-    and later calls take one pass for S1 alone; explicit indices take
-    their rows and leave the cache alone.  A side other than 'left' or
-    'right' raises before any sum is taken.
+    Computes (S1 - S2 f_t + c_t)/V_n + f_t/2, S1 - S2 f_t the sums of
+    _shifted_sums at the nodes, each skipping its own, and c_t the
+    singular-cell correction.  f is one BoundaryDensity, or a sequence of
+    K, giving (K, len(indices), dim), row k bitwise that of f[k] alone.  A
+    density sampled on a mesh with other nodes, or a side other than
+    'left' or 'right', raises ValueError before any sum is taken.
     """
     _check_side(side)
     # building the stencil takes the largest temporaries of the call (the
     # per-node least-squares fits), so build it before any stack is held
     gradient_stencil(mesh)
     samples = _density_samples(mesh, f)
-    N, dim = mesh.node_count, mesh.context.dim
-    idx = (np.arange(N, dtype=np.int64) if indices is None
+    idx = (np.arange(mesh.node_count, dtype=np.int64) if indices is None
            else np.asarray(indices, dtype=np.int64))
-    key = ("self_sums", side)
-    S2 = mesh.cache.get(key) if indices is None else None
-    g = _measure_density(mesh, samples, side).reshape(-1, N, dim)
-    if S2 is None:
-        measure = paravectors_as_coeffs(mesh.context, mesh.measure_coeffs())
-        g = np.concatenate([g, measure[None]])
-    sums = _accum(mesh, mesh.nodes[idx], g, side, idx)
-    del g
-    if S2 is None:
-        S2, sums = sums[-1], sums[:-1]
-        if indices is None:
-            # a copy, so the cache does not hold the whole stack of sums
-            S2 = S2.copy()
-            S2.flags.writeable = False
-            mesh.cache[key] = S2
-    vol = unit_sphere_area(mesh.n)
-    ft = samples[..., idx, :]
-    # core = S1 - S2 f_t + c_t, updated in place: a stack holds K rows each
-    core = sums.reshape(samples.shape[:-2] + (len(idx), dim))
-    core -= sided_product(mesh.context, side, S2, ft)
+    core = _shifted_sums(mesh, samples, side, mesh.nodes[idx], idx, idx)
     core += _singular_cell_corrections(mesh, samples, side, idx)
-    return core / vol + 0.5 * ft
+    return core / unit_sphere_area(mesh.n) + 0.5 * samples[..., idx, :]
 
 
 def _snap_node(mesh, t):
@@ -619,27 +634,38 @@ def richardson_limit(step_ratio, values):
     table assuming an error expansion in integer powers of the step.
     """
     last = [np.asarray(v, dtype=np.float64) for v in values]
-    order = 1
-    while len(last) > 1:
-        next_vals = []
-        for i in range(len(last) - 1):
-            fact = step_ratio**order
-            next_vals.append((fact * last[i + 1] - last[i]) / (fact - 1.0))
-        last = next_vals
-        order += 1
+    for order in range(1, len(last)):
+        fact = step_ratio**order
+        last = [(fact * b - a) / (fact - 1.0) for a, b in zip(last, last[1:])]
     return last[0]
 
 
-def extrapolate_to_zero(lams, rows):
-    """Polynomial-in-lambda extrapolation of rows (k, dim) to lambda = 0,
-    through the last min(4, k) points."""
-    lams = np.asarray(lams, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.float64)
-    m = min(4, len(lams))
-    lam = lams[-m:]
-    V = np.vander(lam, m, increasing=True)
-    coef = np.linalg.solve(V, rows[-m:])
-    return coef[0]
+def _ladder_rows(mesh, f, t, lams, signs, side, shift):
+    """C[f] at x_t - s lam nu(t), sign s = 1 inside and -1 outside, in one
+    _integral_rows call, shifted by f at node t when shift is set.  t is a
+    node index or a 1-d array of them.  Returns (len(signs), len(t),
+    len(lams), dim), after a leading K for a sequence of K densities."""
+    idx = np.atleast_1d(t)
+    if idx.ndim > 1 or idx.dtype.kind not in "iu" or np.any(
+            (idx < 0) | (idx >= mesh.node_count)):
+        raise ValueError("t must be a node index in 0..%d or a 1-d array "
+                         "of them" % (mesh.node_count - 1))
+    s = np.asarray(signs, dtype=np.float64)[:, None, None, None]
+    points = (mesh.nodes[idx][None, :, None]
+              - s * lams[:, None] * mesh.normals[idx][None, :, None])
+    shape = points.shape[:-1]
+    node = np.broadcast_to(idx[:, None], shape).ravel() if shift else None
+    rows = _integral_rows(mesh, f, points.reshape(-1, mesh.n + 1), side,
+                          node, np.broadcast_to(s[..., 0] > 0, shape).ravel())
+    return rows.reshape(rows.shape[:-2] + shape + rows.shape[-1:])
+
+
+def _ladder_limit(mesh, t, ratio, rows):
+    """richardson_limit over the rungs of (..., len(t), rungs, dim) rows: a
+    Multivector for one node index t and one density, else the rows."""
+    out = richardson_limit(ratio, np.moveaxis(rows, -2, 0))
+    out = out if np.ndim(t) else out[..., 0, :]
+    return Multivector(mesh.context, out) if out.ndim == 1 else out
 
 
 def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left",
@@ -650,27 +676,23 @@ def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left",
     '-' from the exterior.  Used as the independent oracle for the
     Plemelj formulas.  The ladder's steps halve from 0.25 R over 5 rungs
     on circles and from 0.35 R over RICHARDSON_TERMS rungs on other
-    meshes, R the spec radius or half the nodes' widest extent.  It takes
-    one kernel call and, with method 'subtract' (the default on
-    spec-built meshes), shares one shift, f at its node t.
+    meshes, R the spec radius or half the nodes' widest extent.  A node
+    index t gives a Multivector, a 1-d index array (len(t), dim) rows, and
+    K densities (K, len(t), dim), all rungs in one kernel call; method
+    'subtract' (the default on spec-built meshes) shifts by f at the node.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    i = _snap_node(mesh, t)
     # the circle mesh is fine enough for a deeper extrapolation ladder
     frac, terms = (0.25, 5) if mesh.n == 1 else (0.35, RICHARDSON_TERMS)
     if method is None:
         method = "subtract" if mesh.spec is not None else "raw"
     if method not in ("raw", "subtract"):
         raise ValueError("method must be 'raw' or 'subtract'")
-    nu = mesh.normals[i]
-    direction = -nu if sign == "+" else nu
-    lams = _halving_steps(mesh, frac, terms)
-    points = mesh.nodes[i] + lams[:, None] * direction[None, :]
-    vals = _integral_rows(mesh, f, points, side,
-                          i if method == "subtract" else None,
-                          np.full(terms, sign == "+"))
-    return Multivector(mesh.context, richardson_limit(RICHARDSON_RATIO, vals))
+    rows = _ladder_rows(mesh, f, t, _halving_steps(mesh, frac, terms),
+                        [1.0 if sign == "+" else -1.0], side,
+                        method == "subtract")
+    return _ladder_limit(mesh, t, RICHARDSON_RATIO, rows[..., 0, :, :, :])
 
 
 def _scale(mesh):
@@ -686,23 +708,19 @@ def _halving_steps(mesh, frac, terms):
 
 
 def symmetric_difference_steps(mesh):
-    """The lambdas of the symmetric-difference ladder on mesh.
-
-    They halve from 0.35 R over RICHARDSON_TERMS rungs, the depth of
-    boundary_limit's ladder off circles, R the spec radius or half the
-    nodes' widest extent; solve_dirichlet and the dirichlet experiment
-    pass them to symmetric_difference_limit.
-    """
+    """The lambdas of the symmetric-difference ladder on mesh: 0.35 R
+    halving over RICHARDSON_TERMS rungs, as boundary_limit's off circles."""
     return _halving_steps(mesh, 0.35, RICHARDSON_TERMS)
 
 
 def symmetric_difference_limit(mesh, f: BoundaryDensity, p, lambdas,
-                               side="left") -> Multivector:
+                               side="left"):
     """Limit of S[f](p + lam M) - S[f](p - lam M) over decreasing lam.
 
     M is the inner normal field (quasi-normal with c = 1 on spheres:
     M = -nu).  Converges to f(p) for merely continuous densities; the
-    lambda sequence must be strictly decreasing and positive.
+    lambda sequence must be positive and shrink by one ratio.  p, f and
+    the result take boundary_limit's forms, and spec-built meshes shift.
     """
     lams = np.asarray(lambdas, dtype=np.float64)
     if lams.ndim != 1 or lams.size < 2:
@@ -710,21 +728,13 @@ def symmetric_difference_limit(mesh, f: BoundaryDensity, p, lambdas,
     if np.any(lams <= 0) or np.any(np.diff(lams) >= 0):
         raise ValueError("lambda sequence must be positive and strictly "
                          "decreasing")
-    i = _snap_node(mesh, p)
-    t_point = mesh.nodes[i]
-    step = lams[:, None] * -mesh.normals[i][None, :]
-    points = np.concatenate([t_point + step, t_point - step])
-    L = lams.size
-    vals = _integral_rows(mesh, f, points, side,
-                          i if mesh.spec is not None else None,
-                          np.arange(2 * L) < L)
-    rows = vals[:L] - vals[L:]
     ratios = lams[:-1] / lams[1:]
-    if np.allclose(ratios, ratios[0], rtol=1e-9):
-        out = richardson_limit(float(ratios[0]), rows)
-    else:
-        out = extrapolate_to_zero(lams, rows)
-    return Multivector(mesh.context, out)
+    if not np.allclose(ratios, ratios[0], rtol=1e-9):
+        raise ValueError("lambda sequence must shrink by one ratio")
+    rows = _ladder_rows(mesh, f, p, lams, [1.0, -1.0], side,
+                        mesh.spec is not None)
+    return _ladder_limit(mesh, p, float(ratios[0]),
+                         rows[..., 0, :, :, :] - rows[..., 1, :, :, :])
 
 
 @dataclass(frozen=True)

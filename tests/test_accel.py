@@ -177,6 +177,12 @@ def test_pv_matrix_matches_pair_loop(mesh):
                        np.asarray(_tolerance(terms, abs_sum)))
 
 
+def _self_sums(ctx, nodes, nuw):
+    """S2[i] = sum_{j != i} E(x_j - x_i) nuw_j, which pb_rhs takes."""
+    return _accel.accum_left(ctx, nodes, nodes, paravectors_as_coeffs(ctx, nuw),
+                             np.arange(len(nodes)))
+
+
 def test_pb_rhs_matches_pair_loop(mesh):
     ctx = mesh.context
     # the double sum is O(N^2) products per target; a slice of the mesh
@@ -189,7 +195,8 @@ def test_pb_rhs_matches_pair_loop(mesh):
     dens = [_paravector(ctx, row) for row in nuw]
     core = _accel.pv_matrix(ctx, nodes, nuw, kmat)
     for t in (0, N // 2):
-        got = _accel.pb_rhs(ctx, nodes, nuw, kmat, t, core)
+        got = _accel.pb_rhs(ctx, nodes, nuw, kmat, t, core,
+                            _self_sums(ctx, nodes, nuw))
         total = Multivector.zero(ctx)
         abs_sum = 0.0
         for j in range(N):
@@ -227,7 +234,8 @@ def test_pb_rhs_index_array_matches_int_calls(mesh):
     kmat = rng.normal(size=(N, N, ctx.dim))
     ts = np.array([0, 5, N // 2, N - 1])
     core = _accel.pv_matrix(ctx, nodes, nuw, kmat)
-    got = _accel.pb_rhs(ctx, nodes, nuw, kmat, ts, core)
+    S2 = _self_sums(ctx, nodes, nuw)
+    got = _accel.pb_rhs(ctx, nodes, nuw, kmat, ts, core, S2)
     assert got.shape == (ts.size, ctx.dim)
     # both sum A_t[i] (P[i] - Q[i, t] - ...), P and Q carrying kmat[j, i]
     # and kmat[j, t] apart, so the bound takes |kmat[j, i]| + |kmat[j, t]|
@@ -239,7 +247,8 @@ def test_pb_rhs_index_array_matches_int_calls(mesh):
         abs_sum = A @ (C * (k_l1.T + k_l1[:, t][None, :])).sum(axis=1)
         terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
         _assert_within(got[row],
-                       _accel.pb_rhs(ctx, nodes, nuw, kmat, int(t), core),
+                       _accel.pb_rhs(ctx, nodes, nuw, kmat, int(t), core,
+                                     S2),
                        np.asarray(_tolerance(terms, abs_sum)))
 
 
@@ -279,7 +288,8 @@ def test_pb_rhs_matches_dense_sums(wide_mesh):
     # sampled nodes in the first, second and last tile of 256 nodes
     ts = np.array([0, 255, 256, N - 1])
     core = _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, kmat)
-    got = _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, kmat, ts, core)
+    got = _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, kmat, ts, core,
+                        _self_sums(ctx, wide_mesh.nodes, nuw))
     E = _dense_kernel(wide_mesh)
     C = batch_product(ctx, E, nuw[None])
     C_l1 = np.abs(E).sum(axis=2) * np.abs(nuw).sum(axis=1)
@@ -308,12 +318,13 @@ def test_pv_matrix_and_pb_rhs_build_each_node_pair_once(wide_mesh,
     built = _count_kernel_pairs(monkeypatch)
     core = _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, mat)
     assert sum(built) == pairs
+    S2 = _self_sums(ctx, wide_mesh.nodes, nuw)
     built.clear()
     ts = np.array([0, 255, 256, N - 1])
-    _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, mat, ts, core)
-    # Q and the self-sum S2 share one stacked node-target pass, P is the
-    # core plus S2 kmat[i, i]; the sampled nodes' rows take one block.  On
-    # the uniform circle that pass is the FFT route and builds no tiles
+    _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, mat, ts, core, S2)
+    # Q takes one stacked node-target pass, P is the core plus the given
+    # S2 times kmat[i, i]; the sampled nodes' rows take one block.  On the
+    # uniform circle that pass is the FFT route and builds no tiles
     stacked = 0 if wide_mesh.n == 1 else pairs
     assert sum(built) == stacked + ts.size * N
 

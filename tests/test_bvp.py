@@ -33,7 +33,8 @@ from hypercauchy.cauchy import (
 )
 from hypercauchy.clifford_core import (Multivector, Paravector,
                                       SingularInputError, batch_product,
-                                      get_context, product)
+                                      get_context, paravectors_as_coeffs,
+                                      product)
 from hypercauchy.fueter import (DegreeOverflowError, boundary_moment,
                                 multi_indices, order_at_infinity,
                                 symmetric_power)
@@ -218,6 +219,25 @@ def test_unit_gap_residual_is_jump_residual(circle_mesh):
     gap = constant_gap_residual(circle_mesh, sol, g, 1.0)
     scale = 3.0 * float(np.abs(g.samples).max()) + jump
     assert abs(gap - jump) <= 8.0 * 2.0 ** -53 * scale
+
+
+@pytest.mark.parametrize("residual", ["jump", "constant-gap",
+                                      "poincare-bertrand"])
+@pytest.mark.parametrize("count", [0, -2])
+def test_sampled_residuals_refuse_fewer_than_one_sample_node(circle_mesh,
+                                                             residual, count):
+    # a residual over no sampled node reads 0.0, a pass with no evidence
+    g = random_smooth(circle_mesh, 7)
+    sol, _ = solve_jump_rm(circle_mesh, g, 0)
+    run = {"jump": lambda: jump_residual(circle_mesh, sol, g,
+                                         sample_nodes=count),
+           "constant-gap": lambda: constant_gap_residual(
+               circle_mesh, sol, g, 1.0, sample_nodes=count),
+           "poincare-bertrand": lambda: poincare_bertrand_discrepancy(
+               circle_mesh, f=g, sample_nodes=count)}[residual]
+    with pytest.raises(ValueError, match=r"^sample_nodes must be >= 1, "
+                                         r"got %d$" % count):
+        run()
 
 
 def test_constant_gap_validates_inverse():
@@ -823,6 +843,80 @@ def test_general_kernel_makes_one_pv_matrix_and_one_pb_rhs_call(circle_spec,
         # pb_rhs takes the core that _matrix_pv_rows returned, not a
         # recomputation
         assert pb_args[5] is calls["_matrix_pv_rows"][0][1][1]
+
+
+_PB_SPECS = {
+    "circle": DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+    "sphere2": DomainSpec("sphere", 2, center=(0.0, 0.0, 0.0), radius=1.0),
+}
+
+
+def _measure_sums(monkeypatch, mesh):
+    """Record, per side, each _accel._accumulate call with every node as a
+    target whose stack holds the measure density nu w."""
+    measure = paravectors_as_coeffs(mesh.context, mesh.measure_coeffs())
+    N = mesh.node_count
+    seen = []
+    original = _accel._accumulate
+
+    def counted(ctx, targets, nodes, g, excl, side):
+        if np.array_equal(np.atleast_2d(targets), mesh.nodes):
+            G = np.reshape(g, (-1, N, ctx.dim))
+            seen.extend(side for Gk in G if np.array_equal(Gk, measure))
+        return original(ctx, targets, nodes, g, excl, side)
+
+    monkeypatch.setattr(_accel, "_accumulate", counted)
+    return seen
+
+
+@pytest.mark.parametrize("spec, level", [("circle", 2), ("sphere2", 0)])
+def test_self_sums_are_summed_once_per_mesh_and_side(spec, level,
+                                                     monkeypatch):
+    # one poincare-bertrand level: the separable case f, then the kernel
+    # k; S2 is summed once, by f's full-mesh principal values, and the
+    # separable kernel's core and pb_rhs read it from the mesh's cache
+    mesh = build_mesh(_PB_SPECS[spec], level)
+    seen = _measure_sums(monkeypatch, mesh)
+    pb_args = []
+    original = _accel.pb_rhs
+    monkeypatch.setattr(_accel, "pb_rhs", lambda *args: pb_args.append(
+        args) or original(*args))
+    poincare_bertrand_discrepancy(mesh, f=random_smooth(mesh, 31))
+    poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23),
+                                  sample_nodes=4)
+    assert seen == ["left"]
+    # pb_rhs takes that S2, bitwise a pass of the measure alone
+    S2 = pb_args[0][6]
+    assert S2 is mesh.cache[("self_sums", "left")]
+    fresh = build_mesh(_PB_SPECS[spec], level)
+    measure = paravectors_as_coeffs(fresh.context, fresh.measure_coeffs())
+    assert S2.tobytes() == _accel.accum_left(
+        fresh.context, fresh.nodes, fresh.nodes, measure,
+        np.arange(fresh.node_count)).tobytes()
+    # a held kernel on a cold cache takes one pass of the measure alone
+    mesh = build_mesh(_PB_SPECS[spec], level)
+    seen = _measure_sums(monkeypatch, mesh)
+    poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23)[:, :],
+                                  sample_nodes=4)
+    assert seen == ["left"]
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["product", "held"])
+@pytest.mark.parametrize("spec, level", [("circle", 2), ("sphere2", 0)])
+def test_general_kernel_report_is_bitwise_on_cold_and_warm_cache(spec, level,
+                                                                 held):
+    reports = []
+    for warm in (False, True):
+        mesh = build_mesh(_PB_SPECS[spec], level)
+        assert ("self_sums", "left") not in mesh.cache
+        if warm:
+            principal_value_nodes(mesh, random_smooth(mesh, 31))
+        k = product_kernel(mesh, 23)
+        reports.append(poincare_bertrand_discrepancy(
+            mesh, k=k[:, :] if held else k, sample_nodes=4))
+    cold, warm = reports
+    for field in ("lhs", "rhs", "discrepancy"):
+        assert getattr(cold, field).tobytes() == getattr(warm, field).tobytes()
 
 
 def test_invert_cauchy_pv_involution(circle_mesh):

@@ -20,7 +20,6 @@ from hypercauchy.cauchy import (
     SideTaggedPoint,
     boundary_limit,
     cauchy_integral,
-    extrapolate_to_zero,
     gradient_stencil,
     kernel_E,
     kernel_E_rows,
@@ -39,10 +38,11 @@ from hypercauchy.cauchy import (
     _singular_cell_corrections,
 )
 from hypercauchy.clifford_core import (SingularInputError, embed_point,
-                                       paravectors_as_coeffs)
+                                       paravectors_as_coeffs, sided_product,
+                                       sided_sum)
 from hypercauchy.fueter import cauchy_derivative
 from hypercauchy.surface import (DegenerateExclusionError, DomainSpec,
-                                 build_mesh, refine)
+                                 build_mesh, load_mesh, refine, save_mesh)
 from hypercauchy._corpus import random_smooth, rough_holder
 
 ORACLE_TOL = 1e-12          # circle quadrature of low-degree traces is spectral
@@ -384,13 +384,6 @@ def test_richardson_limit_exact_on_model_sequence():
     assert np.allclose(got, L, atol=1e-13)
 
 
-def test_extrapolate_to_zero_polynomial():
-    lams = np.array([0.4, 0.2, 0.1, 0.05])
-    rows = np.array([[1.0 + 0.5 * lam + 2.0 * lam ** 2] for lam in lams])
-    got = extrapolate_to_zero(lams, rows)
-    assert abs(got[0] - 1.0) <= 1e-10
-
-
 # -- the full-mesh self-sum cache -------------------------------------------------
 
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -630,6 +623,154 @@ def test_ladders_take_one_kernel_call(monkeypatch, side):
     unused = _count_calls(monkeypatch, other)
     symmetric_difference_limit(mesh, f, 5, lams, side=side)
     assert calls == [2 * len(lams)] and unused == []
+    # an index array: one call per sign over every node and rung
+    t = np.array([0, 2, 5])
+    calls = _count_calls(monkeypatch, "accum_" + side)
+    unused = _count_calls(monkeypatch, other)
+    plus = boundary_limit(mesh, f, t, "+", side=side)
+    boundary_limit(mesh, f, t, "-", side=side, method="raw")
+    assert calls == [t.size * 4, t.size * 4] and unused == []
+    assert plus.shape == (t.size, mesh.context.dim)
+    calls = _count_calls(monkeypatch, "accum_" + side)
+    symmetric_difference_limit(mesh, f, t, lams, side=side)
+    assert calls == [2 * t.size * len(lams)]
+
+
+def _ladder_mesh(name, tmp_path):
+    """circle L4, sphere2 L2, or sphere2 L1 saved and loaded (no spec)."""
+    kind, level = name.rsplit("-L", 1)
+    spec = (DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
+            if kind == "circle" else
+            DomainSpec("sphere", 2, center=(0.0, 0.0, 0.0), radius=1.0))
+    mesh = build_mesh(spec, int(level))
+    if kind == "loaded-sphere2":
+        save_mesh(mesh, tmp_path / "ladder.mesh")
+        mesh = load_mesh(tmp_path / "ladder.mesh")
+    return mesh
+
+
+def _ladder_reference(mesh, samples, i, lams, sign, side, shift):
+    """C[f] at x_i - sign lam nu_i, one point at a time, with bounds.
+
+    With shift, f - f(x_i) is summed, the shift taken before the sum, and
+    f(x_i) added back inside.  Returns the rows, a bound on their gap to
+    the batched rows (which take the shift after the sum, S1 - S2 f(x_i))
+    and a bound on |rows|: both sums err by at most gamma_m times
+    sum_j l1(E_j) l1(nu_j w_j) (l1(f_j) + l1(f(x_i))), as in _core_bound,
+    and the scaling and the shift by 4 u (|rows| + |f(x_i)|).
+    """
+    ctx = mesh.context
+    vol = unit_sphere_area(mesh.n)
+    f0 = samples[i] if shift else np.zeros(ctx.dim)
+    g = sided_product(ctx, side, mesh.measure_coeffs(), samples - f0)
+    terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * (
+        np.abs(samples).sum(axis=1) + np.abs(f0).sum())
+    m = mesh.node_count * (mesh.n + 1) + TERM_ROUNDINGS
+    rows, abs_sum = [], []
+    for lam in lams:
+        E = kernel_E_rows(mesh.nodes, mesh.nodes[i] - sign * lam
+                          * mesh.normals[i])
+        rows.append(sided_sum(ctx, side, E, g) / vol + (sign > 0) * f0)
+        abs_sum.append(np.abs(E).sum(axis=1) @ terms / vol)
+    size = np.array(abs_sum)[:, None] + np.abs(f0)
+    tol = 2.0 * _gamma(m) * np.array(abs_sum)[:, None] + (
+        4.0 * UNIT_ROUNDOFF * size)
+    return np.array(rows), tol, size
+
+
+def _ladder_bound(tol, size):
+    """The rows' bounds carried through the table, plus the table's own
+    roundings, as in test_left_and_right_ladders_mirror."""
+    return (_richardson_bound(cauchy.RICHARDSON_RATIO, tol)
+            + 2.0 * _gamma(2 * len(tol))
+            * _richardson_bound(cauchy.RICHARDSON_RATIO, size))
+
+
+LADDER_MESHES = ["circle-L4", "sphere2-L2", "loaded-sphere2-L1"]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", LADDER_MESHES)
+def test_batched_boundary_limits_match_per_node_ladders(name, side,
+                                                        tmp_path):
+    mesh = _ladder_mesh(name, tmp_path)
+    N = mesh.node_count
+    samples = random_smooth(_ladder_mesh(name.replace("loaded-", ""),
+                                         tmp_path), 8).samples
+    f = BoundaryDensity(mesh, samples)
+    other = BoundaryDensity(mesh, samples[::-1])
+    idx = np.array([0, N // 3, N - 1, N // 3])
+    frac, terms = (0.25, 5) if mesh.n == 1 else (0.35, cauchy.RICHARDSON_TERMS)
+    lams = frac * _scale(mesh) / cauchy.RICHARDSON_RATIO ** np.arange(terms)
+    for sign in "+-":
+        for method in ("raw", "subtract"):
+            got = boundary_limit(mesh, f, idx, sign, side=side, method=method)
+            stacked = boundary_limit(mesh, [f, other], idx, sign, side=side,
+                                     method=method)
+            assert got.shape == (idx.size, mesh.context.dim)
+            assert stacked.shape == (2,) + got.shape
+            assert np.array_equal(stacked[0], got)
+            for row, i in zip(got, idx):
+                rows, tol, size = _ladder_reference(
+                    mesh, samples, i, lams, 1.0 if sign == "+" else -1.0,
+                    side, method == "subtract")
+                want = richardson_limit(cauchy.RICHARDSON_RATIO, rows)
+                assert np.all(np.abs(row - want) <= _ladder_bound(tol, size))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", LADDER_MESHES)
+def test_batched_symmetric_differences_match_per_node_ladders(name, side,
+                                                              tmp_path):
+    # spec-built meshes shift by f at the node, the loaded one does not
+    mesh = _ladder_mesh(name, tmp_path)
+    N = mesh.node_count
+    samples = random_smooth(_ladder_mesh(name.replace("loaded-", ""),
+                                         tmp_path), 9).samples
+    f = BoundaryDensity(mesh, samples)
+    idx = np.array([1, N // 2, N - 2])
+    lams = symmetric_difference_steps(mesh)
+    got = symmetric_difference_limit(mesh, f, idx, lams, side=side)
+    assert got.shape == (idx.size, mesh.context.dim)
+    for row, i in zip(got, idx):
+        plus, tol_p, size_p = _ladder_reference(
+            mesh, samples, i, lams, 1.0, side, mesh.spec is not None)
+        minus, tol_m, size_m = _ladder_reference(
+            mesh, samples, i, lams, -1.0, side, mesh.spec is not None)
+        want = richardson_limit(cauchy.RICHARDSON_RATIO, plus - minus)
+        bound = _ladder_bound(tol_p + tol_m, size_p + size_m)
+        assert np.all(np.abs(row - want) <= bound)
+
+
+@pytest.mark.parametrize("t", [
+    lambda N: 1.0,
+    lambda N: np.array([0.0, 1.0]),   # a point
+    lambda N: np.zeros((1, 2), dtype=int),
+    lambda N: True,
+    lambda N: -1,
+    lambda N: N,
+    lambda N: np.array([0, N]),
+], ids=["float", "point", "2-d", "bool", "negative", "N", "array-with-N"])
+def test_ladders_take_node_indices_only(monkeypatch, t):
+    # points no longer snap to nodes: a float, a point, a 2-d array and a
+    # bool are refused, and so is an index outside 0..N-1
+    mesh = _small_mesh("circle-L0")
+    f = random_smooth(mesh, 4)
+    t = t(mesh.node_count)
+    calls = _count_calls(monkeypatch, "accum_left")
+    message = r"^t must be a node index in 0\.\.63 or a 1-d array"
+    with pytest.raises(ValueError, match=message):
+        boundary_limit(mesh, f, t, "+")
+    with pytest.raises(ValueError, match=message):
+        symmetric_difference_limit(mesh, f, t, [0.2, 0.1])
+    assert calls == []
+
+
+def test_symmetric_difference_refuses_non_geometric_lambdas():
+    mesh = _small_mesh("circle-L0")
+    with pytest.raises(ValueError, match="shrink by one ratio"):
+        symmetric_difference_limit(mesh, random_smooth(mesh, 4), 0,
+                                   [0.4, 0.2, 0.15])
 
 
 @pytest.mark.parametrize("sign", ["+", "-"])

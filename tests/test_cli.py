@@ -102,6 +102,13 @@ def test_run_byte_deterministic(tmp_path, capsys):
     pytest.param("circle", {"experiment": "order-at-infinity",
                             "levels": "3,4", "tolerance": "0.2"},
                  id="order-at-infinity"),
+    # batched ladders over all densities, and the self-sums that
+    # principal values, separable kernels and pb_rhs share through the
+    # mesh's cache
+    pytest.param("sphere2", {"experiment": "plemelj", "tolerance": "0.1"},
+                 id="plemelj-sphere2"),
+    pytest.param("circle", {"experiment": "poincare-bertrand"},
+                 id="poincare-bertrand"),
 ])
 def test_repeat_runs_byte_identical(tmp_path, capsys, surface, extra):
     # two runs in one process: no cache may carry over into the reports
