@@ -11,7 +11,9 @@ sum over x != t of E(x-t) nu w [f(x) - f(t)] plus f(t)/2, plus a local
 correction for the singular node's cell computed from the tangential
 gradient of f (the subtracted integrand has a finite, direction-
 dependent limit at x = t; dropping the cell outright costs an O(h)
-term with a computable coefficient).
+term with a computable coefficient).  On spec-built 3-spheres, whose
+grid cells are thin near its poles, the correction instead integrates
+the linear part of f - f(t) exactly (_grid_cell_coefficients).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import _accel
 from .clifford_core import (
@@ -34,15 +35,25 @@ from .clifford_core import (
     sided_product,
 )
 from .surface import (DegenerateExclusionError, SurfaceMesh,
-                      _first_nonfinite_row)
+                      _first_nonfinite_row, neighbour_lists)
 
 RICHARDSON_RATIO = 2.0   # step shrinks by 1/2 per term
 RICHARDSON_TERMS = 4
 NEAR_BAND_FACTOR = 3.0   # dist < 3h => unreliable direct quadrature
+# |R_jj| / |R_00| of a stencil fit's QR below this is a rank-deficient fit
+STENCIL_RANK_TOL = 1e-10
 
 
 class InconclusiveSpanError(ValueError):
     """Raw span value too far from every admissible value {0, 1/2, 1}."""
+
+
+class NodeIndexError(IndexError, ValueError):
+    """A node index that is not an integer in 0..N-1; bools are refused."""
+
+
+class DegenerateStencilError(ValueError):
+    """A node's neighbours do not determine its quadratic gradient fit."""
 
 
 def unit_sphere_area(n: int) -> float:
@@ -413,9 +424,23 @@ def _build_gradient_stencil(mesh):
 
     nb is (N, k) neighbor indices, wts is (d, N, k) weights such that the
     tangential derivative of samples along frame[:, a, :] at node i is
-    sum_m wts[a, i, m] * samples[nb[i, m]].  Uniform circle grids get a
-    periodic 4th-order central-difference stencil; other meshes a local
-    quadratic least-squares fit over nearest neighbors.
+    sum_m wts[a, i, m] * samples[nb[i, m]].  The neighbours come from one
+    of three sources:
+
+    - uniform circle grids, found from the nodes (loaded circles too),
+      take a periodic 4th-order central-difference stencil at the index
+      offsets -2..2 of the sorted grid;
+    - built spheres take the builder's lists (surface.neighbour_lists):
+      the 12 nearest nodes of the Fibonacci lattice, the 3x3x3 grid block
+      on 3-spheres;
+    - every other mesh (loaded, exclude_cap, dataclasses.replace) takes the
+      k nearest nodes from a k-d tree, k = 12 for n = 2 and 20 for n = 3.
+
+    Off the circle grid, each node fits a local quadratic in tangent
+    coordinates over its neighbours by least squares: a batched QR of the
+    design and a triangular solve.  A design whose R has a diagonal entry
+    below STENCIL_RANK_TOL |R_00| raises DegenerateStencilError naming the
+    first such node.
     """
     circ = _accel.uniform_circle(mesh.nodes)
     if circ is not None:
@@ -437,18 +462,41 @@ def _build_gradient_stencil(mesh):
     d = mesh.n
     nterms = 1 + d + d * (d + 1) // 2
     k = max(nterms + 4, {2: 12, 3: 20}.get(d, 4 * nterms))
-    k = min(k, mesh.node_count)
-    _, nb = cKDTree(mesh.nodes).query(mesh.nodes, k=k)
+    nb = neighbour_lists(mesh, min(k, mesh.node_count))
     rel = mesh.nodes[nb] - mesh.nodes[:, None, :]          # (N, k, p)
-    u = np.einsum("nkp,ndp->nkd", rel, frame)              # tangent coords
+    u = 0.0                                                 # tangent coords
+    for c in range(d + 1):
+        u = u + rel[:, :, None, c] * frame[:, None, :, c]   # (N, k, d)
+    # in units of a power of two near each stencil's reach: the fit rounds
+    # as it would unscaled, and the rank test below is scale-free
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit = np.exp2(np.ceil(np.log2(np.abs(u).max(axis=(1, 2)))))
+        u = u / unit[:, None, None]
     cols = [np.ones(u.shape[:2])]
     cols += [u[:, :, a] for a in range(d)]
     for a in range(d):
         for b in range(a, d):
             cols.append(u[:, :, a] * u[:, :, b])
     design = np.stack(cols, axis=2)                         # (N, k, nterms)
-    pinv = np.linalg.pinv(design)                           # (N, nterms, k)
-    wts = np.swapaxes(pinv[:, 1 : 1 + d, :], 0, 1)          # (d, N, k)
+    Q, R = np.linalg.qr(design)                             # R (N, t, nterms)
+    diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+    ratio = np.zeros((mesh.node_count, nterms))
+    ratio[:, : diag.shape[1]] = diag / diag[:, :1]
+    bad = np.flatnonzero(~(ratio >= STENCIL_RANK_TOL).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        j = int(np.argmin(np.nan_to_num(ratio[i])))
+        raise DegenerateStencilError(
+            "gradient stencil of node %d is rank-deficient: its %d "
+            "neighbours leave term %d of the %d-term quadratic fit "
+            "undetermined (|R_jj| / |R_00| = %.3g)"
+            % (i, nb.shape[1], j, nterms, ratio[i, j]))
+    # rows 1..d of R^-1 Q^T, the first derivatives, by back substitution
+    X = np.swapaxes(Q, 1, 2).copy()                         # (N, nterms, k)
+    for j in range(nterms - 1, 0, -1):
+        X[:, j] -= np.matmul(R[:, j, None, j + 1 :], X[:, j + 1 :])[:, 0]
+        X[:, j] /= R[:, j, j, None]
+    wts = np.swapaxes(X[:, 1 : 1 + d] / unit[:, None, None], 0, 1)
     return nb, wts, frame
 
 
@@ -519,20 +567,63 @@ def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
     integrating it over a flat d-ball cell of the node's weight gives
     (d w / sigma_d)^{1/d} (sigma_d / d) sum_k bar(T_k) nu(t) d_k f(t),
     where d = n and sigma_d = area(S^{d-1}).  The right side mirrors every
-    product.
+    product.  The 3-sphere grid's cells are far from round near its poles,
+    so spec-built 3-spheres take _grid_cell_coefficients instead.
     """
     ctx = mesh.context
     d = mesh.n
+    out = np.zeros(np.shape(derivs)[1:])
+    if d == 3 and mesh.spec is not None:
+        G = _grid_cell_coefficients(mesh, side, idx)
+        for a in range(d):
+            out += sided_product(ctx, side, G[a], derivs[a])
+        return out
     sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
     prefac = (d * mesh.weights[idx] / sigma_d) ** (1.0 / d) * (sigma_d / d)
     nu = mesh.normals[idx]
-    out = np.zeros(np.shape(derivs)[1:])
     for a in range(d):
         Tbar = frame[:, a, :].copy()
         Tbar[:, 1:] *= -1.0
         out += sided_product(ctx, side, sided_product(ctx, side, Tbar, nu),
                              derivs[a])
     return out * prefac[:, None]
+
+
+def _grid_cell_coefficients(mesh, side, idx=slice(None)):
+    """Coefficients G_k of the 3-sphere grid's correction sum_k G_k d_k f(t)
+    at the nodes idx, (d, len(idx), dim); those of every node are kept
+    read-only in the mesh's cache per side.
+
+    Near the poles of the chi/th/ph grid its cells are thin needles, and
+    nodes lie much closer than h, so the flat-ball cell model does not
+    converge there.  Instead the linear part sum_k T_k.(x - t) d_k f(t) of
+    f(x) - f(t) is integrated exactly and its node sum taken out:
+    G_k = V_n PV C[T_k.(x - t)](t) - sum_(j != i) E(x_j - t) nu_j w_j
+    T_k.(x_j - t).  On a sphere of radius R, PV C[x_c - t_c](t) =
+    -R bar(nu) e_c / (n+1) (e_0 = 1), from x_0 = (bar(X) + sum_i z_i e_i)
+    / (n+1) and x_j = z_j + x_0 e_j: the Fueter variables z_j extend
+    monogenically inside, bar(X) = E(x) outside.  The right side mirrors
+    every product.  The node sums are _shifted_sums of the coordinates.
+    """
+    key = ("cell_coefficients", side)
+    if key in mesh.cache:
+        return mesh.cache[key][:, idx]
+    ctx, N, n = mesh.context, mesh.node_count, mesh.n
+    idx = np.arange(N)[idx]
+    frame = gradient_stencil(mesh)[2][idx]
+    coords = np.zeros((n + 1, N, ctx.dim))
+    coords[:, :, 0] = mesh.nodes.T
+    sums = _shifted_sums(mesh, coords, side, mesh.nodes[idx], idx, idx)
+    nubar = mesh.normals[idx].copy()
+    nubar[:, 1:] *= -1.0
+    scale = -unit_sphere_area(n) * mesh.spec.radius / (n + 1)
+    G = np.stack([scale * sided_product(ctx, side, nubar, frame[:, k])
+                  - np.einsum("nc,cnD->nD", frame[:, k], sums)
+                  for k in range(n)])
+    if np.array_equal(idx, np.arange(N)):
+        G.flags.writeable = False
+        mesh.cache[key] = G
+    return G
 
 
 def principal_value_nodes(mesh, f, side="left", indices=None):
@@ -557,12 +648,25 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     return core / unit_sphere_area(mesh.n) + 0.5 * samples[..., idx, :]
 
 
+def _node_indices(mesh, t):
+    """t, a node index or a 1-d array of them, as a 1-d integer array.
+
+    The one node-index check: a bool (isinstance(True, int) holds), a
+    float, a deeper array or an index outside 0..N-1 raises NodeIndexError.
+    """
+    idx = np.atleast_1d(t)
+    if idx.ndim > 1 or idx.dtype.kind not in "iu" or np.any(
+            (idx < 0) | (idx >= mesh.node_count)):
+        raise NodeIndexError("t must be a node index in 0..%d or a 1-d array "
+                             "of them" % (mesh.node_count - 1))
+    return idx
+
+
 def _snap_node(mesh, t):
-    if isinstance(t, (int, np.integer)):
-        i = int(t)
-        if not 0 <= i < mesh.node_count:
-            raise IndexError("node index out of range")
-        return i
+    """Node index of t: a scalar is a node index (_node_indices), anything
+    else a point, which snaps to its nearest node within h/2."""
+    if np.ndim(t) == 0:
+        return int(_node_indices(mesh, t)[0])
     i, dist = _nearest_node(mesh, np.asarray(t, dtype=np.float64))
     if dist > 0.5 * mesh.h + 1e-12:
         raise ValueError("point is not a mesh node (nearest is %.3g away, "
@@ -645,11 +749,7 @@ def _ladder_rows(mesh, f, t, lams, signs, side, shift):
     _integral_rows call, shifted by f at node t when shift is set.  t is a
     node index or a 1-d array of them.  Returns (len(signs), len(t),
     len(lams), dim), after a leading K for a sequence of K densities."""
-    idx = np.atleast_1d(t)
-    if idx.ndim > 1 or idx.dtype.kind not in "iu" or np.any(
-            (idx < 0) | (idx >= mesh.node_count)):
-        raise ValueError("t must be a node index in 0..%d or a 1-d array "
-                         "of them" % (mesh.node_count - 1))
+    idx = _node_indices(mesh, t)
     s = np.asarray(signs, dtype=np.float64)[:, None, None, None]
     points = (mesh.nodes[idx][None, :, None]
               - s * lams[:, None] * mesh.normals[idx][None, :, None])

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .clifford_core import Multivector, Paravector, get_context
 
@@ -31,6 +30,10 @@ class MeshFormatError(ValueError):
 
 
 NORMAL_UNIT_TOL = 1e-6
+
+# nearest nodes the sphere2 builder lists per node, the node itself first:
+# the neighbours the sphere2 gradient fit takes (cauchy.gradient_stencil)
+FIBONACCI_NEIGHBOURS = 12
 
 
 @dataclass(frozen=True)
@@ -101,14 +104,20 @@ class SurfaceMesh:
     spec : DomainSpec or None
         Builder spec when constructed by build_mesh; None for loaded meshes.
     cache : dict
-        Mesh-owned operator data that depends on the mesh alone, filled on
-        first use: the tangential-derivative stencil of
+        Mesh-owned operator data that depends on the mesh alone.
+        build_mesh fills "neighbours" on spheres: the builder's (N, k)
+        neighbour lists, each row led by its node (the 12 nearest nodes,
+        nearest first, on the Fibonacci lattice; the 3x3x3 grid block on
+        3-spheres), read by neighbour_lists.  The rest is filled on first
+        use: the tangential-derivative stencil of
         cauchy.gradient_stencil, the read-only full-mesh self-sums S2
-        of cauchy.principal_value_nodes, one per side, and the refined
+        of cauchy.principal_value_nodes, one per side, on 3-spheres the
+        singular-cell coefficients of cauchy._grid_cell_coefficients, one
+        per side, and the refined
         mesh (refine(mesh), with its own cache) on which the solvability
         thresholds resample evaluator-backed densities.  Never a
-        constructor argument; every new mesh (build_mesh, refine,
-        dataclasses.replace) starts with an empty one.
+        constructor argument; every other new mesh (load_mesh,
+        exclude_cap, dataclasses.replace) starts with an empty one.
     """
 
     nodes: np.ndarray
@@ -182,11 +191,47 @@ def _coincident_rows(nodes):
     return i, j
 
 
-def _mesh_h(nodes):
+def _sq_distances(coords, i, j):
+    """|x_j - x_i|^2 for index arrays i, j over the (n+1, N) coordinate
+    rows, summed over coordinates in order as cKDTree sums them, so that
+    its square root is the tree's distance bit for bit."""
+    sq = 0.0
+    for x in coords:
+        d = x[j] - x[i]
+        sq = sq + d * d
+    return sq
+
+
+def _tree_neighbours(nodes, k):
+    """The k nearest nodes of every node, (N, k), nearest first, from a
+    k-d tree: the neighbour search of meshes without builder lists."""
+    from scipy.spatial import cKDTree  # only such meshes load scipy
+
+    return cKDTree(nodes).query(nodes, k=k)[1]
+
+
+def neighbour_lists(mesh, k):
+    """Per-node neighbour indices, each row led by its node.
+
+    The builder's lists when build_mesh made the mesh (mesh.cache), else
+    the k nearest nodes from a k-d tree: loaded meshes, exclude_cap
+    sub-meshes and dataclasses.replace copies keep a spec but not the
+    builder's nodes, so their lists are searched, never derived.
+    """
+    nb = mesh.cache.get("neighbours")
+    return _tree_neighbours(mesh.nodes, k) if nb is None else nb
+
+
+def _mesh_h(nodes, nb=None):
+    """Largest nearest-neighbour distance, over the lists nb (rows led by
+    their node; default the k-d tree's two nearest)."""
     if nodes.shape[0] < 2:
         return 0.0
-    d, _ = cKDTree(nodes).query(nodes, k=2)
-    return float(d[:, 1].max())
+    if nb is None:
+        nb = _tree_neighbours(nodes, 2)
+    rows = np.arange(nodes.shape[0])[:, None]
+    sq = _sq_distances(nodes.T, rows, nb[:, 1:])
+    return float(np.sqrt(sq.min(axis=1).max()))
 
 
 def _circle_nodes(level, center, radius):
@@ -196,7 +241,9 @@ def _circle_nodes(level, center, radius):
     nodes = center[None, :] + radius * normals
     weights = np.full(N, 2.0 * np.pi * radius / N)
     h = 2.0 * radius * np.sin(np.pi / N)
-    return nodes, normals, weights, float(h)
+    # no lists: the gradient stencil finds the uniform grid from the nodes
+    # and takes its index offsets, on loaded circles too
+    return nodes, normals, weights, float(h), None
 
 
 def _fibonacci_nodes(level, center, radius):
@@ -211,7 +258,86 @@ def _fibonacci_nodes(level, center, radius):
     normals = np.stack([np.cos(phi) * r, y, np.sin(phi) * r], axis=1)
     nodes = center[None, :] + radius * normals
     weights = np.full(N, 4.0 * np.pi * radius**2 / N)
-    return nodes, normals, weights, _mesh_h(nodes)
+    nb = _fibonacci_neighbours(nodes, normals, radius, increment,
+                               FIBONACCI_NEIGHBOURS)
+    return nodes, normals, weights, _mesh_h(nodes, nb), nb
+
+
+def _fibonacci_neighbours(nodes, normals, radius, increment, k):
+    """The k nearest nodes of each lattice node, nearest first, as cKDTree
+    lists them, without a tree.
+
+    Node j = i + o sits at height y_j = y_i + 2o/N and azimuth o*increment
+    from node i, so on the unit sphere |x_j - x_i|^2 = dy^2 +
+    (r_i - r_j)^2 + 4 r_i r_j sin^2(dphi/2), r the ring radius.  Over a
+    band of consecutive nodes each term has a lower bound that depends on
+    o alone: r is concave in the index, so r_(i+o) - r_i is monotone over
+    the band, and r is least at a band end.  A band's
+    candidates are the offsets whose bound is within its search radius;
+    the true neighbours, at Fibonacci-number offsets that change with the
+    latitude (Swinbank & Purser 2006), are among them when every node's
+    k-th nearest candidate lies within that radius, and a band where one
+    does not is searched again with the larger radius.  Bounds are widened
+    by slack against the rounding of the node coordinates.  Bands of about
+    1.5 sqrt(N) nodes balance the bounds' (bands, sqrt(N)) grid against
+    the candidates that a wide band admits.
+    """
+    slack = 1e-9
+    N = nodes.shape[0]
+    band = max(16, int(1.5 * np.sqrt(N)))
+    coords = np.ascontiguousarray(nodes.T)
+    r = np.hypot(normals[:, 0], normals[:, 2])
+    starts = np.arange(0, N, band)
+    ends = np.minimum(starts + band, N) - 1
+    # an equal-area lattice holds about k nodes within sqrt(4k/N)
+    search = np.full(starts.size, 1.1 * np.sqrt(4.0 * k / N))
+    nb = np.empty((N, k), dtype=np.int64)
+    todo = np.arange(starts.size)
+    while todo.size:
+        D = search[todo, None] * (1.0 + slack)
+        M = int(D.max() * N / 2.0) + 1
+        o = np.arange(-M, M + 1)
+        # the band's nodes i in [lo, hi] whose node i + o exists
+        lo = np.maximum(starts[todo, None], -o)
+        hi = np.minimum(ends[todo, None], N - 1 - o)
+        valid = lo <= hi
+        lo, hi = np.minimum(lo, N - 1), np.maximum(hi, 0)
+        jlo, jhi = np.clip(lo + o, 0, N - 1), np.clip(hi + o, 0, N - 1)
+        glo, ghi = r[jlo] - r[lo], r[jhi] - r[hi]
+        gap = np.where(glo * ghi <= 0.0, 0.0,
+                       np.minimum(np.abs(glo), np.abs(ghi)) - slack)
+        dphi = np.abs(np.remainder(o * increment + np.pi, 2.0 * np.pi)
+                      - np.pi) - slack
+        dy = 2.0 * np.abs(o) / N - slack
+        rr = np.minimum(r[lo], r[hi]) * np.minimum(r[jlo], r[jhi])
+        bound = (np.maximum(dy, 0.0) ** 2 + np.maximum(gap, 0.0) ** 2
+                 + 4.0 * rr * np.sin(0.5 * np.maximum(dphi, 0.0)) ** 2)
+        keep = valid & (bound <= D * D)
+        count = keep.sum(axis=1)
+        # bands padded to a multiple of 8 candidates, one pass per width
+        width = -(-count // 8) * 8
+        reach = np.zeros(todo.size)
+        for w in np.unique(width):
+            g = np.flatnonzero(width == w)
+            # each band's kept offsets first, in increasing order
+            offs = o[np.argsort(~keep[g], axis=1, kind="stable")[:, :w]]
+            # the last band's rows past the end repeat node N - 1
+            i = np.minimum(starts[todo[g], None, None]
+                           + np.arange(band)[:, None], N - 1)
+            j = i + offs[:, None, :]                       # (bands, band, w)
+            absent = ((np.arange(w) >= count[g, None])[:, None, :]
+                      | (j < 0) | (j >= N))
+            j[absent] = 0
+            sq = _sq_distances(coords, i, j)
+            sq[absent] = np.inf
+            sel = np.argsort(sq, axis=2, kind="stable")[..., :k]
+            kth = np.take_along_axis(sq, sel[..., -1:], axis=2)
+            reach[g] = np.sqrt(kth.max(axis=(1, 2))) / radius
+            nb[i[..., 0]] = np.take_along_axis(j, sel, axis=2)
+        redo = reach > search[todo]
+        search[todo[redo]] = reach[redo]
+        todo = todo[redo]
+    return nb
 
 
 def _sphere3_nodes(level, center, radius):
@@ -238,25 +364,55 @@ def _sphere3_nodes(level, center, radius):
     nodes = center[None, :] + radius * normals
     weights = (wchi[:, None, None] * wu[None, :, None] *
                np.full((1, 1, nphi), wphi)).ravel() * radius**3
-    return nodes, normals, weights, _mesh_h(nodes)
+    nb = _grid_block(m, nphi)
+    return nodes, normals, weights, _mesh_h(nodes, nb), nb
+
+
+def _grid_block(m, nphi):
+    """The 3x3x3 index block around each node of the (chi, th, ph) grid,
+    (N, 27), each row led by its node.
+
+    phi is periodic; at the ends of the chi and th lines the block shifts
+    inward, so every block holds three lines of three nodes in each
+    direction, and a quadratic fit over it has full rank.
+    """
+    ic, it, ip = np.unravel_index(np.arange(m * m * nphi), (m, m, nphi))
+    s = np.arange(3)
+    c = np.clip(ic - 1, 0, m - 3)[:, None] + s
+    t = np.clip(it - 1, 0, m - 3)[:, None] + s
+    p = (ip[:, None] + s - 1) % nphi
+    nb = ((c[:, :, None, None] * m + t[:, None, :, None]) * nphi
+          + p[:, None, None, :]).reshape(-1, 27)
+    # swap each node to the front of its row
+    rows = np.arange(nb.shape[0])
+    own = ((ic - c[:, 0]) * 3 + it - t[:, 0]) * 3 + 1
+    nb[rows, own] = nb[:, 0]
+    nb[:, 0] = rows
+    return nb
 
 
 def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     """Build a quadrature mesh for the spec at the given refinement level.
 
     Node counts grow geometrically with level: 64*2^level on circles,
-    320*2^level on 2-spheres, 2*(4*2^level)^3 on 3-spheres.
+    320*2^level on 2-spheres, 2*(4*2^level)^3 on 3-spheres.  Sphere meshes
+    keep the builder's neighbour lists in their cache (SurfaceMesh.cache).
     """
     if level < 0:
         raise ValueError("level must be >= 0")
     c = spec.center_array
     if spec.kind == "circle":
-        nodes, normals, weights, h = _circle_nodes(level, c, spec.radius)
+        built = _circle_nodes(level, c, spec.radius)
     elif spec.n == 2:
-        nodes, normals, weights, h = _fibonacci_nodes(level, c, spec.radius)
+        built = _fibonacci_nodes(level, c, spec.radius)
     else:
-        nodes, normals, weights, h = _sphere3_nodes(level, c, spec.radius)
-    return SurfaceMesh(nodes, normals, weights, h, level=level, spec=spec)
+        built = _sphere3_nodes(level, c, spec.radius)
+    nodes, normals, weights, h, nb = built
+    mesh = SurfaceMesh(nodes, normals, weights, h, level=level, spec=spec)
+    if nb is not None:
+        nb.flags.writeable = False
+        mesh.cache["neighbours"] = nb
+    return mesh
 
 
 def oriented_measure(mesh: SurfaceMesh, i: int) -> Multivector:

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 from hypercauchy import _accel, cauchy
 from hypercauchy.cauchy import (
     BoundaryDensity,
+    DegenerateStencilError,
     InconclusiveSpanError,
+    NodeIndexError,
     SideTaggedPoint,
     boundary_limit,
     cauchy_integral,
@@ -42,8 +44,10 @@ from hypercauchy.clifford_core import (SingularInputError, embed_point,
                                        sided_sum)
 from hypercauchy.fueter import cauchy_derivative
 from hypercauchy.surface import (DegenerateExclusionError, DomainSpec,
-                                 build_mesh, load_mesh, refine, save_mesh)
-from hypercauchy._corpus import random_smooth, rough_holder
+                                 SurfaceMesh, build_mesh, load_mesh, refine,
+                                 save_mesh)
+from hypercauchy._corpus import (random_smooth, rough_holder,
+                                 symmetric_power_trace)
 
 ORACLE_TOL = 1e-12          # circle quadrature of low-degree traces is spectral
 PV_CONST_TOL = 1e-14        # regularized principal value is exact for constants
@@ -353,6 +357,91 @@ def test_tangential_gradient_sphere(sphere_mesh):
         assert np.max(np.abs(derivs[a][:, 0] - want)) <= GRAD_TOL_SPHERE
 
 
+SPHERE3 = DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0)
+
+
+def test_sphere3_gradient_and_pv_converge_at_every_node():
+    # sin(a.x) and a monogenic quadratic trace on sphere3 L0-L2; the max
+    # norm runs over every node, the grid's chi and th poles included
+    a = np.full(4, 0.5)
+    grad_errs, pv_errs = [], []
+    for level in range(3):
+        mesh = build_mesh(SPHERE3, level)
+        derivs, frame = tangential_gradient(mesh,
+                                            np.sin(mesh.nodes @ a)[:, None])
+        want = np.cos(mesh.nodes @ a) * (frame @ a).T
+        grad_errs.append(np.abs(derivs[..., 0] - want).max())
+        g = symmetric_power_trace(mesh, (0, 1, 1))
+        # a trace monogenic inside has PV C[g] = g/2
+        pv = principal_value_nodes(mesh, g)
+        pv_errs.append(np.abs(pv - 0.5 * g.samples).max())
+    # measured: gradient 2.0, 0.043, 0.018; PV 0.098, 0.036, 0.0096
+    for errs, last in ((grad_errs, 0.03), (pv_errs, 0.015)):
+        assert all(b < 0.6 * a for a, b in zip(errs, errs[1:]))
+        assert errs[-1] <= last
+
+
+def test_great_circle_mesh_raises_rank_error(tmp_path):
+    # every node of this loaded sphere mesh lies on one great circle, so no
+    # neighbour leaves it and the fit's second tangent direction is free
+    N = 40
+    theta = 2.0 * np.pi * np.arange(N) / N
+    nodes = np.stack([np.cos(theta), np.sin(theta), np.zeros(N)], axis=1)
+    save_mesh(SurfaceMesh(nodes, nodes, np.full(N, 4.0 * np.pi / N), 0.0),
+              tmp_path / "circle.mesh")
+    mesh = load_mesh(tmp_path / "circle.mesh")
+    f = BoundaryDensity.constant(mesh, 1.0)
+    with pytest.raises(DegenerateStencilError,
+                       match=r"^gradient stencil of node 0 is rank-deficient: "
+                             r"its 12 neighbours leave term 2 of the 6-term"):
+        principal_value_nodes(mesh, f)
+    assert "gradient_stencil" not in mesh.cache
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_stencil_weights_match_the_pseudoinverse(level):
+    # the QR solve gives the least-squares weights of np.linalg.pinv, whose
+    # SVD rounds by about cond(design) eps; cond grows like 1/h^2 unscaled
+    mesh = build_mesh(DomainSpec("sphere", 2), level)
+    nb, wts, frame = gradient_stencil(mesh)
+    rel = mesh.nodes[nb] - mesh.nodes[:, None, :]
+    u = np.einsum("nkp,ndp->nkd", rel, frame)
+    design = np.stack([np.ones(u.shape[:2]), u[..., 0], u[..., 1],
+                       u[..., 0] ** 2, u[..., 0] * u[..., 1], u[..., 1] ** 2],
+                      axis=2)
+    want = np.swapaxes(np.linalg.pinv(design)[:, 1:3], 0, 1)
+    scale = np.abs(want).max()
+    assert np.abs(wts - want).max() <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("t", [True, np.True_, 1.0])
+def test_principal_values_refuse_non_integer_node_indices(t):
+    # isinstance(True, int) holds, so a bool once passed as node 1
+    mesh = _small_mesh("circle-L0")
+    f = random_smooth(mesh, 4)
+    message = r"^t must be a node index in 0\.\.63 or a 1-d array"
+    with pytest.raises(NodeIndexError, match=message):
+        principal_value(mesh, f, t)
+    with pytest.raises(NodeIndexError, match=message):
+        plemelj_values(mesh, f, t)
+    # the ladders share the one check
+    with pytest.raises(NodeIndexError, match=message):
+        boundary_limit(mesh, f, t, "+")
+
+
+def test_node_index_error_is_an_index_and_a_value_error():
+    mesh = _small_mesh("circle-L0")
+    f = random_smooth(mesh, 4)
+    for call in (lambda: principal_value(mesh, f, 64),
+                 lambda: boundary_limit(mesh, f, 64, "+")):
+        with pytest.raises(IndexError):
+            call()
+        with pytest.raises(ValueError):
+            call()
+    assert np.array_equal(principal_value(mesh, f, np.int64(5)).coeffs,
+                          principal_value(mesh, f, 5).coeffs)
+
+
 def test_cauchy_derivative_matches_analytic(circle_mesh):
     f = BoundaryDensity.from_function(circle_mesh, _z_trace(2))
     w = np.array([0.2, 0.1])
@@ -456,7 +545,8 @@ def test_self_sums_cached_per_side(monkeypatch):
     mesh = _small_mesh("sphere2-L0")
     f = random_smooth(mesh, 5)
     left = principal_value_nodes(mesh, f, side="left")
-    assert set(mesh.cache) == {"gradient_stencil", ("self_sums", "left")}
+    assert set(mesh.cache) == {"neighbours", "gradient_stencil",
+                               ("self_sums", "left")}
     calls = _count_calls(monkeypatch, "accum_right")
     right = principal_value_nodes(mesh, f, side="right")
     # S2 of the cold side rides in the pass that sums f
@@ -831,9 +921,10 @@ def test_integral_rows_match_single_point_integrals(name, side, method):
     got = _integral_rows(mesh, f, points, side, node, interior)
     assert got.shape == (len(points), mesh.context.dim)
     f0 = f.samples[t] if node is not None else np.zeros(mesh.context.dim)
-    # rounding bound as in _core_bound, for the density f - f0 at w
-    terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * np.abs(
-        f.samples - f0).sum(axis=1)
+    # rounding bound of S1 - S2 f0 at w (f0 = 0 for the raw sums), as in
+    # _core_bound: each term of S1 and of S2 f0 is bounded by l1 norms
+    terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * (
+        np.abs(f.samples).sum(axis=1) + np.abs(f0).sum())
     m = mesh.node_count * (mesh.n + 1) + TERM_ROUNDINGS
     for row, w, inside in zip(got, points, interior):
         tagged = SideTaggedPoint(tuple(w), "interior" if inside
@@ -881,16 +972,51 @@ def _cell_correction_bound(mesh, f):
     gamma_k sum_m |wts| l1(f) over its stencil nodes; for a constant
     density, whose derivatives vanish, that is all there is.  The
     correction scales the derivatives by the cell prefactor and by
-    l1(bar(T) nu) <= n+1.
+    l1(bar(T) nu) <= n+1.  On a spec-built 3-sphere the correction is
+    sum_a G_a d_a f instead (cauchy._grid_cell_coefficients): the two
+    sides' G_a differ by the roundings of their coordinate sums, each
+    bounded as _core_bound bounds a sum of the density x_c, and of
+    bar(nu) T_a; the derivatives' roundings and the products' add terms in
+    l1(G_a).
     """
-    nb, wts, _ = gradient_stencil(mesh)
+    nb, wts, frame = gradient_stencil(mesh)
     d = mesh.n
+    f_l1 = np.abs(f.samples).sum(axis=1)
+    size = np.einsum("ank,nk->an", np.abs(wts), f_l1[nb])   # l1(d_a f) bound
+    deriv = _gamma(nb.shape[1] + TERM_ROUNDINGS) * size
+    if d == 3 and mesh.spec is not None:
+        G_l1 = np.abs(cauchy._grid_cell_coefficients(mesh, "left")).sum(
+            axis=2)
+        idx = np.arange(mesh.node_count)
+        coord_bounds = np.stack([_core_bound(mesh, BoundaryDensity(
+            mesh, np.eye(mesh.context.dim)[0] * mesh.nodes[:, c, None]), idx)
+            for c in range(d + 1)])                            # (n+1, N)
+        scale = unit_sphere_area(d) * mesh.spec.radius / (d + 1)
+        gap = (np.einsum("nac,cn->an", np.abs(frame), coord_bounds)
+               + 2.0 * _gamma(TERM_ROUNDINGS) * scale * (d + 1) ** 2)
+        return (gap * size + G_l1 * (2.0 * deriv + 2.0 * _gamma(
+            TERM_ROUNDINGS) * size)).sum(axis=0)
     sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
     prefac = (d * mesh.weights / sigma_d) ** (1.0 / d) * (sigma_d / d)
-    f_l1 = np.abs(f.samples).sum(axis=1)
-    deriv = _gamma(nb.shape[1] + TERM_ROUNDINGS) * np.einsum(
-        "ank,nk->n", np.abs(wts), f_l1[nb])
-    return 2.0 * prefac * (d + 1) * deriv
+    return 2.0 * prefac * (d + 1) * deriv.sum(axis=0)
+
+
+def test_sphere3_cell_coefficients_at_indices_match_full_rows():
+    # a cold cache sums the grid coefficients at the asked nodes only
+    mesh = build_mesh(SPHERE3, 0)
+    idx = np.array([0, 7, 40, 127])
+    key = ("cell_coefficients", "left")
+    part = cauchy._grid_cell_coefficients(mesh, "left", idx)
+    assert key not in mesh.cache
+    full = cauchy._grid_cell_coefficients(mesh, "left")
+    assert key in mesh.cache and not full.flags.writeable
+    # both round their coordinate sums within _core_bound of x_c
+    frame = gradient_stencil(mesh)[2][idx]
+    coord_bounds = np.stack([_core_bound(mesh, BoundaryDensity(
+        mesh, np.eye(mesh.context.dim)[0] * mesh.nodes[:, c, None]), idx)
+        for c in range(4)])
+    tol = 2.0 * np.einsum("nac,cn->an", np.abs(frame), coord_bounds)
+    assert np.all(np.abs(part - full[:, idx]) <= tol[..., None])
 
 
 def _mesh_with_cache(name, hot, side):
@@ -989,12 +1115,13 @@ def _row_bounds(mesh, f, points, node):
     """Bound on the gap between both sides' rows, and a bound on |rows|.
 
     The sums' term is that of
-    test_integral_rows_match_single_point_integrals; the roundings of the
-    scaling and the shift are bounded through |rows| instead of the output.
+    test_integral_rows_match_single_point_integrals, S1 - S2 f0 bounded
+    through l1(f) + l1(f0); the roundings of the scaling and the shift are
+    bounded through |rows| instead of the output.
     """
     f0 = f.samples[node] if node is not None else np.zeros(mesh.context.dim)
-    terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * np.abs(
-        f.samples - f0).sum(axis=1)
+    terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * (
+        np.abs(f.samples).sum(axis=1) + np.abs(f0).sum())
     m = mesh.node_count * (mesh.n + 1) + TERM_ROUNDINGS
     abs_sum = np.array([np.abs(kernel_E_rows(mesh.nodes, w)).sum(axis=1)
                         @ terms for w in points]) / unit_sphere_area(mesh.n)

@@ -1,6 +1,7 @@
 """Command-line interface: configs, outputs, determinism and exit codes."""
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -342,3 +343,31 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "pv-constant" in proc.stdout
+
+
+# run configs in a fresh interpreter, then name the scipy modules loaded
+NO_SCIPY_RUN = """\
+import json, sys
+from hypercauchy import cli
+verdicts = [cli.run_experiment(cli.resolve_config(
+    cli.parse_config_file(path))).passed for path in sys.argv[1:]]
+print(json.dumps({"passed": verdicts, "scipy": sorted(
+    m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+def test_circle_and_sphere2_configs_run_without_scipy_spatial():
+    # built meshes carry their own neighbour lists; only loaded or
+    # modified meshes search a k-d tree, so these runs never import one
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN,
+         str(CONFIG_DIR / "pv-constant.cfg"), str(CONFIG_DIR / "span.cfg")],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["passed"] == [True, True]
+    assert "scipy.spatial" not in out["scipy"]

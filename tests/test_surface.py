@@ -1,9 +1,11 @@
 """Mesh construction, invariants, file round trips and spec parsing."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from hypercauchy.surface import (
     CapExclusion,
@@ -15,6 +17,7 @@ from hypercauchy.surface import (
     build_mesh,
     exclude_cap,
     load_mesh,
+    neighbour_lists,
     oriented_measure,
     parse_mesh_spec,
     refine,
@@ -207,3 +210,62 @@ def test_parse_mesh_spec():
     for bad in ("", "n=2", "circle,frobnicate=2", "circle,radius"):
         with pytest.raises(ValueError):
             parse_mesh_spec(bad)
+
+
+@pytest.mark.parametrize("spec,level", [
+    *((DomainSpec("sphere", 2), level) for level in range(6)),
+    (DomainSpec("sphere", 2, center=(0.3, -1.0, 2.0), radius=2.5), 3),
+])
+def test_fibonacci_lists_are_the_trees(spec, level):
+    # the builder lists the tree's 12 nearest nodes, in its order, and h is
+    # the tree's largest nearest-neighbour distance bit for bit
+    mesh = build_mesh(spec, level)
+    dist, nb = cKDTree(mesh.nodes).query(mesh.nodes, k=12)
+    assert np.array_equal(mesh.cache["neighbours"], nb)
+    assert mesh.h == dist[:, 1].max()
+    assert neighbour_lists(mesh, 12) is mesh.cache["neighbours"]
+
+
+@pytest.mark.parametrize("level", range(3))
+def test_sphere3_lists_are_grid_blocks(level):
+    mesh = build_mesh(DomainSpec("sphere", 3), level)
+    nb = mesh.cache["neighbours"]
+    N, m = mesh.node_count, 4 << level
+    assert nb.shape == (N, 27)
+    assert np.array_equal(nb[:, 0], np.arange(N))
+    # three neighbouring chi and th lines, shifted inward at their ends,
+    # and the phi lines on either side of the node's, periodically
+    ic, it, ip = np.unravel_index(nb, (m, m, 2 * m))
+    for lines in (ic, it):
+        low = lines.min(axis=1, keepdims=True)
+        assert np.all(np.sort(lines, axis=1)
+                      == low + np.repeat(np.arange(3), 9))
+        assert np.all(low <= lines[:, :1]) and np.all(low <= m - 3)
+    around = np.sort((ip - ip[:, :1] + 1) % (2 * m), axis=1)
+    assert np.all(around == np.repeat(np.arange(3), 9))
+    # the nearest node lies in the block, so h is the tree's
+    dist, _ = cKDTree(mesh.nodes).query(mesh.nodes, k=2)
+    assert mesh.h == dist[:, 1].max()
+
+
+def test_copies_search_their_own_neighbours(tmp_path):
+    # lists come from the builder only: copies keep the spec but not the
+    # builder's nodes, so they take the tree's
+    mesh = build_mesh(DomainSpec("sphere", 2), 1)
+    save_mesh(mesh, tmp_path / "sphere.mesh")
+    copies = [
+        load_mesh(tmp_path / "sphere.mesh"),
+        exclude_cap(mesh, CapExclusion(tuple(mesh.nodes[0]), 0.3)),
+        dataclasses.replace(mesh, nodes=mesh.nodes[::-1],
+                            normals=mesh.normals[::-1]),
+    ]
+    for copy in copies:
+        assert "neighbours" not in copy.cache
+        _, want = cKDTree(copy.nodes).query(copy.nodes, k=12)
+        assert np.array_equal(neighbour_lists(copy, 12), want)
+
+
+def test_builder_lists_are_read_only():
+    mesh = build_mesh(DomainSpec("sphere", 2), 0)
+    with pytest.raises(ValueError):
+        mesh.cache["neighbours"][0, 0] = 1
