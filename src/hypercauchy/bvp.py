@@ -223,12 +223,12 @@ def jump_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
 
 # -- general multivector row inversion --------------------------------------------
 
-def invert_rows(ctx, rows, rtol=1e-10):
+def invert_rows(ctx, rows):
     """Two-sided inverses of multivector coefficient rows (N, dim).
 
     Solves the left-multiplication systems L[x] y = e0 and verifies
-    y x = x y = 1; raises SingularInputError when a row is singular or
-    only one-sided invertible.
+    y x = x y = 1 to 1e-10 relative; raises SingularInputError
+    when a row is singular or only one-sided invertible.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     e0 = np.zeros(ctx.dim)
@@ -243,7 +243,7 @@ def invert_rows(ctx, rows, rtol=1e-10):
     scale = np.linalg.norm(rows, axis=1) * np.linalg.norm(inv, axis=1)
     for prod in (batch_product(ctx, rows, inv), batch_product(ctx, inv, rows)):
         err = np.linalg.norm(prod - e0[None, :], axis=1)
-        bad = err > rtol * np.maximum(scale, 1.0)
+        bad = err > 1e-10 * np.maximum(scale, 1.0)
         if np.any(bad):
             j = int(np.argmax(err))
             raise SingularInputError(
@@ -481,14 +481,15 @@ def apply_characteristic_lhs(mesh, a: BoundaryDensity, b: BoundaryDensity,
             + 2.0 * batch_product(ctx, pv, B))
 
 
-def solve_characteristic_sie(mesh, coefficients, f, regularity=None):
+def solve_characteristic_sie(mesh, coefficients, f):
     """Solve phi a + (2/V_n)[PV int E dsigma phi] b = f in closed form.
 
     phi = (1/2)[f (a+b)^{-1} + f (a-b)^{-1}] - 2 PV C[psi] with
     psi = f (a-b)^{-1} b (a+b)^{-1}; valid when the right quotient
     (a-b)(a+b)^{-1} is constant.  coefficients may be a
     CharacteristicCoefficients or an (a, b) pair of densities.  The
-    residual of the equation at the nodes is computed and reported.
+    residual of the equation at the nodes is computed and reported; each
+    phi keeps the regularity tag of its f.
 
     f is one right-hand side, which gives one SIESolution, or a sequence
     of them, which gives a list with one SIESolution each.  However many
@@ -509,17 +510,15 @@ def solve_characteristic_sie(mesh, coefficients, f, regularity=None):
     # a coefficient from another mesh raises here, before any sum is taken
     _density_samples(mesh, co.a)
     B = _density_samples(mesh, co.b)
-    regs = [regularity if regularity is not None else fk.regularity
-            for fk in fs]
     psi = batch_product(ctx, batch_product(ctx, batch_product(
         ctx, F, co.diff_inverse), B), co.sum_inverse)
     pv_psi = principal_value_nodes(mesh, [
-        BoundaryDensity(mesh, p, regularity=reg)
-        for p, reg in zip(psi, regs)])
+        BoundaryDensity(mesh, p, regularity=fk.regularity)
+        for p, fk in zip(psi, fs)])
     half = 0.5 * (batch_product(ctx, F, co.sum_inverse)
                   + batch_product(ctx, F, co.diff_inverse))
-    phis = [BoundaryDensity(mesh, h - 2.0 * p, regularity=reg)
-            for h, p, reg in zip(half, pv_psi, regs)]
+    phis = [BoundaryDensity(mesh, h - 2.0 * p, regularity=fk.regularity)
+            for h, p, fk in zip(half, pv_psi, fs)]
     del F, psi, pv_psi, half  # only the phis are held during the next pass
     lhs = apply_characteristic_lhs(mesh, co.a, co.b, phis)
     sols = [SIESolution(phi, float(np.linalg.norm(rows - fk.samples,
@@ -535,18 +534,17 @@ class ProductKernel:
 
     Stands in for the (N, N, dim) array kmat[j, i] = k(x_j, t_i) on mesh,
     holding only the (N, dim) factor rows left[j] = f(x_j) and
-    right[i] = g(t_i).  The right factor may instead be an (N, N, dim)
-    kernel, a held array or another ProductKernel; then k[j, i] =
-    left[j] right[j, i], as for the density matrix phi(x_j) kmat[j, i],
-    and only that kernel is held.  Indexed like the array it stands in
-    for, for two key forms: a slice in either position gives the outer
-    block (k[rows, cols], k[:, ts], k[ts]); two index arrays or ints
-    broadcast (k[ar, ar], k[nb, ar[:, None]]).  Each lookup is one
-    elementwise batch_product, so every value is bitwise the one a held
-    array would store.  A kernel with factor rows, or one whose right
-    kernel has them, is separable (_factors): its principal-value core is
-    two shared-density sums, and lookups read only its diagonal, its
-    stencil neighbours and pb_rhs's sampled rows and columns.
+    right[i] = g(t_i).  The right factor may instead be one held
+    (N, N, dim) array; then k[j, i] = left[j] right[j, i], as for the
+    density matrix phi(x_j) kmat[j, i] of a held kernel.  Indexed like the
+    array it stands in for, for two key forms: a slice in either position
+    gives the outer block (k[rows, cols], k[:, ts], k[ts]); two index
+    arrays or ints broadcast (k[ar, ar], k[nb, ar[:, None]]).  Each lookup
+    is one elementwise batch_product, so every value is bitwise the one a
+    held array would store.  A kernel with factor rows is separable: its
+    principal-value core is two shared-density sums (_matrix_pv_rows), and
+    lookups read only its diagonal, its stencil neighbours and pb_rhs's
+    sampled rows and columns.
     """
 
     ndim = 3
@@ -554,13 +552,14 @@ class ProductKernel:
     def __init__(self, mesh, left, right):
         N, dim = mesh.node_count, mesh.context.dim
         self.mesh = mesh
+        if isinstance(right, ProductKernel):
+            raise ValueError("the right kernel factor is another ProductKernel")
         self.left = np.asarray(left, dtype=np.float64)
-        self.right = (right if isinstance(right, ProductKernel)
-                      else np.asarray(right, dtype=np.float64))
+        self.right = np.asarray(right, dtype=np.float64)
         if self.left.shape != (N, dim) or self.right.shape not in (
                 (N, dim), (N, N, dim)):
             raise ValueError("kernel factors must have shape (N, 2^n); the "
-                             "right one may be an (N, N, 2^n) kernel")
+                             "right one may be a held (N, N, 2^n) array")
         self.shape = (N, N, dim)
 
     @property
@@ -583,7 +582,7 @@ def _kernel_matrix(mesh, k):
 
     k is a ProductKernel, as _corpus.product_kernel returns, which is
     passed through: it must be sampled on mesh with finite factor rows,
-    and a right factor that is itself a kernel is checked as one here.
+    and a held right factor array is checked as a presampled one here.
     Otherwise k is a presampled (N, N, dim) array or a callable
     k(x_rows, t) -> (N, dim) rows for one t, called once per node t_i;
     either is held whole, its bytes checked against KERNEL_MATRIX_BYTE_CAP
@@ -628,23 +627,6 @@ def _kernel_matrix(mesh, k):
     return kmat
 
 
-def _factors(dmat):
-    """(left, right) rows with dmat[j, i] = left[j] right[i], or None.
-
-    A ProductKernel factors when its right factor is (N, dim) rows, or a
-    kernel that factors: left[j] (l[j] r[i]) = (left[j] l[j]) r[i].  A held
-    array, a callable's matrix, or a kernel over one, does not.
-    """
-    if not isinstance(dmat, ProductKernel):
-        return None
-    if dmat.right.ndim == 2:
-        return dmat.left, dmat.right
-    inner = _factors(dmat.right)
-    if inner is None:
-        return None
-    return batch_product(dmat.mesh.context, dmat.left, inner[0]), inner[1]
-
-
 def _matrix_pv_rows(mesh, dmat):
     """Raw PV int E dsigma d_i(.) at every node i for per-target densities.
 
@@ -653,20 +635,19 @@ def _matrix_pv_rows(mesh, dmat):
     the singular-cell gradient correction and the (V_n/2) diagonal term,
     and the core sums sum_{j != i} E(x_j - x_i) nu_j w_j (dmat[j, i] -
     dmat[i, i]) they were built from, which _accel.pb_rhs takes for the
-    same matrix.  When dmat factors as L_j R_i (_factors), the core is
-    (S1_i - S2_i L_i) R_i by associativity, _shifted_sums of L at the
-    nodes: one accum_left call.  Other kernels take the per-target tiles
-    of _accel.pv_matrix.
+    same matrix.  When dmat is a ProductKernel with factor rows L_j R_i,
+    the core is (S1_i - S2_i L_i) R_i by associativity, _shifted_sums of L
+    at the nodes: one accum_left call.  A held array, or a ProductKernel
+    over one, takes the per-target tiles of _accel.pv_matrix.
     """
     ctx = mesh.context
     N = mesh.node_count
-    factors = _factors(dmat)
-    if factors is None:
-        core = _accel.pv_matrix(ctx, mesh.nodes, mesh.measure_coeffs(), dmat)
-    else:
-        L, R = factors
+    if isinstance(dmat, ProductKernel) and dmat.right.ndim == 2:
         core = batch_product(ctx, _shifted_sums(
-            mesh, L, "left", mesh.nodes, np.arange(N), np.arange(N)), R)
+            mesh, dmat.left, "left", mesh.nodes, np.arange(N), np.arange(N)),
+            dmat.right)
+    else:
+        core = _accel.pv_matrix(ctx, mesh.nodes, mesh.measure_coeffs(), dmat)
     vol = unit_sphere_area(mesh.n)
     diag = dmat[np.arange(N), np.arange(N)]
     out = core + 0.5 * vol * diag
@@ -683,20 +664,25 @@ def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     k is a ProductKernel, as _corpus.product_kernel returns, a presampled
     (N, N, dim) array kmat[j, i] = k(x_j, t_i), or a callable
     k(x_rows, t) -> (N, dim) coefficient rows for fixed t (see
-    _kernel_matrix).  The density matrix phi(x_j) kmat[j, i] is the
-    ProductKernel of the phi rows and kmat, formed where it is read, so
-    only what _kernel_matrix holds is held: the factor rows of a
-    ProductKernel, or the one N x N array of an array or a callable,
-    under KERNEL_MATRIX_BYTE_CAP.  For a ProductKernel k with factor rows
-    f, g the density matrix factors as (phi f)_j g_i, so its principal
-    values take _matrix_pv_rows's two shared-density sums; an array, a
-    callable or a kernel over a held array takes the per-target tiles.
-    Evaluation-only: no inversion theory is attached to the full kernel.
+    _kernel_matrix).  The density matrix phi(x_j) kmat[j, i] is a
+    ProductKernel, formed where it is read, so only what _kernel_matrix
+    holds is held: the factor rows of a ProductKernel, or the one N x N
+    array of an array or a callable, under KERNEL_MATRIX_BYTE_CAP.  phi
+    joins a ProductKernel's left factor, (phi f)_j g_i, which takes
+    _matrix_pv_rows's two shared-density sums when g is rows; otherwise
+    the density matrix is phi_j kmat[j, i] over the held array, which
+    takes the per-target tiles.  Evaluation-only: no inversion theory is
+    attached to the full kernel.
     """
     ctx = mesh.context
     phi_rows = _density_samples(mesh, phi)
     a_rows = _density_samples(mesh, a)
-    dmat = ProductKernel(mesh, phi_rows, _kernel_matrix(mesh, k))
+    kmat = _kernel_matrix(mesh, k)
+    if isinstance(kmat, ProductKernel):
+        dmat = ProductKernel(mesh, batch_product(ctx, phi_rows, kmat.left),
+                             kmat.right)
+    else:
+        dmat = ProductKernel(mesh, phi_rows, kmat)
     vol = unit_sphere_area(mesh.n)
     pv = _matrix_pv_rows(mesh, dmat)[0] / vol
     return batch_product(ctx, phi_rows, a_rows) + 2.0 * pv

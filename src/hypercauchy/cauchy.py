@@ -35,7 +35,7 @@ from .clifford_core import (
     sided_product,
 )
 from .surface import (DegenerateExclusionError, SurfaceMesh,
-                      _first_nonfinite_row, neighbour_lists)
+                      _first_nonfinite_row, _node_indices, neighbour_lists)
 
 RICHARDSON_RATIO = 2.0   # step shrinks by 1/2 per term
 RICHARDSON_TERMS = 4
@@ -46,10 +46,6 @@ STENCIL_RANK_TOL = 1e-10
 
 class InconclusiveSpanError(ValueError):
     """Raw span value too far from every admissible value {0, 1/2, 1}."""
-
-
-class NodeIndexError(IndexError, ValueError):
-    """A node index that is not an integer in 0..N-1; bools are refused."""
 
 
 class DegenerateStencilError(ValueError):
@@ -95,6 +91,24 @@ def _as_coeff_rows(ctx, values, count):
     return np.tile(as_coeffs(ctx, values), (count, 1))
 
 
+def _regularity_ok(reg):
+    """Whether reg is exactly ("holder", mu, M) or ("continuous",)."""
+    if not isinstance(reg, tuple):
+        return False
+    if reg == ("continuous",):
+        return True
+    if len(reg) != 3 or reg[0] != "holder":
+        return False
+    mu, M = reg[1:]
+
+    def real(v):  # a bool is refused, though isinstance(True, int) holds
+        return (isinstance(v, (int, float, np.integer, np.floating))
+                and not isinstance(v, bool))
+
+    return (real(mu) and 0.0 < mu <= 1.0
+            and (M is None or real(M) and 0.0 <= M < math.inf))
+
+
 @dataclass(frozen=True)
 class BoundaryDensity:
     """Node-aligned boundary density with an optional exact evaluator.
@@ -126,13 +140,10 @@ class BoundaryDensity:
         bad = _first_nonfinite_row(samples)
         if bad is not None:
             raise ValueError("samples row %d is not finite" % bad)
-        tag = self.regularity[0]
-        if tag == "holder":
-            mu = self.regularity[1]
-            if not 0.0 < mu <= 1.0:
-                raise ValueError("Holder exponent must lie in (0, 1]")
-        elif tag != "continuous":
-            raise ValueError("regularity tag must be 'holder' or 'continuous'")
+        if not _regularity_ok(self.regularity):
+            raise ValueError("regularity must be ('holder', mu, M) with "
+                             "0 < mu <= 1 and M None or finite >= 0, or "
+                             "('continuous',); got %r" % (self.regularity,))
         object.__setattr__(self, "samples", samples)
 
     @classmethod
@@ -512,11 +523,15 @@ def gradient_stencil(mesh):
     """Per-node tangential-derivative stencil (nb, wts, frame).
 
     Built on first use and kept in the mesh's cache, so it lives as long
-    as the mesh does.
+    as the mesh does; its arrays are read-only, as every cached operator
+    is, so no caller's edit reaches a later principal value.
     """
     stencil = mesh.cache.get("gradient_stencil")
     if stencil is None:
-        stencil = mesh.cache["gradient_stencil"] = _build_gradient_stencil(mesh)
+        stencil = _build_gradient_stencil(mesh)
+        for arr in stencil:
+            arr.flags.writeable = False
+        mesh.cache["gradient_stencil"] = stencil
     return stencil
 
 
@@ -634,32 +649,19 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     singular-cell correction.  f is one BoundaryDensity, or a sequence of
     K, giving (K, len(indices), dim), row k bitwise that of f[k] alone.  A
     density sampled on a mesh with other nodes, or a side other than
-    'left' or 'right', raises ValueError before any sum is taken.
+    'left' or 'right', raises ValueError before any sum is taken, and
+    indices that are not node indices raise NodeIndexError.
     """
     _check_side(side)
+    idx = (np.arange(mesh.node_count, dtype=np.int64) if indices is None
+           else _node_indices(mesh, indices, "indices"))
     # building the stencil takes the largest temporaries of the call (the
     # per-node least-squares fits), so build it before any stack is held
     gradient_stencil(mesh)
     samples = _density_samples(mesh, f)
-    idx = (np.arange(mesh.node_count, dtype=np.int64) if indices is None
-           else np.asarray(indices, dtype=np.int64))
     core = _shifted_sums(mesh, samples, side, mesh.nodes[idx], idx, idx)
     core += _singular_cell_corrections(mesh, samples, side, idx)
     return core / unit_sphere_area(mesh.n) + 0.5 * samples[..., idx, :]
-
-
-def _node_indices(mesh, t):
-    """t, a node index or a 1-d array of them, as a 1-d integer array.
-
-    The one node-index check: a bool (isinstance(True, int) holds), a
-    float, a deeper array or an index outside 0..N-1 raises NodeIndexError.
-    """
-    idx = np.atleast_1d(t)
-    if idx.ndim > 1 or idx.dtype.kind not in "iu" or np.any(
-            (idx < 0) | (idx >= mesh.node_count)):
-        raise NodeIndexError("t must be a node index in 0..%d or a 1-d array "
-                             "of them" % (mesh.node_count - 1))
-    return idx
 
 
 def _snap_node(mesh, t):

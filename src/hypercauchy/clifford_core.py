@@ -155,9 +155,8 @@ class Multivector:
         return NotImplemented
 
     # -- structure ------------------------------------------------------------
-    def is_paravector(self, tol: float = 0.0) -> bool:
-        mask = self.ctx.grade > 1
-        return bool(np.all(np.abs(self.coeffs[mask]) <= tol))
+    def is_paravector(self) -> bool:
+        return bool(np.all(self.coeffs[self.ctx.grade > 1] == 0.0))
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))

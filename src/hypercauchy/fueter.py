@@ -152,41 +152,23 @@ def symmetric_power(ctx, alpha, x) -> Multivector:
 
 # -- exact kernel derivatives ----------------------------------------------------
 
-def _poly_mul_r2(poly, p):
+def _quotient_rule(poly, k, s):
+    """Numerator of d_k[P / |x|^s] over |x|^(s+2): |x|^2 d_k P - s x_k P.
+
+    The coefficients are integers, so each sum is exact; zeros are dropped.
+    """
     out = {}
     for exps, c in poly.items():
-        for i in range(p):
-            e = list(exps)
-            e[i] += 2
-            key = tuple(e)
-            out[key] = out.get(key, 0.0) + c
-    return out
-
-
-def _poly_mul_xk(poly, k):
-    out = {}
+        if exps[k]:
+            for i in range(len(exps)):
+                e = list(exps)
+                e[k] -= 1
+                e[i] += 2
+                out[tuple(e)] = out.get(tuple(e), 0.0) + c * exps[k]
     for exps, c in poly.items():
         e = list(exps)
         e[k] += 1
-        out[tuple(e)] = out.get(tuple(e), 0.0) + c
-    return out
-
-
-def _poly_diff(poly, k):
-    out = {}
-    for exps, c in poly.items():
-        if exps[k] == 0:
-            continue
-        e = list(exps)
-        e[k] -= 1
-        out[tuple(e)] = out.get(tuple(e), 0.0) + c * exps[k]
-    return out
-
-
-def _poly_add(a, b, bscale=1.0):
-    out = dict(a)
-    for exps, c in b.items():
-        out[exps] = out.get(exps, 0.0) + bscale * c
+        out[tuple(e)] = out.get(tuple(e), 0.0) - s * c
     return {e: c for e, c in out.items() if c != 0.0}
 
 
@@ -203,7 +185,10 @@ def _poly_eval_rows(poly, points):
 
 @dataclass(frozen=True)
 class KernelDerivative:
-    """d^alpha E in the rational form P_c(x)/|x|^s per paravector component."""
+    """d^alpha E in the rational form P_c(x)/|x|^s per paravector component.
+
+    P_c is that of E = conj(x)/|x|^(n+1) after one _quotient_rule per d_k.
+    """
 
     n: int
     alpha: tuple
@@ -237,12 +222,7 @@ def _kernel_derivative_cached(n, alpha):
     s = n + 1
     for k, times in enumerate(alpha, start=1):
         for _ in range(times):
-            new = []
-            for poly in nums:
-                term = _poly_add(_poly_mul_r2(_poly_diff(poly, k), p),
-                                 _poly_mul_xk(poly, k), bscale=-float(s))
-                new.append(term)
-            nums = new
+            nums = [_quotient_rule(poly, k, s) for poly in nums]
             s += 2
     return KernelDerivative(n, tuple(alpha), tuple(nums), s)
 
@@ -491,11 +471,12 @@ class OrderReport:
     undetermined: bool
 
 
-def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
+def order_at_infinity(mesh, g=None, side="left", evaluator=None,
                       seed=7) -> OrderReport:
     """Order at infinity of a Cauchy-type integral or a sampled evaluator.
 
-    Moment route (needs mesh+g): Ord = -n - N^l with N^l the smallest
+    mesh gives the dimension and the scale of the rays; pass g, an
+    evaluator or both.  Moment route (needs g): Ord = -n - N^l with N^l the smallest
     |alpha| <= MAX_DEGREE whose moment norm clears max(10 * quadrature
     error estimate, 1e-8 * density scale); the error estimate comes from
     one mesh refinement when the density carries an evaluator.  Empirical
@@ -503,11 +484,8 @@ def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
     with radii in [5 rho, 50 rho], rounded to the nearest integer.  Both
     are reported; `order` is the moment route if available, else the slope.
     """
-    if evaluator is None and (mesh is None or g is None):
-        raise ValueError("need a (mesh, g) pair or an evaluator")
-    if mesh is None:
-        raise ValueError("evaluator-only route requires a mesh for "
-                         "dimension and scale; pass mesh too")
+    if evaluator is None and g is None:
+        raise ValueError("need a density g or an evaluator")
     moment_order = math.nan
     first_deg = -1
     threshold = math.nan
@@ -557,13 +535,14 @@ def order_at_infinity(mesh=None, g=None, side="left", evaluator=None,
 
 # -- numerical Dirac oracle -----------------------------------------------------------
 
-def dirac_apply(ctx, f, x, step=1e-4, side="left") -> Multivector:
+def dirac_apply(ctx, f, x, side="left") -> Multivector:
     """Central-difference Dirac operator D[f] = sum_k e_k d_k f at x.
 
-    side 'left' applies e_k from the left (left regularity oracle),
-    'right' from the right.  Near 0 for (bi)regular f.
+    The step is 1e-4.  side 'left' applies e_k from the left (left
+    regularity oracle), 'right' from the right.  Near 0 for (bi)regular f.
     """
     x = np.asarray(x, dtype=np.float64)
+    step = 1e-4
     derivs = np.empty((ctx.n + 1, ctx.dim))
     for k in range(ctx.n + 1):
         xp = x.copy()

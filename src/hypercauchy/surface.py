@@ -10,6 +10,7 @@ a built mesh does except refine().
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,6 +28,10 @@ class DegenerateExclusionError(ValueError):
 
 class MeshFormatError(ValueError):
     """Mesh file violates the documented text format or its invariants."""
+
+
+class NodeIndexError(IndexError, ValueError):
+    """A node index that is not an integer in 0..N-1; bools are refused."""
 
 
 NORMAL_UNIT_TOL = 1e-6
@@ -56,12 +61,14 @@ class DomainSpec:
             raise UnsupportedDomainError("sphere requires n in {2, 3}, got n=%d" % n)
         if kind not in ("circle", "sphere"):
             raise UnsupportedDomainError("unknown surface kind %r" % self.kind)
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         center = tuple(float(c) for c in self.center) if self.center else \
             (0.0,) * (n + 1)
         if len(center) != n + 1:
             raise ValueError("center must have n+1 = %d components" % (n + 1))
+        if not all(math.isfinite(c) for c in center):
+            raise ValueError("center must be finite")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "center", center)
@@ -398,8 +405,9 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     320*2^level on 2-spheres, 2*(4*2^level)^3 on 3-spheres.  Sphere meshes
     keep the builder's neighbour lists in their cache (SurfaceMesh.cache).
     """
-    if level < 0:
-        raise ValueError("level must be >= 0")
+    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) \
+            or level < 0:
+        raise ValueError("level must be an integer >= 0")
     c = spec.center_array
     if spec.kind == "circle":
         built = _circle_nodes(level, c, spec.radius)
@@ -415,10 +423,26 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     return mesh
 
 
+def _node_indices(mesh, t, name="t"):
+    """t, a node index or a 1-d array of them, as a 1-d integer array.
+
+    The one node-index check: a bool (isinstance(True, int) holds), a
+    float, a deeper array or an index outside 0..N-1 raises NodeIndexError
+    naming the argument.
+    """
+    idx = np.atleast_1d(t)
+    if idx.ndim > 1 or idx.dtype.kind not in "iu" or np.any(
+            (idx < 0) | (idx >= mesh.node_count)):
+        raise NodeIndexError("%s must be a node index in 0..%d or a 1-d "
+                             "array of them" % (name, mesh.node_count - 1))
+    return idx
+
+
 def oriented_measure(mesh: SurfaceMesh, i: int) -> Multivector:
     """Oriented Clifford measure element nu_i w_i at node i (as Multivector)."""
-    if not 0 <= i < mesh.node_count:
-        raise IndexError("node index out of range")
+    if np.ndim(i) != 0:
+        raise NodeIndexError("i must be a node index, not an array")
+    i = int(_node_indices(mesh, i, "i")[0])
     p = Paravector(mesh.normals[i, 0] * mesh.weights[i],
                    mesh.normals[i, 1:] * mesh.weights[i])
     return p.as_multivector(mesh.context)

@@ -594,8 +594,8 @@ def _lookup_keys(N, seed):
     DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
 ], ids=["circle", "sphere2"])
 def test_kernel_valued_right_factor_matches_column_loop(spec):
-    # phi_j k[j, i] with k a held array or a product_kernel, formed where it
-    # is read, is bitwise the per-column loop's held density matrix
+    # phi_j k[j, i] with k a held array, formed where it is read, is
+    # bitwise the per-column loop's held density matrix
     mesh = build_mesh(spec, 0)
     ctx = mesh.context
     N = mesh.node_count
@@ -603,12 +603,14 @@ def test_kernel_valued_right_factor_matches_column_loop(spec):
     k = product_kernel(mesh, 23)
     held_k = k[:, :]
     held = _column_loop(ctx, left, held_k)
-    for right in (held_k, k):
-        dmat = ProductKernel(mesh, left, right)
-        assert dmat.shape == held.shape and dmat.ndim == 3
-        for key in _lookup_keys(N, 5):
-            assert dmat[key].shape == held[key].shape
-            assert np.array_equal(dmat[key], held[key])
+    dmat = ProductKernel(mesh, left, held_k)
+    assert dmat.shape == held.shape and dmat.ndim == 3
+    for key in _lookup_keys(N, 5):
+        assert dmat[key].shape == held[key].shape
+        assert np.array_equal(dmat[key], held[key])
+    # a ProductKernel holds rows or one array, never another ProductKernel
+    with pytest.raises(ValueError, match="another ProductKernel"):
+        ProductKernel(mesh, left, k)
 
 
 @pytest.mark.parametrize("spec", [
@@ -702,7 +704,7 @@ def test_separable_kernels_take_no_pv_matrix_tiles(circle_spec, monkeypatch):
     monkeypatch.setattr(_accel, "pv_matrix", counted)
     _matrix_pv_rows(mesh, k)
     assert len(calls) == 0
-    # phi_j (f_j g_i): the nested kernel of apply_full_sie_lhs factors too
+    # (phi f)_j g_i: apply_full_sie_lhs folds phi into the left factor
     apply_full_sie_lhs(mesh, a, k, phi)
     assert len(calls) == 0
     held = k[:, :]

@@ -18,7 +18,6 @@ from hypercauchy.cauchy import (
     BoundaryDensity,
     DegenerateStencilError,
     InconclusiveSpanError,
-    NodeIndexError,
     SideTaggedPoint,
     boundary_limit,
     cauchy_integral,
@@ -44,7 +43,8 @@ from hypercauchy.clifford_core import (SingularInputError, embed_point,
                                        sided_sum)
 from hypercauchy.fueter import cauchy_derivative
 from hypercauchy.surface import (DegenerateExclusionError, DomainSpec,
-                                 SurfaceMesh, build_mesh, load_mesh, refine,
+                                 NodeIndexError, SurfaceMesh, build_mesh,
+                                 load_mesh, oriented_measure, refine,
                                  save_mesh)
 from hypercauchy._corpus import (random_smooth, rough_holder,
                                  symmetric_power_trace)
@@ -126,6 +126,21 @@ def test_density_shape_and_regularity_validated(circle_mesh):
                         regularity=("holder", 1.5, None))
     with pytest.raises(ValueError):
         BoundaryDensity(circle_mesh, np.ones((N, 2)), regularity=("smooth",))
+    # a tag is checked whole: a short or long tuple, a non-tuple, a bad
+    # exponent or a negative or non-finite Holder constant, or a bool for
+    # either number
+    for bad in [("holder",), ("holder", 1.0), ("holder", 1.0, None, 0),
+                ("holder", True, None), ("holder", 1.0, True),
+                ("holder", 1.0, False),
+                ("continuous", 1.0), ["holder", 1.0, None], "continuous",
+                ("holder", 0.0, None), ("holder", np.nan, None),
+                ("holder", "1", None), ("holder", 1.0, -3.0),
+                ("holder", 1.0, np.inf), ("holder", 1.0, np.nan)]:
+        with pytest.raises(ValueError, match="^regularity must be"):
+            BoundaryDensity(circle_mesh, np.ones((N, 2)), regularity=bad)
+    for good in [("holder", 0.5, None), ("holder", np.float64(1.0), 0.0),
+                 ("holder", 1, 2), ("continuous",)]:
+        BoundaryDensity(circle_mesh, np.ones((N, 2)), regularity=good)
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf])
@@ -427,6 +442,23 @@ def test_principal_values_refuse_non_integer_node_indices(t):
     # the ladders share the one check
     with pytest.raises(NodeIndexError, match=message):
         boundary_limit(mesh, f, t, "+")
+
+
+@pytest.mark.parametrize("call,bad,name", [
+    ("pv_nodes", [-1], "indices"), ("pv_nodes", [True], "indices"),
+    ("pv_nodes", [64], "indices"), ("pv_nodes", [[0, 1]], "indices"),
+    ("measure", True, "i"), ("measure", -1, "i"), ("measure", 64, "i"),
+    ("measure", 1.0, "i"), ("measure", [1, 2], "i"),
+])
+def test_node_indices_take_the_one_check(call, bad, name):
+    # a negative index once meant node N - 1 and a bool node 1
+    mesh = _small_mesh("circle-L0")
+    f = random_smooth(mesh, 4)
+    with pytest.raises(NodeIndexError, match="^%s must be a node index" % name):
+        if call == "pv_nodes":
+            principal_value_nodes(mesh, f, indices=bad)
+        else:
+            oriented_measure(mesh, bad)
 
 
 def test_node_index_error_is_an_index_and_a_value_error():
@@ -999,6 +1031,16 @@ def _cell_correction_bound(mesh, f):
     sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
     prefac = (d * mesh.weights / sigma_d) ** (1.0 / d) * (sigma_d / d)
     return 2.0 * prefac * (d + 1) * deriv.sum(axis=0)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_MESHES))
+def test_cached_stencil_is_read_only(name):
+    # one caller's in-place edit would change every later principal value
+    mesh = _small_mesh(name)
+    for arr in gradient_stencil(mesh):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0
 
 
 def test_sphere3_cell_coefficients_at_indices_match_full_rows():

@@ -169,25 +169,40 @@ def test_kernel_trace_monogenic(circle_spec, circle_mesh):
 
 
 def test_kernel_derivative_matches_difference_quotients():
-    ctx = get_context(2)
-    rng = np.random.default_rng(5)
-    y = rng.normal(size=3) * 2.0
     from hypercauchy.cauchy import kernel_E
-    for alpha in [(1, 0), (0, 1), (1, 1), (2, 0)]:
+    for n, alpha in itertools.chain(
+            ((2, a) for a in [(1, 0), (0, 1), (1, 1), (2, 0)]),
+            ((3, a) for a in multi_indices(3, 3))):
+        ctx = get_context(n)
+        y = np.random.default_rng(5).normal(size=n + 1) * 2.0
         kd = kernel_derivative(ctx, alpha)
         got = kd.evaluate(y).as_point()
         step = 1e-3
 
         def fd(point, a):
             if sum(a) == 0:
-                return kernel_E(point, np.zeros(3)).as_point()
+                return kernel_E(point, np.zeros(n + 1)).as_point()
             j = next(i for i, v in enumerate(a) if v > 0)
             down = tuple(v - (1 if i == j else 0) for i, v in enumerate(a))
-            ep = np.zeros(3)
+            ep = np.zeros(n + 1)
             ep[j + 1] = step
             return (fd(point + ep, down) - fd(point - ep, down)) / (2 * step)
 
-        assert np.max(np.abs(got - fd(y, alpha))) <= 1e-5
+        # central differences at step 1e-3 are good to a few 1e-6 relative
+        assert np.max(np.abs(got - fd(y, alpha))) <= 1e-5 * np.abs(got).max()
+
+
+def test_kernel_derivative_is_the_complex_derivative_on_the_plane():
+    # n = 1 with e1 <-> i: E(x) = conj(x)/|x|^2 = 1/z, and d/dx1 = i d/dz,
+    # so d^k E / dx1^k = (-i)^k k! / z^(k+1) exactly
+    ctx = get_context(1)
+    pts = np.random.default_rng(8).normal(size=(32, 2)) * 2.0
+    z = pts[:, 0] + 1j * pts[:, 1]
+    for k in range(MAX_DEGREE + 1):
+        vals = kernel_derivative(ctx, (k,)).evaluate_components(pts)
+        want = (-1j) ** k * math.factorial(k) / z ** (k + 1)
+        got = vals[:, 0] + 1j * vals[:, 1]
+        assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
 
 
 def test_boundary_moment_reproduces_pole(circle_spec, circle_mesh):

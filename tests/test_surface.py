@@ -198,6 +198,18 @@ def test_domain_spec_validation():
         DomainSpec("circle", 1, center=(0, 0, 0), radius=1.0)
     with pytest.raises(ValueError):
         build_mesh(DomainSpec("circle", 1, center=(0, 0), radius=1.0), -1)
+    # non-finite geometry is refused where it enters, naming the field
+    for radius in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^radius must be"):
+            DomainSpec("circle", 1, center=(0, 0), radius=radius)
+    for center in ((np.nan, 0.0), (0.0, -np.inf)):
+        with pytest.raises(ValueError, match="^center must be finite"):
+            DomainSpec("circle", 1, center=center, radius=1.0)
+    # a level is an integer, not a bool (isinstance(True, int) holds)
+    for level in (True, 2.5, np.float64(1.0), "1"):
+        with pytest.raises(ValueError, match="^level must be an integer"):
+            build_mesh(DomainSpec("circle"), level)
+    assert build_mesh(DomainSpec("circle"), np.int64(1)).node_count == 128
 
 
 def test_parse_mesh_spec():
@@ -207,7 +219,8 @@ def test_parse_mesh_spec():
     assert level == 4
     spec, level = parse_mesh_spec("circle")
     assert spec.n == 1 and level == 0
-    for bad in ("", "n=2", "circle,frobnicate=2", "circle,radius"):
+    for bad in ("", "n=2", "circle,frobnicate=2", "circle,radius",
+                "circle,radius=inf", "circle,center=nan:0"):
         with pytest.raises(ValueError):
             parse_mesh_spec(bad)
 
