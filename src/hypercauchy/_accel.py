@@ -188,11 +188,13 @@ def _accumulate(ctx, targets, nodes, g, excl, side):
     # the terms E @ g of every density before the blade scatter
     T = np.zeros((G.shape[0], ctx.n + 1, M, ctx.dim))
     if node_targets:
+        # planes outer: each plane stays in cache across the K densities
         for I, J, E in _node_pair_tiles(nodes, ctx.n):
-            for Tk, gk in zip(T, G):
-                Tk[:, I] += E @ gk[J]
-                if J != I:
-                    Tk[:, J] -= E.transpose(0, 2, 1) @ gk[I]
+            for p, Ep in enumerate(E):
+                for Tk, gk in zip(T, G):
+                    Tk[p, I] += Ep @ gk[J]
+                    if J != I:
+                        Tk[p, J] -= Ep.T @ gk[I]
     else:
         _row_block_terms(T, targets, nodes, G, excl, ctx.n)
     out = np.empty((G.shape[0], M, ctx.dim))

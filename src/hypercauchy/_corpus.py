@@ -158,9 +158,16 @@ def random_smooth(mesh, seed):
 
     def rows(pts):
         xh = (pts - c0) / R
+        # xh ** d by pow, as the monomials were always formed: an exponent
+        # array keeps numpy from squaring, and x * x need not round as
+        # pow(x, 2) does
+        powers = [xh ** np.full(xh.shape[1], d)
+                  for d in range(SMOOTH_DEGREE + 1)]
         out = np.zeros((pts.shape[0], ctx.dim))
         for e, c in zip(exps, coeffs):
-            mono = np.prod(xh ** np.asarray(e), axis=1)
+            mono = powers[e[0]][:, 0]
+            for col, d in enumerate(e[1:], 1):
+                mono = mono * powers[d][:, col]
             out += mono[:, None] * c[None, :]
         return out
 

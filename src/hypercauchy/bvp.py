@@ -314,23 +314,32 @@ class DirichletReport:
     solution: object
 
 
-def _dirichlet_residuals(mesh, g, criterion, sample_idx, probe_dirs):
-    vol_probe = math.nan
-    pv_res = math.nan
-    field = np.zeros(0)
-    if criterion in ("exterior", "both"):
+def _dirichlet_residuals(mesh, gs, criteria, sample_idx, probe_dirs):
+    """(exterior, pv, field) of each density of gs under its criterion.
+
+    All densities whose criterion reads the exterior probes take one
+    kernel pass, and all that read the principal values another, so each
+    density's numbers are bitwise those of a call with it alone.
+    """
+    ext = [k for k, c in enumerate(criteria) if c in ("exterior", "both")]
+    pvk = [k for k, c in enumerate(criteria) if c in ("pv", "both")]
+    out = [[math.nan, math.nan, np.zeros(0)] for _ in gs]
+    if ext:
         R = _scale(mesh)
         center = (mesh.spec.center_array if mesh.spec is not None
                   else mesh.nodes.mean(axis=0))
-        rows = _integral_rows(mesh, g, center + 2.0 * R * probe_dirs, "left")
-        field = np.linalg.norm(rows, axis=1)
-        vol_probe = float(field.max())
-    if criterion in ("pv", "both"):
-        pv = principal_value_nodes(mesh, g, indices=sample_idx)
-        res = pv - 0.5 * g.samples[sample_idx]
-        pv_res = float(np.linalg.norm(res, axis=1).max())
-        field = np.linalg.norm(res, axis=1)
-    return vol_probe, pv_res, field
+        rows = _integral_rows(mesh, [gs[k] for k in ext],
+                              center + 2.0 * R * probe_dirs, "left")
+        for k, r in zip(ext, rows):
+            field = np.linalg.norm(r, axis=1)
+            out[k][0], out[k][2] = float(field.max()), field
+    if pvk:
+        pv = principal_value_nodes(mesh, [gs[k] for k in pvk],
+                                   indices=sample_idx)
+        for k, r in zip(pvk, pv):
+            field = np.linalg.norm(r - 0.5 * gs[k].samples[sample_idx], axis=1)
+            out[k][1], out[k][2] = float(field.max()), field
+    return out
 
 
 def _probe_indices(mesh, count):
@@ -339,17 +348,8 @@ def _probe_indices(mesh, count):
                                  min(count, mesh.node_count)).astype(np.int64))
 
 
-def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
-                    threshold=None, seed=0):
-    """Decide and solve the interior problem Phi+ regular, Phi+|Gamma = g.
-
-    Solvability criteria: the exterior integral C[g] vanishes at 8 seeded
-    probes at twice the radius ('exterior'), or equivalently PV C[g] = g/2
-    at 64 evenly spaced nodes ('pv').  Holder mode may use either (default
-    'both' cross-checks); continuous mode uses 'exterior' plus a symmetric-
-    difference attainment check.  Without an explicit threshold the
-    verdict comes from a refinement trend, which needs an exact evaluator.
-    """
+def _dirichlet_setup(g, mode, criterion):
+    """(mode, criterion) of density g: the defaults from its regularity."""
     if mode is None:
         mode = "holder" if g.is_holder else "continuous"
     if mode not in ("holder", "continuous"):
@@ -362,53 +362,98 @@ def solve_dirichlet(mesh, g: BoundaryDensity, mode=None, criterion=None,
         raise ValueError("the principal-value criterion requires Holder data")
     if criterion is None:
         criterion = "both" if mode == "holder" else "exterior"
+    return mode, criterion
+
+
+def solve_dirichlet(mesh, g, mode=None, criterion=None, threshold=None,
+                    seed=0):
+    """Decide and solve the interior problem Phi+ regular, Phi+|Gamma = g.
+
+    Solvability criteria: the exterior integral C[g] vanishes at 8 seeded
+    probes at twice the radius ('exterior'), or equivalently PV C[g] = g/2
+    at 64 evenly spaced nodes ('pv').  Holder mode may use either (default
+    'both' cross-checks); continuous mode uses 'exterior' plus a symmetric-
+    difference attainment check.  Without an explicit threshold the
+    verdict comes from a refinement trend, which needs an exact evaluator.
+
+    g is one BoundaryDensity, which gives one DirichletReport, or a
+    sequence of them, which gives a list with one report each.  mode and
+    criterion apply to every density; left None, each density takes the
+    defaults of its own regularity.  However many densities there are,
+    they share the kernel passes of each mesh (the exterior probes and the
+    principal values, on mesh and on its cached refinement, then one
+    attainment ladder), and each report is bitwise that of its density
+    alone: its residuals, threshold and verdict are its own.
+    """
+    single = isinstance(g, BoundaryDensity)
+    gs = [g] if single else list(g)
+    setups = [_dirichlet_setup(gk, mode, criterion) for gk in gs]
+    modes = [m for m, _ in setups]
+    criteria = [c for _, c in setups]
+    # a density from another mesh raises before any sum is taken
+    _density_samples(mesh, g if single else gs)
+    if threshold is None and (mesh.spec is None or
+                              any(gk.evaluator is None for gk in gs)):
+        raise ValueError("automatic threshold needs an evaluator-backed "
+                         "density on a spec-built mesh; pass threshold=")
     ctx = mesh.context
     rng = np.random.default_rng(seed)
     sample_idx = _probe_indices(mesh, 64)
     probe_dirs = rng.standard_normal((8, ctx.n + 1))
     probe_dirs /= np.linalg.norm(probe_dirs, axis=1, keepdims=True)
 
-    ext_res, pv_res, field = _dirichlet_residuals(mesh, g, criterion,
-                                                  sample_idx, probe_dirs)
-    coarse = np.nanmax([ext_res, pv_res])
-    gmax = max(float(np.abs(g.samples).max()), 1e-300)
-
-    fine_val = math.nan
+    coarse = _dirichlet_residuals(mesh, gs, criteria, sample_idx, probe_dirs)
+    gmax = [max(float(np.abs(gk.samples).max()), 1e-300) for gk in gs]
     if threshold is None:
-        if g.evaluator is None or mesh.spec is None:
-            raise ValueError("automatic threshold needs an evaluator-backed "
-                             "density on a spec-built mesh; pass threshold=")
-        gf = _refined_density(mesh, g)
-        fine = gf.mesh
-        ef, pf, _ = _dirichlet_residuals(fine, gf, criterion,
-                                         _probe_indices(fine, 64),
-                                         probe_dirs)
-        fine_val = np.nanmax([ef, pf])
-        threshold = max(10.0 * max(coarse - fine_val, 0.0), 1e-10 * gmax)
-        decided = fine_val
-        # a residual that stays at a macroscopic fraction of the data can
-        # pass the trend test while the quadrature is still pre-asymptotic;
-        # never judge such data solvable
-        solvable = bool(decided <= threshold and
-                        decided <= DIRICHLET_SIGNIFICANCE * gmax)
-    else:
-        decided = coarse
-        solvable = bool(decided <= threshold)
+        gfs = [_refined_density(mesh, gk) for gk in gs]
+        fine = gfs[0].mesh
+        refined = _dirichlet_residuals(fine, gfs, criteria,
+                                       _probe_indices(fine, 64), probe_dirs)
+    verdicts = []
+    for k, (ext_res, pv_res, _) in enumerate(coarse):
+        coarse_val = np.nanmax([ext_res, pv_res])
+        fine_val = math.nan
+        if threshold is None:
+            ef, pf, _ = refined[k]
+            fine_val = np.nanmax([ef, pf])
+            thr = max(10.0 * max(coarse_val - fine_val, 0.0), 1e-10 * gmax[k])
+            # a residual that stays at a macroscopic fraction of the data
+            # can pass the trend test while the quadrature is still
+            # pre-asymptotic; never judge such data solvable
+            solvable = bool(fine_val <= thr and
+                            fine_val <= DIRICHLET_SIGNIFICANCE * gmax[k])
+        else:
+            thr = threshold
+            solvable = bool(coarse_val <= thr)
+        verdicts.append((solvable, fine_val, thr))
 
-    attain = math.nan
-    if mode == "continuous" and solvable:
-        idx = rng.choice(mesh.node_count, size=3, replace=False)
-        rec = symmetric_difference_limit(mesh, g, idx,
+    attain = [math.nan] * len(gs)
+    check = [k for k, m in enumerate(modes)
+             if m == "continuous" and verdicts[k][0]]
+    if check:
+        # rng's next draw, the same nodes for every density
+        attain_idx = rng.choice(mesh.node_count, size=3, replace=False)
+        rec = symmetric_difference_limit(mesh, [gs[k] for k in check],
+                                         attain_idx,
                                          symmetric_difference_steps(mesh))
-        attain = float(np.linalg.norm(rec - g.samples[idx], axis=1).max())
-        solvable = solvable and attain <= 0.05 * gmax
+        for k, r in zip(check, rec):
+            attain[k] = float(np.linalg.norm(r - gs[k].samples[attain_idx],
+                                             axis=1).max())
 
-    sol = None
-    if solvable:
-        sol = SectionalSolution(mesh, g, "left", -mesh.n, (),
-                                interior_only=True)
-    return DirichletReport(solvable, mode, criterion, ext_res, pv_res,
-                           fine_val, threshold, attain, field, sol)
+    reports = []
+    for k, gk in enumerate(gs):
+        solvable, fine_val, thr = verdicts[k]
+        if k in check:
+            solvable = attain[k] <= 0.05 * gmax[k]
+        sol = None
+        if solvable:
+            sol = SectionalSolution(mesh, gk, "left", -mesh.n, (),
+                                    interior_only=True)
+        ext_res, pv_res, field = coarse[k]
+        reports.append(DirichletReport(
+            solvable, modes[k], criteria[k], ext_res, pv_res, fine_val,
+            thr, attain[k], field, sol))
+    return reports[0] if single else reports
 
 
 # -- singular operator inversion ---------------------------------------------------

@@ -165,10 +165,17 @@ class BoundaryDensity:
 
     @classmethod
     def constant(cls, mesh, value=1.0):
+        """The constant density; its evaluator gives one (2^n,) row for
+        one point and M rows for an (M, n+1) point array."""
         ctx = mesh.context
         samples = _as_coeff_rows(ctx, value, mesh.node_count)
         ev = samples[0].copy()
-        return cls(mesh, samples, evaluator=lambda x, _c=ev: _c,
+
+        def evaluator(x):
+            x = np.asarray(x)
+            return ev if x.ndim <= 1 else np.tile(ev, (len(x), 1))
+
+        return cls(mesh, samples, evaluator=evaluator,
                    regularity=("holder", 1.0, 0.0))
 
     @property
@@ -418,9 +425,10 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
 
 # -- tangential gradients on the mesh -------------------------------------------
 
-def _tangent_frame(mesh):
-    """Orthonormal tangent vectors per node, shape (N, d, n+1), d = n."""
-    nu = mesh.normals
+def _tangent_frame(mesh, rows=slice(None)):
+    """Orthonormal tangent vectors at the nodes rows (default every node),
+    shape (len(rows), d, n+1), d = n."""
+    nu = mesh.normals[rows]
     N, p = nu.shape
     A = np.zeros((N, p, p))
     A[:, :, 0] = nu
@@ -430,13 +438,15 @@ def _tangent_frame(mesh):
     return np.swapaxes(Q[:, :, 1:], 1, 2)
 
 
-def _build_gradient_stencil(mesh):
-    """Per-node derivative stencils: (nb, wts, frame).
+def _build_gradient_stencil(mesh, idx=None):
+    """Derivative stencils (nb, wts, frame) of the nodes idx (default every
+    node; always every node on a uniform circle grid).
 
-    nb is (N, k) neighbor indices, wts is (d, N, k) weights such that the
-    tangential derivative of samples along frame[:, a, :] at node i is
-    sum_m wts[a, i, m] * samples[nb[i, m]].  The neighbours come from one
-    of three sources:
+    nb is (M, k) neighbor indices, wts is (d, M, k) weights such that the
+    tangential derivative of samples along frame[r, a, :] at node i = idx[r]
+    is sum_m wts[a, r, m] * samples[nb[r, m]].  Each node's fit is its
+    own, so the rows of idx are bitwise those of a build for every node.
+    The neighbours come from one of three sources:
 
     - uniform circle grids, found from the nodes (loaded circles too),
       take a periodic 4th-order central-difference stencil at the index
@@ -451,7 +461,7 @@ def _build_gradient_stencil(mesh):
     coordinates over its neighbours by least squares: a batched QR of the
     design and a triangular solve.  A design whose R has a diagonal entry
     below STENCIL_RANK_TOL |R_00| raises DegenerateStencilError naming the
-    first such node.
+    mesh index of the first such node.
     """
     circ = _accel.uniform_circle(mesh.nodes)
     if circ is not None:
@@ -469,15 +479,16 @@ def _build_gradient_stencil(mesh):
                       (1, N, 1))
         return nb, wts, _tangent_frame_circle(mesh, center)
 
-    frame = _tangent_frame(mesh)
+    rows = slice(None) if idx is None else idx
+    frame = _tangent_frame(mesh, rows)
     d = mesh.n
     nterms = 1 + d + d * (d + 1) // 2
     k = max(nterms + 4, {2: 12, 3: 20}.get(d, 4 * nterms))
-    nb = neighbour_lists(mesh, min(k, mesh.node_count))
-    rel = mesh.nodes[nb] - mesh.nodes[:, None, :]          # (N, k, p)
+    nb = neighbour_lists(mesh, min(k, mesh.node_count))[rows]
+    rel = mesh.nodes[nb] - mesh.nodes[rows, None, :]       # (M, k, p)
     u = 0.0                                                 # tangent coords
     for c in range(d + 1):
-        u = u + rel[:, :, None, c] * frame[:, None, :, c]   # (N, k, d)
+        u = u + rel[:, :, None, c] * frame[:, None, :, c]   # (M, k, d)
     # in units of a power of two near each stencil's reach: the fit rounds
     # as it would unscaled, and the rank test below is scale-free
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -488,22 +499,23 @@ def _build_gradient_stencil(mesh):
     for a in range(d):
         for b in range(a, d):
             cols.append(u[:, :, a] * u[:, :, b])
-    design = np.stack(cols, axis=2)                         # (N, k, nterms)
-    Q, R = np.linalg.qr(design)                             # R (N, t, nterms)
+    design = np.stack(cols, axis=2)                         # (M, k, nterms)
+    Q, R = np.linalg.qr(design)                             # R (M, t, nterms)
     diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
-    ratio = np.zeros((mesh.node_count, nterms))
+    ratio = np.zeros((len(nb), nterms))
     ratio[:, : diag.shape[1]] = diag / diag[:, :1]
     bad = np.flatnonzero(~(ratio >= STENCIL_RANK_TOL).all(axis=1))
     if bad.size:
-        i = int(bad[0])
-        j = int(np.argmin(np.nan_to_num(ratio[i])))
+        r = int(bad[0])
+        j = int(np.argmin(np.nan_to_num(ratio[r])))
         raise DegenerateStencilError(
             "gradient stencil of node %d is rank-deficient: its %d "
             "neighbours leave term %d of the %d-term quadratic fit "
             "undetermined (|R_jj| / |R_00| = %.3g)"
-            % (i, nb.shape[1], j, nterms, ratio[i, j]))
+            % (r if idx is None else idx[r], nb.shape[1], j, nterms,
+               ratio[r, j]))
     # rows 1..d of R^-1 Q^T, the first derivatives, by back substitution
-    X = np.swapaxes(Q, 1, 2).copy()                         # (N, nterms, k)
+    X = np.swapaxes(Q, 1, 2).copy()                         # (M, nterms, k)
     for j in range(nterms - 1, 0, -1):
         X[:, j] -= np.matmul(R[:, j, None, j + 1 :], X[:, j + 1 :])[:, 0]
         X[:, j] /= R[:, j, j, None]
@@ -519,48 +531,61 @@ def _tangent_frame_circle(mesh, center):
     return tangent[:, None, :]
 
 
-def gradient_stencil(mesh):
-    """Per-node tangential-derivative stencil (nb, wts, frame).
+def gradient_stencil(mesh, idx=None):
+    """Tangential-derivative stencil (nb, wts, frame) at the node index
+    array idx, or at every node (default).
 
-    Built on first use and kept in the mesh's cache, so it lives as long
-    as the mesh does; its arrays are read-only, as every cached operator
-    is, so no caller's edit reaches a later principal value.
+    A stencil built for every node is kept in the mesh's cache, so it lives
+    as long as the mesh does; its arrays are read-only, as every cached
+    operator is, so no caller's edit reaches a later principal value.  The
+    rows of idx come from the cached stencil when the mesh holds one, and
+    otherwise from fits of those nodes alone, which are not cached: only a
+    stencil built for every node is, as _grid_cell_coefficients keeps its
+    coefficients.  A uniform circle grid's closed-form stencil costs
+    little, so it is built for every node and cached whatever idx is.
     """
     stencil = mesh.cache.get("gradient_stencil")
     if stencil is None:
+        N = mesh.node_count
+        if idx is not None and np.array_equal(idx, np.arange(N)):
+            idx = None
+        if idx is not None and _accel.uniform_circle(mesh.nodes) is None:
+            return _build_gradient_stencil(mesh, idx)
         stencil = _build_gradient_stencil(mesh)
         for arr in stencil:
             arr.flags.writeable = False
         mesh.cache["gradient_stencil"] = stencil
-    return stencil
+    if idx is None:
+        return stencil
+    nb, wts, frame = stencil
+    return nb[idx], wts[:, idx], frame[idx]
 
 
-def tangential_gradient(mesh, samples, idx=slice(None)):
-    """Tangential derivatives of node samples along the cached frame.
+def tangential_gradient(mesh, samples, idx=None):
+    """Tangential derivatives of node samples along the stencil's frame.
 
     samples is (N, m) or a stack (..., N, m).  Returns (derivs, frame) at
-    the nodes idx (default every node): derivs[a] is the (..., len(idx), m)
-    array of directional derivatives along frame[:, a, :].  Only the
-    stencil rows of idx are applied, one neighbour column at a time, so no
+    the node index array idx (default every node): derivs[a] is the
+    (..., len(idx), m) array of directional derivatives along
+    frame[:, a, :].  Only the stencil rows of idx are read
+    (gradient_stencil) and applied, one neighbour column at a time, so no
     (len(idx), k, m) gather of every stack member is held.
     """
-    nb, wts, frame = gradient_stencil(mesh)
+    nb, wts, frame = gradient_stencil(mesh, idx)
     samples = np.asarray(samples, dtype=np.float64)
-    nb = nb[idx]
     lead = samples.shape[:-2]
     # (d, 1, ..., len(idx), k): weights broadcast over the stack axes
-    wts = wts[:, idx].reshape(wts.shape[:1] + (1,) * len(lead)
-                              + nb.shape)
+    wts = wts.reshape(wts.shape[:1] + (1,) * len(lead) + nb.shape)
     derivs = np.zeros(wts.shape[:1] + lead + (nb.shape[0], samples.shape[-1]))
     for m in range(nb.shape[1]):
         derivs += wts[..., m, None] * samples[..., nb[:, m], :]
-    return derivs, frame[idx]
+    return derivs, frame
 
 
 # -- principal values ------------------------------------------------------------
 
-def _singular_cell_corrections(mesh, f, side, idx=slice(None)):
-    """Corrections for the dropped singular cell at the nodes idx.
+def _singular_cell_corrections(mesh, f, side, idx=None):
+    """Corrections for the dropped singular cell at the node index array idx.
 
     f is node samples, (N, 2^n) or a (K, N, 2^n) stack, taken as given, or
     one density or a sequence of K (see principal_value_nodes).  Shape
@@ -571,7 +596,7 @@ def _singular_cell_corrections(mesh, f, side, idx=slice(None)):
     return _cell_corrections(mesh, derivs, frame, side, idx)
 
 
-def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
+def _cell_corrections(mesh, derivs, frame, side, idx=None):
     """Singular-cell corrections from tangential derivatives at the nodes idx.
 
     derivs[a] holds the (len(idx), dim) derivatives of the density along
@@ -593,9 +618,10 @@ def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
         for a in range(d):
             out += sided_product(ctx, side, G[a], derivs[a])
         return out
+    rows = slice(None) if idx is None else idx
     sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
-    prefac = (d * mesh.weights[idx] / sigma_d) ** (1.0 / d) * (sigma_d / d)
-    nu = mesh.normals[idx]
+    prefac = (d * mesh.weights[rows] / sigma_d) ** (1.0 / d) * (sigma_d / d)
+    nu = mesh.normals[rows]
     for a in range(d):
         Tbar = frame[:, a, :].copy()
         Tbar[:, 1:] *= -1.0
@@ -604,10 +630,10 @@ def _cell_corrections(mesh, derivs, frame, side, idx=slice(None)):
     return out * prefac[:, None]
 
 
-def _grid_cell_coefficients(mesh, side, idx=slice(None)):
+def _grid_cell_coefficients(mesh, side, idx=None):
     """Coefficients G_k of the 3-sphere grid's correction sum_k G_k d_k f(t)
-    at the nodes idx, (d, len(idx), dim); those of every node are kept
-    read-only in the mesh's cache per side.
+    at the node index array idx (default every node), (d, len(idx), dim);
+    those of every node are kept read-only in the mesh's cache per side.
 
     Near the poles of the chi/th/ph grid its cells are thin needles, and
     nodes lie much closer than h, so the flat-ball cell model does not
@@ -622,10 +648,11 @@ def _grid_cell_coefficients(mesh, side, idx=slice(None)):
     """
     key = ("cell_coefficients", side)
     if key in mesh.cache:
-        return mesh.cache[key][:, idx]
+        G = mesh.cache[key]
+        return G if idx is None else G[:, idx]
     ctx, N, n = mesh.context, mesh.node_count, mesh.n
-    idx = np.arange(N)[idx]
-    frame = gradient_stencil(mesh)[2][idx]
+    idx = np.arange(N) if idx is None else np.asarray(idx)
+    frame = gradient_stencil(mesh, idx)[2]
     coords = np.zeros((n + 1, N, ctx.dim))
     coords[:, :, 0] = mesh.nodes.T
     sums = _shifted_sums(mesh, coords, side, mesh.nodes[idx], idx, idx)
@@ -655,9 +682,11 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     _check_side(side)
     idx = (np.arange(mesh.node_count, dtype=np.int64) if indices is None
            else _node_indices(mesh, indices, "indices"))
-    # building the stencil takes the largest temporaries of the call (the
-    # per-node least-squares fits), so build it before any stack is held
-    gradient_stencil(mesh)
+    if indices is None:
+        # building the stencil takes the largest temporaries of the call
+        # (the per-node least-squares fits), so build it before any stack
+        # is held; an indexed call fits its own nodes only
+        gradient_stencil(mesh)
     samples = _density_samples(mesh, f)
     core = _shifted_sums(mesh, samples, side, mesh.nodes[idx], idx, idx)
     core += _singular_cell_corrections(mesh, samples, side, idx)

@@ -396,8 +396,8 @@ def _run_dirichlet(cfg, mesh):
     lams = symmetric_difference_steps(mesh)
     agree = 0
     recon = [0.0]
-    for name, dens, truth in corpus:
-        rep = solve_dirichlet(mesh, dens)
+    reports = solve_dirichlet(mesh, [dens for _, dens, _ in corpus])
+    for (name, dens, truth), rep in zip(corpus, reports):
         agree += int(rep.solvable == truth)
         if truth and rep.solvable:
             idx = rng.integers(0, mesh.node_count, size=2)

@@ -116,13 +116,14 @@ class SurfaceMesh:
         neighbour lists, each row led by its node (the 12 nearest nodes,
         nearest first, on the Fibonacci lattice; the 3x3x3 grid block on
         3-spheres), read by neighbour_lists.  The rest is filled on first
-        use: the tangential-derivative stencil of
-        cauchy.gradient_stencil, the read-only full-mesh self-sums S2
-        of cauchy.principal_value_nodes, one per side, on 3-spheres the
+        use: the tangential-derivative stencil of cauchy.gradient_stencil,
+        only once it is built for every node (a fit of some nodes alone is
+        not kept), the read-only full-mesh self-sums S2 of
+        cauchy.principal_value_nodes, one per side, on 3-spheres the
         singular-cell coefficients of cauchy._grid_cell_coefficients, one
-        per side, and the refined
-        mesh (refine(mesh), with its own cache) on which the solvability
-        thresholds resample evaluator-backed densities.  Never a
+        per side, and the refined mesh (refine(mesh), with its own cache)
+        on which the solvability thresholds resample evaluator-backed
+        densities.  Never a
         constructor argument; every other new mesh (load_mesh,
         exclude_cap, dataclasses.replace) starts with an empty one.
     """

@@ -219,6 +219,26 @@ def test_near_boundary_subtract_beats_raw(circle_mesh):
         cauchy_integral(circle_mesh, f, w, method="midpoint")
 
 
+def test_constant_evaluator_is_vectorized(sphere_mesh):
+    # M points give M rows, one point one row: from_function samples the
+    # constant in one call, bitwise as per point
+    value = [0.5, -1.0, 2.0, 0.25]
+    ones = BoundaryDensity.constant(sphere_mesh, value)
+    rows = ones.evaluator(sphere_mesh.nodes)
+    assert rows.shape == (sphere_mesh.node_count, 4)
+    per_point = np.array([ones.evaluator(x) for x in sphere_mesh.nodes])
+    assert rows.tobytes() == per_point.tobytes() == ones.samples.tobytes()
+    calls = []
+
+    def counted(x):
+        calls.append(np.shape(x))
+        return ones.evaluator(x)
+
+    again = BoundaryDensity.from_function(sphere_mesh, counted)
+    assert calls == [sphere_mesh.nodes.shape]
+    assert again.samples.tobytes() == ones.samples.tobytes()
+
+
 def test_pv_constant_is_half(circle_mesh, sphere_mesh):
     for mesh in (circle_mesh, sphere_mesh):
         ones = BoundaryDensity.constant(mesh, 1.0)
@@ -411,6 +431,98 @@ def test_great_circle_mesh_raises_rank_error(tmp_path):
                              r"its 12 neighbours leave term 2 of the 6-term"):
         principal_value_nodes(mesh, f)
     assert "gradient_stencil" not in mesh.cache
+
+
+def _great_circle_mesh(tmp_path):
+    N = 40
+    theta = 2.0 * np.pi * np.arange(N) / N
+    nodes = np.stack([np.cos(theta), np.sin(theta), np.zeros(N)], axis=1)
+    save_mesh(SurfaceMesh(nodes, nodes, np.full(N, 4.0 * np.pi / N), 0.0),
+              tmp_path / "circle.mesh")
+    return load_mesh(tmp_path / "circle.mesh")
+
+
+def test_indexed_rank_error_names_the_mesh_node(tmp_path):
+    # a fit of the nodes idx alone reports the node's mesh index, not its
+    # position in idx
+    mesh = _great_circle_mesh(tmp_path)
+    with pytest.raises(DegenerateStencilError,
+                       match=r"^gradient stencil of node 17 is rank-"):
+        gradient_stencil(mesh, np.array([17, 3]))
+    with pytest.raises(DegenerateStencilError, match=r" of node 5 is rank-"):
+        principal_value_nodes(mesh, BoundaryDensity.constant(mesh, 1.0),
+                              indices=[5, 7])
+    assert "gradient_stencil" not in mesh.cache
+
+
+def test_indexed_pv_on_loaded_sphere3_needs_only_its_own_fits(tmp_path):
+    # the k-d tree neighbours of a loaded 3-sphere leave some fits
+    # rank-deficient: a full-mesh PV raises at the first of them, while an
+    # indexed PV at full-rank nodes succeeds
+    spec = DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0)
+    save_mesh(build_mesh(spec, 0), tmp_path / "s3.mesh")
+    mesh = load_mesh(tmp_path / "s3.mesh")
+    good, bad = [], []
+    for i in range(mesh.node_count):
+        try:
+            gradient_stencil(mesh, np.array([i]))
+            good.append(i)
+        except DegenerateStencilError:
+            bad.append(i)
+    assert good and bad
+    f = random_smooth(build_mesh(spec, 0), 2)
+    f = BoundaryDensity(mesh, f.samples)
+    with pytest.raises(DegenerateStencilError,
+                       match=r"^gradient stencil of node %d " % bad[0]):
+        principal_value_nodes(mesh, f)
+    pv = principal_value_nodes(mesh, f, indices=good[:4])
+    assert pv.shape == (4, mesh.context.dim) and np.all(np.isfinite(pv))
+    assert "gradient_stencil" not in mesh.cache
+
+
+STENCIL_ROW_MESHES = [("sphere", 2, 0), ("sphere", 2, 1), ("sphere", 2, 2),
+                      ("sphere", 3, 0), ("sphere", 3, 1)]
+
+
+@pytest.mark.parametrize("kind, n, level", STENCIL_ROW_MESHES)
+def test_stencil_rows_match_the_full_build(kind, n, level):
+    # each node's fit is its own: the rows of idx, fitted alone, are
+    # bitwise those of the build for every node, and are not cached
+    spec = DomainSpec(kind, n, center=(0.0,) * (n + 1), radius=1.0)
+    mesh = build_mesh(spec, level)
+    rng = np.random.default_rng(level)
+    idx = np.concatenate([rng.choice(mesh.node_count, size=9, replace=False),
+                          [0, mesh.node_count - 1, 0]])
+    rows = gradient_stencil(mesh, idx)
+    assert "gradient_stencil" not in mesh.cache
+    full = gradient_stencil(mesh)
+    assert "gradient_stencil" in mesh.cache
+    warm = gradient_stencil(mesh, idx)
+    for got, again, arr, axis in zip(rows, warm, full, (0, 1, 0)):
+        want = np.take(arr, idx, axis=axis)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert again.tobytes() == want.tobytes()
+
+
+def test_indexed_pv_caches_no_stencil(sphere_spec):
+    mesh = build_mesh(sphere_spec, 1)
+    f = random_smooth(mesh, 4)
+    cold = principal_value_nodes(mesh, f, indices=[3, 70, 3])
+    assert "gradient_stencil" not in mesh.cache
+    principal_value_nodes(mesh, f)
+    stencil = mesh.cache["gradient_stencil"]
+    assert all(not arr.flags.writeable for arr in stencil)
+    # the cached stencil's rows give the indexed PV bitwise as its own fits
+    warm = principal_value_nodes(mesh, f, indices=[3, 70, 3])
+    assert cold.tobytes() == warm.tobytes()
+
+
+def test_a_circle_caches_its_whole_stencil_for_an_indexed_pv(circle_spec):
+    # the closed-form circle stencil is built for every node either way
+    mesh = build_mesh(circle_spec, 2)
+    principal_value_nodes(mesh, random_smooth(mesh, 1), indices=[0, 9])
+    nb, wts, frame = mesh.cache["gradient_stencil"]
+    assert nb.shape[0] == wts.shape[1] == frame.shape[0] == mesh.node_count
 
 
 @pytest.mark.parametrize("level", [0, 2])

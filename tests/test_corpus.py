@@ -8,6 +8,8 @@ from hypercauchy.cauchy import BoundaryDensity
 from hypercauchy.clifford_core import batch_product
 from hypercauchy._corpus import (
     DENSITY_FAMILIES,
+    SMOOTH_DEGREE,
+    _monomials,
     dirichlet_corpus,
     exterior_pole,
     interior_pole,
@@ -163,3 +165,24 @@ def test_product_kernel_matches_column_formula(spec):
         tail[0] += 1.0
         want = batch_product(ctx, np.atleast_2d(fe(mesh.nodes)), tail)
         assert np.array_equal(kmat[:, i], want)
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec("circle", 1, center=(0.3, -0.1), radius=1.2),
+    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
+    DomainSpec("sphere", 3, center=(0.1, 0.0, -0.2, 0.0), radius=0.8),
+], ids=["circle", "sphere2", "sphere3"])
+def test_random_smooth_matches_the_monomial_formula(spec):
+    # the power table forms each monomial bitwise as prod(xh ** e), the
+    # product taken left to right over the coordinates
+    mesh = build_mesh(spec, 1)
+    dens = random_smooth(mesh, 8)
+    rng = np.random.default_rng(8)
+    exps = _monomials(mesh.n + 1, SMOOTH_DEGREE)
+    coeffs = rng.uniform(-1.0, 1.0, size=(len(exps), mesh.context.dim))
+    coeffs /= len(exps)
+    xh = (mesh.nodes - spec.center_array) / spec.radius
+    want = np.zeros_like(dens.samples)
+    for e, c in zip(exps, coeffs):
+        want += np.prod(xh ** np.asarray(e), axis=1)[:, None] * c[None, :]
+    assert dens.samples.tobytes() == want.tobytes()

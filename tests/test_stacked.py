@@ -5,17 +5,19 @@ density by its own gemm, so every result here must equal the one of a
 single-density call bit for bit, not just to rounding.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hypercauchy import _accel, cli
 from hypercauchy.bvp import (CharacteristicCoefficients,
                              apply_characteristic_lhs,
-                             solve_characteristic_sie)
+                             solve_characteristic_sie, solve_dirichlet)
 from hypercauchy.cauchy import BoundaryDensity, principal_value_nodes
 from hypercauchy.surface import DomainSpec, build_mesh
-from hypercauchy._corpus import (inversion_corpus, random_smooth,
-                                 rough_holder, sie_corpus)
+from hypercauchy._corpus import (dirichlet_corpus, inversion_corpus,
+                                 random_smooth, rough_holder, sie_corpus)
 
 SPECS = {
     "circle": DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
@@ -153,3 +155,62 @@ def test_corpus_level_takes_two_kernel_passes(monkeypatch, experiment,
     assert len(calls) == 2
     assert [len(shape) for shape in calls] == [3, 3]
     assert calls[0][0] == size + 1
+
+
+def _dirichlet_case(name, level, case):
+    """(mesh, densities, keywords) of a stacked Dirichlet test: the corpus
+    as it is ('holder'), every other member tagged continuous, so the stack
+    mixes both modes ('continuous'), or an explicit threshold."""
+    mesh = build_mesh(SPECS[name], level)
+    fs = [dens for _, dens, _ in dirichlet_corpus(mesh)]
+    if case == "continuous":
+        fs = [dataclasses.replace(f, regularity=("continuous",)) if k % 2
+              else f for k, f in enumerate(fs)]
+    return mesh, fs, {"threshold": 0.05} if case == "threshold" else {}
+
+
+@pytest.mark.parametrize("case", ["holder", "continuous", "threshold"])
+@pytest.mark.parametrize("name, level", [("circle", 3), ("sphere2", 1),
+                                         ("sphere3", 0)])
+def test_stacked_dirichlet_matches_single_calls(name, level, case):
+    mesh, fs, kw = _dirichlet_case(name, level, case)
+    reports = solve_dirichlet(mesh, fs, **kw)
+    assert len(reports) == len(fs)
+    modes = set()
+    for f, rep in zip(fs, reports):
+        single = solve_dirichlet(mesh, f, **kw)
+        for field in dataclasses.fields(rep):
+            got = getattr(rep, field.name)
+            want = getattr(single, field.name)
+            if field.name == "solution":
+                assert (got is None) == (want is None)
+                assert got is None or got.density is f
+            else:
+                assert _same_bits(got, want), field.name
+        modes.add(rep.mode)
+    assert modes == ({"holder", "continuous"} if case == "continuous"
+                     else {"holder"})
+    assert any(rep.solvable for rep in reports)
+    assert not all(rep.solvable for rep in reports)
+
+
+@pytest.mark.parametrize("name, level", [("circle", 3), ("sphere2", 1)])
+def test_stacked_dirichlet_takes_four_kernel_passes(name, level, monkeypatch):
+    # the exterior probes and the 64-node principal values, on the mesh and
+    # on its refinement: four passes, however many densities are solved
+    calls = []
+    for accum in ("accum_left", "accum_right"):
+        original = getattr(_accel, accum)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(np.shape(args[3]))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(_accel, accum, counted)
+    mesh = build_mesh(SPECS[name], level)
+    fs = [dens for _, dens, _ in dirichlet_corpus(mesh)]
+    for densities in (fs[:1], fs, fs[3:]):
+        calls.clear()
+        solve_dirichlet(mesh, densities)
+        assert len(calls) == 4
+        assert all(shape[0] >= len(densities) for shape in calls)
