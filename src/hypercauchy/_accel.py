@@ -15,21 +15,20 @@ kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly in float64
 then round identically), so _node_pair_tiles yields upper-triangular
 tiles (I, J >= I) of edge isqrt(BLOCK_PAIRS), each taken onto rows I and,
 for J != I, negated and transposed onto rows J.  Tile sums agree with
-row-block sums to rounding, not bitwise.  Two kinds of density contract
-the planes:
-- one density row per node, g of shape (N, 2^n), shared by every target
-  (accum_left, accum_right, pb_rhs): one BLAS gemm per plane.  The
-  planes are the costly part, so a stack of K densities shares each
-  block, one gemm per density, and the rows of density k are bitwise
-  those of a call with that density alone;
-- one density per node target, column i of an (N, N, 2^n) matrix with
-  nu w folded in by one batch_product per tile (pv_matrix): each
-  target's planes take a batched matmul with its own column.  Only
-  kernels that do not factor come here; a kernel L_j R_i takes the
-  shared density nu w L instead (bvp._matrix_pv_rows).
+row-block sums to rounding, not bitwise.  Every library sum contracts the
+planes with one density row per node, g of shape (N, 2^n), shared by
+every target (accum_left, accum_right): one BLAS gemm per plane.  The
+planes are the costly part, so a stack of K densities shares each block,
+one gemm per density, and the rows of density k are bitwise those of a
+call with that density alone.  A two-point kernel reaches the sums only
+as factor rows L_j R_i (bvp.ProductKernel), whose per-target density
+nu w L R_i factors into the shared density nu w L (bvp._matrix_pv_rows),
+and pb_rhs then needs the sampled nodes' kernel rows alone.  pv_matrix,
+the per-target tile sum of a held (N, N, 2^n) density matrix, is no
+library path; it stays as the separable route's parity reference.
 
 Node targets on a uniform circle grid (uniform_circle) take no tiles in
-accum_left, accum_right and pb_rhs: there C(V_1) is the complex plane
+accum_left and accum_right: there C(V_1) is the complex plane
 (e1 = i), E(x) = 1/x and x_q - x_p = (x_p - c)(omega^(q-p) - 1) for the
 nodes in angular order, omega = exp(2 pi i / N).  So sum_{q != p}
 E(x_q - x_p) g_q = (x_p - c)^-1 sum_m c_m g_(p+m), c_m = 1/(omega^m - 1),
@@ -42,7 +41,7 @@ its parity reference.  The FFT takes the grid as ideal, which costs
 about N eps relative against the direct sums over the rounded nodes; in
 S1 - S2 f_t that part cancels when S2 takes the same route, and it
 does: every S1 - S2 f_t is cauchy._shifted_sums, whose full-mesh S2
-(the mesh's cache, which pb_rhs takes too) is a node-target sum.
+(the mesh's cache) is a node-target sum.
 """
 
 from __future__ import annotations
@@ -225,10 +224,10 @@ def pv_matrix(ctx, nodes, nuw, dmat):
 
     out_i = sum_{j != i} E(x_j - x_i) nuw_j (dmat[j, i] - dmat[i, i]),
     with dmat of shape (N, N, dim): first index integration node, second
-    index target node.  One pass over the node-pair tiles.  This is the
-    general route, for held and callable kernels and the parity reference
-    of the separable one: bvp._matrix_pv_rows sums a kernel that factors
-    as L_j R_i as two shared densities instead.
+    index target node.  One pass over the node-pair tiles.  No library
+    path calls it: the only kernels the library takes factor as L_j R_i,
+    and bvp._matrix_pv_rows sums them as two shared densities.  It is
+    kept as the parity reference of that separable route.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     N = nodes.shape[0]
@@ -247,35 +246,31 @@ def pv_matrix(ctx, nodes, nuw, dmat):
     return scatter_pairs(ctx, T.transpose(1, 0, 2))
 
 
-def pb_rhs(ctx, nodes, nuw, kmat, t_index, core, S2):
+def pb_rhs(ctx, nodes, nuw, left, right, t_index, S1):
     """Exchanged-order double singular sums at one node or at several.
 
-    Computes sum_{j != t} sum_{i not in {t, j}} [E(x_i - t) nuw_i]
-    [E(x_j - x_i) nuw_j] (kmat[j, i] - kmat[j, t]); returns (dim,) for an
-    int t_index and (T, dim) for T indices.  The subtraction of the
-    kmat[j, t] slice uses the kernel-pair orthogonality (the dropped block
-    integrates to zero), leaving only a weak singularity at x = t so the
-    plain punctured sum converges.  It runs i outside: rhs_t =
-    sum_{i != t} A_t[i] (P[i] - Q[i, t] - C_t[i]), A_t[i] = E(x_i - t) nuw_i,
-    P[i] = sum_{j != i} E(x_j - x_i) nuw_j kmat[j, i], Q[i, t] the same sum
-    of kmat[j, t] (one density nuw kmat[:, t] per t) and C_t[i] =
-    E(t - x_i) nuw_t (kmat[t, i] - kmat[t, t]), the term j = t.  core is
-    the core sums of kmat, as pv_matrix(ctx, nodes, nuw, kmat) or the
-    separable route of bvp._matrix_pv_rows gives them, and S2[i] =
-    sum_{j != i} E(x_j - x_i) nuw_j (cauchy._self_sums), so P[i] = core[i]
-    + S2[i] kmat[i, i] and only Q takes a node-target pass.  A_t and C_t
-    share one kernel block, since E(t - x_i) = -E(x_i - t).
+    For the kernel k[j, i] = left[j] right[i] (factor rows, (N, dim) each)
+    computes sum_{j != t} sum_{i not in {t, j}} [E(x_i - t) nuw_i]
+    [E(x_j - x_i) nuw_j] (k[j, i] - k[j, t]); returns (dim,) for an int
+    t_index and (T, dim) for T indices.  The subtraction of the k[j, t]
+    slice uses the kernel-pair orthogonality (the dropped block integrates
+    to zero), leaving only a weak singularity at x = t so the plain
+    punctured sum converges.  It runs i outside: rhs_t = sum_{i != t}
+    A_t[i] S_t[i], A_t[i] = E(x_i - t) nuw_i.  The inner sum over j factors
+    through S1[i] = sum_{j != i} E(x_j - x_i) nuw_j left[j], the
+    shared-density sum behind bvp._matrix_pv_rows: it is S1[i] (right[i] -
+    right[t]) less the term j = t, C_t[i] left[t] (right[i] - right[t])
+    with C_t[i] = E(t - x_i) nuw_t.  So S_t[i] = (S1[i] - C_t[i] left[t])
+    (right[i] - right[t]), and the call builds only the (T, N) kernel block
+    of the sampled nodes, which A_t and C_t share since E(t - x_i) =
+    -E(x_i - t).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
-    N = nodes.shape[0]
     ts = np.atleast_1d(np.asarray(t_index, dtype=np.int64))
-    Q = _accumulate(ctx, nodes, nodes,
-                    batch_product(ctx, nuw, kmat[:, ts].swapaxes(0, 1)),
-                    np.arange(N), "left")
-    P = core + batch_product(ctx, S2, kmat[np.arange(N), np.arange(N)])
     Et = _kernel_E_block(nodes[ts], nodes.T, ctx.n, ts).transpose(1, 2, 0)
     A = batch_product(ctx, Et, nuw)
     Ct = batch_product(ctx, -Et, nuw[ts][:, None, :])
-    S = P - Q - batch_product(ctx, Ct, kmat[ts] - kmat[ts, ts][:, None, :])
+    S = batch_product(ctx, S1 - batch_product(ctx, Ct, left[ts][:, None, :]),
+                      right - right[ts][:, None, :])
     rhs = sided_sum(ctx, "left", A, S)
     return rhs if np.ndim(t_index) else rhs[0]

@@ -386,9 +386,10 @@ def product_kernel(mesh, seed=23):
     """Smooth two-point kernel k(x, t) = f(x) (1 + 0.2 g(t)), factored.
 
     f and g are seeded smooth densities.  Returns the bvp.ProductKernel
-    with k[j, i] = k(x_j, x_i) that apply_full_sie_lhs and
-    poincare_bertrand_discrepancy take: it holds the (N, 2^n) rows f(x_j)
-    and 1 + 0.2 g(t_i), and each caller forms the products it reads.
+    with k[j, i] = k(x_j, x_i), the one kernel form that
+    apply_full_sie_lhs and poincare_bertrand_discrepancy take: it holds
+    the (N, 2^n) factor rows f(x_j) and 1 + 0.2 g(t_i), and each caller
+    forms the products it reads or sums the factors apart.
     """
     tail = 0.2 * random_smooth(mesh, seed + 1).samples
     tail[:, 0] += 1.0

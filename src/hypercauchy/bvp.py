@@ -26,16 +26,12 @@ from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, gradient_stencil, kernel_E_rows,
                      principal_value_nodes, symmetric_difference_limit,
                      symmetric_difference_steps, unit_sphere_area,
-                     _as_coeff_rows, _cell_corrections,
+                     _cell_corrections,
                      _density_samples, _integral_rows, _scale,
                      _self_sums, _shifted_sums, _warn_if_continuous)
 from .surface import _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
                      _moment_threshold, _polynomial_rows, _refined_density)
-
-# A held N x N kernel array (presampled or sampled from a callable) is
-# refused above this many bytes; a ProductKernel holds only its factors.
-KERNEL_MATRIX_BYTE_CAP = 1_200_000_000
 
 # Auto-thresholded Dirichlet verdicts never accept residuals above this
 # fraction of the data magnitude, however favorable the refinement trend.
@@ -579,33 +575,25 @@ class ProductKernel:
 
     Stands in for the (N, N, dim) array kmat[j, i] = k(x_j, t_i) on mesh,
     holding only the (N, dim) factor rows left[j] = f(x_j) and
-    right[i] = g(t_i).  The right factor may instead be one held
-    (N, N, dim) array; then k[j, i] = left[j] right[j, i], as for the
-    density matrix phi(x_j) kmat[j, i] of a held kernel.  Indexed like the
-    array it stands in for, for two key forms: a slice in either position
-    gives the outer block (k[rows, cols], k[:, ts], k[ts]); two index
-    arrays or ints broadcast (k[ar, ar], k[nb, ar[:, None]]).  Each lookup
-    is one elementwise batch_product, so every value is bitwise the one a
-    held array would store.  A kernel with factor rows is separable: its
-    principal-value core is two shared-density sums (_matrix_pv_rows), and
-    lookups read only its diagonal, its stencil neighbours and pb_rhs's
-    sampled rows and columns.
+    right[i] = g(t_i).  Indexed like the array it stands in for, for two
+    key forms: a slice in either position gives the outer block
+    (k[rows, cols], k[:, ts], k[ts]); two index arrays or ints broadcast
+    (k[ar, ar], k[nb, ar[:, None]]).  Each lookup is one elementwise
+    batch_product, so every value is bitwise the one a held array would
+    store.  Its principal-value core is two shared-density sums
+    (_matrix_pv_rows), and lookups read only its diagonal and its stencil
+    neighbours.
     """
 
     ndim = 3
 
     def __init__(self, mesh, left, right):
-        N, dim = mesh.node_count, mesh.context.dim
         self.mesh = mesh
         if isinstance(right, ProductKernel):
             raise ValueError("the right kernel factor is another ProductKernel")
-        self.left = np.asarray(left, dtype=np.float64)
-        self.right = np.asarray(right, dtype=np.float64)
-        if self.left.shape != (N, dim) or self.right.shape not in (
-                (N, dim), (N, N, dim)):
-            raise ValueError("kernel factors must have shape (N, 2^n); the "
-                             "right one may be a held (N, N, 2^n) array")
-        self.shape = (N, N, dim)
+        self.left = _factor_rows(mesh, "left", left)
+        self.right = _factor_rows(mesh, "right", right)
+        self.shape = (mesh.node_count,) + self.left.shape
 
     @property
     def nbytes(self):
@@ -614,7 +602,7 @@ class ProductKernel:
     def __getitem__(self, key):
         rows, cols = key if isinstance(key, tuple) else (key, slice(None))
         L = self.left[rows]
-        R = self.right[rows, cols] if self.right.ndim == 3 else self.right[cols]
+        R = self.right[cols]
         if isinstance(rows, slice) or isinstance(cols, slice):
             # outer block: the row axes of L come before the column axes
             col_axes = 1 if isinstance(cols, slice) else np.ndim(cols)
@@ -622,77 +610,58 @@ class ProductKernel:
         return batch_product(self.mesh.context, L, R)
 
 
-def _kernel_matrix(mesh, k):
-    """The kernel kmat[j, i] = coefficients of k(x_j, t_i), checked.
+def _factor_rows(mesh, name, rows):
+    """The (N, dim) float64 factor rows of a ProductKernel, or ValueError."""
+    rows = np.asarray(rows, dtype=np.float64)
+    want = (mesh.node_count, mesh.context.dim)
+    if rows.shape != want:
+        raise ValueError("kernel %s factor must have shape (N, 2^n) = %s, "
+                         "got %s" % (name, want, rows.shape))
+    return rows
 
-    k is a ProductKernel, as _corpus.product_kernel returns, which is
-    passed through: it must be sampled on mesh with finite factor rows,
-    and a held right factor array is checked as a presampled one here.
-    Otherwise k is a presampled (N, N, dim) array or a callable
-    k(x_rows, t) -> (N, dim) rows for one t, called once per node t_i;
-    either is held whole, its bytes checked against KERNEL_MATRIX_BYTE_CAP
-    before the callable is first called, and every entry must be finite.
+
+def _kernel_matrix(mesh, k):
+    """k checked as the kernel kmat[j, i] = k(x_j, t_i) of the sums on mesh.
+
+    k must be a ProductKernel, as _corpus.product_kernel returns, sampled
+    on mesh (or on a mesh with the same nodes), with finite (N, dim)
+    factor rows; it is returned as it is.  Anything else, a presampled
+    (N, N, dim) array or a callable among them, raises ValueError naming
+    k before any sum is taken.
     """
-    ctx = mesh.context
+    if not isinstance(k, ProductKernel):
+        raise ValueError("k must be a ProductKernel with (N, 2^n) factor "
+                         "rows (see _corpus.product_kernel), got %s"
+                         % type(k).__name__)
     N = mesh.node_count
-    if isinstance(k, ProductKernel):
-        if k.mesh is not mesh and not np.array_equal(k.mesh.nodes,
-                                                     mesh.nodes):
-            raise ValueError("kernel is sampled on another mesh (%d nodes) "
-                             "than the one summed over (%d nodes)"
-                             % (k.mesh.node_count, N))
-        for name, rows in (("left", k.left), ("right", k.right)):
-            if rows.ndim == 3:
-                _kernel_matrix(mesh, rows)
-                continue
-            bad = _first_nonfinite_row(rows)
-            if bad is not None:
-                raise ValueError("kernel %s factor is not finite at row %d"
-                                 % (name, bad))
-        return k
-    nbytes = N * N * ctx.dim * 8
-    if nbytes > KERNEL_MATRIX_BYTE_CAP:
-        raise ValueError("kernel matrix would need %d bytes, above "
-                         "KERNEL_MATRIX_BYTE_CAP = %d; use a coarser mesh "
-                         "level" % (nbytes, KERNEL_MATRIX_BYTE_CAP))
-    if isinstance(k, np.ndarray):
-        if k.shape != (N, N, ctx.dim):
-            raise ValueError("kernel matrix must have shape (N, N, 2^n)")
-        kmat = np.ascontiguousarray(k, dtype=np.float64)
-    else:
-        kmat = np.empty((N, N, ctx.dim))
-        for i in range(N):
-            kmat[:, i, :] = _as_coeff_rows(ctx, k(mesh.nodes, mesh.nodes[i]),
-                                           N)
-    # min and max propagate NaN and show inf without an (N, N, dim) mask
-    if not (np.isfinite(kmat.min()) and np.isfinite(kmat.max())):
-        j, i = np.argwhere(~np.isfinite(kmat))[0, :2]
-        raise ValueError("k is not finite at (j, i) = (%d, %d), "
-                         "kmat[j, i] = k(x_j, t_i)" % (j, i))
-    return kmat
+    if k.mesh is not mesh and not np.array_equal(k.mesh.nodes, mesh.nodes):
+        raise ValueError("kernel is sampled on another mesh (%d nodes) "
+                         "than the one summed over (%d nodes)"
+                         % (k.mesh.node_count, N))
+    for name in ("left", "right"):
+        bad = _first_nonfinite_row(_factor_rows(mesh, name, getattr(k, name)))
+        if bad is not None:
+            raise ValueError("kernel %s factor is not finite at row %d"
+                             % (name, bad))
+    return k
 
 
 def _matrix_pv_rows(mesh, dmat):
-    """Raw PV int E dsigma d_i(.) at every node i for per-target densities.
+    """Raw PV int E dsigma dmat[:, i] at every node i, dmat a ProductKernel.
 
-    dmat[j, i] holds the density of target i sampled at node j.  Returns
-    (rows, core): (N, dim) rows of the unnormalized principal values, with
-    the singular-cell gradient correction and the (V_n/2) diagonal term,
-    and the core sums sum_{j != i} E(x_j - x_i) nu_j w_j (dmat[j, i] -
-    dmat[i, i]) they were built from, which _accel.pb_rhs takes for the
-    same matrix.  When dmat is a ProductKernel with factor rows L_j R_i,
-    the core is (S1_i - S2_i L_i) R_i by associativity, _shifted_sums of L
-    at the nodes: one accum_left call.  A held array, or a ProductKernel
-    over one, takes the per-target tiles of _accel.pv_matrix.
+    dmat[j, i] = L_j R_i holds the density of target i sampled at node j.
+    Returns (rows, shifted): (N, dim) rows of the unnormalized principal
+    values, with the singular-cell gradient correction and the (V_n/2)
+    diagonal term, and the shifted sums S1_i - S2_i L_i of the left factor
+    at the nodes (_shifted_sums, one accum_left call).  By associativity
+    their product with R_i is the core sum_{j != i} E(x_j - x_i) nu_j w_j
+    (dmat[j, i] - dmat[i, i]).
     """
     ctx = mesh.context
     N = mesh.node_count
-    if isinstance(dmat, ProductKernel) and dmat.right.ndim == 2:
-        core = batch_product(ctx, _shifted_sums(
-            mesh, dmat.left, "left", mesh.nodes, np.arange(N), np.arange(N)),
-            dmat.right)
-    else:
-        core = _accel.pv_matrix(ctx, mesh.nodes, mesh.measure_coeffs(), dmat)
+    shifted = _shifted_sums(mesh, dmat.left, "left", mesh.nodes,
+                            np.arange(N), np.arange(N))
+    core = batch_product(ctx, shifted, dmat.right)
     vol = unit_sphere_area(mesh.n)
     diag = dmat[np.arange(N), np.arange(N)]
     out = core + 0.5 * vol * diag
@@ -700,34 +669,26 @@ def _matrix_pv_rows(mesh, dmat):
     nb, wts, frame = gradient_stencil(mesh)
     cols = dmat[nb, np.arange(N)[:, None]]
     derivs = np.einsum("ank,nkm->anm", wts, cols)
-    return out + _cell_corrections(mesh, derivs, frame, "left"), core
+    return out + _cell_corrections(mesh, derivs, frame, "left"), shifted
 
 
 def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     """Rows of phi a + (2/V_n) PV int E dsigma phi(x) k(x, t) at the nodes.
 
-    k is a ProductKernel, as _corpus.product_kernel returns, a presampled
-    (N, N, dim) array kmat[j, i] = k(x_j, t_i), or a callable
-    k(x_rows, t) -> (N, dim) coefficient rows for fixed t (see
-    _kernel_matrix).  The density matrix phi(x_j) kmat[j, i] is a
-    ProductKernel, formed where it is read, so only what _kernel_matrix
-    holds is held: the factor rows of a ProductKernel, or the one N x N
-    array of an array or a callable, under KERNEL_MATRIX_BYTE_CAP.  phi
-    joins a ProductKernel's left factor, (phi f)_j g_i, which takes
-    _matrix_pv_rows's two shared-density sums when g is rows; otherwise
-    the density matrix is phi_j kmat[j, i] over the held array, which
-    takes the per-target tiles.  Evaluation-only: no inversion theory is
-    attached to the full kernel.
+    k is a ProductKernel k[j, i] = f(x_j) g(t_i), as
+    _corpus.product_kernel returns; anything else is refused
+    (_kernel_matrix).  The density matrix phi(x_j) k[j, i] is the
+    ProductKernel (phi f)_j g_i, formed where it is read, so only factor
+    rows are held, and its principal values are _matrix_pv_rows's two
+    shared-density sums.  Evaluation-only: no inversion theory is attached
+    to the full kernel.
     """
     ctx = mesh.context
     phi_rows = _density_samples(mesh, phi)
     a_rows = _density_samples(mesh, a)
     kmat = _kernel_matrix(mesh, k)
-    if isinstance(kmat, ProductKernel):
-        dmat = ProductKernel(mesh, batch_product(ctx, phi_rows, kmat.left),
-                             kmat.right)
-    else:
-        dmat = ProductKernel(mesh, phi_rows, kmat)
+    dmat = ProductKernel(mesh, batch_product(ctx, phi_rows, kmat.left),
+                         kmat.right)
     vol = unit_sphere_area(mesh.n)
     pv = _matrix_pv_rows(mesh, dmat)[0] / vol
     return batch_product(ctx, phi_rows, a_rows) + 2.0 * pv
@@ -779,15 +740,15 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
 
     Pass a two-point kernel k for the general experiment, or a density f
     for the separable case k(tau, x) = f(tau) whose iterated integral
-    collapses to (V_n/2)^2 f(t).  k is a ProductKernel, as
-    _corpus.product_kernel returns, a presampled (N, N, dim) matrix or a
-    callable (see _kernel_matrix); a ProductKernel sampled on another mesh
-    is refused.  The core sums of _matrix_pv_rows give the inner
-    principal values and, with the mesh's cached self-sums (_self_sums),
-    the one _accel.pb_rhs call for the exchanged-order sums of all sampled
-    nodes.  A ProductKernel's values are formed at the diagonal, the
-    stencil neighbours and in the sampled rows and columns, so no
-    (N, N, dim) array is held.  sample_nodes < 1 raises ValueError.
+    collapses to (V_n/2)^2 f(t).  k is a ProductKernel with factor rows,
+    as _corpus.product_kernel returns; anything else, or one sampled on
+    another mesh, is refused (_kernel_matrix).  _matrix_pv_rows gives the
+    inner principal values and the shifted sums S1 - S2 L of the left
+    factor L; with the mesh's cached self-sums S2 (_self_sums) they give
+    S1, which the one _accel.pb_rhs call takes for the exchanged-order
+    sums of all sampled nodes.  Kernel values are formed only at the
+    diagonal and the stencil neighbours, so no (N, N, dim) array is held.
+    sample_nodes < 1 raises ValueError.
     Returns a PoincareBertrandReport; interpretation (convergence trends
     under refinement) is left to the caller.
     """
@@ -807,12 +768,14 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
         sep_err = float(np.linalg.norm(disc, axis=1).max())
     else:
         kmat = _kernel_matrix(mesh, k)
-        inner, core = _matrix_pv_rows(mesh, kmat)
+        inner, shifted = _matrix_pv_rows(mesh, kmat)
         inner_d = BoundaryDensity(mesh, inner,
                                   regularity=("holder", 1.0, None))
         lhs = vol * principal_value_nodes(mesh, inner_d, indices=idx)
+        S1 = shifted + batch_product(ctx, _self_sums(mesh, "left"),
+                                     kmat.left)
         exchanged = _accel.pb_rhs(ctx, mesh.nodes, mesh.measure_coeffs(),
-                                  kmat, idx, core, _self_sums(mesh, "left"))
+                                  kmat.left, kmat.right, idx, S1)
         rhs = (0.5 * vol) ** 2 * kmat[idx, idx] + exchanged
         disc = lhs - rhs
         sep_err = math.nan

@@ -614,7 +614,7 @@ def _cell_corrections(mesh, derivs, frame, side, idx=None):
     d = mesh.n
     out = np.zeros(np.shape(derivs)[1:])
     if d == 3 and mesh.spec is not None:
-        G = _grid_cell_coefficients(mesh, side, idx)
+        G = _grid_cell_coefficients(mesh, side, frame, idx)
         for a in range(d):
             out += sided_product(ctx, side, G[a], derivs[a])
         return out
@@ -630,10 +630,12 @@ def _cell_corrections(mesh, derivs, frame, side, idx=None):
     return out * prefac[:, None]
 
 
-def _grid_cell_coefficients(mesh, side, idx=None):
+def _grid_cell_coefficients(mesh, side, frame, idx=None):
     """Coefficients G_k of the 3-sphere grid's correction sum_k G_k d_k f(t)
     at the node index array idx (default every node), (d, len(idx), dim);
     those of every node are kept read-only in the mesh's cache per side.
+    frame is the stencil frame (gradient_stencil) at the nodes idx, which
+    the caller already holds, so no stencil is fitted here.
 
     Near the poles of the chi/th/ph grid its cells are thin needles, and
     nodes lie much closer than h, so the flat-ball cell model does not
@@ -652,7 +654,6 @@ def _grid_cell_coefficients(mesh, side, idx=None):
         return G if idx is None else G[:, idx]
     ctx, N, n = mesh.context, mesh.node_count, mesh.n
     idx = np.arange(N) if idx is None else np.asarray(idx)
-    frame = gradient_stencil(mesh, idx)[2]
     coords = np.zeros((n + 1, N, ctx.dim))
     coords[:, :, 0] = mesh.nodes.T
     sums = _shifted_sums(mesh, coords, side, mesh.nodes[idx], idx, idx)

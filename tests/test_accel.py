@@ -177,9 +177,16 @@ def test_pv_matrix_matches_pair_loop(mesh):
                        np.asarray(_tolerance(terms, abs_sum)))
 
 
-def _self_sums(ctx, nodes, nuw):
-    """S2[i] = sum_{j != i} E(x_j - x_i) nuw_j, which pb_rhs takes."""
-    return _accel.accum_left(ctx, nodes, nodes, paravectors_as_coeffs(ctx, nuw),
+def _factors(ctx, N, seed):
+    """Random factor rows (left, right) and the (N, N, dim) kernel
+    k[j, i] = left[j] right[i] they stand for, held for the reference sums."""
+    left, right = np.random.default_rng(seed).normal(size=(2, N, ctx.dim))
+    return left, right, batch_product(ctx, left[:, None], right[None])
+
+
+def _shared_sums(ctx, nodes, nuw, left):
+    """S1[i] = sum_{j != i} E(x_j - x_i) nuw_j left_j, which pb_rhs takes."""
+    return _accel.accum_left(ctx, nodes, nodes, batch_product(ctx, nuw, left),
                              np.arange(len(nodes)))
 
 
@@ -190,26 +197,28 @@ def test_pb_rhs_matches_pair_loop(mesh):
     N = min(mesh.node_count, 48)
     nodes = mesh.nodes[:N]
     nuw = mesh.measure_coeffs()[:N]
-    rng = np.random.default_rng(7)
-    kmat = rng.normal(size=(N, N, ctx.dim))
+    left, right, kmat = _factors(ctx, N, 7)
+    S1 = _shared_sums(ctx, nodes, nuw, left)
     dens = [_paravector(ctx, row) for row in nuw]
-    core = _accel.pv_matrix(ctx, nodes, nuw, kmat)
+    l_l1, r_l1 = np.abs(left).sum(axis=1), np.abs(right).sum(axis=1)
     for t in (0, N // 2):
-        got = _accel.pb_rhs(ctx, nodes, nuw, kmat, t, core,
-                            _self_sums(ctx, nodes, nuw))
+        got = _accel.pb_rhs(ctx, nodes, nuw, left, right, t, S1)
         total = Multivector.zero(ctx)
         abs_sum = 0.0
-        for j in range(N):
-            if j == t:
+        for i in range(N):
+            if i == t:
                 continue
-            for i in range(N):
-                if i in (t, j):
+            A = product(_kernel_mv(ctx, nodes[i], nodes[t]), dens[i])
+            for j in range(N):
+                if j == i:
                     continue
-                A = product(_kernel_mv(ctx, nodes[i], nodes[t]), dens[i])
                 C = product(_kernel_mv(ctx, nodes[j], nodes[i]), dens[j])
-                K = Multivector(ctx, kmat[j, i] - kmat[j, t])
-                total = total + product(A, product(C, K))
-                abs_sum += _l1(A) * _l1(C) * _l1(K)
+                # pb_rhs sums the factors apart, j = t too, so the bound
+                # takes |left_j| (|right_i| + |right_t|) per term
+                abs_sum += _l1(A) * _l1(C) * l_l1[j] * (r_l1[i] + r_l1[t])
+                if j != t:
+                    K = Multivector(ctx, kmat[j, i] - kmat[j, t])
+                    total = total + product(A, product(C, K))
         terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
         _assert_within(got, total.coeffs,
                        np.asarray(_tolerance(terms, abs_sum)))
@@ -230,25 +239,23 @@ def test_pb_rhs_index_array_matches_int_calls(mesh):
     N = min(mesh.node_count, 48)
     nodes = mesh.nodes[:N]
     nuw = mesh.measure_coeffs()[:N]
-    rng = np.random.default_rng(7)
-    kmat = rng.normal(size=(N, N, ctx.dim))
+    left, right, _ = _factors(ctx, N, 7)
     ts = np.array([0, 5, N // 2, N - 1])
-    core = _accel.pv_matrix(ctx, nodes, nuw, kmat)
-    S2 = _self_sums(ctx, nodes, nuw)
-    got = _accel.pb_rhs(ctx, nodes, nuw, kmat, ts, core, S2)
+    S1 = _shared_sums(ctx, nodes, nuw, left)
+    got = _accel.pb_rhs(ctx, nodes, nuw, left, right, ts, S1)
     assert got.shape == (ts.size, ctx.dim)
-    # both sum A_t[i] (P[i] - Q[i, t] - ...), P and Q carrying kmat[j, i]
-    # and kmat[j, t] apart, so the bound takes |kmat[j, i]| + |kmat[j, t]|
+    # both sum A_t[i] (S1[i] - C_t[i] left[t]) (right[i] - right[t]), so
+    # the bound takes |left_j| (|right_i| + |right_t|) per pair (i, j)
     nuw_l1 = np.abs(nuw).sum(axis=1)
     C = _kernel_l1(nodes, nodes) * nuw_l1[None, :]
-    k_l1 = np.abs(kmat).sum(axis=2)
+    l_l1, r_l1 = np.abs(left).sum(axis=1), np.abs(right).sum(axis=1)
     for row, t in enumerate(ts):
         A = _kernel_l1(nodes, nodes[t:t + 1])[0] * nuw_l1
-        abs_sum = A @ (C * (k_l1.T + k_l1[:, t][None, :])).sum(axis=1)
+        abs_sum = A @ ((C @ l_l1) * (r_l1 + r_l1[t]))
         terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
         _assert_within(got[row],
-                       _accel.pb_rhs(ctx, nodes, nuw, kmat, int(t), core,
-                                     S2),
+                       _accel.pb_rhs(ctx, nodes, nuw, left, right, int(t),
+                                     S1),
                        np.asarray(_tolerance(terms, abs_sum)))
 
 
@@ -284,16 +291,15 @@ def test_pv_matrix_matches_dense_sums(wide_mesh):
 def test_pb_rhs_matches_dense_sums(wide_mesh):
     ctx, N = wide_mesh.context, wide_mesh.node_count
     nuw = wide_mesh.measure_coeffs()
-    kmat = np.random.default_rng(17).normal(size=(N, N, ctx.dim))
+    left, right, kmat = _factors(ctx, N, 17)
     # sampled nodes in the first, second and last tile of 256 nodes
     ts = np.array([0, 255, 256, N - 1])
-    core = _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, kmat)
-    got = _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, kmat, ts, core,
-                        _self_sums(ctx, wide_mesh.nodes, nuw))
+    got = _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, left, right, ts,
+                        _shared_sums(ctx, wide_mesh.nodes, nuw, left))
     E = _dense_kernel(wide_mesh)
     C = batch_product(ctx, E, nuw[None])
     C_l1 = np.abs(E).sum(axis=2) * np.abs(nuw).sum(axis=1)
-    k_l1 = np.abs(kmat).sum(axis=2)
+    l_l1, r_l1 = np.abs(left).sum(axis=1), np.abs(right).sum(axis=1)
     terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
     for row, t in enumerate(ts):
         # S[i] = sum_{j not in {i, t}} C[i, j] (kmat[j, i] - kmat[j, t])
@@ -302,7 +308,7 @@ def test_pb_rhs_matches_dense_sums(wide_mesh):
         # A[i] = E(x_i - x_t) nuw_i, zero at i = t
         A = batch_product(ctx, E[t], nuw)
         want = batch_product(ctx, A, CK.sum(axis=1)).sum(axis=0)
-        bound = C_l1 * (k_l1.T + k_l1[:, t][None, :])
+        bound = C_l1 * l_l1[None, :] * (r_l1 + r_l1[t])[:, None]
         abs_sum = C_l1[t] @ bound.sum(axis=1)
         _assert_within(got[row], want, np.asarray(_tolerance(terms, abs_sum)))
 
@@ -316,17 +322,27 @@ def test_pv_matrix_and_pb_rhs_build_each_node_pair_once(wide_mesh,
     edges = np.diff(np.r_[0:N:256, N])
     pairs = (N ** 2 + (edges ** 2).sum()) // 2
     built = _count_kernel_pairs(monkeypatch)
-    core = _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, mat)
+    _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, mat)
     assert sum(built) == pairs
-    S2 = _self_sums(ctx, wide_mesh.nodes, nuw)
     built.clear()
     ts = np.array([0, 255, 256, N - 1])
-    _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, mat, ts, core, S2)
-    # Q takes one stacked node-target pass, P is the core plus the given
-    # S2 times kmat[i, i]; the sampled nodes' rows take one block.  On the
-    # uniform circle that pass is the FFT route and builds no tiles
-    stacked = 0 if wide_mesh.n == 1 else pairs
-    assert sum(built) == stacked + ts.size * N
+    _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, mat[:, 0], mat[0], ts, mat[1])
+    # pb_rhs takes S1 as given, so it builds the sampled nodes' rows alone
+    assert built == [ts.size * N]
+
+
+def test_pb_rhs_takes_no_kernel_pass(mesh, monkeypatch):
+    ctx, N = mesh.context, mesh.node_count
+    nuw = mesh.measure_coeffs()
+    left, right, _ = _factors(ctx, N, 23)
+    S1 = _shared_sums(ctx, mesh.nodes, nuw, left)
+    calls = []
+    original = _accel._accumulate
+    monkeypatch.setattr(_accel, "_accumulate",
+                        lambda *args: calls.append(args) or original(*args))
+    rhs = _accel.pb_rhs(ctx, mesh.nodes, nuw, left, right, np.arange(3), S1)
+    assert calls == []
+    assert rhs.shape == (3, ctx.dim) and np.all(np.isfinite(rhs))
 
 
 # -- the FFT route on uniform circles -------------------------------------------

@@ -26,6 +26,7 @@ from hypercauchy.bvp import (
 )
 from hypercauchy.cauchy import (
     BoundaryDensity,
+    gradient_stencil,
     kernel_E,
     kernel_E_rows,
     principal_value_nodes,
@@ -383,77 +384,56 @@ def test_full_sie_matches_characteristic_for_constant_kernel(circle_spec):
     a = BoundaryDensity.constant(mesh, 3.0)
     b = BoundaryDensity.constant(mesh, 1.0)
 
-    def k_const(x_rows, t):
-        out = np.zeros((x_rows.shape[0], 2))
-        out[:, 0] = 1.0
-        return out
-
-    lhs_full = apply_full_sie_lhs(mesh, a, k_const, phi)
+    one = np.zeros((mesh.node_count, 2))
+    one[:, 0] = 1.0
+    lhs_full = apply_full_sie_lhs(mesh, a, ProductKernel(mesh, one, one), phi)
     lhs_char = apply_characteristic_lhs(mesh, a, b, phi)
     assert np.max(np.abs(lhs_full - lhs_char)) <= 1e-12
 
 
-def test_kernel_matrix_byte_cap(circle_mesh, monkeypatch):
-    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", 1000)
-    a = BoundaryDensity.constant(circle_mesh, 1.0)
-    phi = random_smooth(circle_mesh, 3)
-
-    def k_const(x_rows, t):
-        out = np.zeros((x_rows.shape[0], 2))
-        out[:, 0] = 1.0
-        return out
-
-    with pytest.raises(ValueError):
-        apply_full_sie_lhs(circle_mesh, a, k_const, phi)
-
-
-def test_sampled_kernel_over_cap_raises_before_allocating(circle_spec,
-                                                          monkeypatch):
-    mesh = build_mesh(circle_spec, 3)
-    need = mesh.node_count ** 2 * 2 * 8
-    cap = need // 4
-    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", cap)
-    message = "%d bytes, above KERNEL_MATRIX_BYTE_CAP = %d" % (need, cap)
+def _counted_sums(monkeypatch):
+    """Record every _accel._accumulate call, the home of every kernel sum."""
     calls = []
+    original = _accel._accumulate
+    monkeypatch.setattr(_accel, "_accumulate",
+                        lambda *args: calls.append(1) or original(*args))
+    return calls
 
-    def k(x_rows, t):
-        calls.append(t)
-        return np.ones((x_rows.shape[0], 2))
 
+@pytest.mark.parametrize("caller", ["full-sie", "poincare-bertrand"])
+@pytest.mark.parametrize("form", ["held", "callable", "held-right"])
+def test_kernels_other_than_factor_rows_are_refused(circle_spec, form,
+                                                    caller, monkeypatch):
+    # a held array, a callable and a held right factor each raise a
+    # ValueError naming k or the factor before any kernel sum is taken
+    mesh = build_mesh(circle_spec, 0)
+    N = mesh.node_count
+    k = product_kernel(mesh, 23)
+    a, phi = random_smooth(mesh, 3), random_smooth(mesh, 5)
+    run = {"full-sie": lambda kernel: apply_full_sie_lhs(mesh, a, kernel, phi),
+           "poincare-bertrand": lambda kernel: poincare_bertrand_discrepancy(
+               mesh, k=kernel, sample_nodes=4)}[caller]
+    shape = r"kernel right factor must have shape \(N, 2\^n\) = \(%d, 2\), " \
+        r"got \(%d, %d, 2\)" % (N, N, N)
+    if form == "held-right":
+        with pytest.raises(ValueError, match=shape):
+            ProductKernel(mesh, k.left, k[:, :])
+        with pytest.raises(ValueError, match="another ProductKernel"):
+            ProductKernel(mesh, k.left, k)
+        # a factor swapped after construction is refused where it is read
+        kernel, message = product_kernel(mesh, 23), shape
+        kernel.right = k[:, :]
+    else:
+        kernel = k[:, :] if form == "held" else (lambda x_rows, t: k.left)
+        message = r"^k must be a ProductKernel .*, got %s$" % (
+            "ndarray" if form == "held" else "function")
+    calls = _counted_sums(monkeypatch)
     with pytest.raises(ValueError, match=message):
-        poincare_bertrand_discrepancy(mesh, k=k)
+        run(kernel)
     assert calls == []
-
-
-def test_full_sie_lhs_holds_only_the_kernel_matrix_under_cap(circle_spec,
-                                                             monkeypatch):
-    # the density matrix is formed where it is read, so a cap of one
-    # matrix's bytes admits a callable kernel and one byte less refuses it
-    mesh = build_mesh(circle_spec, 3)
-    one = mesh.node_count ** 2 * 2 * 8
-    a = BoundaryDensity.constant(mesh, 1.0)
-    phi = random_smooth(mesh, 3)
-    calls = []
-
-    def k(x_rows, t):
-        calls.append(t)
-        return np.ones((x_rows.shape[0], 2))
-
-    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", one)
-    assert np.all(np.isfinite(apply_full_sie_lhs(mesh, a, k, phi)))
-    assert len(calls) == mesh.node_count
-    calls.clear()
-    monkeypatch.setattr("hypercauchy.bvp.KERNEL_MATRIX_BYTE_CAP", one - 1)
-    message = "%d bytes, above KERNEL_MATRIX_BYTE_CAP = %d" % (one, one - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=message):
-            apply_full_sie_lhs(mesh, a, k, phi)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < one
-    assert calls == []
+    # the counter sees the sums of the factor rows themselves
+    run(k)
+    assert calls
 
 
 def _unit_and_wide_densities():
@@ -472,15 +452,11 @@ def test_jump_rm_rejects_density_from_another_mesh():
     assert solve_jump_rm(mesh, same, -3)[1].residuals
 
 
-def test_full_sie_lhs_rejects_densities_from_another_mesh():
+def test_full_sie_lhs_rejects_densities_from_another_mesh(monkeypatch):
     mesh, same, moved = _unit_and_wide_densities()
-    calls = []
-
-    def k(x_rows, t):
-        calls.append(t)
-        return np.ones((x_rows.shape[0], 2))
-
-    # both densities are checked before the kernel matrix is sampled
+    k = product_kernel(mesh, 23)
+    calls = _counted_sums(monkeypatch)
+    # both densities are checked before any kernel sum is taken
     for a, phi in ((same, moved), (moved, same)):
         with pytest.raises(ValueError,
                            match=r"^density is sampled on another"):
@@ -544,28 +520,22 @@ def test_characteristic_sie_rejects_coefficients_from_another_mesh(
                                     same).residual <= SIE_RESIDUAL_TOL
 
 
-def test_kernel_matrix_rejects_non_finite_entries(circle_spec):
+def test_kernel_matrix_rejects_non_finite_entries(circle_spec, monkeypatch):
+    # apply_full_sie_lhs checks the factor rows before any kernel sum, as
+    # poincare_bertrand_discrepancy does
     mesh = build_mesh(circle_spec, 0)
-    N = mesh.node_count
-
-    def k(x_rows, t):
-        out = np.ones((x_rows.shape[0], 2))
-        if np.array_equal(t, mesh.nodes[5]):
-            out[3] = np.nan
-        return out
-
-    with pytest.raises(ValueError, match=r"k is not finite at \(j, i\) = "
-                                         r"\(3, 5\)"):
-        poincare_bertrand_discrepancy(mesh, k=k)
-    kmat = np.ones((N, N, 2))
-    kmat[7, 2, 1] = np.inf
-    with pytest.raises(ValueError, match=r"\(j, i\) = \(7, 2\)"):
-        apply_full_sie_lhs(mesh, BoundaryDensity.constant(mesh, 1.0), kmat,
-                           random_smooth(mesh, 3))
-    # a held right factor of a ProductKernel is checked as a kernel
-    with pytest.raises(ValueError, match=r"\(j, i\) = \(7, 2\)"):
-        poincare_bertrand_discrepancy(
-            mesh, k=ProductKernel(mesh, np.ones((N, 2)), kmat))
+    k = product_kernel(mesh, 23)
+    calls = _counted_sums(monkeypatch)
+    for factor in ("left", "right"):
+        rows = {"left": k.left, "right": k.right}
+        rows[factor] = rows[factor].copy()
+        rows[factor][5, 1] = np.inf
+        with pytest.raises(ValueError, match=r"kernel %s factor is not "
+                                             r"finite at row 5\b" % factor):
+            apply_full_sie_lhs(mesh, BoundaryDensity.constant(mesh, 1.0),
+                               ProductKernel(mesh, **rows),
+                               random_smooth(mesh, 3))
+    assert calls == []
 
 
 def _column_loop(ctx, left, right):
@@ -587,30 +557,6 @@ def _lookup_keys(N, seed):
     every = slice(None)
     return [(rows, cols), (every, ts), ts, (every, 3), (every, every),
             (ar, ar), (ts, ts), (nb, ar[:, None])]
-
-
-@pytest.mark.parametrize("spec", [
-    DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
-    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
-], ids=["circle", "sphere2"])
-def test_kernel_valued_right_factor_matches_column_loop(spec):
-    # phi_j k[j, i] with k a held array, formed where it is read, is
-    # bitwise the per-column loop's held density matrix
-    mesh = build_mesh(spec, 0)
-    ctx = mesh.context
-    N = mesh.node_count
-    left = np.random.default_rng(4).normal(size=(N, ctx.dim))
-    k = product_kernel(mesh, 23)
-    held_k = k[:, :]
-    held = _column_loop(ctx, left, held_k)
-    dmat = ProductKernel(mesh, left, held_k)
-    assert dmat.shape == held.shape and dmat.ndim == 3
-    for key in _lookup_keys(N, 5):
-        assert dmat[key].shape == held[key].shape
-        assert np.array_equal(dmat[key], held[key])
-    # a ProductKernel holds rows or one array, never another ProductKernel
-    with pytest.raises(ValueError, match="another ProductKernel"):
-        ProductKernel(mesh, left, k)
 
 
 @pytest.mark.parametrize("spec", [
@@ -668,6 +614,20 @@ def _l1(rows):
     return np.abs(rows).sum(axis=-1)
 
 
+def _tile_pv_rows(mesh, held):
+    """(rows, core) of _matrix_pv_rows for a held (N, N, dim) density
+    matrix, its core by the per-target tiles of _accel.pv_matrix: the
+    parity reference of the separable route."""
+    N = mesh.node_count
+    core = _accel.pv_matrix(mesh.context, mesh.nodes, mesh.measure_coeffs(),
+                            held)
+    nb, wts, frame = gradient_stencil(mesh)
+    derivs = np.einsum("ank,nkm->anm", wts, held[nb, np.arange(N)[:, None]])
+    rows = (core + 0.5 * unit_sphere_area(mesh.n)
+            * held[np.arange(N), np.arange(N)])
+    return rows + cauchy._cell_corrections(mesh, derivs, frame, "left"), core
+
+
 @pytest.mark.parametrize("level", [0, 1])
 @pytest.mark.parametrize("spec", [
     DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
@@ -675,12 +635,13 @@ def _l1(rows):
     DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0),
 ], ids=["circle", "sphere2", "sphere3"])
 def test_separable_pv_rows_match_tiles(spec, level):
-    # a ProductKernel takes the two shared-density sums, its held array
-    # the per-target tiles of pv_matrix
+    # a ProductKernel takes the two shared-density sums; its held array,
+    # summed by the per-target tiles of pv_matrix, is the reference
     mesh = build_mesh(spec, level)
     k = product_kernel(mesh, 23)
-    rows, core = _matrix_pv_rows(mesh, k)
-    tile_rows, tile_core = _matrix_pv_rows(mesh, k[:, :])
+    rows, shifted = _matrix_pv_rows(mesh, k)
+    core = batch_product(mesh.context, shifted, k.right)
+    tile_rows, tile_core = _tile_pv_rows(mesh, k[:, :])
     core_tol, rows_tol = _separable_bounds(mesh, _l1(k.left), _l1(k.right),
                                            tile_core, tile_rows)
     assert np.all(np.abs(core - tile_core) <= core_tol)
@@ -707,23 +668,20 @@ def test_separable_kernels_take_no_pv_matrix_tiles(circle_spec, monkeypatch):
     # (phi f)_j g_i: apply_full_sie_lhs folds phi into the left factor
     apply_full_sie_lhs(mesh, a, k, phi)
     assert len(calls) == 0
-    held = k[:, :]
-    for kernel in (held, lambda x_rows, t: k.left,
-                   ProductKernel(mesh, k.left, held)):
-        apply_full_sie_lhs(mesh, a, kernel, phi)
-        assert len(calls) == 1
-        calls.clear()
 
 
 def test_full_sie_lhs_takes_product_kernel_like_its_array(circle_mesh):
-    # the two routes differ by the rounding of the separable sums only
+    # the held density matrix phi_j k[j, i] on the tiles differs from the
+    # separable sums by their rounding only
+    ctx = circle_mesh.context
     k = product_kernel(circle_mesh, 23)
     a = random_smooth(circle_mesh, 3)
     phi = random_smooth(circle_mesh, 5)
     got = apply_full_sie_lhs(circle_mesh, a, k, phi)
-    want = apply_full_sie_lhs(circle_mesh, a, k[:, :], phi)
-    tile_rows, tile_core = _matrix_pv_rows(
-        circle_mesh, ProductKernel(circle_mesh, phi.samples, k[:, :]))
+    tile_rows, tile_core = _tile_pv_rows(
+        circle_mesh, _column_loop(ctx, phi.samples, k[:, :]))
+    want = (batch_product(ctx, phi.samples, a.samples)
+            + 2.0 * (tile_rows / unit_sphere_area(circle_mesh.n)))
     _, rows_tol = _separable_bounds(
         circle_mesh, _l1(phi.samples) * _l1(k.left), _l1(k.right),
         tile_core, tile_rows)
@@ -817,34 +775,35 @@ def test_pair_orthogonality_matches_pair_loop(spec):
     assert np.max(np.abs(_pair_orthogonality(mesh, it, jt) - want)) <= tol
 
 
-def test_general_kernel_makes_one_pv_matrix_and_one_pb_rhs_call(circle_spec,
-                                                                 monkeypatch):
-    # a held kernel makes one pv_matrix call, a ProductKernel none; either
-    # takes one _matrix_pv_rows and one pb_rhs call
+def test_product_kernel_makes_one_pv_rows_and_one_pb_rhs_call(circle_spec,
+                                                              monkeypatch):
+    # no pv_matrix tiles; one _matrix_pv_rows and one pb_rhs call, which
+    # takes the factor rows and S1 from the shifted sums of the first
     mesh = build_mesh(circle_spec, 0)
     k = product_kernel(mesh, 23)
-    for kernel, tile_calls in ((k[:, :], 1), (k, 0)):
-        calls = {"pv_matrix": [], "pb_rhs": [], "_matrix_pv_rows": []}
-        for name, seen in calls.items():
-            owner = bvp if name == "_matrix_pv_rows" else _accel
-            original = getattr(owner, name)
+    calls = {"pv_matrix": [], "pb_rhs": [], "_matrix_pv_rows": []}
+    for name, seen in calls.items():
+        owner = bvp if name == "_matrix_pv_rows" else _accel
+        original = getattr(owner, name)
 
-            def counted(*args, _original=original, _seen=seen, **kwargs):
-                out = _original(*args, **kwargs)
-                _seen.append((args, out))
-                return out
+        def counted(*args, _original=original, _seen=seen, **kwargs):
+            out = _original(*args, **kwargs)
+            _seen.append((args, out))
+            return out
 
-            monkeypatch.setattr(owner, name, counted)
-        rep = poincare_bertrand_discrepancy(mesh, k=kernel, sample_nodes=6)
-        monkeypatch.undo()
-        assert len(calls["pv_matrix"]) == tile_calls
-        assert len(calls["_matrix_pv_rows"]) == 1
-        assert len(calls["pb_rhs"]) == 1
-        pb_args = calls["pb_rhs"][0][0]
-        assert np.array_equal(pb_args[4], rep.sample_indices)
-        # pb_rhs takes the core that _matrix_pv_rows returned, not a
-        # recomputation
-        assert pb_args[5] is calls["_matrix_pv_rows"][0][1][1]
+        monkeypatch.setattr(owner, name, counted)
+    rep = poincare_bertrand_discrepancy(mesh, k=k, sample_nodes=6)
+    assert len(calls["pv_matrix"]) == 0
+    assert len(calls["_matrix_pv_rows"]) == 1
+    assert len(calls["pb_rhs"]) == 1
+    pb_args = calls["pb_rhs"][0][0]
+    assert pb_args[3] is k.left and pb_args[4] is k.right
+    assert np.array_equal(pb_args[5], rep.sample_indices)
+    # S1 = (S1 - S2 L) + S2 L, not a recomputation
+    shifted = calls["_matrix_pv_rows"][0][1][1]
+    S2 = mesh.cache[("self_sums", "left")]
+    assert pb_args[6].tobytes() == (
+        shifted + batch_product(mesh.context, S2, k.left)).tobytes()
 
 
 _PB_SPECS = {
@@ -876,46 +835,38 @@ def test_self_sums_are_summed_once_per_mesh_and_side(spec, level,
                                                      monkeypatch):
     # one poincare-bertrand level: the separable case f, then the kernel
     # k; S2 is summed once, by f's full-mesh principal values, and the
-    # separable kernel's core and pb_rhs read it from the mesh's cache
+    # kernel's shifted sums and its S1 read it from the mesh's cache
     mesh = build_mesh(_PB_SPECS[spec], level)
     seen = _measure_sums(monkeypatch, mesh)
-    pb_args = []
-    original = _accel.pb_rhs
-    monkeypatch.setattr(_accel, "pb_rhs", lambda *args: pb_args.append(
-        args) or original(*args))
     poincare_bertrand_discrepancy(mesh, f=random_smooth(mesh, 31))
     poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23),
                                   sample_nodes=4)
     assert seen == ["left"]
-    # pb_rhs takes that S2, bitwise a pass of the measure alone
-    S2 = pb_args[0][6]
-    assert S2 is mesh.cache[("self_sums", "left")]
+    # that S2 is bitwise a pass of the measure alone
+    S2 = mesh.cache[("self_sums", "left")]
     fresh = build_mesh(_PB_SPECS[spec], level)
     measure = paravectors_as_coeffs(fresh.context, fresh.measure_coeffs())
     assert S2.tobytes() == _accel.accum_left(
         fresh.context, fresh.nodes, fresh.nodes, measure,
         np.arange(fresh.node_count)).tobytes()
-    # a held kernel on a cold cache takes one pass of the measure alone
+    # the kernel on a cold cache takes one pass of the measure alone
     mesh = build_mesh(_PB_SPECS[spec], level)
     seen = _measure_sums(monkeypatch, mesh)
-    poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23)[:, :],
+    poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh, 23),
                                   sample_nodes=4)
     assert seen == ["left"]
 
 
-@pytest.mark.parametrize("held", [False, True], ids=["product", "held"])
 @pytest.mark.parametrize("spec, level", [("circle", 2), ("sphere2", 0)])
-def test_general_kernel_report_is_bitwise_on_cold_and_warm_cache(spec, level,
-                                                                 held):
+def test_general_kernel_report_is_bitwise_on_cold_and_warm_cache(spec, level):
     reports = []
     for warm in (False, True):
         mesh = build_mesh(_PB_SPECS[spec], level)
         assert ("self_sums", "left") not in mesh.cache
         if warm:
             principal_value_nodes(mesh, random_smooth(mesh, 31))
-        k = product_kernel(mesh, 23)
         reports.append(poincare_bertrand_discrepancy(
-            mesh, k=k[:, :] if held else k, sample_nodes=4))
+            mesh, k=product_kernel(mesh, 23), sample_nodes=4))
     cold, warm = reports
     for field in ("lhs", "rhs", "discrepancy"):
         assert getattr(cold, field).tobytes() == getattr(warm, field).tobytes()
@@ -940,11 +891,11 @@ def test_poincare_bertrand_separable(circle_mesh):
 def test_poincare_bertrand_general_kernel(circle_spec):
     mesh = build_mesh(circle_spec, 0)
     f = random_smooth(mesh, 21)
-
-    def k(x_rows, t):
-        return f.samples.copy()
-
-    rep = poincare_bertrand_discrepancy(mesh, k=k, sample_nodes=4)
+    one = np.zeros_like(f.samples)
+    one[:, 0] = 1.0
+    # k(x, t) = f(x)
+    rep = poincare_bertrand_discrepancy(
+        mesh, k=ProductKernel(mesh, f.samples, one), sample_nodes=4)
     assert math.isnan(rep.separable_error)
     assert np.all(np.isfinite(rep.discrepancy))
     assert rep.sample_indices.size == 4

@@ -1129,8 +1129,8 @@ def _cell_correction_bound(mesh, f):
     size = np.einsum("ank,nk->an", np.abs(wts), f_l1[nb])   # l1(d_a f) bound
     deriv = _gamma(nb.shape[1] + TERM_ROUNDINGS) * size
     if d == 3 and mesh.spec is not None:
-        G_l1 = np.abs(cauchy._grid_cell_coefficients(mesh, "left")).sum(
-            axis=2)
+        G_l1 = np.abs(cauchy._grid_cell_coefficients(
+            mesh, "left", frame)).sum(axis=2)
         idx = np.arange(mesh.node_count)
         coord_bounds = np.stack([_core_bound(mesh, BoundaryDensity(
             mesh, np.eye(mesh.context.dim)[0] * mesh.nodes[:, c, None]), idx)
@@ -1160,17 +1160,33 @@ def test_sphere3_cell_coefficients_at_indices_match_full_rows():
     mesh = build_mesh(SPHERE3, 0)
     idx = np.array([0, 7, 40, 127])
     key = ("cell_coefficients", "left")
-    part = cauchy._grid_cell_coefficients(mesh, "left", idx)
+    frame = gradient_stencil(mesh)[2]
+    part = cauchy._grid_cell_coefficients(mesh, "left", frame[idx], idx)
     assert key not in mesh.cache
-    full = cauchy._grid_cell_coefficients(mesh, "left")
+    full = cauchy._grid_cell_coefficients(mesh, "left", frame)
     assert key in mesh.cache and not full.flags.writeable
     # both round their coordinate sums within _core_bound of x_c
-    frame = gradient_stencil(mesh)[2][idx]
+    frame = frame[idx]
     coord_bounds = np.stack([_core_bound(mesh, BoundaryDensity(
         mesh, np.eye(mesh.context.dim)[0] * mesh.nodes[:, c, None]), idx)
         for c in range(4)])
     tol = 2.0 * np.einsum("nac,cn->an", np.abs(frame), coord_bounds)
     assert np.all(np.abs(part - full[:, idx]) <= tol[..., None])
+
+
+def test_indexed_sphere3_pv_fits_its_nodes_once(monkeypatch):
+    # the grid coefficients take the frame that the derivatives came with
+    f = random_smooth(build_mesh(SPHERE3, 1), 4)
+    want = principal_value_nodes(build_mesh(SPHERE3, 1), f, indices=[3, 9])
+    fits = []
+    original = cauchy._build_gradient_stencil
+    monkeypatch.setattr(cauchy, "_build_gradient_stencil",
+                        lambda *args: fits.append(args) or original(*args))
+    mesh = build_mesh(SPHERE3, 1)
+    got = principal_value_nodes(mesh, BoundaryDensity(mesh, f.samples),
+                                indices=[3, 9])
+    assert len(fits) == 1
+    assert got.tobytes() == want.tobytes()
 
 
 def _mesh_with_cache(name, hot, side):
