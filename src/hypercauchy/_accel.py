@@ -21,9 +21,10 @@ every target (accum_left, accum_right): one BLAS gemm per plane.  The
 planes are the costly part, so a stack of K densities shares each block,
 one gemm per density, and the rows of density k are bitwise those of a
 call with that density alone.  A two-point kernel reaches the sums only
-as factor rows L_j R_i (bvp.ProductKernel), whose per-target density
-nu w L R_i factors into the shared density nu w L (bvp._matrix_pv_rows),
-and pb_rhs then needs the sampled nodes' kernel rows alone.  pv_matrix,
+as the two factor rows of k[j, i] = L_j R_i (bvp.ProductKernel), whose
+principal value is that of the ordinary density L, right-multiplied by
+R_i (bvp._matrix_pv_rows), and pb_rhs then needs the sampled nodes'
+kernel rows alone.  pv_matrix,
 the per-target tile sum of a held (N, N, 2^n) density matrix, is no
 library path; it stays as the separable route's parity reference.
 
@@ -226,7 +227,7 @@ def pv_matrix(ctx, nodes, nuw, dmat):
     with dmat of shape (N, N, dim): first index integration node, second
     index target node.  One pass over the node-pair tiles.  No library
     path calls it: the only kernels the library takes factor as L_j R_i,
-    and bvp._matrix_pv_rows sums them as two shared densities.  It is
+    and bvp._matrix_pv_rows sums L alone as one shared density.  It is
     kept as the parity reference of that separable route.
     """
     nodes = np.asarray(nodes, dtype=np.float64)

@@ -23,12 +23,11 @@ from . import _accel
 from .clifford_core import (Multivector, SingularInputError, as_coeffs,
                             batch_product, paravectors_as_coeffs, sided_sum)
 from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
-                     cauchy_integral, gradient_stencil, kernel_E_rows,
-                     principal_value_nodes, symmetric_difference_limit,
-                     symmetric_difference_steps, unit_sphere_area,
-                     _cell_corrections,
-                     _density_samples, _integral_rows, _scale,
-                     _self_sums, _shifted_sums, _warn_if_continuous)
+                     cauchy_integral, kernel_E_rows, principal_value_nodes,
+                     symmetric_difference_limit, symmetric_difference_steps,
+                     unit_sphere_area, _density_samples, _integral_rows,
+                     _scale, _self_sums, _shifted_sums,
+                     _singular_cell_corrections, _warn_if_continuous)
 from .surface import _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
                      _moment_threshold, _polynomial_rows, _refined_density)
@@ -570,106 +569,82 @@ def solve_characteristic_sie(mesh, coefficients, f):
 
 # -- full equation left-hand side ----------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
 class ProductKernel:
-    """Two-point kernel k[j, i] = left[j] right[i], formed where it is read.
+    """Two-point kernel k[j, i] = left[j] right[i] on mesh, as factor rows.
 
-    Stands in for the (N, N, dim) array kmat[j, i] = k(x_j, t_i) on mesh,
-    holding only the (N, dim) factor rows left[j] = f(x_j) and
-    right[i] = g(t_i).  Indexed like the array it stands in for, for two
-    key forms: a slice in either position gives the outer block
-    (k[rows, cols], k[:, ts], k[ts]); two index arrays or ints broadcast
-    (k[ar, ar], k[nb, ar[:, None]]).  Each lookup is one elementwise
-    batch_product, so every value is bitwise the one a held array would
-    store.  Its principal-value core is two shared-density sums
-    (_matrix_pv_rows), and lookups read only its diagonal and its stencil
-    neighbours.
+    left[j] = f(x_j) and right[i] = g(t_i) are (N, dim) rows; the
+    (N, N, dim) kernel they stand for is never formed.  The rows are
+    checked once, here: a factor that is itself a ProductKernel, has
+    another shape than (N, 2^n) or holds a non-finite row raises
+    ValueError naming the factor (and the row).  They are kept as
+    read-only float64 copies, so the caller's arrays stay writeable and
+    neither a field nor a row can change after construction.
     """
 
-    ndim = 3
+    mesh: object
+    left: np.ndarray
+    right: np.ndarray
 
-    def __init__(self, mesh, left, right):
-        self.mesh = mesh
-        if isinstance(right, ProductKernel):
-            raise ValueError("the right kernel factor is another ProductKernel")
-        self.left = _factor_rows(mesh, "left", left)
-        self.right = _factor_rows(mesh, "right", right)
-        self.shape = (mesh.node_count,) + self.left.shape
+    def __post_init__(self):
+        want = (self.mesh.node_count, self.mesh.context.dim)
+        for name in ("left", "right"):
+            rows = getattr(self, name)
+            if isinstance(rows, ProductKernel):
+                raise ValueError("the %s kernel factor is another "
+                                 "ProductKernel" % name)
+            rows = np.array(rows, dtype=np.float64)
+            if rows.shape != want:
+                raise ValueError("kernel %s factor must have shape (N, 2^n) "
+                                 "= %s, got %s" % (name, want, rows.shape))
+            bad = _first_nonfinite_row(rows)
+            if bad is not None:
+                raise ValueError("kernel %s factor is not finite at row %d"
+                                 % (name, bad))
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
     @property
     def nbytes(self):
         return self.left.nbytes + self.right.nbytes
-
-    def __getitem__(self, key):
-        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
-        L = self.left[rows]
-        R = self.right[cols]
-        if isinstance(rows, slice) or isinstance(cols, slice):
-            # outer block: the row axes of L come before the column axes
-            col_axes = 1 if isinstance(cols, slice) else np.ndim(cols)
-            L = L.reshape(L.shape[:-1] + (1,) * col_axes + L.shape[-1:])
-        return batch_product(self.mesh.context, L, R)
-
-
-def _factor_rows(mesh, name, rows):
-    """The (N, dim) float64 factor rows of a ProductKernel, or ValueError."""
-    rows = np.asarray(rows, dtype=np.float64)
-    want = (mesh.node_count, mesh.context.dim)
-    if rows.shape != want:
-        raise ValueError("kernel %s factor must have shape (N, 2^n) = %s, "
-                         "got %s" % (name, want, rows.shape))
-    return rows
 
 
 def _kernel_matrix(mesh, k):
     """k checked as the kernel kmat[j, i] = k(x_j, t_i) of the sums on mesh.
 
     k must be a ProductKernel, as _corpus.product_kernel returns, sampled
-    on mesh (or on a mesh with the same nodes), with finite (N, dim)
-    factor rows; it is returned as it is.  Anything else, a presampled
-    (N, N, dim) array or a callable among them, raises ValueError naming
-    k before any sum is taken.
+    on mesh (or on a mesh with the same nodes); its factor rows were
+    checked when it was made, and it is returned as it is.  Anything
+    else, a presampled (N, N, dim) array or a callable among them, raises
+    ValueError naming k before any sum is taken.
     """
     if not isinstance(k, ProductKernel):
         raise ValueError("k must be a ProductKernel with (N, 2^n) factor "
                          "rows (see _corpus.product_kernel), got %s"
                          % type(k).__name__)
-    N = mesh.node_count
     if k.mesh is not mesh and not np.array_equal(k.mesh.nodes, mesh.nodes):
         raise ValueError("kernel is sampled on another mesh (%d nodes) "
                          "than the one summed over (%d nodes)"
-                         % (k.mesh.node_count, N))
-    for name in ("left", "right"):
-        bad = _first_nonfinite_row(_factor_rows(mesh, name, getattr(k, name)))
-        if bad is not None:
-            raise ValueError("kernel %s factor is not finite at row %d"
-                             % (name, bad))
+                         % (k.mesh.node_count, mesh.node_count))
     return k
 
 
-def _matrix_pv_rows(mesh, dmat):
-    """Raw PV int E dsigma dmat[:, i] at every node i, dmat a ProductKernel.
+def _matrix_pv_rows(mesh, left, right):
+    """Raw PV int E dsigma L R_i at every node i, for factor rows L and R.
 
-    dmat[j, i] = L_j R_i holds the density of target i sampled at node j.
-    Returns (rows, shifted): (N, dim) rows of the unnormalized principal
-    values, with the singular-cell gradient correction and the (V_n/2)
-    diagonal term, and the shifted sums S1_i - S2_i L_i of the left factor
-    at the nodes (_shifted_sums, one accum_left call).  By associativity
-    their product with R_i is the core sum_{j != i} E(x_j - x_i) nu_j w_j
-    (dmat[j, i] - dmat[i, i]).
+    The density of target i is L_j R_i, so its principal value is that of
+    the ordinary density L, right-multiplied by R_i: the shifted sums
+    S1_i - S2_i L_i (_shifted_sums, one accum_left call), the singular-
+    cell correction and the (V_n/2) L_i diagonal term are all left
+    products of L.  Returns (rows, shifted): the (N, dim) unnormalized
+    principal values and the shifted sums of L.
     """
-    ctx = mesh.context
     N = mesh.node_count
-    shifted = _shifted_sums(mesh, dmat.left, "left", mesh.nodes,
+    shifted = _shifted_sums(mesh, left, "left", mesh.nodes,
                             np.arange(N), np.arange(N))
-    core = batch_product(ctx, shifted, dmat.right)
-    vol = unit_sphere_area(mesh.n)
-    diag = dmat[np.arange(N), np.arange(N)]
-    out = core + 0.5 * vol * diag
-    # derivatives of target i's density dmat[:, i] at node i
-    nb, wts, frame = gradient_stencil(mesh)
-    cols = dmat[nb, np.arange(N)[:, None]]
-    derivs = np.einsum("ank,nkm->anm", wts, cols)
-    return out + _cell_corrections(mesh, derivs, frame, "left"), shifted
+    pv = (shifted + _singular_cell_corrections(mesh, left, "left")
+          + 0.5 * unit_sphere_area(mesh.n) * left)
+    return batch_product(mesh.context, pv, right), shifted
 
 
 def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
@@ -677,20 +652,17 @@ def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
 
     k is a ProductKernel k[j, i] = f(x_j) g(t_i), as
     _corpus.product_kernel returns; anything else is refused
-    (_kernel_matrix).  The density matrix phi(x_j) k[j, i] is the
-    ProductKernel (phi f)_j g_i, formed where it is read, so only factor
-    rows are held, and its principal values are _matrix_pv_rows's two
-    shared-density sums.  Evaluation-only: no inversion theory is attached
-    to the full kernel.
+    (_kernel_matrix).  The density matrix phi(x_j) k[j, i] factors as
+    (phi f)_j g_i, so only factor rows are held, and its principal values
+    are _matrix_pv_rows's of the left factor phi f.  Evaluation-only: no
+    inversion theory is attached to the full kernel.
     """
     ctx = mesh.context
     phi_rows = _density_samples(mesh, phi)
     a_rows = _density_samples(mesh, a)
-    kmat = _kernel_matrix(mesh, k)
-    dmat = ProductKernel(mesh, batch_product(ctx, phi_rows, kmat.left),
-                         kmat.right)
-    vol = unit_sphere_area(mesh.n)
-    pv = _matrix_pv_rows(mesh, dmat)[0] / vol
+    k = _kernel_matrix(mesh, k)
+    pv = _matrix_pv_rows(mesh, batch_product(ctx, phi_rows, k.left),
+                         k.right)[0] / unit_sphere_area(mesh.n)
     return batch_product(ctx, phi_rows, a_rows) + 2.0 * pv
 
 
@@ -747,7 +719,7 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
     factor L; with the mesh's cached self-sums S2 (_self_sums) they give
     S1, which the one _accel.pb_rhs call takes for the exchanged-order
     sums of all sampled nodes.  Kernel values are formed only at the
-    diagonal and the stencil neighbours, so no (N, N, dim) array is held.
+    sampled nodes' diagonal, so no (N, N, dim) array is held.
     sample_nodes < 1 raises ValueError.
     Returns a PoincareBertrandReport; interpretation (convergence trends
     under refinement) is left to the caller.
@@ -768,7 +740,7 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
         sep_err = float(np.linalg.norm(disc, axis=1).max())
     else:
         kmat = _kernel_matrix(mesh, k)
-        inner, shifted = _matrix_pv_rows(mesh, kmat)
+        inner, shifted = _matrix_pv_rows(mesh, kmat.left, kmat.right)
         inner_d = BoundaryDensity(mesh, inner,
                                   regularity=("holder", 1.0, None))
         lhs = vol * principal_value_nodes(mesh, inner_d, indices=idx)
@@ -776,7 +748,9 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
                                      kmat.left)
         exchanged = _accel.pb_rhs(ctx, mesh.nodes, mesh.measure_coeffs(),
                                   kmat.left, kmat.right, idx, S1)
-        rhs = (0.5 * vol) ** 2 * kmat[idx, idx] + exchanged
+        rhs = ((0.5 * vol) ** 2
+               * batch_product(ctx, kmat.left[idx], kmat.right[idx])
+               + exchanged)
         disc = lhs - rhs
         sep_err = math.nan
 

@@ -454,8 +454,8 @@ def _build_gradient_stencil(mesh, idx=None):
     - built spheres take the builder's lists (surface.neighbour_lists):
       the 12 nearest nodes of the Fibonacci lattice, the 3x3x3 grid block
       on 3-spheres;
-    - every other mesh (loaded, exclude_cap, dataclasses.replace) takes the
-      k nearest nodes from a k-d tree, k = 12 for n = 2 and 20 for n = 3.
+    - every other mesh (loaded, dataclasses.replace) takes the k nearest
+      nodes from a k-d tree, k = 12 for n = 2 and 20 for n = 3.
 
     Off the circle grid, each node fits a local quadratic in tangent
     coordinates over its neighbours by least squares: a batched QR of the

@@ -23,7 +23,7 @@ class UnsupportedDomainError(ValueError):
 
 
 class DegenerateExclusionError(ValueError):
-    """Cap exclusion removed every node (or was as large as the surface)."""
+    """A principal value's shrinking cap removed every node."""
 
 
 class MeshFormatError(ValueError):
@@ -80,19 +80,6 @@ class DomainSpec:
 
 
 @dataclass(frozen=True)
-class CapExclusion:
-    """Spherical cap Gamma(t, delta) to drop around a surface point t."""
-
-    center: tuple
-    delta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not self.delta >= 0:
-            raise ValueError("cap radius must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SurfaceMesh:
     """Nodes, outward unit normals and positive area weights on Gamma.
 
@@ -125,7 +112,7 @@ class SurfaceMesh:
         on which the solvability thresholds resample evaluator-backed
         densities.  Never a
         constructor argument; every other new mesh (load_mesh,
-        exclude_cap, dataclasses.replace) starts with an empty one.
+        dataclasses.replace) starts with an empty one.
     """
 
     nodes: np.ndarray
@@ -222,9 +209,9 @@ def neighbour_lists(mesh, k):
     """Per-node neighbour indices, each row led by its node.
 
     The builder's lists when build_mesh made the mesh (mesh.cache), else
-    the k nearest nodes from a k-d tree: loaded meshes, exclude_cap
-    sub-meshes and dataclasses.replace copies keep a spec but not the
-    builder's nodes, so their lists are searched, never derived.
+    the k nearest nodes from a k-d tree: loaded meshes and
+    dataclasses.replace copies (which may keep a spec but not the
+    builder's nodes) have their lists searched, never derived.
     """
     nb = mesh.cache.get("neighbours")
     return _tree_neighbours(mesh.nodes, k) if nb is None else nb
@@ -447,28 +434,6 @@ def oriented_measure(mesh: SurfaceMesh, i: int) -> Multivector:
     p = Paravector(mesh.normals[i, 0] * mesh.weights[i],
                    mesh.normals[i, 1:] * mesh.weights[i])
     return p.as_multivector(mesh.context)
-
-
-def exclude_cap(mesh: SurfaceMesh, cap: CapExclusion) -> SurfaceMesh:
-    """Sub-mesh of nodes at distance > delta from the cap center.
-
-    The cap center must lie on the surface (within mesh.h of a node);
-    weights are not rebalanced -- principal values that need accuracy use
-    the regularized form instead of a shrinking-cap limit.
-    """
-    t = np.asarray(cap.center, dtype=np.float64)
-    if t.shape != (mesh.n + 1,):
-        raise ValueError("cap center must have n+1 components")
-    dist = np.linalg.norm(mesh.nodes - t[None, :], axis=1)
-    if dist.min() > max(mesh.h, 1e-12):
-        raise ValueError("cap center does not lie on the meshed surface")
-    keep = dist > cap.delta
-    if not np.any(keep):
-        raise DegenerateExclusionError("cap of radius %g removed every node"
-                                       % cap.delta)
-    return SurfaceMesh(mesh.nodes[keep], mesh.normals[keep],
-                       mesh.weights[keep], mesh.h, level=mesh.level,
-                       spec=mesh.spec)
 
 
 def refine(mesh: SurfaceMesh) -> SurfaceMesh:

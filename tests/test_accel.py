@@ -27,8 +27,8 @@ from hypercauchy.clifford_core import (Multivector, Paravector, batch_product,
                                        get_context, paravectors_as_coeffs,
                                        product, scatter_pairs, sided_product,
                                        sided_sum)
-from hypercauchy.surface import (CapExclusion, DomainSpec, build_mesh,
-                                 exclude_cap, load_mesh, save_mesh)
+from hypercauchy.surface import (DomainSpec, SurfaceMesh, build_mesh,
+                                 load_mesh, save_mesh)
 from hypercauchy._corpus import random_smooth, rough_holder
 
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -436,10 +436,11 @@ def test_reloaded_circle_takes_fft_route(monkeypatch, tmp_path):
                        atol=1e-12)
 
 
-def _assert_direct_route(mesh, monkeypatch, indices=None):
+def _assert_direct_route(mesh, monkeypatch, indices=None, f=None):
     calls = _fft_calls(monkeypatch)
     built = _count_kernel_pairs(monkeypatch)
-    principal_value_nodes(mesh, random_smooth(mesh, 5), indices=indices)
+    f = random_smooth(mesh, 5) if f is None else f
+    principal_value_nodes(mesh, f, indices=indices)
     assert calls == [] and sum(built) > 0
 
 
@@ -459,9 +460,13 @@ def test_perturbed_circle_takes_direct_route(monkeypatch):
 
 def test_capped_circle_takes_direct_route(monkeypatch):
     mesh = build_mesh(SHIFTED, 2)
-    capped = exclude_cap(mesh, CapExclusion(tuple(mesh.nodes[0]), 0.1))
+    keep = np.linalg.norm(mesh.nodes - mesh.nodes[0], axis=1) > 0.1
+    capped = SurfaceMesh(mesh.nodes[keep], mesh.normals[keep],
+                         mesh.weights[keep], mesh.h)
     assert capped.node_count < mesh.node_count
-    _assert_direct_route(capped, monkeypatch)
+    # a sub-mesh has no spec, so its density is the full mesh's, cut
+    f = BoundaryDensity(capped, random_smooth(mesh, 5).samples[keep])
+    _assert_direct_route(capped, monkeypatch, f=f)
 
 
 def test_indexed_circle_rows_take_direct_route(monkeypatch):

@@ -1,5 +1,6 @@
 """Jump problems, gap conjugation, Dirichlet verdicts, SIE and iterated PVs."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -409,27 +410,27 @@ def test_kernels_other_than_factor_rows_are_refused(circle_spec, form,
     mesh = build_mesh(circle_spec, 0)
     N = mesh.node_count
     k = product_kernel(mesh, 23)
+    held = _held(k)
     a, phi = random_smooth(mesh, 3), random_smooth(mesh, 5)
     run = {"full-sie": lambda kernel: apply_full_sie_lhs(mesh, a, kernel, phi),
            "poincare-bertrand": lambda kernel: poincare_bertrand_discrepancy(
                mesh, k=kernel, sample_nodes=4)}[caller]
-    shape = r"kernel right factor must have shape \(N, 2\^n\) = \(%d, 2\), " \
-        r"got \(%d, %d, 2\)" % (N, N, N)
     if form == "held-right":
-        with pytest.raises(ValueError, match=shape):
-            ProductKernel(mesh, k.left, k[:, :])
-        with pytest.raises(ValueError, match="another ProductKernel"):
-            ProductKernel(mesh, k.left, k)
-        # a factor swapped after construction is refused where it is read
-        kernel, message = product_kernel(mesh, 23), shape
-        kernel.right = k[:, :]
+        message = (r"kernel right factor must have shape \(N, 2\^n\) = "
+                   r"\(%d, 2\), got \(%d, %d, 2\)" % (N, N, N))
+        for factors in ((k.left, k), (k, k.right)):
+            with pytest.raises(ValueError, match="another ProductKernel"):
+                ProductKernel(mesh, *factors)
     else:
-        kernel = k[:, :] if form == "held" else (lambda x_rows, t: k.left)
         message = r"^k must be a ProductKernel .*, got %s$" % (
             "ndarray" if form == "held" else "function")
     calls = _counted_sums(monkeypatch)
     with pytest.raises(ValueError, match=message):
-        run(kernel)
+        if form == "held-right":
+            # refused when it is made, so no such kernel reaches a sum
+            run(ProductKernel(mesh, k.left, held))
+        else:
+            run(held if form == "held" else (lambda x_rows, t: k.left))
     assert calls == []
     # the counter sees the sums of the factor rows themselves
     run(k)
@@ -521,8 +522,8 @@ def test_characteristic_sie_rejects_coefficients_from_another_mesh(
 
 
 def test_kernel_matrix_rejects_non_finite_entries(circle_spec, monkeypatch):
-    # apply_full_sie_lhs checks the factor rows before any kernel sum, as
-    # poincare_bertrand_discrepancy does
+    # the factor rows are checked when the kernel is made, so
+    # apply_full_sie_lhs never reaches a kernel sum with them
     mesh = build_mesh(circle_spec, 0)
     k = product_kernel(mesh, 23)
     calls = _counted_sums(monkeypatch)
@@ -547,34 +548,12 @@ def _column_loop(ctx, left, right):
     return held
 
 
-def _lookup_keys(N, seed):
-    """Every key form a ProductKernel takes, in the ways the sums read it."""
-    rng = np.random.default_rng(seed)
-    ar = np.arange(N)
-    ts = np.sort(rng.choice(N, size=4, replace=False))
-    nb = rng.integers(0, N, size=(N, 6))
-    rows, cols = slice(1, N // 2), slice(N // 3, N)
-    every = slice(None)
-    return [(rows, cols), (every, ts), ts, (every, 3), (every, every),
-            (ar, ar), (ts, ts), (nb, ar[:, None])]
-
-
-@pytest.mark.parametrize("spec", [
-    DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
-    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
-    DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0),
-], ids=["circle", "sphere2", "sphere3"])
-def test_product_kernel_lookups_match_held_array(spec):
-    mesh = build_mesh(spec, 0)
-    ctx = mesh.context
-    N = mesh.node_count
-    k = product_kernel(mesh, 23)
-    held = _column_loop(ctx, k.left, np.broadcast_to(k.right, k.shape))
-    for key in _lookup_keys(N, 5):
-        assert k[key].shape == held[key].shape
-        assert np.array_equal(k[key], held[key])
-    assert k.shape == held.shape
-    assert k.nbytes == k.left.nbytes + k.right.nbytes
+def _held(k):
+    """The (N, N, dim) array k[j, i] = left[j] right[i] of a ProductKernel,
+    built from its factor rows as a test reference."""
+    N = k.mesh.node_count
+    return _column_loop(k.mesh.context, k.left,
+                        np.broadcast_to(k.right, (N,) + k.right.shape))
 
 
 UNIT_ROUNDOFF = 2.0 ** -53
@@ -639,9 +618,9 @@ def test_separable_pv_rows_match_tiles(spec, level):
     # summed by the per-target tiles of pv_matrix, is the reference
     mesh = build_mesh(spec, level)
     k = product_kernel(mesh, 23)
-    rows, shifted = _matrix_pv_rows(mesh, k)
+    rows, shifted = _matrix_pv_rows(mesh, k.left, k.right)
     core = batch_product(mesh.context, shifted, k.right)
-    tile_rows, tile_core = _tile_pv_rows(mesh, k[:, :])
+    tile_rows, tile_core = _tile_pv_rows(mesh, _held(k))
     core_tol, rows_tol = _separable_bounds(mesh, _l1(k.left), _l1(k.right),
                                            tile_core, tile_rows)
     assert np.all(np.abs(core - tile_core) <= core_tol)
@@ -663,7 +642,7 @@ def test_separable_kernels_take_no_pv_matrix_tiles(circle_spec, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(_accel, "pv_matrix", counted)
-    _matrix_pv_rows(mesh, k)
+    _matrix_pv_rows(mesh, k.left, k.right)
     assert len(calls) == 0
     # (phi f)_j g_i: apply_full_sie_lhs folds phi into the left factor
     apply_full_sie_lhs(mesh, a, k, phi)
@@ -679,7 +658,7 @@ def test_full_sie_lhs_takes_product_kernel_like_its_array(circle_mesh):
     phi = random_smooth(circle_mesh, 5)
     got = apply_full_sie_lhs(circle_mesh, a, k, phi)
     tile_rows, tile_core = _tile_pv_rows(
-        circle_mesh, _column_loop(ctx, phi.samples, k[:, :]))
+        circle_mesh, _column_loop(ctx, phi.samples, _held(k)))
     want = (batch_product(ctx, phi.samples, a.samples)
             + 2.0 * (tile_rows / unit_sphere_area(circle_mesh.n)))
     _, rows_tol = _separable_bounds(
@@ -730,15 +709,61 @@ def test_product_kernel_from_another_mesh_is_refused(circle_spec):
 
 @pytest.mark.parametrize("factor", ["left", "right"])
 def test_product_kernel_factor_rows_must_be_finite(circle_mesh, factor):
+    # refused when the kernel is made, naming the factor and its first
+    # non-finite row
     k = product_kernel(circle_mesh, 23)
     rows = {"left": k.left.copy(), "right": k.right.copy()}
     rows[factor][7, 1] = np.nan
     rows[factor][20, 0] = np.inf
-    bad = ProductKernel(circle_mesh, rows["left"], rows["right"])
     with pytest.raises(ValueError,
                        match=r"kernel %s factor is not finite at row 7\b"
                        % factor):
-        poincare_bertrand_discrepancy(circle_mesh, k=bad)
+        ProductKernel(circle_mesh, rows["left"], rows["right"])
+
+
+def test_product_kernel_is_read_only(circle_mesh):
+    N = circle_mesh.node_count
+    samples = random_smooth(circle_mesh, 23).samples
+    right = np.ones((N, 2))
+    k = ProductKernel(circle_mesh, samples, right)
+    # the kernel holds copies: the caller's rows stay its own and writeable
+    assert samples.flags.writeable and right.flags.writeable
+    assert not np.shares_memory(k.left, samples)
+    samples[0, 0] = 7.0
+    assert k.left[0, 0] != 7.0
+    for name in ("left", "right"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(k, name)[3, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(k, name, right)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        k.mesh = build_mesh(circle_mesh.spec, 1)
+    assert k.nbytes == k.left.nbytes + k.right.nbytes
+    # equality and hashing stay by identity, never over the factor arrays
+    twin = ProductKernel(circle_mesh, k.left, k.right)
+    assert k == k and k != twin and hash(k) != hash(twin)
+    for name in ("shape", "ndim", "__getitem__"):
+        assert not hasattr(k, name)
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+    DomainSpec("sphere", 2, center=(0.0,) * 3, radius=1.0),
+    DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0),
+], ids=["circle", "sphere2", "sphere3"])
+def test_full_sie_lhs_is_the_left_factors_principal_value(spec):
+    # phi a + 2 PV C[phi f] g: the kernel's principal value is that of the
+    # ordinary density phi f, right-multiplied by g
+    mesh = build_mesh(spec, 0)
+    ctx = mesh.context
+    k = product_kernel(mesh, 23)
+    a, phi = random_smooth(mesh, 3), random_smooth(mesh, 5)
+    got = apply_full_sie_lhs(mesh, a, k, phi)
+    pv = principal_value_nodes(
+        mesh, BoundaryDensity(mesh, batch_product(ctx, phi.samples, k.left)))
+    want = (batch_product(ctx, phi.samples, a.samples)
+            + 2.0 * batch_product(ctx, pv, k.right))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("spec", [

@@ -8,14 +8,11 @@ import pytest
 from scipy.spatial import cKDTree
 
 from hypercauchy.surface import (
-    CapExclusion,
-    DegenerateExclusionError,
     DomainSpec,
     MeshFormatError,
     SurfaceMesh,
     UnsupportedDomainError,
     build_mesh,
-    exclude_cap,
     load_mesh,
     neighbour_lists,
     oriented_measure,
@@ -169,22 +166,6 @@ def test_mesh_rejects_coincident_nodes(circle_spec):
         SurfaceMesh(nodes, mesh.normals, mesh.weights, mesh.h)
 
 
-def test_exclude_cap(circle_mesh):
-    t = circle_mesh.nodes[0]
-    delta = 5 * circle_mesh.h
-    sub = exclude_cap(circle_mesh, CapExclusion(center=t, delta=delta))
-    assert sub.node_count < circle_mesh.node_count
-    dist = np.linalg.norm(sub.nodes - t[None, :], axis=1)
-    assert dist.min() > delta
-    with pytest.raises(DegenerateExclusionError):
-        exclude_cap(circle_mesh, CapExclusion(center=t, delta=10.0))
-    off = t + 0.5  # not on the surface
-    with pytest.raises(ValueError):
-        exclude_cap(circle_mesh, CapExclusion(center=off, delta=delta))
-    with pytest.raises(ValueError):
-        CapExclusion(center=t, delta=-1.0)
-
-
 def test_domain_spec_validation():
     with pytest.raises(UnsupportedDomainError):
         DomainSpec("circle", 2, center=(0, 0, 0), radius=1.0)
@@ -266,9 +247,11 @@ def test_copies_search_their_own_neighbours(tmp_path):
     # builder's nodes, so they take the tree's
     mesh = build_mesh(DomainSpec("sphere", 2), 1)
     save_mesh(mesh, tmp_path / "sphere.mesh")
+    keep = np.linalg.norm(mesh.nodes - mesh.nodes[0], axis=1) > 0.3
     copies = [
         load_mesh(tmp_path / "sphere.mesh"),
-        exclude_cap(mesh, CapExclusion(tuple(mesh.nodes[0]), 0.3)),
+        SurfaceMesh(mesh.nodes[keep], mesh.normals[keep], mesh.weights[keep],
+                    mesh.h),
         dataclasses.replace(mesh, nodes=mesh.nodes[::-1],
                             normals=mesh.normals[::-1]),
     ]
