@@ -109,9 +109,10 @@ def _regularity_ok(reg):
             and (M is None or real(M) and 0.0 <= M < math.inf))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundaryDensity:
-    """Node-aligned boundary density with an optional exact evaluator.
+    """Node-aligned boundary density with an optional exact evaluator;
+    densities compare and hash by identity.
 
     Attributes
     ----------
@@ -608,26 +609,28 @@ def _cell_corrections(mesh, derivs, frame, side, idx=None):
     (d w / sigma_d)^{1/d} (sigma_d / d) sum_k bar(T_k) nu(t) d_k f(t),
     where d = n and sigma_d = area(S^{d-1}).  The right side mirrors every
     product.  The 3-sphere grid's cells are far from round near its poles,
-    so spec-built 3-spheres take _grid_cell_coefficients instead.
+    so spec-built 3-spheres take _grid_cell_coefficients' G_k instead, in
+    one sum_k G_k d_k f(t) with the flat ball's G_k = bar(T_k) nu(t), times
+    a per-node scale: the prefactor above on the ball, 1 on the 3-sphere.
     """
     ctx = mesh.context
     d = mesh.n
-    out = np.zeros(np.shape(derivs)[1:])
     if d == 3 and mesh.spec is not None:
         G = _grid_cell_coefficients(mesh, side, frame, idx)
-        for a in range(d):
-            out += sided_product(ctx, side, G[a], derivs[a])
-        return out
-    rows = slice(None) if idx is None else idx
-    sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
-    prefac = (d * mesh.weights[rows] / sigma_d) ** (1.0 / d) * (sigma_d / d)
-    nu = mesh.normals[rows]
+        scale = 1.0
+    else:
+        rows = slice(None) if idx is None else idx
+        sigma_d = 2.0 if d == 1 else unit_sphere_area(d - 1)
+        scale = ((d * mesh.weights[rows] / sigma_d) ** (1.0 / d)
+                 * (sigma_d / d))[:, None]
+        Tbar = np.swapaxes(frame, 0, 1).copy()
+        Tbar[..., 1:] *= -1.0
+        G = [sided_product(ctx, side, Tbar[a], mesh.normals[rows])
+             for a in range(d)]
+    out = np.zeros(np.shape(derivs)[1:])
     for a in range(d):
-        Tbar = frame[:, a, :].copy()
-        Tbar[:, 1:] *= -1.0
-        out += sided_product(ctx, side, sided_product(ctx, side, Tbar, nu),
-                             derivs[a])
-    return out * prefac[:, None]
+        out += sided_product(ctx, side, G[a], derivs[a])
+    return out * scale
 
 
 def _grid_cell_coefficients(mesh, side, frame, idx=None):
@@ -800,8 +803,7 @@ def _ladder_limit(mesh, t, ratio, rows):
     return Multivector(mesh.context, out) if out.ndim == 1 else out
 
 
-def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left",
-                   method=None):
+def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left"):
     """Richardson limit of C[f] along the normal through node t.
 
     sign '+' approaches from the interior (against the outward normal),
@@ -810,20 +812,16 @@ def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left",
     on circles and from 0.35 R over RICHARDSON_TERMS rungs on other
     meshes, R the spec radius or half the nodes' widest extent.  A node
     index t gives a Multivector, a 1-d index array (len(t), dim) rows, and
-    K densities (K, len(t), dim), all rungs in one kernel call; method
-    'subtract' (the default on spec-built meshes) shifts by f at the node.
+    K densities (K, len(t), dim), all rungs in one kernel call; meshes
+    that build_mesh made shift by f at the node, others sum f raw.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     # the circle mesh is fine enough for a deeper extrapolation ladder
     frac, terms = (0.25, 5) if mesh.n == 1 else (0.35, RICHARDSON_TERMS)
-    if method is None:
-        method = "subtract" if mesh.spec is not None else "raw"
-    if method not in ("raw", "subtract"):
-        raise ValueError("method must be 'raw' or 'subtract'")
     rows = _ladder_rows(mesh, f, t, _halving_steps(mesh, frac, terms),
                         [1.0 if sign == "+" else -1.0], side,
-                        method == "subtract")
+                        mesh.spec is not None)
     return _ladder_limit(mesh, t, RICHARDSON_RATIO, rows[..., 0, :, :, :])
 
 

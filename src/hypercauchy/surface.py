@@ -11,7 +11,8 @@ a built mesh does except refine().
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,9 +80,10 @@ class DomainSpec:
         return np.asarray(self.center, dtype=np.float64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
-    """Nodes, outward unit normals and positive area weights on Gamma.
+    """Nodes, outward unit normals and positive area weights on Gamma: the
+    only constructor arguments.  Meshes compare and hash by identity.
 
     Attributes
     ----------
@@ -92,11 +94,14 @@ class SurfaceMesh:
     weights : (N,) float array
         Positive area elements; sum approximates area(Gamma).
     h : float
-        Mesh parameter: maximum nearest-neighbor node distance.
+        Mesh parameter: maximum nearest-neighbor node distance.  Set by
+        build_mesh; any other mesh computes it from its nodes (a k-d tree
+        search) when first read, and keeps it.
     level : int
-        Refinement index used by the builder (0 for loaded meshes).
+        Refinement index used by the builder; 0 for every other mesh.
     spec : DomainSpec or None
-        Builder spec when constructed by build_mesh; None for loaded meshes.
+        The builder spec, set by build_mesh only; None for every other
+        mesh (load_mesh, dataclasses.replace copies, hand-made meshes).
     cache : dict
         Mesh-owned operator data that depends on the mesh alone.
         build_mesh fills "neighbours" on spheres: the builder's (N, k)
@@ -110,19 +115,15 @@ class SurfaceMesh:
         singular-cell coefficients of cauchy._grid_cell_coefficients, one
         per side, and the refined mesh (refine(mesh), with its own cache)
         on which the solvability thresholds resample evaluator-backed
-        densities.  Never a
-        constructor argument; every other new mesh (load_mesh,
-        dataclasses.replace) starts with an empty one.
+        densities.  Every other new mesh starts with an empty one.
     """
 
     nodes: np.ndarray
     normals: np.ndarray
     weights: np.ndarray
-    h: float
-    level: int = 0
-    spec: DomainSpec | None = None
-    cache: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    level: int = field(default=0, init=False)
+    spec: DomainSpec | None = field(default=None, init=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
@@ -148,7 +149,10 @@ class SurfaceMesh:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "h", float(self.h))
+
+    @cached_property
+    def h(self):
+        return _mesh_h(self.nodes)
 
     @property
     def n(self):
@@ -209,9 +213,9 @@ def neighbour_lists(mesh, k):
     """Per-node neighbour indices, each row led by its node.
 
     The builder's lists when build_mesh made the mesh (mesh.cache), else
-    the k nearest nodes from a k-d tree: loaded meshes and
-    dataclasses.replace copies (which may keep a spec but not the
-    builder's nodes) have their lists searched, never derived.
+    the k nearest nodes from a k-d tree: loaded, hand-made and
+    dataclasses.replace meshes have no builder, so their lists are
+    searched, never derived.
     """
     nb = mesh.cache.get("neighbours")
     return _tree_neighbours(mesh.nodes, k) if nb is None else nb
@@ -390,21 +394,20 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     """Build a quadrature mesh for the spec at the given refinement level.
 
     Node counts grow geometrically with level: 64*2^level on circles,
-    320*2^level on 2-spheres, 2*(4*2^level)^3 on 3-spheres.  Sphere meshes
+    320*2^level on 2-spheres, 2*(4*2^level)^3 on 3-spheres.  The one maker
+    of spec, level and a closed-form or list-derived h; sphere meshes also
     keep the builder's neighbour lists in their cache (SurfaceMesh.cache).
     """
     if isinstance(level, bool) or not isinstance(level, (int, np.integer)) \
             or level < 0:
         raise ValueError("level must be an integer >= 0")
-    c = spec.center_array
-    if spec.kind == "circle":
-        built = _circle_nodes(level, c, spec.radius)
-    elif spec.n == 2:
-        built = _fibonacci_nodes(level, c, spec.radius)
-    else:
-        built = _sphere3_nodes(level, c, spec.radius)
-    nodes, normals, weights, h, nb = built
-    mesh = SurfaceMesh(nodes, normals, weights, h, level=level, spec=spec)
+    make = (_circle_nodes if spec.kind == "circle" else
+            _fibonacci_nodes if spec.n == 2 else _sphere3_nodes)
+    *arrays, h, nb = make(level, spec.center_array, spec.radius)
+    mesh = SurfaceMesh(*arrays)
+    # the builder's facts, which no constructor call or copy carries
+    for name, value in (("h", h), ("level", level), ("spec", spec)):
+        object.__setattr__(mesh, name, value)
     if nb is not None:
         nb.flags.writeable = False
         mesh.cache["neighbours"] = nb
@@ -439,7 +442,7 @@ def oriented_measure(mesh: SurfaceMesh, i: int) -> Multivector:
 def refine(mesh: SurfaceMesh) -> SurfaceMesh:
     """Next refinement level of the same spec; h at most halves (x1.5 slack)."""
     if mesh.spec is None:
-        raise ValueError("mesh has no builder spec (loaded from file); "
+        raise ValueError("mesh has no builder spec (not made by build_mesh); "
                          "build a finer mesh from a DomainSpec instead")
     return build_mesh(mesh.spec, mesh.level + 1)
 
@@ -473,11 +476,7 @@ def load_mesh(path) -> SurfaceMesh:
     if data.shape != (count, 2 * (n + 1) + 1):
         raise MeshFormatError("expected %d records of %d fields, got shape %s"
                               % (count, 2 * (n + 1) + 1, data.shape))
-    nodes = data[:, : n + 1]
-    normals = data[:, n + 1 : 2 * (n + 1)]
-    weights = data[:, -1]
-    mesh = SurfaceMesh(nodes, normals, weights, 0.0)  # validates the arrays
-    return replace(mesh, h=_mesh_h(mesh.nodes))
+    return SurfaceMesh(data[:, : n + 1], data[:, n + 1 : -1], data[:, -1])
 
 
 def parse_mesh_spec(text: str):

@@ -452,7 +452,9 @@ def test_perturbed_circle_takes_direct_route(monkeypatch):
     nodes[7] += 1e-10 * SHIFTED.radius * mesh.normals[7]
     moved = dataclasses.replace(mesh, nodes=nodes)
     assert _accel.uniform_circle(nodes) is None
-    _assert_direct_route(moved, monkeypatch)
+    # a copy has no spec, so its density is the built mesh's samples
+    f = BoundaryDensity(moved, random_smooth(mesh, 5).samples)
+    _assert_direct_route(moved, monkeypatch, f=f)
     # the stencil asks the same test: a least-squares fit, not the
     # periodic 4-point stencil
     assert gradient_stencil(moved)[0].shape[1] != 4
@@ -462,7 +464,7 @@ def test_capped_circle_takes_direct_route(monkeypatch):
     mesh = build_mesh(SHIFTED, 2)
     keep = np.linalg.norm(mesh.nodes - mesh.nodes[0], axis=1) > 0.1
     capped = SurfaceMesh(mesh.nodes[keep], mesh.normals[keep],
-                         mesh.weights[keep], mesh.h)
+                         mesh.weights[keep])
     assert capped.node_count < mesh.node_count
     # a sub-mesh has no spec, so its density is the full mesh's, cut
     f = BoundaryDensity(capped, random_smooth(mesh, 5).samples[keep])

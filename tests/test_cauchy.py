@@ -219,6 +219,22 @@ def test_near_boundary_subtract_beats_raw(circle_mesh):
         cauchy_integral(circle_mesh, f, w, method="midpoint")
 
 
+def test_scaled_copy_takes_its_side_from_a_tag(sphere_mesh):
+    # a radius-2 copy of the unit sphere carries no spec, so a plain point
+    # gets no side from the unit sphere's; tagged, C[1] is 1 inside it
+    copy = dataclasses.replace(sphere_mesh, nodes=2.0 * sphere_mesh.nodes,
+                               weights=4.0 * sphere_mesh.weights)
+    ones = BoundaryDensity.constant(copy, 1.0)
+    w = (1.5, 0.0, 0.0)
+    assert cauchy_integral(copy, ones, w).side == "unknown"
+    with pytest.raises(ValueError, match="^subtract method needs"):
+        cauchy_integral(copy, ones, w, method="subtract")
+    got = cauchy_integral(copy, ones, SideTaggedPoint(w, "interior"),
+                          method="subtract")
+    assert got.side == "interior" and got.reliable
+    assert np.max(np.abs(got.value.coeffs - [1.0, 0.0, 0.0, 0.0])) <= 1e-12
+
+
 def test_constant_evaluator_is_vectorized(sphere_mesh):
     # M points give M rows, one point one row: from_function samples the
     # constant in one call, bitwise as per point
@@ -316,7 +332,7 @@ def test_plemelj_identities(circle_mesh):
 ], ids=["circle", "sphere2", "loaded"])
 def test_symmetric_difference_steps_halve_from_0_35_R(spec, shifted_circle):
     mesh = (build_mesh(spec, 0) if spec is not None
-            else dataclasses.replace(shifted_circle, spec=None))
+            else dataclasses.replace(shifted_circle))
     want = 0.35 * _scale(mesh) / 2.0 ** np.arange(4)
     assert np.array_equal(symmetric_difference_steps(mesh), want)
 
@@ -422,7 +438,7 @@ def test_great_circle_mesh_raises_rank_error(tmp_path):
     N = 40
     theta = 2.0 * np.pi * np.arange(N) / N
     nodes = np.stack([np.cos(theta), np.sin(theta), np.zeros(N)], axis=1)
-    save_mesh(SurfaceMesh(nodes, nodes, np.full(N, 4.0 * np.pi / N), 0.0),
+    save_mesh(SurfaceMesh(nodes, nodes, np.full(N, 4.0 * np.pi / N)),
               tmp_path / "circle.mesh")
     mesh = load_mesh(tmp_path / "circle.mesh")
     f = BoundaryDensity.constant(mesh, 1.0)
@@ -437,7 +453,7 @@ def _great_circle_mesh(tmp_path):
     N = 40
     theta = 2.0 * np.pi * np.arange(N) / N
     nodes = np.stack([np.cos(theta), np.sin(theta), np.zeros(N)], axis=1)
-    save_mesh(SurfaceMesh(nodes, nodes, np.full(N, 4.0 * np.pi / N), 0.0),
+    save_mesh(SurfaceMesh(nodes, nodes, np.full(N, 4.0 * np.pi / N)),
               tmp_path / "circle.mesh")
     return load_mesh(tmp_path / "circle.mesh")
 
@@ -771,7 +787,7 @@ def test_new_meshes_start_with_empty_cache():
     principal_value_nodes(mesh, random_smooth(mesh, 1))
     assert mesh.cache
     assert refine(mesh).cache == {}
-    assert dataclasses.replace(mesh, h=mesh.h).cache == {}
+    assert dataclasses.replace(mesh).cache == {}
 
 
 def test_cached_self_sums_are_read_only():
@@ -850,7 +866,7 @@ def test_ladders_take_one_kernel_call(monkeypatch, side):
     calls = _count_calls(monkeypatch, "accum_" + side)
     unused = _count_calls(monkeypatch, other)
     boundary_limit(mesh, f, 2, "+", side=side)
-    boundary_limit(mesh, f, 2, "-", side=side, method="raw")
+    boundary_limit(mesh, f, 2, "-", side=side)
     assert calls == [4, 4] and unused == []
     lams = [0.2, 0.1, 0.05, 0.025]
     calls = _count_calls(monkeypatch, "accum_" + side)
@@ -862,7 +878,7 @@ def test_ladders_take_one_kernel_call(monkeypatch, side):
     calls = _count_calls(monkeypatch, "accum_" + side)
     unused = _count_calls(monkeypatch, other)
     plus = boundary_limit(mesh, f, t, "+", side=side)
-    boundary_limit(mesh, f, t, "-", side=side, method="raw")
+    boundary_limit(mesh, f, t, "-", side=side)
     assert calls == [t.size * 4, t.size * 4] and unused == []
     assert plus.shape == (t.size, mesh.context.dim)
     calls = _count_calls(monkeypatch, "accum_" + side)
@@ -936,20 +952,19 @@ def test_batched_boundary_limits_match_per_node_ladders(name, side,
     idx = np.array([0, N // 3, N - 1, N // 3])
     frac, terms = (0.25, 5) if mesh.n == 1 else (0.35, cauchy.RICHARDSON_TERMS)
     lams = frac * _scale(mesh) / cauchy.RICHARDSON_RATIO ** np.arange(terms)
+    # spec-built meshes shift by f at the node, the loaded one does not
     for sign in "+-":
-        for method in ("raw", "subtract"):
-            got = boundary_limit(mesh, f, idx, sign, side=side, method=method)
-            stacked = boundary_limit(mesh, [f, other], idx, sign, side=side,
-                                     method=method)
-            assert got.shape == (idx.size, mesh.context.dim)
-            assert stacked.shape == (2,) + got.shape
-            assert np.array_equal(stacked[0], got)
-            for row, i in zip(got, idx):
-                rows, tol, size = _ladder_reference(
-                    mesh, samples, i, lams, 1.0 if sign == "+" else -1.0,
-                    side, method == "subtract")
-                want = richardson_limit(cauchy.RICHARDSON_RATIO, rows)
-                assert np.all(np.abs(row - want) <= _ladder_bound(tol, size))
+        got = boundary_limit(mesh, f, idx, sign, side=side)
+        stacked = boundary_limit(mesh, [f, other], idx, sign, side=side)
+        assert got.shape == (idx.size, mesh.context.dim)
+        assert stacked.shape == (2,) + got.shape
+        assert np.array_equal(stacked[0], got)
+        for row, i in zip(got, idx):
+            rows, tol, size = _ladder_reference(
+                mesh, samples, i, lams, 1.0 if sign == "+" else -1.0, side,
+                mesh.spec is not None)
+            want = richardson_limit(cauchy.RICHARDSON_RATIO, rows)
+            assert np.all(np.abs(row - want) <= _ladder_bound(tol, size))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

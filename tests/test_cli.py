@@ -110,6 +110,8 @@ def test_run_byte_deterministic(tmp_path, capsys):
                  id="plemelj-sphere2"),
     pytest.param("circle", {"experiment": "poincare-bertrand"},
                  id="poincare-bertrand"),
+    # the 3-sphere's singular-cell coefficients, cached per mesh and side
+    pytest.param("sphere3", {"levels": "0,1"}, id="sphere3"),
 ])
 def test_repeat_runs_byte_identical(tmp_path, capsys, surface, extra):
     # two runs in one process: no cache may carry over into the reports

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from hypercauchy.cauchy import BoundaryDensity
 from hypercauchy.surface import (
     DomainSpec,
     MeshFormatError,
@@ -126,13 +127,58 @@ def test_load_rejects_truncated_records(tmp_path, circle_mesh):
 def test_mesh_invariants_enforced(circle_mesh):
     with pytest.raises(MeshFormatError):
         SurfaceMesh(circle_mesh.nodes, circle_mesh.normals,
-                    -circle_mesh.weights, circle_mesh.h)
+                    -circle_mesh.weights)
     with pytest.raises(MeshFormatError):
         SurfaceMesh(circle_mesh.nodes, 2.0 * circle_mesh.normals,
-                    circle_mesh.weights, circle_mesh.h)
+                    circle_mesh.weights)
     with pytest.raises(MeshFormatError):
         SurfaceMesh(circle_mesh.nodes, circle_mesh.normals,
-                    circle_mesh.weights[:-1], circle_mesh.h)
+                    circle_mesh.weights[:-1])
+
+
+def test_constructor_takes_the_three_arrays_only(circle_mesh):
+    # h, level and spec are build_mesh's: no caller can pass them
+    arrays = (circle_mesh.nodes, circle_mesh.normals, circle_mesh.weights)
+    with pytest.raises(TypeError):
+        SurfaceMesh(*arrays, circle_mesh.h)
+    for name, value in (("h", circle_mesh.h), ("level", 4),
+                        ("spec", circle_mesh.spec)):
+        with pytest.raises(TypeError):
+            SurfaceMesh(*arrays, **{name: value})
+        with pytest.raises((TypeError, ValueError)):
+            dataclasses.replace(circle_mesh, **{name: value})
+    mesh = SurfaceMesh(*arrays)
+    assert mesh.spec is None and mesh.level == 0
+
+
+def test_copies_carry_no_builder_facts(sphere_mesh):
+    copy = dataclasses.replace(sphere_mesh, nodes=2.0 * sphere_mesh.nodes,
+                               weights=4.0 * sphere_mesh.weights)
+    assert copy.spec is None and copy.level == 0
+    # h comes from the copy's own nodes, twice the unit sphere's exactly
+    assert copy.h == 2.0 * sphere_mesh.h
+    with pytest.raises(ValueError, match="^mesh has no builder spec"):
+        refine(copy)
+
+
+def test_hand_made_h_is_the_loaded_meshs(tmp_path, sphere_mesh):
+    save_mesh(sphere_mesh, tmp_path / "sphere.mesh")
+    loaded = load_mesh(tmp_path / "sphere.mesh")
+    made = SurfaceMesh(sphere_mesh.nodes, sphere_mesh.normals,
+                       sphere_mesh.weights)
+    assert made.h == loaded.h == sphere_mesh.h > 0.0
+    # kept on the mesh, not in its operator cache
+    assert made.h is made.h and made.cache == {}
+
+
+def test_meshes_and_densities_compare_by_identity(circle_spec):
+    a, b = build_mesh(circle_spec, 0), build_mesh(circle_spec, 0)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    f = BoundaryDensity.constant(a, 1.0)
+    g = BoundaryDensity.constant(a, 1.0)
+    assert f == f and f != g
+    assert len({f, g, f}) == 2
 
 
 @pytest.mark.parametrize("field", ["nodes", "normals", "weights"])
@@ -144,8 +190,7 @@ def test_mesh_rejects_nonfinite_values(circle_mesh, field, bad):
     arrays[field][7] = bad
     arrays[field][9] = bad
     with pytest.raises(MeshFormatError, match=r"%s row 7\b" % field):
-        SurfaceMesh(arrays["nodes"], arrays["normals"], arrays["weights"],
-                    circle_mesh.h)
+        SurfaceMesh(arrays["nodes"], arrays["normals"], arrays["weights"])
 
 
 def test_load_rejects_duplicate_nodes(tmp_path, circle_mesh):
@@ -163,7 +208,7 @@ def test_mesh_rejects_coincident_nodes(circle_spec):
     nodes = mesh.nodes.copy()
     nodes[5] = nodes[4]
     with pytest.raises(MeshFormatError, match=r"nodes rows 4 and 5 coincide"):
-        SurfaceMesh(nodes, mesh.normals, mesh.weights, mesh.h)
+        SurfaceMesh(nodes, mesh.normals, mesh.weights)
 
 
 def test_domain_spec_validation():
@@ -243,15 +288,14 @@ def test_sphere3_lists_are_grid_blocks(level):
 
 
 def test_copies_search_their_own_neighbours(tmp_path):
-    # lists come from the builder only: copies keep the spec but not the
-    # builder's nodes, so they take the tree's
+    # lists come from the builder only: copies have neither its spec nor
+    # its nodes, so they take the tree's
     mesh = build_mesh(DomainSpec("sphere", 2), 1)
     save_mesh(mesh, tmp_path / "sphere.mesh")
     keep = np.linalg.norm(mesh.nodes - mesh.nodes[0], axis=1) > 0.3
     copies = [
         load_mesh(tmp_path / "sphere.mesh"),
-        SurfaceMesh(mesh.nodes[keep], mesh.normals[keep], mesh.weights[keep],
-                    mesh.h),
+        SurfaceMesh(mesh.nodes[keep], mesh.normals[keep], mesh.weights[keep]),
         dataclasses.replace(mesh, nodes=mesh.nodes[::-1],
                             normals=mesh.normals[::-1]),
     ]
