@@ -288,11 +288,13 @@ def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
 class DirichletReport:
     """Outcome of the interior boundary-reproduction problem.
 
-    solvable is decided from a refinement trend: the criterion residual
-    must drop under one refinement (quadrature-dominated) instead of
-    stabilizing at a nonzero limit.  residual_exterior is the probe
-    max-norm of C[g] outside, residual_pv the node max-norm of
-    PV C[g] - g/2; attainment_error (continuous mode) is the symmetric-
+    mode and criterion record what the regularity tag of g applied:
+    'holder' and 'both', or 'continuous' and 'exterior'.  solvable is
+    decided from a refinement trend: the criterion residual must drop
+    under one refinement (quadrature-dominated) instead of stabilizing at
+    a nonzero limit.  residual_exterior is the probe max-norm of C[g]
+    outside, residual_pv the node max-norm of PV C[g] - g/2 (NaN in
+    continuous mode); attainment_error (continuous mode) is the symmetric-
     difference reconstruction error.  The failing residual field is
     reported instead of raising.
     """
@@ -309,25 +311,21 @@ class DirichletReport:
     solution: object
 
 
-def _dirichlet_residuals(mesh, gs, criteria, sample_idx, probe_dirs):
+def _dirichlet_residuals(mesh, gs, sample_idx, probe_dirs):
     """(exterior, pv, field) of each density of gs under its criterion.
 
-    All densities whose criterion reads the exterior probes take one
-    kernel pass, and all that read the principal values another, so each
-    density's numbers are bitwise those of a call with it alone.
+    Every density reads the exterior probes, in one kernel pass, and the
+    Holder ones (criterion 'both') also the principal values, in another,
+    so each density's numbers are bitwise those of a call with it alone.
     """
-    ext = [k for k, c in enumerate(criteria) if c in ("exterior", "both")]
-    pvk = [k for k, c in enumerate(criteria) if c in ("pv", "both")]
-    out = [[math.nan, math.nan, np.zeros(0)] for _ in gs]
-    if ext:
-        R = _scale(mesh)
-        center = (mesh.spec.center_array if mesh.spec is not None
-                  else mesh.nodes.mean(axis=0))
-        rows = _integral_rows(mesh, [gs[k] for k in ext],
-                              center + 2.0 * R * probe_dirs, "left")
-        for k, r in zip(ext, rows):
-            field = np.linalg.norm(r, axis=1)
-            out[k][0], out[k][2] = float(field.max()), field
+    center = (mesh.spec.center_array if mesh.spec is not None
+              else mesh.nodes.mean(axis=0))
+    out = []
+    for r in _integral_rows(mesh, gs, center + 2.0 * _scale(mesh) * probe_dirs,
+                            "left"):
+        field = np.linalg.norm(r, axis=1)
+        out.append([float(field.max()), math.nan, field])
+    pvk = [k for k, gk in enumerate(gs) if gk.is_holder]
     if pvk:
         pv = principal_value_nodes(mesh, [gs[k] for k in pvk],
                                    indices=sample_idx)
@@ -343,48 +341,28 @@ def _probe_indices(mesh, count):
                                  min(count, mesh.node_count)).astype(np.int64))
 
 
-def _dirichlet_setup(g, mode, criterion):
-    """(mode, criterion) of density g: the defaults from its regularity."""
-    if mode is None:
-        mode = "holder" if g.is_holder else "continuous"
-    if mode not in ("holder", "continuous"):
-        raise ValueError("mode must be 'holder' or 'continuous', "
-                         f"got {mode!r}")
-    if criterion not in (None, "exterior", "pv", "both"):
-        raise ValueError("criterion must be 'exterior', 'pv' or 'both', "
-                         f"got {criterion!r}")
-    if mode == "continuous" and criterion == "pv":
-        raise ValueError("the principal-value criterion requires Holder data")
-    if criterion is None:
-        criterion = "both" if mode == "holder" else "exterior"
-    return mode, criterion
-
-
-def solve_dirichlet(mesh, g, mode=None, criterion=None, threshold=None,
-                    seed=0):
+def solve_dirichlet(mesh, g, threshold=None):
     """Decide and solve the interior problem Phi+ regular, Phi+|Gamma = g.
 
-    Solvability criteria: the exterior integral C[g] vanishes at 8 seeded
-    probes at twice the radius ('exterior'), or equivalently PV C[g] = g/2
-    at 64 evenly spaced nodes ('pv').  Holder mode may use either (default
-    'both' cross-checks); continuous mode uses 'exterior' plus a symmetric-
-    difference attainment check.  Without an explicit threshold the
-    verdict comes from a refinement trend, which needs an exact evaluator.
+    Each density's regularity tag decides how.  Holder data ('holder'
+    mode) take criterion 'both': the exterior integral C[g] vanishes at 8
+    seeded probes at twice the radius ('exterior'), cross-checked by PV
+    C[g] = g/2 at 64 evenly spaced nodes ('pv'), which the Plemelj
+    formulas justify for Holder data only.  Continuous data ('continuous'
+    mode) take 'exterior' alone, plus a symmetric-difference attainment
+    check.  Without an explicit threshold the verdict comes from a
+    refinement trend, which needs an exact evaluator.
 
     g is one BoundaryDensity, which gives one DirichletReport, or a
-    sequence of them, which gives a list with one report each.  mode and
-    criterion apply to every density; left None, each density takes the
-    defaults of its own regularity.  However many densities there are,
-    they share the kernel passes of each mesh (the exterior probes and the
-    principal values, on mesh and on its cached refinement, then one
-    attainment ladder), and each report is bitwise that of its density
-    alone: its residuals, threshold and verdict are its own.
+    sequence of them, which gives a list with one report each.  However
+    many densities there are, they share the kernel passes of each mesh
+    (the exterior probes and the principal values, on mesh and on its
+    cached refinement, then one attainment ladder), and each report is
+    bitwise that of its density alone: its residuals, threshold and
+    verdict are its own.
     """
     single = isinstance(g, BoundaryDensity)
     gs = [g] if single else list(g)
-    setups = [_dirichlet_setup(gk, mode, criterion) for gk in gs]
-    modes = [m for m, _ in setups]
-    criteria = [c for _, c in setups]
     # a density from another mesh raises before any sum is taken
     _density_samples(mesh, g if single else gs)
     if threshold is None and (mesh.spec is None or
@@ -392,18 +370,18 @@ def solve_dirichlet(mesh, g, mode=None, criterion=None, threshold=None,
         raise ValueError("automatic threshold needs an evaluator-backed "
                          "density on a spec-built mesh; pass threshold=")
     ctx = mesh.context
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     sample_idx = _probe_indices(mesh, 64)
     probe_dirs = rng.standard_normal((8, ctx.n + 1))
     probe_dirs /= np.linalg.norm(probe_dirs, axis=1, keepdims=True)
 
-    coarse = _dirichlet_residuals(mesh, gs, criteria, sample_idx, probe_dirs)
+    coarse = _dirichlet_residuals(mesh, gs, sample_idx, probe_dirs)
     gmax = [max(float(np.abs(gk.samples).max()), 1e-300) for gk in gs]
     if threshold is None:
         gfs = [_refined_density(mesh, gk) for gk in gs]
         fine = gfs[0].mesh
-        refined = _dirichlet_residuals(fine, gfs, criteria,
-                                       _probe_indices(fine, 64), probe_dirs)
+        refined = _dirichlet_residuals(fine, gfs, _probe_indices(fine, 64),
+                                       probe_dirs)
     verdicts = []
     for k, (ext_res, pv_res, _) in enumerate(coarse):
         coarse_val = np.nanmax([ext_res, pv_res])
@@ -423,8 +401,8 @@ def solve_dirichlet(mesh, g, mode=None, criterion=None, threshold=None,
         verdicts.append((solvable, fine_val, thr))
 
     attain = [math.nan] * len(gs)
-    check = [k for k, m in enumerate(modes)
-             if m == "continuous" and verdicts[k][0]]
+    check = [k for k, gk in enumerate(gs)
+             if not gk.is_holder and verdicts[k][0]]
     if check:
         # rng's next draw, the same nodes for every density
         attain_idx = rng.choice(mesh.node_count, size=3, replace=False)
@@ -445,8 +423,10 @@ def solve_dirichlet(mesh, g, mode=None, criterion=None, threshold=None,
             sol = SectionalSolution(mesh, gk, "left", -mesh.n, (),
                                     interior_only=True)
         ext_res, pv_res, field = coarse[k]
+        holder = gk.is_holder
         reports.append(DirichletReport(
-            solvable, modes[k], criteria[k], ext_res, pv_res, fine_val,
+            solvable, "holder" if holder else "continuous",
+            "both" if holder else "exterior", ext_res, pv_res, fine_val,
             thr, attain[k], field, sol))
     return reports[0] if single else reports
 

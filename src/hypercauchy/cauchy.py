@@ -149,19 +149,26 @@ class BoundaryDensity:
 
     @classmethod
     def from_function(cls, mesh, fn, regularity=("holder", 1.0, None)):
-        """Sample fn at the nodes: once on the (N, n+1) node array, or per
-        node when that call raises TypeError or ValueError or returns at
-        most one dimension."""
+        """Sample fn at the nodes: once on the (N, n+1) node array, whose
+        result gives the rows, (N, 2^n), or the scalar parts, a real (N,)
+        array; per node when that call raises TypeError or ValueError or
+        returns any other result of at most one dimension, and when
+        N = 2^n, where an (N,) result could be one coefficient row."""
         ctx = mesh.context
+        N = mesh.node_count
         try:
             vals = fn(mesh.nodes)
         except (TypeError, ValueError):
             vals = None
-        if np.ndim(vals) <= 1:
+        if (np.shape(vals) == (N,) and N != ctx.dim
+                and np.asarray(vals).dtype.kind in "biuf"):
+            samples = np.zeros((N, ctx.dim))
+            samples[:, 0] = vals
+        elif np.ndim(vals) <= 1:
             # not vectorized over nodes; evaluate per node
             samples = np.array([as_coeffs(ctx, fn(x)) for x in mesh.nodes])
         else:
-            samples = _as_coeff_rows(ctx, vals, mesh.node_count)
+            samples = _as_coeff_rows(ctx, vals, N)
         return cls(mesh, samples, evaluator=fn, regularity=regularity)
 
     @classmethod
@@ -779,19 +786,20 @@ def richardson_limit(step_ratio, values):
     return last[0]
 
 
-def _ladder_rows(mesh, f, t, lams, signs, side, shift):
+def _ladder_rows(mesh, f, t, lams, signs, side):
     """C[f] at x_t - s lam nu(t), sign s = 1 inside and -1 outside, in one
-    _integral_rows call, shifted by f at node t when shift is set.  t is a
-    node index or a 1-d array of them.  Returns (len(signs), len(t),
-    len(lams), dim), after a leading K for a sequence of K densities."""
+    _integral_rows call: every rung is C[f - f(t)] + f(t) X, X = 1 on the
+    rungs of sign 1 and 0 on the others, on every mesh.  t is a node index
+    or a 1-d array of them.  Returns (len(signs), len(t), len(lams), dim),
+    after a leading K for a sequence of K densities."""
     idx = _node_indices(mesh, t)
     s = np.asarray(signs, dtype=np.float64)[:, None, None, None]
     points = (mesh.nodes[idx][None, :, None]
               - s * lams[:, None] * mesh.normals[idx][None, :, None])
     shape = points.shape[:-1]
-    node = np.broadcast_to(idx[:, None], shape).ravel() if shift else None
     rows = _integral_rows(mesh, f, points.reshape(-1, mesh.n + 1), side,
-                          node, np.broadcast_to(s[..., 0] > 0, shape).ravel())
+                          np.broadcast_to(idx[:, None], shape).ravel(),
+                          np.broadcast_to(s[..., 0] > 0, shape).ravel())
     return rows.reshape(rows.shape[:-2] + shape + rows.shape[-1:])
 
 
@@ -812,16 +820,16 @@ def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left"):
     on circles and from 0.35 R over RICHARDSON_TERMS rungs on other
     meshes, R the spec radius or half the nodes' widest extent.  A node
     index t gives a Multivector, a 1-d index array (len(t), dim) rows, and
-    K densities (K, len(t), dim), all rungs in one kernel call; meshes
-    that build_mesh made shift by f at the node, others sum f raw.
+    K densities (K, len(t), dim), all rungs in one kernel call.  Every
+    rung sums f - f(t) and adds f(t) back inside (_ladder_rows), on
+    loaded and hand-made meshes as on built ones.
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     # the circle mesh is fine enough for a deeper extrapolation ladder
     frac, terms = (0.25, 5) if mesh.n == 1 else (0.35, RICHARDSON_TERMS)
     rows = _ladder_rows(mesh, f, t, _halving_steps(mesh, frac, terms),
-                        [1.0 if sign == "+" else -1.0], side,
-                        mesh.spec is not None)
+                        [1.0 if sign == "+" else -1.0], side)
     return _ladder_limit(mesh, t, RICHARDSON_RATIO, rows[..., 0, :, :, :])
 
 
@@ -850,7 +858,8 @@ def symmetric_difference_limit(mesh, f: BoundaryDensity, p, lambdas,
     M is the inner normal field (quasi-normal with c = 1 on spheres:
     M = -nu).  Converges to f(p) for merely continuous densities; the
     lambda sequence must be positive and shrink by one ratio.  p, f and
-    the result take boundary_limit's forms, and spec-built meshes shift.
+    the result take boundary_limit's forms, and both ladders subtract f
+    at the node as boundary_limit's does.
     """
     lams = np.asarray(lambdas, dtype=np.float64)
     if lams.ndim != 1 or lams.size < 2:
@@ -861,8 +870,7 @@ def symmetric_difference_limit(mesh, f: BoundaryDensity, p, lambdas,
     ratios = lams[:-1] / lams[1:]
     if not np.allclose(ratios, ratios[0], rtol=1e-9):
         raise ValueError("lambda sequence must shrink by one ratio")
-    rows = _ladder_rows(mesh, f, p, lams, [1.0, -1.0], side,
-                        mesh.spec is not None)
+    rows = _ladder_rows(mesh, f, p, lams, [1.0, -1.0], side)
     return _ladder_limit(mesh, p, float(ratios[0]),
                          rows[..., 0, :, :, :] - rows[..., 1, :, :, :])
 

@@ -367,7 +367,7 @@ def derivative_at_origin(mesh, f: BoundaryDensity, alpha, side="left"):
     return _kernel_derivative_sum(mesh, f, np.zeros(mesh.n + 1), alpha, side)
 
 
-def taylor_component(f, k, R, mesh, side="left"):
+def taylor_component(f, k, mesh, side="left"):
     """Degree-k Taylor component of an entire regular function.
 
     Parameters
@@ -376,7 +376,9 @@ def taylor_component(f, k, R, mesh, side="left"):
         The function (regular in a ball of radius > R); callables are
         sampled on the mesh nodes.
     mesh : SurfaceMesh
-        Sphere of radius R about the origin carrying the quadrature.
+        Sphere about the origin carrying the quadrature, of radius
+        R = surface_hull_radius(mesh) (laurent_term's rho); degree k needs
+        h (k + 1) <= R, else QuadratureDegeneracyError.
 
     Returns
     -------
@@ -389,6 +391,7 @@ def taylor_component(f, k, R, mesh, side="left"):
     ctx = mesh.context
     if k > MAX_DEGREE:
         raise DegreeOverflowError("degree %d exceeds max %d" % (k, MAX_DEGREE))
+    R = surface_hull_radius(mesh)
     if mesh.h * (k + 1) > R:
         raise QuadratureDegeneracyError(
             "mesh h = %.3g too coarse for degree %d on radius %.3g"
@@ -471,18 +474,19 @@ class OrderReport:
     undetermined: bool
 
 
-def order_at_infinity(mesh, g=None, side="left", evaluator=None,
-                      seed=7) -> OrderReport:
+def order_at_infinity(mesh, g=None, side="left",
+                      evaluator=None) -> OrderReport:
     """Order at infinity of a Cauchy-type integral or a sampled evaluator.
 
     mesh gives the dimension and the scale of the rays; pass g, an
-    evaluator or both.  Moment route (needs g): Ord = -n - N^l with N^l the smallest
-    |alpha| <= MAX_DEGREE whose moment norm clears max(10 * quadrature
-    error estimate, 1e-8 * density scale); the error estimate comes from
-    one mesh refinement when the density carries an evaluator.  Empirical
-    route: least-squares slope of log|Phi| against log|w| on 3 seeded rays
-    with radii in [5 rho, 50 rho], rounded to the nearest integer.  Both
-    are reported; `order` is the moment route if available, else the slope.
+    evaluator or both.  Moment route (needs g): Ord = -n - N^l with N^l the
+    smallest |alpha| <= MAX_DEGREE whose moment norm clears max(10 *
+    quadrature error estimate, 1e-8 * density scale); the error estimate
+    comes from one mesh refinement when the density carries an evaluator.
+    Empirical route: least-squares slope of log|Phi| against log|w| on 3
+    rays of seed 7 with radii in [5 rho, 50 rho], rounded to the nearest
+    integer.  Both are reported; `order` is the moment route if available,
+    else the slope.
     """
     if evaluator is None and g is None:
         raise ValueError("need a density g or an evaluator")
@@ -504,7 +508,7 @@ def order_at_infinity(mesh, g=None, side="left", evaluator=None,
         else:
             undetermined = True
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     rho = surface_hull_radius(mesh)
     radii = np.geomspace(5.0 * rho, 50.0 * rho, 8)
     dirs = rng.standard_normal((3, n + 1))

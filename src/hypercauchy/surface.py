@@ -83,7 +83,8 @@ class DomainSpec:
 @dataclass(frozen=True, eq=False)
 class SurfaceMesh:
     """Nodes, outward unit normals and positive area weights on Gamma: the
-    only constructor arguments.  Meshes compare and hash by identity.
+    only constructor arguments, with at least two nodes (one has no h).
+    Meshes compare and hash by identity.
 
     Attributes
     ----------
@@ -132,16 +133,19 @@ class SurfaceMesh:
         if nodes.ndim != 2 or nodes.shape != normals.shape or \
                 weights.shape != (nodes.shape[0],):
             raise MeshFormatError("inconsistent mesh array shapes")
+        if nodes.shape[0] < 2:
+            raise MeshFormatError("nodes: a mesh needs at least 2 nodes, "
+                                  "got %d" % nodes.shape[0])
         for name, values in (("nodes", nodes), ("normals", normals),
                              ("weights", weights)):
             bad = _first_nonfinite_row(values)
             if bad is not None:
                 raise MeshFormatError("%s row %d is not finite" % (name, bad))
         misfit = np.abs(np.linalg.norm(normals, axis=1) - 1.0)
-        if misfit.size and misfit.max() > NORMAL_UNIT_TOL:
+        if misfit.max() > NORMAL_UNIT_TOL:
             raise MeshFormatError("normals deviate from unit length by %.3g"
                                   % misfit.max())
-        if weights.size and weights.min() <= 0:
+        if weights.min() <= 0:
             raise MeshFormatError("weights must be positive")
         pair = _coincident_rows(nodes)
         if pair is not None:
@@ -224,8 +228,6 @@ def neighbour_lists(mesh, k):
 def _mesh_h(nodes, nb=None):
     """Largest nearest-neighbour distance, over the lists nb (rows led by
     their node; default the k-d tree's two nearest)."""
-    if nodes.shape[0] < 2:
-        return 0.0
     if nb is None:
         nb = _tree_neighbours(nodes, 2)
     rows = np.arange(nodes.shape[0])[:, None]

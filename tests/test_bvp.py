@@ -27,10 +27,13 @@ from hypercauchy.bvp import (
 )
 from hypercauchy.cauchy import (
     BoundaryDensity,
+    boundary_limit,
     gradient_stencil,
     kernel_E,
     kernel_E_rows,
     principal_value_nodes,
+    symmetric_difference_limit,
+    symmetric_difference_steps,
     unit_sphere_area,
 )
 from hypercauchy.clifford_core import (Multivector, Paravector,
@@ -40,7 +43,8 @@ from hypercauchy.clifford_core import (Multivector, Paravector,
 from hypercauchy.fueter import (DegreeOverflowError, boundary_moment,
                                 multi_indices, order_at_infinity,
                                 symmetric_power)
-from hypercauchy.surface import DomainSpec, build_mesh, refine
+from hypercauchy.surface import (DomainSpec, build_mesh, load_mesh, refine,
+                                 save_mesh)
 from hypercauchy._corpus import (
     coordinate_trace,
     dirichlet_corpus,
@@ -171,6 +175,47 @@ def test_jump_continuous_density_warns(circle_mesh):
         solve_jump_rm(circle_mesh, g, 0)
 
 
+LOADED_MESHES = {"sphere2-L2": (2, 2), "sphere3-L0": (3, 0)}
+
+
+def _loaded_mesh_errors(name, quantity, tmp_path):
+    """quantity on the built mesh and on its save_mesh/load_mesh copy, which
+    has no spec, with random_smooth(., 5) at nodes 0, N // 3 and N - 1.
+    References: PV + f/2 on the built mesh for boundary_limit, f for the
+    symmetric difference."""
+    n, level = LOADED_MESHES[name]
+    built = build_mesh(DomainSpec("sphere", n, center=(0.0,) * (n + 1),
+                                  radius=1.0), level)
+    save_mesh(built, tmp_path / "copy.mesh")
+    loaded = load_mesh(tmp_path / "copy.mesh")
+    f = random_smooth(built, 5)
+    N = built.node_count
+    idx = np.array([0, N // 3, N - 1])
+    pv = principal_value_nodes(built, f, indices=idx) + 0.5 * f.samples[idx]
+    out = []
+    for mesh in (built, loaded):
+        g = BoundaryDensity(mesh, f.samples)
+        if quantity == "jump_residual":
+            out.append(jump_residual(mesh, solve_jump_rm(mesh, g, 1)[0], g))
+        elif quantity == "boundary_limit":
+            out.append(np.abs(boundary_limit(mesh, g, idx, "+") - pv).max())
+        else:
+            rec = symmetric_difference_limit(mesh, g, idx,
+                                             symmetric_difference_steps(mesh))
+            out.append(np.abs(rec - f.samples[idx]).max())
+    return out
+
+
+@pytest.mark.parametrize("quantity", ["jump_residual", "boundary_limit",
+                                      "symmetric_difference"])
+@pytest.mark.parametrize("name", sorted(LOADED_MESHES))
+def test_loaded_meshes_take_the_subtracted_ladders(name, quantity, tmp_path):
+    # a loaded copy has no spec, yet its ladders must subtract f at the
+    # node as the built mesh's do, and err about as little
+    built, loaded = _loaded_mesh_errors(name, quantity, tmp_path)
+    assert loaded <= 1.5 * built
+
+
 def test_invert_rows_closed_form():
     ctx = get_context(1)
     inv = invert_rows(ctx, np.array([[2.0, 1.0]]))
@@ -290,26 +335,6 @@ def test_dirichlet_explicit_threshold_and_guards(circle_mesh):
     assert rep.solvable
     with pytest.raises(ValueError):
         solve_dirichlet(circle_mesh, raw)  # auto threshold needs evaluator
-    with pytest.raises(ValueError):
-        solve_dirichlet(circle_mesh, good, mode="continuous", criterion="pv")
-
-
-@pytest.mark.parametrize("kw, field", [
-    pytest.param({"mode": "holdr"}, "mode", id="mode"),
-    pytest.param({"criterion": "bogus"}, "criterion", id="criterion"),
-    pytest.param({"mode": "continuous", "criterion": "bogus"}, "criterion",
-                 id="continuous-criterion"),
-])
-def test_dirichlet_rejects_unknown_mode_and_criterion(circle_mesh, monkeypatch,
-                                                      kw, field):
-    # these used to run (mode) or end in NaN residuals (criterion)
-    calls = []
-    monkeypatch.setattr(_accel, "accum_left",
-                        lambda *args, **kwargs: calls.append(args))
-    good = holomorphic_combo(circle_mesh, 19)
-    with pytest.raises(ValueError, match="^%s must be" % field):
-        solve_dirichlet(circle_mesh, good, **kw)
-    assert calls == []
 
 
 def test_dirichlet_continuous_mode(circle_spec):
@@ -321,6 +346,17 @@ def test_dirichlet_continuous_mode(circle_spec):
     assert rep.mode == "continuous" and rep.criterion == "exterior"
     assert rep.solvable
     assert np.isfinite(rep.attainment_error)
+    # the principal-value criterion is justified for Holder data only
+    assert math.isnan(rep.residual_pv)
+
+
+@pytest.mark.parametrize("kw", [{"mode": "holder"}, {"criterion": "pv"},
+                                {"seed": 0}], ids=lambda kw: next(iter(kw)))
+def test_dirichlet_settings_come_from_the_density(circle_mesh, kw):
+    # the regularity tag decides mode and criterion; the probe seed is 0
+    good = holomorphic_combo(circle_mesh, 19)
+    with pytest.raises(TypeError):
+        solve_dirichlet(circle_mesh, good, threshold=1e-6, **kw)
 
 
 def _counted(fn, calls):

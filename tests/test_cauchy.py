@@ -160,6 +160,30 @@ def test_from_function_batch_and_rowwise_agree(circle_mesh):
     assert np.allclose(batch.samples, rowwise.samples, atol=1e-15)
 
 
+def test_from_function_keeps_a_batch_calls_scalar_parts(sphere_mesh):
+    # an (N,) result of the batch call is the scalar parts, in one call
+    calls = []
+
+    def fn(x):
+        calls.append(np.shape(x))
+        return x[..., 0]
+
+    def pointwise(x):
+        if np.ndim(x) != 1:
+            raise TypeError("one point at a time")
+        return x[0]
+
+    f = BoundaryDensity.from_function(sphere_mesh, fn)
+    assert calls == [sphere_mesh.nodes.shape]
+    want = BoundaryDensity.from_function(sphere_mesh, pointwise).samples
+    assert np.array_equal(f.samples, want)
+    # with N = 2^n an (N,) result could be one coefficient row: per node
+    pair = SurfaceMesh([[1.0, 0.0], [-1.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]],
+                       [np.pi, np.pi])
+    row = BoundaryDensity.from_function(pair, lambda x: np.array([1.0, 2.0]))
+    assert np.array_equal(row.samples, [[1.0, 2.0], [1.0, 2.0]])
+
+
 def test_from_function_accepts_paravector_values(circle_mesh):
     # evaluated per node, like any evaluator that returns one value
     f = BoundaryDensity.from_function(
@@ -899,11 +923,11 @@ def _ladder_mesh(name, tmp_path):
     return mesh
 
 
-def _ladder_reference(mesh, samples, i, lams, sign, side, shift):
+def _ladder_reference(mesh, samples, i, lams, sign, side):
     """C[f] at x_i - sign lam nu_i, one point at a time, with bounds.
 
-    With shift, f - f(x_i) is summed, the shift taken before the sum, and
-    f(x_i) added back inside.  Returns the rows, a bound on their gap to
+    f - f(x_i) is summed, the shift taken before the sum, and f(x_i)
+    added back inside.  Returns the rows, a bound on their gap to
     the batched rows (which take the shift after the sum, S1 - S2 f(x_i))
     and a bound on |rows|: both sums err by at most gamma_m times
     sum_j l1(E_j) l1(nu_j w_j) (l1(f_j) + l1(f(x_i))), as in _core_bound,
@@ -911,7 +935,7 @@ def _ladder_reference(mesh, samples, i, lams, sign, side, shift):
     """
     ctx = mesh.context
     vol = unit_sphere_area(mesh.n)
-    f0 = samples[i] if shift else np.zeros(ctx.dim)
+    f0 = samples[i]
     g = sided_product(ctx, side, mesh.measure_coeffs(), samples - f0)
     terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * (
         np.abs(samples).sum(axis=1) + np.abs(f0).sum())
@@ -952,7 +976,7 @@ def test_batched_boundary_limits_match_per_node_ladders(name, side,
     idx = np.array([0, N // 3, N - 1, N // 3])
     frac, terms = (0.25, 5) if mesh.n == 1 else (0.35, cauchy.RICHARDSON_TERMS)
     lams = frac * _scale(mesh) / cauchy.RICHARDSON_RATIO ** np.arange(terms)
-    # spec-built meshes shift by f at the node, the loaded one does not
+    # built and loaded meshes alike shift by f at the node
     for sign in "+-":
         got = boundary_limit(mesh, f, idx, sign, side=side)
         stacked = boundary_limit(mesh, [f, other], idx, sign, side=side)
@@ -961,8 +985,7 @@ def test_batched_boundary_limits_match_per_node_ladders(name, side,
         assert np.array_equal(stacked[0], got)
         for row, i in zip(got, idx):
             rows, tol, size = _ladder_reference(
-                mesh, samples, i, lams, 1.0 if sign == "+" else -1.0, side,
-                mesh.spec is not None)
+                mesh, samples, i, lams, 1.0 if sign == "+" else -1.0, side)
             want = richardson_limit(cauchy.RICHARDSON_RATIO, rows)
             assert np.all(np.abs(row - want) <= _ladder_bound(tol, size))
 
@@ -971,7 +994,7 @@ def test_batched_boundary_limits_match_per_node_ladders(name, side,
 @pytest.mark.parametrize("name", LADDER_MESHES)
 def test_batched_symmetric_differences_match_per_node_ladders(name, side,
                                                               tmp_path):
-    # spec-built meshes shift by f at the node, the loaded one does not
+    # built and loaded meshes alike shift by f at the node
     mesh = _ladder_mesh(name, tmp_path)
     N = mesh.node_count
     samples = random_smooth(_ladder_mesh(name.replace("loaded-", ""),
@@ -983,9 +1006,9 @@ def test_batched_symmetric_differences_match_per_node_ladders(name, side,
     assert got.shape == (idx.size, mesh.context.dim)
     for row, i in zip(got, idx):
         plus, tol_p, size_p = _ladder_reference(
-            mesh, samples, i, lams, 1.0, side, mesh.spec is not None)
+            mesh, samples, i, lams, 1.0, side)
         minus, tol_m, size_m = _ladder_reference(
-            mesh, samples, i, lams, -1.0, side, mesh.spec is not None)
+            mesh, samples, i, lams, -1.0, side)
         want = richardson_limit(cauchy.RICHARDSON_RATIO, plus - minus)
         bound = _ladder_bound(tol_p + tol_m, size_p + size_m)
         assert np.all(np.abs(row - want) <= bound)

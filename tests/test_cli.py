@@ -21,6 +21,7 @@ from hypercauchy._corpus import make_density
 
 CSV_HEADER = "level,h,nodes,error_maxnorm,error_l2,runtime_ms"
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+BENCH_CONFIG_DIR = CONFIG_DIR.parent / "perfbench" / "configs"
 
 ALL_EXPERIMENTS = [
     "pv-constant",
@@ -262,6 +263,16 @@ def test_config_rejects_nonfinite_numbers(key, template, bad):
 def test_shipped_configs_resolve(path):
     cfg = resolve_config(cli.parse_config_file(path))
     assert path.stem.startswith(cfg.experiment)
+
+
+@pytest.mark.parametrize("path", sorted(BENCH_CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_benchmark_configs_resolve(path):
+    # the benchmark's configs are named after their workload item, not
+    # their experiment (sie-circle runs characteristic-sie); a library
+    # change that breaks one fails here before any benchmark run
+    cfg = resolve_config(cli.parse_config_file(path))
+    assert cfg.experiment in cli.EXPERIMENTS
 
 
 def test_config_file_rejects_nan_min_order(tmp_path, capsys):

@@ -283,7 +283,7 @@ def test_taylor_component_recovers_coefficients(circle_mesh):
     x = np.array([0.3, -0.2])
     total = np.zeros(2)
     for k, c in coeffs.items():
-        ev = taylor_component(f, k, 1.0, circle_mesh)
+        ev = taylor_component(f, k, circle_mesh)
         assert ev.degree == k
         # stored raw derivatives carry the |alpha|! normalization
         assert np.allclose(ev.coefficients[(k,)],
@@ -296,7 +296,7 @@ def test_taylor_component_recovers_coefficients(circle_mesh):
 def test_taylor_evaluator_multiplies_on_the_regularity_side(sphere_mesh,
                                                            side):
     ctx = sphere_mesh.context
-    ev = taylor_component(random_smooth(sphere_mesh, 4), 2, 1.0, sphere_mesh,
+    ev = taylor_component(random_smooth(sphere_mesh, 4), 2, sphere_mesh,
                           side=side)
     w = np.array([0.1, 0.2, -0.3])
     want = 0.0
@@ -306,13 +306,18 @@ def test_taylor_evaluator_multiplies_on_the_regularity_side(sphere_mesh,
     assert np.max(np.abs(ev(w).coeffs - want)) <= 1e-12
 
 
-def test_taylor_component_degeneracy_guards(circle_spec):
-    coarse = build_mesh(circle_spec, 0)
+def test_taylor_component_degeneracy_guards(sphere_spec):
+    # sphere2 L0: h = 0.193, so degree 5 needs 6 h > R = 1, the hull radius
+    coarse = build_mesh(sphere_spec, 0)
     f = BoundaryDensity.constant(coarse, 1.0)
+    assert 5 * coarse.h <= surface_hull_radius(coarse) < 6 * coarse.h
+    taylor_component(f, 4, coarse)
     with pytest.raises(QuadratureDegeneracyError):
-        taylor_component(f, 0, 0.05, coarse)
+        taylor_component(f, 5, coarse)
     with pytest.raises(DegreeOverflowError):
-        taylor_component(f, MAX_DEGREE + 1, 1.0, coarse)
+        taylor_component(f, MAX_DEGREE + 1, coarse)
+    with pytest.raises(TypeError):
+        taylor_component(f, 0, coarse, R=1.0)  # R is the mesh's hull radius
 
 
 def test_laurent_terms_sum_to_exterior_field(circle_spec, circle_mesh):
@@ -382,6 +387,8 @@ def test_order_at_infinity_evaluator_route(circle_spec, circle_mesh):
     assert math.isnan(rep.moment_route)
     with pytest.raises(ValueError):
         order_at_infinity(circle_mesh)
+    with pytest.raises(TypeError):
+        order_at_infinity(mesh=circle_mesh, evaluator=ev, seed=7)
 
 
 def test_dirac_apply_detects_non_monogenic():

@@ -211,6 +211,24 @@ def test_mesh_rejects_coincident_nodes(circle_spec):
         SurfaceMesh(nodes, mesh.normals, mesh.weights)
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_mesh_needs_two_nodes(count):
+    # one node has h = 0, which would call every point, however near,
+    # reliable
+    nodes = np.array([[1.0, 0.0]])[:count]
+    with pytest.raises(MeshFormatError,
+                       match=r"^nodes: a mesh needs at least 2 nodes, got %d$"
+                       % count):
+        SurfaceMesh(nodes, nodes, np.ones(count))
+
+
+def test_load_rejects_one_record(tmp_path):
+    path = tmp_path / "one.txt"
+    path.write_text("n 1 nodes 1\n1 0 1 0 1\n")
+    with pytest.raises(MeshFormatError, match=r"^nodes: .* got 1$"):
+        load_mesh(path)
+
+
 def test_domain_spec_validation():
     with pytest.raises(UnsupportedDomainError):
         DomainSpec("circle", 2, center=(0, 0, 0), radius=1.0)
