@@ -9,24 +9,28 @@ the blade-pair table that batch_product uses too.  Their order is fixed
 do not depend on the thread count.
 
 Targets that are not the nodes take row blocks of about BLOCK_PAIRS
-target-node pairs.  Node targets, each skipping its own node, build each
-kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly in float64
-(negating a difference is exact, and r^2, the power and the sign flip
-then round identically), so _node_pair_tiles yields upper-triangular
+target-node pairs.  One sweep (the row blocks of one call, the tiles of
+one node-target pass) builds every block's planes in one work buffer of
+n+3 rows, the planes and two scratch rows (_kernel_E_block), so a block
+holds until the next one is built and each sum contracts it before then;
+no block allocates planes of its own.  Node targets, each skipping its own
+node, build each kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly
+in float64 (negating a difference is exact, and r^2, the power and the
+sign then round identically), so _node_pair_tiles yields upper-triangular
 tiles (I, J >= I) of edge isqrt(BLOCK_PAIRS), each taken onto rows I and,
 for J != I, negated and transposed onto rows J.  Tile sums agree with
 row-block sums to rounding, not bitwise.  Every library sum contracts the
-planes with one density row per node, g of shape (N, 2^n), shared by
-every target (accum_left, accum_right): one BLAS gemm per plane.  The
-planes are the costly part, so a stack of K densities shares each block,
-one gemm per density, and the rows of density k are bitwise those of a
-call with that density alone.  A two-point kernel reaches the sums only
-as the two factor rows of k[j, i] = L_j R_i (bvp.ProductKernel), whose
-principal value is that of the ordinary density L, right-multiplied by
-R_i (bvp._matrix_pv_rows), and pb_rhs then needs the sampled nodes'
-kernel rows alone.  pv_matrix,
-the per-target tile sum of a held (N, N, 2^n) density matrix, is no
-library path; it stays as the separable route's parity reference.
+planes with one density row per node, g of shape (N, 2^n), shared by every
+target (accum_left, accum_right): one BLAS gemm per plane.  The planes are
+the costly part, so a stack of K densities shares each block, one gemm per
+density, and the rows of density k are bitwise those of a call with that
+density alone.  A two-point kernel reaches the sums only as the two factor
+rows of k[j, i] = L_j R_i (bvp.ProductKernel), whose principal value is
+that of the ordinary density L, right-multiplied by R_i
+(bvp._matrix_pv_rows), and pb_rhs then needs the sampled nodes' kernel
+rows alone.  pv_matrix, the per-target tile sum of a held (N, N, 2^n)
+density matrix, is no library path; it stays as the separable route's
+parity reference.
 
 Node targets on a uniform circle grid (uniform_circle) take no tiles in
 accum_left and accum_right: there C(V_1) is the complex plane
@@ -61,22 +65,36 @@ BLOCK_PAIRS = 1 << 16
 CIRCLE_GRID_TOL = 1e-12
 
 
-def _kernel_E_block(targets, nodes_T, n, skip=None):
+def _kernel_E_block(targets, nodes_T, n, skip=None, out=None):
     """E(x_j - w_i) component planes, shape (n+1, C, N); 0 at r = 0.
 
     targets holds the C target rows w_i, shape (C, n+1); nodes_T the
     transposed nodes x_j, shape (n+1, N).  skip[i] >= 0 names a node whose
     entry is zeroed for target i (the excluded node of a punctured sum).
+    out is a work buffer of shape (n+3, P), P >= C N, or None for a fresh
+    one: the planes returned are views of its first C N columns (rows
+    n+1 and n+2 are scratch), valid until out is written again.  Plane 0 is
+    formed as (x_0 - w_0) r^-(n+1) and plane k >= 1 as (w_k - x_k)
+    r^-(n+1), the conjugation sign folded into the difference: negating a
+    difference is exact, so each plane is bitwise -(x_k - w_k) r^-(n+1).
     """
-    E = nodes_T[:, None, :] - np.asarray(targets, dtype=np.float64).T[:, :, None]
-    r2 = E[0] * E[0]
+    targets = np.asarray(targets, dtype=np.float64)
+    C, N = targets.shape[0], nodes_T.shape[1]
+    if out is None:
+        out = np.empty((n + 3, C * N))
+    planes = out[:, :C * N].reshape(n + 3, C, N)
+    E, r2, tmp = planes[:n + 1], planes[n + 1], planes[n + 2]
+    np.subtract(nodes_T[0], targets[:, :1], out=E[0])
     for k in range(1, n + 1):
-        r2 += E[k] * E[k]
+        np.subtract(targets[:, k:k + 1], nodes_T[k], out=E[k])
+    np.multiply(E[0], E[0], out=r2)
+    for k in range(1, n + 1):
+        r2 += np.multiply(E[k], E[k], out=tmp)
     with np.errstate(divide="ignore"):
-        inv = r2 ** (-0.5 * (n + 1))
-    inv[r2 == 0.0] = 0.0
+        inv = np.power(r2, -0.5 * (n + 1), out=tmp)
+    if not r2.all():
+        inv[r2 == 0.0] = 0.0
     E *= inv
-    E[1:] *= -1.0
     if skip is not None:
         skip = np.asarray(skip, dtype=np.int64)
         rows = np.flatnonzero(skip >= 0)
@@ -85,14 +103,16 @@ def _kernel_E_block(targets, nodes_T, n, skip=None):
 
 
 def _row_block_terms(T, targets, nodes, G, excl, n):
-    """T[k] = E @ G[k] over row blocks of about BLOCK_PAIRS target-node pairs."""
+    """T[k] = E @ G[k] over row blocks of about BLOCK_PAIRS target-node
+    pairs, every block's planes in one work buffer."""
     nodes_T = np.ascontiguousarray(nodes.T)
-    M = targets.shape[0]
-    chunk = max(1, BLOCK_PAIRS // nodes_T.shape[1])
+    M, N = targets.shape[0], nodes_T.shape[1]
+    chunk = max(1, BLOCK_PAIRS // N)
+    work = np.empty((n + 3, min(chunk, M) * N))
     for s in range(0, M, chunk):
         e = min(s + chunk, M)
         E = _kernel_E_block(targets[s:e], nodes_T, n,
-                            None if excl is None else excl[s:e])
+                            None if excl is None else excl[s:e], work)
         for Tk, gk in zip(T, G):
             Tk[:, s:e] = E @ gk
 
@@ -102,16 +122,19 @@ def _node_pair_tiles(nodes, n):
 
     E holds E(x_j - x_i) for i in I, j in J, and -E^T the kernel of rows J
     against nodes I (see the module docstring).  Diagonal tiles skip i = j.
+    Every tile's planes share one work buffer, so a tile holds only until
+    the next one is yielded.
     """
     N = nodes.shape[0]
     nodes_T = np.ascontiguousarray(nodes.T)
     edge = max(1, math.isqrt(BLOCK_PAIRS))
+    work = np.empty((n + 3, min(edge, N) ** 2))
     for s in range(0, N, edge):
         I = slice(s, min(s + edge, N))
         for t in range(s, N, edge):
             yield I, slice(t, min(t + edge, N)), _kernel_E_block(
                 nodes[I], nodes_T[:, t:t + edge], n,
-                np.arange(I.stop - s) if t == s else None)
+                np.arange(I.stop - s) if t == s else None, work)
 
 
 def uniform_circle(nodes):

@@ -11,7 +11,8 @@ import numpy as np
 from .bvp import ProductKernel
 from .clifford_core import batch_product, paravectors_as_coeffs
 from .cauchy import BoundaryDensity, kernel_E_rows
-from .fueter import multi_indices, symmetric_power_rows
+from .fueter import (_as_alpha, _symmetric_powers, multi_indices,
+                     symmetric_power_rows)
 
 SMOOTH_DEGREE = 2
 ROUGH_EXPONENT = 1.5
@@ -74,15 +75,25 @@ def coordinate_trace(mesh, j):
     return _from_rows(mesh, rows, ("holder", 1.0, 1.0))
 
 
+def symmetric_power_traces(mesh, alphas):
+    """Traces of the symmetric powers Z^alpha, one per multi-index.
+
+    The samples come from one _symmetric_powers table, which builds each
+    lower power once for all of alphas; every Z^beta is the same recurrence
+    whatever else the table holds, so each trace is bitwise the one of its
+    alpha alone.  Each evaluator is symmetric_power_rows of its alpha.
+    """
+    ctx = mesh.context
+    alphas = [_as_alpha(alpha, ctx.n) for alpha in alphas]
+    table = _symmetric_powers(ctx, alphas, mesh.nodes)
+    return [BoundaryDensity(mesh, table[alpha], evaluator=_rowwise(
+                lambda pts, a=alpha: symmetric_power_rows(ctx, a, pts)))
+            for alpha in alphas]
+
+
 def symmetric_power_trace(mesh, alpha):
     """Trace of the symmetric power Z^alpha."""
-    ctx = mesh.context
-    alpha = tuple(int(a) for a in alpha)
-
-    def rows(pts):
-        return symmetric_power_rows(ctx, alpha, pts)
-
-    return _from_rows(mesh, rows)
+    return symmetric_power_traces(mesh, [alpha])[0]
 
 
 def _kernel_coeff_rows(ctx, pts, pole):
@@ -146,32 +157,51 @@ def _monomials(n_coords, degree):
     return [e for k in range(degree + 1) for e in multi_indices(n_coords, k)]
 
 
+def _smooth_rows(spec, exps, coeffs, pts):
+    """Rows of the polynomials sum_e (x - c)^e / R^|e| coeffs[k, e] at the
+    (M, n+1) points, (K, M, 2^n) for the (K, len(exps), 2^n) coeffs.
+
+    The monomial table is formed once and each polynomial sums it in the
+    order of exps, so polynomial k is bitwise that of coeffs[k] alone.
+    """
+    xh = (pts - spec.center_array) / spec.radius
+    # xh ** d by pow, as the monomials were always formed: an exponent
+    # array keeps numpy from squaring, and x * x need not round as
+    # pow(x, 2) does; pow(x, 0) = 1 and pow(x, 1) = x exactly
+    powers = [np.ones_like(xh), xh] + [xh ** np.full(xh.shape[1], d)
+                                       for d in range(2, SMOOTH_DEGREE + 1)]
+    out = np.zeros((len(coeffs), pts.shape[0], coeffs.shape[-1]))
+    for e, c in zip(exps, coeffs.swapaxes(0, 1)):
+        mono = powers[e[0]][:, 0]
+        for col, d in enumerate(e[1:], 1):
+            mono = mono * powers[d][:, col]
+        out += mono[None, :, None] * c[:, None, :]
+    return out
+
+
+def random_smooths(mesh, seeds):
+    """random_smooth(mesh, seed) for each of seeds, from one monomial table.
+
+    Each seed draws its own coefficients; the monomials at the nodes are
+    formed once for all of them (_smooth_rows), so density k is bitwise
+    random_smooth(mesh, seeds[k]).  Each evaluator is _smooth_rows with
+    its own coefficients.
+    """
+    spec = _require_spec(mesh)
+    exps = _monomials(mesh.n + 1, SMOOTH_DEGREE)
+    coeffs = np.stack([np.random.default_rng(seed).uniform(
+        -1.0, 1.0, size=(len(exps), mesh.context.dim)) for seed in seeds])
+    coeffs /= len(exps)
+    samples = _smooth_rows(spec, exps, coeffs, mesh.nodes)
+    return [BoundaryDensity(mesh, rows, evaluator=_rowwise(
+                lambda pts, c=coeffs[k:k + 1]:
+                _smooth_rows(spec, exps, c, pts)[0]))
+            for k, rows in enumerate(samples)]
+
+
 def random_smooth(mesh, seed):
     """Seeded multivector polynomial of degree SMOOTH_DEGREE in (x - c)/R."""
-    spec = _require_spec(mesh)
-    ctx = mesh.context
-    rng = np.random.default_rng(seed)
-    exps = _monomials(mesh.n + 1, SMOOTH_DEGREE)
-    coeffs = rng.uniform(-1.0, 1.0, size=(len(exps), ctx.dim))
-    coeffs /= len(exps)
-    c0, R = spec.center_array, spec.radius
-
-    def rows(pts):
-        xh = (pts - c0) / R
-        # xh ** d by pow, as the monomials were always formed: an exponent
-        # array keeps numpy from squaring, and x * x need not round as
-        # pow(x, 2) does
-        powers = [xh ** np.full(xh.shape[1], d)
-                  for d in range(SMOOTH_DEGREE + 1)]
-        out = np.zeros((pts.shape[0], ctx.dim))
-        for e, c in zip(exps, coeffs):
-            mono = powers[e[0]][:, 0]
-            for col, d in enumerate(e[1:], 1):
-                mono = mono * powers[d][:, col]
-            out += mono[:, None] * c[None, :]
-        return out
-
-    return _from_rows(mesh, rows)
+    return random_smooths(mesh, [seed])[0]
 
 
 def rough_holder(mesh, seed, exponent=ROUGH_EXPONENT):
@@ -211,11 +241,14 @@ def polynomial_trace(mesh, coeffs):
     if len(coeffs) > len(alphas):
         raise ValueError("coefficient list longer than the multi-index table")
 
+    terms = [(c, alpha) for c, alpha in zip(coeffs, alphas) if c != 0.0]
+
     def rows(pts):
-        out = np.zeros((np.atleast_2d(pts).shape[0], ctx.dim))
-        for c, alpha in zip(coeffs, alphas):
-            if c != 0.0:
-                out += c * symmetric_power_rows(ctx, alpha, pts)
+        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
+        table = _symmetric_powers(ctx, [alpha for _, alpha in terms], pts)
+        out = np.zeros((pts.shape[0], ctx.dim))
+        for c, alpha in terms:
+            out += c * table[alpha]
         return out
 
     return _from_rows(mesh, rows)
@@ -267,20 +300,6 @@ def _trig_rows(spec, coeffs, weight):
     return rows
 
 
-def _right_combo(mesh, parts, coeffs):
-    # sum of rows right-multiplied by constant multivector coefficients
-    ctx = mesh.context
-
-    def rows(pts):
-        out = np.zeros((pts.shape[0], ctx.dim))
-        for part, c in zip(parts, coeffs):
-            block = part(pts)
-            out += batch_product(ctx, block, c)
-        return out
-
-    return rows
-
-
 def holomorphic_combo(mesh, seed):
     """Seeded right-module combination of Z^alpha, |alpha| <= 2, and the
     kernel of one exterior pole, 1.6 to 2.4 radii from the centre.
@@ -291,13 +310,23 @@ def holomorphic_combo(mesh, seed):
     spec = _require_spec(mesh)
     ctx = mesh.context
     rng = np.random.default_rng(seed)
-    parts = [lambda pts, a=alpha: symmetric_power_rows(ctx, a, pts)
-             for alpha in _monomials(mesh.n, 2)]
+    alphas = _monomials(mesh.n, 2)
     pole = spec.center_array + \
         rng.uniform(1.6, 2.4) * spec.radius * _unit_direction(rng, spec.n + 1)
-    parts.append(lambda pts: _kernel_coeff_rows(ctx, pts, pole))
-    coeffs = rng.uniform(-1.0, 1.0, size=(len(parts), ctx.dim)) / len(parts)
-    rows = _right_combo(mesh, parts, coeffs)
+    coeffs = rng.uniform(-1.0, 1.0, size=(len(alphas) + 1, ctx.dim)) \
+        / (len(alphas) + 1)
+
+    def rows(pts):
+        # the Z^alpha from one power table, then the pole's kernel, each
+        # right-multiplied by its coefficient
+        table = _symmetric_powers(ctx, alphas, pts)
+        parts = [table[alpha] for alpha in alphas]
+        parts.append(_kernel_coeff_rows(ctx, pts, pole))
+        out = np.zeros((pts.shape[0], ctx.dim))
+        for part, c in zip(parts, coeffs):
+            out += batch_product(ctx, part, c)
+        return out
+
     return _from_rows(mesh, rows)
 
 
@@ -307,7 +336,7 @@ def holomorphic_combo(mesh, seed):
 def plemelj_corpus(mesh, seed=11):
     """Ten seeded Holder densities for two-sided boundary-limit experiments."""
     spec = _require_spec(mesh)
-    out = [random_smooth(mesh, seed + k) for k in range(4)]
+    out = random_smooths(mesh, range(seed, seed + 4))
     out.append(kernel_trace(mesh, interior_pole(spec, seed=seed + 4, frac=0.4)))
     out.append(kernel_trace(mesh, exterior_pole(spec, seed=seed + 5, frac=2.1)))
     out.append(symmetric_power_trace(mesh, next(iter(multi_indices(mesh.n, 1)))))
@@ -321,7 +350,7 @@ def inversion_corpus(mesh, seed=13):
     """Densities for involution experiments; rough members keep the
     refinement error measurable above the rounding floor."""
     spec = _require_spec(mesh)
-    out = [random_smooth(mesh, seed + k) for k in range(4)]
+    out = random_smooths(mesh, range(seed, seed + 4))
     out.append(constant_density(mesh))
     out.append(coordinate_trace(mesh, 0))
     out.append(symmetric_power_trace(mesh, next(iter(multi_indices(mesh.n, 2)))))
@@ -334,7 +363,7 @@ def inversion_corpus(mesh, seed=13):
 def sie_corpus(mesh, seed=17):
     """Right-hand sides for the characteristic singular equation."""
     spec = _require_spec(mesh)
-    out = [random_smooth(mesh, seed + k) for k in range(3)]
+    out = random_smooths(mesh, range(seed, seed + 3))
     out.append(constant_density(mesh, 1.0))
     out.append(kernel_trace(mesh, exterior_pole(spec, seed=seed + 3)))
     out.append(symmetric_power_trace(mesh, next(iter(multi_indices(mesh.n, 1)))))
@@ -391,9 +420,10 @@ def product_kernel(mesh, seed=23):
     the (N, 2^n) factor rows f(x_j) and 1 + 0.2 g(t_i), and each caller
     forms the products it reads or sums the factors apart.
     """
-    tail = 0.2 * random_smooth(mesh, seed + 1).samples
+    f, g = random_smooths(mesh, [seed, seed + 1])
+    tail = 0.2 * g.samples
     tail[:, 0] += 1.0
-    return ProductKernel(mesh, random_smooth(mesh, seed).samples, tail)
+    return ProductKernel(mesh, f.samples, tail)
 
 
 # the names make_density recognizes, with their arguments, as `list` shows them

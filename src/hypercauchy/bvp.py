@@ -21,9 +21,9 @@ import numpy as np
 
 from . import _accel
 from .clifford_core import (Multivector, SingularInputError, as_coeffs,
-                            batch_product, paravectors_as_coeffs, sided_sum)
+                            batch_product, sided_sum)
 from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
-                     cauchy_integral, kernel_E_rows, principal_value_nodes,
+                     cauchy_integral, principal_value_nodes,
                      symmetric_difference_limit, symmetric_difference_steps,
                      unit_sphere_area, _density_samples, _integral_rows,
                      _scale, _self_sums, _shifted_sums,
@@ -671,19 +671,34 @@ class PoincareBertrandReport:
     separable_error: float
 
 
-def _pair_orthogonality(mesh, it, jt):
-    """Regularized PV_x of E(tau_j - x) at node t_i, both nodes dropped."""
+def _pair_orthogonality(mesh, its, jts):
+    """Regularized PV_x of E(tau - x) at node t, both nodes dropped.
+
+    One probe per pair of node indices t = x_its[p], tau = x_jts[p],
+    its[p] != jts[p]: sum_{l not in {its[p], jts[p]}} E(x_l - t) nu_l w_l
+    (d_p(x_l) - d_p(t)) + (V_n/2) d_p(t), d_p(x) = E(tau - x).  All probes
+    take one kernel block of their t and tau rows, one batched product and
+    one stacked sided_sum; every step is row-wise, so probe p is bitwise a
+    call with that probe alone.  Returns (P, 2^n) for index arrays and
+    (2^n,) for two ints.
+    """
     ctx = mesh.context
     nodes = mesh.nodes
-    t = nodes[it]
-    tau = nodes[jt]
-    # density rows d(x_l) = E(tau - x_l) = -E(x_l - tau)
-    dens = paravectors_as_coeffs(ctx, -kernel_E_rows(nodes, tau))
-    A = batch_product(ctx, kernel_E_rows(nodes, t), mesh.measure_coeffs())
-    diff = dens - dens[it][None, :]
-    diff[[it, jt]] = 0.0
+    p = np.arange(np.size(its))
+    it = np.atleast_1d(its)
+    jt = np.atleast_1d(jts)
+    E = _accel._kernel_E_block(nodes[np.concatenate([it, jt])], nodes.T,
+                               mesh.n).transpose(1, 2, 0)
+    # density rows d_p(x_l) = E(tau_p - x_l) = -E(x_l - tau_p)
+    dens = np.zeros((p.size, mesh.node_count, ctx.dim))
+    dens[..., ctx.paravector_blades] = -E[p.size:]
+    A = batch_product(ctx, E[:p.size], mesh.measure_coeffs())
+    diff = dens - dens[p, it][:, None, :]
+    diff[p, it] = 0.0
+    diff[p, jt] = 0.0
     vol = unit_sphere_area(mesh.n)
-    return sided_sum(ctx, "left", A, diff) + 0.5 * vol * dens[it]
+    rows = sided_sum(ctx, "left", A, diff) + 0.5 * vol * dens[p, it]
+    return rows if np.ndim(its) else rows[0]
 
 
 def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
@@ -734,13 +749,11 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
         disc = lhs - rhs
         sep_err = math.nan
 
-    orth = 0.0
-    for it in idx[: min(4, idx.size)]:
-        jt = int((it + N // 3) % N)
-        if jt == it:
-            continue
-        orth = max(orth, float(np.linalg.norm(
-            _pair_orthogonality(mesh, int(it), jt))))
+    its = idx[: min(4, idx.size)]
+    jts = (its + N // 3) % N
+    probe = jts != its
+    orth = max([0.0] + [float(np.linalg.norm(row)) for row in
+                        _pair_orthogonality(mesh, its[probe], jts[probe])])
     return PoincareBertrandReport(idx, lhs, np.asarray(rhs), disc,
                                   float(np.linalg.norm(disc, axis=1).max()),
                                   orth, sep_err)

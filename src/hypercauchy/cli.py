@@ -315,14 +315,13 @@ def _run_reproduction(cfg, mesh):
     interior = spec.center_array + 0.55 * spec.radius * dirs
     points = np.concatenate([interior,
                              spec.center_array + 1.8 * spec.radius * dirs[:1]])
-    densities = _densities(cfg, mesh, lambda: [
-        _corpus.symmetric_power_trace(mesh, a)
-        for k in range(4) for a in multi_indices(mesh.n, k)])
+    densities = _densities(cfg, mesh, lambda: _corpus.symmetric_power_traces(
+        mesh, [a for k in range(4) for a in multi_indices(mesh.n, k)]))
     errs = []
-    for dens in densities:
-        rows = _integral_rows(mesh, dens, points, "left")
-        for got, w in zip(rows, interior):
-            want = np.asarray(dens.evaluator(w))
+    # one kernel pass for every density, one evaluator call per density
+    for dens, rows in zip(densities,
+                          _integral_rows(mesh, densities, points, "left")):
+        for got, want in zip(rows, np.asarray(dens.evaluator(interior))):
             errs.append(np.abs(got - want).max()
                         / max(1.0, float(np.abs(want).max())))
         errs.extend(np.abs(rows[len(interior):]).max(axis=1))

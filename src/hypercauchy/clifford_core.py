@@ -318,10 +318,11 @@ def project_paravector(X) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _column_pairs(n: int, left_width: int, right_width: int) -> tuple:
-    """Per left column i: (i, ((j, blade of e_i e_j, sign), ...)).
+    """Per left column i: (i, ((j, blade of e_i e_j, plus), ...)).
 
-    Columns of a dense row are the 2^n blades in bitmask order; columns
-    of a compact row are the paravector blades 1, e_1, ..., e_n.
+    plus is True where the sign of e_i e_j is +1.  Columns of a dense row
+    are the 2^n blades in bitmask order; columns of a compact row are the
+    paravector blades 1, e_1, ..., e_n.
     """
     ctx = get_context(n)
     blades = []
@@ -334,7 +335,7 @@ def _column_pairs(n: int, left_width: int, right_width: int) -> tuple:
             raise ValueError(f"rows of width {width} are neither {ctx.dim} "
                              f"coefficients nor {n + 1} paravector components")
     return tuple(
-        (i, tuple((j, a ^ b, float(ctx.sign_table[a, b]))
+        (i, tuple((j, a ^ b, bool(ctx.sign_table[a, b] > 0))
                   for j, b in enumerate(blades[1])))
         for i, a in enumerate(blades[0]))
 
@@ -348,11 +349,14 @@ def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
     operand may use either layout; for n = 1 the two layouts are the same
     array.  Leading axes broadcast, and the result has shape
     ``broadcast(leading axes) + (2^n,)``.  One loop over the blade-pair
-    table _column_pairs adds sign * A[..., i] * B[..., j] onto the blade
-    of the two columns' product, left columns outer and all-zero left
-    columns skipped, so the result does not depend on the layouts chosen.
-    A sum of products over rows is sided_sum, not
-    batch_product(...).sum(): it takes one matmul.
+    table _column_pairs adds A[..., i] * B[..., j] onto the blade of the
+    two columns' product, or subtracts it where their sign is -1, left
+    columns outer and all-zero left columns skipped, so the result does
+    not depend on the layouts chosen.  Subtracting is bitwise adding the
+    product times -1 (negation is exact, and a - b is a + (-b) in IEEE
+    arithmetic, signed zeros included), without the multiply.  A sum of
+    products over rows is sided_sum, not batch_product(...).sum(): it
+    takes one matmul.
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -364,8 +368,11 @@ def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
         col = A[..., i]
         if not col.any():
             continue
-        for j, blade, sign in terms:
-            out[..., blade] += sign * col * B[..., j]
+        for j, blade, plus in terms:
+            if plus:
+                out[..., blade] += col * B[..., j]
+            else:
+                out[..., blade] -= col * B[..., j]
     return out
 
 
@@ -375,12 +382,17 @@ def scatter_pairs(ctx: AlgebraContext, T: np.ndarray) -> np.ndarray:
     T's first axis runs over the left factor's columns and its last axis
     over the right factor's, each dense (2^n) or paravector (n+1) as in
     batch_product; the result has shape T.shape[1:-1] + (2^n,).  Terms
-    are added in the order of _column_pairs, left column outer.
+    are added, or subtracted where the sign is -1 (bitwise adding them
+    times the sign, as in batch_product), in the order of _column_pairs,
+    left column outer.
     """
     out = np.zeros(T.shape[1:-1] + (ctx.dim,))
     for i, terms in _column_pairs(ctx.n, T.shape[0], T.shape[-1]):
-        for j, blade, sign in terms:
-            out[..., blade] += sign * T[i, ..., j]
+        for j, blade, plus in terms:
+            if plus:
+                out[..., blade] += T[i, ..., j]
+            else:
+                out[..., blade] -= T[i, ..., j]
     return out
 
 

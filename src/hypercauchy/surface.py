@@ -109,14 +109,16 @@ class SurfaceMesh:
         neighbour lists, each row led by its node (the 12 nearest nodes,
         nearest first, on the Fibonacci lattice; the 3x3x3 grid block on
         3-spheres), read by neighbour_lists.  The rest is filled on first
-        use: the tangential-derivative stencil of cauchy.gradient_stencil,
-        only once it is built for every node (a fit of some nodes alone is
-        not kept), the read-only full-mesh self-sums S2 of
-        cauchy.principal_value_nodes, one per side, on 3-spheres the
-        singular-cell coefficients of cauchy._grid_cell_coefficients, one
-        per side, and the refined mesh (refine(mesh), with its own cache)
-        on which the solvability thresholds resample evaluator-backed
-        densities.  Every other new mesh starts with an empty one.
+        use: on a mesh without builder lists, the k-d tree's lists under
+        ("neighbours", k), read-only; the tangential-derivative stencil of
+        cauchy.gradient_stencil, only once it is built for every node (a
+        fit of some nodes alone is not kept), the read-only full-mesh
+        self-sums S2 of cauchy.principal_value_nodes, one per side, on
+        3-spheres the singular-cell coefficients of
+        cauchy._grid_cell_coefficients, one per side, and the refined mesh
+        (refine(mesh), with its own cache) on which the solvability
+        thresholds resample evaluator-backed densities.  Every other new
+        mesh starts with an empty one.
     """
 
     nodes: np.ndarray
@@ -185,10 +187,15 @@ def _first_nonfinite_row(values):
 
 
 def _coincident_rows(nodes):
-    """(i, j), i < j, for the first repeated row j and its first copy i."""
-    _, first = np.unique(nodes, axis=0, return_index=True)
-    if first.size == nodes.shape[0]:
+    """(i, j), i < j, for the first repeated row j and its first copy i.
+
+    One lexicographic sort decides: equal rows sort next to each other.
+    Only a mesh that has a repeat takes np.unique, to name the pair.
+    """
+    ordered = nodes[np.lexsort(nodes.T)]
+    if not (ordered[1:] == ordered[:-1]).all(axis=1).any():
         return None
+    _, first = np.unique(nodes, axis=0, return_index=True)
     j = int(np.setdiff1d(np.arange(nodes.shape[0]), first)[0])
     i = int(np.flatnonzero((nodes == nodes[j]).all(axis=1))[0])
     return i, j
@@ -219,10 +226,18 @@ def neighbour_lists(mesh, k):
     The builder's lists when build_mesh made the mesh (mesh.cache), else
     the k nearest nodes from a k-d tree: loaded, hand-made and
     dataclasses.replace meshes have no builder, so their lists are
-    searched, never derived.
+    searched, never derived.  A searched mesh keeps its lists in its
+    cache, read-only, under ("neighbours", k).
     """
     nb = mesh.cache.get("neighbours")
-    return _tree_neighbours(mesh.nodes, k) if nb is None else nb
+    if nb is not None:
+        return nb
+    key = ("neighbours", k)
+    if key not in mesh.cache:
+        nb = _tree_neighbours(mesh.nodes, k)
+        nb.flags.writeable = False
+        mesh.cache[key] = nb
+    return mesh.cache[key]
 
 
 def _mesh_h(nodes, nb=None):

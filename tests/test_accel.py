@@ -120,9 +120,9 @@ def _count_kernel_pairs(monkeypatch):
     built = []
     original = _accel._kernel_E_block
 
-    def counted(targets, nodes_T, n, skip=None):
+    def counted(targets, nodes_T, n, skip=None, out=None):
         built.append(len(targets) * nodes_T.shape[1])
-        return original(targets, nodes_T, n, skip)
+        return original(targets, nodes_T, n, skip, out)
 
     monkeypatch.setattr(_accel, "_kernel_E_block", counted)
     return built
@@ -565,3 +565,117 @@ def test_sided_helpers_reject_unknown_side(helper):
     for side in ("up", "Right", None):
         with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
             helper(ctx, side, rows, rows)
+
+
+# -- kernel planes in one work buffer ----------------------------------------------
+
+
+def _planes_as_formed_before(targets, nodes_T, n, skip=None):
+    # the plain expression: x - w on every plane, then the conjugation sign
+    E = nodes_T[:, None, :] - np.asarray(targets, dtype=np.float64).T[:, :, None]
+    r2 = E[0] * E[0]
+    for k in range(1, n + 1):
+        r2 += E[k] * E[k]
+    with np.errstate(divide="ignore"):
+        inv = r2 ** (-0.5 * (n + 1))
+    inv[r2 == 0.0] = 0.0
+    E *= inv
+    E[1:] *= -1.0
+    if skip is not None:
+        rows = np.flatnonzero(skip >= 0)
+        E[:, rows, skip[rows]] = 0.0
+    return E
+
+
+def _assert_same_bits(got, want):
+    # bit for bit, except the sign of a zero at r = 0: there the plain
+    # expression gives -0 on planes k >= 1, and either zero adds nothing
+    same = got.view(np.int64) == want.view(np.int64)
+    assert np.all(same | ((got == 0.0) & (want == 0.0)))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_planes_match_the_plain_expression(n):
+    rng = np.random.default_rng(n)
+    nodes = rng.normal(size=(53, n + 1))
+    targets = np.concatenate([rng.normal(size=(9, n + 1)), nodes[[4, 20]]])
+    nodes_T = np.ascontiguousarray(nodes.T)
+    skip = np.full(len(targets), -1)
+    skip[[1, 9]] = [7, 4]            # row 9 sits on node 4, which it skips
+    work = np.full((n + 3, 4000), np.nan)
+    for sk in (None, skip):
+        want = _planes_as_formed_before(targets, nodes_T, n, sk)
+        fresh = _accel._kernel_E_block(targets, nodes_T, n, sk)
+        _assert_same_bits(fresh, want)
+        _assert_same_bits(_accel._kernel_E_block(targets, nodes_T, n, sk,
+                                                 work), want)
+        # a partial block: fewer targets and a column slice of the nodes
+        part = _accel._kernel_E_block(targets[:5], nodes_T[:, 40:], n,
+                                      None if sk is None else sk[:5], work)
+        assert np.shares_memory(part, work)
+        _assert_same_bits(part, _planes_as_formed_before(
+            targets[:5], nodes_T[:, 40:], n, None if sk is None else sk[:5]))
+    # row 10 sits on node 20 and does not skip it: a zero entry, not inf
+    assert np.all(fresh[:, 10, 20] == 0.0)
+
+
+@pytest.mark.parametrize("exponent", [-1.0, -1.5, -2.0])
+def test_power_into_a_buffer_rounds_as_the_operator(exponent):
+    # the planes take np.power(r2, e, out=...) where r2 ** e was written
+    rng = np.random.default_rng(7)
+    r2 = np.concatenate([rng.uniform(0.0, 1.0, 5000),
+                         rng.uniform(0.0, 1e-6, 5000),
+                         rng.uniform(1.0, 1e4, 5000)]).reshape(3, 5000)
+    out = np.empty((5, r2.size))
+    got = np.power(r2, exponent, out=out[2].reshape(r2.shape))
+    assert np.array_equal(got.view(np.int64), (r2 ** exponent).view(np.int64))
+
+
+@pytest.mark.parametrize("N", [300, 600])
+def test_node_pair_tiles_share_one_buffer(N):
+    nodes = np.random.default_rng(N).normal(size=(N, 3))
+    tiles = []
+    for I, J, E in _accel._node_pair_tiles(nodes, 2):
+        tiles.append((I, J, E))
+        # each tile is the plain expression while it is the latest
+        skip = np.arange(I.stop - I.start) if I == J else None
+        _assert_same_bits(E, _planes_as_formed_before(
+            nodes[I], np.ascontiguousarray(nodes[J].T), 2, skip))
+    edges = -(-N // 256)
+    assert len(tiles) == edges * (edges + 1) // 2
+    for (_, _, a), (_, _, b) in zip(tiles, tiles[1:]):
+        assert np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("node_targets", [False, True])
+def test_sums_with_a_work_buffer_match_fresh_planes(node_targets, monkeypatch):
+    # 600 off-node targets take six row blocks, 600 node targets six
+    # tiles; each sweep builds all its blocks in one buffer, and its sums
+    # are bitwise those of fresh planes per block
+    ctx = get_context(2)
+    rng = np.random.default_rng(1)
+    nodes = rng.normal(size=(600, 3))
+    G = rng.normal(size=(2, 600, ctx.dim))
+    targets, excl = ((nodes, np.arange(600)) if node_targets
+                     else (3.0 + nodes[::-1], None))
+    blocks = []
+    original = _accel._kernel_E_block
+
+    def kept(targets, nodes_T, n, skip=None, out=None):
+        blocks.append(original(targets, nodes_T, n, skip, out))
+        return blocks[-1]
+
+    def fresh(targets, nodes_T, n, skip=None, out=None):
+        return original(targets, nodes_T, n, skip)
+
+    monkeypatch.setattr(_accel, "_kernel_E_block", kept)
+    got = [_accel.accum_left(ctx, targets, nodes, G, excl),
+           _accel.accum_right(ctx, targets, nodes, G, excl)]
+    assert len(blocks) == 12
+    assert all(np.shares_memory(blocks[0], b) for b in blocks[1:6])
+    monkeypatch.setattr(_accel, "_kernel_E_block", fresh)
+    want = [_accel.accum_left(ctx, targets, nodes, G, excl),
+            _accel.accum_right(ctx, targets, nodes, G, excl)]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -39,7 +39,7 @@ from hypercauchy.cauchy import (
 from hypercauchy.clifford_core import (Multivector, Paravector,
                                       SingularInputError, batch_product,
                                       get_context, paravectors_as_coeffs,
-                                      product)
+                                      product, sided_sum)
 from hypercauchy.fueter import (DegreeOverflowError, boundary_moment,
                                 multi_indices, order_at_infinity,
                                 symmetric_power)
@@ -834,6 +834,58 @@ def test_pair_orthogonality_matches_pair_loop(spec):
     abs_sum += np.abs(half).sum()
     tol = 4.0 * (N * ctx.dim + 32) * 2.0 ** -53 * abs_sum
     assert np.max(np.abs(_pair_orthogonality(mesh, it, jt) - want)) <= tol
+
+
+def _orthogonality_per_probe(mesh, it, jt):
+    # one probe with its own kernel rows, as the probes were taken one by one
+    ctx = mesh.context
+    nodes = mesh.nodes
+    dens = paravectors_as_coeffs(ctx, -kernel_E_rows(nodes, nodes[jt]))
+    A = batch_product(ctx, kernel_E_rows(nodes, nodes[it]),
+                      mesh.measure_coeffs())
+    diff = dens - dens[it][None, :]
+    diff[[it, jt]] = 0.0
+    return sided_sum(ctx, "left", A, diff) + \
+        0.5 * unit_sphere_area(mesh.n) * dens[it]
+
+
+@pytest.mark.parametrize("spec", [
+    DomainSpec("circle", 1, center=(0.2, -0.1), radius=1.3),
+    DomainSpec("sphere", 2),
+    DomainSpec("sphere", 3),
+], ids=["circle", "sphere2", "sphere3"])
+def test_stacked_orthogonality_is_per_probe(spec):
+    mesh = build_mesh(spec, 0)
+    N = mesh.node_count
+    its = np.array([0, 5, N // 2, N - 1])
+    jts = (its + N // 3) % N
+    got = _pair_orthogonality(mesh, its, jts)
+    assert got.shape == (4, mesh.context.dim)
+    for row, it, jt in zip(got, its, jts):
+        one = _pair_orthogonality(mesh, int(it), int(jt))
+        assert np.array_equal(row.view(np.int64), one.view(np.int64))
+        want = _orthogonality_per_probe(mesh, int(it), int(jt))
+        assert np.array_equal(row.view(np.int64), want.view(np.int64))
+
+
+def test_discrepancy_takes_one_orthogonality_call(circle_spec, monkeypatch):
+    mesh = build_mesh(circle_spec, 2)
+    calls = []
+    original = bvp._pair_orthogonality
+
+    def counted(mesh, its, jts):
+        calls.append(len(its))
+        return original(mesh, its, jts)
+
+    monkeypatch.setattr(bvp, "_pair_orthogonality", counted)
+    rep = poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh),
+                                        sample_nodes=6, seed=2)
+    assert calls == [4]
+    N = mesh.node_count
+    its = rep.sample_indices[:4]
+    want = max(float(np.linalg.norm(_orthogonality_per_probe(
+        mesh, int(it), int((it + N // 3) % N)))) for it in its)
+    assert rep.orthogonality_max == want
 
 
 def test_product_kernel_makes_one_pv_rows_and_one_pb_rhs_call(circle_spec,

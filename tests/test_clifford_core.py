@@ -25,6 +25,7 @@ from hypercauchy.clifford_core import (
     paravectors_as_coeffs,
     product,
     project_paravector,
+    scatter_pairs,
 )
 
 REL_TOL = 1e-12
@@ -329,3 +330,55 @@ def test_as_coeffs_rejects_other_values():
                          ("abc", "()")]:
         with pytest.raises(ValueError, match=re.escape("shape " + shape)):
             as_coeffs(ctx, value)
+
+
+# -- product loops without sign multiplies ----------------------------------------
+
+
+def _blades(ctx, width):
+    return list(range(ctx.dim)) if width == ctx.dim else \
+        ctx.paravector_blades.tolist()
+
+
+def _signed_product(ctx, A, B):
+    # the table loop as a multiply by the sign: sign * A_i * B_j onto a b
+    out = np.zeros(np.broadcast_shapes(A.shape[:-1], B.shape[:-1])
+                   + (ctx.dim,))
+    for i, a in enumerate(_blades(ctx, A.shape[-1])):
+        if not A[..., i].any():
+            continue
+        for j, b in enumerate(_blades(ctx, B.shape[-1])):
+            out[..., a ^ b] += float(ctx.sign_table[a, b]) * A[..., i] * B[..., j]
+    return out
+
+
+def _signed_scatter(ctx, T):
+    out = np.zeros(T.shape[1:-1] + (ctx.dim,))
+    for i, a in enumerate(_blades(ctx, T.shape[0])):
+        for j, b in enumerate(_blades(ctx, T.shape[-1])):
+            out[..., a ^ b] += float(ctx.sign_table[a, b]) * T[i, ..., j]
+    return out
+
+
+def _with_zeros(rng, shape):
+    # normal entries with +0 and -0 mixed in, and one all-zero column
+    X = rng.normal(size=shape)
+    X[rng.random(shape) < 0.2] = 0.0
+    X[rng.random(shape) < 0.2] = -0.0
+    X[..., 0] = 0.0
+    return X
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_product_loops_add_or_subtract_as_sign_multiplies(n):
+    ctx = get_context(n)
+    rng = np.random.default_rng(n)
+    for wa, wb in ((ctx.dim, ctx.dim), (n + 1, n + 1), (ctx.dim, n + 1)):
+        A = _with_zeros(rng, (40, wa))
+        B = _with_zeros(rng, (40, wb))
+        got = batch_product(ctx, A, B)
+        assert np.array_equal(got.view(np.int64),
+                              _signed_product(ctx, A, B).view(np.int64))
+        T = _with_zeros(rng, (wa, 7, wb))
+        assert np.array_equal(scatter_pairs(ctx, T).view(np.int64),
+                              _signed_scatter(ctx, T).view(np.int64))

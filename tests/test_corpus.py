@@ -6,12 +6,16 @@ import pytest
 from hypercauchy.surface import DomainSpec, build_mesh, refine
 from hypercauchy.cauchy import BoundaryDensity
 from hypercauchy.clifford_core import batch_product
+from hypercauchy.fueter import multi_indices, symmetric_power_rows
 from hypercauchy._corpus import (
     DENSITY_FAMILIES,
     SMOOTH_DEGREE,
+    _kernel_coeff_rows,
     _monomials,
+    _unit_direction,
     dirichlet_corpus,
     exterior_pole,
+    holomorphic_combo,
     interior_pole,
     inversion_corpus,
     kernel_combo,
@@ -21,9 +25,11 @@ from hypercauchy._corpus import (
     polynomial_trace,
     product_kernel,
     random_smooth,
+    random_smooths,
     rough_holder,
     sie_corpus,
     symmetric_power_trace,
+    symmetric_power_traces,
     trig_polynomial,
     trig_polynomial_pv,
 )
@@ -188,3 +194,91 @@ def test_random_smooth_matches_the_monomial_formula(spec):
     for e, c in zip(exps, coeffs):
         want += np.prod(xh ** np.asarray(e), axis=1)[:, None] * c[None, :]
     assert dens.samples.tobytes() == want.tobytes()
+
+
+# -- one monomial table per corpus -------------------------------------------------
+
+TABLE_SPECS = [DomainSpec("circle", 1, center=(0.3, -0.2), radius=1.7),
+               DomainSpec("sphere", 2, center=(0.1, 0.0, -0.4), radius=0.8),
+               DomainSpec("sphere", 3)]
+
+
+def _smooth_as_formed_before(mesh, seed, pts):
+    # one polynomial from its own table, every power by pow
+    spec, dim = mesh.spec, mesh.context.dim
+    rng = np.random.default_rng(seed)
+    exps = _monomials(mesh.n + 1, SMOOTH_DEGREE)
+    coeffs = rng.uniform(-1.0, 1.0, size=(len(exps), dim)) / len(exps)
+    xh = (pts - spec.center_array) / spec.radius
+    powers = [xh ** np.full(xh.shape[1], d) for d in range(SMOOTH_DEGREE + 1)]
+    out = np.zeros((pts.shape[0], dim))
+    for e, c in zip(exps, coeffs):
+        mono = powers[e[0]][:, 0]
+        for col, d in enumerate(e[1:], 1):
+            mono = mono * powers[d][:, col]
+        out += mono[:, None] * c[None, :]
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=["circle", "sphere2",
+                                                   "sphere3"])
+def test_random_smooths_are_one_call_per_seed(spec):
+    mesh = build_mesh(spec, 0)
+    seeds = [3, 11, 12, 40]
+    pts = spec.center_array + 1.3 * spec.radius * np.random.default_rng(
+        5).normal(size=(6, mesh.n + 1))
+    for dens, seed in zip(random_smooths(mesh, seeds), seeds):
+        one = random_smooth(mesh, seed)
+        assert np.array_equal(_bits(dens.samples), _bits(one.samples))
+        assert np.array_equal(_bits(dens.samples),
+                              _bits(_smooth_as_formed_before(mesh, seed,
+                                                             mesh.nodes)))
+        rows = dens.evaluator(pts)
+        assert np.array_equal(_bits(rows), _bits(one.evaluator(pts)))
+        assert np.array_equal(_bits(rows),
+                              _bits(_smooth_as_formed_before(mesh, seed, pts)))
+        assert np.array_equal(_bits(dens.evaluator(pts[2])), _bits(rows[2]))
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS[1:], ids=["sphere2", "sphere3"])
+def test_power_table_traces_match_one_power_each(spec):
+    mesh = build_mesh(spec, 0)
+    ctx = mesh.context
+    alphas = [a for k in range(4) for a in multi_indices(mesh.n, k)]
+    for alpha, dens in zip(alphas, symmetric_power_traces(mesh, alphas)):
+        want = symmetric_power_rows(ctx, alpha, mesh.nodes)
+        assert np.array_equal(_bits(dens.samples), _bits(want))
+        assert np.array_equal(_bits(dens.evaluator(mesh.nodes[:5])),
+                              _bits(want[:5]))
+    coeffs = [0.5, 0.0, -1.25, 2.0, 0.0, 0.75, 1.5]
+    want = np.zeros((mesh.node_count, ctx.dim))
+    for c, alpha in zip(coeffs, _monomials(mesh.n, 6)):
+        if c != 0.0:
+            want += c * symmetric_power_rows(ctx, alpha, mesh.nodes)
+    assert np.array_equal(_bits(polynomial_trace(mesh, coeffs).samples),
+                          _bits(want))
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS, ids=["circle", "sphere2",
+                                                   "sphere3"])
+def test_holomorphic_combo_matches_one_power_per_part(spec):
+    mesh = build_mesh(spec, 0)
+    ctx = mesh.context
+    rng = np.random.default_rng(29)
+    alphas = _monomials(mesh.n, 2)
+    pole = spec.center_array + rng.uniform(1.6, 2.4) * spec.radius * \
+        _unit_direction(rng, spec.n + 1)
+    coeffs = rng.uniform(-1.0, 1.0, size=(len(alphas) + 1, ctx.dim)) \
+        / (len(alphas) + 1)
+    parts = [symmetric_power_rows(ctx, a, mesh.nodes) for a in alphas]
+    parts.append(_kernel_coeff_rows(ctx, mesh.nodes, pole))
+    want = np.zeros((mesh.node_count, ctx.dim))
+    for part, c in zip(parts, coeffs):
+        want += batch_product(ctx, part, c)
+    got = holomorphic_combo(mesh, 29)
+    assert np.array_equal(_bits(got.samples), _bits(want))
+    assert np.array_equal(_bits(got.evaluator(mesh.nodes[3])), _bits(want[3]))

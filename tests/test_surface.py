@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from hypercauchy.cauchy import BoundaryDensity
+from hypercauchy import surface
+from hypercauchy.cauchy import BoundaryDensity, gradient_stencil
 from hypercauchy.surface import (
     DomainSpec,
     MeshFormatError,
@@ -209,6 +211,67 @@ def test_mesh_rejects_coincident_nodes(circle_spec):
     nodes[5] = nodes[4]
     with pytest.raises(MeshFormatError, match=r"nodes rows 4 and 5 coincide"):
         SurfaceMesh(nodes, mesh.normals, mesh.weights)
+
+
+def _coincident_by_unique(nodes):
+    # the pair as np.unique names it: the first repeated row, its first copy
+    _, first = np.unique(nodes, axis=0, return_index=True)
+    if first.size == nodes.shape[0]:
+        return None
+    j = int(np.setdiff1d(np.arange(nodes.shape[0]), first)[0])
+    i = int(np.flatnonzero((nodes == nodes[j]).all(axis=1))[0])
+    return i, j
+
+
+@pytest.mark.parametrize("copy", [(0, 1), (0, 500), (300, 301), (1, 640),
+                                  (638, 639), (2, 0), (639, 0), (40, 7)])
+def test_coincident_rows_by_one_sort_name_the_unique_pair(copy):
+    nodes = build_mesh(DomainSpec("sphere", 2), 1).nodes.copy()
+    assert surface._coincident_rows(nodes) is None
+    src, dst = copy
+    if dst == 640:          # a repeat appended after the last row
+        nodes = np.concatenate([nodes, nodes[src:src + 1]])
+    else:
+        nodes[dst] = nodes[src]
+    assert surface._coincident_rows(nodes) == _coincident_by_unique(nodes)
+    # a repeat that differs only in the sign of a zero coordinate
+    nodes[17, 0] = 0.0
+    nodes[18] = nodes[17]
+    nodes[18, 0] = -0.0
+    assert surface._coincident_rows(nodes) == _coincident_by_unique(nodes)
+
+
+def test_searched_neighbour_lists_are_kept_read_only(tmp_path, monkeypatch):
+    mesh = build_mesh(DomainSpec("sphere", 2), 4)
+    save_mesh(mesh, tmp_path / "sphere.mesh")
+    loaded = load_mesh(tmp_path / "sphere.mesh")
+    searches = []
+    original = surface._tree_neighbours
+
+    def counted(nodes, k):
+        searches.append(k)
+        return original(nodes, k)
+
+    monkeypatch.setattr(surface, "_tree_neighbours", counted)
+    nb = neighbour_lists(loaded, 12)
+    assert neighbour_lists(loaded, 12) is nb
+    assert loaded.cache[("neighbours", 12)] is nb
+    with pytest.raises(ValueError):
+        nb[0, 0] = 1
+    assert searches == [12]
+    # a copy has its own cache, so it searches its own lists
+    copy = dataclasses.replace(loaded)
+    assert np.array_equal(neighbour_lists(copy, 12), nb)
+    assert searches == [12, 12]
+    # a warm one-row stencil on the loaded mesh searches nothing
+    gradient_stencil(loaded, [5])
+    best = math.inf
+    for _ in range(5):
+        t0 = time.perf_counter()
+        gradient_stencil(loaded, [5])
+        best = min(best, time.perf_counter() - t0)
+    assert searches == [12, 12]
+    assert best < 1e-3
 
 
 @pytest.mark.parametrize("count", [0, 1])
