@@ -11,8 +11,8 @@ import numpy as np
 from .bvp import ProductKernel
 from .clifford_core import batch_product, paravectors_as_coeffs
 from .cauchy import BoundaryDensity, kernel_E_rows
-from .fueter import (_as_alpha, _symmetric_powers, multi_indices,
-                     symmetric_power_rows)
+from .fueter import (_as_alpha, _polynomial_rows, _symmetric_powers,
+                     multi_indices, symmetric_power_rows)
 
 SMOOTH_DEGREE = 2
 ROUGH_EXPONENT = 1.5
@@ -241,15 +241,10 @@ def polynomial_trace(mesh, coeffs):
     if len(coeffs) > len(alphas):
         raise ValueError("coefficient list longer than the multi-index table")
 
-    terms = [(c, alpha) for c, alpha in zip(coeffs, alphas) if c != 0.0]
+    terms = list(zip(alphas, coeffs))
 
     def rows(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        table = _symmetric_powers(ctx, [alpha for _, alpha in terms], pts)
-        out = np.zeros((pts.shape[0], ctx.dim))
-        for c, alpha in terms:
-            out += c * table[alpha]
-        return out
+        return _polynomial_rows(ctx, terms, pts, "left")
 
     return _from_rows(mesh, rows)
 
@@ -317,14 +312,11 @@ def holomorphic_combo(mesh, seed):
         / (len(alphas) + 1)
 
     def rows(pts):
-        # the Z^alpha from one power table, then the pole's kernel, each
-        # right-multiplied by its coefficient
-        table = _symmetric_powers(ctx, alphas, pts)
-        parts = [table[alpha] for alpha in alphas]
-        parts.append(_kernel_coeff_rows(ctx, pts, pole))
-        out = np.zeros((pts.shape[0], ctx.dim))
-        for part, c in zip(parts, coeffs):
-            out += batch_product(ctx, part, c)
+        # the Z^alpha, then the pole's kernel, each right-multiplied by its
+        # coefficient
+        out = _polynomial_rows(ctx, zip(alphas, coeffs), pts, "left")
+        out += batch_product(ctx, _kernel_coeff_rows(ctx, pts, pole),
+                             coeffs[-1])
         return out
 
     return _from_rows(mesh, rows)

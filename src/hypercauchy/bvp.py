@@ -318,8 +318,7 @@ def _dirichlet_residuals(mesh, gs, sample_idx, probe_dirs):
     Holder ones (criterion 'both') also the principal values, in another,
     so each density's numbers are bitwise those of a call with it alone.
     """
-    center = (mesh.spec.center_array if mesh.spec is not None
-              else mesh.nodes.mean(axis=0))
+    center = mesh.nodes.mean(axis=0)
     out = []
     for r in _integral_rows(mesh, gs, center + 2.0 * _scale(mesh) * probe_dirs,
                             "left"):
@@ -657,9 +656,8 @@ class PoincareBertrandReport:
     plus the exchanged-order double sum.  No pass/fail is attached; the
     discrepancy and the two special-case cross-checks are reported as
     data.  separable_error applies when k(tau, x) = f(tau): the lhs must
-    then equal (V_n/2)^2 f(t).  orthogonality_max samples the pair
-    integral PV_x int E(x-t) dsigma E(tau-x) at tau != t, which must
-    vanish in the limit.
+    then equal (V_n/2)^2 f(t).  The pair integral, the third cross-check,
+    depends on the mesh alone (pair_orthogonality).
     """
 
     sample_indices: np.ndarray
@@ -667,7 +665,6 @@ class PoincareBertrandReport:
     rhs: np.ndarray
     discrepancy: np.ndarray
     discrepancy_max: float
-    orthogonality_max: float
     separable_error: float
 
 
@@ -748,12 +745,19 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
                + exchanged)
         disc = lhs - rhs
         sep_err = math.nan
-
-    its = idx[: min(4, idx.size)]
-    jts = (its + N // 3) % N
-    probe = jts != its
-    orth = max([0.0] + [float(np.linalg.norm(row)) for row in
-                        _pair_orthogonality(mesh, its[probe], jts[probe])])
     return PoincareBertrandReport(idx, lhs, np.asarray(rhs), disc,
                                   float(np.linalg.norm(disc, axis=1).max()),
-                                  orth, sep_err)
+                                  sep_err)
+
+
+def pair_orthogonality(mesh, sample_nodes, seed):
+    """Largest norm of the pair integral PV_x int E(x-t) dsigma E(tau-x),
+    which must vanish in the limit, at t = x_i, tau = x_(i + N//3 mod N)
+    over the sampled nodes i of poincare_bertrand_discrepancy (tau = t
+    skipped; 0.0 when none is left), in one _pair_orthogonality call."""
+    N = mesh.node_count
+    its = np.sort(_sample_indices(N, sample_nodes, seed))
+    jts = (its + N // 3) % N
+    probe = jts != its
+    return max([0.0] + [float(np.linalg.norm(row)) for row in
+                        _pair_orthogonality(mesh, its[probe], jts[probe])])

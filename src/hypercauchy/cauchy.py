@@ -11,9 +11,9 @@ sum over x != t of E(x-t) nu w [f(x) - f(t)] plus f(t)/2, plus a local
 correction for the singular node's cell computed from the tangential
 gradient of f (the subtracted integrand has a finite, direction-
 dependent limit at x = t; dropping the cell outright costs an O(h)
-term with a computable coefficient).  On spec-built 3-spheres, whose
-grid cells are thin near its poles, the correction instead integrates
-the linear part of f - f(t) exactly (_grid_cell_coefficients).
+term with a computable coefficient).  On 3-surfaces, such as the
+3-sphere grid whose cells are thin near its poles, the correction instead
+integrates the linear part of f - f(t) exactly (_grid_cell_coefficients).
 """
 
 from __future__ import annotations
@@ -371,8 +371,15 @@ def _integral_rows(mesh, f, points, side, node=None, interior=None):
     With node None the raw sums.  Otherwise node is one node index or one
     per row, and row m is C[f - f(t_m)](w_m) + f(t_m) X(w_m) (_shifted_sums),
     X = 1 on the rows flagged in the length-M boolean mask interior, else
-    0.  f is one density, giving (M, 2^n), or a sequence of K, (K, M, 2^n).
+    0; a missing or malformed mask raises ValueError before any sum.  f is
+    one density, giving (M, 2^n), or a sequence of K, (K, M, 2^n).
     """
+    if node is not None:
+        interior = np.asarray(interior)
+        if interior.dtype != bool or interior.shape != (len(points),):
+            raise ValueError("interior must be a length-%d boolean mask "
+                             "when node is given; got dtype %s, shape %s"
+                             % (len(points), interior.dtype, interior.shape))
     samples = _density_samples(mesh, f)
     vol = unit_sphere_area(mesh.n)
     if node is None:
@@ -473,9 +480,7 @@ def _build_gradient_stencil(mesh, idx=None):
     """
     circ = _accel.uniform_circle(mesh.nodes)
     if circ is not None:
-        order, R, center = circ
-        if mesh.spec is not None:  # the exact centre, not the nodes' mean
-            center = mesh.spec.center_array
+        order, R, _ = circ
         N = mesh.node_count
         pos = np.empty(N, dtype=np.int64)
         pos[order] = np.arange(N)
@@ -485,7 +490,9 @@ def _build_gradient_stencil(mesh, idx=None):
         hstep = (2.0 * np.pi / N) * R
         wts = np.tile(np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * hstep),
                       (1, N, 1))
-        return nb, wts, _tangent_frame_circle(mesh, center)
+        # the unit tangents T = (-nu_1, nu_0)
+        frame = np.stack([-mesh.normals[:, 1], mesh.normals[:, 0]], axis=1)
+        return nb, wts, frame[:, None, :]
 
     rows = slice(None) if idx is None else idx
     frame = _tangent_frame(mesh, rows)
@@ -529,14 +536,6 @@ def _build_gradient_stencil(mesh, idx=None):
         X[:, j] /= R[:, j, j, None]
     wts = np.swapaxes(X[:, 1 : 1 + d] / unit[:, None, None], 0, 1)
     return nb, wts, frame
-
-
-def _tangent_frame_circle(mesh, center):
-    rel = mesh.nodes - center[None, :]
-    radii = np.linalg.norm(rel, axis=1)[:, None]
-    unit = rel / radii
-    tangent = np.stack([-unit[:, 1], unit[:, 0]], axis=1)
-    return tangent[:, None, :]
 
 
 def gradient_stencil(mesh, idx=None):
@@ -616,13 +615,13 @@ def _cell_corrections(mesh, derivs, frame, side, idx=None):
     (d w / sigma_d)^{1/d} (sigma_d / d) sum_k bar(T_k) nu(t) d_k f(t),
     where d = n and sigma_d = area(S^{d-1}).  The right side mirrors every
     product.  The 3-sphere grid's cells are far from round near its poles,
-    so spec-built 3-spheres take _grid_cell_coefficients' G_k instead, in
-    one sum_k G_k d_k f(t) with the flat ball's G_k = bar(T_k) nu(t), times
-    a per-node scale: the prefactor above on the ball, 1 on the 3-sphere.
+    so 3-surfaces take _grid_cell_coefficients' G_k instead, in one
+    sum_k G_k d_k f(t) with the flat ball's G_k = bar(T_k) nu(t), times a
+    per-node scale: the prefactor above on the ball, 1 for n = 3.
     """
     ctx = mesh.context
     d = mesh.n
-    if d == 3 and mesh.spec is not None:
+    if d == 3:
         G = _grid_cell_coefficients(mesh, side, frame, idx)
         scale = 1.0
     else:
@@ -641,7 +640,7 @@ def _cell_corrections(mesh, derivs, frame, side, idx=None):
 
 
 def _grid_cell_coefficients(mesh, side, frame, idx=None):
-    """Coefficients G_k of the 3-sphere grid's correction sum_k G_k d_k f(t)
+    """Coefficients G_k of a 3-surface's correction sum_k G_k d_k f(t)
     at the node index array idx (default every node), (d, len(idx), dim);
     those of every node are kept read-only in the mesh's cache per side.
     frame is the stencil frame (gradient_stencil) at the nodes idx, which
@@ -651,12 +650,14 @@ def _grid_cell_coefficients(mesh, side, frame, idx=None):
     nodes lie much closer than h, so the flat-ball cell model does not
     converge there.  Instead the linear part sum_k T_k.(x - t) d_k f(t) of
     f(x) - f(t) is integrated exactly and its node sum taken out:
-    G_k = V_n PV C[T_k.(x - t)](t) - sum_(j != i) E(x_j - t) nu_j w_j
-    T_k.(x_j - t).  On a sphere of radius R, PV C[x_c - t_c](t) =
-    -R bar(nu) e_c / (n+1) (e_0 = 1), from x_0 = (bar(X) + sum_i z_i e_i)
-    / (n+1) and x_j = z_j + x_0 e_j: the Fueter variables z_j extend
-    monogenically inside, bar(X) = E(x) outside.  The right side mirrors
-    every product.  The node sums are _shifted_sums of the coordinates.
+    G_k = V_n PV C[T_k.(x - t)](t) - sum_c T_k^c s_c, s_c = sum_(j != i)
+    E(x_j - t) nu_j w_j (x_j - t)_c, the _shifted_sums of the coordinates.
+    Adding nu.(x - t) b, b = -bar(nu) sum_k T_k d_k, makes the linear part
+    monogenic, so its subtracted principal value is zero on every closed
+    surface: V_n PV C[T_k.(x - t)](t) = A bar(nu) T_k, A = V_n PV
+    C[nu.(x - t)](t) (-V_n R / (n+1) on a sphere of radius R).  nu.(x - t)
+    vanishes to second order at t, so A is taken as the node sum
+    sum_c nu^c s_c.  The right side mirrors every product: T_k bar(nu) A.
     """
     key = ("cell_coefficients", side)
     if key in mesh.cache:
@@ -667,10 +668,12 @@ def _grid_cell_coefficients(mesh, side, frame, idx=None):
     coords = np.zeros((n + 1, N, ctx.dim))
     coords[:, :, 0] = mesh.nodes.T
     sums = _shifted_sums(mesh, coords, side, mesh.nodes[idx], idx, idx)
-    nubar = mesh.normals[idx].copy()
+    nu = mesh.normals[idx]
+    nubar = nu.copy()
     nubar[:, 1:] *= -1.0
-    scale = -unit_sphere_area(n) * mesh.spec.radius / (n + 1)
-    G = np.stack([scale * sided_product(ctx, side, nubar, frame[:, k])
+    A_nubar = sided_product(ctx, side, np.einsum("nc,cnD->nD", nu, sums),
+                            nubar)
+    G = np.stack([sided_product(ctx, side, A_nubar, frame[:, k])
                   - np.einsum("nc,cnD->nD", frame[:, k], sums)
                   for k in range(n)])
     if np.array_equal(idx, np.arange(N)):
@@ -818,7 +821,7 @@ def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left"):
     '-' from the exterior.  Used as the independent oracle for the
     Plemelj formulas.  The ladder's steps halve from 0.25 R over 5 rungs
     on circles and from 0.35 R over RICHARDSON_TERMS rungs on other
-    meshes, R the spec radius or half the nodes' widest extent.  A node
+    meshes, R half the nodes' widest coordinate extent.  A node
     index t gives a Multivector, a 1-d index array (len(t), dim) rows, and
     K densities (K, len(t), dim), all rungs in one kernel call.  Every
     rung sums f - f(t) and adds f(t) back inside (_ladder_rows), on
@@ -834,10 +837,8 @@ def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left"):
 
 
 def _scale(mesh):
-    if mesh.spec is not None:
-        return mesh.spec.radius
-    span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
-    return 0.5 * float(span.max())
+    """Half the nodes' widest coordinate extent, R of every ladder."""
+    return 0.5 * float(max(x.max() - x.min() for x in mesh.nodes.T))
 
 
 def _halving_steps(mesh, frac, terms):

@@ -27,9 +27,10 @@ from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      symmetric_difference_steps, _integral_rows)
 from .fueter import MAX_DEGREE, multi_indices, order_at_infinity
 from .bvp import (CharacteristicCoefficients, constant_gap_residual,
-                  jump_residual, poincare_bertrand_discrepancy,
-                  solve_characteristic_sie, solve_constant_gap,
-                  solve_dirichlet, solve_jump_rm, _probe_indices)
+                  jump_residual, pair_orthogonality,
+                  poincare_bertrand_discrepancy, solve_characteristic_sie,
+                  solve_constant_gap, solve_dirichlet, solve_jump_rm,
+                  _probe_indices)
 
 # fitted-order criteria are waived once errors sit at the rounding floor
 ORDER_FLOOR = 1e-12
@@ -484,10 +485,11 @@ def _run_pbx(cfg, mesh):
     rep = poincare_bertrand_discrepancy(
         mesh, f=f, sample_nodes=cfg.sample_nodes, seed=cfg.seed)
     k = _corpus.product_kernel(mesh, seed=cfg.kernel_seed)
+    probes = min(4, cfg.sample_nodes)
     rep_k = poincare_bertrand_discrepancy(
-        mesh, k=k, sample_nodes=min(4, cfg.sample_nodes), seed=cfg.seed)
+        mesh, k=k, sample_nodes=probes, seed=cfg.seed)
     aux = {"general_kernel_discrepancy": rep_k.discrepancy_max,
-           "pair_orthogonality": rep_k.orthogonality_max}
+           "pair_orthogonality": pair_orthogonality(mesh, probes, cfg.seed)}
     return rep.discrepancy_max, rep.discrepancy_max, aux
 
 

@@ -252,19 +252,9 @@ class Paravector:
 # -- spec operations ----------------------------------------------------------
 
 def product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product in C(V_n)."""
+    """Geometric product in C(V_n), batch_product of the two rows."""
     a._check(b)
-    ctx = a.ctx
-    d = ctx.dim
-    out = np.zeros(d)
-    ca, cb = a.coeffs, b.coeffs
-    sign = ctx.sign_table
-    for i in range(d):
-        cai = ca[i]
-        if cai == 0.0:
-            continue
-        out[i ^ np.arange(d)] += cai * sign[i] * cb
-    return Multivector(ctx, out)
+    return Multivector(a.ctx, batch_product(a.ctx, a.coeffs, b.coeffs))
 
 
 def conjugate(a: Multivector) -> Multivector:
@@ -288,9 +278,9 @@ def divide(a: Multivector, b: Paravector, side: str = "left") -> Multivector:
         if not b.is_paravector():
             raise SingularInputError("divisor must be a paravector")
         b = embed_point(project_paravector(b))
-    _check_side(side)
     binv = b.inverse().as_multivector(a.ctx)
-    return product(binv, a) if side == "left" else product(a, binv)
+    return Multivector(a.ctx, sided_product(a.ctx, side, binv.coeffs,
+                                            a.coeffs))
 
 
 def embed_point(p) -> Paravector:

@@ -344,14 +344,16 @@ def _degree_maxima(entries):
 
 def _polynomial_rows(ctx, terms, points, side):
     """(M, 2^n) rows of sum Z^alpha c_alpha (left) or c_alpha Z^alpha (right)
-    at (M, n+1) points, from (alpha, c) terms; zero c are skipped."""
+    at (M, n+1) points, from (alpha, c) terms, c any value as_coeffs takes;
+    zero c are skipped, and the Z^alpha of the others come from one
+    _symmetric_powers table."""
     _check_side(side)
+    terms = [(_as_alpha(alpha, ctx.n), as_coeffs(ctx, c)) for alpha, c in terms]
+    terms = [(alpha, c) for alpha, c in terms if c.any()]
+    table = _symmetric_powers(ctx, [alpha for alpha, _ in terms], points)
     out = np.zeros((points.shape[0], ctx.dim))
     for alpha, c in terms:
-        c = np.asarray(c, dtype=np.float64)
-        if c.any():
-            out += sided_product(
-                ctx, side, symmetric_power_rows(ctx, alpha, points), c)
+        out += sided_product(ctx, side, table[alpha], c)
     return out
 
 

@@ -103,6 +103,9 @@ class SurfaceMesh:
     spec : DomainSpec or None
         The builder spec, set by build_mesh only; None for every other
         mesh (load_mesh, dataclasses.replace copies, hand-made meshes).
+        No operator's arithmetic reads it; refine, the refinement
+        thresholds, cauchy_integral's side tags and boundary distance,
+        the experiment corpus and the CLI do.
     cache : dict
         Mesh-owned operator data that depends on the mesh alone.
         build_mesh fills "neighbours" on spheres: the builder's (N, k)

@@ -3,7 +3,7 @@
 perfbench/workloads.py checks every item it times against
 perfbench/reference.json; a change that moves an item out of the
 reference's tolerance fails the benchmark, not Tier-1.  This test runs
-three of those items through workloads.run_item, so such a change fails
+four of those items through workloads.run_item, so such a change fails
 here first.  It reads workloads.py and reference.json and changes neither.
 """
 
@@ -29,6 +29,7 @@ def workloads():
     ("kernel-matrix", 7, "poincare-bertrand"),
     ("kernel-matrix", 50, "poincare-bertrand"),
     ("boundary-probes", 17, "reproduction"),
+    ("boundary-probes", 7, "plemelj-sphere"),
 ])
 def test_item_meets_its_reference(workloads, workload, seed, name):
     reference = workloads.load_reference()

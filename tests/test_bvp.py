@@ -19,6 +19,7 @@ from hypercauchy.bvp import (
     invert_cauchy_pv,
     invert_rows,
     jump_residual,
+    pair_orthogonality,
     poincare_bertrand_discrepancy,
     solve_characteristic_sie,
     solve_constant_gap,
@@ -214,6 +215,46 @@ def test_loaded_meshes_take_the_subtracted_ladders(name, quantity, tmp_path):
     # node as the built mesh's do, and err about as little
     built, loaded = _loaded_mesh_errors(name, quantity, tmp_path)
     assert loaded <= 1.5 * built
+
+
+ROUND_TRIP_MESHES = (
+    [("circle", 1, (0.4, -0.2), 0.7, level) for level in range(5)]
+    + [("sphere", 2, (0.2, 0.0, 0.0), 1.3, level) for level in range(4)])
+
+
+def _round_trip_values(mesh, samples):
+    """Every-node PVs, "+" limits and symmetric differences at nodes 0,
+    N // 3 and N - 1, and the Dirichlet exterior residual of the density
+    with these samples on mesh."""
+    g = BoundaryDensity(mesh, samples)
+    N = mesh.node_count
+    idx = np.array([0, N // 3, N - 1])
+    return {"pv": principal_value_nodes(mesh, g),
+            "limit": boundary_limit(mesh, g, idx, "+"),
+            "symmetric": symmetric_difference_limit(
+                mesh, g, idx, symmetric_difference_steps(mesh)),
+            "dirichlet": solve_dirichlet(mesh, g,
+                                         threshold=1e-6).residual_exterior}
+
+
+@pytest.mark.parametrize("kind, n, center, radius, level", ROUND_TRIP_MESHES,
+                         ids=["%s%d-L%d" % (k, n, lv) for k, n, _, _, lv
+                              in ROUND_TRIP_MESHES])
+def test_loaded_mesh_gives_the_built_mesh_values(kind, n, center, radius,
+                                                 level, tmp_path):
+    # every operator reads the three arrays alone, so a save_mesh/load_mesh
+    # copy of an off-centre mesh, which has no spec, gives bitwise the
+    # built mesh's numbers
+    built = build_mesh(DomainSpec(kind, n, center=center, radius=radius),
+                       level)
+    save_mesh(built, tmp_path / "copy.mesh")
+    loaded = load_mesh(tmp_path / "copy.mesh")
+    samples = random_smooth(built, 3).samples
+    want = _round_trip_values(built, samples)
+    got = _round_trip_values(loaded, samples)
+    for key in want:
+        assert np.asarray(got[key]).tobytes() == \
+            np.asarray(want[key]).tobytes(), key
 
 
 def test_invert_rows_closed_form():
@@ -869,6 +910,8 @@ def test_stacked_orthogonality_is_per_probe(spec):
 
 
 def test_discrepancy_takes_one_orthogonality_call(circle_spec, monkeypatch):
+    # the discrepancy takes no pair probe; pair_orthogonality probes every
+    # node the discrepancy samples at its seed, in one call
     mesh = build_mesh(circle_spec, 2)
     calls = []
     original = bvp._pair_orthogonality
@@ -880,12 +923,13 @@ def test_discrepancy_takes_one_orthogonality_call(circle_spec, monkeypatch):
     monkeypatch.setattr(bvp, "_pair_orthogonality", counted)
     rep = poincare_bertrand_discrepancy(mesh, k=product_kernel(mesh),
                                         sample_nodes=6, seed=2)
-    assert calls == [4]
+    assert calls == []
+    got = pair_orthogonality(mesh, 6, 2)
+    assert calls == [6]
     N = mesh.node_count
-    its = rep.sample_indices[:4]
     want = max(float(np.linalg.norm(_orthogonality_per_probe(
-        mesh, int(it), int((it + N // 3) % N)))) for it in its)
-    assert rep.orthogonality_max == want
+        mesh, int(it), int((it + N // 3) % N)))) for it in rep.sample_indices)
+    assert got == want
 
 
 def test_product_kernel_makes_one_pv_rows_and_one_pb_rhs_call(circle_spec,
@@ -997,7 +1041,7 @@ def test_poincare_bertrand_separable(circle_mesh):
     rep = poincare_bertrand_discrepancy(circle_mesh, f=f)
     assert rep.separable_error <= PB_SEPARABLE_TOL
     assert rep.discrepancy_max == rep.separable_error
-    assert rep.orthogonality_max <= 0.05  # O(h) pair integral
+    assert pair_orthogonality(circle_mesh, 8, 0) <= 0.05  # O(h) pair integral
     assert rep.lhs.shape == rep.rhs.shape
 
 

@@ -450,10 +450,27 @@ def test_sphere3_gradient_and_pv_converge_at_every_node():
         # a trace monogenic inside has PV C[g] = g/2
         pv = principal_value_nodes(mesh, g)
         pv_errs.append(np.abs(pv - 0.5 * g.samples).max())
-    # measured: gradient 2.0, 0.043, 0.018; PV 0.098, 0.036, 0.0096
+    # measured: gradient 2.0, 0.043, 0.018; PV 0.092, 0.036, 0.0096
     for errs, last in ((grad_errs, 0.03), (pv_errs, 0.015)):
         assert all(b < 0.6 * a for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= last
+
+
+def test_sphere3_pv_on_a_shifted_scaled_sphere():
+    # the grid-cell coefficients take the radius from the mesh's own sums,
+    # so an off-centre sphere of radius 1.7 converges as the unit one does,
+    # on both sides
+    spec = DomainSpec("sphere", 3, center=(0.1, -0.2, 0.3, 0.0), radius=1.7)
+    errs = {"left": [], "right": []}
+    for level in range(3):
+        mesh = build_mesh(spec, level)
+        g = symmetric_power_trace(mesh, (0, 1, 1))
+        for side, out in errs.items():
+            pv = principal_value_nodes(mesh, g, side)
+            out.append(np.abs(pv - 0.5 * g.samples).max())
+    # measured on both sides: 0.360, 0.103, 0.0276
+    for out in errs.values():
+        assert all(e <= b for e, b in zip(out, (0.365, 0.105, 0.028)))
 
 
 def test_great_circle_mesh_raises_rank_error(tmp_path):
@@ -1117,6 +1134,27 @@ def test_integral_rows_match_single_point_integrals(name, side, method):
         tol = (2.0 * _gamma(m) * (e_l1 @ terms) / unit_sphere_area(mesh.n)
                + 2.0 * UNIT_ROUNDOFF * (np.abs(want) + np.abs(f0)))
         assert np.all(np.abs(row - want) <= tol)
+
+
+@pytest.mark.parametrize("interior", [None, [True, False, True]],
+                         ids=["missing", "wrong-length"])
+@pytest.mark.parametrize("count", [1, 2])
+def test_integral_rows_need_an_interior_mask_with_a_node(count, interior,
+                                                         monkeypatch):
+    # with node given, a missing mask once took the one row as interior
+    # (C[1] = [1, 0] at the exterior point (3, 0)) and failed to broadcast
+    # for two rows; now either raises before any kernel sum
+    mesh = build_mesh(DomainSpec("circle", 1, center=(0.0, 0.0),
+                                 radius=1.0), 1)
+    ones = BoundaryDensity.constant(mesh, 1.0)
+    points = np.array([[3.0, 0.0], [0.0, 3.0]])[:count]
+    calls = _count_calls(monkeypatch, "accum_left")
+    with pytest.raises(ValueError, match="interior"):
+        _integral_rows(mesh, ones, points, "left", 0, interior)
+    assert calls == []
+    # the mask given, the exterior rows vanish
+    rows = _integral_rows(mesh, ones, points, "left", 0, np.zeros(count, bool))
+    assert calls == [count] and np.abs(rows).max() <= 1e-12
 
 
 def _correction_meshes():
