@@ -40,13 +40,13 @@ E(x_q - x_p) g_q = (x_p - c)^-1 sum_m c_m g_(p+m), c_m = 1/(omega^m - 1),
 one circular correlation per density: an FFT, the exact symbol of c and
 an inverse FFT (_circle_sums), O(N log N) against the tiles' O(N^2).  The
 complex product commutes, so both sides give the same sums.  The route
-is picked by the nodes alone; off-surface targets, indexed rows, trimmed
-or capped circles and spheres stay on the direct paths above, which are
-its parity reference.  The FFT takes the grid as ideal, which costs
-about N eps relative against the direct sums over the rounded nodes; in
-S1 - S2 f_t that part cancels when S2 takes the same route, and it
-does: every S1 - S2 f_t is cauchy._shifted_sums, whose full-mesh S2
-(the mesh's cache) is a node-target sum.
+is picked by the nodes alone (uniform_circle, passed in by the caller);
+off-surface targets, indexed rows, trimmed or capped circles and spheres
+stay on the direct paths above, their parity reference.  The FFT takes
+the grid as ideal, which costs about N eps relative against the direct
+sums over the rounded nodes; in S1 - S2 f_t that part cancels when S2
+takes the same route, as every S1 - S2 f_t is cauchy._shifted_sums,
+whose full-mesh S2 (the mesh's cache) is a node-target sum.
 """
 
 from __future__ import annotations
@@ -142,11 +142,11 @@ def uniform_circle(nodes):
 
     Other shapes than (N, 2) with N >= 8 give None.  center is the nodes'
     mean, R their mean distance from it and order sorts them by angle
-    about it.  The grid is uniform
-    when the node at sorted position p lies within CIRCLE_GRID_TOL * R of
-    center + R exp(i (theta_0 + 2 pi p / N)), theta_0 the mean angular
-    offset.  The gradient stencil and the FFT route both ask this one
-    test, so they agree on which meshes are uniform circles.
+    about it; both arrays are read-only.  The grid is uniform when the node
+    at sorted position p lies within CIRCLE_GRID_TOL * R of center +
+    R exp(i (theta_0 + 2 pi p / N)), theta_0 the mean angular offset.  The
+    gradient stencil and the FFT route both read this one test, kept in
+    the mesh's cache, so they agree on which meshes are uniform circles.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 8:
@@ -162,6 +162,7 @@ def uniform_circle(nodes):
     # "not <=" so that R = 0 or a non-finite node is no circle either
     if not (R > 0.0 and np.abs(z[order] - ideal).max() <= CIRCLE_GRID_TOL * R):
         return None
+    order.flags.writeable = center.flags.writeable = False
     return order, R, center
 
 
@@ -188,14 +189,14 @@ def _circle_sums(G, nodes, circle):
     return out
 
 
-def _accumulate(ctx, targets, nodes, g, excl, side):
+def _accumulate(ctx, targets, nodes, g, excl, side, circle):
     """Kernel sums of g, one density (N, 2^n) or a stack (K, N, 2^n).
 
     Each kernel block is built once and contracted with every density in
     turn, so the rows of density k are bitwise those of a call with g[k].
     When the targets are the nodes, each skipping its own, the sum takes
-    the FFT route on a uniform circle and the tile path elsewhere (see the
-    module docstring).  Returns (M, 2^n), or (K, M, 2^n) for a stack.
+    the FFT route if circle is uniform_circle(nodes), else the tile path
+    (see the module docstring).  Returns (M, 2^n), or (K, M, 2^n).
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     nodes = np.asarray(nodes, dtype=np.float64)
@@ -205,8 +206,7 @@ def _accumulate(ctx, targets, nodes, g, excl, side):
     node_targets = (excl is not None and M == nodes.shape[0]
                     and np.array_equal(excl, np.arange(M))
                     and np.array_equal(targets, nodes))
-    circle = uniform_circle(nodes) if node_targets else None
-    if circle is not None:
+    if node_targets and circle is not None:
         return _circle_sums(G, nodes, circle).reshape(g.shape)
     # the terms E @ g of every density before the blade scatter
     T = np.zeros((G.shape[0], ctx.n + 1, M, ctx.dim))
@@ -227,20 +227,20 @@ def _accumulate(ctx, targets, nodes, g, excl, side):
     return out.reshape(g.shape[:-2] + (M, ctx.dim))
 
 
-def accum_left(ctx, targets, nodes, g, excl=None):
+def accum_left(ctx, targets, nodes, g, excl=None, circle=None):
     """sum_j E(x_j - w_i) g_j for each target row w_i, skipping node excl[i].
 
-    g is one (N, 2^n) density or a (K, N, 2^n) stack (see _accumulate).
+    g (one density or a stack) and circle as in _accumulate.
     """
-    return _accumulate(ctx, targets, nodes, g, excl, "left")
+    return _accumulate(ctx, targets, nodes, g, excl, "left", circle)
 
 
-def accum_right(ctx, targets, nodes, g, excl=None):
+def accum_right(ctx, targets, nodes, g, excl=None, circle=None):
     """sum_j g_j E(x_j - w_i) for each target row w_i, skipping node excl[i].
 
-    g is one (N, 2^n) density or a (K, N, 2^n) stack (see _accumulate).
+    g (one density or a stack) and circle as in _accumulate.
     """
-    return _accumulate(ctx, targets, nodes, g, excl, "right")
+    return _accumulate(ctx, targets, nodes, g, excl, "right", circle)
 
 
 def pv_matrix(ctx, nodes, nuw, dmat):

@@ -11,7 +11,7 @@ import numpy as np
 from .bvp import ProductKernel
 from .clifford_core import batch_product, paravectors_as_coeffs
 from .cauchy import BoundaryDensity, kernel_E_rows
-from .fueter import (_as_alpha, _polynomial_rows, _symmetric_powers,
+from .fueter import (_as_alpha, _polynomial, _symmetric_powers,
                      multi_indices, symmetric_power_rows)
 
 SMOOTH_DEGREE = 2
@@ -235,18 +235,12 @@ def polynomial_trace(mesh, coeffs):
     Multi-indices of degree <= 6 go by total degree, lexicographically
     inside each degree, until the coefficient list is exhausted.
     """
-    ctx = mesh.context
     coeffs = [float(c) for c in coeffs]
     alphas = _monomials(mesh.n, 6)
     if len(coeffs) > len(alphas):
         raise ValueError("coefficient list longer than the multi-index table")
-
-    terms = list(zip(alphas, coeffs))
-
-    def rows(pts):
-        return _polynomial_rows(ctx, terms, pts, "left")
-
-    return _from_rows(mesh, rows)
+    return _from_rows(mesh, _polynomial(mesh.context, zip(alphas, coeffs),
+                                        "left"))
 
 
 def trig_polynomial(mesh, seed, degree=5, coeffs=None):
@@ -310,11 +304,12 @@ def holomorphic_combo(mesh, seed):
         rng.uniform(1.6, 2.4) * spec.radius * _unit_direction(rng, spec.n + 1)
     coeffs = rng.uniform(-1.0, 1.0, size=(len(alphas) + 1, ctx.dim)) \
         / (len(alphas) + 1)
+    poly = _polynomial(ctx, zip(alphas, coeffs), "left")
 
     def rows(pts):
         # the Z^alpha, then the pole's kernel, each right-multiplied by its
         # coefficient
-        out = _polynomial_rows(ctx, zip(alphas, coeffs), pts, "left")
+        out = poly(pts)
         out += batch_product(ctx, _kernel_coeff_rows(ctx, pts, pole),
                              coeffs[-1])
         return out

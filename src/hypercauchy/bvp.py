@@ -30,7 +30,7 @@ from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      _singular_cell_corrections, _warn_if_continuous)
 from .surface import _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
-                     _moment_threshold, _polynomial_rows, _refined_density)
+                     _moment_threshold, _polynomial, _refined_density)
 
 # Auto-thresholded Dirichlet verdicts never accept residuals above this
 # fraction of the data magnitude, however favorable the refinement trend.
@@ -72,8 +72,7 @@ class SectionalSolution:
     interior_only: bool = False
 
     def _poly_rows(self, pts):
-        return _polynomial_rows(self.mesh.context, self.polynomial, pts,
-                                self.side)
+        return _polynomial(self.mesh.context, self.polynomial, self.side)(pts)
 
     def _evaluate(self, w, tag, method):
         ctx = self.mesh.context
@@ -192,15 +191,6 @@ def _sample_indices(N, sample_nodes, seed):
                                               replace=False)
 
 
-def _sampled_limits(mesh, sol, sample_nodes, seed):
-    """Sampled nodes idx and the (len(idx), dim) rows of the interior and
-    exterior limits of S[g] there, one boundary_limit call per side."""
-    idx = _sample_indices(mesh.node_count, sample_nodes, seed)
-    plus, minus = (boundary_limit(mesh, sol.density, idx, sign, side=sol.side)
-                   for sign in "+-")
-    return idx, plus, minus
-
-
 def _max_row_norm(rows):
     return float(np.linalg.norm(rows, axis=1).max(initial=0.0))
 
@@ -212,7 +202,8 @@ def jump_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
     Independent of the Plemelj identities: both one-sided values come
     from boundary_limit's Richardson ladders along the normal.
     """
-    idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed)
+    idx = _sample_indices(mesh.node_count, sample_nodes, seed)
+    plus, minus = boundary_limit(mesh, sol.density, idx, side=sol.side)
     return _max_row_norm(plus - minus - g.samples[idx])
 
 
@@ -273,10 +264,10 @@ def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
     boundary_limit's ladders as in jump_residual."""
     ctx = mesh.context
     Gc = as_coeffs(ctx, G)
-    idx, plus, minus = _sampled_limits(mesh, sol, sample_nodes, seed)
+    idx = _sample_indices(mesh.node_count, sample_nodes, seed)
     poly = sol._poly_rows(mesh.nodes[idx])
-    plus = plus + poly
-    minus = minus + poly
+    plus, minus = (limit + poly for limit in
+                   boundary_limit(mesh, sol.density, idx, side=sol.side))
     if sol.gap_inverse is not None:
         minus = batch_product(ctx, minus, sol.gap_inverse)
     return _max_row_norm(plus - batch_product(ctx, minus, Gc) - g.samples[idx])
@@ -335,9 +326,9 @@ def _dirichlet_residuals(mesh, gs, sample_idx, probe_dirs):
 
 
 def _probe_indices(mesh, count):
-    """min(count, N) node indices, evenly spaced from 0 to N - 1, ascending."""
-    return np.unique(np.linspace(0, mesh.node_count - 1,
-                                 min(count, mesh.node_count)).astype(np.int64))
+    """min(count, N) node indices evenly spaced (>= 1 apart) over 0..N-1."""
+    return np.linspace(0, mesh.node_count - 1,
+                       min(count, mesh.node_count)).astype(np.int64)
 
 
 def solve_dirichlet(mesh, g, threshold=None):

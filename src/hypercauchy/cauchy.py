@@ -307,16 +307,24 @@ def _boundary_distance(mesh, w):
     return _nearest_node(mesh, w)[1]
 
 
+def _uniform_circle(mesh):
+    """_accel.uniform_circle of a curve's nodes (None on surfaces), tested
+    once per mesh and kept in its cache for the stencil and the FFT route."""
+    if mesh.n == 1 and "uniform_circle" not in mesh.cache:
+        mesh.cache["uniform_circle"] = _accel.uniform_circle(mesh.nodes)
+    return mesh.cache.get("uniform_circle")
+
+
 def _accum(mesh, targets, g, side, excl=None, keep=slice(None)):
     """Kernel sums over the mesh nodes keep (default all) at the targets.
 
-    side picks accum_left or accum_right; any other side raises before
-    any work is done.
+    side picks accum_left or accum_right (any other side raises before any
+    work is done); sums with excl take the mesh's uniform circle test.
     """
     _check_side(side)
     accum = _accel.accum_left if side == "left" else _accel.accum_right
     return accum(mesh.context, targets, mesh.nodes[keep], g[..., keep, :],
-                 excl)
+                 excl, None if excl is None else _uniform_circle(mesh))
 
 
 def _shifted_sums(mesh, samples, side, targets, t, excl=None):
@@ -478,7 +486,7 @@ def _build_gradient_stencil(mesh, idx=None):
     below STENCIL_RANK_TOL |R_00| raises DegenerateStencilError naming the
     mesh index of the first such node.
     """
-    circ = _accel.uniform_circle(mesh.nodes)
+    circ = _uniform_circle(mesh)
     if circ is not None:
         order, R, _ = circ
         N = mesh.node_count
@@ -556,7 +564,7 @@ def gradient_stencil(mesh, idx=None):
         N = mesh.node_count
         if idx is not None and np.array_equal(idx, np.arange(N)):
             idx = None
-        if idx is not None and _accel.uniform_circle(mesh.nodes) is None:
+        if idx is not None and _uniform_circle(mesh) is None:
             return _build_gradient_stencil(mesh, idx)
         stencil = _build_gradient_stencil(mesh)
         for arr in stencil:
@@ -789,21 +797,22 @@ def richardson_limit(step_ratio, values):
     return last[0]
 
 
-def _ladder_rows(mesh, f, t, lams, signs, side):
-    """C[f] at x_t - s lam nu(t), sign s = 1 inside and -1 outside, in one
-    _integral_rows call: every rung is C[f - f(t)] + f(t) X, X = 1 on the
-    rungs of sign 1 and 0 on the others, on every mesh.  t is a node index
-    or a 1-d array of them.  Returns (len(signs), len(t), len(lams), dim),
-    after a leading K for a sequence of K densities."""
+def _ladder_rows(mesh, f, t, lams, side):
+    """C[f] at x_t - s lam nu(t), s = 1 inside and -1 outside, both in one
+    _integral_rows call: every rung is C[f - f(t)] + f(t) X, X = 1 inside
+    and 0 outside, on every mesh.  t is a node index or a 1-d array of
+    them.  Returns the inside and the outside rows, each (len(t),
+    len(lams), dim) after a leading K for a sequence of K densities."""
     idx = _node_indices(mesh, t)
-    s = np.asarray(signs, dtype=np.float64)[:, None, None, None]
+    s = np.array([1.0, -1.0])[:, None, None, None]
     points = (mesh.nodes[idx][None, :, None]
               - s * lams[:, None] * mesh.normals[idx][None, :, None])
     shape = points.shape[:-1]
     rows = _integral_rows(mesh, f, points.reshape(-1, mesh.n + 1), side,
                           np.broadcast_to(idx[:, None], shape).ravel(),
                           np.broadcast_to(s[..., 0] > 0, shape).ravel())
-    return rows.reshape(rows.shape[:-2] + shape + rows.shape[-1:])
+    rows = rows.reshape(rows.shape[:-2] + shape + rows.shape[-1:])
+    return np.moveaxis(rows, -4, 0)
 
 
 def _ladder_limit(mesh, t, ratio, rows):
@@ -814,26 +823,24 @@ def _ladder_limit(mesh, t, ratio, rows):
     return Multivector(mesh.context, out) if out.ndim == 1 else out
 
 
-def boundary_limit(mesh, f: BoundaryDensity, t, sign="+", side="left"):
-    """Richardson limit of C[f] along the normal through node t.
+def boundary_limit(mesh, f: BoundaryDensity, t, side="left"):
+    """Richardson limits (plus, minus) of C[f] along the normal through t.
 
-    sign '+' approaches from the interior (against the outward normal),
-    '-' from the exterior.  Used as the independent oracle for the
-    Plemelj formulas.  The ladder's steps halve from 0.25 R over 5 rungs
-    on circles and from 0.35 R over RICHARDSON_TERMS rungs on other
-    meshes, R half the nodes' widest coordinate extent.  A node
-    index t gives a Multivector, a 1-d index array (len(t), dim) rows, and
-    K densities (K, len(t), dim), all rungs in one kernel call.  Every
-    rung sums f - f(t) and adds f(t) back inside (_ladder_rows), on
-    loaded and hand-made meshes as on built ones.
+    The Plemelj pair, the independent oracle for the Plemelj formulas:
+    plus approaches from the interior (against the outward normal), minus
+    from the exterior, both in one kernel call.  The ladder's steps halve
+    from 0.25 R over 5 rungs on circles and from 0.35 R over
+    RICHARDSON_TERMS rungs on other meshes, R half the nodes' widest
+    coordinate extent.  Each limit is a Multivector for a node index t,
+    (len(t), dim) rows for an index array and (K, len(t), dim) for K
+    densities.  Every rung sums f - f(t) and adds f(t) back inside
+    (_ladder_rows), on loaded and hand-made meshes as on built ones.
     """
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     # the circle mesh is fine enough for a deeper extrapolation ladder
     frac, terms = (0.25, 5) if mesh.n == 1 else (0.35, RICHARDSON_TERMS)
-    rows = _ladder_rows(mesh, f, t, _halving_steps(mesh, frac, terms),
-                        [1.0 if sign == "+" else -1.0], side)
-    return _ladder_limit(mesh, t, RICHARDSON_RATIO, rows[..., 0, :, :, :])
+    lams = _halving_steps(mesh, frac, terms)
+    return tuple(_ladder_limit(mesh, t, RICHARDSON_RATIO, rows)
+                 for rows in _ladder_rows(mesh, f, t, lams, side))
 
 
 def _scale(mesh):
@@ -871,9 +878,8 @@ def symmetric_difference_limit(mesh, f: BoundaryDensity, p, lambdas,
     ratios = lams[:-1] / lams[1:]
     if not np.allclose(ratios, ratios[0], rtol=1e-9):
         raise ValueError("lambda sequence must shrink by one ratio")
-    rows = _ladder_rows(mesh, f, p, lams, [1.0, -1.0], side)
-    return _ladder_limit(mesh, p, float(ratios[0]),
-                         rows[..., 0, :, :, :] - rows[..., 1, :, :, :])
+    plus, minus = _ladder_rows(mesh, f, p, lams, side)
+    return _ladder_limit(mesh, p, float(ratios[0]), plus - minus)
 
 
 @dataclass(frozen=True)

@@ -336,11 +336,9 @@ def _run_plemelj(cfg, mesh):
     idx = rng.integers(0, mesh.node_count, size=3)
     pvs = principal_value_nodes(mesh, densities, indices=idx)
     half = 0.5 * np.stack([dens.samples[idx] for dens in densities])
-    # (density, node, sign) errors, one ladder call per sign
-    errs = np.abs(np.stack([boundary_limit(mesh, densities, idx, "+")
-                            - (half + pvs),
-                            boundary_limit(mesh, densities, idx, "-")
-                            - (-half + pvs)], axis=2)).max(axis=-1)
+    # (density, node, sign) errors of the limits against +-f/2 + PV
+    errs = np.abs(np.stack(boundary_limit(mesh, densities, idx), axis=2)
+                  - np.stack([half + pvs, -half + pvs], axis=2)).max(axis=-1)
     return _norms(errs) + ({},)
 
 
@@ -393,16 +391,20 @@ def _run_constant_gap(cfg, mesh):
 def _run_dirichlet(cfg, mesh):
     corpus = _corpus.dirichlet_corpus(mesh, seed=cfg.seed + 19)
     rng = np.random.default_rng(cfg.seed + 7)
-    lams = symmetric_difference_steps(mesh)
-    agree = 0
     recon = [0.0]
     reports = solve_dirichlet(mesh, [dens for _, dens, _ in corpus])
-    for (name, dens, truth), rep in zip(corpus, reports):
-        agree += int(rep.solvable == truth)
-        if truth and rep.solvable:
-            idx = rng.integers(0, mesh.node_count, size=2)
-            rec = symmetric_difference_limit(mesh, dens, idx, lams)
-            recon.extend(np.abs(rec - dens.samples[idx]).max(axis=1))
+    agree = sum(int(rep.solvable == truth)
+                for (_, _, truth), rep in zip(corpus, reports))
+    solved = [dens for (_, dens, truth), rep in zip(corpus, reports)
+              if truth and rep.solvable]
+    if solved:
+        # two nodes per density, in corpus order, all in one ladder call
+        idx = rng.integers(0, mesh.node_count, size=(len(solved), 2))
+        rec = symmetric_difference_limit(mesh, solved, idx.ravel(),
+                                         symmetric_difference_steps(mesh))
+        for k, dens in enumerate(solved):
+            recon.extend(np.abs(rec[k, 2 * k:2 * k + 2]
+                                - dens.samples[idx[k]]).max(axis=1))
     aux = {"verdict_agreement": agree / len(corpus), "corpus_size": len(corpus)}
     return _norms(recon) + (aux,)
 

@@ -342,19 +342,25 @@ def _degree_maxima(entries):
     return out
 
 
-def _polynomial_rows(ctx, terms, points, side):
-    """(M, 2^n) rows of sum Z^alpha c_alpha (left) or c_alpha Z^alpha (right)
-    at (M, n+1) points, from (alpha, c) terms, c any value as_coeffs takes;
-    zero c are skipped, and the Z^alpha of the others come from one
-    _symmetric_powers table."""
+def _polynomial(ctx, terms, side):
+    """The evaluator of sum Z^alpha c_alpha (left) or c_alpha Z^alpha
+    (right), (M, n+1) points to (M, 2^n) rows; the (alpha, c) terms, c any
+    value as_coeffs takes, are checked once, here.  Zero c are skipped and
+    a scalar c scales its Z^alpha (bitwise its product, in the sum)."""
     _check_side(side)
     terms = [(_as_alpha(alpha, ctx.n), as_coeffs(ctx, c)) for alpha, c in terms]
-    terms = [(alpha, c) for alpha, c in terms if c.any()]
-    table = _symmetric_powers(ctx, [alpha for alpha, _ in terms], points)
-    out = np.zeros((points.shape[0], ctx.dim))
-    for alpha, c in terms:
-        out += sided_product(ctx, side, table[alpha], c)
-    return out
+    terms = [(alpha, c if c[1:].any() else c[0])
+             for alpha, c in terms if c.any()]
+
+    def rows(points):
+        table = _symmetric_powers(ctx, [alpha for alpha, _ in terms], points)
+        out = np.zeros((points.shape[0], ctx.dim))
+        for alpha, c in terms:
+            out += (c * table[alpha] if np.ndim(c) == 0
+                    else sided_product(ctx, side, table[alpha], c))
+        return out
+
+    return rows
 
 
 # -- Taylor components -------------------------------------------------------------
@@ -402,12 +408,11 @@ def taylor_component(f, k, mesh, side="left"):
         f = BoundaryDensity.from_function(mesh, f)
     coeffs = {alpha: derivative_at_origin(mesh, f, alpha, side)
               for alpha in multi_indices(ctx.n, k)}
-    inv_kfact = 1.0 / math.factorial(k)
+    poly = _polynomial(ctx, coeffs.items(), side)
 
     def evaluator(x):
         pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        out = _polynomial_rows(ctx, coeffs.items(), pts, side)
-        out *= inv_kfact
+        out = poly(pts) * (1.0 / math.factorial(k))
         if np.asarray(x).ndim == 1:
             return Multivector(ctx, out[0])
         return out

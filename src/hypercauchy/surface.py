@@ -113,15 +113,15 @@ class SurfaceMesh:
         nearest first, on the Fibonacci lattice; the 3x3x3 grid block on
         3-spheres), read by neighbour_lists.  The rest is filled on first
         use: on a mesh without builder lists, the k-d tree's lists under
-        ("neighbours", k), read-only; the tangential-derivative stencil of
-        cauchy.gradient_stencil, only once it is built for every node (a
-        fit of some nodes alone is not kept), the read-only full-mesh
-        self-sums S2 of cauchy.principal_value_nodes, one per side, on
-        3-spheres the singular-cell coefficients of
-        cauchy._grid_cell_coefficients, one per side, and the refined mesh
-        (refine(mesh), with its own cache) on which the solvability
-        thresholds resample evaluator-backed densities.  Every other new
-        mesh starts with an empty one.
+        ("neighbours", k), read-only; on curves cauchy._uniform_circle's
+        test; the tangential-derivative stencil of cauchy.gradient_stencil,
+        only once it is built for every node (a fit of some nodes alone is
+        not kept), the read-only full-mesh self-sums S2 of
+        cauchy.principal_value_nodes, one per side, on 3-spheres the
+        singular-cell coefficients of cauchy._grid_cell_coefficients, one
+        per side, and the refined mesh (refine(mesh), with its own cache)
+        on which the solvability thresholds resample evaluator-backed
+        densities.  Every other new mesh starts with an empty one.
     """
 
     nodes: np.ndarray
@@ -336,7 +336,7 @@ def _fibonacci_neighbours(nodes, normals, radius, increment, k):
         # bands padded to a multiple of 8 candidates, one pass per width
         width = -(-count // 8) * 8
         reach = np.zeros(todo.size)
-        for w in np.unique(width):
+        for w in sorted(set(width.tolist())):
             g = np.flatnonzero(width == w)
             # each band's kept offsets first, in increasing order
             offs = o[np.argsort(~keep[g], axis=1, kind="stable")[:, :w]]

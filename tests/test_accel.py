@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hypercauchy import _accel
+from hypercauchy import _accel, cli
 from hypercauchy.cauchy import (BoundaryDensity, gradient_stencil, kernel_E,
                                 kernel_E_rows, principal_value_nodes)
 from hypercauchy.clifford_core import (Multivector, Paravector, batch_product,
@@ -378,9 +378,12 @@ def _circle_stack(mesh):
 
 
 def _node_sums(mesh, G, side, nodes=None):
+    """Node-target sums with the nodes' uniform circle test, as cauchy
+    passes it from the mesh's cache."""
     nodes = mesh.nodes if nodes is None else nodes
     accum = _accel.accum_left if side == "left" else _accel.accum_right
-    return accum(mesh.context, nodes, nodes, G, np.arange(len(nodes)))
+    return accum(mesh.context, nodes, nodes, G, np.arange(len(nodes)),
+                 _accel.uniform_circle(nodes))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -419,6 +422,21 @@ def test_permuted_circle_takes_fft_route(monkeypatch):
     for k in range(len(G)):
         bound = FFT_PARITY * N * UNIT_ROUNDOFF * np.abs(sorted_sums[k]).max()
         assert np.abs(permuted[k] - sorted_sums[k, perm]).max() <= bound
+
+
+def test_circle_grid_is_found_once_per_mesh(monkeypatch):
+    # the stencil and both node-target sums of a poincare-bertrand level
+    # (the separable f, then the kernel) read the mesh's cached test
+    found = []
+    original = _accel.uniform_circle
+    monkeypatch.setattr(_accel, "uniform_circle",
+                        lambda nodes: found.append(1) or original(nodes))
+    ffts = _fft_calls(monkeypatch)
+    cfg = cli.resolve_config({"experiment": "poincare-bertrand",
+                              "surface": "circle"}, ["levels=3,4"])
+    cli.run_experiment(cfg)
+    assert len(found) == 2
+    assert len(ffts) >= 2
 
 
 def test_reloaded_circle_takes_fft_route(monkeypatch, tmp_path):

@@ -125,8 +125,7 @@ def _plemelj_worst(mesh):
     for f in plemelj_corpus(mesh):
         for i in idx:
             plus, minus = plemelj_values(mesh, f, int(i))
-            lim_p = boundary_limit(mesh, f, int(i), "+")
-            lim_m = boundary_limit(mesh, f, int(i), "-")
+            lim_p, lim_m = boundary_limit(mesh, f, int(i))
             worst = max(worst,
                         float(np.abs(plus.coeffs - lim_p.coeffs).max()),
                         float(np.abs(minus.coeffs - lim_m.coeffs).max()))

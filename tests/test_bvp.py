@@ -199,7 +199,7 @@ def _loaded_mesh_errors(name, quantity, tmp_path):
         if quantity == "jump_residual":
             out.append(jump_residual(mesh, solve_jump_rm(mesh, g, 1)[0], g))
         elif quantity == "boundary_limit":
-            out.append(np.abs(boundary_limit(mesh, g, idx, "+") - pv).max())
+            out.append(np.abs(boundary_limit(mesh, g, idx)[0] - pv).max())
         else:
             rec = symmetric_difference_limit(mesh, g, idx,
                                              symmetric_difference_steps(mesh))
@@ -230,7 +230,7 @@ def _round_trip_values(mesh, samples):
     N = mesh.node_count
     idx = np.array([0, N // 3, N - 1])
     return {"pv": principal_value_nodes(mesh, g),
-            "limit": boundary_limit(mesh, g, idx, "+"),
+            "limit": boundary_limit(mesh, g, idx)[0],
             "symmetric": symmetric_difference_limit(
                 mesh, g, idx, symmetric_difference_steps(mesh)),
             "dirichlet": solve_dirichlet(mesh, g,
@@ -977,11 +977,11 @@ def _measure_sums(monkeypatch, mesh):
     seen = []
     original = _accel._accumulate
 
-    def counted(ctx, targets, nodes, g, excl, side):
+    def counted(ctx, targets, nodes, g, excl, side, circle):
         if np.array_equal(np.atleast_2d(targets), mesh.nodes):
             G = np.reshape(g, (-1, N, ctx.dim))
             seen.extend(side for Gk in G if np.array_equal(Gk, measure))
-        return original(ctx, targets, nodes, g, excl, side)
+        return original(ctx, targets, nodes, g, excl, side, circle)
 
     monkeypatch.setattr(_accel, "_accumulate", counted)
     return seen
@@ -1005,7 +1005,8 @@ def test_self_sums_are_summed_once_per_mesh_and_side(spec, level,
     measure = paravectors_as_coeffs(fresh.context, fresh.measure_coeffs())
     assert S2.tobytes() == _accel.accum_left(
         fresh.context, fresh.nodes, fresh.nodes, measure,
-        np.arange(fresh.node_count)).tobytes()
+        np.arange(fresh.node_count),
+        _accel.uniform_circle(fresh.nodes)).tobytes()
     # the kernel on a cold cache takes one pass of the measure alone
     mesh = build_mesh(_PB_SPECS[spec], level)
     seen = _measure_sums(monkeypatch, mesh)

@@ -369,18 +369,41 @@ print(json.dumps({"passed": verdicts, "scipy": sorted(
 """
 
 
-def test_circle_and_sphere2_configs_run_without_scipy_spatial():
-    # built meshes carry their own neighbour lists; only loaded or
-    # modified meshes search a k-d tree, so these runs never import one
+def _fresh_python(code, *args):
+    """Run code in a fresh interpreter that imports hypercauchy from src."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_RUN,
-         str(CONFIG_DIR / "pv-constant.cfg"), str(CONFIG_DIR / "span.cfg")],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, timeout=300,
         env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_circle_and_sphere2_configs_run_without_scipy_spatial():
+    # built meshes carry their own neighbour lists; only loaded or
+    # modified meshes search a k-d tree, so these runs never import one
+    proc = _fresh_python(NO_SCIPY_RUN, str(CONFIG_DIR / "pv-constant.cfg"),
+                         str(CONFIG_DIR / "span.cfg"))
     out = json.loads(proc.stdout)
     assert out["passed"] == [True, True]
     assert "scipy.spatial" not in out["scipy"]
+
+
+NO_MA_RUN = """\
+import sys
+from hypercauchy import bvp, surface
+mesh = surface.build_mesh(surface.DomainSpec("sphere", 2), 2)
+print(bvp._probe_indices(mesh, 64).tolist(), "numpy.ma" in sys.modules)
+"""
+
+
+def test_sphere2_build_and_probe_nodes_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma, 8-17 ms of a fresh process; the Fibonacci
+    # neighbour search and the probe nodes take sorts instead
+    indices, ma = _fresh_python(NO_MA_RUN).stdout.rsplit(" ", 1)
+    assert ma.strip() == "False"
+    want = np.unique(np.linspace(0, 1279, 64).astype(np.int64))
+    assert indices == str(want.tolist())

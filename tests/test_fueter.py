@@ -415,14 +415,14 @@ def test_dirac_apply_tells_the_sides_apart():
 
 def test_polynomial_rows_reject_unknown_side(sphere_mesh):
     ctx = sphere_mesh.context
-    pts = sphere_mesh.nodes[:4]
     terms = [((1, 0), np.ones(ctx.dim))]
     for side in ("up", "Left", None):
+        # refused when the evaluator is built, before any point
         with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
-            fueter._polynomial_rows(ctx, terms, pts, side)
+            fueter._polynomial(ctx, terms, side)
         # an empty polynomial part is rejected the same way
         with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
-            fueter._polynomial_rows(ctx, (), pts, side)
+            fueter._polynomial(ctx, (), side)
 
 
 @pytest.mark.parametrize("call", [

@@ -6,6 +6,7 @@ single-density call bit for bit, not just to rounding.
 """
 
 import dataclasses
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from hypercauchy import _accel, cli
 from hypercauchy.bvp import (CharacteristicCoefficients,
                              apply_characteristic_lhs,
                              solve_characteristic_sie, solve_dirichlet)
-from hypercauchy.cauchy import BoundaryDensity, principal_value_nodes
+from hypercauchy.cauchy import (BoundaryDensity, boundary_limit,
+                                principal_value_nodes,
+                                symmetric_difference_limit,
+                                symmetric_difference_steps)
 from hypercauchy.surface import DomainSpec, build_mesh
 from hypercauchy._corpus import (dirichlet_corpus, inversion_corpus,
                                  random_smooth, rough_holder, sie_corpus)
@@ -214,3 +218,97 @@ def test_stacked_dirichlet_takes_four_kernel_passes(name, level, monkeypatch):
         solve_dirichlet(mesh, densities)
         assert len(calls) == 4
         assert all(shape[0] >= len(densities) for shape in calls)
+
+
+# -- pass counts: the Plemelj pair and the stacked ladders -------------------------
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+
+def _accumulate_calls(monkeypatch):
+    """Record every _accel._accumulate call, the home of every kernel sum."""
+    calls = []
+    original = _accel._accumulate
+    monkeypatch.setattr(_accel, "_accumulate",
+                        lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
+def _passes_inside(monkeypatch, module, name, calls):
+    """Per call of module.name, the number of entries it adds to calls."""
+    inside = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        start = len(calls)
+        out = original(*args, **kwargs)
+        inside.append(len(calls) - start)
+        return out
+
+    monkeypatch.setattr(module, name, counted)
+    return inside
+
+
+def _run_config(name, levels):
+    cfg = cli.resolve_config(cli.parse_config_file(CONFIG_DIR / name),
+                             ["levels=" + levels])
+    return cli.run_experiment(cfg)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_boundary_limit_takes_one_pass(mesh, side, monkeypatch):
+    # both limits of the Plemelj pair come from one ladder pass, for one
+    # node or many, one density or a stack
+    calls = _accumulate_calls(monkeypatch)
+    fs = _densities(mesh)
+    for f, t in [(fs[0], 3), (fs[0], [0, 3, 17]), (fs, [0, 3, 17])]:
+        calls.clear()
+        plus, minus = boundary_limit(mesh, f, t, side=side)
+        assert len(calls) == 1
+        assert np.shape(plus) == np.shape(minus)
+
+
+@pytest.mark.parametrize("config, residual", [
+    ("jump-rm.cfg", "jump_residual"),
+    ("constant-gap.cfg", "constant_gap_residual")])
+def test_residuals_take_one_ladder_pass_per_level(config, residual,
+                                                  monkeypatch):
+    calls = _accumulate_calls(monkeypatch)
+    inside = _passes_inside(monkeypatch, cli, residual, calls)
+    _run_config(config, "2,3")
+    assert inside == [1, 1]
+
+
+def test_dirichlet_runner_takes_one_ladder_call_per_level(monkeypatch):
+    # every solved density's two nodes share one symmetric-difference call
+    calls = _accumulate_calls(monkeypatch)
+    inside = _passes_inside(monkeypatch, cli, "symmetric_difference_limit",
+                            calls)
+    report = _run_config("dirichlet.cfg", "3,4")
+    assert inside == [1, 1]
+    assert report.rows[-1].aux["verdict_agreement"] == 1.0
+    # each density reads its own rows: the errors of one ladder per density
+    # at the same draws
+    for row in report.rows:
+        mesh = build_mesh(SPECS["circle"], row.level)
+        corpus = dirichlet_corpus(mesh, seed=19)
+        rng = np.random.default_rng(7)
+        errs = [0.0]
+        for (_, f, truth), rep in zip(corpus, solve_dirichlet(
+                mesh, [f for _, f, _ in corpus])):
+            if truth and rep.solvable:
+                idx = rng.integers(0, mesh.node_count, size=2)
+                rec = symmetric_difference_limit(
+                    mesh, f, idx, symmetric_difference_steps(mesh))
+                errs.extend(np.abs(rec - f.samples[idx]).max(axis=1))
+        assert len(errs) == 21
+        assert row.error_maxnorm == pytest.approx(max(errs), rel=1e-12)
+
+
+@pytest.mark.parametrize("config, levels", [("plemelj-circle.cfg", "3,4"),
+                                            ("plemelj-sphere.cfg", "0,1")])
+def test_plemelj_level_takes_two_passes(config, levels, monkeypatch):
+    # the principal values at the sampled nodes, then the ladder pair
+    calls = _accumulate_calls(monkeypatch)
+    _run_config(config, levels)
+    assert len(calls) == 2 * 2
