@@ -39,14 +39,14 @@ nodes in angular order, omega = exp(2 pi i / N).  So sum_{q != p}
 E(x_q - x_p) g_q = (x_p - c)^-1 sum_m c_m g_(p+m), c_m = 1/(omega^m - 1),
 one circular correlation per density: an FFT, the exact symbol of c and
 an inverse FFT (_circle_sums), O(N log N) against the tiles' O(N^2).  The
-complex product commutes, so both sides give the same sums.  The route
-is picked by the nodes alone (uniform_circle, passed in by the caller);
+complex product commutes, so both sides give the same sums.  Callers pick
+the route: circle, with no default, is uniform_circle(nodes) or None;
 off-surface targets, indexed rows, trimmed or capped circles and spheres
-stay on the direct paths above, their parity reference.  The FFT takes
-the grid as ideal, which costs about N eps relative against the direct
-sums over the rounded nodes; in S1 - S2 f_t that part cancels when S2
-takes the same route, as every S1 - S2 f_t is cauchy._shifted_sums,
-whose full-mesh S2 (the mesh's cache) is a node-target sum.
+stay on the direct paths above, their parity reference.  The FFT takes the
+grid as ideal, costing about N eps relative against the direct sums over
+the rounded nodes; in S1 - S2 f_t that part cancels when S2 takes the same
+route, as every S1 - S2 f_t is cauchy._shifted_sums, whose full-mesh S2
+(the mesh's cache) is a node-target sum.
 """
 
 from __future__ import annotations
@@ -227,18 +227,18 @@ def _accumulate(ctx, targets, nodes, g, excl, side, circle):
     return out.reshape(g.shape[:-2] + (M, ctx.dim))
 
 
-def accum_left(ctx, targets, nodes, g, excl=None, circle=None):
+def accum_left(ctx, targets, nodes, g, excl=None, *, circle):
     """sum_j E(x_j - w_i) g_j for each target row w_i, skipping node excl[i].
 
-    g (one density or a stack) and circle as in _accumulate.
+    g (one density or a stack) and circle (no default) as in _accumulate.
     """
     return _accumulate(ctx, targets, nodes, g, excl, "left", circle)
 
 
-def accum_right(ctx, targets, nodes, g, excl=None, circle=None):
+def accum_right(ctx, targets, nodes, g, excl=None, *, circle):
     """sum_j g_j E(x_j - w_i) for each target row w_i, skipping node excl[i].
 
-    g (one density or a stack) and circle as in _accumulate.
+    g (one density or a stack) and circle (no default) as in _accumulate.
     """
     return _accumulate(ctx, targets, nodes, g, excl, "right", circle)
 

@@ -315,16 +315,18 @@ def _uniform_circle(mesh):
     return mesh.cache.get("uniform_circle")
 
 
-def _accum(mesh, targets, g, side, excl=None, keep=slice(None)):
+def _accum(mesh, targets, g, side, excl=None, keep=None):
     """Kernel sums over the mesh nodes keep (default all) at the targets.
 
     side picks accum_left or accum_right (any other side raises before any
-    work is done); sums with excl take the mesh's uniform circle test.
+    work is done); only sums over all nodes with excl read the circle test.
     """
     _check_side(side)
     accum = _accel.accum_left if side == "left" else _accel.accum_right
+    circ = None if excl is None or keep is not None else _uniform_circle(mesh)
+    keep = slice(None) if keep is None else keep
     return accum(mesh.context, targets, mesh.nodes[keep], g[..., keep, :],
-                 excl, None if excl is None else _uniform_circle(mesh))
+                 excl, circle=circ)
 
 
 def _shifted_sums(mesh, samples, side, targets, t, excl=None):

@@ -345,19 +345,17 @@ def _degree_maxima(entries):
 def _polynomial(ctx, terms, side):
     """The evaluator of sum Z^alpha c_alpha (left) or c_alpha Z^alpha
     (right), (M, n+1) points to (M, 2^n) rows; the (alpha, c) terms, c any
-    value as_coeffs takes, are checked once, here.  Zero c are skipped and
-    a scalar c scales its Z^alpha (bitwise its product, in the sum)."""
+    value as_coeffs takes, are checked once, here.  Zero c are skipped, and
+    the Z^alpha of the others come from one _symmetric_powers table."""
     _check_side(side)
     terms = [(_as_alpha(alpha, ctx.n), as_coeffs(ctx, c)) for alpha, c in terms]
-    terms = [(alpha, c if c[1:].any() else c[0])
-             for alpha, c in terms if c.any()]
+    terms = [(alpha, c) for alpha, c in terms if c.any()]
 
     def rows(points):
         table = _symmetric_powers(ctx, [alpha for alpha, _ in terms], points)
         out = np.zeros((points.shape[0], ctx.dim))
         for alpha, c in terms:
-            out += (c * table[alpha] if np.ndim(c) == 0
-                    else sided_product(ctx, side, table[alpha], c))
+            out += sided_product(ctx, side, table[alpha], c)
         return out
 
     return rows

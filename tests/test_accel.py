@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hypercauchy import _accel, cli
+from hypercauchy import _accel, cauchy, cli
 from hypercauchy.cauchy import (BoundaryDensity, gradient_stencil, kernel_E,
                                 kernel_E_rows, principal_value_nodes)
 from hypercauchy.clifford_core import (Multivector, Paravector, batch_product,
@@ -109,7 +109,7 @@ def test_accumulators_match_pair_loop(mesh, side):
          np.array([picks[5], picks[4], -1, picks[0]])),
     ]
     for targets, excl in cases:
-        got = accum(ctx, targets, mesh.nodes, g, excl)
+        got = accum(ctx, targets, mesh.nodes, g, excl, circle=None)
         want, abs_sum = _reference_accum(ctx, targets, mesh.nodes, g, excl,
                                          side)
         _assert_within(got, want, _tolerance(N * (ctx.n + 1), abs_sum))
@@ -140,10 +140,11 @@ def test_node_node_tiles_match_row_blocks(N, n, side, monkeypatch):
     G = rng.normal(size=(3, N, ctx.dim))
     accum = _accel.accum_left if side == "left" else _accel.accum_right
     excl = np.arange(N)
-    rows = accum(ctx, nodes[::-1], nodes, G, excl[::-1])[:, ::-1]
-    one = accum(ctx, nodes, nodes, G[1], excl)
+    rows = accum(ctx, nodes[::-1], nodes, G, excl[::-1],
+                 circle=None)[:, ::-1]
+    one = accum(ctx, nodes, nodes, G[1], excl, circle=None)
     built = _count_kernel_pairs(monkeypatch)
-    tiles = accum(ctx, nodes, nodes, G, excl)
+    tiles = accum(ctx, nodes, nodes, G, excl, circle=None)
     # each kernel value is built once: upper-triangular tiles of edge 256
     edges = np.diff(np.r_[0:N:256, N])
     assert sum(built) == (N ** 2 + (edges ** 2).sum()) // 2
@@ -185,9 +186,11 @@ def _factors(ctx, N, seed):
 
 
 def _shared_sums(ctx, nodes, nuw, left):
-    """S1[i] = sum_{j != i} E(x_j - x_i) nuw_j left_j, which pb_rhs takes."""
+    """S1[i] = sum_{j != i} E(x_j - x_i) nuw_j left_j, which pb_rhs takes,
+    by the FFT route when the nodes are a uniform circle."""
     return _accel.accum_left(ctx, nodes, nodes, batch_product(ctx, nuw, left),
-                             np.arange(len(nodes)))
+                             np.arange(len(nodes)),
+                             circle=_accel.uniform_circle(nodes))
 
 
 def test_pb_rhs_matches_pair_loop(mesh):
@@ -383,7 +386,7 @@ def _node_sums(mesh, G, side, nodes=None):
     nodes = mesh.nodes if nodes is None else nodes
     accum = _accel.accum_left if side == "left" else _accel.accum_right
     return accum(mesh.context, nodes, nodes, G, np.arange(len(nodes)),
-                 _accel.uniform_circle(nodes))
+                 circle=_accel.uniform_circle(nodes))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -399,7 +402,7 @@ def test_circle_fft_matches_direct_sums(level, side, monkeypatch):
     # blocks, so the reference stays cheap at L8 (N = 16,384)
     rows = np.arange(0, N, max(1, N // 512))[::-1]
     accum = _accel.accum_left if side == "left" else _accel.accum_right
-    direct = accum(ctx, mesh.nodes[rows], mesh.nodes, G, rows)
+    direct = accum(ctx, mesh.nodes[rows], mesh.nodes, G, rows, circle=None)
     assert calls == [len(G)]
     for k in range(len(G)):
         bound = FFT_PARITY * N * UNIT_ROUNDOFF * np.abs(direct[k]).max()
@@ -437,6 +440,36 @@ def test_circle_grid_is_found_once_per_mesh(monkeypatch):
     cli.run_experiment(cfg)
     assert len(found) == 2
     assert len(ffts) >= 2
+
+
+def test_accumulators_take_no_default_route():
+    # the route argument has no default: each caller names the circle
+    # test, or None for the direct paths
+    mesh = build_mesh(SHIFTED, 2)
+    g = _circle_stack(mesh)[0]
+    for accum in (_accel.accum_left, _accel.accum_right):
+        with pytest.raises(TypeError, match="circle"):
+            accum(mesh.context, mesh.nodes, mesh.nodes, g,
+                  np.arange(mesh.node_count))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_node_subset_takes_no_whole_mesh_circle(side, monkeypatch):
+    # every other node of a uniform circle, each skipping its own: the
+    # whole mesh's grid test says nothing of the subset, so its sums take
+    # the direct route, bitwise
+    mesh = build_mesh(SHIFTED, 2)
+    assert cauchy._uniform_circle(mesh) is not None
+    keep = np.arange(mesh.node_count) % 2 == 0
+    sub = mesh.nodes[keep]
+    excl = np.arange(len(sub))
+    G = _circle_stack(mesh)
+    calls = _fft_calls(monkeypatch)
+    got = cauchy._accum(mesh, sub, G, side, excl=excl, keep=keep)
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    want = accum(mesh.context, sub, sub, G[:, keep], excl, circle=None)
+    assert calls == []
+    assert got.tobytes() == want.tobytes()
 
 
 def test_reloaded_circle_takes_fft_route(monkeypatch, tmp_path):
@@ -688,12 +721,12 @@ def test_sums_with_a_work_buffer_match_fresh_planes(node_targets, monkeypatch):
         return original(targets, nodes_T, n, skip)
 
     monkeypatch.setattr(_accel, "_kernel_E_block", kept)
-    got = [_accel.accum_left(ctx, targets, nodes, G, excl),
-           _accel.accum_right(ctx, targets, nodes, G, excl)]
+    got = [_accel.accum_left(ctx, targets, nodes, G, excl, circle=None),
+           _accel.accum_right(ctx, targets, nodes, G, excl, circle=None)]
     assert len(blocks) == 12
     assert all(np.shares_memory(blocks[0], b) for b in blocks[1:6])
     monkeypatch.setattr(_accel, "_kernel_E_block", fresh)
-    want = [_accel.accum_left(ctx, targets, nodes, G, excl),
-            _accel.accum_right(ctx, targets, nodes, G, excl)]
+    want = [_accel.accum_left(ctx, targets, nodes, G, excl, circle=None),
+            _accel.accum_right(ctx, targets, nodes, G, excl, circle=None)]
     for a, b in zip(got, want):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))

@@ -1006,7 +1006,7 @@ def test_self_sums_are_summed_once_per_mesh_and_side(spec, level,
     assert S2.tobytes() == _accel.accum_left(
         fresh.context, fresh.nodes, fresh.nodes, measure,
         np.arange(fresh.node_count),
-        _accel.uniform_circle(fresh.nodes)).tobytes()
+        circle=_accel.uniform_circle(fresh.nodes)).tobytes()
     # the kernel on a cold cache takes one pass of the measure alone
     mesh = build_mesh(_PB_SPECS[spec], level)
     seen = _measure_sums(monkeypatch, mesh)

@@ -773,7 +773,7 @@ def test_self_sums_from_first_pass_match_a_pass_of_their_own(name, side):
     measure = paravectors_as_coeffs(fresh.context, fresh.measure_coeffs())
     cold = accum(fresh.context, fresh.nodes, fresh.nodes, measure,
                  np.arange(fresh.node_count),
-                 _accel.uniform_circle(fresh.nodes))
+                 circle=_accel.uniform_circle(fresh.nodes))
     assert S2.tobytes() == cold.tobytes()
 
 

@@ -59,28 +59,32 @@ def test_stacked_accumulators_match_single_calls(mesh, side, excluded,
     idx = np.arange(0, mesh.node_count, 5)
     excl = idx if excluded else None
     targets = mesh.nodes[idx] if excluded else 0.5 * mesh.nodes[idx]
-    got = accum(ctx, targets, mesh.nodes, G, excl)
+    got = accum(ctx, targets, mesh.nodes, G, excl, circle=None)
     assert got.shape == (len(G), len(idx), ctx.dim)
     for k, g in enumerate(G):
-        assert _same_bits(got[k], accum(ctx, targets, mesh.nodes, g, excl))
-    one = accum(ctx, targets, mesh.nodes, G[:1], excl)
+        assert _same_bits(got[k], accum(ctx, targets, mesh.nodes, g, excl,
+                                        circle=None))
+    one = accum(ctx, targets, mesh.nodes, G[:1], excl, circle=None)
     assert _same_bits(one[0], got[0])
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_stacked_node_node_tiles_match_single_calls(mesh, side, monkeypatch):
     # every node a target skipping its own: the tile path, with small
-    # tiles so the stack runs through several off-diagonal ones
+    # tiles so the stack runs through several off-diagonal ones, and the
+    # FFT route on the circle
     monkeypatch.setattr(_accel, "BLOCK_PAIRS", mesh.node_count ** 2 // 9)
     ctx = mesh.context
     accum = _accel.accum_left if side == "left" else _accel.accum_right
     G = np.stack([f.samples * mesh.weights[:, None]
                   for f in _densities(mesh)])
     excl = np.arange(mesh.node_count)
-    got = accum(ctx, mesh.nodes, mesh.nodes, G, excl)
+    circle = _accel.uniform_circle(mesh.nodes)
+    got = accum(ctx, mesh.nodes, mesh.nodes, G, excl, circle=circle)
     assert got.shape == (len(G), mesh.node_count, ctx.dim)
     for k, g in enumerate(G):
-        assert _same_bits(got[k], accum(ctx, mesh.nodes, mesh.nodes, g, excl))
+        assert _same_bits(got[k], accum(ctx, mesh.nodes, mesh.nodes, g, excl,
+                                        circle=circle))
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
