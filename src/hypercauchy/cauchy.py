@@ -477,8 +477,9 @@ def _build_gradient_stencil(mesh, idx=None):
       take a periodic 4th-order central-difference stencil at the index
       offsets -2..2 of the sorted grid;
     - built spheres take the builder's lists (surface.neighbour_lists):
-      the 12 nearest nodes of the Fibonacci lattice, the 3x3x3 grid block
-      on 3-spheres;
+      the 12 nearest nodes of the Fibonacci lattice, searched for the rows
+      of idx alone when no lists are kept, the 3x3x3 grid block on
+      3-spheres;
     - every other mesh (loaded, dataclasses.replace) takes the k nearest
       nodes from a k-d tree, k = 12 for n = 2 and 20 for n = 3.
 
@@ -509,7 +510,7 @@ def _build_gradient_stencil(mesh, idx=None):
     d = mesh.n
     nterms = 1 + d + d * (d + 1) // 2
     k = max(nterms + 4, {2: 12, 3: 20}.get(d, 4 * nterms))
-    nb = neighbour_lists(mesh, min(k, mesh.node_count))[rows]
+    nb = neighbour_lists(mesh, min(k, mesh.node_count), idx)
     rel = mesh.nodes[nb] - mesh.nodes[rows, None, :]       # (M, k, p)
     u = 0.0                                                 # tangent coords
     for c in range(d + 1):

@@ -37,9 +37,12 @@ class NodeIndexError(IndexError, ValueError):
 
 NORMAL_UNIT_TOL = 1e-6
 
-# nearest nodes the sphere2 builder lists per node, the node itself first:
+# nearest nodes the sphere2 lists hold per node, the node itself first:
 # the neighbours the sphere2 gradient fit takes (cauchy.gradient_stencil)
 FIBONACCI_NEIGHBOURS = 12
+
+# azimuth step between consecutive Fibonacci lattice nodes
+GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 
 @dataclass(frozen=True)
@@ -103,16 +106,18 @@ class SurfaceMesh:
     spec : DomainSpec or None
         The builder spec, set by build_mesh only; None for every other
         mesh (load_mesh, dataclasses.replace copies, hand-made meshes).
-        No operator's arithmetic reads it; refine, the refinement
-        thresholds, cauchy_integral's side tags and boundary distance,
-        the experiment corpus and the CLI do.
+        No operator's arithmetic reads it: neighbour_lists picks the
+        lattice search by it, whose lists are the tree's; refine, the
+        refinement thresholds, cauchy_integral's side tags and boundary
+        distance, the experiment corpus and the CLI do.
     cache : dict
         Mesh-owned operator data that depends on the mesh alone.
-        build_mesh fills "neighbours" on spheres: the builder's (N, k)
-        neighbour lists, each row led by its node (the 12 nearest nodes,
-        nearest first, on the Fibonacci lattice; the 3x3x3 grid block on
-        3-spheres), read by neighbour_lists.  The rest is filled on first
-        use: on a mesh without builder lists, the k-d tree's lists under
+        build_mesh fills "neighbours" on 3-spheres: the builder's (N, 27)
+        neighbour lists, the 3x3x3 grid block led by its node, read by
+        neighbour_lists.  The rest is filled on first use: on 2-spheres
+        the builder's lists (the 12 nearest nodes, nearest first, on the
+        Fibonacci lattice) under "neighbours" once every node's are read,
+        read-only; on a mesh without a builder, the k-d tree's lists under
         ("neighbours", k), read-only; on curves cauchy._uniform_circle's
         test; the tangential-derivative stencil of cauchy.gradient_stencil,
         only once it is built for every node (a fit of some nodes alone is
@@ -223,24 +228,37 @@ def _tree_neighbours(nodes, k):
     return cKDTree(nodes).query(nodes, k=k)[1]
 
 
-def neighbour_lists(mesh, k):
-    """Per-node neighbour indices, each row led by its node.
+def neighbour_lists(mesh, k, rows=None):
+    """Neighbour indices of every node, or of the node index array rows,
+    each row led by its node.
 
-    The builder's lists when build_mesh made the mesh (mesh.cache), else
-    the k nearest nodes from a k-d tree: loaded, hand-made and
-    dataclasses.replace meshes have no builder, so their lists are
-    searched, never derived.  A searched mesh keeps its lists in its
-    cache, read-only, under ("neighbours", k).
+    Built meshes take their builder's lists, so k applies to the tree's
+    alone: the 27-node grid block on 3-spheres, which build_mesh keeps in
+    mesh.cache, and the 12 nearest nodes on 2-spheres, searched on the
+    Fibonacci lattice (_fibonacci_neighbours) only when read.  A 2-sphere
+    keeps its lists, read-only, under "neighbours" once every node's are
+    asked for; asked for some rows first, it searches only the lattice
+    bands that hold them and keeps nothing.  Loaded, hand-made and
+    dataclasses.replace meshes have no builder, so they take the k
+    nearest nodes from a k-d tree, searched for every node and kept,
+    read-only, under ("neighbours", k).
     """
     nb = mesh.cache.get("neighbours")
-    if nb is not None:
-        return nb
-    key = ("neighbours", k)
-    if key not in mesh.cache:
-        nb = _tree_neighbours(mesh.nodes, k)
+    if nb is None and mesh.spec is not None and mesh.spec.n == 2:
+        search = (mesh.nodes, mesh.normals, mesh.spec.radius)
+        if rows is not None:
+            return _fibonacci_neighbours(*search, rows)
+        nb = _fibonacci_neighbours(*search)
         nb.flags.writeable = False
-        mesh.cache[key] = nb
-    return mesh.cache[key]
+        mesh.cache["neighbours"] = nb
+    if nb is None:
+        key = ("neighbours", k)
+        if key not in mesh.cache:
+            nb = _tree_neighbours(mesh.nodes, k)
+            nb.flags.writeable = False
+            mesh.cache[key] = nb
+        nb = mesh.cache[key]
+    return nb if rows is None else nb[rows]
 
 
 def _mesh_h(nodes, nb=None):
@@ -270,23 +288,44 @@ def _fibonacci_nodes(level, center, radius):
     N = 320 * (1 << level)
     i = np.arange(N, dtype=np.float64)
     offset = 2.0 / N
-    increment = np.pi * (3.0 - np.sqrt(5.0))
     y = i * offset - 1.0 + offset / 2.0
     r = np.sqrt(np.maximum(0.0, 1.0 - y * y))
-    phi = i * increment
+    phi = i * GOLDEN_ANGLE
     normals = np.stack([np.cos(phi) * r, y, np.sin(phi) * r], axis=1)
     nodes = center[None, :] + radius * normals
     weights = np.full(N, 4.0 * np.pi * radius**2 / N)
-    nb = _fibonacci_neighbours(nodes, normals, radius, increment,
-                               FIBONACCI_NEIGHBOURS)
-    return nodes, normals, weights, _mesh_h(nodes, nb), nb
+    # no lists: neighbour_lists searches them where a stencil reads them
+    return nodes, normals, weights, _fibonacci_h(nodes), None
 
 
-def _fibonacci_neighbours(nodes, normals, radius, increment, k):
-    """The k nearest nodes of each lattice node, nearest first, as cKDTree
-    lists them, without a tree.
+def _fibonacci_h(nodes):
+    """Largest nearest-neighbour distance on the Fibonacci lattice.
 
-    Node j = i + o sits at height y_j = y_i + 2o/N and azimuth o*increment
+    A lattice node's nearest node sits at a Fibonacci-number index offset
+    (Swinbank & Purser 2006), so one pass over the offsets 1, 2, 3, 5, 8,
+    ... < N finds it without a search; each pair's distance rounds as the
+    tree's does (_sq_distances), so every node's nearest distance, and h,
+    is the k-d tree's bit for bit (checked at L0-L8, on unit and shifted
+    spheres).
+    """
+    N = nodes.shape[0]
+    coords = np.ascontiguousarray(nodes.T)
+    near = np.full(N, np.inf)
+    a, b = 1, 2
+    while a < N:
+        sq = _sq_distances(coords, slice(0, N - a), slice(a, N))
+        np.minimum(near[a:], sq, out=near[a:])
+        np.minimum(near[:-a], sq, out=near[:-a])
+        a, b = b, a + b
+    return float(np.sqrt(near.max()))
+
+
+def _fibonacci_neighbours(nodes, normals, radius, rows=None):
+    """The FIBONACCI_NEIGHBOURS nearest nodes of each lattice node, nearest
+    first, as cKDTree lists them, without a tree: (N, k) for every node, or
+    (len(rows), k) for the node index array rows.
+
+    Node j = i + o sits at height y_j = y_i + 2o/N and azimuth o*GOLDEN_ANGLE
     from node i, so on the unit sphere |x_j - x_i|^2 = dy^2 +
     (r_i - r_j)^2 + 4 r_i r_j sin^2(dphi/2), r the ring radius.  Over a
     band of consecutive nodes each term has a lower bound that depends on
@@ -299,9 +338,12 @@ def _fibonacci_neighbours(nodes, normals, radius, increment, k):
     does not is searched again with the larger radius.  Bounds are widened
     by slack against the rounding of the node coordinates.  Bands of about
     1.5 sqrt(N) nodes balance the bounds' (bands, sqrt(N)) grid against
-    the candidates that a wide band admits.
+    the candidates that a wide band admits.  Each band is searched on its
+    own, so rows searches only the bands that hold them, and their lists
+    are bitwise those of the search for every node.
     """
     slack = 1e-9
+    k = FIBONACCI_NEIGHBOURS
     N = nodes.shape[0]
     band = max(16, int(1.5 * np.sqrt(N)))
     coords = np.ascontiguousarray(nodes.T)
@@ -311,7 +353,11 @@ def _fibonacci_neighbours(nodes, normals, radius, increment, k):
     # an equal-area lattice holds about k nodes within sqrt(4k/N)
     search = np.full(starts.size, 1.1 * np.sqrt(4.0 * k / N))
     nb = np.empty((N, k), dtype=np.int64)
-    todo = np.arange(starts.size)
+    if rows is None:
+        todo = np.arange(starts.size)
+    else:
+        rows = np.asarray(rows)
+        todo = np.flatnonzero(np.bincount(rows // band))
     while todo.size:
         D = search[todo, None] * (1.0 + slack)
         M = int(D.max() * N / 2.0) + 1
@@ -325,7 +371,7 @@ def _fibonacci_neighbours(nodes, normals, radius, increment, k):
         glo, ghi = r[jlo] - r[lo], r[jhi] - r[hi]
         gap = np.where(glo * ghi <= 0.0, 0.0,
                        np.minimum(np.abs(glo), np.abs(ghi)) - slack)
-        dphi = np.abs(np.remainder(o * increment + np.pi, 2.0 * np.pi)
+        dphi = np.abs(np.remainder(o * GOLDEN_ANGLE + np.pi, 2.0 * np.pi)
                       - np.pi) - slack
         dy = 2.0 * np.abs(o) / N - slack
         rr = np.minimum(r[lo], r[hi]) * np.minimum(r[jlo], r[jhi])
@@ -356,7 +402,7 @@ def _fibonacci_neighbours(nodes, normals, radius, increment, k):
         redo = reach > search[todo]
         search[todo[redo]] = reach[redo]
         todo = todo[redo]
-    return nb
+    return nb if rows is None else nb[rows]
 
 
 def _sphere3_nodes(level, center, radius):
@@ -415,8 +461,10 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
 
     Node counts grow geometrically with level: 64*2^level on circles,
     320*2^level on 2-spheres, 2*(4*2^level)^3 on 3-spheres.  The one maker
-    of spec, level and a closed-form or list-derived h; sphere meshes also
-    keep the builder's neighbour lists in their cache (SurfaceMesh.cache).
+    of spec, level and a closed-form or lattice-derived h.  3-sphere meshes
+    also keep the builder's grid blocks in their cache (SurfaceMesh.cache);
+    a 2-sphere's lists are searched only when a stencil reads them
+    (neighbour_lists).
     """
     if isinstance(level, bool) or not isinstance(level, (int, np.integer)) \
             or level < 0:

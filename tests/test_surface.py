@@ -9,7 +9,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from hypercauchy import surface
-from hypercauchy.cauchy import BoundaryDensity, gradient_stencil
+from hypercauchy._corpus import random_smooth
+from hypercauchy.cauchy import (BoundaryDensity, gradient_stencil,
+                                principal_value_nodes, span_indicator)
 from hypercauchy.surface import (
     DomainSpec,
     MeshFormatError,
@@ -335,15 +337,27 @@ def test_parse_mesh_spec():
 @pytest.mark.parametrize("spec,level", [
     *((DomainSpec("sphere", 2), level) for level in range(6)),
     (DomainSpec("sphere", 2, center=(0.3, -1.0, 2.0), radius=2.5), 3),
+    *((DomainSpec("sphere", 2), level) for level in (6, 7)),
 ])
 def test_fibonacci_lists_are_the_trees(spec, level):
     # the builder lists the tree's 12 nearest nodes, in its order, and h is
     # the tree's largest nearest-neighbour distance bit for bit
     mesh = build_mesh(spec, level)
     dist, nb = cKDTree(mesh.nodes).query(mesh.nodes, k=12)
-    assert np.array_equal(mesh.cache["neighbours"], nb)
+    # a search of some rows takes only their lattice bands, and lists them
+    # bitwise as the search of every node does; the last band is short
+    N = mesh.node_count
+    band = max(16, int(1.5 * np.sqrt(N)))
+    assert N % band
+    rows = np.array([0, N - 1, 7, 7, N // band * band])
+    part = neighbour_lists(mesh, 12, rows)
+    assert "neighbours" not in mesh.cache
+    lists = neighbour_lists(mesh, 12)
+    assert np.array_equal(part, lists[rows])
+    assert np.array_equal(lists, nb)
     assert mesh.h == dist[:, 1].max()
-    assert neighbour_lists(mesh, 12) is mesh.cache["neighbours"]
+    assert neighbour_lists(mesh, 12) is lists
+    assert not lists.flags.writeable
 
 
 @pytest.mark.parametrize("level", range(3))
@@ -389,4 +403,22 @@ def test_copies_search_their_own_neighbours(tmp_path):
 def test_builder_lists_are_read_only():
     mesh = build_mesh(DomainSpec("sphere", 2), 0)
     with pytest.raises(ValueError):
-        mesh.cache["neighbours"][0, 0] = 1
+        neighbour_lists(mesh, 12)[0, 0] = 1
+
+
+def test_sphere2_lists_are_searched_only_when_read():
+    mesh = build_mesh(DomainSpec("sphere", 2), 2)
+    assert "neighbours" not in mesh.cache
+    # a span probe and some principal values fit a few stencil rows only
+    span_indicator(mesh, mesh.nodes[17])
+    assert "neighbours" not in mesh.cache
+    f = random_smooth(mesh, 5)
+    principal_value_nodes(mesh, f, indices=np.array([3, 900]))
+    assert "neighbours" not in mesh.cache
+    # every node's stencil keeps every node's lists
+    principal_value_nodes(mesh, f)
+    nb = mesh.cache["neighbours"]
+    _, want = cKDTree(mesh.nodes).query(mesh.nodes, k=12)
+    assert np.array_equal(nb, want)
+    assert not nb.flags.writeable
+    assert neighbour_lists(mesh, 12) is nb
