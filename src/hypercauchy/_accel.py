@@ -8,17 +8,25 @@ the blade-pair table that batch_product uses too.  Their order is fixed
 (blocks, tiles and gemms in order, the table's scatter order), so results
 do not depend on the thread count.
 
-Targets that are not the nodes take row blocks of about BLOCK_PAIRS
-target-node pairs.  One sweep (the row blocks of one call, the tiles of
-one node-target pass) builds every block's planes in one work buffer of
-n+3 rows, the planes and two scratch rows (_kernel_E_block), so a block
-holds until the next one is built and each sum contracts it before then;
-no block allocates planes of its own.  Node targets, each skipping its own
-node, build each kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly
-in float64 (negating a difference is exact, and r^2, the power and the
-sign then round identically), so _node_pair_tiles yields upper-triangular
-tiles (I, J >= I) of edge isqrt(BLOCK_PAIRS), each taken onto rows I and,
-for J != I, negated and transposed onto rows J.  Tile sums agree with
+Every kernel pass holds one work buffer of bounded size, whatever the
+number of targets.  One sweep (the row blocks of one call, the tiles of
+one node-target pass) builds every block's planes in that buffer of n+3
+rows, the planes and two scratch rows (_kernel_E_block), so a block holds
+until the next one is built and each sum contracts it before then; no
+block allocates planes of its own.  Targets that are not the nodes take
+row blocks of as many rows as fit the buffer in ROW_BLOCK_BYTES, at least
+one (a single row outgrows it only past 2^17 / (n+3) nodes).  Node
+targets, each skipping its own node, build each kernel value once:
+E(x_i - x_j) = -E(x_j - x_i) exactly in float64 (negating a difference is
+exact, and r^2, the power and the sign then round identically), so
+_node_pair_tiles yields upper-triangular tiles (I, J >= I) of edge
+isqrt(BLOCK_PAIRS) = 256, a buffer of (n+3) 65536 floats, each taken onto
+rows I and, for J != I, negated and transposed onto rows J.  The tile
+edge is fixed, not sized by bytes: it sets how each node target's sum
+groups its terms, so another edge moves sphere principal values by
+rounding.  The tile pass (_tile_terms) and the row-block pass
+(_row_block_terms) each own their buffer, which dies when the pass
+returns, before the blade scatter allocates.  Tile sums agree with
 row-block sums to rounding, not bitwise.  Every library sum contracts the
 planes with one density row per node, g of shape (N, 2^n), shared by every
 target (accum_left, accum_right): one BLAS gemm per plane.  The planes are
@@ -57,8 +65,16 @@ import numpy as np
 
 from .clifford_core import batch_product, scatter_pairs, sided_sum
 
-# target-node pairs per kernel block: each block of planes stays in cache
+# node pairs per node-target tile, edge 256: the edge sets how each
+# target's sum groups its terms, so changing it moves values by rounding
 BLOCK_PAIRS = 1 << 16
+
+# bytes of a row block's work buffer (its n+1 planes and two scratch rows).
+# BLAS rounds a gemm of very few rows its own way, so the budget sets
+# values by rounding too: 512 KiB (2 rows at N = 5120) moved sphere2 L4
+# values at the last bit, 1 MiB (5 rows) leaves every shipped output as
+# blocks of 65536 target-node pairs gave it
+ROW_BLOCK_BYTES = 1 << 20
 
 # largest node distance from the ideal uniform grid, relative to its radius
 # (uniform_circle): small enough that the FFT's ideal grid costs rounding only
@@ -103,11 +119,12 @@ def _kernel_E_block(targets, nodes_T, n, skip=None, out=None):
 
 
 def _row_block_terms(T, targets, nodes, G, excl, n):
-    """T[k] = E @ G[k] over row blocks of about BLOCK_PAIRS target-node
-    pairs, every block's planes in one work buffer."""
+    """T[k] = E @ G[k] over row blocks, every block's planes in one work
+    buffer of at most ROW_BLOCK_BYTES (one target row when a row is
+    larger)."""
     nodes_T = np.ascontiguousarray(nodes.T)
     M, N = targets.shape[0], nodes_T.shape[1]
-    chunk = max(1, BLOCK_PAIRS // N)
+    chunk = max(1, ROW_BLOCK_BYTES // (8 * (n + 3) * N))
     work = np.empty((n + 3, min(chunk, M) * N))
     for s in range(0, M, chunk):
         e = min(s + chunk, M)
@@ -115,6 +132,18 @@ def _row_block_terms(T, targets, nodes, G, excl, n):
                             None if excl is None else excl[s:e], work)
         for Tk, gk in zip(T, G):
             Tk[:, s:e] = E @ gk
+
+
+def _tile_terms(T, nodes, G, n):
+    """T[k] = sum_j E(x_j - x_i) G[k, j] at every node i, j != i, over the
+    node-pair tiles, each plane outer so it stays in cache across the K
+    densities."""
+    for I, J, E in _node_pair_tiles(nodes, n):
+        for p, Ep in enumerate(E):
+            for Tk, gk in zip(T, G):
+                Tk[p, I] += Ep @ gk[J]
+                if J != I:
+                    Tk[p, J] -= Ep.T @ gk[I]
 
 
 def _node_pair_tiles(nodes, n):
@@ -211,13 +240,7 @@ def _accumulate(ctx, targets, nodes, g, excl, side, circle):
     # the terms E @ g of every density before the blade scatter
     T = np.zeros((G.shape[0], ctx.n + 1, M, ctx.dim))
     if node_targets:
-        # planes outer: each plane stays in cache across the K densities
-        for I, J, E in _node_pair_tiles(nodes, ctx.n):
-            for p, Ep in enumerate(E):
-                for Tk, gk in zip(T, G):
-                    Tk[p, I] += Ep @ gk[J]
-                    if J != I:
-                        Tk[p, J] -= Ep.T @ gk[I]
+        _tile_terms(T, nodes, G, ctx.n)
     else:
         _row_block_terms(T, targets, nodes, G, excl, ctx.n)
     out = np.empty((G.shape[0], M, ctx.dim))

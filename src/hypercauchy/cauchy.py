@@ -30,8 +30,8 @@ from .clifford_core import (
     Paravector,
     SingularInputError,
     _check_side,
+    _sided_product_into,
     as_coeffs,
-    paravectors_as_coeffs,
     sided_product,
 )
 from .surface import (DegenerateExclusionError, SurfaceMesh,
@@ -340,14 +340,18 @@ def _shifted_sums(mesh, samples, side, targets, t, excl=None):
     mesh's cache holds it.  Full-mesh node targets (excl = arange(N)) keep
     S2 there, read-only, per side, so S1 and S2 take one route.
     """
-    N, dim = mesh.node_count, mesh.context.dim
+    ctx, N = mesh.context, mesh.node_count
     key = ("self_sums", side)
     full = excl is not None and np.array_equal(excl, np.arange(N))
     S2 = mesh.cache.get(key) if full else None
-    g = _measure_density(mesh, samples, side).reshape(-1, N, dim)
+    # the K rows nu w f and, riding last, nu w itself, written in place
+    K = samples.size // (N * ctx.dim)
+    g = np.zeros((K + (S2 is None), N, ctx.dim))
+    measure = mesh.measure_coeffs()
+    _sided_product_into(ctx, side, measure, samples,
+                        g[:K].reshape(samples.shape))
     if S2 is None:
-        measure = paravectors_as_coeffs(mesh.context, mesh.measure_coeffs())
-        g = np.concatenate([g, measure[None]])
+        g[K][:, ctx.paravector_blades] = measure
     sums = _accum(mesh, targets, g, side, excl)
     del g
     if S2 is None:
@@ -358,8 +362,8 @@ def _shifted_sums(mesh, samples, side, targets, t, excl=None):
             S2.flags.writeable = False
             mesh.cache[key] = S2
     # S1 - S2 f_t, updated in place: a stack holds K rows each
-    core = sums.reshape(samples.shape[:-2] + (len(targets), dim))
-    core -= sided_product(mesh.context, side, S2, samples[..., t, :])
+    core = sums.reshape(samples.shape[:-2] + (len(targets), ctx.dim))
+    core -= sided_product(ctx, side, S2, samples[..., t, :])
     return core
 
 
@@ -485,9 +489,13 @@ def _build_gradient_stencil(mesh, idx=None):
 
     Off the circle grid, each node fits a local quadratic in tangent
     coordinates over its neighbours by least squares: a batched QR of the
-    design and a triangular solve.  A design whose R has a diagonal entry
-    below STENCIL_RANK_TOL |R_00| raises DegenerateStencilError naming the
-    mesh index of the first such node.
+    design and a triangular solve.  The lists are read once (one lattice
+    search on a 2-sphere); the fits then run in chunks of rows whose design
+    holds at most _accel.ROW_BLOCK_BYTES, so the fit's temporaries are
+    bounded whatever the mesh, and the result, every node's fit being its
+    own, is bitwise that of one chunk.  A design whose R has a diagonal
+    entry below STENCIL_RANK_TOL |R_00| raises DegenerateStencilError
+    naming the mesh index of the first such node.
     """
     circ = _uniform_circle(mesh)
     if circ is not None:
@@ -505,12 +513,25 @@ def _build_gradient_stencil(mesh, idx=None):
         frame = np.stack([-mesh.normals[:, 1], mesh.normals[:, 0]], axis=1)
         return nb, wts, frame[:, None, :]
 
-    rows = slice(None) if idx is None else idx
-    frame = _tangent_frame(mesh, rows)
-    d = mesh.n
+    rows = np.arange(mesh.node_count) if idx is None else np.asarray(idx)
+    d, p = mesh.n, mesh.n + 1
     nterms = 1 + d + d * (d + 1) // 2
     k = max(nterms + 4, {2: 12, 3: 20}.get(d, 4 * nterms))
     nb = neighbour_lists(mesh, min(k, mesh.node_count), idx)
+    M, k = nb.shape
+    frame, wts = np.empty((M, d, p)), np.empty((d, M, k))
+    chunk = max(1, _accel.ROW_BLOCK_BYTES // (8 * k * nterms))
+    for s in range(0, M, chunk):
+        c = slice(s, s + chunk)
+        frame[c] = _tangent_frame(mesh, rows[c])
+        wts[:, c] = _fit_stencil_rows(mesh, rows[c], nb[c], frame[c], nterms)
+    return nb, wts, frame
+
+
+def _fit_stencil_rows(mesh, rows, nb, frame, nterms):
+    """First-derivative weights (d, len(rows), k) of the quadratic fits at
+    the node index array rows, over their lists nb and tangent frame."""
+    d = mesh.n
     rel = mesh.nodes[nb] - mesh.nodes[rows, None, :]       # (M, k, p)
     u = 0.0                                                 # tangent coords
     for c in range(d + 1):
@@ -538,15 +559,13 @@ def _build_gradient_stencil(mesh, idx=None):
             "gradient stencil of node %d is rank-deficient: its %d "
             "neighbours leave term %d of the %d-term quadratic fit "
             "undetermined (|R_jj| / |R_00| = %.3g)"
-            % (r if idx is None else idx[r], nb.shape[1], j, nterms,
-               ratio[r, j]))
+            % (rows[r], nb.shape[1], j, nterms, ratio[r, j]))
     # rows 1..d of R^-1 Q^T, the first derivatives, by back substitution
     X = np.swapaxes(Q, 1, 2).copy()                         # (M, nterms, k)
     for j in range(nterms - 1, 0, -1):
         X[:, j] -= np.matmul(R[:, j, None, j + 1 :], X[:, j + 1 :])[:, 0]
         X[:, j] /= R[:, j, j, None]
-    wts = np.swapaxes(X[:, 1 : 1 + d] / unit[:, None, None], 0, 1)
-    return nb, wts, frame
+    return np.swapaxes(X[:, 1 : 1 + d] / unit[:, None, None], 0, 1)
 
 
 def gradient_stencil(mesh, idx=None):
@@ -708,9 +727,9 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     idx = (np.arange(mesh.node_count, dtype=np.int64) if indices is None
            else _node_indices(mesh, indices, "indices"))
     if indices is None:
-        # building the stencil takes the largest temporaries of the call
-        # (the per-node least-squares fits), so build it before any stack
-        # is held; an indexed call fits its own nodes only
+        # fit (and cache) the full stencil before any sum, so that a
+        # rank-deficient node raises before the kernel pass; an indexed
+        # call fits its own nodes only
         gradient_stencil(mesh)
     samples = _density_samples(mesh, f)
     core = _shifted_sums(mesh, samples, side, mesh.nodes[idx], idx, idx)

@@ -353,7 +353,15 @@ def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
     lead = A.shape[:-1]
     if lead != B.shape[:-1]:
         lead = np.broadcast_shapes(lead, B.shape[:-1])
-    out = np.zeros(lead + (ctx.dim,))
+    return _sided_product_into(ctx, "left", A, B, np.zeros(lead + (ctx.dim,)))
+
+
+def _sided_product_into(ctx, side, K, f, out):
+    """sided_product(ctx, side, K, f) added onto out, an array of the
+    product's shape that the caller holds (zeroed, for the product alone):
+    batch_product's loop, for float64 operands.  Returns out."""
+    _check_side(side)
+    A, B = (K, f) if side == "left" else (f, K)
     for i, terms in _column_pairs(ctx.n, A.shape[-1], B.shape[-1]):
         col = A[..., i]
         if not col.any():

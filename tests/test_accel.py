@@ -701,9 +701,10 @@ def test_node_pair_tiles_share_one_buffer(N):
 
 @pytest.mark.parametrize("node_targets", [False, True])
 def test_sums_with_a_work_buffer_match_fresh_planes(node_targets, monkeypatch):
-    # 600 off-node targets take six row blocks, 600 node targets six
-    # tiles; each sweep builds all its blocks in one buffer, and its sums
-    # are bitwise those of fresh planes per block
+    # 600 off-node targets take the row blocks that ROW_BLOCK_BYTES allows
+    # (14 at 1 MiB), 600 node targets six tiles; each sweep builds all its
+    # blocks in one buffer, and its sums are bitwise those of fresh planes
+    # per block
     ctx = get_context(2)
     rng = np.random.default_rng(1)
     nodes = rng.normal(size=(600, 3))
@@ -723,8 +724,11 @@ def test_sums_with_a_work_buffer_match_fresh_planes(node_targets, monkeypatch):
     monkeypatch.setattr(_accel, "_kernel_E_block", kept)
     got = [_accel.accum_left(ctx, targets, nodes, G, excl, circle=None),
            _accel.accum_right(ctx, targets, nodes, G, excl, circle=None)]
-    assert len(blocks) == 12
-    assert all(np.shares_memory(blocks[0], b) for b in blocks[1:6])
+    rows = _accel.ROW_BLOCK_BYTES // (8 * (ctx.n + 3) * 600)
+    per_call = 6 if node_targets else -(-600 // rows)
+    assert per_call > 1
+    assert len(blocks) == 2 * per_call
+    assert all(np.shares_memory(blocks[0], b) for b in blocks[1:per_call])
     monkeypatch.setattr(_accel, "_kernel_E_block", fresh)
     want = [_accel.accum_left(ctx, targets, nodes, G, excl, circle=None),
             _accel.accum_right(ctx, targets, nodes, G, excl, circle=None)]

@@ -51,8 +51,17 @@ def _same_bits(a, b):
 def test_stacked_accumulators_match_single_calls(mesh, side, excluded,
                                                  monkeypatch):
     # small blocks, so the stack runs through several kernel blocks
-    monkeypatch.setattr(_accel, "BLOCK_PAIRS", 4 * mesh.node_count)
     ctx = mesh.context
+    monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES",
+                        4 * 8 * (ctx.n + 3) * mesh.node_count)
+    blocks = []
+    original = _accel._kernel_E_block
+
+    def counted(*args):
+        blocks.append(args[0].shape[0])
+        return original(*args)
+
+    monkeypatch.setattr(_accel, "_kernel_E_block", counted)
     accum = _accel.accum_left if side == "left" else _accel.accum_right
     G = np.stack([f.samples * mesh.weights[:, None]
                   for f in _densities(mesh)])
@@ -61,6 +70,7 @@ def test_stacked_accumulators_match_single_calls(mesh, side, excluded,
     targets = mesh.nodes[idx] if excluded else 0.5 * mesh.nodes[idx]
     got = accum(ctx, targets, mesh.nodes, G, excl, circle=None)
     assert got.shape == (len(G), len(idx), ctx.dim)
+    assert len(blocks) > 2 and max(blocks) == 4
     for k, g in enumerate(G):
         assert _same_bits(got[k], accum(ctx, targets, mesh.nodes, g, excl,
                                         circle=None))
