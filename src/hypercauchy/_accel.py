@@ -14,31 +14,32 @@ one node-target pass) builds every block's planes in that buffer of n+3
 rows, the planes and two scratch rows (_kernel_E_block), so a block holds
 until the next one is built and each sum contracts it before then; no
 block allocates planes of its own.  Targets that are not the nodes take
-row blocks of as many rows as fit the buffer in ROW_BLOCK_BYTES, at least
-one (a single row outgrows it only past 2^17 / (n+3) nodes).  Node
-targets, each skipping its own node, build each kernel value once:
-E(x_i - x_j) = -E(x_j - x_i) exactly in float64 (negating a difference is
-exact, and r^2, the power and the sign then round identically), so
-_node_pair_tiles yields upper-triangular tiles (I, J >= I) of edge
-isqrt(BLOCK_PAIRS) = 256, a buffer of (n+3) 65536 floats, each taken onto
-rows I and, for J != I, negated and transposed onto rows J.  The tile
-edge is fixed, not sized by bytes: it sets how each node target's sum
-groups its terms, so another edge moves sphere principal values by
-rounding.  The tile pass (_tile_terms) and the row-block pass
+row blocks of as many rows as fit the buffer in ROW_BLOCK_BYTES, cut from
+the front, and no block of a call of two or more targets is a lone row
+while the budget holds three (a single row outgrows it only past
+2^17 / (n+3) nodes).  Node targets, each skipping its own node, build
+each kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly in float64
+(negating a difference is exact, and r^2, the power and the sign then
+round identically), so _node_pair_tiles yields upper-triangular tiles
+(I, J >= I) of edge TILE_EDGE = 256, a buffer of (n+3) 65536 floats, each
+taken onto rows I and, for J != I, negated and transposed onto rows J.
+The tile edge is fixed, not sized by bytes: it sets how each node
+target's sum groups its terms, so another edge moves sphere principal
+values by rounding.  The tile pass (_tile_terms) and the row-block pass
 (_row_block_terms) each own their buffer, which dies when the pass
 returns, before the blade scatter allocates.  Tile sums agree with
 row-block sums to rounding, not bitwise.  Every library sum contracts the
-planes with one density row per node, g of shape (N, 2^n), shared by every
-target (accum_left, accum_right): one BLAS gemm per plane.  The planes are
-the costly part, so a stack of K densities shares each block, one gemm per
-density, and the rows of density k are bitwise those of a call with that
-density alone.  A two-point kernel reaches the sums only as the two factor
-rows of k[j, i] = L_j R_i (bvp.ProductKernel), whose principal value is
-that of the ordinary density L, right-multiplied by R_i
-(bvp._matrix_pv_rows), and pb_rhs then needs the sampled nodes' kernel
-rows alone.  pv_matrix, the per-target tile sum of a held (N, N, 2^n)
-density matrix, is no library path; it stays as the separable route's
-parity reference.
+planes with one density row per node, g of shape (N, 2^n), shared by
+every target (accum_left, accum_right): one BLAS gemm per plane.  The
+planes are the costly part, so a stack of K densities shares each block,
+one gemm per density, and the rows of density k are bitwise those of a
+call with that density alone.  A two-point kernel reaches the sums only as
+the two factor rows of k[j, i] = L_j R_i (bvp.ProductKernel), whose
+principal value is that of the ordinary density L, right-multiplied by
+R_i (bvp._matrix_pv_rows), and pb_rhs then needs the sampled nodes'
+kernel rows alone.  pv_matrix, the per-target tile sum of a held
+(N, N, 2^n) density matrix, is no library path; it stays as the separable
+route's parity reference.
 
 Node targets on a uniform circle grid (uniform_circle) take no tiles in
 accum_left and accum_right: there C(V_1) is the complex plane
@@ -59,21 +60,22 @@ route, as every S1 - S2 f_t is cauchy._shifted_sums, whose full-mesh S2
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .clifford_core import batch_product, scatter_pairs, sided_sum
 
-# node pairs per node-target tile, edge 256: the edge sets how each
-# target's sum groups its terms, so changing it moves values by rounding
-BLOCK_PAIRS = 1 << 16
+# edge of a node-target tile: it sets how each target's sum groups its
+# terms, so changing it moves values by rounding
+TILE_EDGE = 256
 
 # bytes of a row block's work buffer (its n+1 planes and two scratch rows).
-# BLAS rounds a gemm of very few rows its own way, so the budget sets
-# values by rounding too: 512 KiB (2 rows at N = 5120) moved sphere2 L4
-# values at the last bit, 1 MiB (5 rows) leaves every shipped output as
-# blocks of 65536 target-node pairs gave it
+# A gemm rounds a row by its block's size and its place there, so the
+# budget and the cuts set values by rounding: 512 KiB (2 rows at N = 5120)
+# moved sphere2 L4 values at the last bit, and so did blocks of balanced
+# sizes on the circle; 1 MiB (5 rows) with front cuts leaves every shipped
+# output as blocks of 65536 target-node pairs gave it.  numpy takes a
+# block of one row as a vector-matrix product, which rounds otherwise
+# again, so a lone last row takes a second from the block before it
 ROW_BLOCK_BYTES = 1 << 20
 
 # largest node distance from the ideal uniform grid, relative to its radius
@@ -121,13 +123,16 @@ def _kernel_E_block(targets, nodes_T, n, skip=None, out=None):
 def _row_block_terms(T, targets, nodes, G, excl, n):
     """T[k] = E @ G[k] over row blocks, every block's planes in one work
     buffer of at most ROW_BLOCK_BYTES (one target row when a row is
-    larger)."""
+    larger): full blocks cut from the front, but a last block of one row
+    takes a second from the block before it."""
     nodes_T = np.ascontiguousarray(nodes.T)
     M, N = targets.shape[0], nodes_T.shape[1]
     chunk = max(1, ROW_BLOCK_BYTES // (8 * (n + 3) * N))
     work = np.empty((n + 3, min(chunk, M) * N))
-    for s in range(0, M, chunk):
-        e = min(s + chunk, M)
+    stops = list(range(chunk, M, chunk)) + [M]
+    if chunk > 2 and M > chunk and M % chunk == 1:
+        stops[-2] -= 1
+    for s, e in zip([0] + stops, stops):
         E = _kernel_E_block(targets[s:e], nodes_T, n,
                             None if excl is None else excl[s:e], work)
         for Tk, gk in zip(T, G):
@@ -156,13 +161,12 @@ def _node_pair_tiles(nodes, n):
     """
     N = nodes.shape[0]
     nodes_T = np.ascontiguousarray(nodes.T)
-    edge = max(1, math.isqrt(BLOCK_PAIRS))
-    work = np.empty((n + 3, min(edge, N) ** 2))
-    for s in range(0, N, edge):
-        I = slice(s, min(s + edge, N))
-        for t in range(s, N, edge):
-            yield I, slice(t, min(t + edge, N)), _kernel_E_block(
-                nodes[I], nodes_T[:, t:t + edge], n,
+    work = np.empty((n + 3, min(TILE_EDGE, N) ** 2))
+    for s in range(0, N, TILE_EDGE):
+        I = slice(s, min(s + TILE_EDGE, N))
+        for t in range(s, N, TILE_EDGE):
+            yield I, slice(t, min(t + TILE_EDGE, N)), _kernel_E_block(
+                nodes[I], nodes_T[:, t:t + TILE_EDGE], n,
                 np.arange(I.stop - s) if t == s else None, work)
 
 

@@ -30,7 +30,6 @@ from .clifford_core import (
     Paravector,
     SingularInputError,
     _check_side,
-    _sided_product_into,
     as_coeffs,
     sided_product,
 )
@@ -266,12 +265,14 @@ class CauchyValue:
     side: str = "unknown"
 
 
-def _measure_density(mesh, samples, side):
+def _measure_density(mesh, samples, side, out=None):
     """Rows (nu w f)_j for left integrals, (f nu w)_j for right ones.
 
-    samples is one (N, 2^n) density or a (K, N, 2^n) stack.
+    samples is one (N, 2^n) density or a (K, N, 2^n) stack; the rows are
+    added onto out when it is given (see sided_product).
     """
-    return sided_product(mesh.context, side, mesh.measure_coeffs(), samples)
+    return sided_product(mesh.context, side, mesh.measure_coeffs(), samples,
+                         out)
 
 
 def _density_samples(mesh, f):
@@ -347,11 +348,9 @@ def _shifted_sums(mesh, samples, side, targets, t, excl=None):
     # the K rows nu w f and, riding last, nu w itself, written in place
     K = samples.size // (N * ctx.dim)
     g = np.zeros((K + (S2 is None), N, ctx.dim))
-    measure = mesh.measure_coeffs()
-    _sided_product_into(ctx, side, measure, samples,
-                        g[:K].reshape(samples.shape))
+    _measure_density(mesh, samples, side, g[:K].reshape(samples.shape))
     if S2 is None:
-        g[K][:, ctx.paravector_blades] = measure
+        g[K][:, ctx.paravector_blades] = mesh.measure_coeffs()
     sums = _accum(mesh, targets, g, side, excl)
     del g
     if S2 is None:
@@ -489,13 +488,9 @@ def _build_gradient_stencil(mesh, idx=None):
 
     Off the circle grid, each node fits a local quadratic in tangent
     coordinates over its neighbours by least squares: a batched QR of the
-    design and a triangular solve.  The lists are read once (one lattice
-    search on a 2-sphere); the fits then run in chunks of rows whose design
-    holds at most _accel.ROW_BLOCK_BYTES, so the fit's temporaries are
-    bounded whatever the mesh, and the result, every node's fit being its
-    own, is bitwise that of one chunk.  A design whose R has a diagonal
-    entry below STENCIL_RANK_TOL |R_00| raises DegenerateStencilError
-    naming the mesh index of the first such node.
+    design and a triangular solve.  A design whose R has a diagonal entry
+    below STENCIL_RANK_TOL |R_00| raises DegenerateStencilError naming the
+    mesh index of the first such node.
     """
     circ = _uniform_circle(mesh)
     if circ is not None:
@@ -513,25 +508,16 @@ def _build_gradient_stencil(mesh, idx=None):
         frame = np.stack([-mesh.normals[:, 1], mesh.normals[:, 0]], axis=1)
         return nb, wts, frame[:, None, :]
 
-    rows = np.arange(mesh.node_count) if idx is None else np.asarray(idx)
-    d, p = mesh.n, mesh.n + 1
+    rows = slice(None) if idx is None else idx
+    frame = _tangent_frame(mesh, rows)
+    d = mesh.n
     nterms = 1 + d + d * (d + 1) // 2
     k = max(nterms + 4, {2: 12, 3: 20}.get(d, 4 * nterms))
     nb = neighbour_lists(mesh, min(k, mesh.node_count), idx)
-    M, k = nb.shape
-    frame, wts = np.empty((M, d, p)), np.empty((d, M, k))
-    chunk = max(1, _accel.ROW_BLOCK_BYTES // (8 * k * nterms))
-    for s in range(0, M, chunk):
-        c = slice(s, s + chunk)
-        frame[c] = _tangent_frame(mesh, rows[c])
-        wts[:, c] = _fit_stencil_rows(mesh, rows[c], nb[c], frame[c], nterms)
-    return nb, wts, frame
-
-
-def _fit_stencil_rows(mesh, rows, nb, frame, nterms):
-    """First-derivative weights (d, len(rows), k) of the quadratic fits at
-    the node index array rows, over their lists nb and tangent frame."""
-    d = mesh.n
+    # the weights, which a full stencil's cache keeps, come before the
+    # fit's temporaries, so these are freed from the heap's top, which
+    # malloc can hand back, not from under the kept weights
+    wts = np.empty((d,) + nb.shape)
     rel = mesh.nodes[nb] - mesh.nodes[rows, None, :]       # (M, k, p)
     u = 0.0                                                 # tangent coords
     for c in range(d + 1):
@@ -559,13 +545,15 @@ def _fit_stencil_rows(mesh, rows, nb, frame, nterms):
             "gradient stencil of node %d is rank-deficient: its %d "
             "neighbours leave term %d of the %d-term quadratic fit "
             "undetermined (|R_jj| / |R_00| = %.3g)"
-            % (rows[r], nb.shape[1], j, nterms, ratio[r, j]))
+            % (r if idx is None else idx[r], nb.shape[1], j, nterms,
+               ratio[r, j]))
     # rows 1..d of R^-1 Q^T, the first derivatives, by back substitution
     X = np.swapaxes(Q, 1, 2).copy()                         # (M, nterms, k)
     for j in range(nterms - 1, 0, -1):
         X[:, j] -= np.matmul(R[:, j, None, j + 1 :], X[:, j + 1 :])[:, 0]
         X[:, j] /= R[:, j, j, None]
-    return np.swapaxes(X[:, 1 : 1 + d] / unit[:, None, None], 0, 1)
+    np.divide(np.swapaxes(X[:, 1 : 1 + d], 0, 1), unit[:, None], out=wts)
+    return nb, wts, frame
 
 
 def gradient_stencil(mesh, idx=None):
@@ -727,8 +715,8 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     idx = (np.arange(mesh.node_count, dtype=np.int64) if indices is None
            else _node_indices(mesh, indices, "indices"))
     if indices is None:
-        # fit (and cache) the full stencil before any sum, so that a
-        # rank-deficient node raises before the kernel pass; an indexed
+        # fit (and cache) the full stencil before any stack is held, so the
+        # fit's temporaries and the kernel pass's never coexist; an indexed
         # call fits its own nodes only
         gradient_stencil(mesh)
     samples = _density_samples(mesh, f)

@@ -353,15 +353,12 @@ def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
     lead = A.shape[:-1]
     if lead != B.shape[:-1]:
         lead = np.broadcast_shapes(lead, B.shape[:-1])
-    return _sided_product_into(ctx, "left", A, B, np.zeros(lead + (ctx.dim,)))
+    return _product_into(ctx, A, B, np.zeros(lead + (ctx.dim,)))
 
 
-def _sided_product_into(ctx, side, K, f, out):
-    """sided_product(ctx, side, K, f) added onto out, an array of the
-    product's shape that the caller holds (zeroed, for the product alone):
-    batch_product's loop, for float64 operands.  Returns out."""
-    _check_side(side)
-    A, B = (K, f) if side == "left" else (f, K)
+def _product_into(ctx, A, B, out):
+    """batch_product(ctx, A, B) added onto out, a float64 array of the
+    product's shape; returns out."""
     for i, terms in _column_pairs(ctx.n, A.shape[-1], B.shape[-1]):
         col = A[..., i]
         if not col.any():
@@ -399,12 +396,19 @@ def _check_side(side):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def sided_product(ctx: AlgebraContext, side: str, K, f) -> np.ndarray:
-    """Rows K f for side 'left', f K for side 'right' (see batch_product)."""
+def sided_product(ctx: AlgebraContext, side: str, K, f,
+                  out=None) -> np.ndarray:
+    """Rows K f for side 'left', f K for side 'right' (see batch_product).
+
+    With out, a float64 array of the product's shape, the rows are added
+    onto it in place and out is returned (zeroed, it holds the product).
+    """
     _check_side(side)
-    if side == "left":
-        return batch_product(ctx, K, f)
-    return batch_product(ctx, f, K)
+    A, B = (K, f) if side == "left" else (f, K)
+    if out is None:
+        return batch_product(ctx, A, B)
+    return _product_into(ctx, np.asarray(A, dtype=np.float64),
+                         np.asarray(B, dtype=np.float64), out)
 
 
 def sided_sum(ctx: AlgebraContext, side: str, K, f) -> np.ndarray:

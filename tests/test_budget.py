@@ -1,28 +1,23 @@
-"""Kernel passes and stencil fits hold working memory of a fixed size.
+"""Kernel passes hold working memory of a fixed size.
 
-A row block's work buffer holds at most _accel.ROW_BLOCK_BYTES, node-pair
-tiles keep their edge of 256, stencil fits run in row chunks sized from the
-same budget, and the measure density rides in a kernel pass without a copy
-of the density stack.  Each bound leaves every value bitwise the same: the
-chunked results here are compared with one-chunk or concatenated ones by
-their bytes.
+A row block's work buffer holds at most _accel.ROW_BLOCK_BYTES, with no
+lone last row, node-pair tiles keep their edge of 256, and the measure
+density rides in a kernel pass without a copy of the density stack.  Each
+bound leaves every value bitwise the same: the blocked results here are
+compared with full-block or concatenated ones by their bytes.
 """
 
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from hypercauchy import _accel, cauchy, surface
-from hypercauchy.cauchy import DegenerateStencilError, gradient_stencil
+from hypercauchy import _accel, cauchy
 from hypercauchy.clifford_core import (get_context, paravectors_as_coeffs,
                                        sided_product)
-from hypercauchy.surface import (DomainSpec, SurfaceMesh, build_mesh,
-                                 load_mesh, save_mesh)
+from hypercauchy.surface import DomainSpec, build_mesh
 
 SPHERE2 = DomainSpec("sphere", 2, center=(0.0, 0.0, 0.0), radius=1.0)
-SPHERE3 = DomainSpec("sphere", 3, center=(0.0, 0.0, 0.0, 0.0), radius=1.0)
 CIRCLE = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
 
 
@@ -55,17 +50,67 @@ def test_row_block_buffers_stay_within_budget(n, N, monkeypatch):
     g = rng.normal(size=(N, ctx.dim))
     buffers = _record_buffers(monkeypatch)
     _accel.accum_left(ctx, targets, nodes, g, circle=None)
+    # full blocks from the front and a last block of one row, or, while
+    # a block holds three rows or more, of two rows taken from the end
     assert len(buffers) == 3
     assert all(b is buffers[0] for b in buffers)
     assert buffers[0].shape == (n + 3, rows * N)
     assert buffers[0].nbytes <= _accel.ROW_BLOCK_BYTES
 
 
+@pytest.mark.parametrize("M, want", [
+    (5, [5]), (6, [4, 2]), (10, [5, 5]), (11, [5, 4, 2]),
+    (14, [5, 5, 4]), (21, [5, 5, 5, 4, 2]), (1, [1])])
+def test_row_blocks_leave_no_lone_last_row(M, want, monkeypatch):
+    # a budget of 5 rows: blocks are cut from the front, as the blocks of
+    # 65536 pairs were, but a lone last row takes a second from the block
+    # before it
+    ctx = get_context(2)
+    rng = np.random.default_rng(M)
+    nodes = rng.normal(size=(600, 3))
+    monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES", 5 * 8 * 5 * 600)
+    blocks = []
+    original = _accel._kernel_E_block
+
+    def counted(targets, *args):
+        blocks.append(targets.shape[0])
+        return original(targets, *args)
+
+    monkeypatch.setattr(_accel, "_kernel_E_block", counted)
+    _accel.accum_left(ctx, 3.0 + rng.normal(size=(M, 3)), nodes,
+                      rng.normal(size=(600, ctx.dim)), circle=None)
+    assert blocks == want
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_remainder_rows_match_full_block_rows(side):
+    # sphere2 L4's 5120 nodes take blocks of 5 rows: 9 targets split 5, 4
+    # and 21 targets 5, 5, 5, 4, 2, and every row of a shorter last block
+    # is bitwise that target's row in a full block of 5 (a block of one
+    # row, a vector-matrix product, would not be)
+    mesh = build_mesh(SPHERE2, 4)
+    ctx, N = mesh.context, mesh.node_count
+    assert _accel.ROW_BLOCK_BYTES // (8 * (ctx.n + 3) * N) == 5
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    rng = np.random.default_rng(4)
+    g = rng.normal(size=(N, ctx.dim))
+    targets = 1.5 * mesh.nodes[rng.choice(N, 21, replace=False)]
+
+    def sums(rows):
+        return accum(ctx, targets[rows], mesh.nodes, g, circle=None)
+
+    assert _same_bits(sums(slice(0, 9))[5:], sums(slice(4, 9))[1:])
+    every = sums(slice(None))
+    assert _same_bits(every[:15], sums(slice(0, 15)))
+    assert _same_bits(every[15:19], sums(slice(14, 19))[1:])
+    assert _same_bits(every[19:], sums(slice(16, 21))[3:])
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_node_pair_tiles_keep_edge_256(n):
     # the tile edge sets how each node target's sum groups its terms, so it
     # stays fixed whatever the budget of the row blocks
-    assert _accel.BLOCK_PAIRS == 1 << 16
+    assert _accel.TILE_EDGE == 256
     nodes = np.random.default_rng(n).normal(size=(600, n + 1))
     tiles = [(I, J, E.shape) for I, J, E in _accel._node_pair_tiles(nodes, n)]
     starts = sorted({I.start for I, _, _ in tiles})
@@ -98,111 +143,6 @@ def test_work_buffer_dies_before_the_blade_scatter(node_targets,
     monkeypatch.setattr(_accel, "scatter_pairs", scatter)
     _accel.accum_left(ctx, targets, nodes, np.ones((300, ctx.dim)), excl,
                       circle=None)
-
-
-def test_full_sphere3_stencil_build_peak_is_bounded():
-    # measured: about 14 MB, the arrays returned included; the fits of
-    # every node at once peaked at 92 MB
-    mesh = build_mesh(SPHERE3, 2)
-    tracemalloc.start()
-    try:
-        cauchy._build_gradient_stencil(mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 25_000_000
-
-
-def _stencil_mesh(name, tmp_path):
-    if name == "loaded-sphere2-L1":
-        save_mesh(build_mesh(SPHERE2, 1), tmp_path / "s2.mesh")
-        return load_mesh(tmp_path / "s2.mesh")
-    return build_mesh(SPHERE2 if name.startswith("sphere2") else SPHERE3,
-                      int(name[-1]))
-
-
-def _count_fits(monkeypatch):
-    calls = []
-    original = cauchy._fit_stencil_rows
-
-    def counted(mesh, rows, *args):
-        calls.append(len(rows))
-        return original(mesh, rows, *args)
-
-    monkeypatch.setattr(cauchy, "_fit_stencil_rows", counted)
-    return calls
-
-
-@pytest.mark.parametrize("name", ["sphere2-L2", "sphere3-L1",
-                                  "loaded-sphere2-L1"])
-def test_chunked_stencil_fit_is_bitwise_one_chunk(name, tmp_path,
-                                                  monkeypatch):
-    # each node's fit is its own, so the chunks change no bit; a loaded
-    # mesh takes the k-d tree's lists
-    mesh = _stencil_mesh(name, tmp_path)
-    calls = _count_fits(monkeypatch)
-    monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES", 1 << 40)
-    whole = cauchy._build_gradient_stencil(mesh)
-    assert calls == [mesh.node_count]
-    d = mesh.n
-    row_bytes = 8 * whole[0].shape[1] * (1 + d + d * (d + 1) // 2)
-    for budget, most in ((7 * row_bytes, 7), (1, 1)):
-        calls.clear()
-        monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES", budget)
-        chunked = cauchy._build_gradient_stencil(mesh)
-        assert len(calls) > 1 and max(calls) <= most
-        assert sum(calls) == mesh.node_count
-        for a, b in zip(chunked, whole):
-            assert _same_bits(a, b)
-
-
-def _sphere_then_great_circle(tmp_path):
-    """A loaded mesh: sphere2 L0 about (10, 0, 0), then the 40 nodes of
-    one great circle of the unit sphere, whose neighbours all lie on it."""
-    sphere = build_mesh(DomainSpec("sphere", 2, center=(10.0, 0.0, 0.0),
-                                   radius=1.0), 0)
-    theta = 2.0 * np.pi * np.arange(40) / 40
-    ring = np.stack([np.cos(theta), np.sin(theta), np.zeros(40)], axis=1)
-    mesh = SurfaceMesh(np.concatenate([sphere.nodes, ring]),
-                       np.concatenate([sphere.normals, ring]),
-                       np.concatenate([sphere.weights,
-                                       np.full(40, 4.0 * np.pi / 40)]))
-    save_mesh(mesh, tmp_path / "mixed.mesh")
-    return load_mesh(tmp_path / "mixed.mesh"), sphere.node_count
-
-
-@pytest.mark.parametrize("budget", [1, 8 * 12 * 6 * 7, 1 << 40])
-def test_rank_error_in_a_later_chunk_names_its_mesh_node(budget, tmp_path,
-                                                         monkeypatch):
-    # the sphere's nodes fit; the first great-circle node is the first
-    # rank-deficient one, in a later chunk unless one chunk holds every row
-    mesh, first_bad = _sphere_then_great_circle(tmp_path)
-    monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES", budget)
-    message = (r"^gradient stencil of node %d is rank-deficient: its 12 "
-               r"neighbours leave term 2 of the 6-term")
-    with pytest.raises(DegenerateStencilError, match=message % first_bad):
-        gradient_stencil(mesh)
-    with pytest.raises(DegenerateStencilError,
-                       match=message % (first_bad + 9)):
-        gradient_stencil(mesh, np.array([3, 200, first_bad + 9, first_bad]))
-    assert "gradient_stencil" not in mesh.cache
-
-
-def test_full_sphere2_stencil_searches_the_lattice_once(monkeypatch):
-    calls = []
-    original = surface._fibonacci_neighbours
-
-    def counted(nodes, normals, radius, rows=None):
-        calls.append(rows)
-        return original(nodes, normals, radius, rows)
-
-    monkeypatch.setattr(surface, "_fibonacci_neighbours", counted)
-    monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES", 8 * 12 * 6 * 100)
-    fits = _count_fits(monkeypatch)
-    mesh = build_mesh(SPHERE2, 2)
-    gradient_stencil(mesh)
-    assert len(fits) == 13
-    assert calls == [None]
 
 
 def _concatenated_ride(mesh, samples, side, targets, t, excl):

@@ -70,7 +70,7 @@ def test_stacked_accumulators_match_single_calls(mesh, side, excluded,
     targets = mesh.nodes[idx] if excluded else 0.5 * mesh.nodes[idx]
     got = accum(ctx, targets, mesh.nodes, G, excl, circle=None)
     assert got.shape == (len(G), len(idx), ctx.dim)
-    assert len(blocks) > 2 and max(blocks) == 4
+    assert len(blocks) > 2 and max(blocks) <= 4
     for k, g in enumerate(G):
         assert _same_bits(got[k], accum(ctx, targets, mesh.nodes, g, excl,
                                         circle=None))
@@ -83,7 +83,7 @@ def test_stacked_node_node_tiles_match_single_calls(mesh, side, monkeypatch):
     # every node a target skipping its own: the tile path, with small
     # tiles so the stack runs through several off-diagonal ones, and the
     # FFT route on the circle
-    monkeypatch.setattr(_accel, "BLOCK_PAIRS", mesh.node_count ** 2 // 9)
+    monkeypatch.setattr(_accel, "TILE_EDGE", mesh.node_count // 3)
     ctx = mesh.context
     accum = _accel.accum_left if side == "left" else _accel.accum_right
     G = np.stack([f.samples * mesh.weights[:, None]
