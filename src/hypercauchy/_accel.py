@@ -14,18 +14,20 @@ one node-target pass) builds every block's planes in that buffer of n+3
 rows, the planes and two scratch rows (_kernel_E_block), so a block holds
 until the next one is built and each sum contracts it before then; no
 block allocates planes of its own.  Targets that are not the nodes take
-row blocks of as many rows as fit the buffer in ROW_BLOCK_BYTES, cut from
-the front, and no block of a call of two or more targets is a lone row
-while the budget holds three (a single row outgrows it only past
-2^17 / (n+3) nodes).  Node targets, each skipping its own node, build
-each kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly in float64
-(negating a difference is exact, and r^2, the power and the sign then
-round identically), so _node_pair_tiles yields upper-triangular tiles
-(I, J >= I) of edge TILE_EDGE = 256, a buffer of (n+3) 65536 floats, each
-taken onto rows I and, for J != I, negated and transposed onto rows J.
-The tile edge is fixed, not sized by bytes: it sets how each node
-target's sum groups its terms, so another edge moves sphere principal
-values by rounding.  The tile pass (_tile_terms) and the row-block pass
+row blocks of the largest multiple of GEMM_ROWS rows that fits the buffer
+in ROW_BLOCK_BYTES (never fewer, which outgrow it only past
+2^15 / (n+3) nodes), each block contracted as stacked gemms of GEMM_ROWS
+rows, the last block padded with its last target: a gemm of fixed row
+count rounds every row alike wherever it stands, so a target's sum does
+not depend on which targets share its call.  Node targets, each skipping
+its own node, build each kernel value once: E(x_i - x_j) = -E(x_j - x_i)
+exactly in float64 (negating a difference is exact, and r^2, the power
+and the sign then round identically), so _node_pair_tiles yields
+upper-triangular tiles (I, J >= I) of edge TILE_EDGE = 256, a buffer of
+(n+3) 65536 floats, each taken onto rows I and, for J != I, negated and
+transposed onto rows J.  The tile edge is fixed, not sized by bytes: it
+sets how each node target's sum groups its terms, so another edge moves
+sphere principal values by rounding.  The tile pass (_tile_terms) and the row-block pass
 (_row_block_terms) each own their buffer, which dies when the pass
 returns, before the blade scatter allocates.  Tile sums agree with
 row-block sums to rounding, not bitwise.  Every library sum contracts the
@@ -68,15 +70,12 @@ from .clifford_core import batch_product, scatter_pairs, sided_sum
 # terms, so changing it moves values by rounding
 TILE_EDGE = 256
 
-# bytes of a row block's work buffer (its n+1 planes and two scratch rows).
-# A gemm rounds a row by its block's size and its place there, so the
-# budget and the cuts set values by rounding: 512 KiB (2 rows at N = 5120)
-# moved sphere2 L4 values at the last bit, and so did blocks of balanced
-# sizes on the circle; 1 MiB (5 rows) with front cuts leaves every shipped
-# output as blocks of 65536 target-node pairs gave it.  numpy takes a
-# block of one row as a vector-matrix product, which rounds otherwise
-# again, so a lone last row takes a second from the block before it
+# bytes of a row block's work buffer (its n+1 planes and two scratch rows)
 ROW_BLOCK_BYTES = 1 << 20
+
+# target rows of every row-block gemm: a gemm rounds a row by its row count
+# alone, so fixing the count makes each target's sum its own
+GEMM_ROWS = 4
 
 # largest node distance from the ideal uniform grid, relative to its radius
 # (uniform_circle): small enough that the FFT's ideal grid costs rounding only
@@ -122,21 +121,24 @@ def _kernel_E_block(targets, nodes_T, n, skip=None, out=None):
 
 def _row_block_terms(T, targets, nodes, G, excl, n):
     """T[k] = E @ G[k] over row blocks, every block's planes in one work
-    buffer of at most ROW_BLOCK_BYTES (one target row when a row is
-    larger): full blocks cut from the front, but a last block of one row
-    takes a second from the block before it."""
+    buffer of at most ROW_BLOCK_BYTES (GEMM_ROWS rows when those are
+    larger), each block contracted as stacked GEMM_ROWS-row gemms; the
+    last block repeats its last target and excluded node up to a multiple
+    of GEMM_ROWS, and the repeated rows are dropped."""
     nodes_T = np.ascontiguousarray(nodes.T)
     M, N = targets.shape[0], nodes_T.shape[1]
-    chunk = max(1, ROW_BLOCK_BYTES // (8 * (n + 3) * N))
-    work = np.empty((n + 3, min(chunk, M) * N))
-    stops = list(range(chunk, M, chunk)) + [M]
-    if chunk > 2 and M > chunk and M % chunk == 1:
-        stops[-2] -= 1
-    for s, e in zip([0] + stops, stops):
-        E = _kernel_E_block(targets[s:e], nodes_T, n,
-                            None if excl is None else excl[s:e], work)
+    groups = ROW_BLOCK_BYTES // (8 * (n + 3) * N * GEMM_ROWS)
+    chunk = GEMM_ROWS * max(1, min(groups, -(-M // GEMM_ROWS)))
+    work = np.empty((n + 3, chunk * N))
+    for s in range(0, M, chunk):
+        e = min(s + chunk, M)
+        rows = np.minimum(np.arange(s, e + (s - e) % GEMM_ROWS), e - 1)
+        E = _kernel_E_block(targets[rows], nodes_T, n,
+                            None if excl is None else np.asarray(excl)[rows],
+                            work)
+        E = E.reshape(n + 1, -1, GEMM_ROWS, N)
         for Tk, gk in zip(T, G):
-            Tk[:, s:e] = E @ gk
+            Tk[:, s:e] = (E @ gk).reshape(n + 1, -1, gk.shape[1])[:, :e - s]
 
 
 def _tile_terms(T, nodes, G, n):

@@ -6,7 +6,7 @@ identified with the paravector Y, and integrals carry the normalization
 are (1/V_n) int E(x-w) dsigma f(x); right integrals put the density on
 the left of the measure.  dsigma at a node is nu_i w_i.
 
-Principal values default to the regularized form: the desingularized
+Principal values take the regularized form: the desingularized
 sum over x != t of E(x-t) nu w [f(x) - f(t)] plus f(t)/2, plus a local
 correction for the singular node's cell computed from the tangential
 gradient of f (the subtracted integrand has a finite, direction-
@@ -33,8 +33,8 @@ from .clifford_core import (
     as_coeffs,
     sided_product,
 )
-from .surface import (DegenerateExclusionError, SurfaceMesh,
-                      _first_nonfinite_row, _node_indices, neighbour_lists)
+from .surface import (SurfaceMesh, _first_nonfinite_row, _node_indices,
+                      neighbour_lists)
 
 RICHARDSON_RATIO = 2.0   # step shrinks by 1/2 per term
 RICHARDSON_TERMS = 4
@@ -316,18 +316,16 @@ def _uniform_circle(mesh):
     return mesh.cache.get("uniform_circle")
 
 
-def _accum(mesh, targets, g, side, excl=None, keep=None):
-    """Kernel sums over the mesh nodes keep (default all) at the targets.
+def _accum(mesh, targets, g, side, excl=None):
+    """Kernel sums over every mesh node at the targets.
 
     side picks accum_left or accum_right (any other side raises before any
-    work is done); only sums over all nodes with excl read the circle test.
+    work is done); only sums with excl read the circle test.
     """
     _check_side(side)
     accum = _accel.accum_left if side == "left" else _accel.accum_right
-    circ = None if excl is None or keep is not None else _uniform_circle(mesh)
-    keep = slice(None) if keep is None else keep
-    return accum(mesh.context, targets, mesh.nodes[keep], g[..., keep, :],
-                 excl, circle=circ)
+    circ = None if excl is None else _uniform_circle(mesh)
+    return accum(mesh.context, targets, mesh.nodes, g, excl, circle=circ)
 
 
 def _shifted_sums(mesh, samples, side, targets, t, excl=None):
@@ -743,42 +741,19 @@ def _warn_if_continuous(f):
                       "convergence is not guaranteed", stacklevel=3)
 
 
-def principal_value(mesh, f: BoundaryDensity, t, side="left",
-                    method="regularized") -> Multivector:
-    """Cauchy principal value PV C[f](t) at a boundary node.
+def principal_value(mesh, f: BoundaryDensity, t, side="left") -> Multivector:
+    """Cauchy principal value PV C[f](t) at a boundary node, in the
+    regularized form of principal_value_nodes.
 
     Parameters
     ----------
     t : node index or point
         Boundary point; plain points snap to the nearest node within h/2.
-    method : 'regularized' | 'delta_limit'
-        Regularized desingularized form (accurate path), or extrapolated
-        shrinking-cap exclusion (cross-validation path).
     """
     _warn_if_continuous(f)
     i = _snap_node(mesh, t)
-    ctx = mesh.context
-    if method == "regularized":
-        row = principal_value_nodes(mesh, f, side=side, indices=[i])[0]
-        return Multivector(ctx, row)
-    if method != "delta_limit":
-        raise ValueError("method must be 'regularized' or 'delta_limit'")
-    vol = unit_sphere_area(mesh.n)
-    g = _measure_density(mesh, _density_samples(mesh, f), side)
-    t_point = mesh.nodes[i]
-    dist = np.linalg.norm(mesh.nodes - t_point[None, :], axis=1)
-    delta0 = 16.0 * mesh.h
-    # the largest cap, centred on node i, holds every smaller one; it is
-    # degenerate when no node lies outside it
-    if not np.any(dist > delta0):
-        raise DegenerateExclusionError("cap of radius %g removed every node"
-                                       % delta0)
-    vals = []
-    for k in range(RICHARDSON_TERMS):
-        delta = delta0 / RICHARDSON_RATIO**k
-        keep = dist > delta
-        vals.append(_accum(mesh, [t_point], g, side, keep=keep)[0] / vol)
-    return Multivector(ctx, richardson_limit(RICHARDSON_RATIO, vals))
+    row = principal_value_nodes(mesh, f, side=side, indices=[i])[0]
+    return Multivector(mesh.context, row)
 
 
 def plemelj_values(mesh, f: BoundaryDensity, t, side="left"):

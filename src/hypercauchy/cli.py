@@ -170,16 +170,19 @@ def resolve_config(raw, overrides=()):
     else:
         if cfg.levels[0] < 0:
             raise ConfigError("levels: mesh levels must be >= 0")
-        _checked("surface %s" % cfg.surface, cfg.domain_spec)
+        spec = _checked("surface %s" % cfg.surface, cfg.domain_spec)
+        # build the coarsest mesh, so geometry whose nodes coincide or
+        # whose weights leave float64 fails here with the fields named
+        mesh = _checked("center, radius", build_mesh, spec, 0)
         dim = 2 ** SURFACES[cfg.surface][1]
         if len(cfg.gap_g) > dim:
             raise ConfigError("gap_g: at most %d entries on %s, got %d"
                               % (dim, cfg.surface, len(cfg.gap_g)))
         if cfg.density != "corpus":
-            # build the density once on the coarsest mesh, so a bad
-            # family argument fails here with the field named
-            _checked("density", _corpus.make_density,
-                     build_mesh(cfg.domain_spec(), 0), cfg.density, cfg.seed)
+            # build the density once on that mesh, so a bad family
+            # argument fails here with the field named
+            _checked("density", _corpus.make_density, mesh, cfg.density,
+                     cfg.seed)
     if cfg.sample_nodes < 1:
         raise ConfigError("sample_nodes: must be >= 1, got %d"
                           % cfg.sample_nodes)
@@ -188,6 +191,10 @@ def resolve_config(raw, overrides=()):
     if name in ("jump-rm", "constant-gap") and cfg.jump_m < low:
         raise ConfigError("jump_m: must be >= %d on %s, got %d"
                           % (low, cfg.surface, cfg.jump_m))
+    # the constant-gap residual evaluates polynomial slots of degree jump_m
+    if name == "constant-gap" and cfg.jump_m > MAX_DEGREE:
+        raise ConfigError("jump_m: must be <= %d on constant-gap, got %d"
+                          % (MAX_DEGREE, cfg.jump_m))
     if cfg.expect not in ("solvable", "unsolvable"):
         raise ConfigError("expect: expected solvable or unsolvable, got %r"
                           % cfg.expect)
@@ -201,10 +208,11 @@ def resolve_config(raw, overrides=()):
 
 
 def _checked(key, check, *args):
-    """Run check(*args), raising its ValueError as a ConfigError on key."""
+    """Return check(*args), raising its ValueError or OverflowError (a
+    sphere's radius**2 past float64) as a ConfigError on key."""
     try:
-        check(*args)
-    except ValueError as exc:
+        return check(*args)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError("%s: %s" % (key, exc)) from None
 
 

@@ -23,10 +23,6 @@ class UnsupportedDomainError(ValueError):
     """Domain kind/dimension combination has no builder."""
 
 
-class DegenerateExclusionError(ValueError):
-    """A principal value's shrinking cap removed every node."""
-
-
 class MeshFormatError(ValueError):
     """Mesh file violates the documented text format or its invariants."""
 

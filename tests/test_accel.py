@@ -455,19 +455,19 @@ def test_accumulators_take_no_default_route():
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_node_subset_takes_no_whole_mesh_circle(side, monkeypatch):
-    # every other node of a uniform circle, each skipping its own: the
-    # whole mesh's grid test says nothing of the subset, so its sums take
-    # the direct route, bitwise
+    # every other node of a uniform circle as targets, each skipping its
+    # own: the whole mesh's grid test holds, but the FFT route sums at
+    # every node, so a subset of node targets takes the direct route,
+    # bitwise
     mesh = build_mesh(SHIFTED, 2)
     assert cauchy._uniform_circle(mesh) is not None
-    keep = np.arange(mesh.node_count) % 2 == 0
-    sub = mesh.nodes[keep]
-    excl = np.arange(len(sub))
+    excl = np.arange(0, mesh.node_count, 2)
+    sub = mesh.nodes[excl]
     G = _circle_stack(mesh)
     calls = _fft_calls(monkeypatch)
-    got = cauchy._accum(mesh, sub, G, side, excl=excl, keep=keep)
+    got = cauchy._accum(mesh, sub, G, side, excl=excl)
     accum = _accel.accum_left if side == "left" else _accel.accum_right
-    want = accum(mesh.context, sub, sub, G[:, keep], excl, circle=None)
+    want = accum(mesh.context, sub, mesh.nodes, G, excl, circle=None)
     assert calls == []
     assert got.tobytes() == want.tobytes()
 
@@ -702,9 +702,9 @@ def test_node_pair_tiles_share_one_buffer(N):
 @pytest.mark.parametrize("node_targets", [False, True])
 def test_sums_with_a_work_buffer_match_fresh_planes(node_targets, monkeypatch):
     # 600 off-node targets take the row blocks that ROW_BLOCK_BYTES allows
-    # (14 at 1 MiB), 600 node targets six tiles; each sweep builds all its
-    # blocks in one buffer, and its sums are bitwise those of fresh planes
-    # per block
+    # (15 of 40 rows at 1 MiB), 600 node targets six tiles; each sweep
+    # builds all its blocks in one buffer, and its sums are bitwise those
+    # of fresh planes per block
     ctx = get_context(2)
     rng = np.random.default_rng(1)
     nodes = rng.normal(size=(600, 3))
@@ -724,7 +724,8 @@ def test_sums_with_a_work_buffer_match_fresh_planes(node_targets, monkeypatch):
     monkeypatch.setattr(_accel, "_kernel_E_block", kept)
     got = [_accel.accum_left(ctx, targets, nodes, G, excl, circle=None),
            _accel.accum_right(ctx, targets, nodes, G, excl, circle=None)]
-    rows = _accel.ROW_BLOCK_BYTES // (8 * (ctx.n + 3) * 600)
+    group = 8 * (ctx.n + 3) * 600 * _accel.GEMM_ROWS
+    rows = _accel.GEMM_ROWS * (_accel.ROW_BLOCK_BYTES // group)
     per_call = 6 if node_targets else -(-600 // rows)
     assert per_call > 1
     assert len(blocks) == 2 * per_call

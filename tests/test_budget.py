@@ -1,10 +1,12 @@
 """Kernel passes hold working memory of a fixed size.
 
-A row block's work buffer holds at most _accel.ROW_BLOCK_BYTES, with no
-lone last row, node-pair tiles keep their edge of 256, and the measure
-density rides in a kernel pass without a copy of the density stack.  Each
-bound leaves every value bitwise the same: the blocked results here are
-compared with full-block or concatenated ones by their bytes.
+A row block's work buffer holds at most _accel.ROW_BLOCK_BYTES, node-pair
+tiles keep their edge of 256, and the measure density rides in a kernel
+pass without a copy of the density stack.  Each bound leaves every value
+bitwise the same: the blocked results here are compared with full-block,
+full-call or concatenated ones by their bytes.  Row blocks are contracted
+as gemms of _accel.GEMM_ROWS rows, so an off-surface target's sum is
+bitwise the same whichever targets share its call and whatever the budget.
 """
 
 import weakref
@@ -19,6 +21,7 @@ from hypercauchy.surface import DomainSpec, build_mesh
 
 SPHERE2 = DomainSpec("sphere", 2, center=(0.0, 0.0, 0.0), radius=1.0)
 CIRCLE = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
+SPHERE3 = DomainSpec("sphere", 3, center=(0.0,) * 4, radius=1.0)
 
 
 def _same_bits(a, b):
@@ -45,30 +48,54 @@ def test_row_block_buffers_stay_within_budget(n, N, monkeypatch):
     ctx = get_context(n)
     rng = np.random.default_rng(N + n)
     nodes = rng.normal(size=(N, n + 1))
-    rows = max(1, _accel.ROW_BLOCK_BYTES // (8 * (n + 3) * N))
+    group = 8 * (n + 3) * N * _accel.GEMM_ROWS
+    rows = _accel.GEMM_ROWS * max(1, _accel.ROW_BLOCK_BYTES // group)
     targets = 5.0 + rng.normal(size=(2 * rows + 1, n + 1))
     g = rng.normal(size=(N, ctx.dim))
     buffers = _record_buffers(monkeypatch)
     _accel.accum_left(ctx, targets, nodes, g, circle=None)
-    # full blocks from the front and a last block of one row, or, while
-    # a block holds three rows or more, of two rows taken from the end
+    # two full blocks and a last one of one target, padded to a gemm group
     assert len(buffers) == 3
     assert all(b is buffers[0] for b in buffers)
     assert buffers[0].shape == (n + 3, rows * N)
-    assert buffers[0].nbytes <= _accel.ROW_BLOCK_BYTES
+    # the budget holds one group up to 2^15 / (n+3) nodes; past that a
+    # block is that one group (n = 2 and 3 at N = 8192: 1.31 and 1.57 MB)
+    assert (group <= _accel.ROW_BLOCK_BYTES) == (N <= 2 ** 15 // (n + 3))
+    assert buffers[0].nbytes <= max(_accel.ROW_BLOCK_BYTES, group)
 
 
-@pytest.mark.parametrize("M, want", [
-    (5, [5]), (6, [4, 2]), (10, [5, 5]), (11, [5, 4, 2]),
-    (14, [5, 5, 4]), (21, [5, 5, 5, 4, 2]), (1, [1])])
-def test_row_blocks_leave_no_lone_last_row(M, want, monkeypatch):
-    # a budget of 5 rows: blocks are cut from the front, as the blocks of
-    # 65536 pairs were, but a lone last row takes a second from the block
-    # before it
-    ctx = get_context(2)
-    rng = np.random.default_rng(M)
-    nodes = rng.normal(size=(600, 3))
-    monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES", 5 * 8 * 5 * 600)
+def _off_surface_targets(mesh, count, seed):
+    """count targets off the surface, inside and outside in turn, and the
+    node each is drawn from."""
+    rng = np.random.default_rng(seed)
+    t = rng.choice(mesh.node_count, count, replace=False)
+    scale = np.where(np.arange(count) % 2 == 0, 0.6, 1.5)
+    return scale[:, None] * mesh.nodes[t], t
+
+
+# targets per row block at 1 MiB: sphere2 L4 holds 5 rows, so 4
+@pytest.mark.parametrize("spec, level, block", [
+    (CIRCLE, 4, 32), (SPHERE2, 1, 40), (SPHERE2, 4, 4), (SPHERE3, 1, 20)],
+    ids=["circle-L4", "sphere2-L1", "sphere2-L4", "sphere3-L1"])
+@pytest.mark.parametrize("excluded", [False, True])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_target_rows_do_not_depend_on_their_call(spec, level, block,
+                                                 excluded, side,
+                                                 monkeypatch):
+    # every contiguous subset of 60 targets, at offsets 0, 1 and 7, and
+    # calls of 100-299 targets that cross blocks: each row is bitwise the
+    # full call's
+    mesh = build_mesh(spec, level)
+    ctx, N = mesh.context, mesh.node_count
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    g = np.random.default_rng(level).normal(size=(N, ctx.dim))
+    targets, t = _off_surface_targets(mesh, 300, level)
+    excl = t if excluded else None
+
+    def sums(s, e):
+        return accum(ctx, targets[s:e], mesh.nodes, g,
+                     None if excl is None else excl[s:e], circle=None)
+
     blocks = []
     original = _accel._kernel_E_block
 
@@ -77,33 +104,38 @@ def test_row_blocks_leave_no_lone_last_row(M, want, monkeypatch):
         return original(targets, *args)
 
     monkeypatch.setattr(_accel, "_kernel_E_block", counted)
-    _accel.accum_left(ctx, 3.0 + rng.normal(size=(M, 3)), nodes,
-                      rng.normal(size=(600, ctx.dim)), circle=None)
-    assert blocks == want
+    every = sums(0, 300)
+    monkeypatch.setattr(_accel, "_kernel_E_block", original)
+    assert blocks == ([block] * (300 // block)
+                      + [300 % block] * (300 % block > 0))
+    first = sums(0, 60)
+    assert _same_bits(first, every[:60])
+    for o in (0, 1, 7):
+        for m in range(1, min(59, 60 - o) + 1):
+            assert _same_bits(sums(o, o + m), first[o:o + m]), (o, m)
+    for o, m in ((0, 100), (1, 157), (7, 250), (1, 299)):
+        assert _same_bits(sums(o, o + m), every[o:o + m]), (o, m)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_remainder_rows_match_full_block_rows(side):
-    # sphere2 L4's 5120 nodes take blocks of 5 rows: 9 targets split 5, 4
-    # and 21 targets 5, 5, 5, 4, 2, and every row of a shorter last block
-    # is bitwise that target's row in a full block of 5 (a block of one
-    # row, a vector-matrix product, would not be)
-    mesh = build_mesh(SPHERE2, 4)
+def test_target_rows_do_not_depend_on_the_budget(side, monkeypatch):
+    # a budget of 4 rows, of 8 rows and the default 40 rows at sphere2 L1
+    # give bitwise the same rows
+    mesh = build_mesh(SPHERE2, 1)
     ctx, N = mesh.context, mesh.node_count
-    assert _accel.ROW_BLOCK_BYTES // (8 * (ctx.n + 3) * N) == 5
     accum = _accel.accum_left if side == "left" else _accel.accum_right
-    rng = np.random.default_rng(4)
-    g = rng.normal(size=(N, ctx.dim))
-    targets = 1.5 * mesh.nodes[rng.choice(N, 21, replace=False)]
-
-    def sums(rows):
-        return accum(ctx, targets[rows], mesh.nodes, g, circle=None)
-
-    assert _same_bits(sums(slice(0, 9))[5:], sums(slice(4, 9))[1:])
-    every = sums(slice(None))
-    assert _same_bits(every[:15], sums(slice(0, 15)))
-    assert _same_bits(every[15:19], sums(slice(14, 19))[1:])
-    assert _same_bits(every[19:], sums(slice(16, 21))[3:])
+    g = np.random.default_rng(1).normal(size=(N, ctx.dim))
+    targets, t = _off_surface_targets(mesh, 90, 1)
+    row = 8 * (ctx.n + 3) * N
+    got = [accum(ctx, targets, mesh.nodes, g, t, circle=None)]
+    for rows in (4, 8):
+        monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES", rows * row)
+        buffers = _record_buffers(monkeypatch)
+        got.append(accum(ctx, targets, mesh.nodes, g, t, circle=None))
+        assert buffers[0].shape == (ctx.n + 3, rows * N)
+        monkeypatch.undo()
+    assert _same_bits(got[0], got[1])
+    assert _same_bits(got[0], got[2])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

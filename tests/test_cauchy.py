@@ -6,7 +6,6 @@ numbers there, so monomial traces z^k reproduce w^k inside and 0 outside.
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -42,10 +41,9 @@ from hypercauchy.clifford_core import (SingularInputError, embed_point,
                                        paravectors_as_coeffs, sided_product,
                                        sided_sum)
 from hypercauchy.fueter import cauchy_derivative
-from hypercauchy.surface import (DegenerateExclusionError, DomainSpec,
-                                 NodeIndexError, SurfaceMesh, build_mesh,
-                                 load_mesh, oriented_measure, refine,
-                                 save_mesh)
+from hypercauchy.surface import (DomainSpec, NodeIndexError, SurfaceMesh,
+                                 build_mesh, load_mesh, oriented_measure,
+                                 refine, save_mesh)
 from hypercauchy._corpus import (random_smooth, rough_holder,
                                  symmetric_power_trace)
 
@@ -279,6 +277,23 @@ def test_constant_evaluator_is_vectorized(sphere_mesh):
     assert again.samples.tobytes() == ones.samples.tobytes()
 
 
+def _shrinking_cap_pv(mesh, f, i):
+    """PV C[f] at node i as the Richardson limit of the plain sums over the
+    nodes outside caps of radius 16 h / 2^k about it, k < RICHARDSON_TERMS:
+    an estimate independent of the regularized form, to its own (coarser)
+    accuracy."""
+    g = cauchy._measure_density(mesh, f.samples, "left")
+    dist = np.linalg.norm(mesh.nodes - mesh.nodes[i], axis=1)
+    vals = []
+    for k in range(cauchy.RICHARDSON_TERMS):
+        keep = dist > 16.0 * mesh.h / cauchy.RICHARDSON_RATIO ** k
+        vals.append(_accel.accum_left(mesh.context, mesh.nodes[i:i + 1],
+                                      mesh.nodes[keep], g[keep],
+                                      circle=None)[0]
+                    / unit_sphere_area(mesh.n))
+    return richardson_limit(cauchy.RICHARDSON_RATIO, vals)
+
+
 def test_pv_constant_is_half(circle_mesh, sphere_mesh):
     for mesh in (circle_mesh, sphere_mesh):
         ones = BoundaryDensity.constant(mesh, 1.0)
@@ -288,30 +303,18 @@ def test_pv_constant_is_half(circle_mesh, sphere_mesh):
         assert np.max(np.abs(pv.coeffs - want)) <= PV_CONST_TOL
     # shrinking-cap extrapolation agrees to its own (coarser) accuracy
     ones = BoundaryDensity.constant(circle_mesh, 1.0)
-    pv_delta = principal_value(circle_mesh, ones, 0, method="delta_limit")
-    assert abs(pv_delta.coeffs[0] - 0.5) <= PV_DELTA_TOL
+    pv_delta = _shrinking_cap_pv(circle_mesh, ones, 0)
+    assert abs(pv_delta[0] - 0.5) <= PV_DELTA_TOL
 
 
 def test_pv_methods_cross_validate(circle_mesh):
     f = random_smooth(circle_mesh, 5)
     reg = principal_value(circle_mesh, f, 11)
-    delta = principal_value(circle_mesh, f, 11, method="delta_limit")
-    assert np.max(np.abs(reg.coeffs - delta.coeffs)) <= PV_DELTA_TOL
-    with pytest.raises(ValueError):
+    delta = _shrinking_cap_pv(circle_mesh, f, 11)
+    assert np.max(np.abs(reg.coeffs - delta)) <= PV_DELTA_TOL
+    # the regularized form is the only one: principal_value takes no method
+    with pytest.raises(TypeError, match="method"):
         principal_value(circle_mesh, f, 11, method="cap")
-
-
-def test_delta_limit_cap_over_the_whole_sphere_is_degenerate():
-    # on sphere2 L0 the largest cap, 16 h across, exceeds the diameter 2 R
-    mesh = build_mesh(DomainSpec("sphere", 2, center=(0.0,) * 3,
-                                 radius=1.0), 0)
-    assert 16.0 * mesh.h > 2.0
-    f = random_smooth(mesh, 5)
-    with pytest.raises(DegenerateExclusionError,
-                       match="^%s$" % re.escape(
-                           "cap of radius %g removed every node"
-                           % (16.0 * mesh.h))):
-        principal_value(mesh, f, 3, method="delta_limit")
 
 
 def test_pv_point_snapping(circle_mesh):

@@ -229,6 +229,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "sie_b = 1\n", "sie_a"),
         ("experiment = characteristic-sie\nlevels = 1\nsie_a = 2\n"
          "sie_b = -2\n", "sie_b"),
+        # the residual would evaluate slots past the largest degree
+        ("experiment = constant-gap\nlevels = 1\njump_m = 7\n", "jump_m"),
+        # geometry whose coarsest mesh has coinciding nodes or weights
+        # that leave float64, caught before any run
+        ("experiment = pv-constant\nlevels = 1\ncenter = 1e17,0\n",
+         "center"),
+        ("experiment = pv-constant\nlevels = 1\nradius = 1e308\n",
+         "radius"),
+        ("experiment = pv-constant\nlevels = 1\nradius = 5e-324\n",
+         "radius"),
+        ("experiment = dirichlet\nlevels = 1\ndensity = corpus\n"
+         "radius = 1e308\n", "radius"),
+        ("experiment = plemelj\nsurface = sphere2\nlevels = 1\n"
+         "radius = 1e308\n", "radius"),
     ] + [
         # a known family with an argument that cannot build a density
         ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"
