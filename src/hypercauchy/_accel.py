@@ -10,38 +10,40 @@ do not depend on the thread count.
 
 Every kernel pass holds one work buffer of bounded size, whatever the
 number of targets.  One sweep (the row blocks of one call, the tiles of
-one node-target pass) builds every block's planes in that buffer of n+3
-rows, the planes and two scratch rows (_kernel_E_block), so a block holds
-until the next one is built and each sum contracts it before then; no
-block allocates planes of its own.  Targets that are not the nodes take
-row blocks of the largest multiple of GEMM_ROWS rows that fits the buffer
-in ROW_BLOCK_BYTES (never fewer, which outgrow it only past
-2^15 / (n+3) nodes), each block contracted as stacked gemms of GEMM_ROWS
-rows, the last block padded with its last target: a gemm of fixed row
-count rounds every row alike wherever it stands, so a target's sum does
-not depend on which targets share its call.  Node targets, each skipping
-its own node, build each kernel value once: E(x_i - x_j) = -E(x_j - x_i)
-exactly in float64 (negating a difference is exact, and r^2, the power
-and the sign then round identically), so _node_pair_tiles yields
-upper-triangular tiles (I, J >= I) of edge TILE_EDGE = 256, a buffer of
-(n+3) 65536 floats, each taken onto rows I and, for J != I, negated and
+one node-target pass) builds every block in that buffer of two rows
+(_block_planes): r^-(n+1) of the block in one, then each plane p = 0..n
+in the other, contracted with every density before plane p+1 is built;
+no block allocates planes of its own.  Targets that are not the nodes
+take row blocks of the largest multiple of GEMM_ROWS rows whose two rows
+fit ROW_BLOCK_BYTES (never fewer, which outgrow it only past 2^13 nodes),
+each plane contracted as stacked gemms of GEMM_ROWS rows, the last block
+padded with its last target: a gemm of fixed row count rounds every row
+alike wherever it stands, so a target's sum does not depend on which
+targets share its call.  Node targets, each skipping its own node, build
+each kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly in float64
+(negating a difference is exact, and r^2, the power and the sign then
+round identically), so _node_pair_tiles walks upper-triangular tiles
+(I, J >= I) of edge TILE_EDGE = 256, a buffer of 2 * 65536 floats for
+every n, each plane taken onto rows I and, for J != I, negated and
 transposed onto rows J.  The tile edge is fixed, not sized by bytes: it
 sets how each node target's sum groups its terms, so another edge moves
-sphere principal values by rounding.  The tile pass (_tile_terms) and the row-block pass
-(_row_block_terms) each own their buffer, which dies when the pass
-returns, before the blade scatter allocates.  Tile sums agree with
-row-block sums to rounding, not bitwise.  Every library sum contracts the
-planes with one density row per node, g of shape (N, 2^n), shared by
-every target (accum_left, accum_right): one BLAS gemm per plane.  The
-planes are the costly part, so a stack of K densities shares each block,
-one gemm per density, and the rows of density k are bitwise those of a
-call with that density alone.  A two-point kernel reaches the sums only as
-the two factor rows of k[j, i] = L_j R_i (bvp.ProductKernel), whose
-principal value is that of the ordinary density L, right-multiplied by
-R_i (bvp._matrix_pv_rows), and pb_rhs then needs the sampled nodes'
-kernel rows alone.  pv_matrix, the per-target tile sum of a held
-(N, N, 2^n) density matrix, is no library path; it stays as the separable
-route's parity reference.
+sphere principal values by rounding.  The tile pass (_tile_terms) and the
+row-block pass (_row_block_terms) each own their buffer, which dies when
+the pass returns, before the blade scatter allocates.  Callers that read
+every plane at once (pb_rhs, pv_matrix, cauchy.kernel_E_rows and
+bvp._pair_orthogonality) stack the same planes (_kernel_E_block).  Tile
+sums agree with row-block sums to rounding, not bitwise.  Every library
+sum contracts the planes with one density row per node, g of shape
+(N, 2^n), shared by every target (accum_left, accum_right): one BLAS gemm
+per plane.  The planes are the costly part, so a stack of K densities
+shares each plane, one gemm per density, and the rows of density k are
+bitwise those of a call with that density alone.  A two-point kernel
+reaches the sums only as the two factor rows of k[j, i] = L_j R_i
+(bvp.ProductKernel), whose principal value is that of the ordinary
+density L, right-multiplied by R_i (bvp._matrix_pv_rows), and pb_rhs
+then needs the sampled nodes' kernel rows alone.  pv_matrix, the
+per-target tile sum of a held (N, N, 2^n) density matrix, is no library
+path; it stays as the separable route's parity reference.
 
 Node targets on a uniform circle grid (uniform_circle) take no tiles in
 accum_left and accum_right: there C(V_1) is the complex plane
@@ -70,8 +72,8 @@ from .clifford_core import batch_product, scatter_pairs, sided_sum
 # terms, so changing it moves values by rounding
 TILE_EDGE = 256
 
-# bytes of a row block's work buffer (its n+1 planes and two scratch rows)
-ROW_BLOCK_BYTES = 1 << 20
+# bytes of a row block's work buffer (r^-(n+1) and one plane)
+ROW_BLOCK_BYTES = 1 << 19
 
 # target rows of every row-block gemm: a gemm rounds a row by its row count
 # alone, so fixing the count makes each target's sum its own
@@ -82,94 +84,110 @@ GEMM_ROWS = 4
 CIRCLE_GRID_TOL = 1e-12
 
 
-def _kernel_E_block(targets, nodes_T, n, skip=None, out=None):
-    """E(x_j - w_i) component planes, shape (n+1, C, N); 0 at r = 0.
+def _block_planes(targets, nodes_T, n, skip, work):
+    """Yield plane p = 0..n of E(x_j - w_i), shape (C, N); 0 at r = 0.
 
     targets holds the C target rows w_i, shape (C, n+1); nodes_T the
     transposed nodes x_j, shape (n+1, N).  skip[i] >= 0 names a node whose
-    entry is zeroed for target i (the excluded node of a punctured sum).
-    out is a work buffer of shape (n+3, P), P >= C N, or None for a fresh
-    one: the planes returned are views of its first C N columns (rows
-    n+1 and n+2 are scratch), valid until out is written again.  Plane 0 is
-    formed as (x_0 - w_0) r^-(n+1) and plane k >= 1 as (w_k - x_k)
-    r^-(n+1), the conjugation sign folded into the difference: negating a
-    difference is exact, so each plane is bitwise -(x_k - w_k) r^-(n+1).
+    entry is zeroed for target i (the excluded node of a punctured sum),
+    or skip is None.  work is a buffer of shape (2, P), P >= C N: its first
+    row takes r^-(n+1) and its second each plane in turn, so a plane
+    yielded is valid only until the next one is built.  r^2 is summed in
+    the first row over the component differences, each formed and squared
+    in the second, then raised in place; the r = 0 entries are found from
+    r^2 before the power, since a tiny r^2 whose power overflows stays inf.
+    Plane 0 is formed as (x_0 - w_0) r^-(n+1) and plane k >= 1 as
+    (w_k - x_k) r^-(n+1), the conjugation sign folded into the difference:
+    negating a difference is exact, so each plane is bitwise
+    -(x_k - w_k) r^-(n+1), and each difference squares as in r^2.
     """
     targets = np.asarray(targets, dtype=np.float64)
     C, N = targets.shape[0], nodes_T.shape[1]
-    if out is None:
-        out = np.empty((n + 3, C * N))
-    planes = out[:, :C * N].reshape(n + 3, C, N)
-    E, r2, tmp = planes[:n + 1], planes[n + 1], planes[n + 2]
-    np.subtract(nodes_T[0], targets[:, :1], out=E[0])
+    inv, plane = work[:, :C * N].reshape(2, C, N)
+
+    def difference(k):  # x_0 - w_0 for k = 0, w_k - x_k after, into plane
+        if k == 0:
+            return np.subtract(nodes_T[0], targets[:, :1], out=plane)
+        return np.subtract(targets[:, k:k + 1], nodes_T[k], out=plane)
+
+    np.multiply(difference(0), plane, out=inv)
     for k in range(1, n + 1):
-        np.subtract(targets[:, k:k + 1], nodes_T[k], out=E[k])
-    np.multiply(E[0], E[0], out=r2)
-    for k in range(1, n + 1):
-        r2 += np.multiply(E[k], E[k], out=tmp)
+        inv += np.multiply(difference(k), plane, out=plane)
+    zero = None if inv.all() else inv == 0.0
     with np.errstate(divide="ignore"):
-        inv = np.power(r2, -0.5 * (n + 1), out=tmp)
-    if not r2.all():
-        inv[r2 == 0.0] = 0.0
-    E *= inv
+        np.power(inv, -0.5 * (n + 1), out=inv)
+    if zero is not None:
+        inv[zero] = 0.0
     if skip is not None:
         skip = np.asarray(skip, dtype=np.int64)
         rows = np.flatnonzero(skip >= 0)
-        E[:, rows, skip[rows]] = 0.0
+        skip = rows, skip[rows]
+    for p in range(n + 1):
+        np.multiply(difference(p), inv, out=plane)
+        if skip is not None:
+            plane[skip] = 0.0
+        yield plane
+
+
+def _kernel_E_block(targets, nodes_T, n, skip=None):
+    """E(x_j - w_i) component planes, shape (n+1, C, N): the planes of
+    _block_planes stacked, for the callers that read them all at once."""
+    C, N = len(targets), nodes_T.shape[1]
+    E = np.empty((n + 1, C, N))
+    for p, plane in enumerate(_block_planes(targets, nodes_T, n, skip,
+                                            np.empty((2, C * N)))):
+        E[p] = plane
     return E
 
 
 def _row_block_terms(T, targets, nodes, G, excl, n):
-    """T[k] = E @ G[k] over row blocks, every block's planes in one work
-    buffer of at most ROW_BLOCK_BYTES (GEMM_ROWS rows when those are
-    larger), each block contracted as stacked GEMM_ROWS-row gemms; the
+    """T[k] = E @ G[k] over row blocks, every block built in one two-row
+    work buffer of at most ROW_BLOCK_BYTES (GEMM_ROWS rows when those are
+    larger), each plane contracted as stacked GEMM_ROWS-row gemms; the
     last block repeats its last target and excluded node up to a multiple
     of GEMM_ROWS, and the repeated rows are dropped."""
     nodes_T = np.ascontiguousarray(nodes.T)
     M, N = targets.shape[0], nodes_T.shape[1]
-    groups = ROW_BLOCK_BYTES // (8 * (n + 3) * N * GEMM_ROWS)
+    groups = ROW_BLOCK_BYTES // (8 * 2 * N * GEMM_ROWS)
     chunk = GEMM_ROWS * max(1, min(groups, -(-M // GEMM_ROWS)))
-    work = np.empty((n + 3, chunk * N))
+    work = np.empty((2, chunk * N))
     for s in range(0, M, chunk):
         e = min(s + chunk, M)
         rows = np.minimum(np.arange(s, e + (s - e) % GEMM_ROWS), e - 1)
-        E = _kernel_E_block(targets[rows], nodes_T, n,
-                            None if excl is None else np.asarray(excl)[rows],
-                            work)
-        E = E.reshape(n + 1, -1, GEMM_ROWS, N)
-        for Tk, gk in zip(T, G):
-            Tk[:, s:e] = (E @ gk).reshape(n + 1, -1, gk.shape[1])[:, :e - s]
+        skip = None if excl is None else np.asarray(excl)[rows]
+        for p, Ep in enumerate(_block_planes(targets[rows], nodes_T, n, skip,
+                                             work)):
+            # one (GEMM_ROWS, N) @ (N, 2^n) gemm per group and density
+            terms = Ep.reshape(-1, GEMM_ROWS, N) @ G[:, None]
+            T[:, p, s:e] = terms.reshape(len(G), -1, G.shape[2])[:, :e - s]
+
+
+def _node_pair_tiles(N):
+    """Yield (I, J, skip) over the node-pair tiles J >= I of edge TILE_EDGE,
+    each pair once: the kernel of rows I against nodes J is E(x_j - x_i),
+    and -E^T that of rows J against nodes I (see the module docstring).
+    skip is each row's own node on a diagonal tile, else None."""
+    for s in range(0, N, TILE_EDGE):
+        I = slice(s, min(s + TILE_EDGE, N))
+        for t in range(s, N, TILE_EDGE):
+            yield (I, slice(t, min(t + TILE_EDGE, N)),
+                   np.arange(I.stop - s) if t == s else None)
 
 
 def _tile_terms(T, nodes, G, n):
     """T[k] = sum_j E(x_j - x_i) G[k, j] at every node i, j != i, over the
-    node-pair tiles, each plane outer so it stays in cache across the K
-    densities."""
-    for I, J, E in _node_pair_tiles(nodes, n):
-        for p, Ep in enumerate(E):
-            for Tk, gk in zip(T, G):
-                Tk[p, I] += Ep @ gk[J]
-                if J != I:
-                    Tk[p, J] -= Ep.T @ gk[I]
-
-
-def _node_pair_tiles(nodes, n):
-    """Yield (I, J, E) over the node-pair tiles J >= I, each pair once.
-
-    E holds E(x_j - x_i) for i in I, j in J, and -E^T the kernel of rows J
-    against nodes I (see the module docstring).  Diagonal tiles skip i = j.
-    Every tile's planes share one work buffer, so a tile holds only until
-    the next one is yielded.
-    """
+    node-pair tiles, each plane built in one two-row work buffer and
+    contracted with the K densities before the next."""
     N = nodes.shape[0]
     nodes_T = np.ascontiguousarray(nodes.T)
-    work = np.empty((n + 3, min(TILE_EDGE, N) ** 2))
-    for s in range(0, N, TILE_EDGE):
-        I = slice(s, min(s + TILE_EDGE, N))
-        for t in range(s, N, TILE_EDGE):
-            yield I, slice(t, min(t + TILE_EDGE, N)), _kernel_E_block(
-                nodes[I], nodes_T[:, t:t + TILE_EDGE], n,
-                np.arange(I.stop - s) if t == s else None, work)
+    work = np.empty((2, min(TILE_EDGE, N) ** 2))
+    for I, J, skip in _node_pair_tiles(N):
+        for p, Ep in enumerate(_block_planes(nodes[I], nodes_T[:, J], n,
+                                             skip, work)):
+            # one gemm per density
+            T[:, p, I] += Ep @ G[:, J]
+            if J != I:
+                T[:, p, J] -= Ep.T @ G[:, I]
 
 
 def uniform_circle(nodes):
@@ -292,7 +310,9 @@ def pv_matrix(ctx, nodes, nuw, dmat):
 
     # T[i] = sum_j E[:, i, j] H[j, i]; one H block is alive at a time
     T = np.zeros((N, ctx.n + 1, ctx.dim))
-    for I, J, E in _node_pair_tiles(nodes, ctx.n):
+    nodes_T = nodes.T
+    for I, J, skip in _node_pair_tiles(N):
+        E = _kernel_E_block(nodes[I], nodes_T[:, J], ctx.n, skip)
         T[I] += E.transpose(1, 0, 2) @ H(J, I).swapaxes(0, 1)
         if J != I:
             T[J] -= E.transpose(2, 0, 1) @ H(I, J).swapaxes(0, 1)

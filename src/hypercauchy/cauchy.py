@@ -41,6 +41,8 @@ RICHARDSON_TERMS = 4
 NEAR_BAND_FACTOR = 3.0   # dist < 3h => unreliable direct quadrature
 # |R_jj| / |R_00| of a stencil fit's QR below this is a rank-deficient fit
 STENCIL_RANK_TOL = 1e-10
+# nodes per batched stencil fit, which bounds the fit's temporaries
+STENCIL_FIT_ROWS = 256
 
 
 class InconclusiveSpanError(ValueError):
@@ -486,9 +488,13 @@ def _build_gradient_stencil(mesh, idx=None):
 
     Off the circle grid, each node fits a local quadratic in tangent
     coordinates over its neighbours by least squares: a batched QR of the
-    design and a triangular solve.  A design whose R has a diagonal entry
-    below STENCIL_RANK_TOL |R_00| raises DegenerateStencilError naming the
-    mesh index of the first such node.
+    design and a triangular solve.  The lists are read once; the fits then
+    run in chunks of STENCIL_FIT_ROWS nodes, each written into the kept
+    weights, so the fit's temporaries are bounded whatever the mesh, and
+    every node's fit being its own, the weights are bitwise one batch's.
+    A design whose R has a diagonal entry below STENCIL_RANK_TOL |R_00|
+    raises DegenerateStencilError naming the mesh index of the first such
+    node, the chunks running in index order.
     """
     circ = _uniform_circle(mesh)
     if circ is not None:
@@ -506,16 +512,25 @@ def _build_gradient_stencil(mesh, idx=None):
         frame = np.stack([-mesh.normals[:, 1], mesh.normals[:, 0]], axis=1)
         return nb, wts, frame[:, None, :]
 
-    rows = slice(None) if idx is None else idx
+    rows = np.arange(mesh.node_count) if idx is None else np.asarray(idx)
     frame = _tangent_frame(mesh, rows)
     d = mesh.n
     nterms = 1 + d + d * (d + 1) // 2
     k = max(nterms + 4, {2: 12, 3: 20}.get(d, 4 * nterms))
     nb = neighbour_lists(mesh, min(k, mesh.node_count), idx)
-    # the weights, which a full stencil's cache keeps, come before the
-    # fit's temporaries, so these are freed from the heap's top, which
-    # malloc can hand back, not from under the kept weights
     wts = np.empty((d,) + nb.shape)
+    for s in range(0, len(nb), STENCIL_FIT_ROWS):
+        c = slice(s, s + STENCIL_FIT_ROWS)
+        _fit_stencil_rows(mesh, rows[c], nb[c], frame[c], nterms, wts[:, c])
+    return nb, wts, frame
+
+
+def _fit_stencil_rows(mesh, rows, nb, frame, nterms, out):
+    """First-derivative weights (d, len(rows), k) of the quadratic fits at
+    the node index array rows, over their lists nb and tangent frame,
+    written into out; raises DegenerateStencilError naming the first
+    rank-deficient node of rows."""
+    d = mesh.n
     rel = mesh.nodes[nb] - mesh.nodes[rows, None, :]       # (M, k, p)
     u = 0.0                                                 # tangent coords
     for c in range(d + 1):
@@ -543,15 +558,13 @@ def _build_gradient_stencil(mesh, idx=None):
             "gradient stencil of node %d is rank-deficient: its %d "
             "neighbours leave term %d of the %d-term quadratic fit "
             "undetermined (|R_jj| / |R_00| = %.3g)"
-            % (r if idx is None else idx[r], nb.shape[1], j, nterms,
-               ratio[r, j]))
+            % (rows[r], nb.shape[1], j, nterms, ratio[r, j]))
     # rows 1..d of R^-1 Q^T, the first derivatives, by back substitution
     X = np.swapaxes(Q, 1, 2).copy()                         # (M, nterms, k)
     for j in range(nterms - 1, 0, -1):
         X[:, j] -= np.matmul(R[:, j, None, j + 1 :], X[:, j + 1 :])[:, 0]
         X[:, j] /= R[:, j, j, None]
-    np.divide(np.swapaxes(X[:, 1 : 1 + d], 0, 1), unit[:, None], out=wts)
-    return nb, wts, frame
+    np.divide(np.swapaxes(X[:, 1 : 1 + d], 0, 1), unit[:, None], out=out)
 
 
 def gradient_stencil(mesh, idx=None):

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import _corpus
 from .clifford_core import batch_conjugate, batch_product, get_context
-from .surface import DomainSpec, build_mesh, parse_mesh_spec, save_mesh
+from .surface import (DomainSpec, _node_separation, build_mesh,
+                      parse_mesh_spec, save_mesh)
 from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      span_indicator, symmetric_difference_limit,
                      symmetric_difference_steps, _integral_rows)
@@ -172,8 +173,10 @@ def resolve_config(raw, overrides=()):
             raise ConfigError("levels: mesh levels must be >= 0")
         spec = _checked("surface %s" % cfg.surface, cfg.domain_spec)
         # build the coarsest mesh, so geometry whose nodes coincide or
-        # whose weights leave float64 fails here with the fields named
-        mesh = _checked("center, radius", build_mesh, spec, 0)
+        # whose weights leave float64 fails here with the fields named,
+        # and check the finest level's node spacing without building it
+        mesh = _checked("center, radius", _coarsest_mesh, spec,
+                        cfg.levels[-1])
         dim = 2 ** SURFACES[cfg.surface][1]
         if len(cfg.gap_g) > dim:
             raise ConfigError("gap_g: at most %d entries on %s, got %d"
@@ -205,6 +208,25 @@ def resolve_config(raw, overrides=()):
     for key in ("seed", "kernel_seed"):
         _checked(key, np.random.SeedSequence, getattr(cfg, key))
     return cfg
+
+
+def _coarsest_mesh(spec, finest):
+    """build_mesh(spec, 0), refusing with ValueError geometry on which the
+    nodes of level finest would lie closer than float64 resolves.
+
+    Two nodes a distance d apart differ by at least d / sqrt(n+1) in some
+    coordinate, so they stay apart in float64 while that exceeds the
+    spacing of floats at the largest coordinate, |center| + radius.
+    """
+    mesh = build_mesh(spec, 0)
+    gap = _node_separation(spec, finest)
+    reach = np.abs(spec.center_array).max() + spec.radius
+    resolution = np.sqrt(spec.n + 1) * np.spacing(reach)
+    if not gap > resolution:
+        raise ValueError("nodes of level %d lie %.3g apart, within float64's "
+                         "resolution %.3g at coordinates up to %.3g"
+                         % (finest, gap, resolution, reach))
+    return mesh
 
 
 def _checked(key, check, *args):

@@ -252,9 +252,22 @@ class Paravector:
 # -- spec operations ----------------------------------------------------------
 
 def product(a: Multivector, b: Multivector) -> Multivector:
-    """Geometric product in C(V_n), batch_product of the two rows."""
+    """Geometric product in C(V_n), bitwise batch_product of the two rows.
+
+    A second loop over the same blade-pair table, one fancy-indexed add
+    per nonzero left blade i, out[i ^ j] += (a_i b_j) sign(i, j): on one
+    row, batch_product's one numpy call per blade pair takes 2.6-8.7x as
+    long (n = 1..3), and Multivector arithmetic and the tests' pair-loop
+    oracles take products one pair at a time.  Left blades run outer and
+    zero ones are skipped, as in batch_product, and multiplying by -1 is
+    exact negation, so every blade takes the same terms in the same order.
+    """
     a._check(b)
-    return Multivector(a.ctx, batch_product(a.ctx, a.coeffs, b.coeffs))
+    out = np.zeros(a.ctx.dim)
+    for i, blades, signs in _row_pairs(a.ctx.n):
+        if a.coeffs[i]:
+            out[blades] += a.coeffs[i] * b.coeffs * signs
+    return Multivector(a.ctx, out)
 
 
 def conjugate(a: Multivector) -> Multivector:
@@ -328,6 +341,16 @@ def _column_pairs(n: int, left_width: int, right_width: int) -> tuple:
         (i, tuple((j, a ^ b, bool(ctx.sign_table[a, b] > 0))
                   for j, b in enumerate(blades[1])))
         for i, a in enumerate(blades[0]))
+
+
+@lru_cache(maxsize=None)
+def _row_pairs(n: int) -> tuple:
+    """Per left blade i of a dense row: (i, the blades i ^ j of e_i e_j over
+    j, their signs as floats), the table of product."""
+    ctx = get_context(n)
+    right = np.arange(ctx.dim)
+    return tuple((i, right ^ i, ctx.sign_table[i].astype(np.float64))
+                 for i in range(ctx.dim))
 
 
 def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarray:

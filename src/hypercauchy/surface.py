@@ -478,6 +478,27 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     return mesh
 
 
+def _node_separation(spec: DomainSpec, level: int) -> float:
+    """A lower bound, in closed form, on the distance between two nodes of
+    build_mesh(spec, level), for checking geometry before any mesh of that
+    level is built.
+
+    Circles: 2 R sin(pi / N), exact.  2-spheres: 3 R / sqrt(N); the
+    lattice's nearest pair measured 3.0915-3.0921 R / sqrt(N) over levels
+    0-7.  3-spheres: 20 R / m^4, m = 4 * 2^level; the nearest pair sits on
+    the rings about the chi poles, and measured 21.6, 27.8, 31.1 and
+    32.7 R / m^4 over levels 0-3.  The level enters through ldexp, so a
+    level past float64's range gives 0, not an OverflowError.
+    """
+    R = spec.radius
+    with np.errstate(over="ignore"):
+        if spec.kind == "circle":
+            return float(2.0 * R * np.sin(np.pi / np.ldexp(64.0, level)))
+        if spec.n == 2:
+            return float(3.0 * R / np.sqrt(np.ldexp(320.0, level)))
+        return float(np.ldexp(20.0 * R / 256.0, -4 * level))
+
+
 def _node_indices(mesh, t, name="t"):
     """t, a node index or a 1-d array of them, as a 1-d integer array.
 

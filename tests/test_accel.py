@@ -118,13 +118,13 @@ def test_accumulators_match_pair_loop(mesh, side):
 def _count_kernel_pairs(monkeypatch):
     """Record the target-node pairs of every kernel block built."""
     built = []
-    original = _accel._kernel_E_block
+    original = _accel._block_planes
 
-    def counted(targets, nodes_T, n, skip=None, out=None):
+    def counted(targets, nodes_T, n, skip, work):
         built.append(len(targets) * nodes_T.shape[1])
-        return original(targets, nodes_T, n, skip, out)
+        return original(targets, nodes_T, n, skip, work)
 
-    monkeypatch.setattr(_accel, "_kernel_E_block", counted)
+    monkeypatch.setattr(_accel, "_block_planes", counted)
     return built
 
 
@@ -654,19 +654,23 @@ def test_kernel_planes_match_the_plain_expression(n):
     nodes_T = np.ascontiguousarray(nodes.T)
     skip = np.full(len(targets), -1)
     skip[[1, 9]] = [7, 4]            # row 9 sits on node 4, which it skips
-    work = np.full((n + 3, 4000), np.nan)
+    work = np.full((2, 4000), np.nan)
     for sk in (None, skip):
         want = _planes_as_formed_before(targets, nodes_T, n, sk)
         fresh = _accel._kernel_E_block(targets, nodes_T, n, sk)
         _assert_same_bits(fresh, want)
-        _assert_same_bits(_accel._kernel_E_block(targets, nodes_T, n, sk,
-                                                 work), want)
+        # each plane of a work-buffer block, while it is the latest
+        for p, plane in enumerate(_accel._block_planes(targets, nodes_T, n,
+                                                       sk, work)):
+            _assert_same_bits(plane, want[p])
         # a partial block: fewer targets and a column slice of the nodes
-        part = _accel._kernel_E_block(targets[:5], nodes_T[:, 40:], n,
-                                      None if sk is None else sk[:5], work)
-        assert np.shares_memory(part, work)
-        _assert_same_bits(part, _planes_as_formed_before(
-            targets[:5], nodes_T[:, 40:], n, None if sk is None else sk[:5]))
+        part = _planes_as_formed_before(targets[:5], nodes_T[:, 40:], n,
+                                        None if sk is None else sk[:5])
+        for p, plane in enumerate(_accel._block_planes(
+                targets[:5], nodes_T[:, 40:], n,
+                None if sk is None else sk[:5], work)):
+            assert np.shares_memory(plane, work)
+            _assert_same_bits(plane, part[p])
     # row 10 sits on node 20 and does not skip it: a zero entry, not inf
     assert np.all(fresh[:, 10, 20] == 0.0)
 
@@ -684,25 +688,33 @@ def test_power_into_a_buffer_rounds_as_the_operator(exponent):
 
 
 @pytest.mark.parametrize("N", [300, 600])
-def test_node_pair_tiles_share_one_buffer(N):
+def test_node_pair_tiles_share_one_buffer(N, monkeypatch):
     nodes = np.random.default_rng(N).normal(size=(N, 3))
     tiles = []
-    for I, J, E in _accel._node_pair_tiles(nodes, 2):
-        tiles.append((I, J, E))
-        # each tile is the plain expression while it is the latest
-        skip = np.arange(I.stop - I.start) if I == J else None
-        _assert_same_bits(E, _planes_as_formed_before(
-            nodes[I], np.ascontiguousarray(nodes[J].T), 2, skip))
+    original = _accel._block_planes
+
+    def checked(targets, nodes_T, n, skip, work):
+        tiles.append(work)
+        # each plane is the plain expression while it is the latest
+        want = _planes_as_formed_before(targets, nodes_T, n, skip)
+        for p, plane in enumerate(original(targets, nodes_T, n, skip, work)):
+            _assert_same_bits(plane, want[p])
+            yield plane
+
+    monkeypatch.setattr(_accel, "_block_planes", checked)
+    ctx = get_context(2)
+    _accel.accum_left(ctx, nodes, nodes, np.ones((N, ctx.dim)), np.arange(N),
+                      circle=None)
     edges = -(-N // 256)
     assert len(tiles) == edges * (edges + 1) // 2
-    for (_, _, a), (_, _, b) in zip(tiles, tiles[1:]):
+    for a, b in zip(tiles, tiles[1:]):
         assert np.shares_memory(a, b)
 
 
 @pytest.mark.parametrize("node_targets", [False, True])
 def test_sums_with_a_work_buffer_match_fresh_planes(node_targets, monkeypatch):
     # 600 off-node targets take the row blocks that ROW_BLOCK_BYTES allows
-    # (15 of 40 rows at 1 MiB), 600 node targets six tiles; each sweep
+    # (12 of 52 rows at 512 KiB), 600 node targets six tiles; each sweep
     # builds all its blocks in one buffer, and its sums are bitwise those
     # of fresh planes per block
     ctx = get_context(2)
@@ -712,25 +724,25 @@ def test_sums_with_a_work_buffer_match_fresh_planes(node_targets, monkeypatch):
     targets, excl = ((nodes, np.arange(600)) if node_targets
                      else (3.0 + nodes[::-1], None))
     blocks = []
-    original = _accel._kernel_E_block
+    original = _accel._block_planes
 
-    def kept(targets, nodes_T, n, skip=None, out=None):
-        blocks.append(original(targets, nodes_T, n, skip, out))
-        return blocks[-1]
+    def kept(targets, nodes_T, n, skip, work):
+        blocks.append(work)
+        return original(targets, nodes_T, n, skip, work)
 
-    def fresh(targets, nodes_T, n, skip=None, out=None):
-        return original(targets, nodes_T, n, skip)
+    def fresh(targets, nodes_T, n, skip, work):
+        return original(targets, nodes_T, n, skip, np.empty_like(work))
 
-    monkeypatch.setattr(_accel, "_kernel_E_block", kept)
+    monkeypatch.setattr(_accel, "_block_planes", kept)
     got = [_accel.accum_left(ctx, targets, nodes, G, excl, circle=None),
            _accel.accum_right(ctx, targets, nodes, G, excl, circle=None)]
-    group = 8 * (ctx.n + 3) * 600 * _accel.GEMM_ROWS
+    group = 8 * 2 * 600 * _accel.GEMM_ROWS
     rows = _accel.GEMM_ROWS * (_accel.ROW_BLOCK_BYTES // group)
     per_call = 6 if node_targets else -(-600 // rows)
     assert per_call > 1
     assert len(blocks) == 2 * per_call
     assert all(np.shares_memory(blocks[0], b) for b in blocks[1:per_call])
-    monkeypatch.setattr(_accel, "_kernel_E_block", fresh)
+    monkeypatch.setattr(_accel, "_block_planes", fresh)
     want = [_accel.accum_left(ctx, targets, nodes, G, excl, circle=None),
             _accel.accum_right(ctx, targets, nodes, G, excl, circle=None)]
     for a, b in zip(got, want):

@@ -1,14 +1,18 @@
 """Kernel passes hold working memory of a fixed size.
 
-A row block's work buffer holds at most _accel.ROW_BLOCK_BYTES, node-pair
-tiles keep their edge of 256, and the measure density rides in a kernel
-pass without a copy of the density stack.  Each bound leaves every value
+A kernel block is built one plane at a time in a work buffer of two
+rows, r^-(n+1) and the plane: a row block's holds at most
+_accel.ROW_BLOCK_BYTES, node-pair tiles keep their edge of 256, and the
+measure density rides in a kernel pass without a copy of the density
+stack.  A full gradient-stencil fit runs in chunks of
+cauchy.STENCIL_FIT_ROWS nodes, bitwise one batched fit.  Each bound leaves every value
 bitwise the same: the blocked results here are compared with full-block,
 full-call or concatenated ones by their bytes.  Row blocks are contracted
 as gemms of _accel.GEMM_ROWS rows, so an off-surface target's sum is
 bitwise the same whichever targets share its call and whatever the budget.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -17,7 +21,8 @@ import pytest
 from hypercauchy import _accel, cauchy
 from hypercauchy.clifford_core import (get_context, paravectors_as_coeffs,
                                        sided_product)
-from hypercauchy.surface import DomainSpec, build_mesh
+from hypercauchy.surface import (DomainSpec, SurfaceMesh, build_mesh,
+                                  load_mesh, save_mesh)
 
 SPHERE2 = DomainSpec("sphere", 2, center=(0.0, 0.0, 0.0), radius=1.0)
 CIRCLE = DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0)
@@ -30,15 +35,15 @@ def _same_bits(a, b):
 
 
 def _record_buffers(monkeypatch):
-    """The work buffer (argument out) of every _kernel_E_block call."""
+    """The work buffer of every kernel block built (_block_planes)."""
     buffers = []
-    original = _accel._kernel_E_block
+    original = _accel._block_planes
 
-    def recorded(targets, nodes_T, n, skip=None, out=None):
-        buffers.append(out)
-        return original(targets, nodes_T, n, skip, out)
+    def recorded(targets, nodes_T, n, skip, work):
+        buffers.append(work)
+        return original(targets, nodes_T, n, skip, work)
 
-    monkeypatch.setattr(_accel, "_kernel_E_block", recorded)
+    monkeypatch.setattr(_accel, "_block_planes", recorded)
     return buffers
 
 
@@ -48,7 +53,7 @@ def test_row_block_buffers_stay_within_budget(n, N, monkeypatch):
     ctx = get_context(n)
     rng = np.random.default_rng(N + n)
     nodes = rng.normal(size=(N, n + 1))
-    group = 8 * (n + 3) * N * _accel.GEMM_ROWS
+    group = 8 * 2 * N * _accel.GEMM_ROWS
     rows = _accel.GEMM_ROWS * max(1, _accel.ROW_BLOCK_BYTES // group)
     targets = 5.0 + rng.normal(size=(2 * rows + 1, n + 1))
     g = rng.normal(size=(N, ctx.dim))
@@ -57,10 +62,10 @@ def test_row_block_buffers_stay_within_budget(n, N, monkeypatch):
     # two full blocks and a last one of one target, padded to a gemm group
     assert len(buffers) == 3
     assert all(b is buffers[0] for b in buffers)
-    assert buffers[0].shape == (n + 3, rows * N)
-    # the budget holds one group up to 2^15 / (n+3) nodes; past that a
-    # block is that one group (n = 2 and 3 at N = 8192: 1.31 and 1.57 MB)
-    assert (group <= _accel.ROW_BLOCK_BYTES) == (N <= 2 ** 15 // (n + 3))
+    assert buffers[0].shape == (2, rows * N)
+    # the budget holds one group of two rows up to 2^13 nodes, whatever n;
+    # past that a block is that one group
+    assert (group <= _accel.ROW_BLOCK_BYTES) == (N <= 2 ** 13)
     assert buffers[0].nbytes <= max(_accel.ROW_BLOCK_BYTES, group)
 
 
@@ -73,9 +78,10 @@ def _off_surface_targets(mesh, count, seed):
     return scale[:, None] * mesh.nodes[t], t
 
 
-# targets per row block at 1 MiB: sphere2 L4 holds 5 rows, so 4
+# targets per row block at 512 KiB of two rows: sphere2 L4 holds 6 rows,
+# so 4
 @pytest.mark.parametrize("spec, level, block", [
-    (CIRCLE, 4, 32), (SPHERE2, 1, 40), (SPHERE2, 4, 4), (SPHERE3, 1, 20)],
+    (CIRCLE, 4, 32), (SPHERE2, 1, 48), (SPHERE2, 4, 4), (SPHERE3, 1, 32)],
     ids=["circle-L4", "sphere2-L1", "sphere2-L4", "sphere3-L1"])
 @pytest.mark.parametrize("excluded", [False, True])
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -97,15 +103,15 @@ def test_target_rows_do_not_depend_on_their_call(spec, level, block,
                      None if excl is None else excl[s:e], circle=None)
 
     blocks = []
-    original = _accel._kernel_E_block
+    original = _accel._block_planes
 
     def counted(targets, *args):
         blocks.append(targets.shape[0])
         return original(targets, *args)
 
-    monkeypatch.setattr(_accel, "_kernel_E_block", counted)
+    monkeypatch.setattr(_accel, "_block_planes", counted)
     every = sums(0, 300)
-    monkeypatch.setattr(_accel, "_kernel_E_block", original)
+    monkeypatch.setattr(_accel, "_block_planes", original)
     assert blocks == ([block] * (300 // block)
                       + [300 % block] * (300 % block > 0))
     first = sums(0, 60)
@@ -119,35 +125,49 @@ def test_target_rows_do_not_depend_on_their_call(spec, level, block,
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_target_rows_do_not_depend_on_the_budget(side, monkeypatch):
-    # a budget of 4 rows, of 8 rows and the default 40 rows at sphere2 L1
+    # a budget of 4 rows, of 8 rows and the default 48 rows at sphere2 L1
     # give bitwise the same rows
     mesh = build_mesh(SPHERE2, 1)
     ctx, N = mesh.context, mesh.node_count
     accum = _accel.accum_left if side == "left" else _accel.accum_right
     g = np.random.default_rng(1).normal(size=(N, ctx.dim))
     targets, t = _off_surface_targets(mesh, 90, 1)
-    row = 8 * (ctx.n + 3) * N
+    row = 8 * 2 * N
     got = [accum(ctx, targets, mesh.nodes, g, t, circle=None)]
     for rows in (4, 8):
         monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES", rows * row)
         buffers = _record_buffers(monkeypatch)
         got.append(accum(ctx, targets, mesh.nodes, g, t, circle=None))
-        assert buffers[0].shape == (ctx.n + 3, rows * N)
+        assert buffers[0].shape == (2, rows * N)
         monkeypatch.undo()
     assert _same_bits(got[0], got[1])
     assert _same_bits(got[0], got[2])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_node_pair_tiles_keep_edge_256(n):
+def test_node_pair_tiles_keep_edge_256(n, monkeypatch):
     # the tile edge sets how each node target's sum groups its terms, so it
-    # stays fixed whatever the budget of the row blocks
+    # stays fixed whatever the budget of the row blocks; every tile's two
+    # rows share one buffer of 2 * 256^2 floats, whatever n
     assert _accel.TILE_EDGE == 256
+    ctx = get_context(n)
     nodes = np.random.default_rng(n).normal(size=(600, n + 1))
-    tiles = [(I, J, E.shape) for I, J, E in _accel._node_pair_tiles(nodes, n)]
-    starts = sorted({I.start for I, _, _ in tiles})
+    tiles = []
+    original = _accel._block_planes
+
+    def recorded(targets, nodes_T, n, skip, work):
+        tiles.append((len(targets), nodes_T.shape[1], work))
+        return original(targets, nodes_T, n, skip, work)
+
+    monkeypatch.setattr(_accel, "_block_planes", recorded)
+    _accel.accum_left(ctx, nodes, nodes, np.ones((600, ctx.dim)),
+                      np.arange(600), circle=None)
+    starts = sorted({I.start for I, _, _ in _accel._node_pair_tiles(600)})
     assert starts == [0, 256, 512]
-    assert tiles[0][2] == (n + 1, 256, 256)
+    assert [(C, J) for C, J, _ in tiles] == [
+        (256, 256), (256, 256), (256, 88), (256, 256), (256, 88), (88, 88)]
+    assert all(work is tiles[0][2] for _, _, work in tiles)
+    assert tiles[0][2].nbytes == 2 * _accel.TILE_EDGE ** 2 * 8
 
 
 @pytest.mark.parametrize("node_targets", [False, True])
@@ -160,18 +180,18 @@ def test_work_buffer_dies_before_the_blade_scatter(node_targets,
     targets, excl = ((nodes, np.arange(300)) if node_targets
                      else (3.0 + nodes, None))
     buffers = []
-    original_block = _accel._kernel_E_block
+    original_block = _accel._block_planes
     original_scatter = _accel.scatter_pairs
 
-    def block(targets, nodes_T, n, skip=None, out=None):
-        buffers.append(weakref.ref(out))
-        return original_block(targets, nodes_T, n, skip, out)
+    def block(targets, nodes_T, n, skip, work):
+        buffers.append(weakref.ref(work))
+        return original_block(targets, nodes_T, n, skip, work)
 
     def scatter(ctx, T):
         assert buffers and all(ref() is None for ref in buffers)
         return original_scatter(ctx, T)
 
-    monkeypatch.setattr(_accel, "_kernel_E_block", block)
+    monkeypatch.setattr(_accel, "_block_planes", block)
     monkeypatch.setattr(_accel, "scatter_pairs", scatter)
     _accel.accum_left(ctx, targets, nodes, np.ones((300, ctx.dim)), excl,
                       circle=None)
@@ -217,3 +237,73 @@ def test_measure_rides_without_a_copy(spec, level, side, K):
                                  None)
     got = cauchy._shifted_sums(mesh, samples, side, 1.5 * mesh.nodes[t], t)
     assert _same_bits(got, want)
+
+
+def _stencil_bits(stencil):
+    return [np.ascontiguousarray(a).tobytes() for a in stencil]
+
+
+@pytest.mark.parametrize("case", ["sphere2-L2", "sphere2-L2-loaded",
+                                  "sphere3-L1"])
+def test_chunked_stencil_fit_is_one_batch_bitwise(case, tmp_path,
+                                                  monkeypatch):
+    # each node's fit is its own, so chunks of STENCIL_FIT_ROWS nodes, or of
+    # 100, give bitwise the stencil of one batched fit over every node; an
+    # idx of 300 nodes in reverse order straddles a chunk boundary
+    mesh = (build_mesh(SPHERE3, 1) if case == "sphere3-L1"
+            else build_mesh(SPHERE2, 2))
+    if case.endswith("loaded"):
+        save_mesh(mesh, tmp_path / "copy.mesh")
+        mesh = load_mesh(tmp_path / "copy.mesh")
+    N = mesh.node_count
+    idx = np.arange(N)[::-3][:300]
+    assert N > cauchy.STENCIL_FIT_ROWS and len(idx) > cauchy.STENCIL_FIT_ROWS
+    monkeypatch.setattr(cauchy, "STENCIL_FIT_ROWS", N)
+    nb, wts, frame = one_shot = cauchy._build_gradient_stencil(mesh)
+    one_shot_idx = cauchy._build_gradient_stencil(mesh, idx)
+    assert _stencil_bits(one_shot_idx) == _stencil_bits(
+        (nb[idx], wts[:, idx], frame[idx]))
+    monkeypatch.undo()
+    for rows in (cauchy.STENCIL_FIT_ROWS, 100):
+        monkeypatch.setattr(cauchy, "STENCIL_FIT_ROWS", rows)
+        assert _stencil_bits(cauchy._build_gradient_stencil(mesh)) == \
+            _stencil_bits(one_shot)
+        assert _stencil_bits(cauchy._build_gradient_stencil(mesh, idx)) == \
+            _stencil_bits(one_shot_idx)
+
+
+def test_rank_error_names_a_node_past_the_first_chunk():
+    # a 2-sphere's 640 nodes with a great circle of 40 nodes, far off,
+    # inserted at rows 300-339: the nodes of the first chunk fit, and the
+    # error names row 300, the first circle node, not a later one
+    sphere = build_mesh(SPHERE2, 1)
+    theta = 2.0 * np.pi * np.arange(40) / 40
+    ring = np.stack([np.cos(theta), np.sin(theta), np.zeros(40)], axis=1)
+
+    def spliced(a, b):
+        return np.concatenate([a[:300], b, a[300:]])
+
+    mesh = SurfaceMesh(spliced(sphere.nodes, ring + [10.0, 0.0, 0.0]),
+                       spliced(sphere.normals, ring),
+                       spliced(sphere.weights, np.full(40, 0.1)))
+    assert 300 >= cauchy.STENCIL_FIT_ROWS
+    with pytest.raises(cauchy.DegenerateStencilError,
+                       match=r"^gradient stencil of node 300 is rank-"):
+        cauchy.gradient_stencil(mesh)
+    assert "gradient_stencil" not in mesh.cache
+
+
+@pytest.mark.parametrize("spec, level, bound", [
+    (SPHERE3, 2, 12e6), (SPHERE2, 4, 7e6)], ids=["sphere3-L2", "sphere2-L4"])
+def test_full_stencil_fit_stays_within_bound(spec, level, bound):
+    # the one batched fit traced 94.1 MB on sphere3 L2 and 17.8 MB on
+    # sphere2 L4; in chunks of STENCIL_FIT_ROWS nodes the fit holds the
+    # kept weights, lists and frame and one chunk's temporaries
+    mesh = build_mesh(spec, level)
+    tracemalloc.start()
+    try:
+        cauchy._build_gradient_stencil(mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound

@@ -892,7 +892,7 @@ def test_cached_self_sums_and_later_sums_take_one_route(name, side,
     # an FFT S1 against a direct S2 would lose about three digits
     mesh = _small_mesh(name)
     fft = _count_calls(monkeypatch, "_circle_sums")
-    tiles = _count_calls(monkeypatch, "_node_pair_tiles")
+    tiles = _count_calls(monkeypatch, "_tile_terms")
     principal_value_nodes(mesh, random_smooth(mesh, 2), side=side)
     assert ("self_sums", side) in mesh.cache
     principal_value_nodes(mesh, random_smooth(mesh, 3), side=side)

@@ -243,6 +243,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "radius = 1e308\n", "radius"),
         ("experiment = plemelj\nsurface = sphere2\nlevels = 1\n"
          "radius = 1e308\n", "radius"),
+        # geometry that builds at level 0 but whose level-4 nodes, 0.0061
+        # apart, would coincide about a center of 1e14
+        ("experiment = pv-constant\nlevels = 2,3,4\ncenter = 1e14,0\n",
+         "center, radius: nodes of level 4"),
     ] + [
         # a known family with an argument that cannot build a density
         ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"

@@ -238,6 +238,22 @@ def test_batch_helpers_match_scalar_paths():
                                conjugate(Multivector(ctx, A[i])).coeffs)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_row_product_is_batch_product_bitwise(n):
+    # product's own loop over the blade-pair table gives batch_product's
+    # bits on the two rows, signed zeros included, with zero entries of
+    # either sign on both sides
+    ctx = get_context(n)
+    rng = np.random.default_rng(n)
+    A, B = rng.normal(size=(2, 1000, ctx.dim))
+    for M in (A, B):
+        M[rng.random(M.shape) < 0.3] = 0.0
+        M[rng.random(M.shape) < 0.1] = -0.0
+    for a, b in zip(A, B):
+        got = product(Multivector(ctx, a), Multivector(ctx, b)).coeffs
+        assert got.tobytes() == batch_product(ctx, a, b).tobytes()
+
+
 @seed(5)
 @settings(deadline=None)
 @given(data=st.data(), n=st.integers(1, 4), rows=st.integers(1, 4))

@@ -53,15 +53,15 @@ def test_stacked_accumulators_match_single_calls(mesh, side, excluded,
     # small blocks, so the stack runs through several kernel blocks
     ctx = mesh.context
     monkeypatch.setattr(_accel, "ROW_BLOCK_BYTES",
-                        4 * 8 * (ctx.n + 3) * mesh.node_count)
+                        4 * 8 * 2 * mesh.node_count)
     blocks = []
-    original = _accel._kernel_E_block
+    original = _accel._block_planes
 
     def counted(*args):
         blocks.append(args[0].shape[0])
         return original(*args)
 
-    monkeypatch.setattr(_accel, "_kernel_E_block", counted)
+    monkeypatch.setattr(_accel, "_block_planes", counted)
     accum = _accel.accum_left if side == "left" else _accel.accum_right
     G = np.stack([f.samples * mesh.weights[:, None]
                   for f in _densities(mesh)])

@@ -207,6 +207,21 @@ def test_load_rejects_duplicate_nodes(tmp_path, circle_mesh):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("kind, n, levels", [
+    ("circle", 1, range(5)), ("sphere", 2, range(5)), ("sphere", 3, range(3))])
+def test_node_separation_bounds_the_built_nodes(kind, n, levels):
+    # the closed form behind the config check of the finest level: below
+    # every built mesh's nearest pair, and not far below it (circles are
+    # exact, 2-spheres 0.97 of it, 3-spheres 0.64-0.93 over levels 0-2)
+    spec = DomainSpec(kind, n, center=(0.3,) * (n + 1), radius=1.7)
+    for level in levels:
+        nodes = build_mesh(spec, level).nodes
+        nearest = cKDTree(nodes).query(nodes, 2)[0][:, 1].min()
+        bound = surface._node_separation(spec, level)
+        assert 0.6 * nearest <= bound <= nearest * (1.0 + 1e-12), level
+    assert surface._node_separation(spec, 10 ** 4) == 0.0
+
+
 def test_mesh_rejects_coincident_nodes(circle_spec):
     mesh = build_mesh(circle_spec, 0)
     nodes = mesh.nodes.copy()
