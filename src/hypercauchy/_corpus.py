@@ -57,10 +57,6 @@ def exterior_pole(spec, seed=0, frac=1.9):
     return interior_pole(spec, seed=seed, frac=frac)
 
 
-def constant_density(mesh, value=1.0):
-    return BoundaryDensity.constant(mesh, value)
-
-
 def coordinate_trace(mesh, j):
     """Trace of the coordinate x_j (scalar-valued), 0 <= j <= n."""
     dim = mesh.context.dim
@@ -338,7 +334,7 @@ def inversion_corpus(mesh, seed=13):
     refinement error measurable above the rounding floor."""
     spec = _require_spec(mesh)
     out = random_smooths(mesh, range(seed, seed + 4))
-    out.append(constant_density(mesh))
+    out.append(BoundaryDensity.constant(mesh))
     out.append(coordinate_trace(mesh, 0))
     out.append(symmetric_power_trace(mesh, next(iter(multi_indices(mesh.n, 2)))))
     out.append(kernel_trace(mesh, exterior_pole(spec, seed=seed + 4)))
@@ -351,7 +347,7 @@ def sie_corpus(mesh, seed=17):
     """Right-hand sides for the characteristic singular equation."""
     spec = _require_spec(mesh)
     out = random_smooths(mesh, range(seed, seed + 3))
-    out.append(constant_density(mesh, 1.0))
+    out.append(BoundaryDensity.constant(mesh, 1.0))
     out.append(kernel_trace(mesh, exterior_pole(spec, seed=seed + 3)))
     out.append(symmetric_power_trace(mesh, next(iter(multi_indices(mesh.n, 1)))))
     out.append(rough_holder(mesh, seed + 4))
@@ -372,7 +368,7 @@ def dirichlet_corpus(mesh, seed=19):
         The flag is True for solvable data.
     """
     spec = _require_spec(mesh)
-    out = [("constant", constant_density(mesh), True)]
+    out = [("constant", BoundaryDensity.constant(mesh), True)]
     for k in (1, 2, 3):
         alpha = next(iter(multi_indices(mesh.n, k)))
         out.append(("zpow-%d" % k, symmetric_power_trace(mesh, alpha), True))
@@ -437,7 +433,7 @@ def make_density(mesh, name, seed=0):
     spec = _require_spec(mesh)
     head, _, arg = name.partition(":")
     if head == "constant":
-        return constant_density(mesh)
+        return BoundaryDensity.constant(mesh)
     if head == "coord":
         return coordinate_trace(mesh, int(arg or 0))
     if head == "zpow":

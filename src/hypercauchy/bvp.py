@@ -423,14 +423,20 @@ def solve_dirichlet(mesh, g, threshold=None):
 
 # -- singular operator inversion ---------------------------------------------------
 
-def invert_cauchy_pv(mesh, f: BoundaryDensity, side="left") -> BoundaryDensity:
+def invert_cauchy_pv(mesh, f, side="left"):
     """Solve S[phi] = f where S = (2/V_n) PV int E dsigma (.).
 
     The operator is involutive (S^2 = I), so the solution is phi = S[f],
-    returned as node samples.
+    returned as node samples with the regularity tag of f.  f is one
+    BoundaryDensity, giving one, or a sequence of K, giving a list from one
+    principal_value_nodes call, each bitwise that of its f alone.
     """
-    rows = 2.0 * principal_value_nodes(mesh, f, side=side)
-    return BoundaryDensity(mesh, rows, regularity=f.regularity)
+    single = isinstance(f, BoundaryDensity)
+    fs = [f] if single else list(f)
+    rows = 2.0 * principal_value_nodes(mesh, fs, side=side)
+    phis = [BoundaryDensity(mesh, r, regularity=fk.regularity)
+            for r, fk in zip(rows, fs)]
+    return phis[0] if single else phis
 
 
 # -- characteristic singular integral equation --------------------------------------
@@ -496,8 +502,8 @@ def solve_characteristic_sie(mesh, coefficients, f):
 
     phi = (1/2)[f (a+b)^{-1} + f (a-b)^{-1}] - 2 PV C[psi] with
     psi = f (a-b)^{-1} b (a+b)^{-1}; valid when the right quotient
-    (a-b)(a+b)^{-1} is constant.  coefficients may be a
-    CharacteristicCoefficients or an (a, b) pair of densities.  The
+    (a-b)(a+b)^{-1} is constant.  coefficients is the
+    CharacteristicCoefficients of (a, b), whose from_ab checks that.  The
     residual of the equation at the nodes is computed and reported; each
     phi keeps the regularity tag of its f.
 
@@ -508,31 +514,28 @@ def solve_characteristic_sie(mesh, coefficients, f):
     its right-hand side alone.  A coefficient or right-hand side sampled
     on a mesh with other nodes raises ValueError.
     """
-    if isinstance(coefficients, CharacteristicCoefficients):
-        co = coefficients
-    else:
-        a, b = coefficients
-        co = CharacteristicCoefficients.from_ab(mesh, a, b)
     ctx = mesh.context
     single = isinstance(f, BoundaryDensity)
     fs = [f] if single else list(f)
     F = _density_samples(mesh, fs)
+    a, b = coefficients.a, coefficients.b
+    sum_inv, diff_inv = coefficients.sum_inverse, coefficients.diff_inverse
     # a coefficient from another mesh raises here, before any sum is taken
-    _density_samples(mesh, co.a)
-    B = _density_samples(mesh, co.b)
+    _density_samples(mesh, a)
+    B = _density_samples(mesh, b)
     psi = batch_product(ctx, batch_product(ctx, batch_product(
-        ctx, F, co.diff_inverse), B), co.sum_inverse)
+        ctx, F, diff_inv), B), sum_inv)
     pv_psi = principal_value_nodes(mesh, [
         BoundaryDensity(mesh, p, regularity=fk.regularity)
         for p, fk in zip(psi, fs)])
-    half = 0.5 * (batch_product(ctx, F, co.sum_inverse)
-                  + batch_product(ctx, F, co.diff_inverse))
+    half = 0.5 * (batch_product(ctx, F, sum_inv)
+                  + batch_product(ctx, F, diff_inv))
     phis = [BoundaryDensity(mesh, h - 2.0 * p, regularity=fk.regularity)
             for h, p, fk in zip(half, pv_psi, fs)]
     del F, psi, pv_psi, half  # only the phis are held during the next pass
-    lhs = apply_characteristic_lhs(mesh, co.a, co.b, phis)
+    lhs = apply_characteristic_lhs(mesh, a, b, phis)
     sols = [SIESolution(phi, float(np.linalg.norm(rows - fk.samples,
-                                                  axis=1).max()), co)
+                                                  axis=1).max()), coefficients)
             for phi, rows, fk in zip(phis, lhs, fs)]
     return sols[0] if single else sols
 

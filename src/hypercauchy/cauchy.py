@@ -33,8 +33,8 @@ from .clifford_core import (
     as_coeffs,
     sided_product,
 )
-from .surface import (SurfaceMesh, _first_nonfinite_row, _node_indices,
-                      neighbour_lists)
+from .surface import (FIBONACCI_NEIGHBOURS, SurfaceMesh,
+                      _first_nonfinite_row, _node_indices, neighbour_lists)
 
 RICHARDSON_RATIO = 2.0   # step shrinks by 1/2 per term
 RICHARDSON_TERMS = 4
@@ -190,40 +190,6 @@ class BoundaryDensity:
     @property
     def is_holder(self):
         return self.regularity[0] == "holder"
-
-    def spot_check(self, rng=None):
-        """Spot-check the declared regularity on 64 random node pairs.
-
-        For a ("holder", mu, M) tag with M given, verifies
-        |f(x) - f(y)| <= 1.05 M |x - y|^mu; returns the max quotient
-        |f(x)-f(y)| / |x-y|^mu seen.  Raises on violation; also verifies
-        samples match the evaluator on a few nodes when one is present.
-        """
-        rng = np.random.default_rng(0) if rng is None else rng
-        N = self.mesh.node_count
-        ii = rng.integers(0, N, size=64)
-        jj = rng.integers(0, N, size=64)
-        keep = ii != jj
-        ii, jj = ii[keep], jj[keep]
-        dx = np.linalg.norm(self.mesh.nodes[ii] - self.mesh.nodes[jj], axis=1)
-        df = np.linalg.norm(self.samples[ii] - self.samples[jj], axis=1)
-        if self.is_holder:
-            mu, M = self.regularity[1], self.regularity[2]
-            quot = df / dx**mu
-            top = float(quot.max()) if quot.size else 0.0
-            if M is not None and top > 1.05 * M:
-                raise ValueError("Holder spot check failed: quotient %.3g > "
-                                 "M = %.3g" % (top, M))
-        else:
-            top = float((df / dx**0.5).max()) if dx.size else 0.0
-        if self.evaluator is not None:
-            ctx = self.mesh.context
-            for i in ii[:4]:
-                want = as_coeffs(ctx, self.evaluator(self.mesh.nodes[i]))
-                if not np.allclose(want, self.samples[i], atol=1e-10):
-                    raise ValueError("samples disagree with evaluator at node %d"
-                                     % i)
-        return top
 
 
 def side_of(spec, w):
@@ -480,11 +446,13 @@ def _build_gradient_stencil(mesh, idx=None):
       take a periodic 4th-order central-difference stencil at the index
       offsets -2..2 of the sorted grid;
     - built spheres take the builder's lists (surface.neighbour_lists):
-      the 12 nearest nodes of the Fibonacci lattice, searched for the rows
-      of idx alone when no lists are kept, the 3x3x3 grid block on
-      3-spheres;
+      the FIBONACCI_NEIGHBOURS (12) nearest nodes of the Fibonacci lattice,
+      searched for the rows of idx alone when no lists are kept, the 3x3x3
+      grid block on 3-spheres;
     - every other mesh (loaded, dataclasses.replace) takes the k nearest
-      nodes from a k-d tree, k = 12 for n = 2 and 20 for n = 3.
+      nodes from a k-d tree, k = FIBONACCI_NEIGHBOURS for n = 2, so a
+      loaded 2-sphere fits over the lists of its built copy, and 20 for
+      n = 3.
 
     Off the circle grid, each node fits a local quadratic in tangent
     coordinates over its neighbours by least squares: a batched QR of the
@@ -516,7 +484,7 @@ def _build_gradient_stencil(mesh, idx=None):
     frame = _tangent_frame(mesh, rows)
     d = mesh.n
     nterms = 1 + d + d * (d + 1) // 2
-    k = max(nterms + 4, {2: 12, 3: 20}.get(d, 4 * nterms))
+    k = max(nterms + 4, {2: FIBONACCI_NEIGHBOURS, 3: 20}.get(d, 4 * nterms))
     nb = neighbour_lists(mesh, min(k, mesh.node_count), idx)
     wts = np.empty((d,) + nb.shape)
     for s in range(0, len(nb), STENCIL_FIT_ROWS):
@@ -620,14 +588,13 @@ def tangential_gradient(mesh, samples, idx=None):
 
 # -- principal values ------------------------------------------------------------
 
-def _singular_cell_corrections(mesh, f, side, idx=None):
+def _singular_cell_corrections(mesh, samples, side, idx=None):
     """Corrections for the dropped singular cell at the node index array idx.
 
-    f is node samples, (N, 2^n) or a (K, N, 2^n) stack, taken as given, or
-    one density or a sequence of K (see principal_value_nodes).  Shape
-    (len(idx), dim), or (K, len(idx), dim); the default idx is every node.
+    samples is node samples, (N, 2^n) or a (K, N, 2^n) stack, taken as
+    given.  Shape (len(idx), dim), or (K, len(idx), dim); the default idx
+    is every node.
     """
-    samples = f if isinstance(f, np.ndarray) else _density_samples(mesh, f)
     derivs, frame = tangential_gradient(mesh, samples, idx)
     return _cell_corrections(mesh, derivs, frame, side, idx)
 

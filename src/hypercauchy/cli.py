@@ -28,7 +28,7 @@ from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      symmetric_difference_steps, _integral_rows)
 from .fueter import MAX_DEGREE, multi_indices, order_at_infinity
 from .bvp import (CharacteristicCoefficients, constant_gap_residual,
-                  jump_residual, pair_orthogonality,
+                  invert_cauchy_pv, jump_residual, pair_orthogonality,
                   poincare_bertrand_discrepancy, solve_characteristic_sie,
                   solve_constant_gap, solve_dirichlet, solve_jump_rm,
                   _probe_indices)
@@ -175,8 +175,7 @@ def resolve_config(raw, overrides=()):
         # build the coarsest mesh, so geometry whose nodes coincide or
         # whose weights leave float64 fails here with the fields named,
         # and check the finest level's node spacing without building it
-        mesh = _checked("center, radius", _coarsest_mesh, spec,
-                        cfg.levels[-1])
+        mesh = _coarsest_mesh(spec, cfg.levels[-1])
         dim = 2 ** SURFACES[cfg.surface][1]
         if len(cfg.gap_g) > dim:
             raise ConfigError("gap_g: at most %d entries on %s, got %d"
@@ -211,27 +210,37 @@ def resolve_config(raw, overrides=()):
 
 
 def _coarsest_mesh(spec, finest):
-    """build_mesh(spec, 0), refusing with ValueError geometry on which the
+    """build_mesh(spec, 0), refusing with ConfigError geometry on which the
     nodes of level finest would lie closer than float64 resolves.
 
     Two nodes a distance d apart differ by at least d / sqrt(n+1) in some
     coordinate, so they stay apart in float64 while that exceeds the
-    spacing of floats at the largest coordinate, |center| + radius.
+    spacing of floats at the largest coordinate, |center| + radius.  That
+    float spacing is at least eps radius / 2 wherever the center lies, so
+    a refused level whose nodes lie within sqrt(n+1) eps radii is too deep
+    for about any geometry and names levels; other refusals name center,
+    radius.
     """
-    mesh = build_mesh(spec, 0)
+    mesh = _checked("center, radius", build_mesh, spec, 0)
     gap = _node_separation(spec, finest)
     reach = np.abs(spec.center_array).max() + spec.radius
     resolution = np.sqrt(spec.n + 1) * np.spacing(reach)
-    if not gap > resolution:
-        raise ValueError("nodes of level %d lie %.3g apart, within float64's "
-                         "resolution %.3g at coordinates up to %.3g"
-                         % (finest, gap, resolution, reach))
-    return mesh
+    if gap > resolution:
+        return mesh
+    floor = np.sqrt(spec.n + 1) * np.finfo(np.float64).eps
+    if gap < floor * spec.radius:
+        raise ConfigError("levels: nodes of level %d lie %.3g radii apart, "
+                          "within float64's relative resolution %.3g at "
+                          "any center and radius"
+                          % (finest, gap / spec.radius, floor))
+    raise ConfigError("center, radius: nodes of level %d lie %.3g apart, "
+                      "within float64's resolution %.3g at coordinates up "
+                      "to %.3g" % (finest, gap, resolution, reach))
 
 
 def _checked(key, check, *args):
     """Return check(*args), raising its ValueError or OverflowError (a
-    sphere's radius**2 past float64) as a ConfigError on key."""
+    Python float power past float64) as a ConfigError on key."""
     try:
         return check(*args)
     except (ValueError, OverflowError) as exc:
@@ -375,12 +384,10 @@ def _run_plemelj(cfg, mesh):
 def _run_inversion(cfg, mesh):
     densities = _densities(cfg, mesh, lambda: _corpus.inversion_corpus(
         mesh, seed=cfg.seed + 13))
-    once_rows = 2.0 * principal_value_nodes(mesh, densities)
-    once = [BoundaryDensity(mesh, rows, regularity=dens.regularity)
-            for dens, rows in zip(densities, once_rows)]
-    twice = 2.0 * principal_value_nodes(mesh, once)
-    errs = [np.abs(rows - dens.samples).max()
-            for dens, rows in zip(densities, twice)]
+    # S = (2/V_n) PV is an involution: S[S[f]] = f
+    twice = invert_cauchy_pv(mesh, invert_cauchy_pv(mesh, densities))
+    errs = [np.abs(phi.samples - dens.samples).max()
+            for dens, phi in zip(densities, twice)]
     return _norms(errs) + ({},)
 
 

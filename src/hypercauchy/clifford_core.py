@@ -110,9 +110,6 @@ class Multivector:
     def zero(cls, ctx: AlgebraContext) -> "Multivector":
         return cls(ctx, np.zeros(ctx.dim))
 
-    def copy(self) -> "Multivector":
-        return Multivector(self.ctx, self.coeffs.copy())
-
     # -- ring operations ------------------------------------------------------
     def _check(self, other: "Multivector"):
         if self.ctx.n != other.ctx.n:
@@ -132,9 +129,6 @@ class Multivector:
         self._check(other)
         return Multivector(self.ctx, self.coeffs - other.coeffs)
 
-    def __rsub__(self, other):
-        return _coerce(self.ctx, other) - self
-
     def __neg__(self):
         return Multivector(self.ctx, -self.coeffs)
 
@@ -148,11 +142,6 @@ class Multivector:
         if isinstance(other, (int, float)):
             return Multivector(self.ctx, self.coeffs * other)
         return product(_coerce(self.ctx, other), self)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return Multivector(self.ctx, self.coeffs / other)
-        return NotImplemented
 
     # -- structure ------------------------------------------------------------
     def is_paravector(self) -> bool:
@@ -233,9 +222,6 @@ class Paravector:
     def norm(self) -> float:
         return float(np.sqrt(self.x0 * self.x0 + self.vec @ self.vec))
 
-    def conjugate(self) -> "Paravector":
-        return Paravector(self.x0, -self.vec)
-
     def inverse(self) -> "Paravector":
         n2 = self.x0 * self.x0 + self.vec @ self.vec
         if n2 == 0.0:
@@ -273,11 +259,6 @@ def product(a: Multivector, b: Multivector) -> Multivector:
 def conjugate(a: Multivector) -> Multivector:
     """Bar conjugation: bar(e_A) = (-1)^(k(k+1)/2) e_A, an anti-automorphism."""
     return a.conjugate()
-
-
-def norm(a) -> float:
-    """Euclidean norm of the coefficient vector (agrees with |X| on paravectors)."""
-    return a.norm()
 
 
 def paravector_inverse(X: Paravector) -> Paravector:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford_core import (Multivector, Paravector, SingularInputError,
+from .clifford_core import (Multivector, SingularInputError,
                             _check_side, as_coeffs, batch_product,
                             sided_product, sided_sum)
 from .cauchy import (
@@ -42,48 +42,23 @@ class QuadratureDegeneracyError(ValueError):
     """Mesh too coarse for the requested expansion degree."""
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """alpha = [alpha_1, ..., alpha_n] of nonnegative integers, |alpha| <= 6."""
-
-    alpha: tuple
-
-    def __post_init__(self):
-        alpha = tuple(int(a) for a in self.alpha)
-        if any(a < 0 for a in alpha):
-            raise ValueError("multi-index entries must be nonnegative")
-        if sum(alpha) > MAX_DEGREE:
-            raise DegreeOverflowError("|alpha| = %d exceeds max degree %d"
-                                      % (sum(alpha), MAX_DEGREE))
-        object.__setattr__(self, "alpha", alpha)
-
-    @property
-    def degree(self):
-        return sum(self.alpha)
-
-    @property
-    def factorial(self):
-        out = 1
-        for a in self.alpha:
-            out *= math.factorial(a)
-        return out
-
-    def __iter__(self):
-        return iter(self.alpha)
-
-    def __len__(self):
-        return len(self.alpha)
+def _check_degree(degree, cap=MAX_DEGREE):
+    """The one degree cap of multi-indices and expansion degrees."""
+    if degree > cap:
+        raise DegreeOverflowError("degree %d exceeds max %d" % (degree, cap))
 
 
-def _as_alpha(alpha, n):
-    if isinstance(alpha, MultiIndex):
-        tup = alpha.alpha
-    else:
-        tup = tuple(int(a) for a in alpha)
-        MultiIndex(tup)  # validates
-    if len(tup) != n:
+def _as_alpha(alpha, n, cap=MAX_DEGREE):
+    """alpha as a tuple of n nonnegative ints of degree |alpha| <= cap, the
+    one multi-index check: a negative entry or a wrong length raises
+    ValueError, a degree past cap DegreeOverflowError."""
+    alpha = tuple(int(a) for a in alpha)
+    if any(a < 0 for a in alpha):
+        raise ValueError("multi-index entries must be nonnegative")
+    _check_degree(sum(alpha), cap)
+    if len(alpha) != n:
         raise ValueError("multi-index must have n = %d entries" % n)
-    return tup
+    return alpha
 
 
 def multi_indices(n, degree):
@@ -145,11 +120,6 @@ def symmetric_power_rows(ctx, alpha, points):
     return _symmetric_powers(ctx, [alpha], points)[alpha]
 
 
-def symmetric_power(ctx, alpha, x) -> Multivector:
-    """Z^alpha(x) as a Multivector."""
-    return Multivector(ctx, symmetric_power_rows(ctx, alpha, [np.asarray(x)])[0])
-
-
 # -- exact kernel derivatives ----------------------------------------------------
 
 def _quotient_rule(poly, k, s):
@@ -205,10 +175,6 @@ class KernelDerivative:
             out[:, c] = _poly_eval_rows(poly, points) * scale
         return out
 
-    def evaluate(self, x) -> Paravector:
-        row = self.evaluate_components([np.asarray(x, dtype=np.float64)])[0]
-        return Paravector(row[0], row[1:])
-
 
 @lru_cache(maxsize=None)
 def _kernel_derivative_cached(n, alpha):
@@ -237,11 +203,7 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
     """d^alpha of C[f] at an off-surface point via closed-form kernel
     derivatives (alpha differentiates the x_1..x_n coordinates; |alpha| <= 4).
     """
-    alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != mesh.n or any(a < 0 for a in alpha):
-        raise ValueError("alpha must be %d nonnegative integers" % mesh.n)
-    if sum(alpha) > 4:
-        raise ValueError("|alpha| <= 4 supported")
+    alpha = _as_alpha(alpha, mesh.n, cap=4)
     point = np.asarray(w, dtype=np.float64)
     dist = _boundary_distance(mesh, point)
     if dist < 1e-12:
@@ -287,14 +249,9 @@ class MomentTable:
     max_degree: int
     entries: dict   # alpha tuple -> coefficient array
 
-    def moment(self, alpha) -> np.ndarray:
-        return self.entries[tuple(alpha)]
-
 
 def build_moment_table(mesh, g: BoundaryDensity, max_degree, side="left"):
-    if max_degree > MAX_DEGREE:
-        raise DegreeOverflowError("max degree %d exceeds %d"
-                                  % (max_degree, MAX_DEGREE))
+    _check_degree(max_degree)
     alphas = [a for k in range(max_degree + 1)
               for a in multi_indices(mesh.n, k)]
     return MomentTable(side, max_degree, _moments(mesh, g, alphas, side))
@@ -363,16 +320,6 @@ def _polynomial(ctx, terms, side):
 
 # -- Taylor components -------------------------------------------------------------
 
-def derivative_at_origin(mesh, f: BoundaryDensity, alpha, side="left"):
-    """[d^alpha f](0) via the boundary integral over a sphere about 0.
-
-    ((-1)^{|alpha|}/V_n) int_dB [d^alpha E](x) dsigma f(x) for the left
-    case; the right case mirrors the product order.
-    """
-    alpha = _as_alpha(alpha, mesh.n)
-    return _kernel_derivative_sum(mesh, f, np.zeros(mesh.n + 1), alpha, side)
-
-
 def taylor_component(f, k, mesh, side="left"):
     """Degree-k Taylor component of an entire regular function.
 
@@ -395,8 +342,7 @@ def taylor_component(f, k, mesh, side="left"):
         alpha -> coefficient array.
     """
     ctx = mesh.context
-    if k > MAX_DEGREE:
-        raise DegreeOverflowError("degree %d exceeds max %d" % (k, MAX_DEGREE))
+    _check_degree(k)
     R = surface_hull_radius(mesh)
     if mesh.h * (k + 1) > R:
         raise QuadratureDegeneracyError(
@@ -404,7 +350,8 @@ def taylor_component(f, k, mesh, side="left"):
             % (mesh.h, k, R))
     if not isinstance(f, BoundaryDensity):
         f = BoundaryDensity.from_function(mesh, f)
-    coeffs = {alpha: derivative_at_origin(mesh, f, alpha, side)
+    origin = np.zeros(ctx.n + 1)
+    coeffs = {alpha: _kernel_derivative_sum(mesh, f, origin, alpha, side)
               for alpha in multi_indices(ctx.n, k)}
     poly = _polynomial(ctx, coeffs.items(), side)
 
@@ -435,8 +382,7 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
     The returned evaluator raises on |w| <= rho.
     """
     ctx = mesh.context
-    if k > MAX_DEGREE:
-        raise DegreeOverflowError("degree %d exceeds max %d" % (k, MAX_DEGREE))
+    _check_degree(k)
     rho = surface_hull_radius(mesh)
     moments = _moments(mesh, g, multi_indices(ctx.n, k), side)
     vol = unit_sphere_area(ctx.n)
@@ -540,26 +486,3 @@ def order_at_infinity(mesh, g=None, side="left",
         order = math.nan
     return OrderReport(order, moment_order, slope_order, slope_raw,
                        first_deg, threshold, norms, undetermined)
-
-
-# -- numerical Dirac oracle -----------------------------------------------------------
-
-def dirac_apply(ctx, f, x, side="left") -> Multivector:
-    """Central-difference Dirac operator D[f] = sum_k e_k d_k f at x.
-
-    The step is 1e-4.  side 'left' applies e_k from the left (left
-    regularity oracle), 'right' from the right.  Near 0 for (bi)regular f.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    step = 1e-4
-    derivs = np.empty((ctx.n + 1, ctx.dim))
-    for k in range(ctx.n + 1):
-        xp = x.copy()
-        xm = x.copy()
-        xp[k] += step
-        xm[k] -= step
-        d = as_coeffs(ctx, f(xp)) - as_coeffs(ctx, f(xm))
-        derivs[k] = d / (2.0 * step)
-    # row k of the identity is e_k in paravector layout
-    return Multivector(ctx, sided_sum(ctx, side, np.eye(ctx.n + 1), derivs))
-

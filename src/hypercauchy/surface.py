@@ -34,7 +34,8 @@ class NodeIndexError(IndexError, ValueError):
 NORMAL_UNIT_TOL = 1e-6
 
 # nearest nodes the sphere2 lists hold per node, the node itself first:
-# the neighbours the sphere2 gradient fit takes (cauchy.gradient_stencil)
+# the neighbours every 2-surface gradient fit takes, so the k-d tree of a
+# loaded copy lists those of its built sphere (cauchy.gradient_stencil)
 FIBONACCI_NEIGHBOURS = 12
 
 # azimuth step between consecutive Fibonacci lattice nodes
@@ -289,7 +290,7 @@ def _fibonacci_nodes(level, center, radius):
     phi = i * GOLDEN_ANGLE
     normals = np.stack([np.cos(phi) * r, y, np.sin(phi) * r], axis=1)
     nodes = center[None, :] + radius * normals
-    weights = np.full(N, 4.0 * np.pi * radius**2 / N)
+    weights = np.full(N, 4.0 * np.pi * np.float64(radius) ** 2 / N)
     # no lists: neighbour_lists searches them where a stencil reads them
     return nodes, normals, weights, _fibonacci_h(nodes), None
 
@@ -423,8 +424,9 @@ def _sphere3_nodes(level, center, radius):
     # renormalize against rounding so the unit-normal invariant holds exactly
     normals /= np.linalg.norm(normals, axis=1)[:, None]
     nodes = center[None, :] + radius * normals
+    cube = np.float64(radius) ** 3
     weights = (wchi[:, None, None] * wu[None, :, None] *
-               np.full((1, 1, nphi), wphi)).ravel() * radius**3
+               np.full((1, 1, nphi), wphi)).ravel() * cube
     nb = _grid_block(m, nphi)
     return nodes, normals, weights, _mesh_h(nodes, nb), nb
 
@@ -467,7 +469,10 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
         raise ValueError("level must be an integer >= 0")
     make = (_circle_nodes if spec.kind == "circle" else
             _fibonacci_nodes if spec.n == 2 else _sphere3_nodes)
-    *arrays, h, nb = make(level, spec.center_array, spec.radius)
+    # a radius whose square or cube (numpy powers) leaves float64 gives inf
+    # weights, which SurfaceMesh refuses as it does the circle's
+    with np.errstate(over="ignore"):
+        *arrays, h, nb = make(level, spec.center_array, spec.radius)
     mesh = SurfaceMesh(*arrays)
     # the builder's facts, which no constructor call or copy carries
     for name, value in (("h", h), ("level", level), ("spec", spec)):

@@ -1,8 +1,10 @@
-"""Shared meshes for the test suite (session scoped; meshes are immutable)."""
+"""Shared meshes for the test suite (session scoped; meshes are immutable),
+probe points and the density regularity oracle."""
 
 import numpy as np
 import pytest
 
+from hypercauchy.clifford_core import as_coeffs
 from hypercauchy.surface import DomainSpec, build_mesh
 
 
@@ -54,3 +56,38 @@ def interior_probes(mesh, count, seed, frac=0.5):
 
 def exterior_probes(mesh, count, seed, frac=1.8):
     return interior_probes(mesh, count, seed, frac=frac)
+
+
+def spot_check(density, rng=None):
+    """Spot-check a density's declared regularity on 64 random node pairs.
+
+    For a ("holder", mu, M) tag with M given, verifies
+    |f(x) - f(y)| <= 1.05 M |x - y|^mu; returns the max quotient
+    |f(x)-f(y)| / |x-y|^mu seen.  Raises on violation; also verifies
+    samples match the evaluator on a few nodes when one is present.
+    """
+    rng = np.random.default_rng(0) if rng is None else rng
+    mesh = density.mesh
+    N = mesh.node_count
+    ii = rng.integers(0, N, size=64)
+    jj = rng.integers(0, N, size=64)
+    keep = ii != jj
+    ii, jj = ii[keep], jj[keep]
+    dx = np.linalg.norm(mesh.nodes[ii] - mesh.nodes[jj], axis=1)
+    df = np.linalg.norm(density.samples[ii] - density.samples[jj], axis=1)
+    if density.is_holder:
+        mu, M = density.regularity[1], density.regularity[2]
+        quot = df / dx**mu
+        top = float(quot.max()) if quot.size else 0.0
+        if M is not None and top > 1.05 * M:
+            raise ValueError("Holder spot check failed: quotient %.3g > "
+                             "M = %.3g" % (top, M))
+    else:
+        top = float((df / dx**0.5).max()) if dx.size else 0.0
+    if density.evaluator is not None:
+        for i in ii[:4]:
+            want = as_coeffs(mesh.context, density.evaluator(mesh.nodes[i]))
+            if not np.allclose(want, density.samples[i], atol=1e-10):
+                raise ValueError("samples disagree with evaluator at node %d"
+                                 % i)
+    return top

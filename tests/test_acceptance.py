@@ -11,6 +11,7 @@ characteristic equation and the iterated-principal-value experiment.
 import numpy as np
 
 from hypercauchy.bvp import (
+    CharacteristicCoefficients,
     invert_cauchy_pv,
     poincare_bertrand_discrepancy,
     solve_characteristic_sie,
@@ -35,7 +36,7 @@ from hypercauchy.clifford_core import (
 from hypercauchy.fueter import (
     multi_indices,
     order_at_infinity,
-    symmetric_power,
+    symmetric_power_rows,
 )
 from hypercauchy.surface import DomainSpec, build_mesh
 from hypercauchy._corpus import (
@@ -107,7 +108,7 @@ def test_reproduction_and_annihilation_of_monogenic_traces():
             for alpha in multi_indices(2, degree):
                 g = symmetric_power_trace(mesh, alpha)
                 for v in dirs:
-                    want = symmetric_power(ctx, alpha, 0.55 * v).coeffs
+                    want = symmetric_power_rows(ctx, alpha, 0.55 * v)[0]
                     denom = max(1.0, float(np.abs(want).max()))
                     got = cauchy_integral(mesh, g, 0.55 * v).value.coeffs
                     worst = max(worst, np.abs(got - want).max() / denom)
@@ -264,9 +265,10 @@ def test_characteristic_sie_corpus_converges():
         errs = []
         for level in levels:
             mesh = build_mesh(spec, level)
-            a = BoundaryDensity.constant(mesh, 3.0)
-            b = BoundaryDensity.constant(mesh, 1.0)
-            worst = max(solve_characteristic_sie(mesh, (a, b), f).residual
+            co = CharacteristicCoefficients.from_ab(
+                mesh, BoundaryDensity.constant(mesh, 3.0),
+                BoundaryDensity.constant(mesh, 1.0))
+            worst = max(solve_characteristic_sie(mesh, co, f).residual
                         for f in sie_corpus(mesh))
             errs.append(worst)
         assert errs[-1] <= tol

@@ -43,7 +43,7 @@ from hypercauchy.clifford_core import (Multivector, Paravector,
                                       product, sided_sum)
 from hypercauchy.fueter import (DegreeOverflowError, boundary_moment,
                                 multi_indices, order_at_infinity,
-                                symmetric_power)
+                                symmetric_power_rows)
 from hypercauchy.surface import (DomainSpec, build_mesh, load_mesh, refine,
                                  save_mesh)
 from hypercauchy._corpus import (
@@ -100,7 +100,8 @@ def test_polynomial_part_multiplies_on_the_regularity_side(sphere_mesh, side):
     w = np.array([0.1, 0.2, -0.3])
     want = 0.0
     for alpha, c in coeffs.items():
-        Z, c = symmetric_power(ctx, alpha, w), Multivector(ctx, c)
+        Z = Multivector(ctx, symmetric_power_rows(ctx, alpha, w)[0])
+        c = Multivector(ctx, c)
         want = want + (Z * c if side == "left" else c * Z).coeffs
     delta = (sol.with_polynomial(coeffs).interior(w).coeffs
              - sol.interior(w).coeffs)
@@ -430,7 +431,8 @@ def test_sie_constant_coefficient_oracle(circle_mesh):
     a = BoundaryDensity.constant(circle_mesh, 3.0)
     b = BoundaryDensity.constant(circle_mesh, 1.0)
     f = BoundaryDensity.constant(circle_mesh, 1.0)
-    sie = solve_characteristic_sie(circle_mesh, (a, b), f)
+    co = CharacteristicCoefficients.from_ab(circle_mesh, a, b)
+    sie = solve_characteristic_sie(circle_mesh, co, f)
     want = np.zeros(2)
     want[0] = 0.25
     assert np.max(np.abs(sie.phi.samples - want[None, :])) <= SIE_CONST_TOL
@@ -588,14 +590,14 @@ def test_characteristic_sie_rejects_coefficients_from_another_mesh(
     monkeypatch.setattr("hypercauchy.bvp.principal_value_nodes",
                         lambda *args, **kw: calls.append(1)
                         or original(*args, **kw))
-    # a validated pair from the other mesh, and a raw (a, b) pair
-    for coefficients in (wide, (wide_a, wide_b)):
-        with pytest.raises(ValueError,
-                           match=r"^density is sampled on another"):
-            solve_characteristic_sie(mesh, coefficients, same)
+    # a validated pair from the other mesh (from_ab refuses such a pair on
+    # this mesh: test_sie_coefficients_reject_another_mesh)
+    with pytest.raises(ValueError, match=r"^density is sampled on another"):
+        solve_characteristic_sie(mesh, wide, same)
     assert calls == []
-    assert solve_characteristic_sie(mesh, _sie_coefficients(mesh),
-                                    same).residual <= SIE_RESIDUAL_TOL
+    co = CharacteristicCoefficients.from_ab(mesh, *_sie_coefficients(mesh))
+    assert solve_characteristic_sie(mesh, co, same).residual <= \
+        SIE_RESIDUAL_TOL
 
 
 def test_kernel_matrix_rejects_non_finite_entries(circle_spec, monkeypatch):

@@ -47,6 +47,8 @@ from hypercauchy.surface import (DomainSpec, NodeIndexError, SurfaceMesh,
 from hypercauchy._corpus import (random_smooth, rough_holder,
                                  symmetric_power_trace)
 
+from conftest import spot_check
+
 ORACLE_TOL = 1e-12          # circle quadrature of low-degree traces is spectral
 PV_CONST_TOL = 1e-14        # regularized principal value is exact for constants
 PV_DELTA_TOL = 1e-3         # shrinking-cap cross-validation path
@@ -188,7 +190,7 @@ def test_from_function_accepts_paravector_values(circle_mesh):
         circle_mesh, lambda x: embed_point(2.0 * np.atleast_2d(x)[0]))
     want = paravectors_as_coeffs(circle_mesh.context, 2.0 * circle_mesh.nodes)
     assert np.array_equal(f.samples, want)
-    f.spot_check()
+    spot_check(f)
 
 
 def test_from_function_takes_pointwise_evaluator_per_node():
@@ -202,15 +204,15 @@ def test_from_function_takes_pointwise_evaluator_per_node():
 def test_spot_check_accepts_and_rejects(circle_mesh):
     f = BoundaryDensity.from_function(circle_mesh, _z_trace(1),
                                       regularity=("holder", 1.0, 1.0))
-    assert f.spot_check() <= 1.0 + 1e-12
+    assert spot_check(f) <= 1.0 + 1e-12
     lying = BoundaryDensity(circle_mesh, f.samples,
                             regularity=("holder", 1.0, 1e-3))
     with pytest.raises(ValueError):
-        lying.spot_check()
+        spot_check(lying)
     # evaluator/sample mismatch is caught too
     broken = BoundaryDensity(circle_mesh, 2.0 * f.samples, evaluator=f.evaluator)
     with pytest.raises(ValueError):
-        broken.spot_check()
+        spot_check(broken)
 
 
 def test_reproduction_complex_oracle(circle_mesh):
@@ -1222,9 +1224,9 @@ def test_cell_corrections_at_indices_match_full_rows(side):
     rng = np.random.default_rng(5)
     for mesh in _correction_meshes():
         f = random_smooth(mesh, 3)
-        full = _singular_cell_corrections(mesh, f, side)
+        full = _singular_cell_corrections(mesh, f.samples, side)
         idx = rng.choice(mesh.node_count, size=5, replace=False)
-        got = _singular_cell_corrections(mesh, f, side, idx)
+        got = _singular_cell_corrections(mesh, f.samples, side, idx)
         tol = _cell_correction_bound(mesh, f)[idx]
         assert got.shape == (len(idx), mesh.context.dim)
         assert np.all(np.abs(got - full[idx]) <= tol[:, None])

@@ -247,6 +247,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
         # apart, would coincide about a center of 1e14
         ("experiment = pv-constant\nlevels = 2,3,4\ncenter = 1e14,0\n",
          "center, radius: nodes of level 4"),
+        # sphere radii whose square or cube leaves float64 give inf
+        # weights, refused as the circle's are
+        ("experiment = plemelj\nsurface = sphere2\nlevels = 1\n"
+         "radius = 1e308\n", "center, radius: weights row 0 is not finite"),
+        ("experiment = pv-constant\nsurface = sphere3\nlevels = 1\n"
+         "center = 0,0,0,0\nradius = 1e200\n",
+         "center, radius: weights row 0 is not finite"),
+        # a level too deep for any center and radius names levels
+        ("experiment = pv-constant\nlevels = 2,60\n",
+         "levels: nodes of level 60"),
+        ("experiment = pv-constant\nsurface = sphere3\nlevels = 0,20\n"
+         "center = 0,0,0,0\n", "levels: nodes of level 20"),
     ] + [
         # a known family with an argument that cannot build a density
         ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"

@@ -20,7 +20,6 @@ from hypercauchy.clifford_core import (
     divide,
     embed_point,
     get_context,
-    norm,
     paravector_inverse,
     paravectors_as_coeffs,
     product,
@@ -81,7 +80,7 @@ def test_associativity_random_multivectors(a, b, c):
     A, B, C = (Multivector(ctx, v) for v in (a, b, c))
     left = (A * B) * C
     right = A * (B * C)
-    scale = max(1.0, norm(A) * norm(B) * norm(C))
+    scale = max(1.0, A.norm() * B.norm() * C.norm())
     assert np.max(np.abs(left.coeffs - right.coeffs)) <= REL_TOL * scale
 
 
@@ -92,7 +91,7 @@ def test_conjugation_reverses_products(a, b):
     A, B = Multivector(ctx, a), Multivector(ctx, b)
     lhs = conjugate(A * B)
     rhs = conjugate(B) * conjugate(A)
-    scale = max(1.0, norm(A) * norm(B))
+    scale = max(1.0, A.norm() * B.norm())
     assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= REL_TOL * scale
 
 
@@ -132,8 +131,8 @@ def test_embed_project_roundtrip():
         assert np.array_equal(project_paravector(x), coords)
         mv = x.as_multivector(ctx)
         assert np.array_equal(project_paravector(mv), coords)
-        assert abs(norm(x) - np.linalg.norm(coords)) <= 1e-14
-        assert abs(norm(mv) - np.linalg.norm(coords)) <= 1e-14
+        assert abs(x.norm() - np.linalg.norm(coords)) <= 1e-14
+        assert abs(mv.norm() - np.linalg.norm(coords)) <= 1e-14
 
 
 def test_project_rejects_higher_grades():

@@ -34,6 +34,8 @@ from hypercauchy._corpus import (
     trig_polynomial_pv,
 )
 
+from conftest import spot_check
+
 EVAL_TOL = 1e-12
 
 DENSITY_NAMES = [
@@ -94,7 +96,7 @@ def test_evaluators_match_samples_on_refined_mesh(circle_mesh):
 def test_corpus_members_pass_spot_check(circle_mesh):
     rng = np.random.default_rng(0)
     for dens in inversion_corpus(circle_mesh):
-        dens.spot_check(rng=rng)
+        spot_check(dens, rng=rng)
 
 
 def test_make_density_names(circle_mesh):

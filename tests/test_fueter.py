@@ -7,24 +7,21 @@ import numpy as np
 import pytest
 
 from hypercauchy.cauchy import BoundaryDensity, cauchy_integral, unit_sphere_area
-from hypercauchy.clifford_core import Multivector, batch_product, get_context
+from hypercauchy.clifford_core import (Multivector, as_coeffs, batch_product,
+                                       get_context, sided_sum)
 from hypercauchy.fueter import (
     DegreeOverflowError,
     MAX_DEGREE,
-    MultiIndex,
     QuadratureDegeneracyError,
     boundary_moment,
     build_moment_table,
     cauchy_derivative,
-    derivative_at_origin,
-    dirac_apply,
     hyper_variable,
     kernel_derivative,
     laurent_term,
     multi_indices,
     order_at_infinity,
     surface_hull_radius,
-    symmetric_power,
     symmetric_power_rows,
     taylor_component,
 )
@@ -38,6 +35,26 @@ MONOGENIC_TOL_KERNEL = 1e-6  # kernel has large higher derivatives
 MOMENT_TOL = 1e-14
 LAURENT_TOL = 1e-5
 SLOPE_DEV = 0.2
+
+
+def dirac_apply(ctx, f, x, side="left") -> Multivector:
+    """Central-difference Dirac operator D[f] = sum_k e_k d_k f at x.
+
+    The step is 1e-4.  side 'left' applies e_k from the left (left
+    regularity oracle), 'right' from the right.  Near 0 for (bi)regular f.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    step = 1e-4
+    derivs = np.empty((ctx.n + 1, ctx.dim))
+    for k in range(ctx.n + 1):
+        xp = x.copy()
+        xm = x.copy()
+        xp[k] += step
+        xm[k] -= step
+        d = as_coeffs(ctx, f(xp)) - as_coeffs(ctx, f(xm))
+        derivs[k] = d / (2.0 * step)
+    # row k of the identity is e_k in paravector layout
+    return Multivector(ctx, sided_sum(ctx, side, np.eye(ctx.n + 1), derivs))
 
 
 def _sym_density(mesh, alpha, coeff=None):
@@ -54,12 +71,45 @@ def _sym_density(mesh, alpha, coeff=None):
 
 
 def test_multi_index_validation():
-    assert MultiIndex((2, 1)).degree == 3
-    assert MultiIndex((2, 1)).factorial == 2
+    assert fueter._as_alpha([2, 1], 2) == (2, 1)
     with pytest.raises(ValueError):
-        MultiIndex((-1, 2))
+        fueter._as_alpha((-1, 2), 2)
     with pytest.raises(DegreeOverflowError):
-        MultiIndex((MAX_DEGREE, 1))
+        fueter._as_alpha((MAX_DEGREE, 1), 2)
+
+
+# each public multi-index argument: (call(mesh, alpha), cap on |alpha|, the
+# error past the cap); cauchy_derivative's cap is 4
+_ALPHA_CALLS = {
+    "symmetric_power_rows": (
+        lambda mesh, alpha: symmetric_power_rows(mesh.context, alpha,
+                                                 mesh.nodes[:2]),
+        MAX_DEGREE, DegreeOverflowError),
+    "boundary_moment": (
+        lambda mesh, alpha: boundary_moment(
+            mesh, BoundaryDensity.constant(mesh), alpha),
+        MAX_DEGREE, DegreeOverflowError),
+    "kernel_derivative": (
+        lambda mesh, alpha: kernel_derivative(mesh.context, alpha),
+        MAX_DEGREE, DegreeOverflowError),
+    "cauchy_derivative": (
+        lambda mesh, alpha: cauchy_derivative(
+            mesh, BoundaryDensity.constant(mesh), np.zeros(3), alpha),
+        4, ValueError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ALPHA_CALLS))
+def test_multi_index_arguments_take_one_check(name, sphere_mesh):
+    call, cap, too_deep = _ALPHA_CALLS[name]
+    for bad in [(-1, 1), (0, 2, -1), (1,), (1, 0, 0)]:
+        # a negative entry or a wrong length: a plain ValueError
+        with pytest.raises(ValueError) as err:
+            call(sphere_mesh, bad)
+        assert err.type is ValueError, bad
+    with pytest.raises(too_deep):
+        call(sphere_mesh, (cap, 1))
+    call(sphere_mesh, (cap, 0))
 
 
 def test_multi_indices_enumeration():
@@ -86,8 +136,6 @@ def test_symmetric_power_is_symmetrized_product():
     z2 = hyper_variable(ctx, 2, x)
     # arrangement-sum convention: Z^{(1,1)} = z1 z2 + z2 z1
     want = ((z1 * z2) + (z2 * z1)).coeffs
-    got = symmetric_power(ctx, (1, 1), x)
-    assert np.allclose(got.coeffs, want, atol=1e-14)
     rows = symmetric_power_rows(ctx, (1, 1), np.atleast_2d(x))
     assert np.allclose(rows[0], want, atol=1e-14)
 
@@ -133,13 +181,16 @@ def test_symmetric_powers_match_arrangement_sum(n):
 
 
 def test_derivative_at_origin_is_cauchy_derivative_at_origin(sphere_mesh):
+    # taylor_component's coefficients [d^alpha f](0) are the kernel
+    # derivative sums of cauchy_derivative at the origin, bitwise
     f = random_smooth(sphere_mesh, 3)
     origin = np.zeros(3)
     for k in range(5):
-        for alpha in multi_indices(2, k):
-            for side in ("left", "right"):
+        for side in ("left", "right"):
+            coeffs = taylor_component(f, k, sphere_mesh, side).coefficients
+            assert list(coeffs) == list(multi_indices(2, k))
+            for alpha, got in coeffs.items():
                 want = cauchy_derivative(sphere_mesh, f, origin, alpha, side)
-                got = derivative_at_origin(sphere_mesh, f, alpha, side)
                 assert np.array_equal(got, want.coeffs)
 
 
@@ -151,7 +202,7 @@ def test_derivative_at_origin_is_cauchy_derivative_at_origin(sphere_mesh):
 def test_fueter_polynomials_two_sided_monogenic(n, alpha):
     ctx = get_context(n)
     rng = np.random.default_rng(4)
-    f = lambda x: symmetric_power(ctx, alpha, x)
+    f = lambda x: symmetric_power_rows(ctx, alpha, x)[0]
     for _ in range(3):
         x = rng.normal(size=n + 1)
         for side in ("left", "right"):
@@ -176,7 +227,7 @@ def test_kernel_derivative_matches_difference_quotients():
         ctx = get_context(n)
         y = np.random.default_rng(5).normal(size=n + 1) * 2.0
         kd = kernel_derivative(ctx, alpha)
-        got = kd.evaluate(y).as_point()
+        got = kd.evaluate_components(y)[0]
         step = 1e-3
 
         def fd(point, a):
@@ -213,8 +264,8 @@ def test_boundary_moment_reproduces_pole(circle_spec, circle_mesh):
     V = unit_sphere_area(1)
     for alpha in [(0,), (1,), (2,), (3,)]:
         m = boundary_moment(circle_mesh, ker, alpha)
-        want = symmetric_power(ctx, alpha, pole)
-        assert np.max(np.abs(m.coeffs / V - want.coeffs)) <= MOMENT_TOL
+        want = symmetric_power_rows(ctx, alpha, pole)[0]
+        assert np.max(np.abs(m.coeffs / V - want)) <= MOMENT_TOL
 
 
 def test_boundary_moment_reproduces_pole_sphere(sphere_spec, sphere_mesh):
@@ -224,8 +275,8 @@ def test_boundary_moment_reproduces_pole_sphere(sphere_spec, sphere_mesh):
     V = unit_sphere_area(2)
     for alpha in [(0, 0), (1, 0), (1, 1)]:
         m = boundary_moment(sphere_mesh, ker, alpha)
-        want = symmetric_power(ctx, alpha, pole)
-        assert np.max(np.abs(m.coeffs / V - want.coeffs)) <= 1e-4
+        want = symmetric_power_rows(ctx, alpha, pole)[0]
+        assert np.max(np.abs(m.coeffs / V - want)) <= 1e-4
 
 
 def test_moment_table(circle_mesh):
@@ -235,7 +286,7 @@ def test_moment_table(circle_mesh):
     for k in range(4):
         for alpha in multi_indices(1, k):
             want = boundary_moment(circle_mesh, f, alpha).coeffs
-            assert np.array_equal(table.moment(alpha), want)
+            assert np.array_equal(table.entries[alpha], want)
     with pytest.raises(DegreeOverflowError):
         build_moment_table(circle_mesh, f, MAX_DEGREE + 1)
 
@@ -258,7 +309,7 @@ def test_derivative_at_origin_orthogonality(circle_mesh):
     # [d^alpha Z^beta](0) = |alpha|! delta_{alpha beta}
     f = _sym_density(circle_mesh, (2,))
     for alpha, want in [((1,), 0.0), ((2,), 2.0), ((3,), 0.0)]:
-        got = derivative_at_origin(circle_mesh, f, alpha)
+        got = taylor_component(f, alpha[0], circle_mesh).coefficients[alpha]
         ref = np.zeros(2)
         ref[0] = want
         assert np.max(np.abs(got - ref)) <= 1e-12
@@ -301,7 +352,8 @@ def test_taylor_evaluator_multiplies_on_the_regularity_side(sphere_mesh,
     w = np.array([0.1, 0.2, -0.3])
     want = 0.0
     for alpha, c in ev.coefficients.items():
-        Z, c = symmetric_power(ctx, alpha, w), Multivector(ctx, c)
+        Z = Multivector(ctx, symmetric_power_rows(ctx, alpha, w)[0])
+        c = Multivector(ctx, c)
         want = want + (Z * c if side == "left" else c * Z).coeffs / 2.0
     assert np.max(np.abs(ev(w).coeffs - want)) <= 1e-12
 
@@ -428,9 +480,9 @@ def test_polynomial_rows_reject_unknown_side(sphere_mesh):
 @pytest.mark.parametrize("call", [
     lambda mesh, f: cauchy_derivative(mesh, f, np.array([0.2, 0.1]),
                                       (1,)).coeffs,
-    lambda mesh, f: derivative_at_origin(mesh, f, (1,)),
+    lambda mesh, f: taylor_component(f, 1, mesh).coefficients[(1,)],
     lambda mesh, f: boundary_moment(mesh, f, (2,)).coeffs,
-    lambda mesh, f: build_moment_table(mesh, f, 2).moment((2,)),
+    lambda mesh, f: build_moment_table(mesh, f, 2).entries[(2,)],
 ], ids=["cauchy_derivative", "derivative_at_origin", "boundary_moment",
         "build_moment_table"])
 def test_moments_and_derivatives_reject_density_from_another_mesh(call):

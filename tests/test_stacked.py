@@ -13,7 +13,7 @@ import pytest
 
 from hypercauchy import _accel, cli
 from hypercauchy.bvp import (CharacteristicCoefficients,
-                             apply_characteristic_lhs,
+                             apply_characteristic_lhs, invert_cauchy_pv,
                              solve_characteristic_sie, solve_dirichlet)
 from hypercauchy.cauchy import (BoundaryDensity, boundary_limit,
                                 principal_value_nodes,
@@ -128,6 +128,34 @@ def test_sie_list_matches_single_calls(name):
     lhs = apply_characteristic_lhs(mesh, a, b, [s.phi for s in sols])
     assert _same_bits(lhs[2], apply_characteristic_lhs(mesh, a, b,
                                                        sols[2].phi))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_stacked_inversion_matches_single_calls(mesh, side):
+    fs = _densities(mesh)
+    phis = invert_cauchy_pv(mesh, fs, side=side)
+    assert len(phis) == len(fs)
+    for phi, f in zip(phis, fs):
+        single = invert_cauchy_pv(mesh, f, side=side)
+        assert _same_bits(phi.samples, single.samples)
+        assert _same_bits(single.samples, 2.0 * principal_value_nodes(
+            mesh, f, side=side))
+        assert phi.regularity == single.regularity == f.regularity
+        assert phi.mesh is mesh and phi.evaluator is None
+
+
+def test_inversion_runner_is_s_applied_twice():
+    # the runner's S[S[f]] through invert_cauchy_pv is bitwise two explicit
+    # stacked 2 PV calls, the second on densities tagged as the first's
+    cfg = cli.resolve_config({"experiment": "inversion"}, ["seed=5"])
+    mesh = build_mesh(cfg.domain_spec(), 3)
+    fs = inversion_corpus(mesh, seed=cfg.seed + 13)
+    once = [BoundaryDensity(mesh, rows, regularity=f.regularity)
+            for f, rows in zip(fs, 2.0 * principal_value_nodes(mesh, fs))]
+    twice = 2.0 * principal_value_nodes(mesh, once)
+    want = cli._norms([np.abs(rows - f.samples).max()
+                       for f, rows in zip(fs, twice)])
+    assert cli._run_inversion(cfg, mesh) == want + ({},)
 
 
 def test_pv_rejects_density_from_another_mesh():

@@ -50,6 +50,27 @@ def test_weights_positive_and_area(spec_text, level, rel_tol):
     assert abs(mesh.weights.sum() - area) <= rel_tol * area
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_sphere_weights_are_the_python_power_formula(n):
+    # numpy powers of the radius, which overflow to inf, give bitwise the
+    # weights of Python's float powers: 4 pi R**2 / N on 2-spheres, the
+    # unit sphere's weights times R**3 on 3-spheres
+    for level in range(4):
+        unit = build_mesh(DomainSpec("sphere", n), level).weights
+        for R in (0.7, 2.5, 7.1e5, 1e-90):
+            got = build_mesh(DomainSpec("sphere", n, radius=R), level).weights
+            want = (np.full(unit.size, 4.0 * np.pi * R**2 / unit.size)
+                    if n == 2 else unit * R**3)
+            assert got.tobytes() == want.tobytes(), (level, R)
+
+
+@pytest.mark.parametrize("n, radius", [(2, 1e155), (2, 1e308), (3, 1e103),
+                                       (3, 1e200)])
+def test_sphere_radius_past_float64_names_the_weights(n, radius):
+    with pytest.raises(MeshFormatError, match="weights row 0 is not finite"):
+        build_mesh(DomainSpec("sphere", n, radius=radius), 0)
+
+
 def test_normals_unit_and_outward(circle_mesh, sphere_mesh, sphere3_mesh):
     for mesh in (circle_mesh, sphere_mesh, sphere3_mesh):
         lens = np.linalg.norm(mesh.normals, axis=1)
