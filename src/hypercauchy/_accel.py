@@ -8,42 +8,47 @@ the blade-pair table that batch_product uses too.  Their order is fixed
 (blocks, tiles and gemms in order, the table's scatter order), so results
 do not depend on the thread count.
 
-Every kernel pass holds one work buffer of bounded size, whatever the
-number of targets.  One sweep (the row blocks of one call, the tiles of
-one node-target pass) builds every block in that buffer of two rows
-(_block_planes): r^-(n+1) of the block in one, then each plane p = 0..n
-in the other, contracted with every density before plane p+1 is built;
-no block allocates planes of its own.  Targets that are not the nodes
-take row blocks of the largest multiple of GEMM_ROWS rows whose two rows
-fit ROW_BLOCK_BYTES (never fewer, which outgrow it only past 2^13 nodes),
-each plane contracted as stacked gemms of GEMM_ROWS rows, the last block
-padded with its last target: a gemm of fixed row count rounds every row
-alike wherever it stands, so a target's sum does not depend on which
-targets share its call.  Node targets, each skipping its own node, build
-each kernel value once: E(x_i - x_j) = -E(x_j - x_i) exactly in float64
-(negating a difference is exact, and r^2, the power and the sign then
-round identically), so _node_pair_tiles walks upper-triangular tiles
-(I, J >= I) of edge TILE_EDGE = 256, a buffer of 2 * 65536 floats for
-every n, each plane taken onto rows I and, for J != I, negated and
-transposed onto rows J.  The tile edge is fixed, not sized by bytes: it
-sets how each node target's sum groups its terms, so another edge moves
-sphere principal values by rounding.  The tile pass (_tile_terms) and the
-row-block pass (_row_block_terms) each own their buffer, which dies when
-the pass returns, before the blade scatter allocates.  Callers that read
-every plane at once (pb_rhs, pv_matrix, cauchy.kernel_E_rows and
-bvp._pair_orthogonality) stack the same planes (_kernel_E_block).  Tile
-sums agree with row-block sums to rounding, not bitwise.  Every library
-sum contracts the planes with one density row per node, g of shape
-(N, 2^n), shared by every target (accum_left, accum_right): one BLAS gemm
-per plane.  The planes are the costly part, so a stack of K densities
-shares each plane, one gemm per density, and the rows of density k are
-bitwise those of a call with that density alone.  A two-point kernel
-reaches the sums only as the two factor rows of k[j, i] = L_j R_i
-(bvp.ProductKernel), whose principal value is that of the ordinary
-density L, right-multiplied by R_i (bvp._matrix_pv_rows), and pb_rhs
-then needs the sampled nodes' kernel rows alone.  pv_matrix, the
-per-target tile sum of a held (N, N, 2^n) density matrix, is no library
-path; it stays as the separable route's parity reference.
+Each sum form is one loop.  accum_left and accum_right contract the
+planes with a stack of K densities, g of shape (K, N, 2^n), one BLAS gemm
+per plane and density, into a plane-major term stack (n+1, K, M, 2^n) for
+M targets, which one scatter_pairs call turns into the (K, M, 2^n) sums:
+the plane axis gives the left factor's columns for side "left" and the
+right factor's for "right".  Each step is a matmul row or an elementwise
+scatter, so the rows of density k are bitwise those of a call with that
+density alone.  The terms come from one of two passes, each building its
+blocks in one bounded work buffer of two rows (_block_planes): r^-(n+1) in
+one, then each plane p = 0..n in the other, contracted with every density
+before plane p+1 is built.  The buffer dies when the pass returns, before
+the scatter allocates.
+
+- Targets that are not the nodes (_row_block_terms) take row blocks of the
+  largest multiple of GEMM_ROWS rows whose two rows fit ROW_BLOCK_BYTES
+  (never fewer, which outgrow it only past 2^13 nodes), each plane
+  contracted as stacked gemms of GEMM_ROWS rows, the last block padded with
+  its last target: a gemm of fixed row count rounds every row alike
+  wherever it stands, so a target's sum does not depend on which targets
+  share its call.
+- Node targets, each skipping its own node, build each kernel value once
+  (_tile_terms, the one walk over node-pair tiles): E(x_i - x_j) =
+  -E(x_j - x_i) exactly in float64 (negating a difference is exact, and
+  r^2, the power and the sign then round identically), so the walk takes
+  upper-triangular tiles (I, J >= I) of edge TILE_EDGE = 256, a buffer of
+  2 * 65536 floats for every n, each plane taken onto rows I and, for
+  J != I, negated and transposed onto rows J.  The tile edge is fixed, not
+  sized by bytes: it sets how each node target's sum groups its terms, so
+  another edge moves sphere principal values by rounding.  Tile sums agree
+  with row-block sums to rounding, not bitwise.
+
+Callers that read every plane at once (pb_rhs, pv_matrix,
+cauchy.kernel_E_rows and bvp._pair_orthogonality) stack the same planes
+(_kernel_E_block) and sum with sided_sum.  A two-point kernel reaches the
+sums only as the two factor rows of k[j, i] = L_j R_i (bvp.ProductKernel),
+whose principal value is that of the ordinary density L, right-multiplied
+by R_i (bvp._matrix_pv_rows), and pb_rhs then needs the sampled nodes'
+kernel rows alone.  pv_matrix, the sum of a held (N, N, 2^n) density
+matrix, takes blocks of target rows against every node; it is no library
+path and walks no tiles, so it stays an independent parity reference of
+the separable route.
 
 Node targets on a uniform circle grid (uniform_circle) take no tiles in
 accum_left and accum_right: there C(V_1) is the complex plane
@@ -141,7 +146,7 @@ def _kernel_E_block(targets, nodes_T, n, skip=None):
 
 
 def _row_block_terms(T, targets, nodes, G, excl, n):
-    """T[k] = E @ G[k] over row blocks, every block built in one two-row
+    """T[:, k] = E @ G[k] over row blocks, every block built in one two-row
     work buffer of at most ROW_BLOCK_BYTES (GEMM_ROWS rows when those are
     larger), each plane contracted as stacked GEMM_ROWS-row gemms; the
     last block repeats its last target and excluded node up to a multiple
@@ -159,35 +164,31 @@ def _row_block_terms(T, targets, nodes, G, excl, n):
                                              work)):
             # one (GEMM_ROWS, N) @ (N, 2^n) gemm per group and density
             terms = Ep.reshape(-1, GEMM_ROWS, N) @ G[:, None]
-            T[:, p, s:e] = terms.reshape(len(G), -1, G.shape[2])[:, :e - s]
-
-
-def _node_pair_tiles(N):
-    """Yield (I, J, skip) over the node-pair tiles J >= I of edge TILE_EDGE,
-    each pair once: the kernel of rows I against nodes J is E(x_j - x_i),
-    and -E^T that of rows J against nodes I (see the module docstring).
-    skip is each row's own node on a diagonal tile, else None."""
-    for s in range(0, N, TILE_EDGE):
-        I = slice(s, min(s + TILE_EDGE, N))
-        for t in range(s, N, TILE_EDGE):
-            yield (I, slice(t, min(t + TILE_EDGE, N)),
-                   np.arange(I.stop - s) if t == s else None)
+            T[p, :, s:e] = terms.reshape(len(G), -1, G.shape[2])[:, :e - s]
 
 
 def _tile_terms(T, nodes, G, n):
-    """T[k] = sum_j E(x_j - x_i) G[k, j] at every node i, j != i, over the
-    node-pair tiles, each plane built in one two-row work buffer and
-    contracted with the K densities before the next."""
+    """T[:, k] = sum_j E(x_j - x_i) G[k, j] at every node i, j != i, over the
+    upper-triangular node-pair tiles (rows I, nodes J >= I) of edge
+    TILE_EDGE, each pair once: the kernel of rows I against nodes J is
+    E(x_j - x_i), and -E^T that of rows J against nodes I (see the module
+    docstring).  A diagonal tile skips each row's own node.  Each plane is
+    built in one two-row work buffer and contracted with the K densities
+    before the next."""
     N = nodes.shape[0]
     nodes_T = np.ascontiguousarray(nodes.T)
     work = np.empty((2, min(TILE_EDGE, N) ** 2))
-    for I, J, skip in _node_pair_tiles(N):
-        for p, Ep in enumerate(_block_planes(nodes[I], nodes_T[:, J], n,
-                                             skip, work)):
-            # one gemm per density
-            T[:, p, I] += Ep @ G[:, J]
-            if J != I:
-                T[:, p, J] -= Ep.T @ G[:, I]
+    for s in range(0, N, TILE_EDGE):
+        I = slice(s, min(s + TILE_EDGE, N))
+        for t in range(s, N, TILE_EDGE):
+            J = slice(t, min(t + TILE_EDGE, N))
+            skip = np.arange(I.stop - s) if t == s else None
+            for p, Ep in enumerate(_block_planes(nodes[I], nodes_T[:, J], n,
+                                                 skip, work)):
+                # one gemm per density
+                T[p, :, I] += Ep @ G[:, J]
+                if t != s:
+                    T[p, :, J] -= Ep.T @ G[:, I]
 
 
 def uniform_circle(nodes):
@@ -261,16 +262,17 @@ def _accumulate(ctx, targets, nodes, g, excl, side, circle):
                     and np.array_equal(targets, nodes))
     if node_targets and circle is not None:
         return _circle_sums(G, nodes, circle).reshape(g.shape)
-    # the terms E @ g of every density before the blade scatter
-    T = np.zeros((G.shape[0], ctx.n + 1, M, ctx.dim))
+    # the terms E @ g of every density before the blade scatter, plane
+    # major, so that the K densities' M rows merge into one axis
+    T = np.zeros((ctx.n + 1, G.shape[0], M, ctx.dim))
     if node_targets:
         _tile_terms(T, nodes, G, ctx.n)
     else:
         _row_block_terms(T, targets, nodes, G, excl, ctx.n)
-    out = np.empty((G.shape[0], M, ctx.dim))
-    for k, Tk in enumerate(T):
-        out[k] = scatter_pairs(ctx, Tk if side == "left"
-                               else Tk.transpose(2, 1, 0))
+    # one scatter of the whole stack, the planes' axis on the left of each
+    # product for side "left" and on the right for "right"
+    T = T.reshape(ctx.n + 1, -1, ctx.dim)
+    out = scatter_pairs(ctx, T if side == "left" else T.transpose(2, 1, 0))
     return out.reshape(g.shape[:-2] + (M, ctx.dim))
 
 
@@ -295,40 +297,35 @@ def pv_matrix(ctx, nodes, nuw, dmat):
 
     out_i = sum_{j != i} E(x_j - x_i) nuw_j (dmat[j, i] - dmat[i, i]),
     with dmat of shape (N, N, dim): first index integration node, second
-    index target node.  One pass over the node-pair tiles.  No library
-    path calls it: the only kernels the library takes factor as L_j R_i,
-    and bvp._matrix_pv_rows sums L alone as one shared density.  It is
-    kept as the parity reference of that separable route.
+    index target node.  Blocks of 16 targets take their kernel rows
+    against every node (_kernel_E_block) and one sided_sum; no node-pair
+    tile is walked.  No library path calls it: the only kernels the
+    library takes factor as L_j R_i, and bvp._matrix_pv_rows sums L alone
+    as one shared density.  It is kept as the parity reference of that
+    separable route.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     N = nodes.shape[0]
-    diag = dmat[np.arange(N), np.arange(N)]
-
-    def H(rows, cols):  # nuw_j (dmat[j, i] - diag[i]), j in rows, i in cols
-        return batch_product(ctx, nuw[rows, None],
-                             dmat[rows, cols] - diag[cols])
-
-    # T[i] = sum_j E[:, i, j] H[j, i]; one H block is alive at a time
-    T = np.zeros((N, ctx.n + 1, ctx.dim))
-    nodes_T = nodes.T
-    for I, J, skip in _node_pair_tiles(N):
-        E = _kernel_E_block(nodes[I], nodes_T[:, J], ctx.n, skip)
-        T[I] += E.transpose(1, 0, 2) @ H(J, I).swapaxes(0, 1)
-        if J != I:
-            T[J] -= E.transpose(2, 0, 1) @ H(I, J).swapaxes(0, 1)
-    return scatter_pairs(ctx, T.transpose(1, 0, 2))
+    out = np.empty((N, ctx.dim))
+    for s in range(0, N, 16):
+        I = np.arange(s, min(s + 16, N))
+        E = _kernel_E_block(nodes[I], nodes.T, ctx.n, I).transpose(1, 2, 0)
+        # H[j, c] = nuw_j (dmat[j, i] - dmat[i, i]) for target i = I[c]
+        H = batch_product(ctx, nuw[:, None], dmat[:, I] - dmat[I, I])
+        out[I] = sided_sum(ctx, "left", E, H.swapaxes(0, 1))
+    return out
 
 
-def pb_rhs(ctx, nodes, nuw, left, right, t_index, S1):
-    """Exchanged-order double singular sums at one node or at several.
+def pb_rhs(ctx, nodes, nuw, left, right, ts, S1):
+    """Exchanged-order double singular sums at the nodes of an index array.
 
     For the kernel k[j, i] = left[j] right[i] (factor rows, (N, dim) each)
     computes sum_{j != t} sum_{i not in {t, j}} [E(x_i - t) nuw_i]
-    [E(x_j - x_i) nuw_j] (k[j, i] - k[j, t]); returns (dim,) for an int
-    t_index and (T, dim) for T indices.  The subtraction of the k[j, t]
-    slice uses the kernel-pair orthogonality (the dropped block integrates
-    to zero), leaving only a weak singularity at x = t so the plain
-    punctured sum converges.  It runs i outside: rhs_t = sum_{i != t}
+    [E(x_j - x_i) nuw_j] (k[j, i] - k[j, t]) at each node t of ts, T node
+    indices; returns (T, dim).  The subtraction of the k[j, t] slice uses
+    the kernel-pair orthogonality (the dropped block integrates to zero),
+    leaving only a weak singularity at x = t so the plain punctured sum
+    converges.  It runs i outside: rhs_t = sum_{i != t}
     A_t[i] S_t[i], A_t[i] = E(x_i - t) nuw_i.  The inner sum over j factors
     through S1[i] = sum_{j != i} E(x_j - x_i) nuw_j left[j], the
     shared-density sum behind bvp._matrix_pv_rows: it is S1[i] (right[i] -
@@ -339,11 +336,9 @@ def pb_rhs(ctx, nodes, nuw, left, right, t_index, S1):
     -E(x_i - t).
     """
     nodes = np.asarray(nodes, dtype=np.float64)
-    ts = np.atleast_1d(np.asarray(t_index, dtype=np.int64))
     Et = _kernel_E_block(nodes[ts], nodes.T, ctx.n, ts).transpose(1, 2, 0)
     A = batch_product(ctx, Et, nuw)
     Ct = batch_product(ctx, -Et, nuw[ts][:, None, :])
     S = batch_product(ctx, S1 - batch_product(ctx, Ct, left[ts][:, None, :]),
                       right - right[ts][:, None, :])
-    rhs = sided_sum(ctx, "left", A, S)
-    return rhs if np.ndim(t_index) else rhs[0]
+    return sided_sum(ctx, "left", A, S)

@@ -670,26 +670,23 @@ def _pair_orthogonality(mesh, its, jts):
     (d_p(x_l) - d_p(t)) + (V_n/2) d_p(t), d_p(x) = E(tau - x).  All probes
     take one kernel block of their t and tau rows, one batched product and
     one stacked sided_sum; every step is row-wise, so probe p is bitwise a
-    call with that probe alone.  Returns (P, 2^n) for index arrays and
-    (2^n,) for two ints.
+    call with that probe alone.  its and jts are index arrays of P
+    entries; returns (P, 2^n).
     """
     ctx = mesh.context
     nodes = mesh.nodes
-    p = np.arange(np.size(its))
-    it = np.atleast_1d(its)
-    jt = np.atleast_1d(jts)
-    E = _accel._kernel_E_block(nodes[np.concatenate([it, jt])], nodes.T,
+    p = np.arange(its.size)
+    E = _accel._kernel_E_block(nodes[np.concatenate([its, jts])], nodes.T,
                                mesh.n).transpose(1, 2, 0)
     # density rows d_p(x_l) = E(tau_p - x_l) = -E(x_l - tau_p)
     dens = np.zeros((p.size, mesh.node_count, ctx.dim))
     dens[..., ctx.paravector_blades] = -E[p.size:]
     A = batch_product(ctx, E[:p.size], mesh.measure_coeffs())
-    diff = dens - dens[p, it][:, None, :]
-    diff[p, it] = 0.0
-    diff[p, jt] = 0.0
+    diff = dens - dens[p, its][:, None, :]
+    diff[p, its] = 0.0
+    diff[p, jts] = 0.0
     vol = unit_sphere_area(mesh.n)
-    rows = sided_sum(ctx, "left", A, diff) + 0.5 * vol * dens[p, it]
-    return rows if np.ndim(its) else rows[0]
+    return sided_sum(ctx, "left", A, diff) + 0.5 * vol * dens[p, its]
 
 
 def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,

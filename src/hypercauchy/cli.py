@@ -21,7 +21,7 @@ import numpy as np
 
 from . import _corpus
 from .clifford_core import batch_conjugate, batch_product, get_context
-from .surface import (DomainSpec, _node_separation, build_mesh,
+from .surface import (DomainSpec, _node_count, _node_separation, build_mesh,
                       parse_mesh_spec, save_mesh)
 from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      span_indicator, symmetric_difference_limit,
@@ -35,6 +35,12 @@ from .bvp import (CharacteristicCoefficients, constant_gap_residual,
 
 # fitted-order criteria are waived once errors sit at the rounding floor
 ORDER_FLOOR = 1e-12
+
+# most nodes a config's finest mesh may have: 12.8 times the largest mesh a
+# shipped or benchmark config builds (sphere2 L4, 5,120 nodes); one
+# node-target kernel pass over 2^16 nodes already takes about a minute on
+# a 2-core host
+MAX_NODES = 1 << 16
 
 SURFACES = {"circle": ("circle", 1), "sphere2": ("sphere", 2),
             "sphere3": ("sphere", 3)}
@@ -182,9 +188,11 @@ def resolve_config(raw, overrides=()):
                               % (dim, cfg.surface, len(cfg.gap_g)))
         if cfg.density != "corpus":
             # build the density once on that mesh, so a bad family
-            # argument fails here with the field named
-            _checked("density", _corpus.make_density, mesh, cfg.density,
-                     cfg.seed)
+            # argument fails here with the field named; BoundaryDensity
+            # refuses non-finite samples, so their overflow stays silent
+            with np.errstate(all="ignore"):
+                _checked("density", _corpus.make_density, mesh, cfg.density,
+                         cfg.seed)
     if cfg.sample_nodes < 1:
         raise ConfigError("sample_nodes: must be >= 1, got %d"
                           % cfg.sample_nodes)
@@ -211,7 +219,8 @@ def resolve_config(raw, overrides=()):
 
 def _coarsest_mesh(spec, finest):
     """build_mesh(spec, 0), refusing with ConfigError geometry on which the
-    nodes of level finest would lie closer than float64 resolves.
+    nodes of level finest would lie closer than float64 resolves, and a
+    level finest with more than MAX_NODES nodes.
 
     Two nodes a distance d apart differ by at least d / sqrt(n+1) in some
     coordinate, so they stay apart in float64 while that exceeds the
@@ -222,10 +231,15 @@ def _coarsest_mesh(spec, finest):
     radius.
     """
     mesh = _checked("center, radius", build_mesh, spec, 0)
-    gap = _node_separation(spec, finest)
+    # a level past C long's range is an OverflowError of ldexp
+    gap = _checked("levels", _node_separation, spec, finest)
     reach = np.abs(spec.center_array).max() + spec.radius
     resolution = np.sqrt(spec.n + 1) * np.spacing(reach)
     if gap > resolution:
+        count = _node_count(spec, finest)
+        if count > MAX_NODES:
+            raise ConfigError("levels: level %d would have %.4g nodes, over "
+                              "MAX_NODES = %d" % (finest, count, MAX_NODES))
         return mesh
     floor = np.sqrt(spec.n + 1) * np.finfo(np.float64).eps
     if gap < floor * spec.radius:

@@ -425,39 +425,24 @@ class OrderReport:
     undetermined: bool
 
 
-def order_at_infinity(mesh, g=None, side="left",
-                      evaluator=None) -> OrderReport:
-    """Order at infinity of a Cauchy-type integral or a sampled evaluator.
+def order_at_infinity(mesh, g, side="left") -> OrderReport:
+    """Order at infinity of the Cauchy-type integral of the density g.
 
-    mesh gives the dimension and the scale of the rays; pass g, an
-    evaluator or both.  Moment route (needs g): Ord = -n - N^l with N^l the
-    smallest |alpha| <= MAX_DEGREE whose moment norm clears max(10 *
-    quadrature error estimate, 1e-8 * density scale); the error estimate
-    comes from one mesh refinement when the density carries an evaluator.
-    Empirical route: least-squares slope of log|Phi| against log|w| on 3
-    rays of seed 7 with radii in [5 rho, 50 rho], rounded to the nearest
-    integer.  Both are reported; `order` is the moment route if available,
-    else the slope.
+    mesh gives the dimension and the scale of the rays.  Moment route:
+    Ord = -n - N^l with N^l the smallest |alpha| <= MAX_DEGREE whose
+    moment norm clears max(10 * quadrature error estimate, 1e-8 * density
+    scale); the error estimate comes from one mesh refinement when the
+    density carries an evaluator.  Empirical route: least-squares slope of
+    log|Phi| against log|w| on 3 rays of seed 7 with radii in [5 rho,
+    50 rho], rounded to the nearest integer.  Both are reported; `order`
+    is the moment route's, NaN when no moment clears the threshold.
     """
-    if evaluator is None and g is None:
-        raise ValueError("need a density g or an evaluator")
-    moment_order = math.nan
-    first_deg = -1
-    threshold = math.nan
-    norms = {}
-    undetermined = False
     n = mesh.n
-    if g is not None:
-        norms, threshold, _ = _moment_threshold(mesh, g, MAX_DEGREE, side,
-                                                _degree_maxima)
-        for k in sorted(norms):
-            if norms[k] > threshold:
-                first_deg = k
-                break
-        if first_deg >= 0:
-            moment_order = -mesh.n - first_deg
-        else:
-            undetermined = True
+    norms, threshold, _ = _moment_threshold(mesh, g, MAX_DEGREE, side,
+                                            _degree_maxima)
+    first_deg = next((k for k in sorted(norms) if norms[k] > threshold), -1)
+    undetermined = first_deg < 0
+    moment_order = math.nan if undetermined else -n - first_deg
 
     rng = np.random.default_rng(7)
     rho = surface_hull_radius(mesh)
@@ -466,23 +451,13 @@ def order_at_infinity(mesh, g=None, side="left",
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     # ray-major: point k * len(radii) + j is radii[j] * dirs[k]
     points = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n + 1)
-    if evaluator is None:
-        mags = np.linalg.norm(_integral_rows(mesh, g, points, side), axis=1)
-    else:
-        mags = np.array([np.linalg.norm(as_coeffs(mesh.context, evaluator(w)))
-                         for w in points])
-    floor = 1e-13 * (float(np.abs(g.samples).max()) if g is not None
-                     else 1.0)
-    if mags.max(initial=0.0) <= floor:
+    mags = np.linalg.norm(_integral_rows(mesh, g, points, side), axis=1)
+    if mags.max(initial=0.0) <= 1e-13 * float(np.abs(g.samples).max()):
         return OrderReport(-math.inf, -math.inf, -math.inf, -math.inf,
                            first_deg, threshold, norms, False)
     keep = mags > 0
     slope_raw = float(np.polyfit(np.log(np.tile(radii, 3))[keep],
                                  np.log(mags[keep]), 1)[0])
     slope_order = float(np.round(slope_raw))
-
-    order = moment_order if not math.isnan(moment_order) else slope_order
-    if undetermined:
-        order = math.nan
-    return OrderReport(order, moment_order, slope_order, slope_raw,
+    return OrderReport(moment_order, moment_order, slope_order, slope_raw,
                        first_deg, threshold, norms, undetermined)

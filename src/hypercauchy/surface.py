@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford_core import Multivector, Paravector, get_context
+from .clifford_core import get_context
 
 
 class UnsupportedDomainError(ValueError):
@@ -504,6 +504,19 @@ def _node_separation(spec: DomainSpec, level: int) -> float:
         return float(np.ldexp(20.0 * R / 256.0, -4 * level))
 
 
+def _node_count(spec: DomainSpec, level: int) -> float:
+    """The node count of build_mesh(spec, level) in closed form: 64 * 2^L
+    on circles, 320 * 2^L on 2-spheres, 2 (4 * 2^L)^3 on 3-spheres.  A
+    float, through ldexp as in _node_separation, so a level past float64's
+    range gives inf."""
+    with np.errstate(over="ignore"):
+        if spec.kind == "circle":
+            return float(np.ldexp(64.0, level))
+        if spec.n == 2:
+            return float(np.ldexp(320.0, level))
+        return float(np.ldexp(128.0, 3 * level))
+
+
 def _node_indices(mesh, t, name="t"):
     """t, a node index or a 1-d array of them, as a 1-d integer array.
 
@@ -517,16 +530,6 @@ def _node_indices(mesh, t, name="t"):
         raise NodeIndexError("%s must be a node index in 0..%d or a 1-d "
                              "array of them" % (name, mesh.node_count - 1))
     return idx
-
-
-def oriented_measure(mesh: SurfaceMesh, i: int) -> Multivector:
-    """Oriented Clifford measure element nu_i w_i at node i (as Multivector)."""
-    if np.ndim(i) != 0:
-        raise NodeIndexError("i must be a node index, not an array")
-    i = int(_node_indices(mesh, i, "i")[0])
-    p = Paravector(mesh.normals[i, 0] * mesh.weights[i],
-                   mesh.normals[i, 1:] * mesh.weights[i])
-    return p.as_multivector(mesh.context)
 
 
 def refine(mesh: SurfaceMesh) -> SurfaceMesh:

@@ -1,5 +1,5 @@
-"""Shared meshes for the test suite (session scoped; meshes are immutable),
-probe points and the density regularity oracle."""
+"""Shared meshes for the test suite (session scoped; meshes are immutable)
+and the density regularity oracle."""
 
 import numpy as np
 import pytest
@@ -43,19 +43,6 @@ def sphere3_mesh():
 def shifted_circle():
     spec = DomainSpec("circle", 1, center=(0.4, -0.2), radius=0.7)
     return build_mesh(spec, level=4)
-
-
-def interior_probes(mesh, count, seed, frac=0.5):
-    """Deterministic interior probe points at frac * radius."""
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(count, mesh.n + 1))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    spec = mesh.spec
-    return np.asarray(spec.center) + frac * spec.radius * dirs
-
-
-def exterior_probes(mesh, count, seed, frac=1.8):
-    return interior_probes(mesh, count, seed, frac=frac)
 
 
 def spot_check(density, rng=None):

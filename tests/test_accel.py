@@ -205,7 +205,8 @@ def test_pb_rhs_matches_pair_loop(mesh):
     dens = [_paravector(ctx, row) for row in nuw]
     l_l1, r_l1 = np.abs(left).sum(axis=1), np.abs(right).sum(axis=1)
     for t in (0, N // 2):
-        got = _accel.pb_rhs(ctx, nodes, nuw, left, right, t, S1)
+        got = _accel.pb_rhs(ctx, nodes, nuw, left, right, np.array([t]),
+                            S1)[0]
         total = Multivector.zero(ctx)
         abs_sum = 0.0
         for i in range(N):
@@ -257,8 +258,8 @@ def test_pb_rhs_index_array_matches_int_calls(mesh):
         abs_sum = A @ ((C @ l_l1) * (r_l1 + r_l1[t]))
         terms = N * N * ctx.dim ** 2 + 2 * (ctx.n + 1) ** 2
         _assert_within(got[row],
-                       _accel.pb_rhs(ctx, nodes, nuw, left, right, int(t),
-                                     S1),
+                       _accel.pb_rhs(ctx, nodes, nuw, left, right,
+                                     ts[row:row + 1], S1)[0],
                        np.asarray(_tolerance(terms, abs_sum)))
 
 
@@ -321,12 +322,10 @@ def test_pv_matrix_and_pb_rhs_build_each_node_pair_once(wide_mesh,
     ctx, N = wide_mesh.context, wide_mesh.node_count
     nuw = wide_mesh.measure_coeffs()
     mat = np.random.default_rng(19).normal(size=(N, N, ctx.dim))
-    # upper-triangular tiles of edge 256, as in the accumulator test
-    edges = np.diff(np.r_[0:N:256, N])
-    pairs = (N ** 2 + (edges ** 2).sum()) // 2
     built = _count_kernel_pairs(monkeypatch)
+    # pv_matrix builds each target's kernel row against every node once
     _accel.pv_matrix(ctx, wide_mesh.nodes, nuw, mat)
-    assert sum(built) == pairs
+    assert sum(built) == N * N
     built.clear()
     ts = np.array([0, 255, 256, N - 1])
     _accel.pb_rhs(ctx, wide_mesh.nodes, nuw, mat[:, 0], mat[0], ts, mat[1])

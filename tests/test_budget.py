@@ -156,18 +156,20 @@ def test_node_pair_tiles_keep_edge_256(n, monkeypatch):
     original = _accel._block_planes
 
     def recorded(targets, nodes_T, n, skip, work):
-        tiles.append((len(targets), nodes_T.shape[1], work))
+        # a tile's rows are a slice of the nodes: find where it starts
+        start = np.flatnonzero((nodes == targets[0]).all(axis=1))[0]
+        tiles.append((start, len(targets), nodes_T.shape[1], work))
         return original(targets, nodes_T, n, skip, work)
 
     monkeypatch.setattr(_accel, "_block_planes", recorded)
     _accel.accum_left(ctx, nodes, nodes, np.ones((600, ctx.dim)),
                       np.arange(600), circle=None)
-    starts = sorted({I.start for I, _, _ in _accel._node_pair_tiles(600)})
+    starts = sorted({start for start, _, _, _ in tiles})
     assert starts == [0, 256, 512]
-    assert [(C, J) for C, J, _ in tiles] == [
+    assert [(C, J) for _, C, J, _ in tiles] == [
         (256, 256), (256, 256), (256, 88), (256, 256), (256, 88), (88, 88)]
-    assert all(work is tiles[0][2] for _, _, work in tiles)
-    assert tiles[0][2].nbytes == 2 * _accel.TILE_EDGE ** 2 * 8
+    assert all(work is tiles[0][3] for _, _, _, work in tiles)
+    assert tiles[0][3].nbytes == 2 * _accel.TILE_EDGE ** 2 * 8
 
 
 @pytest.mark.parametrize("node_targets", [False, True])

@@ -674,7 +674,7 @@ def _l1(rows):
 
 def _tile_pv_rows(mesh, held):
     """(rows, core) of _matrix_pv_rows for a held (N, N, dim) density
-    matrix, its core by the per-target tiles of _accel.pv_matrix: the
+    matrix, its core by the per-target rows of _accel.pv_matrix: the
     parity reference of the separable route."""
     N = mesh.node_count
     core = _accel.pv_matrix(mesh.context, mesh.nodes, mesh.measure_coeffs(),
@@ -694,7 +694,7 @@ def _tile_pv_rows(mesh, held):
 ], ids=["circle", "sphere2", "sphere3"])
 def test_separable_pv_rows_match_tiles(spec, level):
     # a ProductKernel takes the two shared-density sums; its held array,
-    # summed by the per-target tiles of pv_matrix, is the reference
+    # summed by the per-target rows of pv_matrix, is the reference
     mesh = build_mesh(spec, level)
     k = product_kernel(mesh, 23)
     rows, shifted = _matrix_pv_rows(mesh, k.left, k.right)
@@ -876,7 +876,8 @@ def test_pair_orthogonality_matches_pair_loop(spec):
     # a sum of N products of dim terms, each with a few roundings
     abs_sum += np.abs(half).sum()
     tol = 4.0 * (N * ctx.dim + 32) * 2.0 ** -53 * abs_sum
-    assert np.max(np.abs(_pair_orthogonality(mesh, it, jt) - want)) <= tol
+    got = _pair_orthogonality(mesh, np.array([it]), np.array([jt]))[0]
+    assert np.max(np.abs(got - want)) <= tol
 
 
 def _orthogonality_per_probe(mesh, it, jt):
@@ -905,7 +906,7 @@ def test_stacked_orthogonality_is_per_probe(spec):
     got = _pair_orthogonality(mesh, its, jts)
     assert got.shape == (4, mesh.context.dim)
     for row, it, jt in zip(got, its, jts):
-        one = _pair_orthogonality(mesh, int(it), int(jt))
+        one = _pair_orthogonality(mesh, np.array([it]), np.array([jt]))[0]
         assert np.array_equal(row.view(np.int64), one.view(np.int64))
         want = _orthogonality_per_probe(mesh, int(it), int(jt))
         assert np.array_equal(row.view(np.int64), want.view(np.int64))

@@ -5,18 +5,23 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from hypercauchy import cli
-from hypercauchy.cli import (EXPERIMENTS, ConfigError, list_builtins, main,
+from hypercauchy.cli import (EXPERIMENTS, MAX_NODES, ConfigError,
+                             ExperimentConfig, list_builtins, main,
                              resolve_config)
 from hypercauchy.clifford_core import (Paravector, conjugate, get_context,
                                        paravector_inverse, product)
 from hypercauchy.bvp import solve_jump_rm
 from hypercauchy.fueter import DegreeOverflowError
-from hypercauchy.surface import build_mesh, load_mesh
+from hypercauchy.surface import _node_count, build_mesh, load_mesh
 from hypercauchy._corpus import make_density
 
 CSV_HEADER = "level,h,nodes,error_maxnorm,error_l2,runtime_ms"
@@ -259,6 +264,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "levels: nodes of level 60"),
         ("experiment = pv-constant\nsurface = sphere3\nlevels = 0,20\n"
          "center = 0,0,0,0\n", "levels: nodes of level 20"),
+        # levels whose nodes float64 resolves but past MAX_NODES nodes,
+        # refused before any mesh past level 0 is built
+        ("experiment = pv-constant\nlevels = 2,24\n",
+         "levels: level 24 would have 1.074e+09 nodes"),
+        ("experiment = pv-constant\nsurface = sphere2\ncenter = 0,0,0\n"
+         "levels = 2,40\n", "levels: level 40 would have 3.518e+14 nodes"),
+        ("experiment = pv-constant\nsurface = sphere3\ncenter = 0,0,0,0\n"
+         "levels = 0,4\n", "levels: level 4 would have 5.243e+05 nodes"),
+        # a level past C long's range
+        ("experiment = pv-constant\nlevels = 2,%d\n" % 10 ** 30, "levels"),
     ] + [
         # a known family with an argument that cannot build a density
         ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"
@@ -286,6 +301,103 @@ def test_config_rejects_nonfinite_numbers(key, template, bad):
     with pytest.raises(ConfigError, match=r"^%s: expected a finite number"
                        % key):
         resolve_config({"experiment": "pv-constant"}, [setting])
+
+
+def test_nonfinite_density_is_refused_without_a_warning(capsys):
+    # the density's samples overflow at radius 1e200; the refusal is the
+    # only line on stderr
+    assert main(["run", str(CONFIG_DIR / "inversion.cfg"), "--set",
+                 "density=rough:3", "--set", "radius=1e200"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config: density: samples row 0 is not finite\n"
+
+
+# --set values from each field's type domain, extremes included
+_FLOATS = st.sampled_from(["0", "-1", "5e-324", "-5e-324", "1e-300", "0.5",
+                           "1.3", "1e14", "1e17", "1e200", "1e308", "-1e308",
+                           "nan", "inf", "x"])
+_INTS = st.sampled_from(["0", "-1", "1", "3", "7", "40", "2000",
+                         str(2 ** 31), str(2 ** 64), str(10 ** 30), "1.5",
+                         "x"])
+_LEVEL = st.sampled_from([-1, 0, 1, 2, 3, 4, 6, 7, 10, 11, 20, 24, 40, 60,
+                          2000, 10 ** 30])
+
+
+def _lists(values, most):
+    return st.lists(values, max_size=most).map(",".join)
+
+
+# mostly increasing, as the levels check wants, so that deep levels reach
+# the mesh checks
+_LEVELS = st.one_of(
+    st.lists(_LEVEL, min_size=1, max_size=8, unique=True).map(sorted),
+    st.lists(_LEVEL, max_size=8)).map(lambda ls: ",".join(map(str, ls)))
+
+
+_FIELD_VALUES = {
+    "experiment": st.sampled_from(sorted(EXPERIMENTS) + ["warp"]),
+    "surface": st.sampled_from(["circle", "sphere2", "sphere3", "torus"]),
+    "center": _lists(_FLOATS, 6),
+    "radius": _FLOATS,
+    "levels": _LEVELS,
+    "density": st.sampled_from(
+        ["corpus", "constant", "bogus", "coord:", "coord:1", "coord:7",
+         "coord:x", "zpow:", "zpow:1,1", "zpow:1,2,3", "zpow:-1,0",
+         "zpow:40,0", "poly:", "poly:1,2", "poly:1e308,1e308", "poly:nan",
+         "etrace:in", "etrace:out", "etrace:sideways", "netrace:in",
+         "ecombo:0", "ecombo:2", "ecombo:5", "smooth:3", "smooth:-1",
+         "smooth:abc", "rough:3", "trig:3", "trig:" + str(2 ** 64)]),
+    "gap_g": _lists(_FLOATS, 10),
+    "expect": st.sampled_from(["solvable", "unsolvable", "maybe"]),
+    "monotone": st.sampled_from(["true", "false", "2"]),
+    "record_runtime": st.sampled_from(["true", "off", "2"]),
+    "csv": st.sampled_from(["", "out.csv"]),
+    "json": st.sampled_from(["", "out.json"]),
+    **{key: _FLOATS for key in ("sie_a", "sie_b", "tolerance", "min_order")},
+    **{key: _INTS for key in ("jump_m", "sample_nodes", "kernel_seed",
+                              "seed")},
+}
+_FIELDS = [f.name for f in fields(ExperimentConfig)]
+assert sorted(_FIELD_VALUES) == sorted(_FIELDS)
+_OVERRIDES = st.lists(st.sampled_from(sorted(_FIELD_VALUES)).flatmap(
+    lambda key: _FIELD_VALUES[key].map(lambda v: "%s=%s" % (key, v))),
+    min_size=1, max_size=3)
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_config_overrides_resolve_or_name_a_field(path):
+    # every shipped config, with 1-3 overrides drawn from the fields' type
+    # domains, resolves to a config under MAX_NODES or raises a
+    # ConfigError naming a field; no other exception and no warning
+    raw = cli.parse_config_file(path)
+
+    @seed(39)
+    @settings(deadline=None, max_examples=20, database=None)
+    @given(overrides=_OVERRIDES)
+    # levels past MAX_NODES on each surface, past C long's range, and a
+    # density whose samples overflow
+    @example(overrides=["levels=2,24"])
+    @example(overrides=["surface=sphere2", "center=0,0,0", "levels=2,40"])
+    @example(overrides=["surface=sphere3", "center=0,0,0,0", "levels=0,4"])
+    @example(overrides=["levels=2,%d" % 10 ** 30])
+    @example(overrides=["density=rough:3", "radius=1e200"])
+    def resolves(overrides):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                cfg = resolve_config(raw, overrides)
+            except ConfigError as exc:
+                message = str(exc)
+                assert any(key in message for key in _FIELDS + ["--set"]), \
+                    message
+            else:
+                if not EXPERIMENTS[cfg.experiment].meshless:
+                    assert _node_count(cfg.domain_spec(),
+                                       cfg.levels[-1]) <= MAX_NODES
+        assert caught == [], [str(w.message) for w in caught]
+
+    resolves()
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),

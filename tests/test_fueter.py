@@ -430,19 +430,6 @@ def test_order_at_infinity_zero_density(circle_mesh):
     assert not rep.undetermined
 
 
-def test_order_at_infinity_evaluator_route(circle_spec, circle_mesh):
-    pole = interior_pole(circle_spec, seed=2, frac=0.35)
-    g = kernel_trace(circle_mesh, pole)
-    ev = laurent_term(circle_mesh, g, 0)
-    rep = order_at_infinity(mesh=circle_mesh, evaluator=ev)
-    assert rep.order == -1.0
-    assert math.isnan(rep.moment_route)
-    with pytest.raises(ValueError):
-        order_at_infinity(circle_mesh)
-    with pytest.raises(TypeError):
-        order_at_infinity(mesh=circle_mesh, evaluator=ev, seed=7)
-
-
 def test_dirac_apply_detects_non_monogenic():
     ctx = get_context(2)
     f = lambda x: ctx.scalar(x[1] ** 2)  # not in the kernel of D

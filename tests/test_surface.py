@@ -20,7 +20,6 @@ from hypercauchy.surface import (
     build_mesh,
     load_mesh,
     neighbour_lists,
-    oriented_measure,
     parse_mesh_spec,
     refine,
     save_mesh,
@@ -98,14 +97,6 @@ def test_refine_shrinks_h(circle_spec, sphere_spec):
 def test_circle_h_value(circle_mesh):
     want = 2 * math.sin(math.pi / circle_mesh.node_count)
     assert abs(circle_mesh.h - want) <= 1e-12
-
-
-def test_oriented_measure(circle_mesh):
-    mv = oriented_measure(circle_mesh, 3)
-    want = circle_mesh.normals[3] * circle_mesh.weights[3]
-    assert np.allclose(mv.coeffs, want)
-    with pytest.raises(IndexError):
-        oriented_measure(circle_mesh, circle_mesh.node_count)
 
 
 def test_measure_coeffs_layout(sphere_mesh):
@@ -241,6 +232,17 @@ def test_node_separation_bounds_the_built_nodes(kind, n, levels):
         bound = surface._node_separation(spec, level)
         assert 0.6 * nearest <= bound <= nearest * (1.0 + 1e-12), level
     assert surface._node_separation(spec, 10 ** 4) == 0.0
+
+
+@pytest.mark.parametrize("kind, n", [("circle", 1), ("sphere", 2),
+                                     ("sphere", 3)])
+def test_node_count_is_the_built_count(kind, n):
+    # the closed form behind the config's MAX_NODES check
+    spec = DomainSpec(kind, n)
+    for level in range(3):
+        assert surface._node_count(spec, level) == \
+            build_mesh(spec, level).node_count
+    assert surface._node_count(spec, 10 ** 4) == np.inf
 
 
 def test_mesh_rejects_coincident_nodes(circle_spec):
