@@ -105,15 +105,28 @@ def _block_planes(targets, nodes_T, n, skip, work):
     (w_k - x_k) r^-(n+1), the conjugation sign folded into the difference:
     negating a difference is exact, so each plane is bitwise
     -(x_k - w_k) r^-(n+1), and each difference squares as in r^2.
+
+    Each difference is one rank-2 gemm, the (C, 2) rows [-w_0, 1] (or
+    [w_k, -1]) times the (2, N) rows [1, x_k], written into the plane: its
+    products by 1 are exact and its one addition rounds once, so it is
+    bitwise the subtraction with any BLAS, and a contiguous write where a
+    broadcast subtract walks row by row.  The one exception is the sign
+    of a zero: -0 less +0 gives +0, not -0 (its square is +0 either way).
     """
     targets = np.asarray(targets, dtype=np.float64)
     C, N = targets.shape[0], nodes_T.shape[1]
     inv, plane = work[:, :C * N].reshape(2, C, N)
+    # the rank-2 factors: [w_k, -1] per target, negated for k = 0, and
+    # [1, x_k] per node
+    lhs = np.empty((n + 1, C, 2))
+    lhs[:, :, 0] = targets.T
+    lhs[:, :, 1] = -1.0
+    lhs[0] *= -1.0
+    rhs = np.ones((2, N))
 
     def difference(k):  # x_0 - w_0 for k = 0, w_k - x_k after, into plane
-        if k == 0:
-            return np.subtract(nodes_T[0], targets[:, :1], out=plane)
-        return np.subtract(targets[:, k:k + 1], nodes_T[k], out=plane)
+        rhs[1] = nodes_T[k]
+        return np.matmul(lhs[k], rhs, out=plane)
 
     np.multiply(difference(0), plane, out=inv)
     for k in range(1, n + 1):

@@ -492,9 +492,11 @@ def apply_characteristic_lhs(mesh, a: BoundaryDensity, b: BoundaryDensity,
     """
     ctx = mesh.context
     A, B = _density_samples(mesh, a), _density_samples(mesh, b)
-    pv = principal_value_nodes(mesh, phi)
-    return (batch_product(ctx, _density_samples(mesh, phi), A)
-            + 2.0 * batch_product(ctx, pv, B))
+    lhs = 2.0 * batch_product(ctx, principal_value_nodes(mesh, phi), B)
+    single = isinstance(phi, BoundaryDensity)
+    for rows, p in zip([lhs] if single else lhs, [phi] if single else phi):
+        rows += batch_product(ctx, p.samples, A)
+    return lhs
 
 
 def solve_characteristic_sie(mesh, coefficients, f):
@@ -517,7 +519,8 @@ def solve_characteristic_sie(mesh, coefficients, f):
     ctx = mesh.context
     single = isinstance(f, BoundaryDensity)
     fs = [f] if single else list(f)
-    F = _density_samples(mesh, fs)
+    # a stack, since psi and the half-sum below are products of all of them
+    F = np.stack(_density_samples(mesh, fs))
     a, b = coefficients.a, coefficients.b
     sum_inv, diff_inv = coefficients.sum_inverse, coefficients.diff_inverse
     # a coefficient from another mesh raises here, before any sum is taken

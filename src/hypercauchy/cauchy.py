@@ -233,21 +233,42 @@ class CauchyValue:
     side: str = "unknown"
 
 
+def _per_density(samples):
+    """(fs, one): the (N, 2^n) rows of each density of samples, and whether
+    samples is one density's rows rather than a sequence of them."""
+    one = isinstance(samples, np.ndarray) and samples.ndim == 2
+    return ((samples,) if one else samples), one
+
+
 def _measure_density(mesh, samples, side, out=None):
     """Rows (nu w f)_j for left integrals, (f nu w)_j for right ones.
 
-    samples is one (N, 2^n) density or a (K, N, 2^n) stack; the rows are
-    added onto out when it is given (see sided_product).
+    samples is one density's (N, 2^n) rows, giving (N, 2^n), or a sequence
+    of K such arrays (_density_samples; a (K, N, 2^n) array is one too),
+    giving (K, N, 2^n).  Each density's rows are read in place and their
+    products written straight into its row of out, a kernel pass's
+    buffer, onto which they are added when it is given (see
+    sided_product); no stack of the densities is formed.
     """
-    return sided_product(mesh.context, side, mesh.measure_coeffs(), samples,
-                         out)
+    ctx, measure = mesh.context, mesh.measure_coeffs()
+    fs, one = _per_density(samples)
+    if one:
+        return sided_product(ctx, side, measure, samples, out)
+    if out is None:
+        out = np.zeros((len(fs), mesh.node_count, ctx.dim))
+    for f, rows in zip(fs, out):
+        sided_product(ctx, side, measure, f, rows)
+    return out
 
 
 def _density_samples(mesh, f):
-    """Node samples of one density, (N, 2^n), or of a sequence, (K, N, 2^n).
+    """The node samples of one density, (N, 2^n), or a tuple of them, one
+    per density of a sequence: each density's own rows, read-only, never
+    a stacked copy.
 
     Every density must be sampled on mesh: one from another mesh object
     with other nodes is rejected, naming its position in the sequence.
+    This is the one check of a pass's densities, made once per pass.
     """
     single = isinstance(f, BoundaryDensity)
     fs = [f] if single else list(f)
@@ -260,7 +281,10 @@ def _density_samples(mesh, f):
             raise ValueError("%s is sampled on another mesh (%d nodes) than "
                              "the one summed over (%d nodes)"
                              % (where, fk.mesh.node_count, mesh.node_count))
-    return f.samples if single else np.stack([fk.samples for fk in fs])
+    rows = tuple(fk.samples.view() for fk in fs)
+    for r in rows:
+        r.flags.writeable = False
+    return rows[0] if single else rows
 
 
 def _nearest_node(mesh, point):
@@ -300,21 +324,25 @@ def _shifted_sums(mesh, samples, side, targets, t, excl=None):
     """The one home of every subtracted sum: S1 - S2 f(t_m) at the M targets.
 
     S1 = sum_j E(x_j - w_m) nu_j w_j f(x_j) and S2 the same sum of nu w
-    alone (mirrored on the right); samples is one density (N, 2^n) or a
-    (K, N, 2^n) stack, giving (M, 2^n) or (K, M, 2^n), t one node index per
-    target and excl as in _accum.  All K take one kernel pass, so row k is
-    bitwise that of f[k] alone; S2 rides as its last density unless the
-    mesh's cache holds it.  Full-mesh node targets (excl = arange(N)) keep
-    S2 there, read-only, per side, so S1 and S2 take one route.
+    alone (mirrored on the right); samples is one density's (N, 2^n) rows,
+    giving (M, 2^n), or a sequence of K (_measure_density), giving
+    (K, M, 2^n), t one node index per target and excl as in _accum.  The
+    pass's one buffer holds nu w f of each density, written from its own
+    rows, and S2 rides as its last row unless the mesh's cache holds it;
+    f(t) is gathered per density too, so no copy of the densities is held.
+    All K take one kernel pass, so row k is bitwise that of f[k] alone.
+    Full-mesh node targets (excl = arange(N)) keep S2 in the cache,
+    read-only, per side, so S1 and S2 take one route.
     """
     ctx, N = mesh.context, mesh.node_count
     key = ("self_sums", side)
     full = excl is not None and np.array_equal(excl, np.arange(N))
     S2 = mesh.cache.get(key) if full else None
+    fs, one = _per_density(samples)
+    K = len(fs)
     # the K rows nu w f and, riding last, nu w itself, written in place
-    K = samples.size // (N * ctx.dim)
     g = np.zeros((K + (S2 is None), N, ctx.dim))
-    _measure_density(mesh, samples, side, g[:K].reshape(samples.shape))
+    _measure_density(mesh, fs, side, g)
     if S2 is None:
         g[K][:, ctx.paravector_blades] = mesh.measure_coeffs()
     sums = _accum(mesh, targets, g, side, excl)
@@ -326,10 +354,10 @@ def _shifted_sums(mesh, samples, side, targets, t, excl=None):
             S2 = S2.copy()
             S2.flags.writeable = False
             mesh.cache[key] = S2
-    # S1 - S2 f_t, updated in place: a stack holds K rows each
-    core = sums.reshape(samples.shape[:-2] + (len(targets), ctx.dim))
-    core -= sided_product(ctx, side, S2, samples[..., t, :])
-    return core
+    # S1 - S2 f_t, updated in place, density by density
+    for core, f in zip(sums, fs):
+        core -= sided_product(ctx, side, S2, f[t])
+    return sums[0] if one else sums
 
 
 def _self_sums(mesh, side):
@@ -337,8 +365,7 @@ def _self_sums(mesh, side):
     pass of nu w alone."""
     N = mesh.node_count
     if ("self_sums", side) not in mesh.cache:
-        _shifted_sums(mesh, np.zeros((0, N, mesh.context.dim)), side,
-                      mesh.nodes, np.arange(N), np.arange(N))
+        _shifted_sums(mesh, (), side, mesh.nodes, np.arange(N), np.arange(N))
     return mesh.cache[("self_sums", side)]
 
 
@@ -366,7 +393,9 @@ def _integral_rows(mesh, f, points, side, node=None, interior=None):
                       side) / vol
     t = np.broadcast_to(node, (len(points),))
     rows = _shifted_sums(mesh, samples, side, points, t) / vol
-    rows[..., interior, :] += samples[..., t[interior], :]
+    fs, one = _per_density(samples)
+    for r, fk in zip([rows] if one else rows, fs):
+        r[interior] += fk[t[interior]]
     return rows
 
 
@@ -568,22 +597,28 @@ def gradient_stencil(mesh, idx=None):
 def tangential_gradient(mesh, samples, idx=None):
     """Tangential derivatives of node samples along the stencil's frame.
 
-    samples is (N, m) or a stack (..., N, m).  Returns (derivs, frame) at
-    the node index array idx (default every node): derivs[a] is the
-    (..., len(idx), m) array of directional derivatives along
+    samples is one (N, m) array, or a sequence of K of them (a tuple, a
+    list or a (K, N, m) array).  Returns (derivs, frame) at the node index
+    array idx (default every node): derivs[a] is the (len(idx), m), or
+    (K, len(idx), m), array of directional derivatives along
     frame[:, a, :].  Only the stencil rows of idx are read
-    (gradient_stencil) and applied, one neighbour column at a time, so no
-    (len(idx), k, m) gather of every stack member is held.
+    (gradient_stencil) and applied one neighbour column at a time, so no
+    (len(idx), k, m) gather is held.  A sequence is laid side by side as
+    one transient (N, K m) array, so each column takes one gather for all
+    K; principal_value_nodes builds it after its kernel pass has freed its
+    buffers.
     """
     nb, wts, frame = gradient_stencil(mesh, idx)
-    samples = np.asarray(samples, dtype=np.float64)
-    lead = samples.shape[:-2]
-    # (d, 1, ..., len(idx), k): weights broadcast over the stack axes
-    wts = wts.reshape(wts.shape[:1] + (1,) * len(lead) + nb.shape)
-    derivs = np.zeros(wts.shape[:1] + lead + (nb.shape[0], samples.shape[-1]))
-    for m in range(nb.shape[1]):
-        derivs += wts[..., m, None] * samples[..., nb[:, m], :]
-    return derivs, frame
+    if not isinstance(samples, (tuple, list)):
+        samples = np.asarray(samples, dtype=np.float64)
+    fs, one = _per_density(samples)
+    K, m = len(fs), fs[0].shape[-1]
+    flat = fs[0] if one else np.concatenate(fs, axis=1)
+    derivs = np.zeros((len(wts), len(nb), K * m))
+    for j in range(nb.shape[1]):
+        derivs += wts[..., j, None] * flat[nb[:, j]]
+    derivs = derivs.reshape(len(wts), len(nb), K, m).swapaxes(1, 2)
+    return (derivs[:, 0] if one else derivs), frame
 
 
 # -- principal values ------------------------------------------------------------
@@ -591,9 +626,9 @@ def tangential_gradient(mesh, samples, idx=None):
 def _singular_cell_corrections(mesh, samples, side, idx=None):
     """Corrections for the dropped singular cell at the node index array idx.
 
-    samples is node samples, (N, 2^n) or a (K, N, 2^n) stack, taken as
-    given.  Shape (len(idx), dim), or (K, len(idx), dim); the default idx
-    is every node.
+    samples is one density's node samples, (N, 2^n), or a sequence of K
+    (tangential_gradient), taken as given.  Shape (len(idx), dim), or
+    (K, len(idx), dim); the default idx is every node.
     """
     derivs, frame = tangential_gradient(mesh, samples, idx)
     return _cell_corrections(mesh, derivs, frame, side, idx)
@@ -698,9 +733,13 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
         # call fits its own nodes only
         gradient_stencil(mesh)
     samples = _density_samples(mesh, f)
+    fs, one = _per_density(samples)
     core = _shifted_sums(mesh, samples, side, mesh.nodes[idx], idx, idx)
     core += _singular_cell_corrections(mesh, samples, side, idx)
-    return core / unit_sphere_area(mesh.n) + 0.5 * samples[..., idx, :]
+    core /= unit_sphere_area(mesh.n)
+    for c, fk in zip([core] if one else core, fs):
+        c += 0.5 * fk[idx]
+    return core
 
 
 def _snap_node(mesh, t):

@@ -182,6 +182,8 @@ def resolve_config(raw, overrides=()):
         # whose weights leave float64 fails here with the fields named,
         # and check the finest level's node spacing without building it
         mesh = _coarsest_mesh(spec, cfg.levels[-1])
+        if cfg.density == "corpus":
+            _check_corpus_reach(spec, EXPERIMENTS[name].corpus_degree)
         dim = 2 ** SURFACES[cfg.surface][1]
         if len(cfg.gap_g) > dim:
             raise ConfigError("gap_g: at most %d entries on %s, got %d"
@@ -250,6 +252,18 @@ def _coarsest_mesh(spec, finest):
     raise ConfigError("center, radius: nodes of level %d lie %.3g apart, "
                       "within float64's resolution %.3g at coordinates up "
                       "to %.3g" % (finest, gap, resolution, reach))
+
+
+def _check_corpus_reach(spec, degree):
+    """Refuse geometry on which an experiment's corpus leaves float64,
+    without sampling it: its polynomial traces of degree up to degree reach
+    about (|center| + radius)^degree, and the runs square them (_norms),
+    so 2 degree log2(|center| + radius) must stay below float64's 1024."""
+    reach = float(np.abs(spec.center_array).max() + spec.radius)
+    if 2 * degree * math.log2(reach) >= 1024:
+        raise ConfigError("center, radius: the corpus's traces of degree %d "
+                          "at coordinates up to %.3g square past float64"
+                          % (degree, reach))
 
 
 def _checked(key, check, *args):
@@ -575,6 +589,9 @@ class ExperimentDef:
     defaults: dict
     extra: object = None
     meshless: bool = False
+    # the largest polynomial degree of the corpus in the coordinates
+    # (_check_corpus_reach)
+    corpus_degree: int = 0
 
 
 EXPERIMENTS = {
@@ -587,16 +604,19 @@ EXPERIMENTS = {
         _run_reproduction,
         "Cauchy reproduction of symmetric-power traces at interior points",
         {"surface": "sphere2", "levels": (2, 3, 4), "tolerance": 1e-3,
-         "monotone": True}),
+         "monotone": True},
+        corpus_degree=3),
     "plemelj": ExperimentDef(
         _run_plemelj,
         "two-sided boundary limits against the jump relations",
-        {"surface": "sphere2", "levels": (3, 4), "tolerance": 1e-2}),
+        {"surface": "sphere2", "levels": (3, 4), "tolerance": 1e-2},
+        corpus_degree=2),
     "inversion": ExperimentDef(
         _run_inversion,
         "involution of the singular Cauchy operator on a density corpus",
         {"surface": "circle", "levels": (3, 4, 5, 6), "tolerance": 1e-3,
-         "min_order": 1.0}),
+         "min_order": 1.0},
+        corpus_degree=2),
     "jump-rm": ExperimentDef(
         _run_jump_rm,
         "jump problem with prescribed order bound at infinity",
@@ -616,7 +636,8 @@ EXPERIMENTS = {
         _run_dirichlet,
         "Dirichlet solvability verdicts and boundary reconstruction",
         {"surface": "circle", "levels": (3, 4), "tolerance": 1e-2},
-        extra=_dirichlet_extra),
+        extra=_dirichlet_extra,
+        corpus_degree=3),
     "classical-degeneration": ExperimentDef(
         _run_classical,
         "circle case against residue-calculus closed forms",
@@ -634,7 +655,8 @@ EXPERIMENTS = {
         _run_sie,
         "characteristic singular equation with constant coefficients",
         {"surface": "circle", "levels": (3, 4, 5, 6), "tolerance": 1e-4,
-         "monotone": True}),
+         "monotone": True},
+        corpus_degree=1),
     "poincare-bertrand": ExperimentDef(
         _run_pbx,
         "iterated principal values: special case and general-kernel report",

@@ -4,7 +4,7 @@ A kernel block is built one plane at a time in a work buffer of two
 rows, r^-(n+1) and the plane: a row block's holds at most
 _accel.ROW_BLOCK_BYTES, node-pair tiles keep their edge of 256, and the
 measure density rides in a kernel pass without a copy of the density
-stack.  A full gradient-stencil fit runs in chunks of
+stack, and no pass holds a copy of the densities it sums.  A full gradient-stencil fit runs in chunks of
 cauchy.STENCIL_FIT_ROWS nodes, bitwise one batched fit.  Each bound leaves every value
 bitwise the same: the blocked results here are compared with full-block,
 full-call or concatenated ones by their bytes.  Row blocks are contracted
@@ -239,6 +239,36 @@ def test_measure_rides_without_a_copy(spec, level, side, K):
                                  None)
     got = cauchy._shifted_sums(mesh, samples, side, 1.5 * mesh.nodes[t], t)
     assert _same_bits(got, want)
+
+
+# what a pass holds beside its one (K+1, N, 2^n) buffer and its row-block
+# work buffer: the transposed nodes, the gemm factors, the targets' term
+# stacks and sums, each O(N) or O(K M) floats
+PASS_SLACK = 1 << 18
+
+
+@pytest.mark.parametrize("case", ["boundary_limit", "principal_value_nodes"])
+def test_passes_hold_no_copy_of_the_densities(case):
+    # ten densities on sphere2 L3: a pass that stacked their samples would
+    # hold K N 2^n * 8 = 0.82 MB more than its buffer and work rows; the
+    # densities are sampled before tracing starts, so the traced peak is
+    # the pass's own
+    mesh = build_mesh(SPHERE2, 3)
+    N, dim = mesh.node_count, mesh.context.dim
+    fs = [cauchy.BoundaryDensity(mesh, np.random.default_rng(k).normal(
+        size=(N, dim))) for k in range(10)]
+    idx = np.array([0, N // 3, N - 1])
+    tracemalloc.start()
+    try:
+        if case == "boundary_limit":
+            cauchy.boundary_limit(mesh, fs, idx)
+        else:
+            cauchy.principal_value_nodes(mesh, fs, indices=idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = (len(fs) + 1) * N * dim * 8 + _accel.ROW_BLOCK_BYTES + PASS_SLACK
+    assert peak <= bound
 
 
 def _stencil_bits(stencil):

@@ -203,6 +203,7 @@ def test_set_overrides(tmp_path, capsys):
 
 def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
+    capsys.readouterr()
     for body, field in [
         ("experiment = warp\nlevels = 1\n", "experiment"),
         ("experiment = pv-constant\nsurface = torus\nlevels = 1\n", "surface"),
@@ -274,6 +275,18 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "levels = 0,4\n", "levels: level 4 would have 5.243e+05 nodes"),
         # a level past C long's range
         ("experiment = pv-constant\nlevels = 2,%d\n" % 10 ** 30, "levels"),
+        # corpus traces whose squares (or the rough members' norms) leave
+        # float64, refused without sampling the corpus: the settings of
+        # configs/plemelj-sphere.cfg, plemelj-circle.cfg and inversion.cfg
+        ("experiment = plemelj\nsurface = sphere2\nlevels = 3,4\n"
+         "radius = 1e140\ncenter = 1e150,0,0\n",
+         "center, radius: the corpus's traces of degree 2"),
+        ("experiment = plemelj\nsurface = circle\nlevels = 5,6\n"
+         "radius = 1e140\ncenter = 1e150,0\n",
+         "center, radius: the corpus's traces of degree 2"),
+        ("experiment = inversion\nsurface = circle\nlevels = 3,4,5,6\n"
+         "radius = 1e140\ncenter = 1e150,0\n",
+         "center, radius: the corpus's traces of degree 2"),
     ] + [
         # a known family with an argument that cannot build a density
         ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"
@@ -285,7 +298,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ]:
         cfg = _write_config(tmp_path, "bad.cfg", body)
         assert main(["run", cfg]) == 2
-        assert field in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the refusal is the only line on stderr: no warning comes first
+        assert field in err and err.startswith("config: ")
+        assert err.count("\n") == 1
     cfg = _fast_config(tmp_path)
     assert main(["run", cfg, "--set", "levels"]) == 2
 
