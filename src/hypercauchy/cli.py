@@ -1,7 +1,7 @@
 """Command-line front end: experiment configs, convergence sweeps, reports.
 
-Configs are flat ``key = value`` text files (``#`` comments allowed); every
-field can be overridden on the command line with ``--set key=value``.  Each
+Configs are flat ``key = value`` text files (``#`` comments allowed) that
+set only fields the experiment reads; ``--set key=value`` overrides one.  Each
 run writes a CSV error table (columns level, h, nodes, error_maxnorm,
 error_l2, runtime_ms) and a JSON report (config echo, per-criterion
 verdicts) and exits 0 exactly when every criterion passed.  With a fixed
@@ -44,6 +44,11 @@ MAX_NODES = 1 << 16
 
 SURFACES = {"circle": ("circle", 1), "sphere2": ("sphere", 2),
             "sphere3": ("sphere", 3)}
+
+# fields every experiment reads; those on a mesh read MESH_FIELDS too
+COMMON_FIELDS = ("experiment", "levels", "tolerance", "min_order",
+                 "monotone", "seed", "csv", "json", "record_runtime")
+MESH_FIELDS = ("surface", "center", "radius")
 
 
 class ConfigError(ValueError):
@@ -141,7 +146,7 @@ def parse_config_file(path):
 
 
 def resolve_config(raw, overrides=()):
-    """Apply experiment defaults, file values and --set overrides in order."""
+    """Apply an experiment's defaults, then file and --set fields it reads."""
     merged = dict(raw)
     for text in overrides:
         if "=" not in text:
@@ -151,13 +156,13 @@ def resolve_config(raw, overrides=()):
     name = merged.get("experiment", "")
     if name not in EXPERIMENTS:
         raise ConfigError("experiment: unknown name %r (see `list`)" % name)
-    values = dict(EXPERIMENTS[name].defaults)
-    values.update(merged)
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key in values:
-        if key not in known:
-            raise ConfigError("unknown config field %r" % key)
-    cfg = ExperimentConfig(**values)
+    exp = EXPERIMENTS[name]
+    reads = COMMON_FIELDS + exp.settable()
+    for key in merged:
+        if key not in reads:
+            raise ConfigError("%s: experiment %s does not read this field "
+                              "(see `list`)" % (key, name))
+    cfg = ExperimentConfig(**dict(exp.defaults, **merged))
     if not cfg.levels:
         raise ConfigError("levels: must list at least one refinement level")
     if any(b <= a for a, b in zip(cfg.levels, cfg.levels[1:])):
@@ -165,13 +170,9 @@ def resolve_config(raw, overrides=()):
     if cfg.surface not in SURFACES:
         raise ConfigError("surface: expected one of %s"
                           % sorted(SURFACES))
-    if name in ("classical-degeneration",) and cfg.surface != "circle":
-        raise ConfigError("surface: %s requires circle" % name)
-    if cfg.density != "corpus" and cfg.density.partition(":")[0] not in [
-            e.partition(":")[0] for e in _corpus.DENSITY_FAMILIES]:
-        raise ConfigError("density: unknown family %r (see `list`)"
-                          % cfg.density)
-    if EXPERIMENTS[name].meshless:
+    if exp.refuse and exp.refuse[0](cfg):
+        raise ConfigError(exp.refuse[1].format(**vars(cfg)))
+    if exp.meshless:
         for level in cfg.levels:
             _checked("levels", get_context, level)
     else:
@@ -183,38 +184,30 @@ def resolve_config(raw, overrides=()):
         # and check the finest level's node spacing without building it
         mesh = _coarsest_mesh(spec, cfg.levels[-1])
         if cfg.density == "corpus":
-            _check_corpus_reach(spec, EXPERIMENTS[name].corpus_degree)
+            _check_corpus_reach(spec, exp.corpus_degree)
         dim = 2 ** SURFACES[cfg.surface][1]
-        if len(cfg.gap_g) > dim:
+        if "gap_g" in reads and len(cfg.gap_g) > dim:
             raise ConfigError("gap_g: at most %d entries on %s, got %d"
                               % (dim, cfg.surface, len(cfg.gap_g)))
-        if cfg.density != "corpus":
-            # build the density once on that mesh, so a bad family
+        if "density" in reads and cfg.density != "corpus":
+            # build the density once on that mesh, so a bad family or
             # argument fails here with the field named; BoundaryDensity
             # refuses non-finite samples, so their overflow stays silent
             with np.errstate(all="ignore"):
                 _checked("density", _corpus.make_density, mesh, cfg.density,
                          cfg.seed)
-    if cfg.sample_nodes < 1:
+    if "sample_nodes" in reads and cfg.sample_nodes < 1:
         raise ConfigError("sample_nodes: must be >= 1, got %d"
                           % cfg.sample_nodes)
     # the solvability conditions of R_m need moments of degree -n - m - 1
     low = -SURFACES[cfg.surface][1] - MAX_DEGREE - 1
-    if name in ("jump-rm", "constant-gap") and cfg.jump_m < low:
+    if "jump_m" in reads and cfg.jump_m < low:
         raise ConfigError("jump_m: must be >= %d on %s, got %d"
                           % (low, cfg.surface, cfg.jump_m))
-    # the constant-gap residual evaluates polynomial slots of degree jump_m
-    if name == "constant-gap" and cfg.jump_m > MAX_DEGREE:
-        raise ConfigError("jump_m: must be <= %d on constant-gap, got %d"
-                          % (MAX_DEGREE, cfg.jump_m))
-    if cfg.expect not in ("solvable", "unsolvable"):
+    if "expect" in reads and cfg.expect not in ("solvable", "unsolvable"):
         raise ConfigError("expect: expected solvable or unsolvable, got %r"
                           % cfg.expect)
-    if name == "characteristic-sie" and abs(cfg.sie_a) == abs(cfg.sie_b):
-        # a + b or a - b is zero, so it has no inverse
-        raise ConfigError("sie_a, sie_b: a + b and a - b must be nonzero, "
-                          "got sie_a = %r, sie_b = %r" % (cfg.sie_a, cfg.sie_b))
-    for key in ("seed", "kernel_seed"):
+    for key in [k for k in ("seed", "kernel_seed") if k in reads]:
         _checked(key, np.random.SeedSequence, getattr(cfg, key))
     return cfg
 
@@ -587,11 +580,18 @@ class ExperimentDef:
     runner: object
     description: str
     defaults: dict
+    # fields read beyond COMMON_FIELDS and, on a mesh, MESH_FIELDS
+    reads: tuple = ()
     extra: object = None
     meshless: bool = False
-    # the largest polynomial degree of the corpus in the coordinates
-    # (_check_corpus_reach)
+    # the largest polynomial degree in the coordinates of the corpus and of
+    # what the run computes from it (_check_corpus_reach)
     corpus_degree: int = 0
+    # (test, message): a config on which test holds is refused with message
+    refuse: tuple = ()
+
+    def settable(self):
+        return self.reads if self.meshless else MESH_FIELDS + self.reads
 
 
 EXPERIMENTS = {
@@ -599,29 +599,30 @@ EXPERIMENTS = {
         _run_pv_constant,
         "principal value of the constant density against 1/2",
         {"surface": "circle", "levels": (2, 3, 4), "tolerance": 1e-3,
-         "min_order": 1.0, "density": "constant"}),
+         "min_order": 1.0}),
     "reproduction": ExperimentDef(
         _run_reproduction,
         "Cauchy reproduction of symmetric-power traces at interior points",
         {"surface": "sphere2", "levels": (2, 3, 4), "tolerance": 1e-3,
          "monotone": True},
-        corpus_degree=3),
+        ("density",), corpus_degree=3),
     "plemelj": ExperimentDef(
         _run_plemelj,
         "two-sided boundary limits against the jump relations",
         {"surface": "sphere2", "levels": (3, 4), "tolerance": 1e-2},
-        corpus_degree=2),
+        ("density",), corpus_degree=2),
     "inversion": ExperimentDef(
         _run_inversion,
         "involution of the singular Cauchy operator on a density corpus",
         {"surface": "circle", "levels": (3, 4, 5, 6), "tolerance": 1e-3,
          "min_order": 1.0},
-        corpus_degree=2),
+        ("density",), corpus_degree=2),
     "jump-rm": ExperimentDef(
         _run_jump_rm,
         "jump problem with prescribed order bound at infinity",
         {"surface": "circle", "levels": (4, 5), "tolerance": 1e-3,
          "density": "netrace:in", "jump_m": -1},
+        ("density", "jump_m", "sample_nodes", "expect"),
         extra=lambda cfg, rows: [_criterion(
             "verdict",
             1.0 if _verdict_matches(rows[-1].aux["verdict"], cfg.expect)
@@ -631,7 +632,11 @@ EXPERIMENTS = {
         _run_constant_gap,
         "linear conjugation with a constant multivector gap",
         {"surface": "circle", "levels": (4, 5), "tolerance": 1e-3,
-         "density": "smooth:31", "jump_m": 0}),
+         "density": "smooth:31", "jump_m": 0},
+        ("density", "gap_g", "jump_m", "sample_nodes"),
+        # the residual evaluates polynomial slots of degree jump_m
+        refuse=(lambda cfg: cfg.jump_m > MAX_DEGREE, "jump_m: must be <= %d "
+                "on constant-gap, got {jump_m}" % MAX_DEGREE)),
     "dirichlet": ExperimentDef(
         _run_dirichlet,
         "Dirichlet solvability verdicts and boundary reconstruction",
@@ -641,11 +646,14 @@ EXPERIMENTS = {
     "classical-degeneration": ExperimentDef(
         _run_classical,
         "circle case against residue-calculus closed forms",
-        {"surface": "circle", "levels": (4, 5, 6), "tolerance": 1e-8}),
+        {"surface": "circle", "levels": (4, 5, 6), "tolerance": 1e-8},
+        refuse=(lambda cfg: cfg.surface != "circle",
+                "surface: classical-degeneration requires circle")),
     "order-at-infinity": ExperimentDef(
         _run_order,
         "order at infinity of kernel combinations, moment and slope routes",
-        {"surface": "circle", "levels": (4, 5), "tolerance": 0.2}),
+        {"surface": "circle", "levels": (4, 5), "tolerance": 0.2},
+        corpus_degree=MAX_DEGREE),
     "algebra-laws": ExperimentDef(
         _run_algebra,
         "associativity, anti-automorphism and paravector inversion",
@@ -656,11 +664,16 @@ EXPERIMENTS = {
         "characteristic singular equation with constant coefficients",
         {"surface": "circle", "levels": (3, 4, 5, 6), "tolerance": 1e-4,
          "monotone": True},
-        corpus_degree=1),
+        ("density", "sie_a", "sie_b"), corpus_degree=1,
+        # a + b or a - b is zero, so it has no inverse
+        refuse=(lambda cfg: abs(cfg.sie_a) == abs(cfg.sie_b),
+                "sie_a, sie_b: a + b and a - b must be nonzero, got "
+                "sie_a = {sie_a!r}, sie_b = {sie_b!r}")),
     "poincare-bertrand": ExperimentDef(
         _run_pbx,
         "iterated principal values: special case and general-kernel report",
-        {"surface": "circle", "levels": (3, 4, 5), "min_order": 1.0}),
+        {"surface": "circle", "levels": (3, 4, 5), "min_order": 1.0},
+        ("density", "sample_nodes", "kernel_seed")),
     "span": ExperimentDef(
         _run_span,
         "raw span values at interior, boundary and exterior points",
@@ -777,10 +790,12 @@ def _print_report(report):
 
 
 def list_builtins():
-    """Registry of builtin experiments and density families, as text."""
-    lines = ["experiments:"]
-    for name in sorted(EXPERIMENTS):
-        lines.append("  %-24s %s" % (name, EXPERIMENTS[name].description))
+    """Registry of builtin experiments, their fields and densities, as text."""
+    lines = ["experiments, and the fields each reads besides %s:"
+             % ", ".join(COMMON_FIELDS)]
+    for name, exp in sorted(EXPERIMENTS.items()):
+        lines.append("  %-24s %s" % (name, exp.description))
+        lines.append("%27s%s" % ("", ", ".join(exp.settable()) or "none"))
     lines.append("density families:")
     for entry in _corpus.DENSITY_FAMILIES + ("corpus",):
         lines.append("  %s" % entry)

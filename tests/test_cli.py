@@ -71,6 +71,10 @@ def test_registry_complete():
     listing = list_builtins()
     for name in ALL_EXPERIMENTS:
         assert name in listing
+    # an experiment's defaults set only fields it reads
+    for name, exp in EXPERIMENTS.items():
+        reads = cli.COMMON_FIELDS + exp.settable()
+        assert set(exp.defaults) <= set(reads), name
 
 
 def test_run_writes_reports(tmp_path, capsys):
@@ -211,6 +215,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = pv-constant\nlevels = 1\nbogus = 3\n", "bogus"),
         ("experiment = classical-degeneration\nsurface = sphere2\n"
          "levels = 1\n", "surface"),
+        # a field the experiment does not read, refused before any mesh
+        # is built: a run would ignore it
+        ("experiment = pv-constant\nlevels = 1\ndensity = smooth:3\n",
+         "density: experiment pv-constant does not read"),
+        ("experiment = constant-gap\nlevels = 1\nexpect = unsolvable\n",
+         "expect: experiment constant-gap does not read"),
+        ("experiment = algebra-laws\nlevels = 1\nsurface = sphere3\n"
+         "radius = 1e-300\n",
+         "surface: experiment algebra-laws does not read"),
+        ("experiment = dirichlet\nlevels = 3,4\ndensity = constant\n"
+         "radius = 1e120\n", "density: experiment dirichlet does not read"),
         # caught where the config enters, not by a failed run (exit 1)
         ("experiment = jump-rm\nlevels = 1\nsample_nodes = 0\n",
          "sample_nodes"),
@@ -245,8 +260,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "radius"),
         ("experiment = pv-constant\nlevels = 1\nradius = 5e-324\n",
          "radius"),
-        ("experiment = dirichlet\nlevels = 1\ndensity = corpus\n"
-         "radius = 1e308\n", "radius"),
+        ("experiment = dirichlet\nlevels = 1\nradius = 1e308\n", "radius"),
         ("experiment = plemelj\nsurface = sphere2\nlevels = 1\n"
          "radius = 1e308\n", "radius"),
         # geometry that builds at level 0 but whose level-4 nodes, 0.0061
@@ -287,6 +301,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = inversion\nsurface = circle\nlevels = 3,4,5,6\n"
          "radius = 1e140\ncenter = 1e150,0\n",
          "center, radius: the corpus's traces of degree 2"),
+        # order-at-infinity's moments reach degree 6 (configs/
+        # order-at-infinity.cfg's settings)
+        ("experiment = order-at-infinity\nsurface = circle\nlevels = 4,5\n"
+         "radius = 1e30\ncenter = 0,0\n",
+         "center, radius: the corpus's traces of degree 6"),
     ] + [
         # a known family with an argument that cannot build a density
         ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"
@@ -495,6 +514,13 @@ def test_list_command(capsys):
     out = capsys.readouterr().out
     for name in ALL_EXPERIMENTS:
         assert name in out
+    # each experiment's description is followed by the fields it reads
+    # beyond the common ones, as --set accepts them
+    lines = out.splitlines()
+    row = next(i for i, line in enumerate(lines) if "  jump-rm " in line)
+    assert lines[row + 1].split() == [
+        "surface,", "center,", "radius,", "density,", "jump_m,",
+        "sample_nodes,", "expect"]
 
 
 def test_mesh_export_roundtrip(tmp_path, capsys):
