@@ -30,7 +30,8 @@ from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      _singular_cell_corrections, _warn_if_continuous)
 from .surface import _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
-                     _moment_threshold, _polynomial, _refined_density)
+                     _moment_norms, _moment_threshold, _polynomial,
+                     _refined_density)
 
 # Auto-thresholded Dirichlet verdicts never accept residuals above this
 # fraction of the data magnitude, however favorable the refinement trend.
@@ -127,10 +128,6 @@ class SolvabilityReport:
     threshold: float
 
 
-def _alpha_norms(entries):
-    return {alpha: float(np.linalg.norm(m)) for alpha, m in entries.items()}
-
-
 def _zero_poly_slots(ctx, m):
     slots = []
     for k in range(m + 1):
@@ -170,8 +167,9 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
         raise DegreeOverflowError(
             "order bound m = %d needs moment degree %d > max %d"
             % (m, K, MAX_DEGREE))
-    residuals, threshold, refined = _moment_threshold(mesh, g, K, side,
-                                                      _alpha_norms)
+    coarse, residuals, refined = _moment_norms(mesh, g, K, side)
+    threshold = _moment_threshold(
+        g, max(abs(residuals[a] - coarse[a]) for a in residuals))
     if not refined:
         warnings.warn("no evaluator/spec for refinement; using the absolute "
                       "moment floor only", stacklevel=2)

@@ -73,8 +73,6 @@ class ExperimentConfig:
     tolerance: float = math.nan
     min_order: float = math.nan
     monotone: bool = False
-    sample_nodes: int = 8
-    kernel_seed: int = 23
     seed: int = 0
     csv: str = ""
     json: str = ""
@@ -117,7 +115,7 @@ def _parse_field(key, value):
             return tuple(int(v) for v in value.split(","))
         if key in ("radius", "sie_a", "sie_b", "tolerance", "min_order"):
             return _finite(key, [value])[0]
-        if key in ("jump_m", "sample_nodes", "kernel_seed", "seed"):
+        if key in ("jump_m", "seed"):
             return int(value)
         if key in ("monotone", "record_runtime"):
             return _parse_bool(value, key)
@@ -196,9 +194,6 @@ def resolve_config(raw, overrides=()):
             with np.errstate(all="ignore"):
                 _checked("density", _corpus.make_density, mesh, cfg.density,
                          cfg.seed)
-    if "sample_nodes" in reads and cfg.sample_nodes < 1:
-        raise ConfigError("sample_nodes: must be >= 1, got %d"
-                          % cfg.sample_nodes)
     # the solvability conditions of R_m need moments of degree -n - m - 1
     low = -SURFACES[cfg.surface][1] - MAX_DEGREE - 1
     if "jump_m" in reads and cfg.jump_m < low:
@@ -207,8 +202,7 @@ def resolve_config(raw, overrides=()):
     if "expect" in reads and cfg.expect not in ("solvable", "unsolvable"):
         raise ConfigError("expect: expected solvable or unsolvable, got %r"
                           % cfg.expect)
-    for key in [k for k in ("seed", "kernel_seed") if k in reads]:
-        _checked(key, np.random.SeedSequence, getattr(cfg, key))
+    _checked("seed", np.random.SeedSequence, cfg.seed)
     return cfg
 
 
@@ -414,14 +408,14 @@ def _run_inversion(cfg, mesh):
 
 def _solve_and_score(cfg, mesh, solve, residual, data, aux):
     """Solve in the class R_{jump_m}; an unsolvable problem scores its
-    worst moment residual, a solved one its sampled residual."""
+    worst moment residual, a solved one its residual at the 8 sampled
+    nodes of the residual's default."""
     sol, rep = solve(mesh, *data, cfg.jump_m)
     aux = aux(rep)
     if sol is None:
         worst = max(rep.residuals.values()) if rep.residuals else math.inf
         return worst, worst, aux
-    res = residual(mesh, sol, *data, sample_nodes=cfg.sample_nodes,
-                   seed=cfg.seed)
+    res = residual(mesh, sol, *data, seed=cfg.seed)
     return _norms([res]) + (aux,)
 
 
@@ -542,14 +536,13 @@ def _run_sie(cfg, mesh):
 def _run_pbx(cfg, mesh):
     f, = _densities(cfg, mesh,
                     lambda: [_corpus.random_smooth(mesh, cfg.seed + 31)])
-    rep = poincare_bertrand_discrepancy(
-        mesh, f=f, sample_nodes=cfg.sample_nodes, seed=cfg.seed)
-    k = _corpus.product_kernel(mesh, seed=cfg.kernel_seed)
-    probes = min(4, cfg.sample_nodes)
+    # the separable identity at 8 sampled nodes (the default); the general
+    # kernel, product_kernel's default of seed 23, and the pair integral at 4
+    rep = poincare_bertrand_discrepancy(mesh, f=f, seed=cfg.seed)
     rep_k = poincare_bertrand_discrepancy(
-        mesh, k=k, sample_nodes=probes, seed=cfg.seed)
+        mesh, k=_corpus.product_kernel(mesh), sample_nodes=4, seed=cfg.seed)
     aux = {"general_kernel_discrepancy": rep_k.discrepancy_max,
-           "pair_orthogonality": pair_orthogonality(mesh, probes, cfg.seed)}
+           "pair_orthogonality": pair_orthogonality(mesh, 4, cfg.seed)}
     return rep.discrepancy_max, rep.discrepancy_max, aux
 
 
@@ -622,7 +615,7 @@ EXPERIMENTS = {
         "jump problem with prescribed order bound at infinity",
         {"surface": "circle", "levels": (4, 5), "tolerance": 1e-3,
          "density": "netrace:in", "jump_m": -1},
-        ("density", "jump_m", "sample_nodes", "expect"),
+        ("density", "jump_m", "expect"),
         extra=lambda cfg, rows: [_criterion(
             "verdict",
             1.0 if _verdict_matches(rows[-1].aux["verdict"], cfg.expect)
@@ -633,7 +626,7 @@ EXPERIMENTS = {
         "linear conjugation with a constant multivector gap",
         {"surface": "circle", "levels": (4, 5), "tolerance": 1e-3,
          "density": "smooth:31", "jump_m": 0},
-        ("density", "gap_g", "jump_m", "sample_nodes"),
+        ("density", "gap_g", "jump_m"),
         # the residual evaluates polynomial slots of degree jump_m
         refuse=(lambda cfg: cfg.jump_m > MAX_DEGREE, "jump_m: must be <= %d "
                 "on constant-gap, got {jump_m}" % MAX_DEGREE)),
@@ -673,7 +666,7 @@ EXPERIMENTS = {
         _run_pbx,
         "iterated principal values: special case and general-kernel report",
         {"surface": "circle", "levels": (3, 4, 5), "min_order": 1.0},
-        ("density", "sample_nodes", "kernel_seed")),
+        ("density",)),
     "span": ExperimentDef(
         _run_span,
         "raw span values at interior, boundary and exterior points",

@@ -270,33 +270,28 @@ def _refined_density(mesh, g: BoundaryDensity) -> BoundaryDensity:
                                          regularity=g.regularity)
 
 
-def _moment_threshold(mesh, g: BoundaryDensity, max_degree, side, reduce):
-    """(values, threshold, refined): values = reduce(moment table entries).
+def _moment_norms(mesh, g: BoundaryDensity, max_degree, side):
+    """(coarse, fine, refined): {alpha: moment norm} for |alpha| <= max_degree.
 
-    With an evaluator and a mesh spec the values are taken again from g
-    on the refined mesh and returned; the error estimate is their largest
-    change (0 when not refined) and threshold = max(10 estimate, 1e-8 |g|).
+    With an evaluator and a mesh spec (refined) fine holds the norms of g
+    resampled on the refined mesh; otherwise fine is coarse.
     """
-    scale = max(float(np.abs(g.samples).max()), 1e-300)
-    values = reduce(build_moment_table(mesh, g, max_degree, side).entries)
-    quad_est = 0.0
     refined = g.evaluator is not None and mesh.spec is not None
+    pairs = [(mesh, g)]
     if refined:
         gf = _refined_density(mesh, g)
-        fine = reduce(build_moment_table(gf.mesh, gf, max_degree,
-                                         side).entries)
-        quad_est = max(abs(fine[key] - values[key]) for key in values)
-        values = fine
-    return values, max(10.0 * quad_est, 1e-8 * scale), refined
+        pairs.append((gf.mesh, gf))
+    norms = [{alpha: float(np.linalg.norm(m)) for alpha, m in
+              build_moment_table(on, d, max_degree, side).entries.items()}
+             for on, d in pairs]
+    return norms[0], norms[-1], refined
 
 
-def _degree_maxima(entries):
-    """Largest moment norm of each degree |alpha|."""
-    out = {}
-    for alpha, m in entries.items():
-        k = sum(alpha)
-        out[k] = max(out.get(k, 0.0), float(np.linalg.norm(m)))
-    return out
+def _moment_threshold(g: BoundaryDensity, change):
+    """max(10 change, 1e-8 max|g|): change is a coarse-to-fine moment
+    change, the quadrature error estimate."""
+    scale = max(float(np.abs(g.samples).max()), 1e-300)
+    return max(10.0 * change, 1e-8 * scale)
 
 
 def _polynomial(ctx, terms, side):
@@ -420,7 +415,7 @@ class OrderReport:
     slope_route: float
     slope_raw: float        # unrounded log-log fit slope
     first_moment_degree: int    # N^l, or -1 when no moment clears threshold
-    threshold: float
+    thresholds: dict        # degree -> the threshold its moments must clear
     moment_norms: dict
     undetermined: bool
 
@@ -429,18 +424,23 @@ def order_at_infinity(mesh, g, side="left") -> OrderReport:
     """Order at infinity of the Cauchy-type integral of the density g.
 
     mesh gives the dimension and the scale of the rays.  Moment route:
-    Ord = -n - N^l with N^l the smallest |alpha| <= MAX_DEGREE whose
-    moment norm clears max(10 * quadrature error estimate, 1e-8 * density
-    scale); the error estimate comes from one mesh refinement when the
-    density carries an evaluator.  Empirical route: least-squares slope of
-    log|Phi| against log|w| on 3 rays of seed 7 with radii in [5 rho,
-    50 rho], rounded to the nearest integer.  Both are reported; `order`
-    is the moment route's, NaN when no moment clears the threshold.
+    Ord = -n - N^l with N^l the smallest degree k <= MAX_DEGREE whose
+    largest moment norm clears max(10 * its change under one refinement
+    when the density carries an evaluator, 1e-8 * density scale); per
+    degree, as degree-k moments grow like rho^k.  Empirical route:
+    least-squares slope of log|Phi| against log|w| on 3 rays of seed 7
+    with radii in [5 rho, 50 rho], rounded to the nearest integer.  Both
+    are reported; `order` is the moment route's, NaN when no degree
+    clears its threshold.
     """
     n = mesh.n
-    norms, threshold, _ = _moment_threshold(mesh, g, MAX_DEGREE, side,
-                                            _degree_maxima)
-    first_deg = next((k for k in sorted(norms) if norms[k] > threshold), -1)
+    # the largest moment norm of each degree, on the mesh and refined
+    coarse, norms = [{k: max(v[a] for a in multi_indices(n, k))
+                      for k in range(MAX_DEGREE + 1)}
+                     for v in _moment_norms(mesh, g, MAX_DEGREE, side)[:2]]
+    thresholds = {k: _moment_threshold(g, abs(norms[k] - coarse[k]))
+                  for k in norms}
+    first_deg = next((k for k in norms if norms[k] > thresholds[k]), -1)
     undetermined = first_deg < 0
     moment_order = math.nan if undetermined else -n - first_deg
 
@@ -454,10 +454,10 @@ def order_at_infinity(mesh, g, side="left") -> OrderReport:
     mags = np.linalg.norm(_integral_rows(mesh, g, points, side), axis=1)
     if mags.max(initial=0.0) <= 1e-13 * float(np.abs(g.samples).max()):
         return OrderReport(-math.inf, -math.inf, -math.inf, -math.inf,
-                           first_deg, threshold, norms, False)
+                           first_deg, thresholds, norms, False)
     keep = mags > 0
     slope_raw = float(np.polyfit(np.log(np.tile(radii, 3))[keep],
                                  np.log(mags[keep]), 1)[0])
     slope_order = float(np.round(slope_raw))
     return OrderReport(moment_order, moment_order, slope_order, slope_raw,
-                       first_deg, threshold, norms, undetermined)
+                       first_deg, thresholds, norms, undetermined)

@@ -109,9 +109,10 @@ def test_polynomial_part_multiplies_on_the_regularity_side(sphere_mesh, side):
 
 
 def test_jump_and_order_share_the_refinement_threshold(sphere_spec):
-    # both judge fine-mesh moment norms, the jump problem per alpha and the
-    # order per degree, against max(10 * largest coarse-to-fine change,
-    # 1e-8 * max|g|)
+    # both judge fine-mesh moment norms against max(10 * coarse-to-fine
+    # change, 1e-8 * max|g|): the jump problem every alpha against the
+    # largest change over its alphas, the order each degree's largest norm
+    # against that norm's own change
     mesh = build_mesh(sphere_spec, 0)
     g = kernel_combo(mesh, 1)
     fine = refine(mesh)
@@ -128,10 +129,11 @@ def test_jump_and_order_share_the_refinement_threshold(sphere_spec):
     assert rep.threshold == max(10.0 * est, floor)
     maxima = [{k: max(v[a] for a in multi_indices(2, k)) for k in range(7)}
               for v in norms]
-    est = max(abs(maxima[1][k] - maxima[0][k]) for k in range(7))
     order = order_at_infinity(mesh, g)
     assert order.moment_norms == maxima[1]
-    assert order.threshold == max(10.0 * est, floor)
+    assert order.thresholds == {
+        k: max(10.0 * abs(maxima[1][k] - maxima[0][k]), floor)
+        for k in range(7)}
 
 
 def test_jump_decaying_class_needs_vanishing_moments(circle_spec, circle_mesh):

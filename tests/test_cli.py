@@ -226,9 +226,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "surface: experiment algebra-laws does not read"),
         ("experiment = dirichlet\nlevels = 3,4\ndensity = constant\n"
          "radius = 1e120\n", "density: experiment dirichlet does not read"),
+        # fixed probe settings, not fields: 8 sampled nodes (4 for the
+        # general kernel) and kernel seed 23
+        ("experiment = jump-rm\nlevels = 1\nsample_nodes = 8\n",
+         "unknown config field 'sample_nodes'"),
+        ("experiment = poincare-bertrand\nlevels = 1\nkernel_seed = 23\n",
+         "unknown config field 'kernel_seed'"),
         # caught where the config enters, not by a failed run (exit 1)
-        ("experiment = jump-rm\nlevels = 1\nsample_nodes = 0\n",
-         "sample_nodes"),
         ("experiment = jump-rm\nlevels = 1\njump_m = -10\n", "jump_m"),
         ("experiment = constant-gap\nsurface = sphere2\nlevels = 1\n"
          "jump_m = -10\n", "jump_m"),
@@ -239,8 +243,6 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = pv-constant\nlevels = 1\nradius = -1\n", "radius"),
         ("experiment = pv-constant\nlevels = 1\ncenter = 0,0,0\n", "center"),
         ("experiment = pv-constant\nlevels = 1\nseed = -1\n", "seed"),
-        ("experiment = poincare-bertrand\nlevels = 1\nkernel_seed = -1\n",
-         "kernel_seed"),
         ("experiment = constant-gap\nlevels = 1\ngap_g = 2,1,3\n", "gap_g"),
         ("experiment = inversion\nlevels = 1\ndensity = bogus:3\n",
          "density"),
@@ -323,6 +325,21 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert err.count("\n") == 1
     cfg = _fast_config(tmp_path)
     assert main(["run", cfg, "--set", "levels"]) == 2
+    for key in ("sample_nodes", "kernel_seed"):
+        assert main(["run", cfg, "--set", "%s=4" % key]) == 2
+        assert "unknown config field %r" % key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius", ["500", "1000"])
+def test_order_at_infinity_holds_at_large_radii(tmp_path, capsys, radius):
+    # each moment degree is judged against its own refinement change; one
+    # threshold for all degrees grew like radius^6 and buried degree 0
+    out = tmp_path / "order.json"
+    assert main(["run", str(CONFIG_DIR / "order-at-infinity.cfg"), "--set",
+                 "center=0,0", "--set", "radius=" + radius, "--set",
+                 "json=%s" % out, "--set", "csv="]) == 0
+    for aux in json.loads(out.read_text())["auxiliary"].values():
+        assert [aux["order_N%d" % N] for N in range(3)] == [-1, -2, -3]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -389,8 +406,7 @@ _FIELD_VALUES = {
     "csv": st.sampled_from(["", "out.csv"]),
     "json": st.sampled_from(["", "out.json"]),
     **{key: _FLOATS for key in ("sie_a", "sie_b", "tolerance", "min_order")},
-    **{key: _INTS for key in ("jump_m", "sample_nodes", "kernel_seed",
-                              "seed")},
+    **{key: _INTS for key in ("jump_m", "seed")},
 }
 _FIELDS = [f.name for f in fields(ExperimentConfig)]
 assert sorted(_FIELD_VALUES) == sorted(_FIELDS)
@@ -519,8 +535,7 @@ def test_list_command(capsys):
     lines = out.splitlines()
     row = next(i for i, line in enumerate(lines) if "  jump-rm " in line)
     assert lines[row + 1].split() == [
-        "surface,", "center,", "radius,", "density,", "jump_m,",
-        "sample_nodes,", "expect"]
+        "surface,", "center,", "radius,", "density,", "jump_m,", "expect"]
 
 
 def test_mesh_export_roundtrip(tmp_path, capsys):

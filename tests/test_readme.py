@@ -1,9 +1,13 @@
-"""The README's library tour runs, and gives the results its comments state."""
+"""The README's library tour runs, and gives the results its comments state;
+its config field table names the config's fields."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
+
+from hypercauchy.cli import ExperimentConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +41,13 @@ def test_library_tour_gives_its_commented_results():
             assert got == want, (comment, got)
         checked.append(comment)
     assert checked == ["[[0.5, 0, 0, 0]]", "[True, False]"]
+
+
+def test_field_table_names_exactly_the_config_fields():
+    # first-column names of the "Config fields" table, continuation rows
+    # (blank first column) aside
+    section = README.read_text().split("| field ", 1)[1]
+    rows = section.split("\n\n", 1)[0].splitlines()[2:]
+    named = [name.strip().strip("`") for row in rows
+             for name in row.split("|")[1].split(",") if name.strip()]
+    assert sorted(named) == sorted(f.name for f in fields(ExperimentConfig))
