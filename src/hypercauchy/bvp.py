@@ -152,11 +152,15 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
         For m < -n the moments int Z^alpha dsigma g must vanish for all
         |alpha| <= -(n+m)-1 (C(-m-1, n) conditions); when a residual
         exceeds the threshold the verdict is 'unsolvable' and no
-        evaluator is returned.
+        evaluator is returned.  A slot or a moment degree past MAX_DEGREE,
+        m outside -n-MAX_DEGREE-1..MAX_DEGREE, raises DegreeOverflowError.
     """
     _warn_if_continuous(g)
     ctx = mesh.context
     n = ctx.n
+    if m > MAX_DEGREE:
+        raise DegreeOverflowError("order bound m = %d needs polynomial "
+                                  "slots past max degree %d" % (m, MAX_DEGREE))
     if m >= -n:
         freedom = math.comb(n + m, n) if m >= 0 else 0
         poly = _zero_poly_slots(ctx, m) if m >= 0 else ()
@@ -458,7 +462,7 @@ class CharacteristicCoefficients:
     @classmethod
     def from_ab(cls, mesh, a: BoundaryDensity, b: BoundaryDensity):
         ctx = mesh.context
-        A, B = _density_samples(mesh, a), _density_samples(mesh, b)
+        (A,), (B,) = _density_samples(mesh, a), _density_samples(mesh, b)
         sum_inv = invert_rows(ctx, A + B)
         diff_inv = invert_rows(ctx, A - B)
         Grows = batch_product(ctx, A - B, sum_inv)
@@ -489,7 +493,7 @@ def apply_characteristic_lhs(mesh, a: BoundaryDensity, b: BoundaryDensity,
     (K, N, dim) rows from one principal-value call.
     """
     ctx = mesh.context
-    A, B = _density_samples(mesh, a), _density_samples(mesh, b)
+    (A,), (B,) = _density_samples(mesh, a), _density_samples(mesh, b)
     lhs = 2.0 * batch_product(ctx, principal_value_nodes(mesh, phi), B)
     single = isinstance(phi, BoundaryDensity)
     for rows, p in zip([lhs] if single else lhs, [phi] if single else phi):
@@ -523,7 +527,7 @@ def solve_characteristic_sie(mesh, coefficients, f):
     sum_inv, diff_inv = coefficients.sum_inverse, coefficients.diff_inverse
     # a coefficient from another mesh raises here, before any sum is taken
     _density_samples(mesh, a)
-    B = _density_samples(mesh, b)
+    B, = _density_samples(mesh, b)
     psi = batch_product(ctx, batch_product(ctx, batch_product(
         ctx, F, diff_inv), B), sum_inv)
     pv_psi = principal_value_nodes(mesh, [
@@ -614,9 +618,10 @@ def _matrix_pv_rows(mesh, left, right):
     principal values and the shifted sums of L.
     """
     N = mesh.node_count
-    shifted = _shifted_sums(mesh, left, "left", mesh.nodes,
-                            np.arange(N), np.arange(N))
-    pv = (shifted + _singular_cell_corrections(mesh, left, "left")
+    shifted, = _shifted_sums(mesh, (left,), "left", mesh.nodes,
+                             np.arange(N), np.arange(N))
+    correction, = _singular_cell_corrections(mesh, (left,), "left")
+    pv = (shifted + correction
           + 0.5 * unit_sphere_area(mesh.n) * left)
     return batch_product(mesh.context, pv, right), shifted
 
@@ -632,8 +637,8 @@ def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     inversion theory is attached to the full kernel.
     """
     ctx = mesh.context
-    phi_rows = _density_samples(mesh, phi)
-    a_rows = _density_samples(mesh, a)
+    phi_rows, = _density_samples(mesh, phi)
+    a_rows, = _density_samples(mesh, a)
     k = _kernel_matrix(mesh, k)
     pv = _matrix_pv_rows(mesh, batch_product(ctx, phi_rows, k.left),
                          k.right)[0] / unit_sphere_area(mesh.n)

@@ -233,38 +233,27 @@ class CauchyValue:
     side: str = "unknown"
 
 
-def _per_density(samples):
-    """(fs, one): the (N, 2^n) rows of each density of samples, and whether
-    samples is one density's rows rather than a sequence of them."""
-    one = isinstance(samples, np.ndarray) and samples.ndim == 2
-    return ((samples,) if one else samples), one
-
-
 def _measure_density(mesh, samples, side, out=None):
-    """Rows (nu w f)_j for left integrals, (f nu w)_j for right ones.
+    """Rows (nu w f)_j for left integrals, (f nu w)_j for right ones,
+    (K, N, 2^n) for a sequence of K densities' (N, 2^n) rows.
 
-    samples is one density's (N, 2^n) rows, giving (N, 2^n), or a sequence
-    of K such arrays (_density_samples; a (K, N, 2^n) array is one too),
-    giving (K, N, 2^n).  Each density's rows are read in place and their
-    products written straight into its row of out, a kernel pass's
-    buffer, onto which they are added when it is given (see
-    sided_product); no stack of the densities is formed.
+    Each density's rows are read in place and their products written
+    straight into its row of out, a kernel pass's buffer, onto which they
+    are added when it is given (see sided_product); no stack of the
+    densities is formed.
     """
     ctx, measure = mesh.context, mesh.measure_coeffs()
-    fs, one = _per_density(samples)
-    if one:
-        return sided_product(ctx, side, measure, samples, out)
     if out is None:
-        out = np.zeros((len(fs), mesh.node_count, ctx.dim))
-    for f, rows in zip(fs, out):
+        out = np.zeros((len(samples), mesh.node_count, ctx.dim))
+    for f, rows in zip(samples, out):
         sided_product(ctx, side, measure, f, rows)
     return out
 
 
 def _density_samples(mesh, f):
-    """The node samples of one density, (N, 2^n), or a tuple of them, one
-    per density of a sequence: each density's own rows, read-only, never
-    a stacked copy.
+    """The node samples of f, one density or a sequence of them, as a tuple
+    of (N, 2^n) rows, one per density: each density's own rows, read-only,
+    never a stacked copy.
 
     Every density must be sampled on mesh: one from another mesh object
     with other nodes is rejected, naming its position in the sequence.
@@ -284,7 +273,7 @@ def _density_samples(mesh, f):
     rows = tuple(fk.samples.view() for fk in fs)
     for r in rows:
         r.flags.writeable = False
-    return rows[0] if single else rows
+    return rows
 
 
 def _nearest_node(mesh, point):
@@ -324,13 +313,13 @@ def _shifted_sums(mesh, samples, side, targets, t, excl=None):
     """The one home of every subtracted sum: S1 - S2 f(t_m) at the M targets.
 
     S1 = sum_j E(x_j - w_m) nu_j w_j f(x_j) and S2 the same sum of nu w
-    alone (mirrored on the right); samples is one density's (N, 2^n) rows,
-    giving (M, 2^n), or a sequence of K (_measure_density), giving
-    (K, M, 2^n), t one node index per target and excl as in _accum.  The
-    pass's one buffer holds nu w f of each density, written from its own
-    rows, and S2 rides as its last row unless the mesh's cache holds it;
-    f(t) is gathered per density too, so no copy of the densities is held.
-    All K take one kernel pass, so row k is bitwise that of f[k] alone.
+    alone (mirrored on the right); samples is a sequence of K densities'
+    rows (_measure_density), giving (K, M, 2^n), t one node index per
+    target and excl as in _accum.  The pass's one buffer holds nu w f of
+    each density, written from its own rows, and S2 rides as its last row
+    unless the mesh's cache holds it; f(t) is gathered per density too, so
+    no copy of the densities is held.  All K take one kernel pass, so row
+    k is bitwise that of f[k] alone.
     Full-mesh node targets (excl = arange(N)) keep S2 in the cache,
     read-only, per side, so S1 and S2 take one route.
     """
@@ -338,11 +327,10 @@ def _shifted_sums(mesh, samples, side, targets, t, excl=None):
     key = ("self_sums", side)
     full = excl is not None and np.array_equal(excl, np.arange(N))
     S2 = mesh.cache.get(key) if full else None
-    fs, one = _per_density(samples)
-    K = len(fs)
+    K = len(samples)
     # the K rows nu w f and, riding last, nu w itself, written in place
     g = np.zeros((K + (S2 is None), N, ctx.dim))
-    _measure_density(mesh, fs, side, g)
+    _measure_density(mesh, samples, side, g)
     if S2 is None:
         g[K][:, ctx.paravector_blades] = mesh.measure_coeffs()
     sums = _accum(mesh, targets, g, side, excl)
@@ -355,9 +343,9 @@ def _shifted_sums(mesh, samples, side, targets, t, excl=None):
             S2.flags.writeable = False
             mesh.cache[key] = S2
     # S1 - S2 f_t, updated in place, density by density
-    for core, f in zip(sums, fs):
+    for core, f in zip(sums, samples):
         core -= sided_product(ctx, side, S2, f[t])
-    return sums[0] if one else sums
+    return sums
 
 
 def _self_sums(mesh, side):
@@ -389,14 +377,14 @@ def _integral_rows(mesh, f, points, side, node=None, interior=None):
     samples = _density_samples(mesh, f)
     vol = unit_sphere_area(mesh.n)
     if node is None:
-        return _accum(mesh, points, _measure_density(mesh, samples, side),
+        rows = _accum(mesh, points, _measure_density(mesh, samples, side),
                       side) / vol
-    t = np.broadcast_to(node, (len(points),))
-    rows = _shifted_sums(mesh, samples, side, points, t) / vol
-    fs, one = _per_density(samples)
-    for r, fk in zip([rows] if one else rows, fs):
-        r[interior] += fk[t[interior]]
-    return rows
+    else:
+        t = np.broadcast_to(node, (len(points),))
+        rows = _shifted_sums(mesh, samples, side, points, t) / vol
+        for r, fk in zip(rows, samples):
+            r[interior] += fk[t[interior]]
+    return rows[0] if isinstance(f, BoundaryDensity) else rows
 
 
 def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
@@ -597,28 +585,23 @@ def gradient_stencil(mesh, idx=None):
 def tangential_gradient(mesh, samples, idx=None):
     """Tangential derivatives of node samples along the stencil's frame.
 
-    samples is one (N, m) array, or a sequence of K of them (a tuple, a
-    list or a (K, N, m) array).  Returns (derivs, frame) at the node index
-    array idx (default every node): derivs[a] is the (len(idx), m), or
-    (K, len(idx), m), array of directional derivatives along
-    frame[:, a, :].  Only the stencil rows of idx are read
-    (gradient_stencil) and applied one neighbour column at a time, so no
-    (len(idx), k, m) gather is held.  A sequence is laid side by side as
-    one transient (N, K m) array, so each column takes one gather for all
-    K; principal_value_nodes builds it after its kernel pass has freed its
-    buffers.
+    samples is a sequence of K (N, m) arrays (a tuple, a list or a
+    (K, N, m) array).  Returns (derivs, frame) at the node index array idx
+    (default every node): derivs[k, a] is the (len(idx), m) array of
+    directional derivatives of samples[k] along frame[:, a, :].  Only the
+    stencil rows of idx are read (gradient_stencil) and applied one
+    neighbour column at a time, so no (len(idx), k, m) gather is held.
+    The K arrays are laid side by side as one transient (N, K m) array, so
+    each column takes one gather for all K; principal_value_nodes builds
+    it after its kernel pass has freed its buffers.
     """
     nb, wts, frame = gradient_stencil(mesh, idx)
-    if not isinstance(samples, (tuple, list)):
-        samples = np.asarray(samples, dtype=np.float64)
-    fs, one = _per_density(samples)
-    K, m = len(fs), fs[0].shape[-1]
-    flat = fs[0] if one else np.concatenate(fs, axis=1)
+    K, m = len(samples), np.shape(samples[0])[-1]
+    flat = np.concatenate(samples, axis=1)
     derivs = np.zeros((len(wts), len(nb), K * m))
     for j in range(nb.shape[1]):
         derivs += wts[..., j, None] * flat[nb[:, j]]
-    derivs = derivs.reshape(len(wts), len(nb), K, m).swapaxes(1, 2)
-    return (derivs[:, 0] if one else derivs), frame
+    return derivs.reshape(len(wts), len(nb), K, m).transpose(2, 0, 1, 3), frame
 
 
 # -- principal values ------------------------------------------------------------
@@ -626,9 +609,8 @@ def tangential_gradient(mesh, samples, idx=None):
 def _singular_cell_corrections(mesh, samples, side, idx=None):
     """Corrections for the dropped singular cell at the node index array idx.
 
-    samples is one density's node samples, (N, 2^n), or a sequence of K
-    (tangential_gradient), taken as given.  Shape (len(idx), dim), or
-    (K, len(idx), dim); the default idx is every node.
+    samples is a sequence of K densities' node samples (tangential_gradient),
+    taken as given.  Shape (K, len(idx), dim); the default idx is every node.
     """
     derivs, frame = tangential_gradient(mesh, samples, idx)
     return _cell_corrections(mesh, derivs, frame, side, idx)
@@ -637,9 +619,9 @@ def _singular_cell_corrections(mesh, samples, side, idx=None):
 def _cell_corrections(mesh, derivs, frame, side, idx=None):
     """Singular-cell corrections from tangential derivatives at the nodes idx.
 
-    derivs[a] holds the (len(idx), dim) derivatives of the density along
-    frame[:, a, :], both taken at the nodes idx (default every node), or a
-    (K, len(idx), dim) stack of them, one per density.  The
+    derivs[..., a, :, :] holds the (len(idx), dim) derivatives along
+    frame[:, a, :] of a density, or of each of a stack of them (leading
+    axes), both taken at the nodes idx (default every node).  The
     subtracted integrand E(x-t) nu [f(x)-f(t)] tends to
     sum_k bar(T_k) nu(t) d_k f(t) as x -> t along tangent direction T_k;
     integrating it over a flat d-ball cell of the node's weight gives
@@ -664,9 +646,9 @@ def _cell_corrections(mesh, derivs, frame, side, idx=None):
         Tbar[..., 1:] *= -1.0
         G = [sided_product(ctx, side, Tbar[a], mesh.normals[rows])
              for a in range(d)]
-    out = np.zeros(np.shape(derivs)[1:])
+    out = np.zeros(derivs[..., 0, :, :].shape)
     for a in range(d):
-        out += sided_product(ctx, side, G[a], derivs[a])
+        out += sided_product(ctx, side, G[a], derivs[..., a, :, :])
     return out * scale
 
 
@@ -733,13 +715,12 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
         # call fits its own nodes only
         gradient_stencil(mesh)
     samples = _density_samples(mesh, f)
-    fs, one = _per_density(samples)
     core = _shifted_sums(mesh, samples, side, mesh.nodes[idx], idx, idx)
     core += _singular_cell_corrections(mesh, samples, side, idx)
     core /= unit_sphere_area(mesh.n)
-    for c, fk in zip([core] if one else core, fs):
+    for c, fk in zip(core, samples):
         c += 0.5 * fk[idx]
-    return core
+    return core[0] if isinstance(f, BoundaryDensity) else core
 
 
 def _snap_node(mesh, t):

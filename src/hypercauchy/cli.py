@@ -42,6 +42,12 @@ ORDER_FLOOR = 1e-12
 # a 2-core host
 MAX_NODES = 1 << 16
 
+# largest algebra dimension n that algebra-laws takes: on a 2-core host,
+# n = 4, 5, 6 and 7 had traced heap peaks of 3.7, 8.8, 38.5 and 269 MiB
+# and took about 0.05, 0.2, 2.8 and 60 s, so n = 8 would need roughly
+# 8 x 269 MiB
+MAX_ALGEBRA_N = 7
+
 SURFACES = {"circle": ("circle", 1), "sphere2": ("sphere", 2),
             "sphere3": ("sphere", 3)}
 
@@ -194,11 +200,12 @@ def resolve_config(raw, overrides=()):
             with np.errstate(all="ignore"):
                 _checked("density", _corpus.make_density, mesh, cfg.density,
                          cfg.seed)
-    # the solvability conditions of R_m need moments of degree -n - m - 1
+    # the solvability conditions of R_m need moments of degree -n - m - 1,
+    # and its free polynomial slots (m >= 0) have degree up to m
     low = -SURFACES[cfg.surface][1] - MAX_DEGREE - 1
-    if "jump_m" in reads and cfg.jump_m < low:
-        raise ConfigError("jump_m: must be >= %d on %s, got %d"
-                          % (low, cfg.surface, cfg.jump_m))
+    if "jump_m" in reads and not low <= cfg.jump_m <= MAX_DEGREE:
+        raise ConfigError("jump_m: must be in %d..%d on %s, got %d"
+                          % (low, MAX_DEGREE, cfg.surface, cfg.jump_m))
     if "expect" in reads and cfg.expect not in ("solvable", "unsolvable"):
         raise ConfigError("expect: expected solvable or unsolvable, got %r"
                           % cfg.expect)
@@ -626,10 +633,7 @@ EXPERIMENTS = {
         "linear conjugation with a constant multivector gap",
         {"surface": "circle", "levels": (4, 5), "tolerance": 1e-3,
          "density": "smooth:31", "jump_m": 0},
-        ("density", "gap_g", "jump_m"),
-        # the residual evaluates polynomial slots of degree jump_m
-        refuse=(lambda cfg: cfg.jump_m > MAX_DEGREE, "jump_m: must be <= %d "
-                "on constant-gap, got {jump_m}" % MAX_DEGREE)),
+        ("density", "gap_g", "jump_m")),
     "dirichlet": ExperimentDef(
         _run_dirichlet,
         "Dirichlet solvability verdicts and boundary reconstruction",
@@ -651,7 +655,10 @@ EXPERIMENTS = {
         _run_algebra,
         "associativity, anti-automorphism and paravector inversion",
         {"levels": (1, 2, 3), "tolerance": 1e-12},
-        meshless=True),
+        meshless=True,
+        refuse=(lambda cfg: cfg.levels[-1] > MAX_ALGEBRA_N,
+                "levels: algebra dimensions must be <= %d on algebra-laws, "
+                "got {levels}" % MAX_ALGEBRA_N)),
     "characteristic-sie": ExperimentDef(
         _run_sie,
         "characteristic singular equation with constant coefficients",
@@ -824,6 +831,8 @@ def main(argv=None):
             parser.error("mesh: expected the 'export' subcommand")
         try:
             spec, level = parse_mesh_spec(args.spec)
+            # a level past MAX_NODES is refused before it is built, as in run
+            _coarsest_mesh(spec, level)
             mesh = build_mesh(spec, level)
             save_mesh(mesh, args.path)
         except (ValueError, OSError) as exc:

@@ -219,7 +219,7 @@ def _kernel_derivative_sum(mesh, f, w, alpha, side):
     ctx = mesh.context
     kd = kernel_derivative(ctx, alpha)
     comps = kd.evaluate_components(mesh.nodes - w[None, :])  # (N, n+1)
-    t = _measure_density(mesh, _density_samples(mesh, f), side)
+    t, = _measure_density(mesh, _density_samples(mesh, f), side)
     vol = unit_sphere_area(ctx.n)
     return (-1.0) ** sum(alpha) / vol * sided_sum(ctx, side, comps, t)
 
@@ -229,7 +229,7 @@ def _kernel_derivative_sum(mesh, f, w, alpha, side):
 def _moments(mesh, g: BoundaryDensity, alphas, side):
     """{alpha: moment coefficients}, with one measure density for all alpha."""
     ctx = mesh.context
-    t = _measure_density(mesh, _density_samples(mesh, g), side)
+    t, = _measure_density(mesh, _density_samples(mesh, g), side)
     powers = _symmetric_powers(ctx, alphas, mesh.nodes)
     return {alpha: sided_sum(ctx, side, rows, t)
             for alpha, rows in powers.items()}

@@ -221,7 +221,7 @@ def test_measure_rides_without_a_copy(spec, level, side, K):
     mesh = build_mesh(spec, level)
     N, dim = mesh.node_count, mesh.context.dim
     rng = np.random.default_rng(K)
-    samples = rng.normal(size=(N, dim) if K == 1 else (K, N, dim))
+    samples = rng.normal(size=(K, N, dim))
     nodes = np.arange(N)
     want, S2 = _concatenated_ride(mesh, samples, side, mesh.nodes, nodes,
                                   nodes)

@@ -157,8 +157,10 @@ def test_jump_decaying_class_needs_vanishing_moments(circle_spec, circle_mesh):
 
 def test_jump_degree_overflow(circle_mesh):
     g = random_smooth(circle_mesh, 7)
-    with pytest.raises(DegreeOverflowError):
-        solve_jump_rm(circle_mesh, g, -9)
+    # moments past degree 6 (m = -9), or polynomial slots past it (m = 7)
+    for m in (-9, 7):
+        with pytest.raises(DegreeOverflowError):
+            solve_jump_rm(circle_mesh, g, m)
 
 
 def test_jump_exterior_order_controls(circle_spec, circle_mesh):

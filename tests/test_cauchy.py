@@ -283,7 +283,7 @@ def _shrinking_cap_pv(mesh, f, i):
     nodes outside caps of radius 16 h / 2^k about it, k < RICHARDSON_TERMS:
     an estimate independent of the regularized form, to its own (coarser)
     accuracy."""
-    g = cauchy._measure_density(mesh, f.samples, "left")
+    g, = cauchy._measure_density(mesh, (f.samples,), "left")
     dist = np.linalg.norm(mesh.nodes - mesh.nodes[i], axis=1)
     vals = []
     for k in range(cauchy.RICHARDSON_TERMS):
@@ -419,7 +419,7 @@ def test_side_of_and_tagging(circle_spec):
 def test_tangential_gradient_circle(circle_mesh):
     theta = np.arctan2(circle_mesh.nodes[:, 1], circle_mesh.nodes[:, 0])
     samples = np.sin(3 * theta)[:, None]
-    derivs, frame = tangential_gradient(circle_mesh, samples)
+    (derivs,), frame = tangential_gradient(circle_mesh, (samples,))
     tau = frame[:, 0, :]
     orient = np.einsum("ij,ij->i", tau,
                        np.stack([-np.sin(theta), np.cos(theta)], axis=1))
@@ -429,7 +429,7 @@ def test_tangential_gradient_circle(circle_mesh):
 
 def test_tangential_gradient_sphere(sphere_mesh):
     samples = sphere_mesh.nodes[:, 1][:, None]
-    derivs, frame = tangential_gradient(sphere_mesh, samples)
+    (derivs,), frame = tangential_gradient(sphere_mesh, (samples,))
     for a in range(frame.shape[1]):
         want = frame[:, a, 1]  # directional derivative of x_1 along the frame
         assert np.max(np.abs(derivs[a][:, 0] - want)) <= GRAD_TOL_SPHERE
@@ -445,8 +445,8 @@ def test_sphere3_gradient_and_pv_converge_at_every_node():
     grad_errs, pv_errs = [], []
     for level in range(3):
         mesh = build_mesh(SPHERE3, level)
-        derivs, frame = tangential_gradient(mesh,
-                                            np.sin(mesh.nodes @ a)[:, None])
+        (derivs,), frame = tangential_gradient(
+            mesh, (np.sin(mesh.nodes @ a)[:, None],))
         want = np.cos(mesh.nodes @ a) * (frame @ a).T
         grad_errs.append(np.abs(derivs[..., 0] - want).max())
         g = symmetric_power_trace(mesh, (0, 1, 1))
@@ -1224,9 +1224,9 @@ def test_cell_corrections_at_indices_match_full_rows(side):
     rng = np.random.default_rng(5)
     for mesh in _correction_meshes():
         f = random_smooth(mesh, 3)
-        full = _singular_cell_corrections(mesh, f.samples, side)
+        full, = _singular_cell_corrections(mesh, (f.samples,), side)
         idx = rng.choice(mesh.node_count, size=5, replace=False)
-        got = _singular_cell_corrections(mesh, f.samples, side, idx)
+        got, = _singular_cell_corrections(mesh, (f.samples,), side, idx)
         tol = _cell_correction_bound(mesh, f)[idx]
         assert got.shape == (len(idx), mesh.context.dim)
         assert np.all(np.abs(got - full[idx]) <= tol[:, None])

@@ -239,6 +239,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = pv-constant\nlevels = -1,1\n", "levels"),
         ("experiment = algebra-laws\nlevels = 0,1\n", "levels"),
         ("experiment = algebra-laws\nlevels = 8,9\n", "levels"),
+        # past MAX_ALGEBRA_N: n = 8 would take roughly 2 GiB
+        ("experiment = algebra-laws\nlevels = 1,8\n", "levels"),
         ("experiment = pv-constant\nlevels = 1\nradius = 0\n", "radius"),
         ("experiment = pv-constant\nlevels = 1\nradius = -1\n", "radius"),
         ("experiment = pv-constant\nlevels = 1\ncenter = 0,0,0\n", "center"),
@@ -254,6 +256,7 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "sie_b = -2\n", "sie_b"),
         # the residual would evaluate slots past the largest degree
         ("experiment = constant-gap\nlevels = 1\njump_m = 7\n", "jump_m"),
+        ("experiment = jump-rm\nlevels = 1\njump_m = 7\n", "jump_m"),
         # geometry whose coarsest mesh has coinciding nodes or weights
         # that leave float64, caught before any run
         ("experiment = pv-constant\nlevels = 1\ncenter = 1e17,0\n",
@@ -547,6 +550,11 @@ def test_mesh_export_roundtrip(tmp_path, capsys):
     assert mesh.node_count == 64 * 2 ** 2
     assert np.max(np.abs(np.linalg.norm(mesh.nodes, axis=1) - 2.0)) <= 1e-12
     assert main(["mesh", "export", "torus,level=1", str(path)]) == 2
+    capsys.readouterr()
+    # a level past MAX_NODES is refused before it is built
+    assert main(["mesh", "export", "circle,level=40", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "level 40" in err and err.count("\n") == 1
 
 
 def test_console_entry_point(tmp_path):
