@@ -209,11 +209,11 @@ def uniform_circle(nodes):
 
     Other shapes than (N, 2) with N >= 8 give None.  center is the nodes'
     mean, R their mean distance from it and order sorts them by angle
-    about it; both arrays are read-only.  The grid is uniform when the node
-    at sorted position p lies within CIRCLE_GRID_TOL * R of center +
-    R exp(i (theta_0 + 2 pi p / N)), theta_0 the mean angular offset.  The
-    gradient stencil and the FFT route both read this one test, kept in
-    the mesh's cache, so they agree on which meshes are uniform circles.
+    about it.  The grid is uniform when the node at sorted position p lies
+    within CIRCLE_GRID_TOL * R of center + R exp(i (theta_0 + 2 pi p / N)),
+    theta_0 the mean angular offset.  The gradient stencil and the FFT
+    route both read this one test, kept read-only in the mesh's cache, so
+    they agree on which meshes are uniform circles.
     """
     nodes = np.asarray(nodes, dtype=np.float64)
     if nodes.ndim != 2 or nodes.shape[1] != 2 or nodes.shape[0] < 8:
@@ -229,7 +229,6 @@ def uniform_circle(nodes):
     # "not <=" so that R = 0 or a non-finite node is no circle either
     if not (R > 0.0 and np.abs(z[order] - ideal).max() <= CIRCLE_GRID_TOL * R):
         return None
-    order.flags.writeable = center.flags.writeable = False
     return order, R, center
 
 

@@ -215,10 +215,15 @@ def invert_rows(ctx, rows):
     """Two-sided inverses of multivector coefficient rows (N, dim).
 
     Solves the left-multiplication systems L[x] y = e0 and verifies
-    y x = x y = 1 to 1e-10 relative; raises SingularInputError
-    when a row is singular or only one-sided invertible.
+    y x = x y = 1 to 1e-10 relative; raises SingularInputError, naming
+    the row, when a row is not finite, singular or only one-sided
+    invertible.  The bound's norms come from hypot, so they stay finite
+    for any finite rows and the verdict does not depend on their scale.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    bad = _first_nonfinite_row(rows)
+    if bad is not None:
+        raise SingularInputError("row %d is not finite" % bad)
     e0 = np.zeros(ctx.dim)
     e0[0] = 1.0
     # left-multiplication matrices: column b of L[x] is x e_b
@@ -228,15 +233,18 @@ def invert_rows(ctx, rows):
         inv = np.linalg.solve(L, rhs)[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularInputError("non-invertible coefficient row") from exc
-    scale = np.linalg.norm(rows, axis=1) * np.linalg.norm(inv, axis=1)
-    for prod in (batch_product(ctx, rows, inv), batch_product(ctx, inv, rows)):
-        err = np.linalg.norm(prod - e0[None, :], axis=1)
-        bad = err > 1e-10 * np.maximum(scale, 1.0)
-        if np.any(bad):
-            j = int(np.argmax(err))
-            raise SingularInputError(
-                "row %d is not two-sided invertible (residual %.3g)"
-                % (j, float(err[j])))
+    scale = np.hypot.reduce(rows, axis=1) * np.hypot.reduce(inv, axis=1)
+    # a subnormal row's inverse overflows: its NaN residual fails "not <="
+    with np.errstate(over="ignore", invalid="ignore"):
+        for prod in (batch_product(ctx, rows, inv),
+                     batch_product(ctx, inv, rows)):
+            err = np.linalg.norm(prod - e0[None, :], axis=1)
+            bad = ~(err <= 1e-10 * np.maximum(scale, 1.0))
+            if np.any(bad):
+                j = int(np.argmax(bad))
+                raise SingularInputError(
+                    "row %d is not two-sided invertible (residual %.3g)"
+                    % (j, float(err[j])))
     return inv
 
 
@@ -617,9 +625,7 @@ def _matrix_pv_rows(mesh, left, right):
     products of L.  Returns (rows, shifted): the (N, dim) unnormalized
     principal values and the shifted sums of L.
     """
-    N = mesh.node_count
-    shifted, = _shifted_sums(mesh, (left,), "left", mesh.nodes,
-                             np.arange(N), np.arange(N))
+    shifted, = _shifted_sums(mesh, (left,), "left")
     correction, = _singular_cell_corrections(mesh, (left,), "left")
     pv = (shifted + correction
           + 0.5 * unit_sphere_area(mesh.n) * left)

@@ -292,9 +292,9 @@ def _boundary_distance(mesh, w):
 def _uniform_circle(mesh):
     """_accel.uniform_circle of a curve's nodes (None on surfaces), tested
     once per mesh and kept in its cache for the stencil and the FFT route."""
-    if mesh.n == 1 and "uniform_circle" not in mesh.cache:
-        mesh.cache["uniform_circle"] = _accel.uniform_circle(mesh.nodes)
-    return mesh.cache.get("uniform_circle")
+    if mesh.n == 1:
+        return mesh.kept("uniform_circle",
+                         lambda: _accel.uniform_circle(mesh.nodes))
 
 
 def _accum(mesh, targets, g, side, excl=None):
@@ -309,51 +309,52 @@ def _accum(mesh, targets, g, side, excl=None):
     return accum(mesh.context, targets, mesh.nodes, g, excl, circle=circ)
 
 
-def _shifted_sums(mesh, samples, side, targets, t, excl=None):
-    """The one home of every subtracted sum: S1 - S2 f(t_m) at the M targets.
+def _shifted_sums(mesh, samples, side, t=None, points=None):
+    """The one home of every subtracted sum: S1 - S2 f(t_m) at M targets.
 
     S1 = sum_j E(x_j - w_m) nu_j w_j f(x_j) and S2 the same sum of nu w
     alone (mirrored on the right); samples is a sequence of K densities'
-    rows (_measure_density), giving (K, M, 2^n), t one node index per
-    target and excl as in _accum.  The pass's one buffer holds nu w f of
-    each density, written from its own rows, and S2 rides as its last row
-    unless the mesh's cache holds it; f(t) is gathered per density too, so
-    no copy of the densities is held.  All K take one kernel pass, so row
-    k is bitwise that of f[k] alone.
-    Full-mesh node targets (excl = arange(N)) keep S2 in the cache,
-    read-only, per side, so S1 and S2 take one route.
+    rows (_measure_density), giving (K, M, 2^n).  Without points the
+    targets are the nodes t, each skipping its own node, and t None means
+    every node; with points they are those M off-surface points, row m
+    shifted by f at node t[m].  The pass's one buffer holds nu w f of each
+    density, written from its own rows, and S2 rides as its last row; f(t)
+    is gathered per density too, so no copy of the densities is held.  All
+    K take one kernel pass, so row k is bitwise that of f[k] alone.  Only
+    the call for every node reads and keeps S2 (SurfaceMesh.cache), per
+    side, so S1 and S2 take one route.
     """
     ctx, N = mesh.context, mesh.node_count
     key = ("self_sums", side)
-    full = excl is not None and np.array_equal(excl, np.arange(N))
-    S2 = mesh.cache.get(key) if full else None
+    every = t is None and points is None
+    S2 = mesh.cache.get(key) if every else None
     K = len(samples)
     # the K rows nu w f and, riding last, nu w itself, written in place
     g = np.zeros((K + (S2 is None), N, ctx.dim))
     _measure_density(mesh, samples, side, g)
     if S2 is None:
         g[K][:, ctx.paravector_blades] = mesh.measure_coeffs()
+    rows = slice(None) if t is None else t
+    targets = mesh.nodes[rows] if points is None else points
+    excl = np.arange(N)[rows] if points is None else None
     sums = _accum(mesh, targets, g, side, excl)
     del g
     if S2 is None:
         S2, sums = sums[-1], sums[:-1]
-        if full:
+        if every:
             # a copy, so the cache does not hold the whole stack of sums
-            S2 = S2.copy()
-            S2.flags.writeable = False
-            mesh.cache[key] = S2
+            S2 = mesh.kept(key, S2.copy)
     # S1 - S2 f_t, updated in place, density by density
     for core, f in zip(sums, samples):
-        core -= sided_product(ctx, side, S2, f[t])
+        core -= sided_product(ctx, side, S2, f[rows])
     return sums
 
 
 def _self_sums(mesh, side):
-    """The full-mesh S2 of _shifted_sums, cached; a cold cache takes one
+    """The full-mesh S2 of _shifted_sums, kept; a cold cache takes one
     pass of nu w alone."""
-    N = mesh.node_count
     if ("self_sums", side) not in mesh.cache:
-        _shifted_sums(mesh, (), side, mesh.nodes, np.arange(N), np.arange(N))
+        _shifted_sums(mesh, (), side)
     return mesh.cache[("self_sums", side)]
 
 
@@ -381,7 +382,7 @@ def _integral_rows(mesh, f, points, side, node=None, interior=None):
                       side) / vol
     else:
         t = np.broadcast_to(node, (len(points),))
-        rows = _shifted_sums(mesh, samples, side, points, t) / vol
+        rows = _shifted_sums(mesh, samples, side, t, points) / vol
         for r, fk in zip(rows, samples):
             r[interior] += fk[t[interior]]
     return rows[0] if isinstance(f, BoundaryDensity) else rows
@@ -450,8 +451,7 @@ def _tangent_frame(mesh, rows=slice(None)):
 
 
 def _build_gradient_stencil(mesh, idx=None):
-    """Derivative stencils (nb, wts, frame) of the nodes idx (default every
-    node; always every node on a uniform circle grid).
+    """Derivative stencils (nb, wts, frame) of the nodes idx, or every node.
 
     nb is (M, k) neighbor indices, wts is (d, M, k) weights such that the
     tangential derivative of samples along frame[r, a, :] at node i = idx[r]
@@ -481,6 +481,7 @@ def _build_gradient_stencil(mesh, idx=None):
     raises DegenerateStencilError naming the mesh index of the first such
     node, the chunks running in index order.
     """
+    rows = np.arange(mesh.node_count) if idx is None else np.asarray(idx)
     circ = _uniform_circle(mesh)
     if circ is not None:
         order, R, _ = circ
@@ -489,15 +490,14 @@ def _build_gradient_stencil(mesh, idx=None):
         pos[order] = np.arange(N)
         # neighbors at sorted offsets -2,-1,+1,+2; d/ds = (1/R) d/dtheta
         offs = np.array([-2, -1, 1, 2])
-        nb = order[(pos[:, None] + offs[None, :]) % N]
+        nb = order[(pos[rows, None] + offs[None, :]) % N]
         hstep = (2.0 * np.pi / N) * R
         wts = np.tile(np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * hstep),
-                      (1, N, 1))
+                      (1, len(rows), 1))
         # the unit tangents T = (-nu_1, nu_0)
-        frame = np.stack([-mesh.normals[:, 1], mesh.normals[:, 0]], axis=1)
-        return nb, wts, frame[:, None, :]
+        nu = mesh.normals[rows]
+        return nb, wts, np.stack([-nu[:, 1], nu[:, 0]], axis=1)[:, None, :]
 
-    rows = np.arange(mesh.node_count) if idx is None else np.asarray(idx)
     frame = _tangent_frame(mesh, rows)
     d = mesh.n
     nterms = 1 + d + d * (d + 1) // 2
@@ -554,32 +554,17 @@ def _fit_stencil_rows(mesh, rows, nb, frame, nterms, out):
 
 def gradient_stencil(mesh, idx=None):
     """Tangential-derivative stencil (nb, wts, frame) at the node index
-    array idx, or at every node (default).
+    array idx, or at every node (None).
 
-    A stencil built for every node is kept in the mesh's cache, so it lives
-    as long as the mesh does; its arrays are read-only, as every cached
-    operator is, so no caller's edit reaches a later principal value.  The
-    rows of idx come from the cached stencil when the mesh holds one, and
-    otherwise from fits of those nodes alone, which are not cached: only a
-    stencil built for every node is, as _grid_cell_coefficients keeps its
-    coefficients.  A uniform circle grid's closed-form stencil costs
-    little, so it is built for every node and cached whatever idx is.
+    The stencil of every node is an operator the mesh keeps
+    (SurfaceMesh.cache), read-only, so no caller's edit reaches a later
+    principal value; a call for some nodes fits those nodes afresh and
+    reads none of it, even if idx lists every node.
     """
-    stencil = mesh.cache.get("gradient_stencil")
-    if stencil is None:
-        N = mesh.node_count
-        if idx is not None and np.array_equal(idx, np.arange(N)):
-            idx = None
-        if idx is not None and _uniform_circle(mesh) is None:
-            return _build_gradient_stencil(mesh, idx)
-        stencil = _build_gradient_stencil(mesh)
-        for arr in stencil:
-            arr.flags.writeable = False
-        mesh.cache["gradient_stencil"] = stencil
     if idx is None:
-        return stencil
-    nb, wts, frame = stencil
-    return nb[idx], wts[:, idx], frame[idx]
+        return mesh.kept("gradient_stencil",
+                         lambda: _build_gradient_stencil(mesh))
+    return _build_gradient_stencil(mesh, idx)
 
 
 def tangential_gradient(mesh, samples, idx=None):
@@ -654,10 +639,11 @@ def _cell_corrections(mesh, derivs, frame, side, idx=None):
 
 def _grid_cell_coefficients(mesh, side, frame, idx=None):
     """Coefficients G_k of a 3-surface's correction sum_k G_k d_k f(t)
-    at the node index array idx (default every node), (d, len(idx), dim);
-    those of every node are kept read-only in the mesh's cache per side.
-    frame is the stencil frame (gradient_stencil) at the nodes idx, which
-    the caller already holds, so no stencil is fitted here.
+    at the node index array idx, or every node (None), (d, len(idx), dim).
+    Only a call for every node keeps and reads them (SurfaceMesh.cache),
+    per side; a call for some nodes takes its own coordinate sums.  frame
+    is the stencil frame (gradient_stencil) at the nodes idx, which the
+    caller already holds, so no stencil is fitted here.
 
     Near the poles of the chi/th/ph grid its cells are thin needles, and
     nodes lie much closer than h, so the flat-ball cell model does not
@@ -672,27 +658,24 @@ def _grid_cell_coefficients(mesh, side, frame, idx=None):
     vanishes to second order at t, so A is taken as the node sum
     sum_c nu^c s_c.  The right side mirrors every product: T_k bar(nu) A.
     """
-    key = ("cell_coefficients", side)
-    if key in mesh.cache:
-        G = mesh.cache[key]
-        return G if idx is None else G[:, idx]
     ctx, N, n = mesh.context, mesh.node_count, mesh.n
-    idx = np.arange(N) if idx is None else np.asarray(idx)
-    coords = np.zeros((n + 1, N, ctx.dim))
-    coords[:, :, 0] = mesh.nodes.T
-    sums = _shifted_sums(mesh, coords, side, mesh.nodes[idx], idx, idx)
-    nu = mesh.normals[idx]
-    nubar = nu.copy()
-    nubar[:, 1:] *= -1.0
-    A_nubar = sided_product(ctx, side, np.einsum("nc,cnD->nD", nu, sums),
-                            nubar)
-    G = np.stack([sided_product(ctx, side, A_nubar, frame[:, k])
-                  - np.einsum("nc,cnD->nD", frame[:, k], sums)
-                  for k in range(n)])
-    if np.array_equal(idx, np.arange(N)):
-        G.flags.writeable = False
-        mesh.cache[key] = G
-    return G
+
+    def build():
+        coords = np.zeros((n + 1, N, ctx.dim))
+        coords[:, :, 0] = mesh.nodes.T
+        sums = _shifted_sums(mesh, coords, side, idx)
+        nu = mesh.normals[slice(None) if idx is None else idx]
+        nubar = nu.copy()
+        nubar[:, 1:] *= -1.0
+        A_nubar = sided_product(ctx, side,
+                                np.einsum("nc,cnD->nD", nu, sums), nubar)
+        return np.stack([sided_product(ctx, side, A_nubar, frame[:, k])
+                         - np.einsum("nc,cnD->nD", frame[:, k], sums)
+                         for k in range(n)])
+
+    if idx is None:
+        return mesh.kept(("cell_coefficients", side), build)
+    return build()
 
 
 def principal_value_nodes(mesh, f, side="left", indices=None):
@@ -707,19 +690,19 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     indices that are not node indices raise NodeIndexError.
     """
     _check_side(side)
-    idx = (np.arange(mesh.node_count, dtype=np.int64) if indices is None
+    idx = (None if indices is None
            else _node_indices(mesh, indices, "indices"))
-    if indices is None:
-        # fit (and cache) the full stencil before any stack is held, so the
+    if idx is None:
+        # fit (and keep) the full stencil before any stack is held, so the
         # fit's temporaries and the kernel pass's never coexist; an indexed
         # call fits its own nodes only
         gradient_stencil(mesh)
     samples = _density_samples(mesh, f)
-    core = _shifted_sums(mesh, samples, side, mesh.nodes[idx], idx, idx)
+    core = _shifted_sums(mesh, samples, side, idx)
     core += _singular_cell_corrections(mesh, samples, side, idx)
     core /= unit_sphere_area(mesh.n)
     for c, fk in zip(core, samples):
-        c += 0.5 * fk[idx]
+        c += 0.5 * (fk if idx is None else fk[idx])
     return core[0] if isinstance(f, BoundaryDensity) else core
 
 

@@ -28,10 +28,10 @@ from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      symmetric_difference_steps, _integral_rows)
 from .fueter import MAX_DEGREE, multi_indices, order_at_infinity
 from .bvp import (CharacteristicCoefficients, constant_gap_residual,
-                  invert_cauchy_pv, jump_residual, pair_orthogonality,
-                  poincare_bertrand_discrepancy, solve_characteristic_sie,
-                  solve_constant_gap, solve_dirichlet, solve_jump_rm,
-                  _probe_indices)
+                  invert_cauchy_pv, invert_rows, jump_residual,
+                  pair_orthogonality, poincare_bertrand_discrepancy,
+                  solve_characteristic_sie, solve_constant_gap,
+                  solve_dirichlet, solve_jump_rm, _probe_indices)
 
 # fitted-order criteria are waived once errors sit at the rounding floor
 ORDER_FLOOR = 1e-12
@@ -189,10 +189,14 @@ def resolve_config(raw, overrides=()):
         mesh = _coarsest_mesh(spec, cfg.levels[-1])
         if cfg.density == "corpus":
             _check_corpus_reach(spec, exp.corpus_degree)
-        dim = 2 ** SURFACES[cfg.surface][1]
-        if "gap_g" in reads and len(cfg.gap_g) > dim:
-            raise ConfigError("gap_g: at most %d entries on %s, got %d"
-                              % (dim, cfg.surface, len(cfg.gap_g)))
+        dim = mesh.context.dim
+        if "gap_g" in reads:
+            if len(cfg.gap_g) > dim:
+                raise ConfigError("gap_g: at most %d entries on %s, got %d"
+                                  % (dim, cfg.surface, len(cfg.gap_g)))
+            # the gap conjugation needs G^-1
+            _checked("gap_g", invert_rows, mesh.context,
+                     np.pad(cfg.gap_g, (0, dim - len(cfg.gap_g))))
         if "density" in reads and cfg.density != "corpus":
             # build the density once on that mesh, so a bad family or
             # argument fails here with the field named; BoundaryDensity
@@ -200,6 +204,7 @@ def resolve_config(raw, overrides=()):
             with np.errstate(all="ignore"):
                 _checked("density", _corpus.make_density, mesh, cfg.density,
                          cfg.seed)
+        _check_kernel_range(spec, cfg.levels[-1])
     # the solvability conditions of R_m need moments of degree -n - m - 1,
     # and its free polynomial slots (m >= 0) have degree up to m
     low = -SURFACES[cfg.surface][1] - MAX_DEGREE - 1
@@ -258,6 +263,20 @@ def _check_corpus_reach(spec, degree):
         raise ConfigError("center, radius: the corpus's traces of degree %d "
                           "at coordinates up to %.3g square past float64"
                           % (degree, reach))
+
+
+def _check_kernel_range(spec, finest):
+    """Refuse geometry on which the kernel's r^-(n+1) leaves float64's
+    normal range at a distance a run sums over: from level finest's node
+    separation out to 4 (|center| + radius), past every corpus pole
+    (at most 2.4 radii from the center) and ladder rung."""
+    low = _node_separation(spec, finest)
+    high = 4.0 * (math.hypot(*spec.center) + spec.radius)
+    p = spec.n + 1
+    if not (-p * math.log2(high) >= -1022 and -p * math.log2(low) < 1024):
+        raise ConfigError("center, radius: the Cauchy kernel r^-%d leaves "
+                          "float64's normal range at distances from %.3g "
+                          "to %.3g" % (p, low, high))
 
 
 def _checked(key, check, *args):
@@ -438,8 +457,7 @@ def _run_jump_rm(cfg, mesh):
 
 
 def _run_constant_gap(cfg, mesh):
-    G = np.zeros(mesh.context.dim)
-    G[:len(cfg.gap_g)] = cfg.gap_g
+    G = np.pad(cfg.gap_g, (0, mesh.context.dim - len(cfg.gap_g)))
     dens, = _densities(cfg, mesh,
                        lambda: [_corpus.random_smooth(mesh, cfg.seed)])
     return _solve_and_score(cfg, mesh, solve_constant_gap,

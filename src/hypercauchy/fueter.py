@@ -263,9 +263,7 @@ def _refined_density(mesh, g: BoundaryDensity) -> BoundaryDensity:
     The refined mesh is built once per mesh and kept in mesh.cache, so its
     own cache (stencil, self-sums) serves every later density as well.
     """
-    fine = mesh.cache.get("refined")
-    if fine is None:
-        fine = mesh.cache["refined"] = refine(mesh)
+    fine = mesh.kept("refined", lambda: refine(mesh))
     return BoundaryDensity.from_function(fine, g.evaluator,
                                          regularity=g.regularity)
 

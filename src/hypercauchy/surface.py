@@ -108,22 +108,12 @@ class SurfaceMesh:
         refinement thresholds, cauchy_integral's side tags and boundary
         distance, the experiment corpus and the CLI do.
     cache : dict
-        Mesh-owned operator data that depends on the mesh alone.
-        build_mesh fills "neighbours" on 3-spheres: the builder's (N, 27)
-        neighbour lists, the 3x3x3 grid block led by its node, read by
-        neighbour_lists.  The rest is filled on first use: on 2-spheres
-        the builder's lists (the 12 nearest nodes, nearest first, on the
-        Fibonacci lattice) under "neighbours" once every node's are read,
-        read-only; on a mesh without a builder, the k-d tree's lists under
-        ("neighbours", k), read-only; on curves cauchy._uniform_circle's
-        test; the tangential-derivative stencil of cauchy.gradient_stencil,
-        only once it is built for every node (a fit of some nodes alone is
-        not kept), the read-only full-mesh self-sums S2 of
-        cauchy.principal_value_nodes, one per side, on 3-spheres the
-        singular-cell coefficients of cauchy._grid_cell_coefficients, one
-        per side, and the refined mesh (refine(mesh), with its own cache)
-        on which the solvability thresholds resample evaluator-backed
-        densities.  Every other new mesh starts with an empty one.
+        What the mesh keeps, each entry written once, read-only, by kept.
+        Mesh facts, readable by any call: "neighbours" (the builder's
+        lists), ("neighbours", k) (a k-d tree's), "uniform_circle" and
+        "refined" (refine(mesh), with its own cache).  Operators, built and
+        read only by a call for every node: "gradient_stencil",
+        ("self_sums", side) and ("cell_coefficients", side).
     """
 
     nodes: np.ndarray
@@ -177,6 +167,17 @@ class SurfaceMesh:
     def context(self):
         return get_context(self.n)
 
+    def kept(self, key, build):
+        """cache[key], from build() on first use: the one writer of the
+        cache, which makes the value's arrays (or a tuple's) read-only."""
+        if key not in self.cache:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.flags.writeable = False
+            self.cache[key] = value
+        return self.cache[key]
+
     def measure_coeffs(self):
         """nu_i w_i as paravector component rows, shape (N, n+1)."""
         return self.normals * self.weights[:, None]
@@ -229,32 +230,25 @@ def neighbour_lists(mesh, k, rows=None):
     """Neighbour indices of every node, or of the node index array rows,
     each row led by its node.
 
-    Built meshes take their builder's lists, so k applies to the tree's
-    alone: the 27-node grid block on 3-spheres, which build_mesh keeps in
-    mesh.cache, and the 12 nearest nodes on 2-spheres, searched on the
-    Fibonacci lattice (_fibonacci_neighbours) only when read.  A 2-sphere
-    keeps its lists, read-only, under "neighbours" once every node's are
-    asked for; asked for some rows first, it searches only the lattice
-    bands that hold them and keeps nothing.  Loaded, hand-made and
-    dataclasses.replace meshes have no builder, so they take the k
-    nearest nodes from a k-d tree, searched for every node and kept,
-    read-only, under ("neighbours", k).
+    Lists are mesh facts (SurfaceMesh.cache): kept on first use, read-only,
+    and read by any call.  Built meshes take their builder's lists, so k
+    applies to the tree's alone: the 27-node grid block on 3-spheres, kept
+    by build_mesh, and the 12 nearest nodes on 2-spheres, searched on the
+    Fibonacci lattice (_fibonacci_neighbours) and kept under "neighbours"
+    once every node's are asked for; asked for some rows first, it searches
+    only the lattice bands that hold them and keeps nothing.  Meshes
+    without a builder take the k nearest nodes from a k-d tree, searched
+    for every node and kept under ("neighbours", k).
     """
     nb = mesh.cache.get("neighbours")
     if nb is None and mesh.spec is not None and mesh.spec.n == 2:
         search = (mesh.nodes, mesh.normals, mesh.spec.radius)
         if rows is not None:
             return _fibonacci_neighbours(*search, rows)
-        nb = _fibonacci_neighbours(*search)
-        nb.flags.writeable = False
-        mesh.cache["neighbours"] = nb
+        nb = mesh.kept("neighbours", lambda: _fibonacci_neighbours(*search))
     if nb is None:
-        key = ("neighbours", k)
-        if key not in mesh.cache:
-            nb = _tree_neighbours(mesh.nodes, k)
-            nb.flags.writeable = False
-            mesh.cache[key] = nb
-        nb = mesh.cache[key]
+        nb = mesh.kept(("neighbours", k),
+                       lambda: _tree_neighbours(mesh.nodes, k))
     return nb if rows is None else nb[rows]
 
 
@@ -478,8 +472,7 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     for name, value in (("h", h), ("level", level), ("spec", spec)):
         object.__setattr__(mesh, name, value)
     if nb is not None:
-        nb.flags.writeable = False
-        mesh.cache["neighbours"] = nb
+        mesh.kept("neighbours", lambda: nb)
     return mesh
 
 

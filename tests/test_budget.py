@@ -229,15 +229,14 @@ def test_measure_rides_without_a_copy(spec, level, side, K):
         got = cauchy._self_sums(mesh, side)
         assert _same_bits(got, S2)
     else:
-        got = cauchy._shifted_sums(mesh, samples, side, mesh.nodes, nodes,
-                                   nodes)
+        got = cauchy._shifted_sums(mesh, samples, side)
         assert _same_bits(got, want)
         assert _same_bits(mesh.cache[("self_sums", side)], S2)
     # off-surface targets take the row blocks, and S2 rides every call
     t = nodes[::7]
     want, _ = _concatenated_ride(mesh, samples, side, 1.5 * mesh.nodes[t], t,
                                  None)
-    got = cauchy._shifted_sums(mesh, samples, side, 1.5 * mesh.nodes[t], t)
+    got = cauchy._shifted_sums(mesh, samples, side, t, 1.5 * mesh.nodes[t])
     assert _same_bits(got, want)
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,56 @@ def test_invert_rows_random_batch():
         assert np.max(np.abs(prod - e0[None, :])) <= 1e-9
 
 
+@pytest.mark.parametrize("row", [[math.nan, 0.0], [math.inf, 0.0],
+                                 [1.0, math.nan]])
+def test_invert_rows_refuses_a_row_that_is_not_finite(row):
+    with pytest.raises(SingularInputError, match="^row 1 is not finite"):
+        invert_rows(get_context(1), [[2.0, 1.0], row])
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_invert_rows_at_scales_past_a_squared_norm(scale):
+    # |row|^2 leaves float64 here: the relative bound must stay finite
+    ctx = get_context(3)
+    rows = np.random.default_rng(4).normal(size=(20, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv = invert_rows(ctx, scale * rows)
+    assert np.allclose(scale * inv, invert_rows(ctx, rows), rtol=1e-12,
+                       atol=0.0)
+
+
+def test_invert_rows_verdicts_do_not_depend_on_scale():
+    # rows near the zero divisors a (1 + e123): scaling by a power of two
+    # is exact, so every verdict must be the unscaled one
+    ctx = get_context(3)
+    rng = np.random.default_rng(5)
+    base = np.zeros(8)
+    base[0] = base[7] = 1.0
+    z = batch_product(ctx, rng.normal(size=(300, 8)), base)
+    eps = np.where(np.arange(300) % 10, 10.0 ** rng.uniform(-22, -12, 300),
+                   0.0)
+    rows = z + (eps * np.abs(z).max(axis=1))[:, None] * rng.normal(
+        size=(300, 8))
+
+    def verdicts(scale):
+        out = []
+        for row in scale * rows:
+            try:
+                invert_rows(ctx, row[None])
+                out.append(True)
+            except SingularInputError:
+                out.append(False)
+        return out
+
+    want = verdicts(1.0)
+    assert 0 < sum(want) < len(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (2.0 ** 600, 2.0 ** -600):
+            assert verdicts(scale) == want
+
+
 def test_constant_gap_reduces_to_jump(circle_mesh):
     g = random_smooth(circle_mesh, 7)
     G = np.array([2.0, 1.0])
@@ -413,20 +464,15 @@ def _counted(fn, calls):
 
 
 def test_dirichlet_refines_each_mesh_once(circle_spec, monkeypatch):
-    # the refined mesh is kept in the mesh's cache, and its own stencil
-    # serves every density
-    refined, stencils = [], []
+    # the refined mesh is kept in the mesh's cache and serves every density
+    refined = []
     monkeypatch.setattr(fueter, "refine", _counted(fueter.refine, refined))
-    monkeypatch.setattr(cauchy, "_build_gradient_stencil",
-                        _counted(cauchy._build_gradient_stencil, stencils))
     mesh = build_mesh(circle_spec, 3)
     corpus = dirichlet_corpus(mesh, seed=19)
     verdicts = [solve_dirichlet(mesh, dens).solvable for _, dens, _ in corpus]
     assert verdicts == [truth for _, _, truth in corpus]
     assert len(corpus) > 2
     assert len(refined) == 1 and refined[0] is mesh
-    fine = mesh.cache["refined"]
-    assert [m.level for m in stencils] == [mesh.level, fine.level]
 
 
 def test_sie_constant_coefficient_oracle(circle_mesh):

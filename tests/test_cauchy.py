@@ -577,12 +577,53 @@ def test_indexed_pv_caches_no_stencil(sphere_spec):
     assert cold.tobytes() == warm.tobytes()
 
 
-def test_a_circle_caches_its_whole_stencil_for_an_indexed_pv(circle_spec):
-    # the closed-form circle stencil is built for every node either way
-    mesh = build_mesh(circle_spec, 2)
-    principal_value_nodes(mesh, random_smooth(mesh, 1), indices=[0, 9])
-    nb, wts, frame = mesh.cache["gradient_stencil"]
-    assert nb.shape[0] == wts.shape[1] == frame.shape[0] == mesh.node_count
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("kind, n, level", [("circle", 1, 3), ("sphere", 2, 2),
+                                            ("sphere", 3, 1)])
+def test_an_indexed_pv_reads_and_keeps_no_operator(kind, n, level, side):
+    # a call for some nodes builds its own rows: it keeps no operator, and
+    # what the mesh computed before does not move its bits
+    spec = DomainSpec(kind, n)
+    idx = [0, 17, 5, 17]
+    fresh = build_mesh(spec, level)
+    cold = principal_value_nodes(fresh, random_smooth(fresh, 2), side, idx)
+    assert not {"gradient_stencil", ("self_sums", side),
+                ("cell_coefficients", side)} & set(fresh.cache)
+    warm = build_mesh(spec, level)
+    f = random_smooth(warm, 2)
+    principal_value_nodes(warm, f, side)
+    assert principal_value_nodes(warm, f, side, idx).tobytes() == \
+        cold.tobytes()
+
+
+def _cached_arrays(mesh):
+    """Every array a mesh's cache holds, its refined mesh's included."""
+    for value in mesh.cache.values():
+        if isinstance(value, SurfaceMesh):
+            yield from _cached_arrays(value)
+        for arr in value if isinstance(value, tuple) else (value,):
+            if isinstance(arr, np.ndarray):
+                yield arr
+
+
+def test_every_kept_array_is_read_only(circle_spec, sphere_spec, tmp_path):
+    from hypercauchy._corpus import dirichlet_corpus
+    from hypercauchy.bvp import solve_dirichlet
+    meshes = [build_mesh(DomainSpec("sphere", 3), 0),
+              build_mesh(sphere_spec, 1), build_mesh(circle_spec, 3)]
+    for mesh in meshes[:2]:
+        f = random_smooth(mesh, 3)
+        principal_value_nodes(mesh, f, indices=[1, 4])
+        principal_value_nodes(mesh, f, "right")
+    _, dens, _ = dirichlet_corpus(meshes[2], seed=19)[0]
+    solve_dirichlet(meshes[2], dens)
+    assert "refined" in meshes[2].cache
+    save_mesh(meshes[1], tmp_path / "s2.mesh")
+    meshes.append(load_mesh(tmp_path / "s2.mesh"))
+    gradient_stencil(meshes[-1])
+    for mesh in meshes:
+        arrays = list(_cached_arrays(mesh))
+        assert arrays and not any(arr.flags.writeable for arr in arrays)
 
 
 @pytest.mark.parametrize("level", [0, 2])

@@ -17,7 +17,8 @@ from hypercauchy import cli
 from hypercauchy.cli import (EXPERIMENTS, MAX_NODES, ConfigError,
                              ExperimentConfig, list_builtins, main,
                              resolve_config)
-from hypercauchy.clifford_core import (Paravector, conjugate, get_context,
+from hypercauchy.clifford_core import (Paravector, SingularInputError,
+                                       conjugate, get_context,
                                        paravector_inverse, product)
 from hypercauchy.bvp import solve_jump_rm
 from hypercauchy.fueter import DegreeOverflowError
@@ -246,6 +247,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = pv-constant\nlevels = 1\ncenter = 0,0,0\n", "center"),
         ("experiment = pv-constant\nlevels = 1\nseed = -1\n", "seed"),
         ("experiment = constant-gap\nlevels = 1\ngap_g = 2,1,3\n", "gap_g"),
+        # gaps with no two-sided inverse: 0, and the zero divisor 1 + e123
+        ("experiment = constant-gap\nlevels = 1\ngap_g = 0,0\n", "gap_g"),
+        ("experiment = constant-gap\nsurface = sphere3\nlevels = 0\n"
+         "gap_g = 1,0,0,0,0,0,0,1\n", "gap_g"),
+        # a subnormal gap, whose inverse is past float64
+        ("experiment = constant-gap\nlevels = 1\ngap_g = 1e-320,0\n",
+         "gap_g"),
         ("experiment = inversion\nlevels = 1\ndensity = bogus:3\n",
          "density"),
         ("experiment = jump-rm\nlevels = 1\nexpect = unsolveable\n",
@@ -311,6 +319,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = order-at-infinity\nsurface = circle\nlevels = 4,5\n"
          "radius = 1e30\ncenter = 0,0\n",
          "center, radius: the corpus's traces of degree 6"),
+        # geometry whose kernel r^-(n+1) overflows or underflows at some
+        # node distance: r^2 overflows on the circle, r^-3 underflows
+        # silently on the 2-sphere, and the rest warn and fail
+    ] + [
+        ("experiment = %s\nsurface = %s\nlevels = 0,1\nradius = %s\n%s"
+         % case, "center, radius: the Cauchy kernel r^-")
+        for case in [("pv-constant", "circle", "1e160", ""),
+                     ("jump-rm", "circle", "1e160", ""),
+                     ("span", "sphere2", "1e110", ""),
+                     ("reproduction", "sphere2", "1e110",
+                      "density = constant\n"),
+                     ("pv-constant", "sphere2", "1e-110", ""),
+                     ("pv-constant", "sphere3", "1e-80", ""),
+                     ("pv-constant", "sphere3", "1e80", "")]
     ] + [
         # a known family with an argument that cannot build a density
         ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"
@@ -477,14 +499,17 @@ def test_config_file_rejects_nan_min_order(tmp_path, capsys):
     assert "min_order" in capsys.readouterr().err
 
 
-def test_numerical_failure_exit_1(tmp_path, capsys):
-    # G = 1 + e123 is a zero divisor in C(V_3): (1 + e123)(1 - e123) = 0,
-    # so the gap conjugation cannot invert it
+def test_numerical_failure_exit_1(tmp_path, capsys, monkeypatch):
+    # the config check refuses a gap with no inverse, so the solver is made
+    # to fail in its place
+    def singular(*args, **kwargs):
+        raise SingularInputError("non-invertible coefficient row")
+
+    monkeypatch.setattr(cli, "solve_constant_gap", singular)
     body = "\n".join([
         "experiment = constant-gap",
         "surface = sphere3",
         "levels = 0",
-        "gap_g = 1,0,0,0,0,0,0,1",
         "tolerance = 1e-4",
         "json = %s" % (tmp_path / "err.json"),
     ])
@@ -493,6 +518,21 @@ def test_numerical_failure_exit_1(tmp_path, capsys):
     doc = json.loads((tmp_path / "err.json").read_text())
     assert doc["passed"] is False
     assert "error" in doc and "SingularInputError" in doc["error"]
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("constant-gap", ["gap_g=1e300"]),
+    ("characteristic-sie", ["sie_a=1e300", "sie_b=1"])])
+def test_huge_coefficients_invert_without_warnings(tmp_path, capsys, name,
+                                                  overrides):
+    # |G|^2 leaves float64, but the inverse check's bound stays finite
+    sets = overrides + ["csv=%s" % (tmp_path / "o.csv"),
+                        "json=%s" % (tmp_path / "o.json")]
+    args = ["run", str(CONFIG_DIR / ("%s.cfg" % name))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + [a for kv in sets for a in ("--set", kv)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_failure_report_is_strict_json(tmp_path, capsys, monkeypatch):
