@@ -231,8 +231,14 @@ def invert_rows(ctx, rows):
     try:
         rhs = np.broadcast_to(e0, rows.shape)[..., None].copy()
         inv = np.linalg.solve(L, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SingularInputError("non-invertible coefficient row") from exc
+    except np.linalg.LinAlgError:
+        # the batch names no matrix: solve row by row to find the first
+        for j, Lj in enumerate(L):
+            try:
+                np.linalg.solve(Lj, e0)
+            except np.linalg.LinAlgError:
+                raise SingularInputError("row %d is singular" % j) from None
+        raise
     scale = np.hypot.reduce(rows, axis=1) * np.hypot.reduce(inv, axis=1)
     # a subnormal row's inverse overflows: its NaN residual fails "not <="
     with np.errstate(over="ignore", invalid="ignore"):

@@ -34,7 +34,8 @@ from .clifford_core import (
     sided_product,
 )
 from .surface import (FIBONACCI_NEIGHBOURS, SurfaceMesh,
-                      _first_nonfinite_row, _node_indices, neighbour_lists)
+                      _first_nonfinite_row, _node_indices, _point,
+                      neighbour_lists)
 
 RICHARDSON_RATIO = 2.0   # step shrinks by 1/2 per term
 RICHARDSON_TERMS = 4
@@ -212,7 +213,7 @@ class SideTaggedPoint:
     def __post_init__(self):
         if self.side not in ("interior", "exterior", "boundary"):
             raise ValueError("side must be interior/exterior/boundary")
-        object.__setattr__(self, "w", tuple(float(v) for v in self.w))
+        object.__setattr__(self, "w", tuple(_point(self.w).tolist()))
 
     @classmethod
     def tag(cls, spec, w):
@@ -395,8 +396,9 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
     Parameters
     ----------
     w : point, or SideTaggedPoint
-        Evaluation point.  Plain points are tagged automatically when the
-        mesh carries a builder spec.
+        Evaluation point of n+1 finite coordinates (surface._point).  Plain
+        points are tagged automatically when the mesh carries a builder
+        spec.
     side : 'left' | 'right'
         Kernel position: E dsigma f (left) or f dsigma E (right).
     method : 'raw' | 'subtract'
@@ -412,13 +414,10 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
         the distance to Gamma.
     """
     ctx = mesh.context
-    if isinstance(w, SideTaggedPoint):
-        tagged = w
-        point = w.point
-    else:
-        point = np.asarray(w, dtype=np.float64)
-        tagged = (SideTaggedPoint.tag(mesh.spec, point)
-                  if mesh.spec is not None else None)
+    tagged = w if isinstance(w, SideTaggedPoint) else None
+    point = _point(w if tagged is None else w.point, mesh.n)
+    if tagged is None and mesh.spec is not None:
+        tagged = SideTaggedPoint.tag(mesh.spec, point)
     dist = _boundary_distance(mesh, point)
     side_name = tagged.side if tagged is not None else "unknown"
     node = None
@@ -708,10 +707,10 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
 
 def _snap_node(mesh, t):
     """Node index of t: a scalar is a node index (_node_indices), anything
-    else a point, which snaps to its nearest node within h/2."""
+    else a point (_point), which snaps to its nearest node within h/2."""
     if np.ndim(t) == 0:
         return int(_node_indices(mesh, t)[0])
-    i, dist = _nearest_node(mesh, np.asarray(t, dtype=np.float64))
+    i, dist = _nearest_node(mesh, _point(t, mesh.n, "t"))
     if dist > 0.5 * mesh.h + 1e-12:
         raise ValueError("point is not a mesh node (nearest is %.3g away, "
                          "snap tolerance h/2 = %.3g)" % (dist, 0.5 * mesh.h))
@@ -865,7 +864,7 @@ def span_indicator(mesh, w) -> SpanResult:
     0.25 from every admissible value raises InconclusiveSpanError.
     """
     ctx = mesh.context
-    point = np.asarray(w, dtype=np.float64)
+    point = _point(w, mesh.n)
     ones = BoundaryDensity.constant(mesh, 1.0)
     if _nearest_node(mesh, point)[1] <= 1e-9 * max(_scale(mesh), 1.0):
         raw = principal_value(mesh, ones, point)

@@ -4,7 +4,8 @@ Configs are flat ``key = value`` text files (``#`` comments allowed) that
 set only fields the experiment reads; ``--set key=value`` overrides one.  Each
 run writes a CSV error table (columns level, h, nodes, error_maxnorm,
 error_l2, runtime_ms) and a JSON report (config echo, per-criterion
-verdicts) and exits 0 exactly when every criterion passed.  With a fixed
+verdicts) and exits 0 exactly when every criterion passed; ``mesh export``
+saves the finest mesh of its run instead.  With a fixed
 config and seed the outputs are byte-identical; set ``record_runtime =
 true`` to trade that for wall-clock timings.
 """
@@ -22,7 +23,7 @@ import numpy as np
 from . import _corpus
 from .clifford_core import batch_conjugate, batch_product, get_context
 from .surface import (DomainSpec, _node_count, _node_separation, build_mesh,
-                      parse_mesh_spec, save_mesh)
+                      save_mesh)
 from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      span_indicator, symmetric_difference_limit,
                      symmetric_difference_steps, _integral_rows)
@@ -132,20 +133,26 @@ def _parse_field(key, value):
     raise ConfigError("unknown config field %r" % key)
 
 
+def _assignment(text, malformed):
+    """The one key = value reader, of file lines and --set words alike:
+    (key, parsed value), or ConfigError(malformed) for text with no '='."""
+    if "=" not in text:
+        raise ConfigError(malformed)
+    key, _, value = text.partition("=")
+    key = key.strip()
+    return key, _parse_field(key, value)
+
+
 def parse_config_file(path):
     """Read a flat key = value config file into a dict of parsed values."""
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError("%s:%d: expected key = value"
-                                  % (path, lineno))
-            key, _, value = text.partition("=")
-            key = key.strip()
-            out[key] = _parse_field(key, value)
+            if text:
+                key, value = _assignment(
+                    text, "%s:%d: expected key = value" % (path, lineno))
+                out[key] = value
     return out
 
 
@@ -153,10 +160,9 @@ def resolve_config(raw, overrides=()):
     """Apply an experiment's defaults, then file and --set fields it reads."""
     merged = dict(raw)
     for text in overrides:
-        if "=" not in text:
-            raise ConfigError("--set: expected key=value, got %r" % text)
-        key, _, value = text.partition("=")
-        merged[key.strip()] = _parse_field(key.strip(), value)
+        key, value = _assignment(
+            text, "--set: expected key=value, got %r" % text)
+        merged[key] = value
     name = merged.get("experiment", "")
     if name not in EXPERIMENTS:
         raise ConfigError("experiment: unknown name %r (see `list`)" % name)
@@ -182,7 +188,7 @@ def resolve_config(raw, overrides=()):
     else:
         if cfg.levels[0] < 0:
             raise ConfigError("levels: mesh levels must be >= 0")
-        spec = _checked("surface %s" % cfg.surface, cfg.domain_spec)
+        spec = _checked("center, radius", cfg.domain_spec)
         # build the coarsest mesh, so geometry whose nodes coincide or
         # whose weights leave float64 fails here with the fields named,
         # and check the finest level's node spacing without building it
@@ -828,47 +834,47 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command")
 
     p_run = sub.add_parser("run", help="run an experiment config")
-    p_run.add_argument("config", help="path to a key = value config file")
-    p_run.add_argument("--set", action="append", default=[], metavar="K=V",
-                       help="override a config field (repeatable)")
-
     sub.add_parser("list", help="list builtin experiments and densities")
-
     p_mesh = sub.add_parser("mesh", help="mesh utilities")
     mesh_sub = p_mesh.add_subparsers(dest="mesh_command")
-    p_export = mesh_sub.add_parser("export", help="build and save a mesh")
-    p_export.add_argument("spec", help="e.g. 'sphere,n=2,radius=2,level=3'")
+    p_export = mesh_sub.add_parser(
+        "export", help="save the finest mesh a config's run builds")
+    for p in (p_run, p_export):
+        p.add_argument("config", help="path to a key = value config file")
+        p.add_argument("--set", action="append", default=[], metavar="K=V",
+                       help="override a config field (repeatable)")
     p_export.add_argument("path", help="output file")
 
     args = parser.parse_args(argv)
     if args.command == "list":
         print(list_builtins())
         return 0
+    if args.command == "mesh" and args.mesh_command != "export":
+        parser.error("mesh: expected the 'export' subcommand")
+    if args.command not in ("run", "mesh"):
+        parser.print_help()
+        return 2
+
+    try:
+        cfg = resolve_config(parse_config_file(args.config), args.set)
+        if args.command == "mesh" and EXPERIMENTS[cfg.experiment].meshless:
+            raise ConfigError("experiment: %s builds no mesh"
+                              % cfg.experiment)
+    except (ConfigError, OSError) as exc:
+        print("config: %s" % exc, file=sys.stderr)
+        return 2
+
     if args.command == "mesh":
-        if args.mesh_command != "export":
-            parser.error("mesh: expected the 'export' subcommand")
+        # resolve_config has refused what would not build
+        mesh = build_mesh(cfg.domain_spec(), cfg.levels[-1])
         try:
-            spec, level = parse_mesh_spec(args.spec)
-            # a level past MAX_NODES is refused before it is built, as in run
-            _coarsest_mesh(spec, level)
-            mesh = build_mesh(spec, level)
             save_mesh(mesh, args.path)
-        except (ValueError, OSError) as exc:
+        except OSError as exc:
             print("mesh export: %s" % exc, file=sys.stderr)
             return 2
         print("wrote %d nodes (n=%d, h=%.3g) to %s"
               % (mesh.node_count, mesh.n, mesh.h, args.path))
         return 0
-    if args.command != "run":
-        parser.print_help()
-        return 2
-
-    try:
-        raw = parse_config_file(args.config)
-        cfg = resolve_config(raw, args.set)
-    except (ConfigError, OSError) as exc:
-        print("config: %s" % exc, file=sys.stderr)
-        return 2
 
     try:
         report = run_experiment(cfg)

@@ -29,7 +29,7 @@ from .cauchy import (
     _measure_density,
     unit_sphere_area,
 )
-from .surface import refine
+from .surface import _point, refine
 
 MAX_DEGREE = 6
 
@@ -204,7 +204,7 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
     derivatives (alpha differentiates the x_1..x_n coordinates; |alpha| <= 4).
     """
     alpha = _as_alpha(alpha, mesh.n, cap=4)
-    point = np.asarray(w, dtype=np.float64)
+    point = _point(w, mesh.n)
     dist = _boundary_distance(mesh, point)
     if dist < 1e-12:
         raise SingularInputError("derivative target lies on the surface")

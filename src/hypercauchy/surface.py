@@ -525,6 +525,21 @@ def _node_indices(mesh, t, name="t"):
     return idx
 
 
+def _point(w, n=None, name="w"):
+    """The one point check: w as a 1-d float64 array of n+1 finite
+    coordinates (any count for n None), else ValueError naming it."""
+    try:
+        p = np.asarray(w, dtype=np.float64)
+    except (TypeError, ValueError):
+        p = None
+    if p is None or p.ndim != 1 or not np.isfinite(p).all() or (
+            n is not None and p.size != n + 1):
+        size = "" if n is None else "n+1 = %d " % (n + 1)
+        raise ValueError("%s must be a point of %sfinite coordinates, got %r"
+                         % (name, size, w))
+    return p
+
+
 def refine(mesh: SurfaceMesh) -> SurfaceMesh:
     """Next refinement level of the same spec; h at most halves (x1.5 slack)."""
     if mesh.spec is None:
@@ -564,35 +579,3 @@ def load_mesh(path) -> SurfaceMesh:
                               % (count, 2 * (n + 1) + 1, data.shape))
     return SurfaceMesh(data[:, : n + 1], data[:, n + 1 : -1], data[:, -1])
 
-
-def parse_mesh_spec(text: str):
-    """Parse 'kind[,key=value...]' into (DomainSpec, level).
-
-    Keys: n, radius, center (colon-separated floats), level.  Example:
-    'sphere,n=2,radius=2.0,center=0:0:0,level=4'.
-    """
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError("empty mesh spec")
-    kind = parts[0]
-    if "=" in kind:
-        raise ValueError("mesh spec must start with the surface kind")
-    kw = {"kind": kind}
-    level = 0
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ValueError("expected key=value, got %r" % part)
-        key, _, value = part.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "n":
-            kw["n"] = int(value)
-        elif key == "radius":
-            kw["radius"] = float(value)
-        elif key == "center":
-            kw["center"] = tuple(float(v) for v in value.split(":"))
-        elif key == "level":
-            level = int(value)
-        else:
-            raise ValueError("unknown mesh spec key %r" % key)
-    return DomainSpec(**kw), level

@@ -292,6 +292,12 @@ def test_invert_rows_random_batch():
         assert np.max(np.abs(prod - e0[None, :])) <= 1e-9
 
 
+def test_invert_rows_names_a_singular_row():
+    # the batched solve raises for the whole batch; the row is found alone
+    with pytest.raises(SingularInputError, match="^row 1 is singular"):
+        invert_rows(get_context(1), [[1.0, 0.0], [0.0, 0.0], [2.0, 0.0]])
+
+
 @pytest.mark.parametrize("row", [[math.nan, 0.0], [math.inf, 0.0],
                                  [1.0, math.nan]])
 def test_invert_rows_refuses_a_row_that_is_not_finite(row):

@@ -675,6 +675,29 @@ def test_node_indices_take_the_one_check(call, bad, name):
             surface._node_indices(mesh, bad, name)
 
 
+@pytest.mark.parametrize("call,name", [
+    ("cauchy_integral", "w"), ("span_indicator", "w"),
+    ("cauchy_derivative", "w"), ("principal_value", "t"),
+    ("plemelj_values", "t"), ("SideTaggedPoint", "w")])
+@pytest.mark.parametrize("bad", [[0.1], [math.nan, 0.0], [math.inf, 0.0],
+                                 [0.1, 0.2, 0.3], [[0.1, 0.2]]])
+def test_points_take_the_one_check(call, name, bad):
+    # [0.1] was broadcast to (0.1, 0.1) and [nan, 0] tagged exterior; a
+    # tagged point is checked for finite coordinates, then against the mesh
+    mesh = build_mesh(DomainSpec("circle"), 2)
+    ones = BoundaryDensity.constant(mesh, 1.0)
+    calls = {
+        "cauchy_integral": lambda: cauchy_integral(mesh, ones, bad),
+        "span_indicator": lambda: span_indicator(mesh, bad),
+        "cauchy_derivative": lambda: cauchy_derivative(mesh, ones, bad, (1,)),
+        "principal_value": lambda: principal_value(mesh, ones, bad),
+        "plemelj_values": lambda: plemelj_values(mesh, ones, bad),
+        "SideTaggedPoint": lambda: cauchy_integral(
+            mesh, ones, SideTaggedPoint(bad, "interior"))}
+    with pytest.raises(ValueError, match="^%s must be a point of " % name):
+        calls[call]()
+
+
 def test_node_index_error_is_an_index_and_a_value_error():
     mesh = _small_mesh("circle-L0")
     f = random_smooth(mesh, 4)

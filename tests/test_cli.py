@@ -245,10 +245,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = pv-constant\nlevels = 1\nradius = 0\n", "radius"),
         ("experiment = pv-constant\nlevels = 1\nradius = -1\n", "radius"),
         ("experiment = pv-constant\nlevels = 1\ncenter = 0,0,0\n", "center"),
+        # DomainSpec's refusals name the geometry fields, as the others do
+        ("experiment = pv-constant\nlevels = 1\ncenter = 1,2,3\n",
+         "center, radius: center must have n+1 = 2 components"),
         ("experiment = pv-constant\nlevels = 1\nseed = -1\n", "seed"),
         ("experiment = constant-gap\nlevels = 1\ngap_g = 2,1,3\n", "gap_g"),
         # gaps with no two-sided inverse: 0, and the zero divisor 1 + e123
-        ("experiment = constant-gap\nlevels = 1\ngap_g = 0,0\n", "gap_g"),
+        ("experiment = constant-gap\nlevels = 1\ngap_g = 0,0\n",
+         "gap_g: row 0 is singular"),
         ("experiment = constant-gap\nsurface = sphere3\nlevels = 0\n"
          "gap_g = 1,0,0,0,0,0,0,1\n", "gap_g"),
         # a subnormal gap, whose inverse is past float64
@@ -348,8 +352,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
         # the refusal is the only line on stderr: no warning comes first
         assert field in err and err.startswith("config: ")
         assert err.count("\n") == 1
+    # file lines and --set words share one reader, each with its own text
+    bad = _write_config(tmp_path, "bad.cfg",
+                        "experiment = pv-constant\nlevels\n")
+    assert main(["run", bad]) == 2
+    assert "%s:2: expected key = value" % bad in capsys.readouterr().err
     cfg = _fast_config(tmp_path)
     assert main(["run", cfg, "--set", "levels"]) == 2
+    assert ("--set: expected key=value, got 'levels'"
+            in capsys.readouterr().err)
     for key in ("sample_nodes", "kernel_seed"):
         assert main(["run", cfg, "--set", "%s=4" % key]) == 2
         assert "unknown config field %r" % key in capsys.readouterr().err
@@ -582,19 +593,42 @@ def test_list_command(capsys):
 
 
 def test_mesh_export_roundtrip(tmp_path, capsys):
+    # mesh export reads a config as run does and saves its finest mesh
     path = tmp_path / "mesh.txt"
-    assert main(["mesh", "export", "circle,level=2,radius=2.0",
-                 str(path)]) == 0
+    pv = str(CONFIG_DIR / "pv-constant.cfg")
+    assert main(["mesh", "export", pv, str(path), "--set", "levels=1,2",
+                 "--set", "radius=2.0"]) == 0
     mesh = load_mesh(path)
     assert mesh.n == 1
     assert mesh.node_count == 64 * 2 ** 2
     assert np.max(np.abs(np.linalg.norm(mesh.nodes, axis=1) - 2.0)) <= 1e-12
-    assert main(["mesh", "export", "torus,level=1", str(path)]) == 2
     capsys.readouterr()
-    # a level past MAX_NODES is refused before it is built
-    assert main(["mesh", "export", "circle,level=40", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "level 40" in err and err.count("\n") == 1
+    # every refusal is run's: one config line naming the field, exit 2
+    for config, sets, field in [
+            (pv, ["surface=torus"], "surface"),
+            # a level past MAX_NODES is refused before it is built
+            (pv, ["levels=40"], "levels: level 40"),
+            (pv, ["radius=abc"], "radius"),
+            (pv, ["center=1,2,3"], "center, radius"),
+            (str(CONFIG_DIR / "algebra-laws.cfg"), [], "experiment")]:
+        argv = ["mesh", "export", config, str(path)]
+        for setting in sets:
+            argv += ["--set", setting]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config: %s" % field) and err.count("\n") == 1
+
+
+def test_mesh_export_saves_the_mesh_a_run_builds(tmp_path, capsys):
+    config = str(CONFIG_DIR / "plemelj-sphere.cfg")
+    path = tmp_path / "mesh.txt"
+    assert main(["mesh", "export", config, str(path),
+                 "--set", "levels=2"]) == 0
+    cfg = resolve_config(cli.parse_config_file(config), ["levels=2"])
+    built, loaded = build_mesh(cfg.domain_spec(), 2), load_mesh(path)
+    for name in ("nodes", "normals", "weights"):
+        assert (getattr(loaded, name).tobytes()
+                == getattr(built, name).tobytes()), name
 
 
 def test_console_entry_point(tmp_path):

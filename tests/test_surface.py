@@ -1,4 +1,4 @@
-"""Mesh construction, invariants, file round trips and spec parsing."""
+"""Mesh construction, invariants and file round trips."""
 
 import dataclasses
 import math
@@ -20,7 +20,6 @@ from hypercauchy.surface import (
     build_mesh,
     load_mesh,
     neighbour_lists,
-    parse_mesh_spec,
     refine,
     save_mesh,
 )
@@ -35,14 +34,15 @@ def _area(spec):
             3: 2 * math.pi ** 2 * R ** 3}[spec.n]
 
 
-@pytest.mark.parametrize("spec_text,level,rel_tol", [
-    ("circle", 4, 1e-12),
-    ("circle,radius=0.7,center=0.4:-0.2", 3, 1e-12),
-    ("sphere,n=2", 2, 1e-12),
-    ("sphere,n=3,radius=1.5", 1, 1e-9),
+@pytest.mark.parametrize("spec,level,rel_tol", [
+    pytest.param(DomainSpec("circle"), 4, 1e-12, id="circle-4-1e-12"),
+    pytest.param(DomainSpec("circle", center=(0.4, -0.2), radius=0.7), 3,
+                 1e-12, id="circle-off-center-3-1e-12"),
+    pytest.param(DomainSpec("sphere", 2), 2, 1e-12, id="sphere2-2-1e-12"),
+    pytest.param(DomainSpec("sphere", 3, radius=1.5), 1, 1e-9,
+                 id="sphere3-radius-1.5-1-1e-09"),
 ])
-def test_weights_positive_and_area(spec_text, level, rel_tol):
-    spec, _ = parse_mesh_spec(spec_text)
+def test_weights_positive_and_area(spec, level, rel_tol):
     mesh = build_mesh(spec, level)
     assert mesh.weights.min() > 0
     area = _area(spec)
@@ -357,19 +357,6 @@ def test_domain_spec_validation():
         with pytest.raises(ValueError, match="^level must be an integer"):
             build_mesh(DomainSpec("circle"), level)
     assert build_mesh(DomainSpec("circle"), np.int64(1)).node_count == 128
-
-
-def test_parse_mesh_spec():
-    spec, level = parse_mesh_spec("sphere,n=2,radius=2.0,center=0:1:0,level=4")
-    assert spec.kind == "sphere" and spec.n == 2
-    assert spec.radius == 2.0 and spec.center == (0.0, 1.0, 0.0)
-    assert level == 4
-    spec, level = parse_mesh_spec("circle")
-    assert spec.n == 1 and level == 0
-    for bad in ("", "n=2", "circle,frobnicate=2", "circle,radius",
-                "circle,radius=inf", "circle,center=nan:0"):
-        with pytest.raises(ValueError):
-            parse_mesh_spec(bad)
 
 
 @pytest.mark.parametrize("spec,level", [
