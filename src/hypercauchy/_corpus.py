@@ -13,18 +13,18 @@ from .clifford_core import batch_product, paravectors_as_coeffs
 from .cauchy import BoundaryDensity, kernel_E_rows
 from .fueter import (_as_alpha, _polynomial, _symmetric_powers,
                      multi_indices, symmetric_power_rows)
+from .surface import _points
 
 SMOOTH_DEGREE = 2
 ROUGH_EXPONENT = 1.5
 
 
-def _rowwise(fn):
-    # wrap a batch (M, n+1) -> (M, dim) map so single points work too
+def _rowwise(fn, n):
+    # the evaluator of a batch (M, n+1) -> (M, dim) map: one point, one row
     def ev(x):
-        pts = np.asarray(x, dtype=np.float64)
-        if pts.ndim == 1:
-            return fn(pts[None, :])[0]
-        return fn(pts)
+        pts, single = _points(x, n)
+        out = fn(pts)
+        return out[0] if single else out
 
     return ev
 
@@ -32,7 +32,8 @@ def _rowwise(fn):
 def _from_rows(mesh, rows, regularity=("holder", 1.0, None)):
     """The density sampled at the nodes from a batch rows map, which stays
     its exact evaluator."""
-    return BoundaryDensity(mesh, rows(mesh.nodes), evaluator=_rowwise(rows),
+    return BoundaryDensity(mesh, rows(mesh.nodes),
+                           evaluator=_rowwise(rows, mesh.n),
                            regularity=regularity)
 
 
@@ -82,9 +83,9 @@ def symmetric_power_traces(mesh, alphas):
     ctx = mesh.context
     alphas = [_as_alpha(alpha, ctx.n) for alpha in alphas]
     table = _symmetric_powers(ctx, alphas, mesh.nodes)
-    return [BoundaryDensity(mesh, table[alpha], evaluator=_rowwise(
-                lambda pts, a=alpha: symmetric_power_rows(ctx, a, pts)))
-            for alpha in alphas]
+    return [BoundaryDensity(mesh, table[a], evaluator=_rowwise(
+                lambda pts, a=a: symmetric_power_rows(ctx, a, pts), mesh.n))
+            for a in alphas]
 
 
 def symmetric_power_trace(mesh, alpha):
@@ -191,7 +192,7 @@ def random_smooths(mesh, seeds):
     samples = _smooth_rows(spec, exps, coeffs, mesh.nodes)
     return [BoundaryDensity(mesh, rows, evaluator=_rowwise(
                 lambda pts, c=coeffs[k:k + 1]:
-                _smooth_rows(spec, exps, c, pts)[0]))
+                _smooth_rows(spec, exps, c, pts)[0], mesh.n))
             for k, rows in enumerate(samples)]
 
 
@@ -265,7 +266,7 @@ def trig_polynomial_pv(mesh, coeffs):
     (residue calculus after mapping to the complex plane).
     """
     return _rowwise(_trig_rows(_require_spec(mesh), coeffs,
-                               lambda m: 0.5 if m >= 0 else -0.5))
+                               lambda m: 0.5 if m >= 0 else -0.5), mesh.n)
 
 
 def _trig_rows(spec, coeffs, weight):

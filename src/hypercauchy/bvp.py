@@ -496,7 +496,6 @@ class SIESolution:
 
     phi: BoundaryDensity
     residual: float
-    coefficients: CharacteristicCoefficients
 
 
 def apply_characteristic_lhs(mesh, a: BoundaryDensity, b: BoundaryDensity,
@@ -554,7 +553,7 @@ def solve_characteristic_sie(mesh, coefficients, f):
     del F, psi, pv_psi, half  # only the phis are held during the next pass
     lhs = apply_characteristic_lhs(mesh, a, b, phis)
     sols = [SIESolution(phi, float(np.linalg.norm(rows - fk.samples,
-                                                  axis=1).max()), coefficients)
+                                                  axis=1).max()))
             for phi, rows, fk in zip(phis, lhs, fs)]
     return sols[0] if single else sols
 
@@ -666,10 +665,10 @@ class PoincareBertrandReport:
     For sampled nodes t: lhs = PV_x int E(x-t) dsigma_x
     [PV_tau int E(tau-x) dsigma_tau k(tau, x)], rhs = (V_n/2)^2 k(t, t)
     plus the exchanged-order double sum.  No pass/fail is attached; the
-    discrepancy and the two special-case cross-checks are reported as
-    data.  separable_error applies when k(tau, x) = f(tau): the lhs must
-    then equal (V_n/2)^2 f(t).  The pair integral, the third cross-check,
-    depends on the mesh alone (pair_orthogonality).
+    discrepancy is reported as data.  When k(tau, x) = f(tau) the rhs is
+    (V_n/2)^2 f(t) alone, so discrepancy_max is the separable case's
+    error.  The pair integral, the other cross-check, depends on the mesh
+    alone (pair_orthogonality).
     """
 
     sample_indices: np.ndarray
@@ -677,7 +676,6 @@ class PoincareBertrandReport:
     rhs: np.ndarray
     discrepancy: np.ndarray
     discrepancy_max: float
-    separable_error: float
 
 
 def _pair_orthogonality(mesh, its, jts):
@@ -737,8 +735,6 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
         inner_d = BoundaryDensity(mesh, inner, regularity=f.regularity)
         lhs = vol * principal_value_nodes(mesh, inner_d, indices=idx)
         rhs = (0.5 * vol) ** 2 * f.samples[idx]
-        disc = lhs - rhs
-        sep_err = float(np.linalg.norm(disc, axis=1).max())
     else:
         kmat = _kernel_matrix(mesh, k)
         inner, shifted = _matrix_pv_rows(mesh, kmat.left, kmat.right)
@@ -752,11 +748,9 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
         rhs = ((0.5 * vol) ** 2
                * batch_product(ctx, kmat.left[idx], kmat.right[idx])
                + exchanged)
-        disc = lhs - rhs
-        sep_err = math.nan
+    disc = lhs - rhs
     return PoincareBertrandReport(idx, lhs, np.asarray(rhs), disc,
-                                  float(np.linalg.norm(disc, axis=1).max()),
-                                  sep_err)
+                                  float(np.linalg.norm(disc, axis=1).max()))
 
 
 def pair_orthogonality(mesh, sample_nodes, seed):

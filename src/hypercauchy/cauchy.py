@@ -35,7 +35,7 @@ from .clifford_core import (
 )
 from .surface import (FIBONACCI_NEIGHBOURS, SurfaceMesh,
                       _first_nonfinite_row, _node_indices, _point,
-                      neighbour_lists)
+                      _points, neighbour_lists)
 
 RICHARDSON_RATIO = 2.0   # step shrinks by 1/2 per term
 RICHARDSON_TERMS = 4
@@ -176,14 +176,14 @@ class BoundaryDensity:
     @classmethod
     def constant(cls, mesh, value=1.0):
         """The constant density; its evaluator gives one (2^n,) row for
-        one point and M rows for an (M, n+1) point array."""
+        one point and M rows for an (M, n+1) point array (surface._points)."""
         ctx = mesh.context
         samples = _as_coeff_rows(ctx, value, mesh.node_count)
         ev = samples[0].copy()
 
         def evaluator(x):
-            x = np.asarray(x)
-            return ev if x.ndim <= 1 else np.tile(ev, (len(x), 1))
+            rows, single = _points(x, mesh.n)
+            return ev if single else np.tile(ev, (len(rows), 1))
 
         return cls(mesh, samples, evaluator=evaluator,
                    regularity=("holder", 1.0, 0.0))

@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -173,6 +174,12 @@ def resolve_config(raw, overrides=()):
             raise ConfigError("%s: experiment %s does not read this field "
                               "(see `list`)" % (key, name))
     cfg = ExperimentConfig(**dict(exp.defaults, **merged))
+    for key, path in (("csv", cfg.csv), ("json", cfg.json)):
+        # refused now, not after every level has run
+        if path and (os.path.isdir(path) or not os.path.isdir(
+                os.path.dirname(path) or ".")):
+            raise ConfigError("%s: cannot write %r: it is a directory or "
+                              "its directory is missing" % (key, path))
     if not cfg.levels:
         raise ConfigError("levels: must list at least one refinement level")
     if any(b <= a for a, b in zip(cfg.levels, cfg.levels[1:])):
@@ -517,7 +524,7 @@ def _run_order(cfg, mesh):
         want = -mesh.n - N
         aux["order_N%d" % N] = rep.order
         aux["slope_raw_N%d" % N] = rep.slope_raw
-        if rep.moment_route != want:
+        if rep.order != want:
             devs.append(math.inf)
         devs.append(abs(rep.slope_raw - want))
     return _norms(devs) + (aux,)
@@ -864,31 +871,29 @@ def main(argv=None):
         print("config: %s" % exc, file=sys.stderr)
         return 2
 
-    if args.command == "mesh":
-        # resolve_config has refused what would not build
-        mesh = build_mesh(cfg.domain_spec(), cfg.levels[-1])
-        try:
-            save_mesh(mesh, args.path)
-        except OSError as exc:
-            print("mesh export: %s" % exc, file=sys.stderr)
-            return 2
-        print("wrote %d nodes (n=%d, h=%.3g) to %s"
-              % (mesh.node_count, mesh.n, mesh.h, args.path))
-        return 0
-
     try:
-        report = run_experiment(cfg)
-    except Exception as exc:  # numerical failure: report what we can
-        doc = {"config": _config_doc(cfg),
-               "experiment": cfg.experiment,
-               "error": "%s: %s" % (type(exc).__name__, exc),
-               "passed": False}
-        if cfg.json:
-            _dump_json(doc, cfg.json)
-        print("run failed: %s" % doc["error"], file=sys.stderr)
-        return 1
-
-    write_reports(cfg, report)
+        if args.command == "mesh":
+            # resolve_config has refused what would not build
+            mesh = build_mesh(cfg.domain_spec(), cfg.levels[-1])
+            save_mesh(mesh, args.path)
+            print("wrote %d nodes (n=%d, h=%.3g) to %s"
+                  % (mesh.node_count, mesh.n, mesh.h, args.path))
+            return 0
+        try:
+            report = run_experiment(cfg)
+        except Exception as exc:  # numerical failure: report what we can
+            doc = {"config": _config_doc(cfg),
+                   "experiment": cfg.experiment,
+                   "error": "%s: %s" % (type(exc).__name__, exc),
+                   "passed": False}
+            print("run failed: %s" % doc["error"], file=sys.stderr)
+            if cfg.json:
+                _dump_json(doc, cfg.json)
+            return 1
+        write_reports(cfg, report)
+    except OSError as exc:  # an output path that cannot be written
+        print("write failed: %s" % exc, file=sys.stderr)
+        return 2
     _print_report(report)
     return 0 if report.passed else 1
 

@@ -29,7 +29,7 @@ from .cauchy import (
     _measure_density,
     unit_sphere_area,
 )
-from .surface import _point, refine
+from .surface import _point, _points, refine
 
 MAX_DEGREE = 6
 
@@ -75,7 +75,8 @@ def hyper_variable(ctx, j, x) -> Multivector:
     """z_j(x) = x_j e_0 - x_0 e_j for j in 1..n."""
     if not 1 <= j <= ctx.n:
         raise ValueError("j must be in 1..n")
-    return Multivector(ctx, _hyper_variable_rows(ctx, j, np.atleast_2d(x))[0])
+    point = _point(x, ctx.n, "x")
+    return Multivector(ctx, _hyper_variable_rows(ctx, j, point[None])[0])
 
 
 def _hyper_variable_rows(ctx, j, points):
@@ -115,7 +116,7 @@ def symmetric_power_rows(ctx, alpha, points):
     Z^alpha is the sum over all |alpha|!/prod(alpha_j!) distinct
     arrangements of the product of z_j factors; Z^0 = 1.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    points, _ = _points(points, ctx.n, "points")
     alpha = _as_alpha(alpha, ctx.n)
     return _symmetric_powers(ctx, [alpha], points)[alpha]
 
@@ -166,9 +167,13 @@ class KernelDerivative:
     s: int
 
     def evaluate_components(self, points):
-        """Paravector components of d^alpha E at each point row, (N, n+1)."""
-        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        """Paravector components of d^alpha E at each point row, (N, n+1);
+        the origin raises SingularInputError."""
+        points, _ = _points(points, self.n, "points")
         r2 = np.einsum("ij,ij->i", points, points)
+        if not r2.all():
+            raise SingularInputError("kernel derivative evaluated at the "
+                                     "origin")
         scale = r2 ** (-0.5 * self.s)
         out = np.empty((points.shape[0], self.n + 1))
         for c, poly in enumerate(self.numerators):
@@ -201,60 +206,47 @@ def kernel_derivative(ctx, alpha) -> KernelDerivative:
 
 def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
     """d^alpha of C[f] at an off-surface point via closed-form kernel
-    derivatives (alpha differentiates the x_1..x_n coordinates; |alpha| <= 4).
+    derivatives (alpha differentiates the x_1..x_n coordinates; |alpha| <= 4):
+    ((-1)^|alpha|/V_n) sum_j [d^alpha E](x_j - w) nu w_j f_j (left case),
+    as d^alpha_w E(x - w) = (-1)^|alpha| [d^alpha E](x - w).
     """
     alpha = _as_alpha(alpha, mesh.n, cap=4)
     point = _point(w, mesh.n)
-    dist = _boundary_distance(mesh, point)
-    if dist < 1e-12:
+    if _boundary_distance(mesh, point) < 1e-12:
         raise SingularInputError("derivative target lies on the surface")
-    return Multivector(mesh.context,
-                       _kernel_derivative_sum(mesh, f, point, alpha, side))
-
-
-def _kernel_derivative_sum(mesh, f, w, alpha, side):
-    """((-1)^|alpha|/V_n) sum_j [d^alpha E](x_j - w) nu w_j f_j (left case;
-    the right case mirrors the product order): d^alpha_w C[f](w), since
-    d^alpha_w E(x - w) = (-1)^|alpha| [d^alpha E](x - w)."""
-    ctx = mesh.context
-    kd = kernel_derivative(ctx, alpha)
-    comps = kd.evaluate_components(mesh.nodes - w[None, :])  # (N, n+1)
-    t, = _measure_density(mesh, _density_samples(mesh, f), side)
-    vol = unit_sphere_area(ctx.n)
-    return (-1.0) ** sum(alpha) / vol * sided_sum(ctx, side, comps, t)
+    rows = kernel_derivative(mesh.context, alpha).evaluate_components(
+        mesh.nodes - point[None, :])
+    total = _node_sums(mesh, f, {alpha: rows}, side)[alpha]
+    return Multivector(mesh.context, (-1.0) ** sum(alpha)
+                       / unit_sphere_area(mesh.n) * total)
 
 
 # -- boundary moments -------------------------------------------------------------
 
-def _moments(mesh, g: BoundaryDensity, alphas, side):
-    """{alpha: moment coefficients}, with one measure density for all alpha."""
-    ctx = mesh.context
+def _node_sums(mesh, g: BoundaryDensity, table, side):
+    """{key: sum_j R_j nu w_j g_j} (left; the right case mirrored) for each
+    key's (N, 2^n) or (N, n+1) node rows R in table: the one node sum of
+    fueter, with one measure density nu w g for the whole table."""
     t, = _measure_density(mesh, _density_samples(mesh, g), side)
-    powers = _symmetric_powers(ctx, alphas, mesh.nodes)
-    return {alpha: sided_sum(ctx, side, rows, t)
-            for alpha, rows in powers.items()}
+    return {key: sided_sum(mesh.context, side, rows, t)
+            for key, rows in table.items()}
 
 
 def boundary_moment(mesh, g: BoundaryDensity, alpha, side="left") -> Multivector:
     """Moment integral int Z^alpha dsigma g (left) or int g dsigma Z^alpha."""
     alpha = _as_alpha(alpha, mesh.n)
-    return Multivector(mesh.context, _moments(mesh, g, [alpha], side)[alpha])
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Moments int Z^alpha dsigma g (or the right variant) up to max degree."""
-
-    side: str
-    max_degree: int
-    entries: dict   # alpha tuple -> coefficient array
+    powers = _symmetric_powers(mesh.context, [alpha], mesh.nodes)
+    return Multivector(mesh.context, _node_sums(mesh, g, powers, side)[alpha])
 
 
 def build_moment_table(mesh, g: BoundaryDensity, max_degree, side="left"):
+    """{alpha: int Z^alpha dsigma g} (left; right mirrored) for |alpha| <=
+    max_degree, by degree, lexicographic inside each degree."""
     _check_degree(max_degree)
-    alphas = [a for k in range(max_degree + 1)
-              for a in multi_indices(mesh.n, k)]
-    return MomentTable(side, max_degree, _moments(mesh, g, alphas, side))
+    powers = _symmetric_powers(mesh.context, [
+        a for k in range(max_degree + 1) for a in multi_indices(mesh.n, k)],
+        mesh.nodes)
+    return _node_sums(mesh, g, powers, side)
 
 
 def _refined_density(mesh, g: BoundaryDensity) -> BoundaryDensity:
@@ -280,7 +272,7 @@ def _moment_norms(mesh, g: BoundaryDensity, max_degree, side):
         gf = _refined_density(mesh, g)
         pairs.append((gf.mesh, gf))
     norms = [{alpha: float(np.linalg.norm(m)) for alpha, m in
-              build_moment_table(on, d, max_degree, side).entries.items()}
+              build_moment_table(on, d, max_degree, side).items()}
              for on, d in pairs]
     return norms[0], norms[-1], refined
 
@@ -331,8 +323,8 @@ def taylor_component(f, k, mesh, side="left"):
     evaluator
         P_k[f](x) = (1/k!) sum_{|alpha|=k} Z^alpha(x) [d^alpha f](0)
         (left case; the right case puts the coefficients on the left).
-        The returned callable also exposes .coefficients, a dict
-        alpha -> coefficient array.
+        It maps one point to a Multivector and (M, n+1) rows to (M, 2^n)
+        rows, and exposes .coefficients, a dict alpha -> coefficients.
     """
     ctx = mesh.context
     _check_degree(k)
@@ -343,20 +335,21 @@ def taylor_component(f, k, mesh, side="left"):
             % (mesh.h, k, R))
     if not isinstance(f, BoundaryDensity):
         f = BoundaryDensity.from_function(mesh, f)
-    origin = np.zeros(ctx.n + 1)
-    coeffs = {alpha: _kernel_derivative_sum(mesh, f, origin, alpha, side)
-              for alpha in multi_indices(ctx.n, k)}
+    # d^alpha C[f](0), as cauchy_derivative at the origin
+    sums = _node_sums(mesh, f, {
+        alpha: kernel_derivative(ctx, alpha).evaluate_components(mesh.nodes)
+        for alpha in multi_indices(ctx.n, k)}, side)
+    vol = unit_sphere_area(ctx.n)
+    coeffs = {alpha: (-1.0) ** sum(alpha) / vol * total
+              for alpha, total in sums.items()}
     poly = _polynomial(ctx, coeffs.items(), side)
 
     def evaluator(x):
-        pts = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        pts, single = _points(x, ctx.n)
         out = poly(pts) * (1.0 / math.factorial(k))
-        if np.asarray(x).ndim == 1:
-            return Multivector(ctx, out[0])
-        return out
+        return Multivector(ctx, out[0]) if single else out
 
     evaluator.coefficients = coeffs
-    evaluator.degree = k
     return evaluator
 
 
@@ -372,18 +365,20 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
     Q_k(w) = ((-1)^k / (V_n k!)) sum_{|alpha|=k} [d^alpha E](w) m_alpha
     with m_alpha the left moment table entries (right case mirrored);
     -sum_k Q_k reproduces C[g](w) for |w| > rho = max|x| on Gamma.
-    The returned evaluator raises on |w| <= rho.
+    The evaluator takes points as taylor_component's, raises on |w| <= rho
+    and exposes .rho and the .moments m_alpha.
     """
     ctx = mesh.context
     _check_degree(k)
     rho = surface_hull_radius(mesh)
-    moments = _moments(mesh, g, multi_indices(ctx.n, k), side)
+    moments = _node_sums(mesh, g, _symmetric_powers(
+        ctx, multi_indices(ctx.n, k), mesh.nodes), side)
     vol = unit_sphere_area(ctx.n)
     scale = (-1.0) ** k / (vol * math.factorial(k))
     kds = {alpha: kernel_derivative(ctx, alpha) for alpha in moments}
 
     def evaluator(w):
-        pts = np.atleast_2d(np.asarray(w, dtype=np.float64))
+        pts, single = _points(w, ctx.n, "w")
         if np.any(np.linalg.norm(pts, axis=1) <= rho):
             raise ValueError("Laurent evaluation requires |w| > rho = %.6g"
                              % rho)
@@ -392,11 +387,8 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
             out += sided_product(
                 ctx, side, kds[alpha].evaluate_components(pts), m)
         out *= scale
-        if np.asarray(w).ndim == 1:
-            return Multivector(ctx, out[0])
-        return out
+        return Multivector(ctx, out[0]) if single else out
 
-    evaluator.degree = k
     evaluator.rho = rho
     evaluator.moments = moments
     return evaluator
@@ -408,8 +400,7 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
 class OrderReport:
     """Order at infinity with both determination routes reported."""
 
-    order: float            # integer, or -inf, or nan when undetermined
-    moment_route: float
+    order: float            # the moment route's: integer, -inf, or nan
     slope_route: float
     slope_raw: float        # unrounded log-log fit slope
     first_moment_degree: int    # N^l, or -1 when no moment clears threshold
@@ -451,11 +442,11 @@ def order_at_infinity(mesh, g, side="left") -> OrderReport:
     points = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n + 1)
     mags = np.linalg.norm(_integral_rows(mesh, g, points, side), axis=1)
     if mags.max(initial=0.0) <= 1e-13 * float(np.abs(g.samples).max()):
-        return OrderReport(-math.inf, -math.inf, -math.inf, -math.inf,
+        return OrderReport(-math.inf, -math.inf, -math.inf,
                            first_deg, thresholds, norms, False)
     keep = mags > 0
     slope_raw = float(np.polyfit(np.log(np.tile(radii, 3))[keep],
                                  np.log(mags[keep]), 1)[0])
     slope_order = float(np.round(slope_raw))
-    return OrderReport(moment_order, moment_order, slope_order, slope_raw,
+    return OrderReport(moment_order, slope_order, slope_raw,
                        first_deg, thresholds, norms, undetermined)

@@ -525,19 +525,26 @@ def _node_indices(mesh, t, name="t"):
     return idx
 
 
-def _point(w, n=None, name="w"):
-    """The one point check: w as a 1-d float64 array of n+1 finite
-    coordinates (any count for n None), else ValueError naming it."""
+def _points(x, n=None, name="x", rows=True):
+    """The one point check: x, one point or, when rows, an (M, n+1) array
+    of them, as (M, n+1) float64 rows of finite coordinates (any count for
+    n None) and whether one point was passed; else ValueError naming x."""
     try:
-        p = np.asarray(w, dtype=np.float64)
+        p = np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         p = None
-    if p is None or p.ndim != 1 or not np.isfinite(p).all() or (
-            n is not None and p.size != n + 1):
+    if p is None or p.ndim not in ((1, 2) if rows else (1,)) or not (
+            np.isfinite(p).all()) or (n is not None and p.shape[-1] != n + 1):
         size = "" if n is None else "n+1 = %d " % (n + 1)
-        raise ValueError("%s must be a point of %sfinite coordinates, got %r"
-                         % (name, size, w))
-    return p
+        raise ValueError("%s must be a point of %sfinite coordinates%s, got %r"
+                         % (name, size, " or rows of them" if rows else "",
+                            x))
+    return np.atleast_2d(p), p.ndim == 1
+
+
+def _point(w, n=None, name="w"):
+    """w, one point checked by _points, as a 1-d float64 array."""
+    return _points(w, n, name, rows=False)[0][0]
 
 
 def refine(mesh: SurfaceMesh) -> SurfaceMesh:

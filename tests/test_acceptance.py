@@ -281,7 +281,7 @@ def test_iterated_principal_values():
     for level in (3, 4, 5):
         mesh = build_mesh(CIRCLE, level)
         rep = poincare_bertrand_discrepancy(mesh, f=random_smooth(mesh, 31))
-        errs.append(rep.separable_error)
+        errs.append(rep.discrepancy_max)
         hs.append(mesh.h)
     assert _fitted_order(hs, errs) >= PB_MIN_ORDER
     # the general-kernel commutation defect is reported as data, not gated

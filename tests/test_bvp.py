@@ -1099,8 +1099,7 @@ def test_invert_cauchy_pv_involution(circle_mesh):
 def test_poincare_bertrand_separable(circle_mesh):
     f = random_smooth(circle_mesh, 21)
     rep = poincare_bertrand_discrepancy(circle_mesh, f=f)
-    assert rep.separable_error <= PB_SEPARABLE_TOL
-    assert rep.discrepancy_max == rep.separable_error
+    assert rep.discrepancy_max <= PB_SEPARABLE_TOL
     assert pair_orthogonality(circle_mesh, 8, 0) <= 0.05  # O(h) pair integral
     assert rep.lhs.shape == rep.rhs.shape
 
@@ -1113,7 +1112,6 @@ def test_poincare_bertrand_general_kernel(circle_spec):
     # k(x, t) = f(x)
     rep = poincare_bertrand_discrepancy(
         mesh, k=ProductKernel(mesh, f.samples, one), sample_nodes=4)
-    assert math.isnan(rep.separable_error)
     assert np.all(np.isfinite(rep.discrepancy))
     assert rep.sample_indices.size == 4
 

@@ -40,11 +40,13 @@ from hypercauchy.cauchy import (
 from hypercauchy.clifford_core import (SingularInputError, embed_point,
                                        paravectors_as_coeffs, sided_product,
                                        sided_sum)
+from hypercauchy import fueter
 from hypercauchy.fueter import cauchy_derivative
 from hypercauchy.surface import (DomainSpec, NodeIndexError, SurfaceMesh,
                                  build_mesh, load_mesh, refine, save_mesh)
-from hypercauchy._corpus import (random_smooth, rough_holder,
-                                 symmetric_power_trace)
+from hypercauchy._corpus import (kernel_trace, random_smooth, rough_holder,
+                                 symmetric_power_trace, trig_polynomial,
+                                 trig_polynomial_pv)
 
 from conftest import spot_check
 
@@ -696,6 +698,64 @@ def test_points_take_the_one_check(call, name, bad):
             mesh, ones, SideTaggedPoint(bad, "interior"))}
     with pytest.raises(ValueError, match="^%s must be a point of " % name):
         calls[call]()
+
+
+def _point_row_calls(mesh):
+    """{entry point: (call of one point or rows, argument name)} of every
+    evaluator that takes point rows, on a circle mesh."""
+    ctx = mesh.context
+    ones = BoundaryDensity.constant(mesh, 1.0)
+    g = kernel_trace(mesh, np.array([0.1, 0.2]))
+    _, trig = trig_polynomial(mesh, 3)
+    return {
+        "taylor_component": (fueter.taylor_component(ones, 0, mesh), "x"),
+        "laurent_term": (fueter.laurent_term(mesh, g, 1), "w"),
+        "hyper_variable": (lambda x: fueter.hyper_variable(ctx, 1, x), "x"),
+        "symmetric_power_rows": (
+            lambda x: fueter.symmetric_power_rows(ctx, (1,), x), "points"),
+        "evaluate_components": (
+            fueter.kernel_derivative(ctx, (1,)).evaluate_components,
+            "points"),
+        "constant": (ones.evaluator, "x"),
+        "corpus": (random_smooth(mesh, 4).evaluator, "x"),
+        "corpus_pv": (trig_polynomial_pv(mesh, trig), "x")}
+
+
+@pytest.mark.parametrize("call", [
+    "taylor_component", "laurent_term", "hyper_variable",
+    "symmetric_power_rows", "evaluate_components", "constant", "corpus",
+    "corpus_pv"])
+@pytest.mark.parametrize("bad", [
+    [0.1], [0.1, 0.0, 1.0], [5.0, 0.0, 1.0], [math.nan, 0.0],
+    [math.inf, 0.0], [[0.1, 0.2, 0.3]], [[2.0, math.nan]], [[[2.0, 1.0]]],
+    2.0, "ab"])
+def test_point_rows_take_the_one_check(call, bad):
+    # each took some of these: [0.1, 0.0, 1.0] gave a Taylor value, [nan, 0]
+    # a constant, [inf, 0] a NaN Laurent value, and [0.5] an IndexError
+    mesh = build_mesh(DomainSpec("circle"), 3)
+    fn, name = _point_row_calls(mesh)[call]
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError,
+                           match="^%s must be a point of n\\+1 = 2 " % name):
+            fn(bad)
+        # a point and, but for hyper_variable, rows of them pass the check
+        one = fn([2.0, 1.0])
+        assert np.all(np.isfinite(getattr(one, "coeffs", one)))
+        if call == "hyper_variable":
+            with pytest.raises(ValueError, match="^x must be a point of "):
+                fn([[2.0, 1.0]])
+        else:
+            assert np.all(np.isfinite(fn([[2.0, 1.0], [0.0, 3.0]])))
+
+
+def test_kernel_derivative_refuses_the_origin():
+    ctx = build_mesh(DomainSpec("circle"), 0).context
+    kd = fueter.kernel_derivative(ctx, (1,))
+    with np.errstate(all="raise"):
+        with pytest.raises(SingularInputError, match="origin"):
+            kd.evaluate_components([[0.0, 0.0]])
+        with pytest.raises(SingularInputError, match="origin"):
+            kd.evaluate_components([[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_node_index_error_is_an_index_and_a_value_error():

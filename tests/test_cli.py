@@ -249,6 +249,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = pv-constant\nlevels = 1\ncenter = 1,2,3\n",
          "center, radius: center must have n+1 = 2 components"),
         ("experiment = pv-constant\nlevels = 1\nseed = -1\n", "seed"),
+        # output paths that cannot be written, refused before the run and
+        # not by a traceback after it
+        ("experiment = pv-constant\nlevels = 1\ncsv = %s\n"
+         % (tmp_path / "no" / "such" / "pv.csv"), "csv: cannot write"),
+        ("experiment = pv-constant\nlevels = 1\njson = %s\n"
+         % (tmp_path / "no" / "pv.json"), "json: cannot write"),
+        ("experiment = algebra-laws\nlevels = 1\njson = %s\n" % tmp_path,
+         "json: cannot write"),
+        ("experiment = pv-constant\nlevels = 1\ncsv = %s\n" % tmp_path,
+         "csv: cannot write"),
         ("experiment = constant-gap\nlevels = 1\ngap_g = 2,1,3\n", "gap_g"),
         # gaps with no two-sided inverse: 0, and the zero divisor 1 + e123
         ("experiment = constant-gap\nlevels = 1\ngap_g = 0,0\n",
@@ -569,6 +579,26 @@ def test_failure_report_is_strict_json(tmp_path, capsys, monkeypatch):
     doc = json.loads(text, parse_constant=reject)
     assert doc["config"]["min_order"] is None
     assert "DegreeOverflowError" in doc["error"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="needs a device on which every write fails")
+@pytest.mark.parametrize("fails", [False, True], ids=["report", "failure"])
+def test_report_write_error_exit_2(tmp_path, capsys, monkeypatch, fails):
+    # a write that fails after the run, of the reports or of the failure
+    # report, is one stderr line and exit 2, not a traceback
+    if fails:
+        def singular(*args, **kwargs):
+            raise SingularInputError("non-invertible coefficient row")
+
+        monkeypatch.setattr(cli, "solve_constant_gap", singular)
+    cfg = _write_config(tmp_path, "gap.cfg", "experiment = constant-gap\n"
+                        "levels = 1\njson = /dev/full\n")
+    assert main(["run", cfg]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1].startswith("write failed: [Errno 28]")
+    assert err.count("\n") == 1 + fails
 
 
 def test_failed_criterion_exit_1(tmp_path, capsys):
