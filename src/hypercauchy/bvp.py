@@ -52,8 +52,6 @@ class SectionalSolution:
     side : 'left' | 'right'
         Regularity side; also fixes which side polynomial coefficients
         multiply on.
-    order_bound : int
-        Declared bound on the order at infinity of the exterior part.
     polynomial : tuple
         ((alpha, coeffs), ...) entries of the additive polynomial part
         P = sum Z^alpha c_alpha; empty when no free part exists.
@@ -67,7 +65,6 @@ class SectionalSolution:
     mesh: object
     density: BoundaryDensity
     side: str
-    order_bound: int
     polynomial: tuple = ()
     gap_inverse: object = None
     interior_only: bool = False
@@ -116,14 +113,12 @@ class SolvabilityReport:
 
     verdict is 'unconditional' (m >= -n: no conditions), 'solvable'
     (all moment residuals below threshold) or 'unsolvable'.  residuals
-    maps each required multi-index to the norm of its moment integral;
-    threshold is 10x a refinement-based quadrature error estimate with
-    an absolute floor.
+    maps each required multi-index to the norm of its moment integral, so
+    its length is the number of conditions; threshold is 10x a
+    refinement-based quadrature error estimate with an absolute floor.
     """
 
     verdict: str
-    condition_count: int
-    freedom_count: int
     residuals: dict
     threshold: float
 
@@ -162,10 +157,9 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
         raise DegreeOverflowError("order bound m = %d needs polynomial "
                                   "slots past max degree %d" % (m, MAX_DEGREE))
     if m >= -n:
-        freedom = math.comb(n + m, n) if m >= 0 else 0
         poly = _zero_poly_slots(ctx, m) if m >= 0 else ()
-        sol = SectionalSolution(mesh, g, side, m, poly)
-        return sol, SolvabilityReport("unconditional", 0, freedom, {}, 0.0)
+        sol = SectionalSolution(mesh, g, side, poly)
+        return sol, SolvabilityReport("unconditional", {}, 0.0)
     K = -(n + m) - 1
     if K > MAX_DEGREE:
         raise DegreeOverflowError(
@@ -179,10 +173,10 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
                       "moment floor only", stacklevel=2)
     solvable = all(v <= threshold for v in residuals.values())
     report = SolvabilityReport("solvable" if solvable else "unsolvable",
-                               math.comb(-m - 1, n), 0, residuals, threshold)
+                               residuals, threshold)
     if not solvable:
         return None, report
-    return SectionalSolution(mesh, g, side, m, ()), report
+    return SectionalSolution(mesh, g, side), report
 
 
 def _sample_indices(N, sample_nodes, seed):
@@ -295,20 +289,19 @@ def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
 class DirichletReport:
     """Outcome of the interior boundary-reproduction problem.
 
-    mode and criterion record what the regularity tag of g applied:
-    'holder' and 'both', or 'continuous' and 'exterior'.  solvable is
-    decided from a refinement trend: the criterion residual must drop
-    under one refinement (quadrature-dominated) instead of stabilizing at
-    a nonzero limit.  residual_exterior is the probe max-norm of C[g]
-    outside, residual_pv the node max-norm of PV C[g] - g/2 (NaN in
-    continuous mode); attainment_error (continuous mode) is the symmetric-
-    difference reconstruction error.  The failing residual field is
-    reported instead of raising.
+    solvable is decided from a refinement trend: the criterion residual
+    must drop under one refinement (quadrature-dominated) instead of
+    stabilizing at a nonzero limit.  residual_exterior is the probe
+    max-norm of C[g] outside, residual_pv the node max-norm of
+    PV C[g] - g/2 and attainment_error the symmetric-difference
+    reconstruction error.  The regularity tag of g decides the criterion
+    (solve_dirichlet), and the report shows which: Holder data have a
+    finite residual_pv and a NaN attainment_error; continuous data have a
+    NaN residual_pv and, once the trend passes, a finite attainment_error.
+    The failing residual field is reported instead of raising.
     """
 
     solvable: bool
-    mode: str
-    criterion: str
     residual_exterior: float
     residual_pv: float
     residual_fine: float
@@ -426,14 +419,10 @@ def solve_dirichlet(mesh, g, threshold=None):
             solvable = attain[k] <= 0.05 * gmax[k]
         sol = None
         if solvable:
-            sol = SectionalSolution(mesh, gk, "left", -mesh.n, (),
-                                    interior_only=True)
+            sol = SectionalSolution(mesh, gk, "left", interior_only=True)
         ext_res, pv_res, field = coarse[k]
-        holder = gk.is_holder
-        reports.append(DirichletReport(
-            solvable, "holder" if holder else "continuous",
-            "both" if holder else "exterior", ext_res, pv_res, fine_val,
-            thr, attain[k], field, sol))
+        reports.append(DirichletReport(solvable, ext_res, pv_res, fine_val,
+                                       thr, attain[k], field, sol))
     return reports[0] if single else reports
 
 
@@ -665,16 +654,15 @@ class PoincareBertrandReport:
     For sampled nodes t: lhs = PV_x int E(x-t) dsigma_x
     [PV_tau int E(tau-x) dsigma_tau k(tau, x)], rhs = (V_n/2)^2 k(t, t)
     plus the exchanged-order double sum.  No pass/fail is attached; the
-    discrepancy is reported as data.  When k(tau, x) = f(tau) the rhs is
-    (V_n/2)^2 f(t) alone, so discrepancy_max is the separable case's
-    error.  The pair integral, the other cross-check, depends on the mesh
-    alone (pair_orthogonality).
+    discrepancy lhs - rhs is reported as data, discrepancy_max its largest
+    row norm.  When k(tau, x) = f(tau) the rhs is (V_n/2)^2 f(t) alone, so
+    discrepancy_max is the separable case's error.  The pair integral, the
+    other cross-check, depends on the mesh alone (pair_orthogonality).
     """
 
     sample_indices: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
-    discrepancy: np.ndarray
     discrepancy_max: float
 
 
@@ -748,9 +736,9 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
         rhs = ((0.5 * vol) ** 2
                * batch_product(ctx, kmat.left[idx], kmat.right[idx])
                + exchanged)
-    disc = lhs - rhs
-    return PoincareBertrandReport(idx, lhs, np.asarray(rhs), disc,
-                                  float(np.linalg.norm(disc, axis=1).max()))
+    return PoincareBertrandReport(
+        idx, lhs, np.asarray(rhs),
+        float(np.linalg.norm(lhs - rhs, axis=1).max()))
 
 
 def pair_orthogonality(mesh, sample_nodes, seed):

@@ -325,7 +325,6 @@ class ConvergenceReport:
     order_width: float       # ~2 standard errors; nan when not estimable
     criteria: tuple          # dicts: name, value, limit, op, passed, waived
     passed: bool
-    auxiliary: dict
 
 
 def _fit_order(rows):
@@ -448,9 +447,10 @@ def _run_inversion(cfg, mesh):
 def _solve_and_score(cfg, mesh, solve, residual, data, aux):
     """Solve in the class R_{jump_m}; an unsolvable problem scores its
     worst moment residual, a solved one its residual at the 8 sampled
-    nodes of the residual's default."""
+    nodes of the residual's default.  aux maps the solution (None when
+    unsolvable) and the report to the level's aux entries."""
     sol, rep = solve(mesh, *data, cfg.jump_m)
-    aux = aux(rep)
+    aux = aux(sol, rep)
     if sol is None:
         worst = max(rep.residuals.values()) if rep.residuals else math.inf
         return worst, worst, aux
@@ -464,9 +464,9 @@ def _run_jump_rm(cfg, mesh):
         scale=-1.0)])
     return _solve_and_score(
         cfg, mesh, solve_jump_rm, jump_residual, (dens,),
-        lambda rep: {"verdict": rep.verdict,
-                     "conditions": rep.condition_count,
-                     "freedom": rep.freedom_count})
+        lambda sol, rep: {
+            "verdict": rep.verdict, "conditions": len(rep.residuals),
+            "freedom": 0 if sol is None else len(sol.polynomial)})
 
 
 def _run_constant_gap(cfg, mesh):
@@ -475,7 +475,7 @@ def _run_constant_gap(cfg, mesh):
                        lambda: [_corpus.random_smooth(mesh, cfg.seed)])
     return _solve_and_score(cfg, mesh, solve_constant_gap,
                             constant_gap_residual, (dens, G),
-                            lambda rep: {"verdict": rep.verdict})
+                            lambda sol, rep: {"verdict": rep.verdict})
 
 
 def _run_dirichlet(cfg, mesh):
@@ -731,10 +731,9 @@ def run_experiment(cfg) -> ConvergenceReport:
     crits = _standard_criteria(cfg, rows, fitted)
     if exp.extra is not None:
         crits.extend(exp.extra(cfg, rows))
-    auxiliary = {"level_%d" % r.level: r.aux for r in rows if r.aux}
     passed = all(c["passed"] for c in crits)
     return ConvergenceReport(cfg.experiment, tuple(rows), fitted, width,
-                             tuple(crits), passed, auxiliary)
+                             tuple(crits), passed)
 
 
 # -- report emission ----------------------------------------------------------------
@@ -794,7 +793,8 @@ def write_reports(cfg, report):
             "order_width": _jsonable(report.order_width),
             "criteria": [{k: _jsonable(v) for k, v in c.items()}
                          for c in report.criteria],
-            "auxiliary": _jsonable(report.auxiliary),
+            "auxiliary": {"level_%d" % r.level: _jsonable(r.aux)
+                          for r in report.rows if r.aux},
             "passed": report.passed,
         }
         _dump_json(doc, cfg.json)

@@ -42,9 +42,19 @@ class QuadratureDegeneracyError(ValueError):
     """Mesh too coarse for the requested expansion degree."""
 
 
+def _is_int(value):
+    """True for an int or numpy integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_degree(degree, cap=MAX_DEGREE):
-    """The one degree cap of multi-indices and expansion degrees."""
-    if degree > cap:
+    """The one degree check of multi-indices and expansion degrees: a
+    non-negative integer, else ValueError, and at most cap (None: no cap),
+    else DegreeOverflowError."""
+    if not _is_int(degree) or degree < 0:
+        raise ValueError("degree must be a non-negative integer, got %r"
+                         % (degree,))
+    if cap is not None and degree > cap:
         raise DegreeOverflowError("degree %d exceeds max %d" % (degree, cap))
 
 
@@ -62,19 +72,19 @@ def _as_alpha(alpha, n, cap=MAX_DEGREE):
 
 
 def multi_indices(n, degree):
-    """All multi-indices of n entries with |alpha| = degree, lexicographic."""
+    """All multi-indices of n entries with |alpha| = degree, lexicographic;
+    the degree takes _check_degree's check, with no cap."""
+    _check_degree(degree, cap=None)
     if n == 1:
-        yield (degree,)
-        return
-    for first in range(degree, -1, -1):
-        for rest in multi_indices(n - 1, degree - first):
-            yield (first,) + rest
+        return iter([(degree,)])
+    return ((first,) + rest for first in range(degree, -1, -1)
+            for rest in multi_indices(n - 1, degree - first))
 
 
 def hyper_variable(ctx, j, x) -> Multivector:
-    """z_j(x) = x_j e_0 - x_0 e_j for j in 1..n."""
-    if not 1 <= j <= ctx.n:
-        raise ValueError("j must be in 1..n")
+    """z_j(x) = x_j e_0 - x_0 e_j for an int j in 1..n."""
+    if not (_is_int(j) and 1 <= j <= ctx.n):
+        raise ValueError("j must be an integer in 1..%d, got %r" % (ctx.n, j))
     point = _point(x, ctx.n, "x")
     return Multivector(ctx, _hyper_variable_rows(ctx, j, point[None])[0])
 
@@ -162,7 +172,6 @@ class KernelDerivative:
     """
 
     n: int
-    alpha: tuple
     numerators: tuple   # one polynomial dict per component 0..n
     s: int
 
@@ -195,7 +204,7 @@ def _kernel_derivative_cached(n, alpha):
         for _ in range(times):
             nums = [_quotient_rule(poly, k, s) for poly in nums]
             s += 2
-    return KernelDerivative(n, tuple(alpha), tuple(nums), s)
+    return KernelDerivative(n, tuple(nums), s)
 
 
 def kernel_derivative(ctx, alpha) -> KernelDerivative:
@@ -401,8 +410,7 @@ class OrderReport:
     """Order at infinity with both determination routes reported."""
 
     order: float            # the moment route's: integer, -inf, or nan
-    slope_route: float
-    slope_raw: float        # unrounded log-log fit slope
+    slope_raw: float        # the empirical route's log-log fit slope
     first_moment_degree: int    # N^l, or -1 when no moment clears threshold
     thresholds: dict        # degree -> the threshold its moments must clear
     moment_norms: dict
@@ -418,9 +426,9 @@ def order_at_infinity(mesh, g, side="left") -> OrderReport:
     when the density carries an evaluator, 1e-8 * density scale); per
     degree, as degree-k moments grow like rho^k.  Empirical route:
     least-squares slope of log|Phi| against log|w| on 3 rays of seed 7
-    with radii in [5 rho, 50 rho], rounded to the nearest integer.  Both
-    are reported; `order` is the moment route's, NaN when no degree
-    clears its threshold.
+    with radii in [5 rho, 50 rho], whose nearest integer is the order.
+    Both are reported: `order` is the moment route's, NaN when no degree
+    clears its threshold, and `slope_raw` the unrounded slope.
     """
     n = mesh.n
     # the largest moment norm of each degree, on the mesh and refined
@@ -442,11 +450,10 @@ def order_at_infinity(mesh, g, side="left") -> OrderReport:
     points = (dirs[:, None, :] * radii[None, :, None]).reshape(-1, n + 1)
     mags = np.linalg.norm(_integral_rows(mesh, g, points, side), axis=1)
     if mags.max(initial=0.0) <= 1e-13 * float(np.abs(g.samples).max()):
-        return OrderReport(-math.inf, -math.inf, -math.inf,
-                           first_deg, thresholds, norms, False)
+        return OrderReport(-math.inf, -math.inf, first_deg, thresholds,
+                           norms, False)
     keep = mags > 0
     slope_raw = float(np.polyfit(np.log(np.tile(radii, 3))[keep],
                                  np.log(mags[keep]), 1)[0])
-    slope_order = float(np.round(slope_raw))
-    return OrderReport(moment_order, slope_order, slope_raw,
-                       first_deg, thresholds, norms, undetermined)
+    return OrderReport(moment_order, slope_raw, first_deg, thresholds, norms,
+                       undetermined)

@@ -1,5 +1,7 @@
 """Command-line interface: configs, outputs, determinism and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -495,6 +497,60 @@ def test_config_overrides_resolve_or_name_a_field(path):
         assert caught == [], [str(w.message) for w in caught]
 
     resolves()
+
+
+# the fields a run-stage draw overrides: every field but the levels, which
+# are drawn small for the resolved surface, and the report paths, which
+# stay empty
+_RUN_KEYS = sorted(set(_FIELD_VALUES) - {"levels", "csv", "json"})
+
+
+@st.composite
+def _run_overrides(draw, raw):
+    """0-2 overrides from the fields' type domains, then small levels: at
+    most 2 on a circle, at most 1 on a sphere (or as algebra dimensions)."""
+    others = draw(st.lists(st.sampled_from(_RUN_KEYS).flatmap(
+        lambda key: _FIELD_VALUES[key].map(lambda v: "%s=%s" % (key, v))),
+        max_size=2))
+    try:
+        circle = resolve_config(raw, others).surface == "circle"
+    except ConfigError:
+        circle = False
+    levels = draw(st.lists(st.integers(0, 2 if circle else 1), min_size=1,
+                           max_size=3, unique=True).map(sorted))
+    return others + ["levels=" + ",".join(map(str, levels))]
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_config_runs_end_in_an_exit_code(path, tmp_path, monkeypatch):
+    # every shipped config, run in-process with 1-3 drawn overrides at small
+    # levels, exits 0, 1 or 2 with no exception, no warning and no caught
+    # failure; an exit 2 names a field
+    monkeypatch.chdir(tmp_path)
+    raw = cli.parse_config_file(path)
+
+    @seed(47)
+    @settings(deadline=None, max_examples=8, database=None)
+    @given(overrides=_run_overrides(raw))
+    def runs(overrides):
+        argv = ["run", str(path), "--set", "csv=", "--set", "json="]
+        for item in overrides:
+            argv += ["--set", item]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert caught == [], [str(w.message) for w in caught]
+        assert code in (0, 1, 2), code
+        assert "run failed:" not in err.getvalue(), err.getvalue()
+        if code == 2:
+            assert any(key in err.getvalue() for key in _FIELDS + ["--set"]), \
+                err.getvalue()
+
+    runs()
 
 
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")),

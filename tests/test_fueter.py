@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -115,8 +116,43 @@ def test_multi_index_arguments_take_one_check(name, sphere_mesh):
 def test_multi_indices_enumeration():
     got = list(multi_indices(2, 2))
     assert got == [(2, 0), (1, 1), (0, 2)]
+    assert list(multi_indices(2, np.int64(2))) == got
     # count is C(k + n - 1, n - 1)
     assert len(list(multi_indices(3, 4))) == math.comb(4 + 2, 2)
+
+
+# each public expansion-degree argument, called with the mesh and a degree
+_DEGREE_CALLS = {
+    "laurent_term": lambda mesh, k: laurent_term(
+        mesh, random_smooth(mesh, 4), k),
+    "taylor_component": lambda mesh, k: taylor_component(
+        random_smooth(mesh, 4), k, mesh),
+    "build_moment_table": lambda mesh, k: build_moment_table(
+        mesh, random_smooth(mesh, 4), k),
+    "multi_indices": lambda mesh, k: multi_indices(mesh.n, k),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, True, 2.5], ids=repr)
+@pytest.mark.parametrize("name", sorted(_DEGREE_CALLS))
+@pytest.mark.parametrize("surface", ["circle_mesh", "sphere_mesh"])
+def test_degrees_are_checked_where_they_enter(surface, name, bad, request):
+    # a negative, bool or non-integer degree is refused at the call, naming
+    # the degree, before any evaluator or enumeration is returned
+    mesh = request.getfixturevalue(surface)
+    with pytest.raises(ValueError, match="got %s$" % re.escape(repr(bad))):
+        _DEGREE_CALLS[name](mesh, bad)
+
+
+@pytest.mark.parametrize("j", [True, 1.0, 0, "n+1"], ids=str)
+@pytest.mark.parametrize("n", [1, 2])
+def test_hyper_variable_takes_an_int_generator_index(n, j):
+    ctx = get_context(n)
+    x = np.linspace(0.5, 1.0, n + 1)
+    with pytest.raises(ValueError, match="^j must be"):
+        hyper_variable(ctx, n + 1 if j == "n+1" else j, x)
+    assert np.array_equal(hyper_variable(ctx, np.int64(n), x).coeffs,
+                          hyper_variable(ctx, n, x).coeffs)
 
 
 def test_hyper_variable_components():
@@ -402,7 +438,7 @@ def test_order_at_infinity_moment_and_slope(circle_spec, circle_mesh):
     assert rep.order == -1
     assert rep.first_moment_degree == 0
     assert not rep.undetermined
-    assert abs(rep.slope_raw - rep.slope_route) <= SLOPE_DEV
+    assert abs(rep.slope_raw - round(rep.slope_raw)) <= SLOPE_DEV
 
 
 def test_order_at_infinity_refines_each_mesh_once(circle_spec, monkeypatch):
