@@ -26,8 +26,7 @@ from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, principal_value_nodes,
                      symmetric_difference_limit, symmetric_difference_steps,
                      unit_sphere_area, _density_samples, _integral_rows,
-                     _scale, _self_sums, _shifted_sums,
-                     _singular_cell_corrections, _warn_if_continuous)
+                     _pv_core, _scale, _self_sums, _warn_if_continuous)
 from .surface import _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
                      _moment_norms, _moment_threshold, _polynomial,
@@ -614,15 +613,13 @@ def _matrix_pv_rows(mesh, left, right):
 
     The density of target i is L_j R_i, so its principal value is that of
     the ordinary density L, right-multiplied by R_i: the shifted sums
-    S1_i - S2_i L_i (_shifted_sums, one accum_left call), the singular-
-    cell correction and the (V_n/2) L_i diagonal term are all left
+    S1_i - S2_i L_i and the singular-cell correction (_pv_core, one
+    accum_left call) and the (V_n/2) L_i diagonal term are all left
     products of L.  Returns (rows, shifted): the (N, dim) unnormalized
     principal values and the shifted sums of L.
     """
-    shifted, = _shifted_sums(mesh, (left,), "left")
-    correction, = _singular_cell_corrections(mesh, (left,), "left")
-    pv = (shifted + correction
-          + 0.5 * unit_sphere_area(mesh.n) * left)
+    (shifted,), (correction,) = _pv_core(mesh, (left,), "left")
+    pv = shifted + correction + 0.5 * unit_sphere_area(mesh.n) * left
     return batch_product(mesh.context, pv, right), shifted
 
 

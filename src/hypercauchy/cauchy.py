@@ -13,7 +13,8 @@ gradient of f (the subtracted integrand has a finite, direction-
 dependent limit at x = t; dropping the cell outright costs an O(h)
 term with a computable coefficient).  On 3-surfaces, such as the
 3-sphere grid whose cells are thin near its poles, the correction instead
-integrates the linear part of f - f(t) exactly (_grid_cell_coefficients).
+integrates the linear part of f - f(t) exactly (_grid_cell_coefficients)
+from coordinate sums that ride in the densities' kernel pass (_pv_core).
 """
 
 from __future__ import annotations
@@ -576,8 +577,8 @@ def tangential_gradient(mesh, samples, idx=None):
     stencil rows of idx are read (gradient_stencil) and applied one
     neighbour column at a time, so no (len(idx), k, m) gather is held.
     The K arrays are laid side by side as one transient (N, K m) array, so
-    each column takes one gather for all K; principal_value_nodes builds
-    it after its kernel pass has freed its buffers.
+    each column takes one gather for all K; _pv_core builds it after its
+    kernel pass has freed its buffers.
     """
     nb, wts, frame = gradient_stencil(mesh, idx)
     K, m = len(samples), np.shape(samples[0])[-1]
@@ -590,17 +591,33 @@ def tangential_gradient(mesh, samples, idx=None):
 
 # -- principal values ------------------------------------------------------------
 
-def _singular_cell_corrections(mesh, samples, side, idx=None):
-    """Corrections for the dropped singular cell at the node index array idx.
+def _pv_core(mesh, samples, side, idx=None):
+    """(S1 - S2 f_t, c_t) of principal_value_nodes at the nodes idx (every
+    node for None), each (K, len(idx), dim), from one kernel pass: on
+    3-surfaces the coordinate rows x_c ride last in it, and their sums give
+    the cell coefficients.  A full call fits (and keeps) the stencil first,
+    so the fit's temporaries and the pass's never coexist."""
+    if idx is None:
+        gradient_stencil(mesh)
+    K, rows = len(samples), tuple(samples)
+    if mesh.n == 3:
+        coords = np.zeros((mesh.n + 1, mesh.node_count, mesh.context.dim))
+        coords[:, :, 0] = mesh.nodes.T
+        rows += tuple(coords)
+    sums = _shifted_sums(mesh, rows, side, idx)
+    return sums[:K], _singular_cell_corrections(mesh, samples, side,
+                                                sums[K:], idx)
 
-    samples is a sequence of K densities' node samples (tangential_gradient),
-    taken as given.  Shape (K, len(idx), dim); the default idx is every node.
-    """
+
+def _singular_cell_corrections(mesh, samples, side, sums, idx=None):
+    """Corrections for the dropped singular cell, (K, len(idx), dim), of K
+    densities' node samples at the nodes idx (default every node), from
+    their tangential_gradient and the coordinate sums of _pv_core."""
     derivs, frame = tangential_gradient(mesh, samples, idx)
-    return _cell_corrections(mesh, derivs, frame, side, idx)
+    return _cell_corrections(mesh, derivs, frame, side, sums, idx)
 
 
-def _cell_corrections(mesh, derivs, frame, side, idx=None):
+def _cell_corrections(mesh, derivs, frame, side, sums, idx=None):
     """Singular-cell corrections from tangential derivatives at the nodes idx.
 
     derivs[..., a, :, :] holds the (len(idx), dim) derivatives along
@@ -612,14 +629,14 @@ def _cell_corrections(mesh, derivs, frame, side, idx=None):
     (d w / sigma_d)^{1/d} (sigma_d / d) sum_k bar(T_k) nu(t) d_k f(t),
     where d = n and sigma_d = area(S^{d-1}).  The right side mirrors every
     product.  The 3-sphere grid's cells are far from round near its poles,
-    so 3-surfaces take _grid_cell_coefficients' G_k instead, in one
-    sum_k G_k d_k f(t) with the flat ball's G_k = bar(T_k) nu(t), times a
-    per-node scale: the prefactor above on the ball, 1 for n = 3.
+    so 3-surfaces take _grid_cell_coefficients' G_k (of sums) instead,
+    in one sum_k G_k d_k f(t) with the flat ball's G_k = bar(T_k) nu(t),
+    times a per-node scale: the prefactor above on the ball, 1 for n = 3.
     """
     ctx = mesh.context
     d = mesh.n
     if d == 3:
-        G = _grid_cell_coefficients(mesh, side, frame, idx)
+        G = _grid_cell_coefficients(mesh, side, frame, sums, idx)
         scale = 1.0
     else:
         rows = slice(None) if idx is None else idx
@@ -636,13 +653,11 @@ def _cell_corrections(mesh, derivs, frame, side, idx=None):
     return out * scale
 
 
-def _grid_cell_coefficients(mesh, side, frame, idx=None):
+def _grid_cell_coefficients(mesh, side, frame, sums, idx=None):
     """Coefficients G_k of a 3-surface's correction sum_k G_k d_k f(t)
-    at the node index array idx, or every node (None), (d, len(idx), dim).
-    Only a call for every node keeps and reads them (SurfaceMesh.cache),
-    per side; a call for some nodes takes its own coordinate sums.  frame
-    is the stencil frame (gradient_stencil) at the nodes idx, which the
-    caller already holds, so no stencil is fitted here.
+    at the node index array idx, or every node (None), (d, len(idx), dim),
+    from the caller's stencil frame and coordinate sums s_c at those nodes:
+    no stencil is fitted and no sum is taken here.
 
     Near the poles of the chi/th/ph grid its cells are thin needles, and
     nodes lie much closer than h, so the flat-ball cell model does not
@@ -657,24 +672,14 @@ def _grid_cell_coefficients(mesh, side, frame, idx=None):
     vanishes to second order at t, so A is taken as the node sum
     sum_c nu^c s_c.  The right side mirrors every product: T_k bar(nu) A.
     """
-    ctx, N, n = mesh.context, mesh.node_count, mesh.n
-
-    def build():
-        coords = np.zeros((n + 1, N, ctx.dim))
-        coords[:, :, 0] = mesh.nodes.T
-        sums = _shifted_sums(mesh, coords, side, idx)
-        nu = mesh.normals[slice(None) if idx is None else idx]
-        nubar = nu.copy()
-        nubar[:, 1:] *= -1.0
-        A_nubar = sided_product(ctx, side,
-                                np.einsum("nc,cnD->nD", nu, sums), nubar)
-        return np.stack([sided_product(ctx, side, A_nubar, frame[:, k])
-                         - np.einsum("nc,cnD->nD", frame[:, k], sums)
-                         for k in range(n)])
-
-    if idx is None:
-        return mesh.kept(("cell_coefficients", side), build)
-    return build()
+    nu = mesh.normals[slice(None) if idx is None else idx]
+    nubar = nu.copy()
+    nubar[:, 1:] *= -1.0
+    A_nubar = sided_product(mesh.context, side,
+                            np.einsum("nc,cnD->nD", nu, sums), nubar)
+    return np.stack([sided_product(mesh.context, side, A_nubar, frame[:, k])
+                     - np.einsum("nc,cnD->nD", frame[:, k], sums)
+                     for k in range(mesh.n)])
 
 
 def principal_value_nodes(mesh, f, side="left", indices=None):
@@ -682,23 +687,19 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
 
     Computes (S1 - S2 f_t + c_t)/V_n + f_t/2, S1 - S2 f_t the sums of
     _shifted_sums at the nodes, each skipping its own, and c_t the
-    singular-cell correction.  f is one BoundaryDensity, or a sequence of
-    K, giving (K, len(indices), dim), row k bitwise that of f[k] alone.  A
-    density sampled on a mesh with other nodes, or a side other than
-    'left' or 'right', raises ValueError before any sum is taken, and
-    indices that are not node indices raise NodeIndexError.
+    singular-cell correction, in one pass (_pv_core).  f is one
+    BoundaryDensity, or a sequence of K, giving (K, len(indices), dim),
+    row k bitwise that of f[k] alone.  A density sampled on a mesh with
+    other nodes, or a side other than 'left' or 'right', raises
+    ValueError before any sum is taken, and indices that are not node
+    indices raise NodeIndexError.
     """
     _check_side(side)
     idx = (None if indices is None
            else _node_indices(mesh, indices, "indices"))
-    if idx is None:
-        # fit (and keep) the full stencil before any stack is held, so the
-        # fit's temporaries and the kernel pass's never coexist; an indexed
-        # call fits its own nodes only
-        gradient_stencil(mesh)
     samples = _density_samples(mesh, f)
-    core = _shifted_sums(mesh, samples, side, idx)
-    core += _singular_cell_corrections(mesh, samples, side, idx)
+    core, corrections = _pv_core(mesh, samples, side, idx)
+    core += corrections
     core /= unit_sphere_area(mesh.n)
     for c, fk in zip(core, samples):
         c += 0.5 * (fk if idx is None else fk[idx])

@@ -60,15 +60,17 @@ def _check_degree(degree, cap=MAX_DEGREE):
 
 def _as_alpha(alpha, n, cap=MAX_DEGREE):
     """alpha as a tuple of n nonnegative ints of degree |alpha| <= cap, the
-    one multi-index check: a negative entry or a wrong length raises
-    ValueError, a degree past cap DegreeOverflowError."""
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("multi-index entries must be nonnegative")
+    one multi-index check: an entry that fails _is_int or is negative, or a
+    wrong length, raises ValueError, a degree past cap DegreeOverflowError."""
+    alpha = tuple(alpha)
+    bad = [a for a in alpha if not _is_int(a) or a < 0]
+    if bad:
+        raise ValueError("multi-index entry %r is not a nonnegative integer"
+                         % (bad[0],))
     _check_degree(sum(alpha), cap)
     if len(alpha) != n:
         raise ValueError("multi-index must have n = %d entries" % n)
-    return alpha
+    return tuple(int(a) for a in alpha)
 
 
 def multi_indices(n, degree):

@@ -112,8 +112,8 @@ class SurfaceMesh:
         Mesh facts, readable by any call: "neighbours" (the builder's
         lists), ("neighbours", k) (a k-d tree's), "uniform_circle" and
         "refined" (refine(mesh), with its own cache).  Operators, built and
-        read only by a call for every node: "gradient_stencil",
-        ("self_sums", side) and ("cell_coefficients", side).
+        read only by a call for every node: "gradient_stencil" and
+        ("self_sums", side).
     """
 
     nodes: np.ndarray

@@ -1,9 +1,11 @@
-"""Shared meshes for the test suite (session scoped; meshes are immutable)
-and the density regularity oracle."""
+"""Shared meshes for the test suite (session scoped; meshes are immutable),
+the density regularity oracle and a reference for the coordinate sums of
+the 3-surface singular-cell correction."""
 
 import numpy as np
 import pytest
 
+from hypercauchy import cauchy
 from hypercauchy.clifford_core import as_coeffs
 from hypercauchy.surface import DomainSpec, build_mesh
 
@@ -78,3 +80,12 @@ def spot_check(density, rng=None):
                 raise ValueError("samples disagree with evaluator at node %d"
                                  % i)
     return top
+
+
+def coordinate_sums(mesh, side, idx=None):
+    """The coordinate sums s_c at the nodes idx (default every node), as
+    cauchy._pv_core's pass gives them to the cell corrections, taken here by
+    a _shifted_sums call of their own: (n+1, len(idx), 2^n)."""
+    coords = np.zeros((mesh.n + 1, mesh.node_count, mesh.context.dim))
+    coords[:, :, 0] = mesh.nodes.T
+    return cauchy._shifted_sums(mesh, coords, side, idx)

@@ -58,6 +58,8 @@ from hypercauchy._corpus import (
     random_smooth,
 )
 
+from conftest import coordinate_sums
+
 JUMP_TOL = 1e-4
 MOMENT_EXACT_TOL = 1e-10
 SIE_CONST_TOL = 1e-14
@@ -739,7 +741,8 @@ def _tile_pv_rows(mesh, held):
     derivs = np.einsum("ank,nkm->anm", wts, held[nb, np.arange(N)[:, None]])
     rows = (core + 0.5 * unit_sphere_area(mesh.n)
             * held[np.arange(N), np.arange(N)])
-    return rows + cauchy._cell_corrections(mesh, derivs, frame, "left"), core
+    return rows + cauchy._cell_corrections(
+        mesh, derivs, frame, "left", coordinate_sums(mesh, "left")), core
 
 
 @pytest.mark.parametrize("level", [0, 1])

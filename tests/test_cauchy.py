@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from hypercauchy import _accel, cauchy, surface
+from hypercauchy import _accel, bvp, cauchy, surface
 from hypercauchy.cauchy import (
     BoundaryDensity,
     DegenerateStencilError,
@@ -44,11 +44,11 @@ from hypercauchy import fueter
 from hypercauchy.fueter import cauchy_derivative
 from hypercauchy.surface import (DomainSpec, NodeIndexError, SurfaceMesh,
                                  build_mesh, load_mesh, refine, save_mesh)
-from hypercauchy._corpus import (kernel_trace, random_smooth, rough_holder,
-                                 symmetric_power_trace, trig_polynomial,
-                                 trig_polynomial_pv)
+from hypercauchy._corpus import (kernel_trace, product_kernel, random_smooth,
+                                 rough_holder, symmetric_power_trace,
+                                 trig_polynomial, trig_polynomial_pv)
 
-from conftest import spot_check
+from conftest import coordinate_sums, spot_check
 
 ORACLE_TOL = 1e-12          # circle quadrature of low-degree traces is spectral
 PV_CONST_TOL = 1e-14        # regularized principal value is exact for constants
@@ -1348,9 +1348,12 @@ def test_cell_corrections_at_indices_match_full_rows(side):
     rng = np.random.default_rng(5)
     for mesh in _correction_meshes():
         f = random_smooth(mesh, 3)
-        full, = _singular_cell_corrections(mesh, (f.samples,), side)
+        full, = _singular_cell_corrections(mesh, (f.samples,), side,
+                                           coordinate_sums(mesh, side))
         idx = rng.choice(mesh.node_count, size=5, replace=False)
-        got, = _singular_cell_corrections(mesh, (f.samples,), side, idx)
+        got, = _singular_cell_corrections(mesh, (f.samples,), side,
+                                          coordinate_sums(mesh, side, idx),
+                                          idx)
         tol = _cell_correction_bound(mesh, f)[idx]
         assert got.shape == (len(idx), mesh.context.dim)
         assert np.all(np.abs(got - full[idx]) <= tol[:, None])
@@ -1386,7 +1389,7 @@ def _cell_correction_bound(mesh, f):
     deriv = _gamma(nb.shape[1] + TERM_ROUNDINGS) * size
     if d == 3 and mesh.spec is not None:
         G_l1 = np.abs(cauchy._grid_cell_coefficients(
-            mesh, "left", frame)).sum(axis=2)
+            mesh, "left", frame, coordinate_sums(mesh, "left"))).sum(axis=2)
         idx = np.arange(mesh.node_count)
         coord_bounds = np.stack([_core_bound(mesh, BoundaryDensity(
             mesh, np.eye(mesh.context.dim)[0] * mesh.nodes[:, c, None]), idx)
@@ -1412,15 +1415,18 @@ def test_cached_stencil_is_read_only(name):
 
 
 def test_sphere3_cell_coefficients_at_indices_match_full_rows():
-    # a cold cache sums the grid coefficients at the asked nodes only
+    # the coordinate sums at the asked nodes give their rows of the grid
+    # coefficients; neither call keeps a table
     mesh = build_mesh(SPHERE3, 0)
     idx = np.array([0, 7, 40, 127])
     key = ("cell_coefficients", "left")
     frame = gradient_stencil(mesh)[2]
-    part = cauchy._grid_cell_coefficients(mesh, "left", frame[idx], idx)
+    part = cauchy._grid_cell_coefficients(
+        mesh, "left", frame[idx], coordinate_sums(mesh, "left", idx), idx)
     assert key not in mesh.cache
-    full = cauchy._grid_cell_coefficients(mesh, "left", frame)
-    assert key in mesh.cache and not full.flags.writeable
+    full = cauchy._grid_cell_coefficients(mesh, "left", frame,
+                                          coordinate_sums(mesh, "left"))
+    assert key not in mesh.cache
     # both round their coordinate sums within _core_bound of x_c
     frame = frame[idx]
     coord_bounds = np.stack([_core_bound(mesh, BoundaryDensity(
@@ -1443,6 +1449,40 @@ def test_indexed_sphere3_pv_fits_its_nodes_once(monkeypatch):
                                 indices=[3, 9])
     assert len(fits) == 1
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("level", [0, 1])
+def test_every_pv_call_makes_one_kernel_pass(level, side, monkeypatch):
+    # the 3-surface cell coefficients' coordinate sums ride in the
+    # densities' own pass: an indexed PV on a cold mesh, a cold and a warm
+    # full PV, an indexed PV after them and _matrix_pv_rows on a cold and a
+    # warm mesh each make one accum call, and no coefficient table is kept
+    calls = []
+    for name in ("accum_left", "accum_right"):
+        original = getattr(_accel, name)
+        monkeypatch.setattr(_accel, name, lambda *args, _name=name,
+                            _original=original, **kwargs: calls.append(
+                                _name) or _original(*args, **kwargs))
+
+    def passes(call, *args):
+        calls.clear()
+        call(*args)
+        return list(calls)
+
+    mesh = build_mesh(SPHERE3, level)
+    fs = [random_smooth(mesh, 4), random_smooth(mesh, 5)]
+    accum = "accum_" + side
+    for indices in ([0, 7, 40], None, None, [0, 7, 40]):
+        assert passes(principal_value_nodes, mesh, fs, side,
+                      indices) == [accum]
+    assert ("cell_coefficients", side) not in mesh.cache
+    for m in (build_mesh(SPHERE3, level), mesh):
+        k = product_kernel(m, 23)
+        assert passes(bvp._matrix_pv_rows, m, k.left,
+                      k.right) == ["accum_left"]
+        assert not {("cell_coefficients", s) for s in ("left", "right")} \
+            & set(m.cache)
 
 
 def _mesh_with_cache(name, hot, side):

@@ -77,6 +77,25 @@ def test_multi_index_validation():
         fueter._as_alpha((-1, 2), 2)
     with pytest.raises(DegreeOverflowError):
         fueter._as_alpha((MAX_DEGREE, 1), 2)
+    assert fueter._as_alpha(np.array([2, 1]), 2) == (2, 1)
+
+
+@pytest.mark.parametrize("alpha, bad", [
+    ((1.7, True), "1.7"), ((1, True), "True"), ((-0.5, 1), "-0.5"),
+    ((np.float64(1.0), 0), "1.0"), (("2", 0), "'2'"), ((1, -1), "-1")])
+def test_multi_index_entries_must_be_nonnegative_integers(alpha, bad):
+    # int() once converted each entry: (1.7, True) gave (1, 1), ("2", 0)
+    # gave (2, 0) and -0.5 got past the negative check as 0
+    with pytest.raises(ValueError, match=r"multi-index entry .*%s"
+                       % re.escape(bad)) as err:
+        fueter._as_alpha(alpha, 2)
+    assert err.type is ValueError
+
+
+def test_kernel_derivative_refuses_a_fractional_order():
+    # (0.9, 0) once gave d^0 E
+    with pytest.raises(ValueError, match="0.9"):
+        kernel_derivative(get_context(2), (0.9, 0))
 
 
 # each public multi-index argument: (call(mesh, alpha), cap on |alpha|, the
