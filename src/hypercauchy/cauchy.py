@@ -196,8 +196,9 @@ class BoundaryDensity:
 
 def side_of(spec, w):
     """Membership side of point w for a sphere/circle spec; points within
-    1e-9 max(1, R) of the sphere of radius R are on the boundary."""
-    w = np.asarray(w, dtype=np.float64)
+    1e-9 max(1, R) of the sphere of radius R are on the boundary; w takes
+    _point's check."""
+    w = _point(w, spec.n)
     r = np.linalg.norm(w - spec.center_array)
     if abs(r - spec.radius) <= 1e-9 * max(1.0, spec.radius):
         return "boundary"
@@ -218,7 +219,7 @@ class SideTaggedPoint:
 
     @classmethod
     def tag(cls, spec, w):
-        return cls(tuple(np.asarray(w, float)), side_of(spec, w))
+        return cls(w, side_of(spec, w))
 
     @property
     def point(self):

@@ -23,8 +23,7 @@ import numpy as np
 
 from . import _corpus
 from .clifford_core import batch_conjugate, batch_product, get_context
-from .surface import (DomainSpec, _node_count, _node_separation, build_mesh,
-                      save_mesh)
+from .surface import DomainSpec, _node_count, build_mesh, save_mesh
 from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      span_indicator, symmetric_difference_limit,
                      symmetric_difference_steps, _integral_rows)
@@ -56,7 +55,7 @@ SURFACES = {"circle": ("circle", 1), "sphere2": ("sphere", 2),
 # fields every experiment reads; those on a mesh read MESH_FIELDS too
 COMMON_FIELDS = ("experiment", "levels", "tolerance", "min_order",
                  "monotone", "seed", "csv", "json", "record_runtime")
-MESH_FIELDS = ("surface", "center", "radius")
+MESH_FIELDS = ("surface",)
 
 
 class ConfigError(ValueError):
@@ -69,14 +68,10 @@ class ExperimentConfig:
 
     experiment: str = ""
     surface: str = "circle"
-    center: tuple = ()
-    radius: float = 1.0
     levels: tuple = (2, 3, 4)
     density: str = "corpus"
     jump_m: int = -1
     gap_g: tuple = (2.0, 1.0)
-    sie_a: float = 3.0
-    sie_b: float = 1.0
     expect: str = "solvable"
     tolerance: float = math.nan
     min_order: float = math.nan
@@ -87,8 +82,10 @@ class ExperimentConfig:
     record_runtime: bool = False
 
     def domain_spec(self):
-        kind, n = SURFACES[self.surface]
-        return DomainSpec(kind, n=n, center=self.center, radius=self.radius)
+        """The unit surface at the origin: the Cauchy kernel and dsigma
+        scale as lambda^-n and lambda^n, so translating or dilating the
+        surface changes nothing a run checks."""
+        return DomainSpec(*SURFACES[self.surface])
 
 
 def _parse_bool(value, key):
@@ -115,13 +112,11 @@ def _parse_field(key, value):
     if key in ("experiment", "surface", "density", "expect", "csv", "json"):
         return value
     try:
-        if key == "center":
-            return _finite(key, value.split(",")) if value else ()
         if key == "gap_g":
             return _finite(key, value.split(","))
         if key == "levels":
             return tuple(int(v) for v in value.split(","))
-        if key in ("radius", "sie_a", "sie_b", "tolerance", "min_order"):
+        if key in ("tolerance", "min_order"):
             return _finite(key, [value])[0]
         if key in ("jump_m", "seed"):
             return int(value)
@@ -195,13 +190,7 @@ def resolve_config(raw, overrides=()):
     else:
         if cfg.levels[0] < 0:
             raise ConfigError("levels: mesh levels must be >= 0")
-        spec = _checked("center, radius", cfg.domain_spec)
-        # build the coarsest mesh, so geometry whose nodes coincide or
-        # whose weights leave float64 fails here with the fields named,
-        # and check the finest level's node spacing without building it
-        mesh = _coarsest_mesh(spec, cfg.levels[-1])
-        if cfg.density == "corpus":
-            _check_corpus_reach(spec, exp.corpus_degree)
+        mesh = _coarsest_mesh(cfg.domain_spec(), cfg.levels[-1])
         dim = mesh.context.dim
         if "gap_g" in reads:
             if len(cfg.gap_g) > dim:
@@ -217,7 +206,6 @@ def resolve_config(raw, overrides=()):
             with np.errstate(all="ignore"):
                 _checked("density", _corpus.make_density, mesh, cfg.density,
                          cfg.seed)
-        _check_kernel_range(spec, cfg.levels[-1])
     # the solvability conditions of R_m need moments of degree -n - m - 1,
     # and its free polynomial slots (m >= 0) have degree up to m
     low = -SURFACES[cfg.surface][1] - MAX_DEGREE - 1
@@ -232,64 +220,14 @@ def resolve_config(raw, overrides=()):
 
 
 def _coarsest_mesh(spec, finest):
-    """build_mesh(spec, 0), refusing with ConfigError geometry on which the
-    nodes of level finest would lie closer than float64 resolves, and a
-    level finest with more than MAX_NODES nodes.
-
-    Two nodes a distance d apart differ by at least d / sqrt(n+1) in some
-    coordinate, so they stay apart in float64 while that exceeds the
-    spacing of floats at the largest coordinate, |center| + radius.  That
-    float spacing is at least eps radius / 2 wherever the center lies, so
-    a refused level whose nodes lie within sqrt(n+1) eps radii is too deep
-    for about any geometry and names levels; other refusals name center,
-    radius.
-    """
-    mesh = _checked("center, radius", build_mesh, spec, 0)
+    """build_mesh(spec, 0), refusing with ConfigError a level finest with
+    more than MAX_NODES nodes, which is not built to find out."""
     # a level past C long's range is an OverflowError of ldexp
-    gap = _checked("levels", _node_separation, spec, finest)
-    reach = np.abs(spec.center_array).max() + spec.radius
-    resolution = np.sqrt(spec.n + 1) * np.spacing(reach)
-    if gap > resolution:
-        count = _node_count(spec, finest)
-        if count > MAX_NODES:
-            raise ConfigError("levels: level %d would have %.4g nodes, over "
-                              "MAX_NODES = %d" % (finest, count, MAX_NODES))
-        return mesh
-    floor = np.sqrt(spec.n + 1) * np.finfo(np.float64).eps
-    if gap < floor * spec.radius:
-        raise ConfigError("levels: nodes of level %d lie %.3g radii apart, "
-                          "within float64's relative resolution %.3g at "
-                          "any center and radius"
-                          % (finest, gap / spec.radius, floor))
-    raise ConfigError("center, radius: nodes of level %d lie %.3g apart, "
-                      "within float64's resolution %.3g at coordinates up "
-                      "to %.3g" % (finest, gap, resolution, reach))
-
-
-def _check_corpus_reach(spec, degree):
-    """Refuse geometry on which an experiment's corpus leaves float64,
-    without sampling it: its polynomial traces of degree up to degree reach
-    about (|center| + radius)^degree, and the runs square them (_norms),
-    so 2 degree log2(|center| + radius) must stay below float64's 1024."""
-    reach = float(np.abs(spec.center_array).max() + spec.radius)
-    if 2 * degree * math.log2(reach) >= 1024:
-        raise ConfigError("center, radius: the corpus's traces of degree %d "
-                          "at coordinates up to %.3g square past float64"
-                          % (degree, reach))
-
-
-def _check_kernel_range(spec, finest):
-    """Refuse geometry on which the kernel's r^-(n+1) leaves float64's
-    normal range at a distance a run sums over: from level finest's node
-    separation out to 4 (|center| + radius), past every corpus pole
-    (at most 2.4 radii from the center) and ladder rung."""
-    low = _node_separation(spec, finest)
-    high = 4.0 * (math.hypot(*spec.center) + spec.radius)
-    p = spec.n + 1
-    if not (-p * math.log2(high) >= -1022 and -p * math.log2(low) < 1024):
-        raise ConfigError("center, radius: the Cauchy kernel r^-%d leaves "
-                          "float64's normal range at distances from %.3g "
-                          "to %.3g" % (p, low, high))
+    count = _checked("levels", _node_count, spec, finest)
+    if count > MAX_NODES:
+        raise ConfigError("levels: level %d would have %.4g nodes, over "
+                          "MAX_NODES = %d" % (finest, count, MAX_NODES))
+    return build_mesh(spec, 0)
 
 
 def _checked(key, check, *args):
@@ -401,13 +339,11 @@ def _run_pv_constant(cfg, mesh):
 
 
 def _run_reproduction(cfg, mesh):
-    spec = mesh.spec
     rng = np.random.default_rng(cfg.seed + 4)
     dirs = rng.standard_normal((2, mesh.n + 1))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    interior = spec.center_array + 0.55 * spec.radius * dirs
-    points = np.concatenate([interior,
-                             spec.center_array + 1.8 * spec.radius * dirs[:1]])
+    interior = 0.55 * dirs
+    points = np.concatenate([interior, 1.8 * dirs[:1]])
     densities = _densities(cfg, mesh, lambda: _corpus.symmetric_power_traces(
         mesh, [a for k in range(4) for a in multi_indices(mesh.n, k)]))
     errs = []
@@ -561,8 +497,9 @@ def _run_algebra(cfg, mesh_level):
 
 
 def _run_sie(cfg, mesh):
-    a = BoundaryDensity.constant(mesh, cfg.sie_a)
-    b = BoundaryDensity.constant(mesh, cfg.sie_b)
+    # |a| != |b|, so a + b and a - b have inverses
+    a = BoundaryDensity.constant(mesh, 3.0)
+    b = BoundaryDensity.constant(mesh, 1.0)
     coeffs = CharacteristicCoefficients.from_ab(mesh, a, b)
     densities = _densities(cfg, mesh, lambda: _corpus.sie_corpus(
         mesh, seed=cfg.seed + 17))
@@ -585,13 +522,11 @@ def _run_pbx(cfg, mesh):
 
 
 def _run_span(cfg, mesh):
-    spec = mesh.spec
     rng = np.random.default_rng(cfg.seed + 9)
     d = _corpus._unit_direction(rng, mesh.n + 1)
-    cases = [(spec.center_array, 1.0),
-             (spec.center_array + 0.4 * spec.radius * d, 1.0),
+    cases = [(np.zeros(mesh.n + 1), 1.0), (0.4 * d, 1.0),
              (mesh.nodes[int(rng.integers(0, mesh.node_count))], 0.5),
-             (spec.center_array + 2.0 * spec.radius * d, 0.0)]
+             (2.0 * d, 0.0)]
     errs = []
     for w, want in cases:
         coeffs = span_indicator(mesh, w).raw.coeffs
@@ -615,9 +550,6 @@ class ExperimentDef:
     reads: tuple = ()
     extra: object = None
     meshless: bool = False
-    # the largest polynomial degree in the coordinates of the corpus and of
-    # what the run computes from it (_check_corpus_reach)
-    corpus_degree: int = 0
     # (test, message): a config on which test holds is refused with message
     refuse: tuple = ()
 
@@ -636,18 +568,18 @@ EXPERIMENTS = {
         "Cauchy reproduction of symmetric-power traces at interior points",
         {"surface": "sphere2", "levels": (2, 3, 4), "tolerance": 1e-3,
          "monotone": True},
-        ("density",), corpus_degree=3),
+        ("density",)),
     "plemelj": ExperimentDef(
         _run_plemelj,
         "two-sided boundary limits against the jump relations",
         {"surface": "sphere2", "levels": (3, 4), "tolerance": 1e-2},
-        ("density",), corpus_degree=2),
+        ("density",)),
     "inversion": ExperimentDef(
         _run_inversion,
         "involution of the singular Cauchy operator on a density corpus",
         {"surface": "circle", "levels": (3, 4, 5, 6), "tolerance": 1e-3,
          "min_order": 1.0},
-        ("density",), corpus_degree=2),
+        ("density",)),
     "jump-rm": ExperimentDef(
         _run_jump_rm,
         "jump problem with prescribed order bound at infinity",
@@ -669,8 +601,7 @@ EXPERIMENTS = {
         _run_dirichlet,
         "Dirichlet solvability verdicts and boundary reconstruction",
         {"surface": "circle", "levels": (3, 4), "tolerance": 1e-2},
-        extra=_dirichlet_extra,
-        corpus_degree=3),
+        extra=_dirichlet_extra),
     "classical-degeneration": ExperimentDef(
         _run_classical,
         "circle case against residue-calculus closed forms",
@@ -680,8 +611,7 @@ EXPERIMENTS = {
     "order-at-infinity": ExperimentDef(
         _run_order,
         "order at infinity of kernel combinations, moment and slope routes",
-        {"surface": "circle", "levels": (4, 5), "tolerance": 0.2},
-        corpus_degree=MAX_DEGREE),
+        {"surface": "circle", "levels": (4, 5), "tolerance": 0.2}),
     "algebra-laws": ExperimentDef(
         _run_algebra,
         "associativity, anti-automorphism and paravector inversion",
@@ -695,11 +625,7 @@ EXPERIMENTS = {
         "characteristic singular equation with constant coefficients",
         {"surface": "circle", "levels": (3, 4, 5, 6), "tolerance": 1e-4,
          "monotone": True},
-        ("density", "sie_a", "sie_b"), corpus_degree=1,
-        # a + b or a - b is zero, so it has no inverse
-        refuse=(lambda cfg: abs(cfg.sie_a) == abs(cfg.sie_b),
-                "sie_a, sie_b: a + b and a - b must be nonzero, got "
-                "sie_a = {sie_a!r}, sie_b = {sie_b!r}")),
+        ("density",)),
     "poincare-bertrand": ExperimentDef(
         _run_pbx,
         "iterated principal values: special case and general-kernel report",

@@ -82,14 +82,22 @@ class AlgebraContext:
         return f"AlgebraContext(n={self.n})"
 
 
-_CONTEXTS: dict[int, AlgebraContext] = {}
+def _is_int(value):
+    """True for an int or numpy integer, False for a bool or anything else."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def get_context(n: int) -> AlgebraContext:
-    """Shared AlgebraContext instances keyed by n."""
-    if n not in _CONTEXTS:
-        _CONTEXTS[n] = AlgebraContext(n)
-    return _CONTEXTS[n]
+    """Shared AlgebraContext instances keyed by n, an integer in 1..8; a
+    bool or any other value raises ValueError before the cache is read."""
+    if not _is_int(n):
+        raise ValueError(f"n must be an integer in 1..8, got {n!r}")
+    return _context(int(n))
+
+
+@lru_cache(maxsize=None)
+def _context(n: int) -> AlgebraContext:
+    return AlgebraContext(n)
 
 
 class Multivector:

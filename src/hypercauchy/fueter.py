@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford_core import (Multivector, SingularInputError,
-                            _check_side, as_coeffs, batch_product,
+                            _check_side, _is_int, as_coeffs, batch_product,
                             sided_product, sided_sum)
 from .cauchy import (
     BoundaryDensity,
@@ -40,11 +40,6 @@ class DegreeOverflowError(ValueError):
 
 class QuadratureDegeneracyError(ValueError):
     """Mesh too coarse for the requested expansion degree."""
-
-
-def _is_int(value):
-    """True for an int or numpy integer, False for a bool or anything else."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_degree(degree, cap=MAX_DEGREE):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford_core import get_context
+from .clifford_core import _is_int, get_context
 
 
 class UnsupportedDomainError(ValueError):
@@ -53,7 +53,9 @@ class DomainSpec:
 
     def __post_init__(self):
         kind = self.kind.lower()
-        n = self.n
+        if not _is_int(self.n):
+            raise ValueError("n must be an integer, got %r" % (self.n,))
+        n = int(self.n)
         if n == 0:
             n = 1 if kind == "circle" else 2
         if kind == "circle" and n != 1:
@@ -458,8 +460,7 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     a 2-sphere's lists are searched only when a stencil reads them
     (neighbour_lists).
     """
-    if isinstance(level, bool) or not isinstance(level, (int, np.integer)) \
-            or level < 0:
+    if not _is_int(level) or level < 0:
         raise ValueError("level must be an integer >= 0")
     make = (_circle_nodes if spec.kind == "circle" else
             _fibonacci_nodes if spec.n == 2 else _sphere3_nodes)
@@ -476,32 +477,10 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     return mesh
 
 
-def _node_separation(spec: DomainSpec, level: int) -> float:
-    """A lower bound, in closed form, on the distance between two nodes of
-    build_mesh(spec, level), for checking geometry before any mesh of that
-    level is built.
-
-    Circles: 2 R sin(pi / N), exact.  2-spheres: 3 R / sqrt(N); the
-    lattice's nearest pair measured 3.0915-3.0921 R / sqrt(N) over levels
-    0-7.  3-spheres: 20 R / m^4, m = 4 * 2^level; the nearest pair sits on
-    the rings about the chi poles, and measured 21.6, 27.8, 31.1 and
-    32.7 R / m^4 over levels 0-3.  The level enters through ldexp, so a
-    level past float64's range gives 0, not an OverflowError.
-    """
-    R = spec.radius
-    with np.errstate(over="ignore"):
-        if spec.kind == "circle":
-            return float(2.0 * R * np.sin(np.pi / np.ldexp(64.0, level)))
-        if spec.n == 2:
-            return float(3.0 * R / np.sqrt(np.ldexp(320.0, level)))
-        return float(np.ldexp(20.0 * R / 256.0, -4 * level))
-
-
 def _node_count(spec: DomainSpec, level: int) -> float:
     """The node count of build_mesh(spec, level) in closed form: 64 * 2^L
     on circles, 320 * 2^L on 2-spheres, 2 (4 * 2^L)^3 on 3-spheres.  A
-    float, through ldexp as in _node_separation, so a level past float64's
-    range gives inf."""
+    float, through ldexp, so a level past float64's range gives inf."""
     with np.errstate(over="ignore"):
         if spec.kind == "circle":
             return float(np.ldexp(64.0, level))

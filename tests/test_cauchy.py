@@ -414,6 +414,14 @@ def test_side_of_and_tagging(circle_spec):
     assert side_of(circle_spec, np.array([1.0, 0.0])) == "boundary"
     tagged = SideTaggedPoint.tag(circle_spec, np.array([0.1, 0.0]))
     assert tagged.side == "interior"
+    # a point takes _point's check: n+1 finite coordinates, or a
+    # ValueError naming w, not a broadcast or a NaN's side
+    for w in ([0.1], [np.nan, 0.0], [0.0, np.inf], [0.1, 0.0, 0.0],
+              [[0.1, 0.0]], "ab"):
+        with pytest.raises(ValueError, match="^w must be a point"):
+            side_of(circle_spec, w)
+        with pytest.raises(ValueError, match="^w must be a point"):
+            SideTaggedPoint.tag(circle_spec, w)
     with pytest.raises(ValueError):
         SideTaggedPoint((0.1, 0.0), "inside")
 

@@ -80,6 +80,14 @@ def test_registry_complete():
         assert set(exp.defaults) <= set(reads), name
 
 
+def test_every_config_field_is_settable():
+    # a field that no experiment reads can never be set, so it belongs in
+    # neither ExperimentConfig nor the config echo
+    settable = set(cli.COMMON_FIELDS).union(
+        *(exp.settable() for exp in EXPERIMENTS.values()))
+    assert settable == {f.name for f in fields(ExperimentConfig)}
+
+
 def test_run_writes_reports(tmp_path, capsys):
     cfg = _fast_config(tmp_path)
     assert main(["run", cfg]) == 0
@@ -224,17 +232,25 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "density: experiment pv-constant does not read"),
         ("experiment = constant-gap\nlevels = 1\nexpect = unsolvable\n",
          "expect: experiment constant-gap does not read"),
-        ("experiment = algebra-laws\nlevels = 1\nsurface = sphere3\n"
-         "radius = 1e-300\n",
+        ("experiment = algebra-laws\nlevels = 1\nsurface = sphere3\n",
          "surface: experiment algebra-laws does not read"),
-        ("experiment = dirichlet\nlevels = 3,4\ndensity = constant\n"
-         "radius = 1e120\n", "density: experiment dirichlet does not read"),
+        ("experiment = dirichlet\nlevels = 3,4\ndensity = constant\n",
+         "density: experiment dirichlet does not read"),
         # fixed probe settings, not fields: 8 sampled nodes (4 for the
         # general kernel) and kernel seed 23
         ("experiment = jump-rm\nlevels = 1\nsample_nodes = 8\n",
          "unknown config field 'sample_nodes'"),
         ("experiment = poincare-bertrand\nlevels = 1\nkernel_seed = 23\n",
          "unknown config field 'kernel_seed'"),
+        # runs take the unit surface, and characteristic-sie a = 3, b = 1
+        ("experiment = pv-constant\nlevels = 1\nradius = 2\n",
+         "unknown config field 'radius'"),
+        ("experiment = plemelj\nsurface = sphere2\nlevels = 1\n"
+         "center = 0,0,0\n", "unknown config field 'center'"),
+        ("experiment = characteristic-sie\nlevels = 1\nsie_a = 3\n",
+         "unknown config field 'sie_a'"),
+        ("experiment = characteristic-sie\nlevels = 1\nsie_b = 1\n",
+         "unknown config field 'sie_b'"),
         # caught where the config enters, not by a failed run (exit 1)
         ("experiment = jump-rm\nlevels = 1\njump_m = -10\n", "jump_m"),
         ("experiment = constant-gap\nsurface = sphere2\nlevels = 1\n"
@@ -244,12 +260,6 @@ def test_config_errors_exit_2(tmp_path, capsys):
         ("experiment = algebra-laws\nlevels = 8,9\n", "levels"),
         # past MAX_ALGEBRA_N: n = 8 would take roughly 2 GiB
         ("experiment = algebra-laws\nlevels = 1,8\n", "levels"),
-        ("experiment = pv-constant\nlevels = 1\nradius = 0\n", "radius"),
-        ("experiment = pv-constant\nlevels = 1\nradius = -1\n", "radius"),
-        ("experiment = pv-constant\nlevels = 1\ncenter = 0,0,0\n", "center"),
-        # DomainSpec's refusals name the geometry fields, as the others do
-        ("experiment = pv-constant\nlevels = 1\ncenter = 1,2,3\n",
-         "center, radius: center must have n+1 = 2 components"),
         ("experiment = pv-constant\nlevels = 1\nseed = -1\n", "seed"),
         # output paths that cannot be written, refused before the run and
         # not by a traceback after it
@@ -274,81 +284,24 @@ def test_config_errors_exit_2(tmp_path, capsys):
          "density"),
         ("experiment = jump-rm\nlevels = 1\nexpect = unsolveable\n",
          "expect"),
-        ("experiment = characteristic-sie\nlevels = 1\nsie_a = 1\n"
-         "sie_b = 1\n", "sie_a"),
-        ("experiment = characteristic-sie\nlevels = 1\nsie_a = 2\n"
-         "sie_b = -2\n", "sie_b"),
         # the residual would evaluate slots past the largest degree
         ("experiment = constant-gap\nlevels = 1\njump_m = 7\n", "jump_m"),
         ("experiment = jump-rm\nlevels = 1\njump_m = 7\n", "jump_m"),
-        # geometry whose coarsest mesh has coinciding nodes or weights
-        # that leave float64, caught before any run
-        ("experiment = pv-constant\nlevels = 1\ncenter = 1e17,0\n",
-         "center"),
-        ("experiment = pv-constant\nlevels = 1\nradius = 1e308\n",
-         "radius"),
-        ("experiment = pv-constant\nlevels = 1\nradius = 5e-324\n",
-         "radius"),
-        ("experiment = dirichlet\nlevels = 1\nradius = 1e308\n", "radius"),
-        ("experiment = plemelj\nsurface = sphere2\nlevels = 1\n"
-         "radius = 1e308\n", "radius"),
-        # geometry that builds at level 0 but whose level-4 nodes, 0.0061
-        # apart, would coincide about a center of 1e14
-        ("experiment = pv-constant\nlevels = 2,3,4\ncenter = 1e14,0\n",
-         "center, radius: nodes of level 4"),
-        # sphere radii whose square or cube leaves float64 give inf
-        # weights, refused as the circle's are
-        ("experiment = plemelj\nsurface = sphere2\nlevels = 1\n"
-         "radius = 1e308\n", "center, radius: weights row 0 is not finite"),
-        ("experiment = pv-constant\nsurface = sphere3\nlevels = 1\n"
-         "center = 0,0,0,0\nradius = 1e200\n",
-         "center, radius: weights row 0 is not finite"),
-        # a level too deep for any center and radius names levels
+        # a level too deep for any mesh, refused before any mesh past
+        # level 0 is built
         ("experiment = pv-constant\nlevels = 2,60\n",
-         "levels: nodes of level 60"),
-        ("experiment = pv-constant\nsurface = sphere3\nlevels = 0,20\n"
-         "center = 0,0,0,0\n", "levels: nodes of level 20"),
-        # levels whose nodes float64 resolves but past MAX_NODES nodes,
-        # refused before any mesh past level 0 is built
+         "levels: level 60 would have 7.379e+19 nodes"),
+        ("experiment = pv-constant\nsurface = sphere3\nlevels = 0,20\n",
+         "levels: level 20 would have 1.476e+20 nodes"),
+        # levels past MAX_NODES nodes on each surface
         ("experiment = pv-constant\nlevels = 2,24\n",
          "levels: level 24 would have 1.074e+09 nodes"),
-        ("experiment = pv-constant\nsurface = sphere2\ncenter = 0,0,0\n"
-         "levels = 2,40\n", "levels: level 40 would have 3.518e+14 nodes"),
-        ("experiment = pv-constant\nsurface = sphere3\ncenter = 0,0,0,0\n"
-         "levels = 0,4\n", "levels: level 4 would have 5.243e+05 nodes"),
+        ("experiment = pv-constant\nsurface = sphere2\nlevels = 2,40\n",
+         "levels: level 40 would have 3.518e+14 nodes"),
+        ("experiment = pv-constant\nsurface = sphere3\nlevels = 0,4\n",
+         "levels: level 4 would have 5.243e+05 nodes"),
         # a level past C long's range
         ("experiment = pv-constant\nlevels = 2,%d\n" % 10 ** 30, "levels"),
-        # corpus traces whose squares (or the rough members' norms) leave
-        # float64, refused without sampling the corpus: the settings of
-        # configs/plemelj-sphere.cfg, plemelj-circle.cfg and inversion.cfg
-        ("experiment = plemelj\nsurface = sphere2\nlevels = 3,4\n"
-         "radius = 1e140\ncenter = 1e150,0,0\n",
-         "center, radius: the corpus's traces of degree 2"),
-        ("experiment = plemelj\nsurface = circle\nlevels = 5,6\n"
-         "radius = 1e140\ncenter = 1e150,0\n",
-         "center, radius: the corpus's traces of degree 2"),
-        ("experiment = inversion\nsurface = circle\nlevels = 3,4,5,6\n"
-         "radius = 1e140\ncenter = 1e150,0\n",
-         "center, radius: the corpus's traces of degree 2"),
-        # order-at-infinity's moments reach degree 6 (configs/
-        # order-at-infinity.cfg's settings)
-        ("experiment = order-at-infinity\nsurface = circle\nlevels = 4,5\n"
-         "radius = 1e30\ncenter = 0,0\n",
-         "center, radius: the corpus's traces of degree 6"),
-        # geometry whose kernel r^-(n+1) overflows or underflows at some
-        # node distance: r^2 overflows on the circle, r^-3 underflows
-        # silently on the 2-sphere, and the rest warn and fail
-    ] + [
-        ("experiment = %s\nsurface = %s\nlevels = 0,1\nradius = %s\n%s"
-         % case, "center, radius: the Cauchy kernel r^-")
-        for case in [("pv-constant", "circle", "1e160", ""),
-                     ("jump-rm", "circle", "1e160", ""),
-                     ("span", "sphere2", "1e110", ""),
-                     ("reproduction", "sphere2", "1e110",
-                      "density = constant\n"),
-                     ("pv-constant", "sphere2", "1e-110", ""),
-                     ("pv-constant", "sphere3", "1e-80", ""),
-                     ("pv-constant", "sphere3", "1e80", "")]
     ] + [
         # a known family with an argument that cannot build a density
         ("experiment = inversion\nsurface = %s\nlevels = 1\ndensity = %s\n"
@@ -373,28 +326,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["run", cfg, "--set", "levels"]) == 2
     assert ("--set: expected key=value, got 'levels'"
             in capsys.readouterr().err)
-    for key in ("sample_nodes", "kernel_seed"):
+    for key in ("sample_nodes", "kernel_seed", "center", "radius", "sie_a",
+                "sie_b"):
         assert main(["run", cfg, "--set", "%s=4" % key]) == 2
         assert "unknown config field %r" % key in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("radius", ["500", "1000"])
-def test_order_at_infinity_holds_at_large_radii(tmp_path, capsys, radius):
-    # each moment degree is judged against its own refinement change; one
-    # threshold for all degrees grew like radius^6 and buried degree 0
-    out = tmp_path / "order.json"
-    assert main(["run", str(CONFIG_DIR / "order-at-infinity.cfg"), "--set",
-                 "center=0,0", "--set", "radius=" + radius, "--set",
-                 "json=%s" % out, "--set", "csv="]) == 0
-    for aux in json.loads(out.read_text())["auxiliary"].values():
-        assert [aux["order_N%d" % N] for N in range(3)] == [-1, -2, -3]
-
-
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("key, template", [
-    ("radius", "%s"), ("sie_a", "%s"), ("sie_b", "%s"),
-    ("tolerance", "%s"), ("min_order", "%s"),
-    ("center", "0,%s"), ("gap_g", "%s,1"),
+    ("tolerance", "%s"), ("min_order", "%s"), ("gap_g", "%s,1"),
 ])
 def test_config_rejects_nonfinite_numbers(key, template, bad):
     setting = "%s=%s" % (key, template % bad)
@@ -404,12 +344,14 @@ def test_config_rejects_nonfinite_numbers(key, template, bad):
 
 
 def test_nonfinite_density_is_refused_without_a_warning(capsys):
-    # the density's samples overflow at radius 1e200; the refusal is the
-    # only line on stderr
-    assert main(["run", str(CONFIG_DIR / "inversion.cfg"), "--set",
-                 "density=rough:3", "--set", "radius=1e200"]) == 2
+    # the density's samples overflow; the refusal is the only line on
+    # stderr, and the overflow raises no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(CONFIG_DIR / "inversion.cfg"), "--set",
+                     "density=poly:1e308,1e308"]) == 2
     err = capsys.readouterr().err
-    assert err == "config: density: samples row 0 is not finite\n"
+    assert err == "config: density: samples row 10 is not finite\n"
 
 
 # --set values from each field's type domain, extremes included
@@ -437,8 +379,6 @@ _LEVELS = st.one_of(
 _FIELD_VALUES = {
     "experiment": st.sampled_from(sorted(EXPERIMENTS) + ["warp"]),
     "surface": st.sampled_from(["circle", "sphere2", "sphere3", "torus"]),
-    "center": _lists(_FLOATS, 6),
-    "radius": _FLOATS,
     "levels": _LEVELS,
     "density": st.sampled_from(
         ["corpus", "constant", "bogus", "coord:", "coord:1", "coord:7",
@@ -453,7 +393,7 @@ _FIELD_VALUES = {
     "record_runtime": st.sampled_from(["true", "off", "2"]),
     "csv": st.sampled_from(["", "out.csv"]),
     "json": st.sampled_from(["", "out.json"]),
-    **{key: _FLOATS for key in ("sie_a", "sie_b", "tolerance", "min_order")},
+    **{key: _FLOATS for key in ("tolerance", "min_order")},
     **{key: _INTS for key in ("jump_m", "seed")},
 }
 _FIELDS = [f.name for f in fields(ExperimentConfig)]
@@ -477,10 +417,10 @@ def test_config_overrides_resolve_or_name_a_field(path):
     # levels past MAX_NODES on each surface, past C long's range, and a
     # density whose samples overflow
     @example(overrides=["levels=2,24"])
-    @example(overrides=["surface=sphere2", "center=0,0,0", "levels=2,40"])
-    @example(overrides=["surface=sphere3", "center=0,0,0,0", "levels=0,4"])
+    @example(overrides=["surface=sphere2", "levels=2,40"])
+    @example(overrides=["surface=sphere3", "levels=0,4"])
     @example(overrides=["levels=2,%d" % 10 ** 30])
-    @example(overrides=["density=rough:3", "radius=1e200"])
+    @example(overrides=["density=poly:1e308,1e308"])
     def resolves(overrides):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -598,8 +538,7 @@ def test_numerical_failure_exit_1(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("name, overrides", [
-    ("constant-gap", ["gap_g=1e300"]),
-    ("characteristic-sie", ["sie_a=1e300", "sie_b=1"])])
+    ("constant-gap", ["gap_g=1e300"])])
 def test_huge_coefficients_invert_without_warnings(tmp_path, capsys, name,
                                                   overrides):
     # |G|^2 leaves float64, but the inverse check's bound stays finite
@@ -675,27 +614,27 @@ def test_list_command(capsys):
     lines = out.splitlines()
     row = next(i for i, line in enumerate(lines) if "  jump-rm " in line)
     assert lines[row + 1].split() == [
-        "surface,", "center,", "radius,", "density,", "jump_m,", "expect"]
+        "surface,", "density,", "jump_m,", "expect"]
 
 
 def test_mesh_export_roundtrip(tmp_path, capsys):
     # mesh export reads a config as run does and saves its finest mesh
     path = tmp_path / "mesh.txt"
     pv = str(CONFIG_DIR / "pv-constant.cfg")
-    assert main(["mesh", "export", pv, str(path), "--set", "levels=1,2",
-                 "--set", "radius=2.0"]) == 0
+    assert main(["mesh", "export", pv, str(path), "--set", "levels=1,2"]) \
+        == 0
     mesh = load_mesh(path)
     assert mesh.n == 1
     assert mesh.node_count == 64 * 2 ** 2
-    assert np.max(np.abs(np.linalg.norm(mesh.nodes, axis=1) - 2.0)) <= 1e-12
+    assert np.max(np.abs(np.linalg.norm(mesh.nodes, axis=1) - 1.0)) <= 1e-12
     capsys.readouterr()
     # every refusal is run's: one config line naming the field, exit 2
     for config, sets, field in [
             (pv, ["surface=torus"], "surface"),
             # a level past MAX_NODES is refused before it is built
             (pv, ["levels=40"], "levels: level 40"),
-            (pv, ["radius=abc"], "radius"),
-            (pv, ["center=1,2,3"], "center, radius"),
+            (pv, ["radius=2"], "unknown config field 'radius'"),
+            (pv, ["center=0,0"], "unknown config field 'center'"),
             (str(CONFIG_DIR / "algebra-laws.cfg"), [], "experiment")]:
         argv = ["mesh", "export", config, str(path)]
         for setting in sets:

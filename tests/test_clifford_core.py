@@ -186,6 +186,17 @@ def test_context_mismatch_rejected():
 
 def test_context_cached():
     assert get_context(2) is get_context(2)
+    assert get_context(np.int64(2)) is get_context(2)
+    assert type(get_context(np.int64(2)).n) is int
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 1.5, "2", None])
+def test_context_refuses_a_non_integer_n_before_the_cache(n):
+    # True == 1 and hashes as 1: a cache read first would hand it, or
+    # later get_context(1) calls, AlgebraContext(n=True)
+    with pytest.raises(ValueError, match="^n must be an integer"):
+        get_context(n)
+    assert get_context(1).n == 1 and type(get_context(1).n) is int
 
 
 def test_coeff_length_validated():

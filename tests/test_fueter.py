@@ -476,6 +476,17 @@ def test_order_at_infinity_refines_each_mesh_once(circle_spec, monkeypatch):
     assert mesh.cache["refined"].level == mesh.level + 1
 
 
+@pytest.mark.parametrize("radius", [500.0, 1000.0], ids=["500", "1000"])
+def test_order_at_infinity_holds_at_large_radii(radius):
+    # each moment degree is judged against its own refinement change; one
+    # threshold for all degrees grew like radius^6 and buried degree 0
+    for level in (4, 5):
+        mesh = build_mesh(DomainSpec("circle", radius=radius), level)
+        orders = [order_at_infinity(mesh, kernel_combo(mesh, N)).order
+                  for N in (0, 1, 2)]
+        assert orders == [-1, -2, -3], (level, orders)
+
+
 def test_order_at_infinity_zero_density(circle_mesh):
     zero = BoundaryDensity(circle_mesh,
                            np.zeros((circle_mesh.node_count, 2)))

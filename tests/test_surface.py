@@ -219,21 +219,6 @@ def test_load_rejects_duplicate_nodes(tmp_path, circle_mesh):
         load_mesh(path)
 
 
-@pytest.mark.parametrize("kind, n, levels", [
-    ("circle", 1, range(5)), ("sphere", 2, range(5)), ("sphere", 3, range(3))])
-def test_node_separation_bounds_the_built_nodes(kind, n, levels):
-    # the closed form behind the config check of the finest level: below
-    # every built mesh's nearest pair, and not far below it (circles are
-    # exact, 2-spheres 0.97 of it, 3-spheres 0.64-0.93 over levels 0-2)
-    spec = DomainSpec(kind, n, center=(0.3,) * (n + 1), radius=1.7)
-    for level in levels:
-        nodes = build_mesh(spec, level).nodes
-        nearest = cKDTree(nodes).query(nodes, 2)[0][:, 1].min()
-        bound = surface._node_separation(spec, level)
-        assert 0.6 * nearest <= bound <= nearest * (1.0 + 1e-12), level
-    assert surface._node_separation(spec, 10 ** 4) == 0.0
-
-
 @pytest.mark.parametrize("kind, n", [("circle", 1), ("sphere", 2),
                                      ("sphere", 3)])
 def test_node_count_is_the_built_count(kind, n):
@@ -352,6 +337,14 @@ def test_domain_spec_validation():
     for center in ((np.nan, 0.0), (0.0, -np.inf)):
         with pytest.raises(ValueError, match="^center must be finite"):
             DomainSpec("circle", 1, center=center, radius=1.0)
+    # n is an integer, not a bool or a float, whatever it would equal
+    for kind, n, center in [("circle", True, ()), ("circle", 1.0, ()),
+                            ("sphere", 2.0, ()), ("sphere", 3.0, (0,) * 4),
+                            ("sphere", "2", ())]:
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            DomainSpec(kind, n, center=center)
+    assert DomainSpec("sphere", np.int64(3)).n == 3
+    assert type(DomainSpec("sphere", np.int64(3)).n) is int
     # a level is an integer, not a bool (isinstance(True, int) holds)
     for level in (True, 2.5, np.float64(1.0), "1"):
         with pytest.raises(ValueError, match="^level must be an integer"):
