@@ -8,14 +8,15 @@ the blade-pair table that batch_product uses too.  Their order is fixed
 (blocks, tiles and gemms in order, the table's scatter order), so results
 do not depend on the thread count.
 
-Each sum form is one loop.  accum_left and accum_right contract the
-planes with a stack of K densities, g of shape (K, N, 2^n), one BLAS gemm
-per plane and density, into a plane-major term stack (n+1, K, M, 2^n) for
-M targets, which one scatter_pairs call turns into the (K, M, 2^n) sums:
-the plane axis gives the left factor's columns for side "left" and the
-right factor's for "right".  Each step is a matmul row or an elementwise
-scatter, so the rows of density k are bitwise those of a call with that
-density alone.  The terms come from one of two passes, each building its
+Each sum form is one loop.  accum_left contracts the planes with a stack
+of K densities, g of shape (K, N, 2^n), one BLAS gemm per plane and
+density, into a plane-major term stack (n+1, K, M, 2^n) for M targets,
+which one scatter_pairs call turns into the (K, M, 2^n) sums, the plane
+axis giving the left factor's columns.  Every sum is a left sum:
+accum_right, which no library path calls, is rev(accum_left(rev(g))) for
+the reversion rev, as E is a paravector.  Each step is a matmul row or an
+elementwise scatter, so the rows of density k are bitwise those of a call
+with that density alone.  The terms come from one of two passes, each building its
 blocks in one bounded work buffer of two rows (_block_planes): r^-(n+1) in
 one, then each plane p = 0..n in the other, contracted with every density
 before plane p+1 is built.  The buffer dies when the pass returns, before
@@ -51,14 +52,13 @@ path and walks no tiles, so it stays an independent parity reference of
 the separable route.
 
 Node targets on a uniform circle grid (uniform_circle) take no tiles in
-accum_left and accum_right: there C(V_1) is the complex plane
-(e1 = i), E(x) = 1/x and x_q - x_p = (x_p - c)(omega^(q-p) - 1) for the
-nodes in angular order, omega = exp(2 pi i / N).  So sum_{q != p}
-E(x_q - x_p) g_q = (x_p - c)^-1 sum_m c_m g_(p+m), c_m = 1/(omega^m - 1),
-one circular correlation per density: an FFT, the exact symbol of c and
-an inverse FFT (_circle_sums), O(N log N) against the tiles' O(N^2).  The
-complex product commutes, so both sides give the same sums.  Callers pick
-the route: circle, with no default, is uniform_circle(nodes) or None;
+accum_left: there C(V_1) is the complex plane (e1 = i), E(x) = 1/x and
+x_q - x_p = (x_p - c)(omega^(q-p) - 1) for the nodes in angular order,
+omega = exp(2 pi i / N).  So sum_{q != p} E(x_q - x_p) g_q =
+(x_p - c)^-1 sum_m c_m g_(p+m), c_m = 1/(omega^m - 1), one circular
+correlation per density: an FFT, the exact symbol of c and an inverse FFT
+(_circle_sums), O(N log N) against the tiles' O(N^2).  Callers pick the
+route: circle, with no default, is uniform_circle(nodes) or None;
 off-surface targets, indexed rows, trimmed or capped circles and spheres
 stay on the direct paths above, their parity reference.  The FFT takes the
 grid as ideal, costing about N eps relative against the direct sums over
@@ -255,8 +255,8 @@ def _circle_sums(G, nodes, circle):
     return out
 
 
-def _accumulate(ctx, targets, nodes, g, excl, side, circle):
-    """Kernel sums of g, one density (N, 2^n) or a stack (K, N, 2^n).
+def _accumulate(ctx, targets, nodes, g, excl, circle):
+    """Left kernel sums of g, one density (N, 2^n) or a stack (K, N, 2^n).
 
     Each kernel block is built once and contracted with every density in
     turn, so the rows of density k are bitwise those of a call with g[k].
@@ -282,9 +282,8 @@ def _accumulate(ctx, targets, nodes, g, excl, side, circle):
     else:
         _row_block_terms(T, targets, nodes, G, excl, ctx.n)
     # one scatter of the whole stack, the planes' axis on the left of each
-    # product for side "left" and on the right for "right"
-    T = T.reshape(ctx.n + 1, -1, ctx.dim)
-    out = scatter_pairs(ctx, T if side == "left" else T.transpose(2, 1, 0))
+    # product
+    out = scatter_pairs(ctx, T.reshape(ctx.n + 1, -1, ctx.dim))
     return out.reshape(g.shape[:-2] + (M, ctx.dim))
 
 
@@ -293,7 +292,7 @@ def accum_left(ctx, targets, nodes, g, excl=None, *, circle):
 
     g (one density or a stack) and circle (no default) as in _accumulate.
     """
-    return _accumulate(ctx, targets, nodes, g, excl, "left", circle)
+    return _accumulate(ctx, targets, nodes, g, excl, circle)
 
 
 def accum_right(ctx, targets, nodes, g, excl=None, *, circle):
@@ -301,7 +300,8 @@ def accum_right(ctx, targets, nodes, g, excl=None, *, circle):
 
     g (one density or a stack) and circle (no default) as in _accumulate.
     """
-    return _accumulate(ctx, targets, nodes, g, excl, "right", circle)
+    return ctx.reverse_sign * accum_left(
+        ctx, targets, nodes, np.multiply(g, ctx.reverse_sign), excl, circle=circle)
 
 
 def pv_matrix(ctx, nodes, nuw, dmat):

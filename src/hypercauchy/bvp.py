@@ -20,13 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _accel
-from .clifford_core import (Multivector, SingularInputError, as_coeffs,
-                            batch_product, sided_sum)
+from .clifford_core import (Multivector, SingularInputError, _check_side,
+                            _is_int, as_coeffs, batch_product, sided_sum)
 from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, principal_value_nodes,
                      symmetric_difference_limit, symmetric_difference_steps,
                      unit_sphere_area, _density_samples, _integral_rows,
-                     _pv_core, _scale, _self_sums, _warn_if_continuous)
+                     _pv_core, _scale, _warn_if_continuous)
 from .surface import _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
                      _moment_norms, _moment_threshold, _polynomial,
@@ -67,6 +67,9 @@ class SectionalSolution:
     polynomial: tuple = ()
     gap_inverse: object = None
     interior_only: bool = False
+
+    def __post_init__(self):
+        _check_side(self.side)
 
     def _poly_rows(self, pts):
         return _polynomial(self.mesh.context, self.polynomial, self.side)(pts)
@@ -180,8 +183,9 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
 
 def _sample_indices(N, sample_nodes, seed):
     """min(sample_nodes, N) distinct seeded node indices; none raises."""
-    if sample_nodes < 1:
-        raise ValueError("sample_nodes must be >= 1, got %r" % (sample_nodes,))
+    if not _is_int(sample_nodes) or sample_nodes < 1:
+        raise ValueError("sample_nodes must be an integer >= 1, got %r"
+                         % (sample_nodes,))
     return np.random.default_rng(seed).choice(N, size=min(sample_nodes, N),
                                               replace=False)
 
@@ -618,7 +622,7 @@ def _matrix_pv_rows(mesh, left, right):
     products of L.  Returns (rows, shifted): the (N, dim) unnormalized
     principal values and the shifted sums of L.
     """
-    (shifted,), (correction,) = _pv_core(mesh, (left,), "left")
+    (shifted,), (correction,) = _pv_core(mesh, (left,))
     pv = shifted + correction + 0.5 * unit_sphere_area(mesh.n) * left
     return batch_product(mesh.context, pv, right), shifted
 
@@ -700,11 +704,11 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
     as _corpus.product_kernel returns; anything else, or one sampled on
     another mesh, is refused (_kernel_matrix).  _matrix_pv_rows gives the
     inner principal values and the shifted sums S1 - S2 L of the left
-    factor L; with the mesh's cached self-sums S2 (_self_sums) they give
-    S1, which the one _accel.pb_rhs call takes for the exchanged-order
-    sums of all sampled nodes.  Kernel values are formed only at the
-    sampled nodes' diagonal, so no (N, N, dim) array is held.
-    sample_nodes < 1 raises ValueError.
+    factor L; with the self-sums S2 that its full pass keeps in the mesh's
+    cache they give S1, which the one _accel.pb_rhs call takes for the
+    exchanged-order sums of all sampled nodes.  Kernel values are formed
+    only at the sampled nodes' diagonal, so no (N, N, dim) array is held.
+    A sample_nodes that is not an integer >= 1 raises ValueError.
     Returns a PoincareBertrandReport; interpretation (convergence trends
     under refinement) is left to the caller.
     """
@@ -726,8 +730,7 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
         inner_d = BoundaryDensity(mesh, inner,
                                   regularity=("holder", 1.0, None))
         lhs = vol * principal_value_nodes(mesh, inner_d, indices=idx)
-        S1 = shifted + batch_product(ctx, _self_sums(mesh, "left"),
-                                     kmat.left)
+        S1 = shifted + batch_product(ctx, mesh.cache["self_sums"], kmat.left)
         exchanged = _accel.pb_rhs(ctx, mesh.nodes, mesh.measure_coeffs(),
                                   kmat.left, kmat.right, idx, S1)
         rhs = ((0.5 * vol) ** 2

@@ -4,7 +4,9 @@ Conventions.  The kernel is E(y) = bar(Y)/|y|^{n+1} for y in R^{n+1}
 identified with the paravector Y, and integrals carry the normalization
 1/V_n with V_n = unit_sphere_area(n) the area of S^n.  Left integrals
 are (1/V_n) int E(x-w) dsigma f(x); right integrals put the density on
-the left of the measure.  dsigma at a node is nu_i w_i.
+the left of the measure.  dsigma at a node is nu_i w_i.  Reversion fixes
+the paravectors E and nu w and reverses products, so every right integral
+of f is summed as rev of the left integral of rev(f) (_density_samples).
 
 Principal values take the regularized form: the desingularized
 sum over x != t of E(x-t) nu w [f(x) - f(t)] plus f(t)/2, plus a local
@@ -31,8 +33,10 @@ from .clifford_core import (
     Paravector,
     SingularInputError,
     _check_side,
+    _is_real,
+    _product_into,
     as_coeffs,
-    sided_product,
+    batch_product,
 )
 from .surface import (FIBONACCI_NEIGHBOURS, SurfaceMesh,
                       _first_nonfinite_row, _node_indices, _point,
@@ -103,13 +107,8 @@ def _regularity_ok(reg):
     if len(reg) != 3 or reg[0] != "holder":
         return False
     mu, M = reg[1:]
-
-    def real(v):  # a bool is refused, though isinstance(True, int) holds
-        return (isinstance(v, (int, float, np.integer, np.floating))
-                and not isinstance(v, bool))
-
-    return (real(mu) and 0.0 < mu <= 1.0
-            and (M is None or real(M) and 0.0 <= M < math.inf))
+    return (_is_real(mu) and 0.0 < mu <= 1.0
+            and (M is None or _is_real(M) and 0.0 <= M < math.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,27 +235,26 @@ class CauchyValue:
     side: str = "unknown"
 
 
-def _measure_density(mesh, samples, side, out=None):
-    """Rows (nu w f)_j for left integrals, (f nu w)_j for right ones,
-    (K, N, 2^n) for a sequence of K densities' (N, 2^n) rows.
+def _measure_density(mesh, samples, out=None):
+    """Rows (nu w f)_j, (K, N, 2^n) for a sequence of K densities' (N, 2^n)
+    rows.
 
     Each density's rows are read in place and their products written
     straight into its row of out, a kernel pass's buffer, onto which they
-    are added when it is given (see sided_product); no stack of the
-    densities is formed.
+    are added when it is given; no stack of the densities is formed.
     """
     ctx, measure = mesh.context, mesh.measure_coeffs()
     if out is None:
         out = np.zeros((len(samples), mesh.node_count, ctx.dim))
     for f, rows in zip(samples, out):
-        sided_product(ctx, side, measure, f, rows)
+        _product_into(ctx, measure, f, rows)
     return out
 
 
-def _density_samples(mesh, f):
+def _density_samples(mesh, f, side="left"):
     """The node samples of f, one density or a sequence of them, as a tuple
-    of (N, 2^n) rows, one per density: each density's own rows, read-only,
-    never a stacked copy.
+    of (N, 2^n) rows, one per density, read-only: each density's own rows,
+    never a stacked copy, or for side 'right' a reversed copy of each.
 
     Every density must be sampled on mesh: one from another mesh object
     with other nodes is rejected, naming its position in the sequence.
@@ -273,7 +271,8 @@ def _density_samples(mesh, f):
             raise ValueError("%s is sampled on another mesh (%d nodes) than "
                              "the one summed over (%d nodes)"
                              % (where, fk.mesh.node_count, mesh.node_count))
-    rows = tuple(fk.samples.view() for fk in fs)
+    rows = tuple(fk.samples * mesh.context.reverse_sign if side == "right"
+                 else fk.samples.view() for fk in fs)
     for r in rows:
         r.flags.writeable = False
     return rows
@@ -300,65 +299,51 @@ def _uniform_circle(mesh):
                          lambda: _accel.uniform_circle(mesh.nodes))
 
 
-def _accum(mesh, targets, g, side, excl=None):
-    """Kernel sums over every mesh node at the targets.
-
-    side picks accum_left or accum_right (any other side raises before any
-    work is done); only sums with excl read the circle test.
-    """
-    _check_side(side)
-    accum = _accel.accum_left if side == "left" else _accel.accum_right
+def _accum(mesh, targets, g, excl=None):
+    """Kernel sums accum_left over every mesh node at the targets; only
+    sums with excl read the circle test."""
     circ = None if excl is None else _uniform_circle(mesh)
-    return accum(mesh.context, targets, mesh.nodes, g, excl, circle=circ)
+    return _accel.accum_left(mesh.context, targets, mesh.nodes, g, excl,
+                             circle=circ)
 
 
-def _shifted_sums(mesh, samples, side, t=None, points=None):
+def _shifted_sums(mesh, samples, t=None, points=None):
     """The one home of every subtracted sum: S1 - S2 f(t_m) at M targets.
 
     S1 = sum_j E(x_j - w_m) nu_j w_j f(x_j) and S2 the same sum of nu w
-    alone (mirrored on the right); samples is a sequence of K densities'
-    rows (_measure_density), giving (K, M, 2^n).  Without points the
-    targets are the nodes t, each skipping its own node, and t None means
-    every node; with points they are those M off-surface points, row m
-    shifted by f at node t[m].  The pass's one buffer holds nu w f of each
-    density, written from its own rows, and S2 rides as its last row; f(t)
-    is gathered per density too, so no copy of the densities is held.  All
-    K take one kernel pass, so row k is bitwise that of f[k] alone.  Only
-    the call for every node reads and keeps S2 (SurfaceMesh.cache), per
-    side, so S1 and S2 take one route.
+    alone; samples is a sequence of K densities' rows (_measure_density),
+    giving (K, M, 2^n).  Without points the targets are the nodes t, each
+    skipping its own node, and t None means every node; with points they
+    are those M off-surface points, row m shifted by f at node t[m].  The
+    pass's one buffer holds nu w f of each density, written from its own
+    rows, and S2 rides as its last row; f(t) is gathered per density too,
+    so no copy of the densities is held.  All K take one kernel pass, so
+    row k is bitwise that of f[k] alone.  Only the call for every node
+    reads and keeps S2 (SurfaceMesh.cache), so S1 and S2 take one route.
     """
     ctx, N = mesh.context, mesh.node_count
-    key = ("self_sums", side)
     every = t is None and points is None
-    S2 = mesh.cache.get(key) if every else None
+    S2 = mesh.cache.get("self_sums") if every else None
     K = len(samples)
     # the K rows nu w f and, riding last, nu w itself, written in place
     g = np.zeros((K + (S2 is None), N, ctx.dim))
-    _measure_density(mesh, samples, side, g)
+    _measure_density(mesh, samples, g)
     if S2 is None:
         g[K][:, ctx.paravector_blades] = mesh.measure_coeffs()
     rows = slice(None) if t is None else t
     targets = mesh.nodes[rows] if points is None else points
     excl = np.arange(N)[rows] if points is None else None
-    sums = _accum(mesh, targets, g, side, excl)
+    sums = _accum(mesh, targets, g, excl)
     del g
     if S2 is None:
         S2, sums = sums[-1], sums[:-1]
         if every:
             # a copy, so the cache does not hold the whole stack of sums
-            S2 = mesh.kept(key, S2.copy)
+            S2 = mesh.kept("self_sums", S2.copy)
     # S1 - S2 f_t, updated in place, density by density
     for core, f in zip(sums, samples):
-        core -= sided_product(ctx, side, S2, f[rows])
+        core -= batch_product(ctx, S2, f[rows])
     return sums
-
-
-def _self_sums(mesh, side):
-    """The full-mesh S2 of _shifted_sums, kept; a cold cache takes one
-    pass of nu w alone."""
-    if ("self_sums", side) not in mesh.cache:
-        _shifted_sums(mesh, (), side)
-    return mesh.cache[("self_sums", side)]
 
 
 # -- Cauchy-type integral off the surface ---------------------------------------
@@ -372,22 +357,24 @@ def _integral_rows(mesh, f, points, side, node=None, interior=None):
     0; a missing or malformed mask raises ValueError before any sum.  f is
     one density, giving (M, 2^n), or a sequence of K, (K, M, 2^n).
     """
+    _check_side(side)
     if node is not None:
         interior = np.asarray(interior)
         if interior.dtype != bool or interior.shape != (len(points),):
             raise ValueError("interior must be a length-%d boolean mask "
                              "when node is given; got dtype %s, shape %s"
                              % (len(points), interior.dtype, interior.shape))
-    samples = _density_samples(mesh, f)
+    samples = _density_samples(mesh, f, side)
     vol = unit_sphere_area(mesh.n)
     if node is None:
-        rows = _accum(mesh, points, _measure_density(mesh, samples, side),
-                      side) / vol
+        rows = _accum(mesh, points, _measure_density(mesh, samples)) / vol
     else:
         t = np.broadcast_to(node, (len(points),))
-        rows = _shifted_sums(mesh, samples, side, t, points) / vol
+        rows = _shifted_sums(mesh, samples, t, points) / vol
         for r, fk in zip(rows, samples):
             r[interior] += fk[t[interior]]
+    if side == "right":
+        rows *= mesh.context.reverse_sign
     return rows[0] if isinstance(f, BoundaryDensity) else rows
 
 
@@ -592,7 +579,7 @@ def tangential_gradient(mesh, samples, idx=None):
 
 # -- principal values ------------------------------------------------------------
 
-def _pv_core(mesh, samples, side, idx=None):
+def _pv_core(mesh, samples, idx=None):
     """(S1 - S2 f_t, c_t) of principal_value_nodes at the nodes idx (every
     node for None), each (K, len(idx), dim), from one kernel pass: on
     3-surfaces the coordinate rows x_c ride last in it, and their sums give
@@ -605,20 +592,19 @@ def _pv_core(mesh, samples, side, idx=None):
         coords = np.zeros((mesh.n + 1, mesh.node_count, mesh.context.dim))
         coords[:, :, 0] = mesh.nodes.T
         rows += tuple(coords)
-    sums = _shifted_sums(mesh, rows, side, idx)
-    return sums[:K], _singular_cell_corrections(mesh, samples, side,
-                                                sums[K:], idx)
+    sums = _shifted_sums(mesh, rows, idx)
+    return sums[:K], _singular_cell_corrections(mesh, samples, sums[K:], idx)
 
 
-def _singular_cell_corrections(mesh, samples, side, sums, idx=None):
+def _singular_cell_corrections(mesh, samples, sums, idx=None):
     """Corrections for the dropped singular cell, (K, len(idx), dim), of K
     densities' node samples at the nodes idx (default every node), from
     their tangential_gradient and the coordinate sums of _pv_core."""
     derivs, frame = tangential_gradient(mesh, samples, idx)
-    return _cell_corrections(mesh, derivs, frame, side, sums, idx)
+    return _cell_corrections(mesh, derivs, frame, sums, idx)
 
 
-def _cell_corrections(mesh, derivs, frame, side, sums, idx=None):
+def _cell_corrections(mesh, derivs, frame, sums, idx=None):
     """Singular-cell corrections from tangential derivatives at the nodes idx.
 
     derivs[..., a, :, :] holds the (len(idx), dim) derivatives along
@@ -628,16 +614,16 @@ def _cell_corrections(mesh, derivs, frame, side, sums, idx=None):
     sum_k bar(T_k) nu(t) d_k f(t) as x -> t along tangent direction T_k;
     integrating it over a flat d-ball cell of the node's weight gives
     (d w / sigma_d)^{1/d} (sigma_d / d) sum_k bar(T_k) nu(t) d_k f(t),
-    where d = n and sigma_d = area(S^{d-1}).  The right side mirrors every
-    product.  The 3-sphere grid's cells are far from round near its poles,
-    so 3-surfaces take _grid_cell_coefficients' G_k (of sums) instead,
-    in one sum_k G_k d_k f(t) with the flat ball's G_k = bar(T_k) nu(t),
-    times a per-node scale: the prefactor above on the ball, 1 for n = 3.
+    where d = n and sigma_d = area(S^{d-1}).  The 3-sphere grid's cells
+    are far from round near its poles, so 3-surfaces take
+    _grid_cell_coefficients' G_k (of sums) instead, in one sum_k G_k d_k f(t)
+    with the flat ball's G_k = bar(T_k) nu(t), times a per-node scale: the
+    prefactor above on the ball, 1 for n = 3.
     """
     ctx = mesh.context
     d = mesh.n
     if d == 3:
-        G = _grid_cell_coefficients(mesh, side, frame, sums, idx)
+        G = _grid_cell_coefficients(mesh, frame, sums, idx)
         scale = 1.0
     else:
         rows = slice(None) if idx is None else idx
@@ -646,15 +632,15 @@ def _cell_corrections(mesh, derivs, frame, side, sums, idx=None):
                  * (sigma_d / d))[:, None]
         Tbar = np.swapaxes(frame, 0, 1).copy()
         Tbar[..., 1:] *= -1.0
-        G = [sided_product(ctx, side, Tbar[a], mesh.normals[rows])
+        G = [batch_product(ctx, Tbar[a], mesh.normals[rows])
              for a in range(d)]
     out = np.zeros(derivs[..., 0, :, :].shape)
     for a in range(d):
-        out += sided_product(ctx, side, G[a], derivs[..., a, :, :])
+        out += batch_product(ctx, G[a], derivs[..., a, :, :])
     return out * scale
 
 
-def _grid_cell_coefficients(mesh, side, frame, sums, idx=None):
+def _grid_cell_coefficients(mesh, frame, sums, idx=None):
     """Coefficients G_k of a 3-surface's correction sum_k G_k d_k f(t)
     at the node index array idx, or every node (None), (d, len(idx), dim),
     from the caller's stencil frame and coordinate sums s_c at those nodes:
@@ -671,14 +657,13 @@ def _grid_cell_coefficients(mesh, side, frame, sums, idx=None):
     surface: V_n PV C[T_k.(x - t)](t) = A bar(nu) T_k, A = V_n PV
     C[nu.(x - t)](t) (-V_n R / (n+1) on a sphere of radius R).  nu.(x - t)
     vanishes to second order at t, so A is taken as the node sum
-    sum_c nu^c s_c.  The right side mirrors every product: T_k bar(nu) A.
-    """
+    sum_c nu^c s_c."""
     nu = mesh.normals[slice(None) if idx is None else idx]
     nubar = nu.copy()
     nubar[:, 1:] *= -1.0
-    A_nubar = sided_product(mesh.context, side,
-                            np.einsum("nc,cnD->nD", nu, sums), nubar)
-    return np.stack([sided_product(mesh.context, side, A_nubar, frame[:, k])
+    A_nubar = batch_product(mesh.context, np.einsum("nc,cnD->nD", nu, sums),
+                            nubar)
+    return np.stack([batch_product(mesh.context, A_nubar, frame[:, k])
                      - np.einsum("nc,cnD->nD", frame[:, k], sums)
                      for k in range(mesh.n)])
 
@@ -698,12 +683,14 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     _check_side(side)
     idx = (None if indices is None
            else _node_indices(mesh, indices, "indices"))
-    samples = _density_samples(mesh, f)
-    core, corrections = _pv_core(mesh, samples, side, idx)
+    samples = _density_samples(mesh, f, side)
+    core, corrections = _pv_core(mesh, samples, idx)
     core += corrections
     core /= unit_sphere_area(mesh.n)
     for c, fk in zip(core, samples):
         c += 0.5 * (fk if idx is None else fk[idx])
+    if side == "right":
+        core *= mesh.context.reverse_sign
     return core[0] if isinstance(f, BoundaryDensity) else core
 
 

@@ -59,6 +59,8 @@ class AlgebraContext:
         self.conj_sign = np.array(
             [(-1) ** ((k * (k + 1) // 2) % 2) for k in self.grade], dtype=np.float64
         )
+        # reversion rev(e_A) = (-1)^(k(k-1)/2) e_A, bar's sign times (-1)^k
+        self.reverse_sign = self.conj_sign * (-1.0) ** self.grade
         # the compact paravector layout: component i of x_0 + sum x_i e_i
         # sits on blade paravector_blades[i] (1, e_1, ..., e_n)
         self.paravector_blades = np.array([0] + [1 << i for i in range(n)])
@@ -85,6 +87,16 @@ class AlgebraContext:
 def _is_int(value):
     """True for an int or numpy integer, False for a bool or anything else."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# the real scalars that Multivector arithmetic and as_coeffs take
+REAL_SCALARS = (int, float, np.integer, np.floating, np.bool_)
+
+
+def _is_real(value):
+    """True for a real scalar other than a bool."""
+    return (isinstance(value, REAL_SCALARS)
+            and not isinstance(value, (bool, np.bool_)))
 
 
 def get_context(n: int) -> AlgebraContext:
@@ -141,13 +153,13 @@ class Multivector:
         return Multivector(self.ctx, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, REAL_SCALARS):
             return Multivector(self.ctx, self.coeffs * other)
         other = _coerce(self.ctx, other)
         return product(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, float)):
+        if isinstance(other, REAL_SCALARS):
             return Multivector(self.ctx, self.coeffs * other)
         return product(_coerce(self.ctx, other), self)
 
@@ -172,7 +184,7 @@ class Multivector:
 def _coerce(ctx: AlgebraContext, x) -> Multivector:
     if isinstance(x, Multivector):
         return x
-    if isinstance(x, (Paravector, int, float)):
+    if isinstance(x, (Paravector,) + REAL_SCALARS):
         return Multivector(ctx, as_coeffs(ctx, x))
     raise TypeError(f"cannot interpret {type(x).__name__} as a Multivector")
 
@@ -408,19 +420,11 @@ def _check_side(side):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
 
-def sided_product(ctx: AlgebraContext, side: str, K, f,
-                  out=None) -> np.ndarray:
-    """Rows K f for side 'left', f K for side 'right' (see batch_product).
-
-    With out, a float64 array of the product's shape, the rows are added
-    onto it in place and out is returned (zeroed, it holds the product).
-    """
+def sided_product(ctx: AlgebraContext, side: str, K, f) -> np.ndarray:
+    """Rows K f for side 'left', f K for side 'right' (see batch_product)."""
     _check_side(side)
     A, B = (K, f) if side == "left" else (f, K)
-    if out is None:
-        return batch_product(ctx, A, B)
-    return _product_into(ctx, np.asarray(A, dtype=np.float64),
-                         np.asarray(B, dtype=np.float64), out)
+    return batch_product(ctx, A, B)
 
 
 def sided_sum(ctx: AlgebraContext, side: str, K, f) -> np.ndarray:

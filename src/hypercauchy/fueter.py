@@ -232,9 +232,12 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
 def _node_sums(mesh, g: BoundaryDensity, table, side):
     """{key: sum_j R_j nu w_j g_j} (left; the right case mirrored) for each
     key's (N, 2^n) or (N, n+1) node rows R in table: the one node sum of
-    fueter, with one measure density nu w g for the whole table."""
-    t, = _measure_density(mesh, _density_samples(mesh, g), side)
-    return {key: sided_sum(mesh.context, side, rows, t)
+    fueter, with one measure density nu w g for the whole table.  Reversion
+    fixes every R (d^alpha E, Z^alpha), as cauchy._density_samples needs."""
+    _check_side(side)
+    t, = _measure_density(mesh, _density_samples(mesh, g, side))
+    rev = mesh.context.reverse_sign if side == "right" else 1.0
+    return {key: sided_sum(mesh.context, "left", rows, t) * rev
             for key, rows in table.items()}
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford_core import _is_int, get_context
+from .clifford_core import _is_int, _is_real, get_context
 
 
 class UnsupportedDomainError(ValueError):
@@ -52,7 +52,9 @@ class DomainSpec:
     radius: float = 1.0
 
     def __post_init__(self):
-        kind = self.kind.lower()
+        kind = self.kind.lower() if isinstance(self.kind, str) else None
+        if kind not in ("circle", "sphere"):
+            raise UnsupportedDomainError("unknown surface kind %r" % (self.kind,))
         if not _is_int(self.n):
             raise ValueError("n must be an integer, got %r" % (self.n,))
         n = int(self.n)
@@ -62,19 +64,19 @@ class DomainSpec:
             raise UnsupportedDomainError("circle requires n=1, got n=%d" % n)
         if kind == "sphere" and n not in (2, 3):
             raise UnsupportedDomainError("sphere requires n in {2, 3}, got n=%d" % n)
-        if kind not in ("circle", "sphere"):
-            raise UnsupportedDomainError("unknown surface kind %r" % self.kind)
-        if not 0 < self.radius < math.inf:
-            raise ValueError("radius must be positive and finite")
-        center = tuple(float(c) for c in self.center) if self.center else \
-            (0.0,) * (n + 1)
-        if len(center) != n + 1:
-            raise ValueError("center must have n+1 = %d components" % (n + 1))
+        if not (_is_real(self.radius) and 0 < self.radius < math.inf):
+            raise ValueError("radius must be a positive finite number, got %r"
+                             % (self.radius,))
+        center = (tuple(self.center) if np.iterable(self.center)
+                  else (self.center,)) or (0.0,) * (n + 1)
+        if len(center) != n + 1 or not all(map(_is_real, center)):
+            raise ValueError("center must be n+1 = %d real numbers, got %r"
+                             % (n + 1, self.center))
         if not all(math.isfinite(c) for c in center):
             raise ValueError("center must be finite")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "center", tuple(map(float, center)))
         object.__setattr__(self, "radius", float(self.radius))
 
     @property
@@ -115,7 +117,7 @@ class SurfaceMesh:
         lists), ("neighbours", k) (a k-d tree's), "uniform_circle" and
         "refined" (refine(mesh), with its own cache).  Operators, built and
         read only by a call for every node: "gradient_stencil" and
-        ("self_sums", side).
+        "self_sums", one S2 for both sides.
     """
 
     nodes: np.ndarray

@@ -82,10 +82,10 @@ def spot_check(density, rng=None):
     return top
 
 
-def coordinate_sums(mesh, side, idx=None):
+def coordinate_sums(mesh, idx=None):
     """The coordinate sums s_c at the nodes idx (default every node), as
     cauchy._pv_core's pass gives them to the cell corrections, taken here by
     a _shifted_sums call of their own: (n+1, len(idx), 2^n)."""
     coords = np.zeros((mesh.n + 1, mesh.node_count, mesh.context.dim))
     coords[:, :, 0] = mesh.nodes.T
-    return cauchy._shifted_sums(mesh, coords, side, idx)
+    return cauchy._shifted_sums(mesh, coords, idx)

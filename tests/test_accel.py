@@ -464,7 +464,7 @@ def test_node_subset_takes_no_whole_mesh_circle(side, monkeypatch):
     sub = mesh.nodes[excl]
     G = _circle_stack(mesh)
     calls = _fft_calls(monkeypatch)
-    got = cauchy._accum(mesh, sub, G, side, excl=excl)
+    got = cauchy._accum(mesh, sub, G, excl=excl)
     accum = _accel.accum_left if side == "left" else _accel.accum_right
     want = accum(mesh.context, sub, mesh.nodes, G, excl, circle=None)
     assert calls == []

@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from hypercauchy import _accel, cauchy
-from hypercauchy.clifford_core import (get_context, paravectors_as_coeffs,
-                                       sided_product)
+from hypercauchy.clifford_core import (batch_product, get_context,
+                                       paravectors_as_coeffs)
 from hypercauchy.surface import (DomainSpec, SurfaceMesh, build_mesh,
                                   load_mesh, save_mesh)
 
@@ -199,18 +199,18 @@ def test_work_buffer_dies_before_the_blade_scatter(node_targets,
                       circle=None)
 
 
-def _concatenated_ride(mesh, samples, side, targets, t, excl):
+def _concatenated_ride(mesh, samples, targets, t, excl):
     """S1 - S2 f(t) and S2 with the measure row appended by np.concatenate,
     as _shifted_sums formed its densities before they were written in
     place."""
     ctx, N = mesh.context, mesh.node_count
     measure = mesh.measure_coeffs()
-    g = sided_product(ctx, side, measure, samples).reshape(-1, N, ctx.dim)
+    g = batch_product(ctx, measure, samples).reshape(-1, N, ctx.dim)
     g = np.concatenate([g, paravectors_as_coeffs(ctx, measure)[None]])
-    sums = cauchy._accum(mesh, targets, g, side, excl)
+    sums = cauchy._accum(mesh, targets, g, excl)
     S2 = sums[-1]
     core = sums[:-1].reshape(samples.shape[:-2] + (len(targets), ctx.dim))
-    return core - sided_product(ctx, side, S2, samples[..., t, :]), S2
+    return core - batch_product(ctx, S2, samples[..., t, :]), S2
 
 
 @pytest.mark.parametrize("K", [0, 1, 10])
@@ -222,21 +222,22 @@ def test_measure_rides_without_a_copy(spec, level, side, K):
     N, dim = mesh.node_count, mesh.context.dim
     rng = np.random.default_rng(K)
     samples = rng.normal(size=(K, N, dim))
+    if side == "right":
+        # a right-sided call hands the pass its densities' reversed rows
+        samples *= mesh.context.reverse_sign
     nodes = np.arange(N)
-    want, S2 = _concatenated_ride(mesh, samples, side, mesh.nodes, nodes,
-                                  nodes)
+    want, S2 = _concatenated_ride(mesh, samples, mesh.nodes, nodes, nodes)
     if K == 0:
-        got = cauchy._self_sums(mesh, side)
-        assert _same_bits(got, S2)
+        cauchy._shifted_sums(mesh, ())
+        assert _same_bits(mesh.cache["self_sums"], S2)
     else:
-        got = cauchy._shifted_sums(mesh, samples, side)
+        got = cauchy._shifted_sums(mesh, samples)
         assert _same_bits(got, want)
-        assert _same_bits(mesh.cache[("self_sums", side)], S2)
+        assert _same_bits(mesh.cache["self_sums"], S2)
     # off-surface targets take the row blocks, and S2 rides every call
     t = nodes[::7]
-    want, _ = _concatenated_ride(mesh, samples, side, 1.5 * mesh.nodes[t], t,
-                                 None)
-    got = cauchy._shifted_sums(mesh, samples, side, t, 1.5 * mesh.nodes[t])
+    want, _ = _concatenated_ride(mesh, samples, 1.5 * mesh.nodes[t], t, None)
+    got = cauchy._shifted_sums(mesh, samples, t, 1.5 * mesh.nodes[t])
     assert _same_bits(got, want)
 
 

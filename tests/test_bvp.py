@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from hypercauchy import _accel, bvp, cauchy, fueter
 from hypercauchy.bvp import (
     CharacteristicCoefficients,
     ProductKernel,
+    SectionalSolution,
     _matrix_pv_rows,
     _pair_orthogonality,
     apply_characteristic_lhs,
@@ -387,9 +389,42 @@ def test_sampled_residuals_refuse_fewer_than_one_sample_node(circle_mesh,
                circle_mesh, sol, g, 1.0, sample_nodes=count),
            "poincare-bertrand": lambda: poincare_bertrand_discrepancy(
                circle_mesh, f=g, sample_nodes=count)}[residual]
-    with pytest.raises(ValueError, match=r"^sample_nodes must be >= 1, "
-                                         r"got %d$" % count):
+    with pytest.raises(ValueError, match=r"^sample_nodes must be an "
+                                         r"integer >= 1, got %d$" % count):
         run()
+
+
+@pytest.mark.parametrize("residual", ["jump", "constant-gap",
+                                      "poincare-bertrand", "pair"])
+@pytest.mark.parametrize("count", [2.5, True, "3", None], ids=repr)
+def test_sampled_residuals_refuse_a_non_integer_sample_count(circle_mesh,
+                                                             residual, count):
+    g = random_smooth(circle_mesh, 7)
+    sol, _ = solve_jump_rm(circle_mesh, g, 0)
+    run = {"jump": lambda: jump_residual(circle_mesh, sol, g,
+                                         sample_nodes=count),
+           "constant-gap": lambda: constant_gap_residual(
+               circle_mesh, sol, g, 1.0, sample_nodes=count),
+           "poincare-bertrand": lambda: poincare_bertrand_discrepancy(
+               circle_mesh, f=g, sample_nodes=count),
+           "pair": lambda: pair_orthogonality(circle_mesh, count, 0)}[residual]
+    with pytest.raises(ValueError, match=r"^sample_nodes must be an "
+                                         r"integer >= 1, got %s$"
+                                         % re.escape(repr(count))):
+        run()
+
+
+@pytest.mark.parametrize("side", ["up", "Right", None])
+def test_sectional_solutions_refuse_an_unknown_side(circle_mesh, side):
+    # the side is checked where the solution is made, not in .interior()
+    g = random_smooth(circle_mesh, 7)
+    message = "side must be 'left' or 'right'"
+    for make in (lambda: solve_jump_rm(circle_mesh, g, 0, side=side),
+                 lambda: solve_constant_gap(circle_mesh, g, [2.0, 1.0], 0,
+                                            side=side),
+                 lambda: SectionalSolution(circle_mesh, g, side)):
+        with pytest.raises(ValueError, match=message):
+            make()
 
 
 def test_constant_gap_validates_inverse():
@@ -742,7 +777,7 @@ def _tile_pv_rows(mesh, held):
     rows = (core + 0.5 * unit_sphere_area(mesh.n)
             * held[np.arange(N), np.arange(N)])
     return rows + cauchy._cell_corrections(
-        mesh, derivs, frame, "left", coordinate_sums(mesh, "left")), core
+        mesh, derivs, frame, coordinate_sums(mesh)), core
 
 
 @pytest.mark.parametrize("level", [0, 1])
@@ -1020,7 +1055,7 @@ def test_product_kernel_makes_one_pv_rows_and_one_pb_rhs_call(circle_spec,
     assert np.array_equal(pb_args[5], rep.sample_indices)
     # S1 = (S1 - S2 L) + S2 L, not a recomputation
     shifted = calls["_matrix_pv_rows"][0][1][1]
-    S2 = mesh.cache[("self_sums", "left")]
+    S2 = mesh.cache["self_sums"]
     assert pb_args[6].tobytes() == (
         shifted + batch_product(mesh.context, S2, k.left)).tobytes()
 
@@ -1032,18 +1067,19 @@ _PB_SPECS = {
 
 
 def _measure_sums(monkeypatch, mesh):
-    """Record, per side, each _accel._accumulate call with every node as a
-    target whose stack holds the measure density nu w."""
+    """Record each _accel._accumulate call with every node as a target
+    whose stack holds the measure density nu w, as "left": every kernel
+    sum is a left sum."""
     measure = paravectors_as_coeffs(mesh.context, mesh.measure_coeffs())
     N = mesh.node_count
     seen = []
     original = _accel._accumulate
 
-    def counted(ctx, targets, nodes, g, excl, side, circle):
+    def counted(ctx, targets, nodes, g, excl, circle):
         if np.array_equal(np.atleast_2d(targets), mesh.nodes):
             G = np.reshape(g, (-1, N, ctx.dim))
-            seen.extend(side for Gk in G if np.array_equal(Gk, measure))
-        return original(ctx, targets, nodes, g, excl, side, circle)
+            seen.extend("left" for Gk in G if np.array_equal(Gk, measure))
+        return original(ctx, targets, nodes, g, excl, circle)
 
     monkeypatch.setattr(_accel, "_accumulate", counted)
     return seen
@@ -1062,7 +1098,7 @@ def test_self_sums_are_summed_once_per_mesh_and_side(spec, level,
                                   sample_nodes=4)
     assert seen == ["left"]
     # that S2 is bitwise a pass of the measure alone
-    S2 = mesh.cache[("self_sums", "left")]
+    S2 = mesh.cache["self_sums"]
     fresh = build_mesh(_PB_SPECS[spec], level)
     measure = paravectors_as_coeffs(fresh.context, fresh.measure_coeffs())
     assert S2.tobytes() == _accel.accum_left(
@@ -1082,7 +1118,7 @@ def test_general_kernel_report_is_bitwise_on_cold_and_warm_cache(spec, level):
     reports = []
     for warm in (False, True):
         mesh = build_mesh(_PB_SPECS[spec], level)
-        assert ("self_sums", "left") not in mesh.cache
+        assert "self_sums" not in mesh.cache
         if warm:
             principal_value_nodes(mesh, random_smooth(mesh, 31))
         reports.append(poincare_bertrand_discrepancy(

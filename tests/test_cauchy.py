@@ -5,6 +5,7 @@ numbers there, so monomial traces z^k reproduce w^k inside and 0 outside.
 """
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import hypercauchy
 from hypercauchy import _accel, bvp, cauchy, surface
 from hypercauchy.cauchy import (
     BoundaryDensity,
@@ -285,7 +287,7 @@ def _shrinking_cap_pv(mesh, f, i):
     nodes outside caps of radius 16 h / 2^k about it, k < RICHARDSON_TERMS:
     an estimate independent of the regularized form, to its own (coarser)
     accuracy."""
-    g, = cauchy._measure_density(mesh, (f.samples,), "left")
+    g, = cauchy._measure_density(mesh, (f.samples,))
     dist = np.linalg.norm(mesh.nodes - mesh.nodes[i], axis=1)
     vals = []
     for k in range(cauchy.RICHARDSON_TERMS):
@@ -597,7 +599,7 @@ def test_an_indexed_pv_reads_and_keeps_no_operator(kind, n, level, side):
     idx = [0, 17, 5, 17]
     fresh = build_mesh(spec, level)
     cold = principal_value_nodes(fresh, random_smooth(fresh, 2), side, idx)
-    assert not {"gradient_stencil", ("self_sums", side),
+    assert not {"gradient_stencil", "self_sums",
                 ("cell_coefficients", side)} & set(fresh.cache)
     warm = build_mesh(spec, level)
     f = random_smooth(warm, 2)
@@ -878,20 +880,31 @@ def test_full_mesh_pv_caches_self_sums(monkeypatch):
     assert np.array_equal(second, cold2)
 
 
-def test_self_sums_cached_per_side(monkeypatch):
+def test_both_sides_read_one_self_sums(monkeypatch):
+    # a right-sided call sums its reversed densities on the left: a PV, a
+    # ladder and an integral each make one accum_left call and no
+    # accum_right call, and both sides read the one S2 the mesh keeps
     mesh = _small_mesh("sphere2-L0")
     f = random_smooth(mesh, 5)
     left = principal_value_nodes(mesh, f, side="left")
-    assert set(mesh.cache) == {"neighbours", "gradient_stencil",
-                               ("self_sums", "left")}
-    calls = _count_calls(monkeypatch, "accum_right")
+    keys = {"neighbours", "gradient_stencil", "self_sums"}
+    assert set(mesh.cache) == keys
+    S2 = mesh.cache["self_sums"]
+    unused = _count_calls(monkeypatch, "accum_right")
+    for call in (lambda: principal_value_nodes(mesh, f, side="right"),
+                 lambda: boundary_limit(mesh, f, [0, 4], side="right"),
+                 lambda: cauchy_integral(mesh, f, 0.5 * mesh.nodes[3],
+                                         side="right", method="subtract")):
+        calls = _count_calls(monkeypatch, "accum_left")
+        call()
+        assert len(calls) == 1 and unused == []
+        assert set(mesh.cache) == keys and mesh.cache["self_sums"] is S2
     right = principal_value_nodes(mesh, f, side="right")
-    # S2 of the cold side rides in the pass that sums f
-    assert len(calls) == 1
-    assert ("self_sums", "right") in mesh.cache
+    # on a cold mesh the right-sided pass keeps that S2, bit for bit
     cold = _small_mesh("sphere2-L0")
     assert np.array_equal(right, principal_value_nodes(
         cold, BoundaryDensity(cold, f.samples), side="right"))
+    assert cold.cache["self_sums"].tobytes() == S2.tobytes()
     assert np.array_equal(left, principal_value_nodes(
         mesh, f, side="left"))
 
@@ -904,11 +917,10 @@ def test_self_sums_from_first_pass_match_a_pass_of_their_own(name, side):
     mesh = _small_mesh(name)
     fs = [random_smooth(mesh, 2), rough_holder(mesh, 3)]
     principal_value_nodes(mesh, fs, side=side)
-    S2 = mesh.cache[("self_sums", side)]
+    S2 = mesh.cache["self_sums"]
     fresh = _small_mesh(name)
-    accum = _accel.accum_left if side == "left" else _accel.accum_right
     measure = paravectors_as_coeffs(fresh.context, fresh.measure_coeffs())
-    cold = accum(fresh.context, fresh.nodes, fresh.nodes, measure,
+    cold = _accel.accum_left(fresh.context, fresh.nodes, fresh.nodes, measure,
                  np.arange(fresh.node_count),
                  circle=_accel.uniform_circle(fresh.nodes))
     assert S2.tobytes() == cold.tobytes()
@@ -948,7 +960,7 @@ def test_indexed_pv_leaves_cache_alone(name):
     fresh = _small_mesh(name)
     principal_value_nodes(fresh, BoundaryDensity(fresh, f.samples),
                           indices=idx)
-    assert ("self_sums", "left") not in fresh.cache
+    assert "self_sums" not in fresh.cache
 
 
 @pytest.mark.parametrize("indices", [None, [0, 2]])
@@ -958,6 +970,49 @@ def test_pv_rejects_unknown_side_before_any_sum(indices):
     with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
         principal_value_nodes(mesh, f, side="up", indices=indices)
     assert mesh.cache == {}
+
+
+# every public function of the package taking a side, found by signature,
+# and a value for each of their parameters without a default: a new entry
+# point is swept as soon as it is exported (a parameter name not listed
+# here fails the sweep until it is given a value)
+SIDED_FUNCTIONS = sorted(
+    name for name, obj in vars(hypercauchy).items()
+    if not name.startswith("_") and inspect.isfunction(obj)
+    and "side" in inspect.signature(obj).parameters)
+
+
+def _sweep_arguments():
+    mesh = _small_mesh("circle-L1")
+    f = random_smooth(mesh, 2)
+    return {"mesh": mesh, "f": f, "g": f, "t": 0, "p": 0, "w": (0.3, 0.1),
+            "alpha": (1,), "k": 1, "m": 0, "G": [2.0, 1.0], "max_degree": 1,
+            "lambdas": [0.2, 0.1], "a": mesh.context.scalar(1.0),
+            "b": embed_point([1.0, 0.5])}
+
+
+def test_side_sweep_finds_every_sided_entry_point():
+    assert len(SIDED_FUNCTIONS) >= 16
+    assert {"principal_value_nodes", "taylor_component", "solve_jump_rm",
+            "divide"} <= set(SIDED_FUNCTIONS)
+
+
+@pytest.mark.parametrize("side", ["up", "Right", None])
+@pytest.mark.parametrize("name", SIDED_FUNCTIONS)
+def test_every_sided_entry_point_rejects_an_unknown_side(name, side,
+                                                         monkeypatch):
+    fn = getattr(hypercauchy, name)
+    values = _sweep_arguments()
+    kwargs = {p.name: values[p.name]
+              for p in inspect.signature(fn).parameters.values()
+              if p.default is p.empty and p.name != "side"}
+    sums = []
+    original = _accel._accumulate
+    monkeypatch.setattr(_accel, "_accumulate",
+                        lambda *args: sums.append(1) or original(*args))
+    with pytest.raises(ValueError, match="^side must be 'left' or 'right'"):
+        fn(side=side, **kwargs)
+    assert sums == []
 
 
 def test_new_meshes_start_with_empty_cache():
@@ -971,7 +1026,7 @@ def test_new_meshes_start_with_empty_cache():
 def test_cached_self_sums_are_read_only():
     mesh = _small_mesh("circle-L0")
     principal_value_nodes(mesh, random_smooth(mesh, 1))
-    S2 = mesh.cache[("self_sums", "left")]
+    S2 = mesh.cache["self_sums"]
     with pytest.raises(ValueError):
         S2[0, 0] = 1.0
 
@@ -1028,7 +1083,7 @@ def test_cached_self_sums_and_later_sums_take_one_route(name, side,
     fft = _count_calls(monkeypatch, "_circle_sums")
     tiles = _count_calls(monkeypatch, "_tile_terms")
     principal_value_nodes(mesh, random_smooth(mesh, 2), side=side)
-    assert ("self_sums", side) in mesh.cache
+    assert "self_sums" in mesh.cache
     principal_value_nodes(mesh, random_smooth(mesh, 3), side=side)
     assert (len(fft), len(tiles)) == ((2, 0) if mesh.n == 1 else (0, 2))
 
@@ -1038,28 +1093,28 @@ def test_cached_self_sums_and_later_sums_take_one_route(name, side,
 
 @pytest.mark.parametrize("side", ["left", "right"])
 def test_ladders_take_one_kernel_call(monkeypatch, side):
+    # every sum is a left sum: a right-sided ladder reverses its density
     mesh = _small_mesh("sphere2-L0")
     f = random_smooth(mesh, 4)
-    other = "accum_right" if side == "left" else "accum_left"
-    calls = _count_calls(monkeypatch, "accum_" + side)
-    unused = _count_calls(monkeypatch, other)
+    calls = _count_calls(monkeypatch, "accum_left")
+    unused = _count_calls(monkeypatch, "accum_right")
     plus, minus = boundary_limit(mesh, f, 2, side=side)
     # both signs in one call
     assert calls == [2 * 4] and unused == []
     assert plus.coeffs.shape == minus.coeffs.shape == (mesh.context.dim,)
     lams = [0.2, 0.1, 0.05, 0.025]
-    calls = _count_calls(monkeypatch, "accum_" + side)
-    unused = _count_calls(monkeypatch, other)
+    calls = _count_calls(monkeypatch, "accum_left")
+    unused = _count_calls(monkeypatch, "accum_right")
     symmetric_difference_limit(mesh, f, 5, lams, side=side)
     assert calls == [2 * len(lams)] and unused == []
     # an index array: one call over both signs, every node and rung
     t = np.array([0, 2, 5])
-    calls = _count_calls(monkeypatch, "accum_" + side)
-    unused = _count_calls(monkeypatch, other)
+    calls = _count_calls(monkeypatch, "accum_left")
+    unused = _count_calls(monkeypatch, "accum_right")
     plus, minus = boundary_limit(mesh, f, t, side=side)
     assert calls == [2 * t.size * 4] and unused == []
     assert plus.shape == minus.shape == (t.size, mesh.context.dim)
-    calls = _count_calls(monkeypatch, "accum_" + side)
+    calls = _count_calls(monkeypatch, "accum_left")
     symmetric_difference_limit(mesh, f, t, lams, side=side)
     assert calls == [2 * t.size * len(lams)]
 
@@ -1106,9 +1161,24 @@ def _ladder_reference(mesh, samples, i, lams, sign, side):
     return np.array(rows), tol, size
 
 
+def _richardson_bound(ratio, rows):
+    """richardson_limit's table with every difference taken as a sum.
+
+    For rows >= 0 it bounds sum_k |c_k| rows_k, c the limit's weights, and
+    every entry of the table the limit passes through.
+    """
+    last = list(rows)
+    order = 1
+    while len(last) > 1:
+        fact = ratio ** order
+        last = [(fact * b + a) / (fact - 1.0) for a, b in zip(last, last[1:])]
+        order += 1
+    return last[0]
+
+
 def _ladder_bound(tol, size):
     """The rows' bounds carried through the table, plus the table's own
-    roundings, as in test_left_and_right_ladders_mirror."""
+    roundings (a subtraction and a division per level)."""
     return (_richardson_bound(cauchy.RICHARDSON_RATIO, tol)
             + 2.0 * _gamma(2 * len(tol))
             * _richardson_bound(cauchy.RICHARDSON_RATIO, size))
@@ -1356,12 +1426,12 @@ def test_cell_corrections_at_indices_match_full_rows(side):
     rng = np.random.default_rng(5)
     for mesh in _correction_meshes():
         f = random_smooth(mesh, 3)
-        full, = _singular_cell_corrections(mesh, (f.samples,), side,
-                                           coordinate_sums(mesh, side))
+        # the rows a call of this side hands the corrections
+        rows = cauchy._density_samples(mesh, f, side)
+        full, = _singular_cell_corrections(mesh, rows, coordinate_sums(mesh))
         idx = rng.choice(mesh.node_count, size=5, replace=False)
-        got, = _singular_cell_corrections(mesh, (f.samples,), side,
-                                          coordinate_sums(mesh, side, idx),
-                                          idx)
+        got, = _singular_cell_corrections(mesh, rows,
+                                          coordinate_sums(mesh, idx), idx)
         tol = _cell_correction_bound(mesh, f)[idx]
         assert got.shape == (len(idx), mesh.context.dim)
         assert np.all(np.abs(got - full[idx]) <= tol[:, None])
@@ -1397,7 +1467,7 @@ def _cell_correction_bound(mesh, f):
     deriv = _gamma(nb.shape[1] + TERM_ROUNDINGS) * size
     if d == 3 and mesh.spec is not None:
         G_l1 = np.abs(cauchy._grid_cell_coefficients(
-            mesh, "left", frame, coordinate_sums(mesh, "left"))).sum(axis=2)
+            mesh, frame, coordinate_sums(mesh))).sum(axis=2)
         idx = np.arange(mesh.node_count)
         coord_bounds = np.stack([_core_bound(mesh, BoundaryDensity(
             mesh, np.eye(mesh.context.dim)[0] * mesh.nodes[:, c, None]), idx)
@@ -1430,10 +1500,9 @@ def test_sphere3_cell_coefficients_at_indices_match_full_rows():
     key = ("cell_coefficients", "left")
     frame = gradient_stencil(mesh)[2]
     part = cauchy._grid_cell_coefficients(
-        mesh, "left", frame[idx], coordinate_sums(mesh, "left", idx), idx)
+        mesh, frame[idx], coordinate_sums(mesh, idx), idx)
     assert key not in mesh.cache
-    full = cauchy._grid_cell_coefficients(mesh, "left", frame,
-                                          coordinate_sums(mesh, "left"))
+    full = cauchy._grid_cell_coefficients(mesh, frame, coordinate_sums(mesh))
     assert key not in mesh.cache
     # both round their coordinate sums within _core_bound of x_c
     frame = frame[idx]
@@ -1480,7 +1549,7 @@ def test_every_pv_call_makes_one_kernel_pass(level, side, monkeypatch):
 
     mesh = build_mesh(SPHERE3, level)
     fs = [random_smooth(mesh, 4), random_smooth(mesh, 5)]
-    accum = "accum_" + side
+    accum = "accum_left"
     for indices in ([0, 7, 40], None, None, [0, 7, 40]):
         assert passes(principal_value_nodes, mesh, fs, side,
                       indices) == [accum]
@@ -1498,7 +1567,7 @@ def _mesh_with_cache(name, hot, side):
     mesh = _small_mesh(name)
     if hot:
         principal_value_nodes(mesh, random_smooth(mesh, 0), side=side)
-        assert ("self_sums", side) in mesh.cache
+        assert "self_sums" in mesh.cache
     return mesh
 
 
@@ -1548,8 +1617,10 @@ def test_plemelj_jump_is_density(name, hot, side, comps, node):
 # rev(a b) = rev(b) rev(a), and fixes paravectors: the kernel, nu w and the
 # frame vectors of the cell corrections.  So rev(E nu w f) = rev(f) nu w E,
 # and every left integral of f, reversed, is the right integral of rev(f).
-# Bar conjugation also reverses products but negates the paravectors'
-# vector parts, so it is not this mirror.  n = 1 is commutative.
+# Every right-sided call is computed that way, so the two agree bit for
+# bit.  Bar conjugation also reverses products but negates the
+# paravectors' vector parts, so it is not this mirror.  n = 1 is
+# commutative.
 
 MIRROR_MESHES = {
     "sphere2-L0": SMALL_MESHES["sphere2-L0"],
@@ -1574,34 +1645,7 @@ def test_left_and_right_pvs_mirror(name, indices):
     mesh, f, rf = _mirror_pair(name)
     left = principal_value_nodes(mesh, f, side="left", indices=indices)
     right = principal_value_nodes(mesh, rf, side="right", indices=indices)
-    idx = np.arange(mesh.node_count) if indices is None else indices
-    # the stencil derivatives of rev(f) are those of f reversed, bit for
-    # bit; the bound of the correction's derivatives also covers the
-    # roundings of its two products on both sides
-    tol = ((_core_bound(mesh, f, idx) + _cell_correction_bound(mesh, f)[idx])
-           / unit_sphere_area(mesh.n))[:, None]
-    tol = tol + 4.0 * UNIT_ROUNDOFF * (np.abs(right)
-                                       + np.abs(f.samples[idx]))
-    assert np.all(np.abs(_reverse(left) - right) <= tol)
-
-
-def _row_bounds(mesh, f, points, node):
-    """Bound on the gap between both sides' rows, and a bound on |rows|.
-
-    The sums' term is that of
-    test_integral_rows_match_single_point_integrals, S1 - S2 f0 bounded
-    through l1(f) + l1(f0); the roundings of the scaling and the shift are
-    bounded through |rows| instead of the output.
-    """
-    f0 = f.samples[node] if node is not None else np.zeros(mesh.context.dim)
-    terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * (
-        np.abs(f.samples).sum(axis=1) + np.abs(f0).sum())
-    m = mesh.node_count * (mesh.n + 1) + TERM_ROUNDINGS
-    abs_sum = np.array([np.abs(kernel_E_rows(mesh.nodes, w)).sum(axis=1)
-                        @ terms for w in points]) / unit_sphere_area(mesh.n)
-    size = abs_sum[:, None] + np.abs(f0)
-    tol = 2.0 * _gamma(m) * abs_sum[:, None] + 4.0 * UNIT_ROUNDOFF * size
-    return tol, size
+    assert np.array_equal(_reverse(left), right)
 
 
 @pytest.mark.parametrize("method", ["raw", "subtract"])
@@ -1611,44 +1655,46 @@ def test_left_and_right_integrals_mirror(name, method):
     t = mesh.node_count // 3
     # one point inside and one outside; the nearest node of both is t
     points = np.array([0.6, 1.5])[:, None] * mesh.nodes[t][None, :]
-    tol, _ = _row_bounds(mesh, f, points, t if method == "subtract" else None)
-    for w, row_tol in zip(points, tol):
+    for w in points:
         left = cauchy_integral(mesh, f, w, side="left", method=method)
         right = cauchy_integral(mesh, rf, w, side="right", method=method)
-        diff = _reverse(left.value.coeffs) - right.value.coeffs
-        assert np.all(np.abs(diff) <= row_tol)
-
-
-def _richardson_bound(ratio, rows):
-    """richardson_limit's table with every difference taken as a sum.
-
-    For rows >= 0 it bounds sum_k |c_k| rows_k, c the limit's weights, and
-    every entry of the table the limit passes through.
-    """
-    last = list(rows)
-    order = 1
-    while len(last) > 1:
-        fact = ratio ** order
-        last = [(fact * b + a) / (fact - 1.0) for a, b in zip(last, last[1:])]
-        order += 1
-    return last[0]
+        assert np.array_equal(_reverse(left.value.coeffs),
+                              right.value.coeffs)
 
 
 @pytest.mark.parametrize("name", sorted(MIRROR_MESHES))
 def test_left_and_right_ladders_mirror(name):
     mesh, f, rf = _mirror_pair(name)
     t = mesh.node_count // 3
-    left = boundary_limit(mesh, f, t, side="left")[0]
-    right = boundary_limit(mesh, rf, t, side="right")[0]
-    # the ladder's points: lam0 = 0.35 R, halving, against the normal
-    terms = cauchy.RICHARDSON_TERMS
-    lams = 0.35 * _scale(mesh) / cauchy.RICHARDSON_RATIO ** np.arange(terms)
-    points = mesh.nodes[t] - lams[:, None] * mesh.normals[t][None, :]
-    tol, size = _row_bounds(mesh, f, points, t)
-    # the rows' errors carried through the table, then the table's own
-    # roundings (a subtraction and a division per level) on both sides
-    tol = (_richardson_bound(cauchy.RICHARDSON_RATIO, tol)
-           + 2.0 * _gamma(2 * terms)
-           * _richardson_bound(cauchy.RICHARDSON_RATIO, size))
-    diff = _reverse(left.coeffs) - right.coeffs
-    assert np.all(np.abs(diff) <= tol)
+    for left, right in zip(boundary_limit(mesh, f, t, side="left"),
+                           boundary_limit(mesh, rf, t, side="right")):
+        assert np.array_equal(_reverse(left.coeffs), right.coeffs)
+
+
+def _mirrored_results(mesh, f, side):
+    """Every other sided result of f: {name: coefficient rows}."""
+    t = mesh.node_count // 3
+    alpha = (1,) + (0,) * (mesh.n - 1)
+    sym = symmetric_difference_limit(mesh, f, [t, 0],
+                                     symmetric_difference_steps(mesh), side)
+    moments = fueter.build_moment_table(mesh, f, 2, side)
+    deriv = cauchy_derivative(mesh, f, 0.3 * mesh.nodes[t], alpha, side)
+    # degree 0: h is too coarse on sphere3 L0 for degree 1
+    taylor = fueter.taylor_component(f, 0, mesh, side)
+    laurent = fueter.laurent_term(mesh, f, 2, side)
+    return {"symmetric-difference": sym,
+            "moment-table": np.array(list(moments.values())),
+            "cauchy-derivative": deriv.coeffs,
+            "taylor": np.array(list(taylor.coefficients.values())),
+            "laurent": np.array(list(laurent.moments.values()))}
+
+
+@pytest.mark.parametrize("name", sorted(MIRROR_MESHES))
+def test_left_and_right_sums_mirror(name):
+    # the symmetric-difference ladder and fueter's node sums take the
+    # mirror as the principal values and integrals do
+    mesh, f, rf = _mirror_pair(name)
+    left = _mirrored_results(mesh, f, "left")
+    right = _mirrored_results(mesh, rf, "right")
+    for key, rows in left.items():
+        assert np.array_equal(_reverse(rows), right[key]), key

@@ -375,6 +375,46 @@ def test_as_coeffs_rejects_other_values():
             as_coeffs(ctx, value)
 
 
+@pytest.mark.parametrize("value", [2, 2.0, True, np.int64(2), np.int32(2),
+                                   np.float32(2), np.float64(2), np.bool_(1)],
+                         ids=repr)
+def test_multivector_arithmetic_takes_real_scalars(value):
+    # numpy's real scalars are scalars too, as as_coeffs takes them
+    ctx = get_context(2)
+    a = Multivector(ctx, [1.0, -2.0, 0.5, 3.0])
+    s = float(value)
+    for got, want in [(a * value, a.coeffs * s), (value * a, a.coeffs * s),
+                      (a + value, a.coeffs + [s, 0, 0, 0]),
+                      (value + a, a.coeffs + [s, 0, 0, 0]),
+                      (a - value, a.coeffs - [s, 0, 0, 0])]:
+        assert isinstance(got, Multivector)
+        assert np.array_equal(got.coeffs, want)
+
+
+@pytest.mark.parametrize("value", ["3", 1j, np.complex128(1), np.ones(4),
+                                   None], ids=repr)
+def test_multivector_arithmetic_refuses_other_values(value):
+    a = get_context(2).scalar(1.0)
+    for op in (lambda: a * value, lambda: a + value, lambda: a - value):
+        with pytest.raises(TypeError, match="as a Multivector"):
+            op()
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_reversion_reverses_products_and_fixes_paravectors(n):
+    # rev(e_A e_B) = rev(e_B) rev(e_A) on every blade pair, and rev fixes
+    # 1, e_1, ..., e_n: the mirror that turns right sums into left sums
+    ctx = get_context(n)
+    rev = ctx.reverse_sign
+    eye = np.eye(ctx.dim)
+    for a in range(ctx.dim):
+        for b in range(ctx.dim):
+            ab = batch_product(ctx, eye[a], eye[b])
+            assert np.array_equal(ab * rev, batch_product(
+                ctx, eye[b] * rev, eye[a] * rev))
+    assert np.all(rev[ctx.paravector_blades] == 1.0)
+
+
 # -- product loops without sign multiplies ----------------------------------------
 
 

@@ -337,6 +337,20 @@ def test_domain_spec_validation():
     for center in ((np.nan, 0.0), (0.0, -np.inf)):
         with pytest.raises(ValueError, match="^center must be finite"):
             DomainSpec("circle", 1, center=center, radius=1.0)
+    # a kind, centre or radius of another type names its field
+    for kind in (3, None, b"circle"):
+        with pytest.raises(UnsupportedDomainError, match="^unknown surface kind"):
+            DomainSpec(kind, 1)
+    for radius in ("1", True, None, 1j):
+        with pytest.raises(ValueError, match="^radius must be"):
+            DomainSpec("circle", 1, radius=radius)
+    for center in (("a", 0), (None, 0), (True, 0.0), "ab", 5, (0, 0, 0)):
+        with pytest.raises(ValueError, match=r"^center must be n\+1 = 2 real"):
+            DomainSpec("circle", 1, center=center)
+    # numpy values are real numbers
+    spec = DomainSpec("sphere", 2, center=np.array([0.0, 1.0, 0.0]),
+                      radius=np.float32(2.0))
+    assert spec.center == (0.0, 1.0, 0.0) and spec.radius == 2.0
     # n is an integer, not a bool or a float, whatever it would equal
     for kind, n, center in [("circle", True, ()), ("circle", 1.0, ()),
                             ("sphere", 2.0, ()), ("sphere", 3.0, (0,) * 4),
