@@ -89,7 +89,7 @@ def _is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-# the real scalars that Multivector arithmetic and as_coeffs take
+# the scalar types of Multivector arithmetic, each a scalar to as_coeffs
 REAL_SCALARS = (int, float, np.integer, np.floating, np.bool_)
 
 
