@@ -324,7 +324,7 @@ def pv_matrix(ctx, nodes, nuw, dmat):
         E = _kernel_E_block(nodes[I], nodes.T, ctx.n, I).transpose(1, 2, 0)
         # H[j, c] = nuw_j (dmat[j, i] - dmat[i, i]) for target i = I[c]
         H = batch_product(ctx, nuw[:, None], dmat[:, I] - dmat[I, I])
-        out[I] = sided_sum(ctx, "left", E, H.swapaxes(0, 1))
+        out[I] = sided_sum(ctx, E, H.swapaxes(0, 1))
     return out
 
 
@@ -353,4 +353,4 @@ def pb_rhs(ctx, nodes, nuw, left, right, ts, S1):
     Ct = batch_product(ctx, -Et, nuw[ts][:, None, :])
     S = batch_product(ctx, S1 - batch_product(ctx, Ct, left[ts][:, None, :]),
                       right - right[ts][:, None, :])
-    return sided_sum(ctx, "left", A, S)
+    return sided_sum(ctx, A, S)

@@ -236,8 +236,7 @@ def polynomial_trace(mesh, coeffs):
     alphas = _monomials(mesh.n, 6)
     if len(coeffs) > len(alphas):
         raise ValueError("coefficient list longer than the multi-index table")
-    return _from_rows(mesh, _polynomial(mesh.context, zip(alphas, coeffs),
-                                        "left"))
+    return _from_rows(mesh, _polynomial(mesh.context, zip(alphas, coeffs)))
 
 
 def trig_polynomial(mesh, seed, degree=5, coeffs=None):
@@ -301,7 +300,7 @@ def holomorphic_combo(mesh, seed):
         rng.uniform(1.6, 2.4) * spec.radius * _unit_direction(rng, spec.n + 1)
     coeffs = rng.uniform(-1.0, 1.0, size=(len(alphas) + 1, ctx.dim)) \
         / (len(alphas) + 1)
-    poly = _polynomial(ctx, zip(alphas, coeffs), "left")
+    poly = _polynomial(ctx, zip(alphas, coeffs))
 
     def rows(pts):
         # the Z^alpha, then the pole's kernel, each right-multiplied by its

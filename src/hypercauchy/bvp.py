@@ -53,7 +53,8 @@ class SectionalSolution:
         multiply on.
     polynomial : tuple
         ((alpha, coeffs), ...) entries of the additive polynomial part
-        P = sum Z^alpha c_alpha; empty when no free part exists.
+        P = sum Z^alpha c_alpha (left) or sum c_alpha Z^alpha (right);
+        empty when no free part exists.
     gap_inverse : ndarray or None
         Coefficients of G^{-1} for constant-gap problems; the exterior
         factor X is G^{-1} when set, 1 otherwise.
@@ -69,10 +70,15 @@ class SectionalSolution:
     interior_only: bool = False
 
     def __post_init__(self):
-        _check_side(self.side)
+        _check_side(self.side, self.mesh.context)
 
     def _poly_rows(self, pts):
-        return _polynomial(self.mesh.context, self.polynomial, self.side)(pts)
+        """P at the (M, n+1) points, mirrored on the right (_check_side)."""
+        ctx = self.mesh.context
+        rev = _check_side(self.side, ctx)
+        terms = [(alpha, as_coeffs(ctx, c) * rev)
+                 for alpha, c in self.polynomial]
+        return _polynomial(ctx, terms)(pts) * rev
 
     def _evaluate(self, w, tag, method):
         ctx = self.mesh.context
@@ -139,7 +145,8 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
     Parameters
     ----------
     m : int
-        Admissible order at infinity of the exterior part.
+        Admissible order at infinity of the exterior part; anything but an
+        integer (_is_int) raises ValueError before any sum.
 
     Returns
     -------
@@ -152,6 +159,8 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
         evaluator is returned.  A slot or a moment degree past MAX_DEGREE,
         m outside -n-MAX_DEGREE-1..MAX_DEGREE, raises DegreeOverflowError.
     """
+    if not _is_int(m):
+        raise ValueError("m must be an integer, got %r" % (m,))
     _warn_if_continuous(g)
     ctx = mesh.context
     n = ctx.n
@@ -691,7 +700,7 @@ def _pair_orthogonality(mesh, its, jts):
     diff[p, its] = 0.0
     diff[p, jts] = 0.0
     vol = unit_sphere_area(mesh.n)
-    return sided_sum(ctx, "left", A, diff) + 0.5 * vol * dens[p, its]
+    return sided_sum(ctx, A, diff) + 0.5 * vol * dens[p, its]
 
 
 def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,

@@ -33,6 +33,7 @@ from .clifford_core import (
     Paravector,
     SingularInputError,
     _check_side,
+    _is_int,
     _is_real,
     _product_into,
     as_coeffs,
@@ -60,9 +61,10 @@ class DegenerateStencilError(ValueError):
 
 
 def unit_sphere_area(n: int) -> float:
-    """Area of the unit sphere S^n in R^{n+1}: 2 pi^{(n+1)/2} / Gamma((n+1)/2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Area of the unit sphere S^n in R^{n+1}: 2 pi^{(n+1)/2} / Gamma((n+1)/2);
+    n must be an integer >= 1 (_is_int), else ValueError."""
+    if not _is_int(n) or n < 1:
+        raise ValueError("n must be an integer >= 1, got %r" % (n,))
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
@@ -357,7 +359,7 @@ def _integral_rows(mesh, f, points, side, node=None, interior=None):
     0; a missing or malformed mask raises ValueError before any sum.  f is
     one density, giving (M, 2^n), or a sequence of K, (K, M, 2^n).
     """
-    _check_side(side)
+    rev = _check_side(side, mesh.context)
     if node is not None:
         interior = np.asarray(interior)
         if interior.dtype != bool or interior.shape != (len(points),):
@@ -373,8 +375,7 @@ def _integral_rows(mesh, f, points, side, node=None, interior=None):
         rows = _shifted_sums(mesh, samples, t, points) / vol
         for r, fk in zip(rows, samples):
             r[interior] += fk[t[interior]]
-    if side == "right":
-        rows *= mesh.context.reverse_sign
+    rows *= rev
     return rows[0] if isinstance(f, BoundaryDensity) else rows
 
 
@@ -680,7 +681,7 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     ValueError before any sum is taken, and indices that are not node
     indices raise NodeIndexError.
     """
-    _check_side(side)
+    rev = _check_side(side, mesh.context)
     idx = (None if indices is None
            else _node_indices(mesh, indices, "indices"))
     samples = _density_samples(mesh, f, side)
@@ -689,8 +690,7 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     core /= unit_sphere_area(mesh.n)
     for c, fk in zip(core, samples):
         c += 0.5 * (fk if idx is None else fk[idx])
-    if side == "right":
-        core *= mesh.context.reverse_sign
+    core *= rev
     return core[0] if isinstance(f, BoundaryDensity) else core
 
 

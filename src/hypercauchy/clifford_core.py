@@ -99,6 +99,14 @@ def _is_real(value):
             and not isinstance(value, (bool, np.bool_)))
 
 
+def _is_scalar(value):
+    """True for a scalar of Multivector arithmetic: one of REAL_SCALARS or
+    a 0-d real array, each a scalar to as_coeffs."""
+    return isinstance(value, REAL_SCALARS) or (
+        isinstance(value, np.ndarray) and value.shape == ()
+        and value.dtype.kind in "biuf")
+
+
 def get_context(n: int) -> AlgebraContext:
     """Shared AlgebraContext instances keyed by n, an integer in 1..8; a
     bool or any other value raises ValueError before the cache is read."""
@@ -149,17 +157,20 @@ class Multivector:
         self._check(other)
         return Multivector(self.ctx, self.coeffs - other.coeffs)
 
+    def __rsub__(self, other):
+        return _coerce(self.ctx, other) - self
+
     def __neg__(self):
         return Multivector(self.ctx, -self.coeffs)
 
     def __mul__(self, other):
-        if isinstance(other, REAL_SCALARS):
+        if _is_scalar(other):
             return Multivector(self.ctx, self.coeffs * other)
         other = _coerce(self.ctx, other)
         return product(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, REAL_SCALARS):
+        if _is_scalar(other):
             return Multivector(self.ctx, self.coeffs * other)
         return product(_coerce(self.ctx, other), self)
 
@@ -184,7 +195,7 @@ class Multivector:
 def _coerce(ctx: AlgebraContext, x) -> Multivector:
     if isinstance(x, Multivector):
         return x
-    if isinstance(x, (Paravector,) + REAL_SCALARS):
+    if isinstance(x, Paravector) or _is_scalar(x):
         return Multivector(ctx, as_coeffs(ctx, x))
     raise TypeError(f"cannot interpret {type(x).__name__} as a Multivector")
 
@@ -244,8 +255,10 @@ class Paravector:
 
     def inverse(self) -> "Paravector":
         n2 = self.x0 * self.x0 + self.vec @ self.vec
-        if n2 == 0.0:
-            raise SingularInputError("zero paravector has no inverse")
+        # NaN fails both tests, so only a finite positive |X|^2 passes
+        if not 0.0 < n2 < np.inf:
+            raise SingularInputError("paravector with |X|^2 = %r has no "
+                                     "inverse" % (float(n2),))
         return Paravector(self.x0 / n2, -self.vec / n2)
 
     def __neg__(self):
@@ -287,14 +300,16 @@ def paravector_inverse(X: Paravector) -> Paravector:
 
 
 def divide(a: Multivector, b: Paravector, side: str = "left") -> Multivector:
-    """Left division b^{-1} a or right division a b^{-1}."""
+    """Left division b^{-1} a or right division a b^{-1}, the latter as
+    rev(b^{-1} rev(a)) (_check_side), bit for bit."""
+    rev = _check_side(side, a.ctx)
     if isinstance(b, Multivector):
         if not b.is_paravector():
             raise SingularInputError("divisor must be a paravector")
         b = embed_point(project_paravector(b))
     binv = b.inverse().as_multivector(a.ctx)
-    return Multivector(a.ctx, sided_product(a.ctx, side, binv.coeffs,
-                                            a.coeffs))
+    return Multivector(a.ctx, batch_product(a.ctx, binv.coeffs,
+                                            a.coeffs * rev) * rev)
 
 
 def embed_point(p) -> Paravector:
@@ -370,7 +385,8 @@ def batch_product(ctx: AlgebraContext, A: np.ndarray, B: np.ndarray) -> np.ndarr
     product times -1 (negation is exact, and a - b is a + (-b) in IEEE
     arithmetic, signed zeros included), without the multiply.  A sum of
     products over rows is sided_sum, not batch_product(...).sum(): it
-    takes one matmul.
+    takes one matmul.  Every library product is a left one: a right-sided
+    call mirrors its rows by reversion (_check_side).
     """
     A = np.asarray(A, dtype=np.float64)
     B = np.asarray(B, dtype=np.float64)
@@ -415,30 +431,24 @@ def scatter_pairs(ctx: AlgebraContext, T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_side(side):
+def _check_side(side, ctx):
+    """'left' or 'right', else ValueError; returns the factor that mirrors a
+    row of ctx's algebra on that side: 1.0, or reversion's signs."""
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    return ctx.reverse_sign if side == "right" else 1.0
 
 
-def sided_product(ctx: AlgebraContext, side: str, K, f) -> np.ndarray:
-    """Rows K f for side 'left', f K for side 'right' (see batch_product)."""
-    _check_side(side)
-    A, B = (K, f) if side == "left" else (f, K)
-    return batch_product(ctx, A, B)
-
-
-def sided_sum(ctx: AlgebraContext, side: str, K, f) -> np.ndarray:
-    """sum_j K_j f_j for side 'left', sum_j f_j K_j for side 'right'.
+def sided_sum(ctx: AlgebraContext, K, f) -> np.ndarray:
+    """sum_j K_j f_j, the one product sum over rows.
 
     K and f hold rows along their last axis (layouts as in batch_product)
     and run over j on the axis before it: shapes (..., N, w_K) and
     (..., N, w_f), leading axes broadcast, result (..., 2^n).  The sum is
-    one matmul of the columns, T[..., a, b] = sum_j left_j[a] right_j[b],
-    then scatter_pairs.
+    one matmul of the columns, T[..., a, b] = sum_j K_j[a] f_j[b], then
+    scatter_pairs.
     """
-    _check_side(side)
-    A, B = (K, f) if side == "left" else (f, K)
-    T = np.swapaxes(A, -1, -2) @ B
+    T = np.swapaxes(K, -1, -2) @ f
     return scatter_pairs(ctx, np.moveaxis(T, -2, 0))
 
 

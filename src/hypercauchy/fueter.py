@@ -20,7 +20,7 @@ import numpy as np
 
 from .clifford_core import (Multivector, SingularInputError,
                             _check_side, _is_int, as_coeffs, batch_product,
-                            sided_product, sided_sum)
+                            sided_sum)
 from .cauchy import (
     BoundaryDensity,
     _boundary_distance,
@@ -70,7 +70,10 @@ def _as_alpha(alpha, n, cap=MAX_DEGREE):
 
 def multi_indices(n, degree):
     """All multi-indices of n entries with |alpha| = degree, lexicographic;
-    the degree takes _check_degree's check, with no cap."""
+    n must be an integer >= 1 (_is_int), else ValueError, and the degree
+    takes _check_degree's check, with no cap."""
+    if not _is_int(n) or n < 1:
+        raise ValueError("n must be an integer >= 1, got %r" % (n,))
     _check_degree(degree, cap=None)
     if n == 1:
         return iter([(degree,)])
@@ -234,10 +237,9 @@ def _node_sums(mesh, g: BoundaryDensity, table, side):
     key's (N, 2^n) or (N, n+1) node rows R in table: the one node sum of
     fueter, with one measure density nu w g for the whole table.  Reversion
     fixes every R (d^alpha E, Z^alpha), as cauchy._density_samples needs."""
-    _check_side(side)
+    rev = _check_side(side, mesh.context)
     t, = _measure_density(mesh, _density_samples(mesh, g, side))
-    rev = mesh.context.reverse_sign if side == "right" else 1.0
-    return {key: sided_sum(mesh.context, "left", rows, t) * rev
+    return {key: sided_sum(mesh.context, rows, t) * rev
             for key, rows in table.items()}
 
 
@@ -293,12 +295,13 @@ def _moment_threshold(g: BoundaryDensity, change):
     return max(10.0 * change, 1e-8 * scale)
 
 
-def _polynomial(ctx, terms, side):
-    """The evaluator of sum Z^alpha c_alpha (left) or c_alpha Z^alpha
-    (right), (M, n+1) points to (M, 2^n) rows; the (alpha, c) terms, c any
-    value as_coeffs takes, are checked once, here.  Zero c are skipped, and
-    the Z^alpha of the others come from one _symmetric_powers table."""
-    _check_side(side)
+def _polynomial(ctx, terms):
+    """The evaluator of sum Z^alpha c_alpha, (M, n+1) points to (M, 2^n)
+    rows; the (alpha, c) terms, c any value as_coeffs takes, are checked
+    once, here.  Zero c are skipped, and the Z^alpha of the others come
+    from one _symmetric_powers table.  Z^alpha is fixed by reversion, so
+    a right-sided sum c_alpha Z^alpha is rev(sum Z^alpha rev(c_alpha)),
+    which its callers take."""
     terms = [(_as_alpha(alpha, ctx.n), as_coeffs(ctx, c)) for alpha, c in terms]
     terms = [(alpha, c) for alpha, c in terms if c.any()]
 
@@ -306,7 +309,7 @@ def _polynomial(ctx, terms, side):
         table = _symmetric_powers(ctx, [alpha for alpha, _ in terms], points)
         out = np.zeros((points.shape[0], ctx.dim))
         for alpha, c in terms:
-            out += sided_product(ctx, side, table[alpha], c)
+            out += batch_product(ctx, table[alpha], c)
         return out
 
     return rows
@@ -331,12 +334,14 @@ def taylor_component(f, k, mesh, side="left"):
     -------
     evaluator
         P_k[f](x) = (1/k!) sum_{|alpha|=k} Z^alpha(x) [d^alpha f](0)
-        (left case; the right case puts the coefficients on the left).
-        It maps one point to a Multivector and (M, n+1) rows to (M, 2^n)
-        rows, and exposes .coefficients, a dict alpha -> coefficients.
+        (left case; the right case puts the coefficients on the left, and
+        is the left case of the reversed coefficients, reversed).  It maps
+        one point to a Multivector and (M, n+1) rows to (M, 2^n) rows, and
+        exposes .coefficients, a dict alpha -> coefficients.
     """
     ctx = mesh.context
     _check_degree(k)
+    rev = _check_side(side, ctx)
     R = surface_hull_radius(mesh)
     if mesh.h * (k + 1) > R:
         raise QuadratureDegeneracyError(
@@ -351,11 +356,11 @@ def taylor_component(f, k, mesh, side="left"):
     vol = unit_sphere_area(ctx.n)
     coeffs = {alpha: (-1.0) ** sum(alpha) / vol * total
               for alpha, total in sums.items()}
-    poly = _polynomial(ctx, coeffs.items(), side)
+    poly = _polynomial(ctx, [(alpha, c * rev) for alpha, c in coeffs.items()])
 
     def evaluator(x):
         pts, single = _points(x, ctx.n)
-        out = poly(pts) * (1.0 / math.factorial(k))
+        out = poly(pts) * (1.0 / math.factorial(k)) * rev
         return Multivector(ctx, out[0]) if single else out
 
     evaluator.coefficients = coeffs
@@ -372,19 +377,22 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
     """Degree-k Laurent term of the Cauchy-type integral near infinity.
 
     Q_k(w) = ((-1)^k / (V_n k!)) sum_{|alpha|=k} [d^alpha E](w) m_alpha
-    with m_alpha the left moment table entries (right case mirrored);
+    with m_alpha the left moment table entries (the right case, m_alpha
+    d^alpha E, is the left case of the reversed moments, reversed);
     -sum_k Q_k reproduces C[g](w) for |w| > rho = max|x| on Gamma.
     The evaluator takes points as taylor_component's, raises on |w| <= rho
     and exposes .rho and the .moments m_alpha.
     """
     ctx = mesh.context
     _check_degree(k)
+    rev = _check_side(side, ctx)
     rho = surface_hull_radius(mesh)
     moments = _node_sums(mesh, g, _symmetric_powers(
         ctx, multi_indices(ctx.n, k), mesh.nodes), side)
     vol = unit_sphere_area(ctx.n)
     scale = (-1.0) ** k / (vol * math.factorial(k))
-    kds = {alpha: kernel_derivative(ctx, alpha) for alpha in moments}
+    terms = [(kernel_derivative(ctx, alpha), m * rev)
+             for alpha, m in moments.items()]
 
     def evaluator(w):
         pts, single = _points(w, ctx.n, "w")
@@ -392,10 +400,9 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
             raise ValueError("Laurent evaluation requires |w| > rho = %.6g"
                              % rho)
         out = np.zeros((pts.shape[0], ctx.dim))
-        for alpha, m in moments.items():
-            out += sided_product(
-                ctx, side, kds[alpha].evaluate_components(pts), m)
-        out *= scale
+        for kd, m in terms:
+            out += batch_product(ctx, kd.evaluate_components(pts), m)
+        out *= scale * rev
         return Multivector(ctx, out[0]) if single else out
 
     evaluator.rho = rho

@@ -1,7 +1,8 @@
 """Kernel sums against a plain per-pair loop over kernel_E and product.
 
-The product-sum helpers behind them (scatter_pairs, sided_product and
-sided_sum of clifford_core) are checked the same way against product.
+The product helpers behind them (scatter_pairs, batch_product and
+sided_sum of clifford_core) are checked the same way against product, in
+both orders of their factors.
 
 Each reference value is a straight double loop over target and source
 nodes, built only from cauchy.kernel_E and clifford_core.product, so it
@@ -25,8 +26,7 @@ from hypercauchy.cauchy import (BoundaryDensity, gradient_stencil, kernel_E,
                                 kernel_E_rows, principal_value_nodes)
 from hypercauchy.clifford_core import (Multivector, Paravector, batch_product,
                                        get_context, paravectors_as_coeffs,
-                                       product, scatter_pairs, sided_product,
-                                       sided_sum)
+                                       product, scatter_pairs, sided_sum)
 from hypercauchy.surface import (DomainSpec, SurfaceMesh, build_mesh,
                                  load_mesh, save_mesh)
 from hypercauchy._corpus import random_smooth, rough_holder
@@ -544,6 +544,12 @@ def _sided_mv(side, K, f):
     return product(K, f) if side == "left" else product(f, K)
 
 
+def _sided_rows(side, K, f):
+    """The factors (K, f) for side 'left', (f, K) for 'right': the library
+    takes left products only, and the tests take right ones by swapping."""
+    return (K, f) if side == "left" else (f, K)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_scatter_pairs_matches_blade_products(n):
     ctx = get_context(n)
@@ -574,7 +580,7 @@ def test_sided_product_matches_product(n, side):
         for wf in _widths(ctx):
             K = rng.normal(size=(5, wk))
             f = rng.normal(size=(5, wf))
-            got = sided_product(ctx, side, K, f)
+            got = batch_product(ctx, *_sided_rows(side, K, f))
             for i in range(5):
                 want = _sided_mv(side, _row_mv(ctx, K[i]), _row_mv(ctx, f[i]))
                 abs_sum = np.abs(K[i]).sum() * np.abs(f[i]).sum()
@@ -593,8 +599,9 @@ def test_sided_sum_matches_product_loop(n, side):
             # a stack of 3 kernels against one density, and a single pair
             K = rng.normal(size=(3, N, wk))
             f = rng.normal(size=(N, wf))
-            cases = [(K, f, sided_sum(ctx, side, K, f)),
-                     (K[:1], f, sided_sum(ctx, side, K[0], f)[None])]
+            cases = [(K, f, sided_sum(ctx, *_sided_rows(side, K, f))),
+                     (K[:1], f,
+                      sided_sum(ctx, *_sided_rows(side, K[0], f))[None])]
             for Ks, fs, got in cases:
                 assert got.shape == (Ks.shape[0], ctx.dim)
                 for r in range(Ks.shape[0]):
@@ -606,15 +613,6 @@ def test_sided_sum_matches_product_loop(n, side):
                     _assert_within(got[r], total.coeffs,
                                    np.asarray(_tolerance(N * wk * wf,
                                                          abs_sum)))
-
-
-@pytest.mark.parametrize("helper", [sided_product, sided_sum])
-def test_sided_helpers_reject_unknown_side(helper):
-    ctx = get_context(2)
-    rows = np.ones((3, ctx.dim))
-    for side in ("up", "Right", None):
-        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
-            helper(ctx, side, rows, rows)
 
 
 # -- kernel planes in one work buffer ----------------------------------------------

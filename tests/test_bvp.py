@@ -414,6 +414,28 @@ def test_sampled_residuals_refuse_a_non_integer_sample_count(circle_mesh,
         run()
 
 
+@pytest.mark.parametrize("m", [2.5, True, "1", None], ids=repr)
+def test_jump_solvers_refuse_a_non_integer_order_bound(circle_mesh, m,
+                                                       monkeypatch):
+    # refused with m named before any kernel or moment sum
+    g = random_smooth(circle_mesh, 7)
+    sums = []
+    original = _accel._accumulate
+    monkeypatch.setattr(_accel, "_accumulate",
+                        lambda *args: sums.append(1) or original(*args))
+    for solve in (lambda: solve_jump_rm(circle_mesh, g, m),
+                  lambda: solve_constant_gap(circle_mesh, g, [2.0, 1.0], m)):
+        with pytest.raises(ValueError, match="^m must be an integer, got "):
+            solve()
+    assert sums == []
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -1, "2"], ids=repr)
+def test_unit_sphere_area_refuses_a_bad_dimension(n):
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
+        unit_sphere_area(n)
+
+
 @pytest.mark.parametrize("side", ["up", "Right", None])
 def test_sectional_solutions_refuse_an_unknown_side(circle_mesh, side):
     # the side is checked where the solution is made, not in .interior()
@@ -983,7 +1005,7 @@ def _orthogonality_per_probe(mesh, it, jt):
                       mesh.measure_coeffs())
     diff = dens - dens[it][None, :]
     diff[[it, jt]] = 0.0
-    return sided_sum(ctx, "left", A, diff) + \
+    return sided_sum(ctx, A, diff) + \
         0.5 * unit_sphere_area(mesh.n) * dens[it]
 
 

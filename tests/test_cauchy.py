@@ -14,7 +14,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import hypercauchy
-from hypercauchy import _accel, bvp, cauchy, surface
+from hypercauchy import _accel, bvp, cauchy, clifford_core, surface
 from hypercauchy.cauchy import (
     BoundaryDensity,
     DegenerateStencilError,
@@ -39,8 +39,8 @@ from hypercauchy.cauchy import (
     _scale,
     _singular_cell_corrections,
 )
-from hypercauchy.clifford_core import (SingularInputError, embed_point,
-                                       paravectors_as_coeffs, sided_product,
+from hypercauchy.clifford_core import (SingularInputError, batch_product,
+                                       embed_point, paravectors_as_coeffs,
                                        sided_sum)
 from hypercauchy import fueter
 from hypercauchy.fueter import cauchy_derivative
@@ -997,6 +997,30 @@ def test_side_sweep_finds_every_sided_entry_point():
             "divide"} <= set(SIDED_FUNCTIONS)
 
 
+def _side_takers(module):
+    """Names of the functions, methods included, defined in module whose
+    signature has a side parameter."""
+    found = set()
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        members = [(name, obj)]
+        if inspect.isclass(obj):
+            members = [("%s.%s" % (name, m), f) for m, f in vars(obj).items()
+                       if inspect.isfunction(f)]
+        found.update(label for label, fn in members if callable(fn)
+                     and "side" in inspect.signature(fn).parameters)
+    return found
+
+
+def test_only_public_entry_points_take_a_side():
+    # every product below the public calls is a left one: right-sided calls
+    # mirror by reversion where they enter, so no product helper takes a side
+    assert _side_takers(clifford_core) == {"divide", "_check_side"}
+    assert _side_takers(_accel) == set()
+    assert "side" not in inspect.signature(fueter._polynomial).parameters
+
+
 @pytest.mark.parametrize("side", ["up", "Right", None])
 @pytest.mark.parametrize("name", SIDED_FUNCTIONS)
 def test_every_sided_entry_point_rejects_an_unknown_side(name, side,
@@ -1145,7 +1169,11 @@ def _ladder_reference(mesh, samples, i, lams, sign, side):
     ctx = mesh.context
     vol = unit_sphere_area(mesh.n)
     f0 = samples[i]
-    g = sided_product(ctx, side, mesh.measure_coeffs(), samples - f0)
+    # the library takes left products only; a right one swaps the factors
+    def sided(K, f):
+        return (K, f) if side == "left" else (f, K)
+
+    g = batch_product(ctx, *sided(mesh.measure_coeffs(), samples - f0))
     terms = np.abs(mesh.measure_coeffs()).sum(axis=1) * (
         np.abs(samples).sum(axis=1) + np.abs(f0).sum())
     m = mesh.node_count * (mesh.n + 1) + TERM_ROUNDINGS
@@ -1153,7 +1181,7 @@ def _ladder_reference(mesh, samples, i, lams, sign, side):
     for lam in lams:
         E = kernel_E_rows(mesh.nodes, mesh.nodes[i] - sign * lam
                           * mesh.normals[i])
-        rows.append(sided_sum(ctx, side, E, g) / vol + (sign > 0) * f0)
+        rows.append(sided_sum(ctx, *sided(E, g)) / vol + (sign > 0) * f0)
         abs_sum.append(np.abs(E).sum(axis=1) @ terms / vol)
     size = np.array(abs_sum)[:, None] + np.abs(f0)
     tol = 2.0 * _gamma(m) * np.array(abs_sum)[:, None] + (
@@ -1698,3 +1726,68 @@ def test_left_and_right_sums_mirror(name):
     right = _mirrored_results(mesh, rf, "right")
     for key, rows in left.items():
         assert np.array_equal(_reverse(rows), right[key]), key
+
+
+# -- right-sided products mirror left-sided ones ---------------------------------
+#
+# Z^alpha, d^alpha E and a paravector's inverse are fixed by reversion too,
+# so c Z^alpha = rev(Z^alpha rev(c)), m d^alpha E = rev(d^alpha E rev(m))
+# and a b^-1 = rev(b^-1 rev(a)): every right-sided product is the left
+# product of the reversed coefficients, reversed, bit for bit.
+
+PRODUCT_MIRROR_MESHES = dict(
+    MIRROR_MESHES,
+    **{"circle-L1": (DomainSpec("circle", 1, center=(0.0, 0.0), radius=1.0),
+                     1)})
+
+
+def _taylor_degree(mesh):
+    # the largest degree up to 2 that the mesh resolves (h (k + 1) <= R)
+    return min(2, int(fueter.surface_hull_radius(mesh) / mesh.h) - 1)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_MIRROR_MESHES))
+def test_left_and_right_expansions_mirror(name):
+    mesh = build_mesh(*PRODUCT_MIRROR_MESHES[name])
+    f = random_smooth(mesh, 3)
+    rf = BoundaryDensity(mesh, _reverse(f.samples))
+    inner = 0.4 * mesh.nodes[::7]
+    outer = 2.5 * mesh.nodes[::7]
+    k = _taylor_degree(mesh)
+    left = fueter.taylor_component(f, k, mesh, "left")
+    right = fueter.taylor_component(rf, k, mesh, "right")
+    assert np.array_equal(_reverse(left(inner)), right(inner))
+    assert np.array_equal(_reverse(left(inner[0]).coeffs),
+                          right(inner[0]).coeffs)
+    for k in (1, 2):
+        left = fueter.laurent_term(mesh, f, k, "left")
+        right = fueter.laurent_term(mesh, rf, k, "right")
+        assert np.array_equal(_reverse(left(outer)), right(outer))
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_MIRROR_MESHES))
+def test_left_and_right_sectional_solutions_mirror(name):
+    # the Cauchy-type part and the polynomial part S[g] + P both mirror
+    mesh = build_mesh(*PRODUCT_MIRROR_MESHES[name])
+    ctx = mesh.context
+    rng = np.random.default_rng(11)
+    f = random_smooth(mesh, 3)
+    rf = BoundaryDensity(mesh, _reverse(f.samples))
+    left, _ = bvp.solve_jump_rm(mesh, f, 2, side="left")
+    coeffs = {alpha: rng.standard_normal(ctx.dim)
+              for alpha, _ in left.polynomial}
+    left = left.with_polynomial(coeffs)
+    right, _ = bvp.solve_jump_rm(mesh, rf, 2, side="right")
+    right = right.with_polynomial({alpha: _reverse(c)
+                                   for alpha, c in coeffs.items()})
+    t = mesh.node_count // 3
+    for method in ("raw", "subtract"):
+        assert np.array_equal(
+            _reverse(left.interior(0.6 * mesh.nodes[t], method).coeffs),
+            right.interior(0.6 * mesh.nodes[t], method).coeffs)
+        assert np.array_equal(
+            _reverse(left.exterior(1.5 * mesh.nodes[t], method).coeffs),
+            right.exterior(1.5 * mesh.nodes[t], method).coeffs)
+    points = mesh.nodes[::5]
+    assert np.array_equal(_reverse(left._poly_rows(points)),
+                          right._poly_rows(points))

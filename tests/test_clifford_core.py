@@ -177,6 +177,38 @@ def test_zero_paravector_not_invertible():
         paravector_inverse(zero)
 
 
+@pytest.mark.parametrize("x0, vec", [(np.nan, [0.0]), (0.0, [np.nan, 1.0]),
+                                     (np.inf, [0.0]), (1e200, [0.0, 0.0])],
+                         ids=repr)
+def test_non_finite_paravector_not_invertible(x0, vec):
+    # |X|^2 NaN or infinite (1e200 squares past the float64 range) has no
+    # inverse, for the inverse and for division alike
+    x = Paravector(x0, vec)
+    with pytest.raises(SingularInputError, match="has no inverse"):
+        x.inverse()
+    a = get_context(len(vec)).scalar(1.0)
+    for side in ("left", "right"):
+        with pytest.raises(SingularInputError, match="has no inverse"):
+            divide(a, x, side)
+
+
+@pytest.mark.parametrize("n", DIMS)
+def test_right_division_mirrors_left_division(n):
+    # a b^-1 = rev(b^-1 rev(a)): the right quotient is the reversed left
+    # quotient of the reversed dividend, bit for bit, for a Paravector and
+    # a paravector Multivector divisor alike
+    ctx = get_context(n)
+    rev = ctx.reverse_sign
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        a = Multivector(ctx, rng.normal(size=ctx.dim))
+        b = embed_point(rng.normal(size=n + 1))
+        for divisor in (b, b.as_multivector(ctx)):
+            right = divide(a, divisor, "right").coeffs
+            left = divide(Multivector(ctx, a.coeffs * rev), divisor, "left")
+            assert np.array_equal(right, left.coeffs * rev)
+
+
 def test_context_mismatch_rejected():
     a = get_context(1).scalar(1.0)
     b = get_context(2).scalar(1.0)
@@ -376,26 +408,30 @@ def test_as_coeffs_rejects_other_values():
 
 
 @pytest.mark.parametrize("value", [2, 2.0, True, np.int64(2), np.int32(2),
-                                   np.float32(2), np.float64(2), np.bool_(1)],
+                                   np.float32(2), np.float64(2), np.bool_(1),
+                                   np.array(2.0), np.array(2), np.array(True)],
                          ids=repr)
 def test_multivector_arithmetic_takes_real_scalars(value):
-    # numpy's real scalars are scalars too, as as_coeffs takes them
+    # numpy's real scalars and 0-d real arrays are scalars too, as as_coeffs
+    # takes them, on either side of *, + and -
     ctx = get_context(2)
     a = Multivector(ctx, [1.0, -2.0, 0.5, 3.0])
     s = float(value)
     for got, want in [(a * value, a.coeffs * s), (value * a, a.coeffs * s),
                       (a + value, a.coeffs + [s, 0, 0, 0]),
                       (value + a, a.coeffs + [s, 0, 0, 0]),
-                      (a - value, a.coeffs - [s, 0, 0, 0])]:
+                      (a - value, a.coeffs - [s, 0, 0, 0]),
+                      (value - a, [s, 0, 0, 0] - a.coeffs)]:
         assert isinstance(got, Multivector)
         assert np.array_equal(got.coeffs, want)
 
 
 @pytest.mark.parametrize("value", ["3", 1j, np.complex128(1), np.ones(4),
-                                   None], ids=repr)
+                                   None, np.array(1j), np.ones(1)], ids=repr)
 def test_multivector_arithmetic_refuses_other_values(value):
     a = get_context(2).scalar(1.0)
-    for op in (lambda: a * value, lambda: a + value, lambda: a - value):
+    for op in (lambda: a * value, lambda: a + value, lambda: a - value,
+               lambda: value - a):
         with pytest.raises(TypeError, match="as a Multivector"):
             op()
 

@@ -27,6 +27,7 @@ from hypercauchy.fueter import (
     taylor_component,
 )
 from hypercauchy import fueter
+from hypercauchy.bvp import SectionalSolution
 from hypercauchy.surface import DomainSpec, build_mesh
 from hypercauchy._corpus import (interior_pole, kernel_combo, kernel_trace,
                                  random_smooth)
@@ -54,8 +55,11 @@ def dirac_apply(ctx, f, x, side="left") -> Multivector:
         xm[k] -= step
         d = as_coeffs(ctx, f(xp)) - as_coeffs(ctx, f(xm))
         derivs[k] = d / (2.0 * step)
-    # row k of the identity is e_k in paravector layout
-    return Multivector(ctx, sided_sum(ctx, side, np.eye(ctx.n + 1), derivs))
+    # row k of the identity is e_k in paravector layout; the library takes
+    # left sums only, so the right sum swaps the factors
+    e = np.eye(ctx.n + 1)
+    pair = (e, derivs) if side == "left" else (derivs, e)
+    return Multivector(ctx, sided_sum(ctx, *pair))
 
 
 def _sym_density(mesh, alpha, coeff=None):
@@ -138,6 +142,14 @@ def test_multi_indices_enumeration():
     assert list(multi_indices(2, np.int64(2))) == got
     # count is C(k + n - 1, n - 1)
     assert len(list(multi_indices(3, 4))) == math.comb(4 + 2, 2)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.0, "2", None], ids=repr)
+def test_multi_indices_refuse_a_bad_entry_count(n):
+    # n < 1 recursed without end; a bool or non-integer is refused as in
+    # _check_degree
+    with pytest.raises(ValueError, match="^n must be an integer >= 1, got "):
+        multi_indices(n, 2)
 
 
 # each public expansion-degree argument, called with the mesh and a degree
@@ -518,15 +530,20 @@ def test_dirac_apply_tells_the_sides_apart():
 
 
 def test_polynomial_rows_reject_unknown_side(sphere_mesh):
+    # fueter._polynomial takes left sums only; the public calls that own
+    # polynomial rows mirror a right-sided one, and refuse an unknown side
+    # before any sum or point
     ctx = sphere_mesh.context
-    terms = [((1, 0), np.ones(ctx.dim))]
+    f = random_smooth(sphere_mesh, 3)
+    terms = (((1, 0), np.ones(ctx.dim)),)
     for side in ("up", "Left", None):
-        # refused when the evaluator is built, before any point
         with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
-            fueter._polynomial(ctx, terms, side)
+            taylor_component(f, 1, sphere_mesh, side)
         # an empty polynomial part is rejected the same way
-        with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
-            fueter._polynomial(ctx, (), side)
+        for poly in (terms, ()):
+            with pytest.raises(ValueError,
+                               match="side must be 'left' or 'right'"):
+                SectionalSolution(sphere_mesh, f, side, poly)
 
 
 @pytest.mark.parametrize("call", [
