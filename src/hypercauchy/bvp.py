@@ -2,7 +2,8 @@
 
 Covers the linear conjugation problems on a closed surface Gamma (jump
 problems R_m with a prescribed order bound at infinity, the constant-gap
-variant Phi+ = Phi- G + g, and the interior Dirichlet problem) together
+variant Phi+ = Phi- G + g, or Phi+ = G Phi- + g on the right, and the
+interior Dirichlet problem) together
 with the characteristic singular integral equation with constant
 right-quotient coefficients, the inversion of the singular Cauchy
 operator, and a numerical experiment probing the commutation of iterated
@@ -41,7 +42,8 @@ DIRICHLET_SIGNIFICANCE = 0.02
 
 @dataclass(frozen=True)
 class SectionalSolution:
-    """Sectionally regular function Phi = (S[g] + P) X on Omega+ / Omega-.
+    """Sectionally regular function Phi = (S[g] + P) X on Omega+ / Omega-
+    (left), or X (S[g] + P) (right).
 
     Attributes
     ----------
@@ -57,7 +59,10 @@ class SectionalSolution:
         empty when no free part exists.
     gap_inverse : ndarray or None
         Coefficients of G^{-1} for constant-gap problems; the exterior
-        factor X is G^{-1} when set, 1 otherwise.
+        factor X is G^{-1} when set, 1 otherwise, on the right of a
+        left-regular Phi and on the left of a right-regular one
+        (_mirrored_product), the side whose constant factors keep Phi
+        regular.
     interior_only : bool
         True for Dirichlet solutions; exterior evaluation then raises.
     """
@@ -88,7 +93,8 @@ class SectionalSolution:
                               side=self.side, method=method)
         total = val.value.coeffs + self._poly_rows(point[None, :])[0]
         if tag == "exterior" and self.gap_inverse is not None:
-            total = batch_product(ctx, total, self.gap_inverse)
+            total = _mirrored_product(ctx, total, self.gap_inverse,
+                                      _check_side(self.side, ctx))
         return Multivector(ctx, total)
 
     def interior(self, w, method="raw") -> Multivector:
@@ -205,14 +211,13 @@ def _max_row_norm(rows):
 
 def jump_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
                   sample_nodes=8, seed=0):
-    """Max-norm of Phi+ - Phi- - g at sampled nodes via approach limits.
+    """Max-norm of Phi+ - Phi- - g at sampled nodes via approach limits:
+    constant_gap_residual with G = 1.
 
     Independent of the Plemelj identities: both one-sided values come
     from boundary_limit's Richardson ladders along the normal.
     """
-    idx = _sample_indices(mesh.node_count, sample_nodes, seed)
-    plus, minus = boundary_limit(mesh, sol.density, idx, side=sol.side)
-    return _max_row_norm(plus - minus - g.samples[idx])
+    return constant_gap_residual(mesh, sol, g, 1.0, sample_nodes, seed)
 
 
 # -- general multivector row inversion --------------------------------------------
@@ -262,13 +267,24 @@ def invert_rows(ctx, rows):
 
 # -- constant-gap conjugation ------------------------------------------------------
 
-def solve_constant_gap(mesh, g: BoundaryDensity, G, m: int, side="left"):
-    """Solve Phi+ = Phi- G + g with a constant invertible gap factor G.
+def _mirrored_product(ctx, a, b, rev):
+    """Rows a b for rev = 1.0 (left), and rev(rev(a) rev(b)) = b a for
+    reversion's signs (right): a left-sided product mirrored to the side
+    whose factor _check_side returned."""
+    return batch_product(ctx, a * rev, b * rev) * rev
 
-    The transform Phi = (S[g] + P) X with X = 1 on Omega+ and X = G^{-1}
-    on Omega- reduces the problem to the jump problem for g, so the
-    solvability conditions and free polynomial slots are those of
-    solve_jump_rm.  G may be any constant multivector (value formats as in
+
+def solve_constant_gap(mesh, g: BoundaryDensity, G, m: int, side="left"):
+    """Solve Phi+ = Phi- G + g (left) or Phi+ = G Phi- + g (right) with a
+    constant invertible gap factor G.
+
+    The transform Phi = (S[g] + P) X (left) or X (S[g] + P) (right), with
+    X = 1 on Omega+ and X = G^{-1} on Omega-, reduces the problem to the
+    jump problem for g, so the solvability conditions and free polynomial
+    slots are those of solve_jump_rm.  A constant factor keeps a
+    left-regular function regular on its right and a right-regular one on
+    its left, so the right-sided problem is the mirror of the left one.
+    G may be any constant multivector (value formats as in
     clifford_core.as_coeffs); invert_rows computes G^{-1} and raises
     SingularInputError when G is not two-sided invertible.
     """
@@ -282,17 +298,20 @@ def solve_constant_gap(mesh, g: BoundaryDensity, G, m: int, side="left"):
 
 def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
                           G, sample_nodes=8, seed=0):
-    """Max-norm of Phi+ - Phi- G - g at sampled nodes via approach limits,
-    boundary_limit's ladders as in jump_residual."""
+    """Max-norm of Phi+ - Phi- G - g (left) or Phi+ - G Phi- - g (right)
+    at sampled nodes via approach limits, boundary_limit's Richardson
+    ladders along the normal."""
     ctx = mesh.context
     Gc = as_coeffs(ctx, G)
+    rev = _check_side(sol.side, ctx)
     idx = _sample_indices(mesh.node_count, sample_nodes, seed)
     poly = sol._poly_rows(mesh.nodes[idx])
     plus, minus = (limit + poly for limit in
                    boundary_limit(mesh, sol.density, idx, side=sol.side))
     if sol.gap_inverse is not None:
-        minus = batch_product(ctx, minus, sol.gap_inverse)
-    return _max_row_norm(plus - batch_product(ctx, minus, Gc) - g.samples[idx])
+        minus = _mirrored_product(ctx, minus, sol.gap_inverse, rev)
+    return _max_row_norm(plus - _mirrored_product(ctx, minus, Gc, rev)
+                         - g.samples[idx])
 
 
 # -- interior Dirichlet-type problem ----------------------------------------------

@@ -27,7 +27,7 @@ from .surface import DomainSpec, _node_count, build_mesh, save_mesh
 from .cauchy import (BoundaryDensity, boundary_limit, principal_value_nodes,
                      span_indicator, symmetric_difference_limit,
                      symmetric_difference_steps, _integral_rows)
-from .fueter import MAX_DEGREE, multi_indices, order_at_infinity
+from .fueter import MAX_DEGREE, line_fit, multi_indices, order_at_infinity
 from .bvp import (CharacteristicCoefficients, constant_gap_residual,
                   invert_cauchy_pv, invert_rows, jump_residual,
                   pair_orthogonality, poincare_bertrand_discrepancy,
@@ -266,21 +266,11 @@ class ConvergenceReport:
 
 
 def _fit_order(rows):
+    """line_fit's (slope, width) of log error_maxnorm on log h over the
+    rows whose h and error are positive."""
     pts = [(r.h, r.error_maxnorm) for r in rows
            if r.error_maxnorm > 0.0 and r.h > 0.0]
-    if len(pts) < 2:
-        return math.nan, math.nan
-    lh = np.log([p[0] for p in pts])
-    le = np.log([p[1] for p in pts])
-    A = np.vstack([lh, np.ones_like(lh)]).T
-    coef, res, *_ = np.linalg.lstsq(A, le, rcond=None)
-    slope = float(coef[0])
-    if len(pts) > 2 and res.size:
-        dof = len(pts) - 2
-        var = float(res[0]) / dof
-        cov = var * np.linalg.inv(A.T @ A)[0, 0]
-        return slope, 2.0 * math.sqrt(max(cov, 0.0))
-    return slope, math.nan
+    return line_fit(np.log([p[0] for p in pts]), np.log([p[1] for p in pts]))
 
 
 def _criterion(name, value, limit, op, passed, waived=False):

@@ -29,7 +29,7 @@ from .cauchy import (
     _measure_density,
     unit_sphere_area,
 )
-from .surface import _point, _points, refine
+from .surface import _check_mesh, _point, _points, refine
 
 MAX_DEGREE = 6
 
@@ -232,11 +232,19 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
 
 # -- boundary moments -------------------------------------------------------------
 
+def _check_density(g):
+    """TypeError naming g unless it is a BoundaryDensity."""
+    if not isinstance(g, BoundaryDensity):
+        raise TypeError("g must be a BoundaryDensity, got %s"
+                        % type(g).__name__)
+
+
 def _node_sums(mesh, g: BoundaryDensity, table, side):
     """{key: sum_j R_j nu w_j g_j} (left; the right case mirrored) for each
     key's (N, 2^n) or (N, n+1) node rows R in table: the one node sum of
     fueter, with one measure density nu w g for the whole table.  Reversion
     fixes every R (d^alpha E, Z^alpha), as cauchy._density_samples needs."""
+    _check_density(g)
     rev = _check_side(side, mesh.context)
     t, = _measure_density(mesh, _density_samples(mesh, g, side))
     return {key: sided_sum(mesh.context, rows, t) * rev
@@ -277,6 +285,7 @@ def _moment_norms(mesh, g: BoundaryDensity, max_degree, side):
     With an evaluator and a mesh spec (refined) fine holds the norms of g
     resampled on the refined mesh; otherwise fine is coarse.
     """
+    _check_density(g)
     refined = g.evaluator is not None and mesh.spec is not None
     pairs = [(mesh, g)]
     if refined:
@@ -339,6 +348,7 @@ def taylor_component(f, k, mesh, side="left"):
         one point to a Multivector and (M, n+1) rows to (M, 2^n) rows, and
         exposes .coefficients, a dict alpha -> coefficients.
     """
+    _check_mesh(mesh)
     ctx = mesh.context
     _check_degree(k)
     rev = _check_side(side, ctx)
@@ -412,12 +422,37 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
 
 # -- order at infinity ---------------------------------------------------------------
 
+def line_fit(x, y):
+    """The ordinary least-squares line through the points (x_i, y_i), in
+    closed form: (slope, width).  With dx = x - mean(x) and dy = y -
+    mean(y), slope = sum dx dy / sum dx^2, and width = 2 sqrt(sum r^2 /
+    (m - 2) / sum dx^2), twice the slope's standard error from the
+    residuals r = dy - slope dx of the m points.  The width is NaN for two
+    points; both are NaN for fewer, or when every x is the same.  The one
+    line fit of the package: cli's fitted order and order_at_infinity's
+    slope."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.size < 2:
+        return math.nan, math.nan
+    dx, dy = x - x.mean(), y - y.mean()
+    sxx = float(np.sum(dx * dx))
+    if not sxx > 0.0:
+        return math.nan, math.nan
+    slope = float(np.sum(dx * dy)) / sxx
+    if x.size == 2:
+        return slope, math.nan
+    r = dy - slope * dx
+    return slope, 2.0 * math.sqrt(float(np.sum(r * r)) / (x.size - 2) / sxx)
+
+
 @dataclass(frozen=True)
 class OrderReport:
     """Order at infinity with both determination routes reported."""
 
     order: float            # the moment route's: integer, -inf, or nan
-    slope_raw: float        # the empirical route's log-log fit slope
+    slope_raw: float        # the empirical route's slope, line_fit's of
+                            # log|Phi| on log|w|
     first_moment_degree: int    # N^l, or -1 when no moment clears threshold
     thresholds: dict        # degree -> the threshold its moments must clear
     moment_norms: dict
@@ -431,9 +466,10 @@ def order_at_infinity(mesh, g, side="left") -> OrderReport:
     Ord = -n - N^l with N^l the smallest degree k <= MAX_DEGREE whose
     largest moment norm clears max(10 * its change under one refinement
     when the density carries an evaluator, 1e-8 * density scale); per
-    degree, as degree-k moments grow like rho^k.  Empirical route:
-    least-squares slope of log|Phi| against log|w| on 3 rays of seed 7
-    with radii in [5 rho, 50 rho], whose nearest integer is the order.
+    degree, as degree-k moments grow like rho^k.  Empirical route: the
+    ordinary least-squares slope (line_fit) of log|Phi| against log|w| on
+    3 rays of seed 7 with radii in [5 rho, 50 rho], whose nearest integer
+    is the order.
     Both are reported: `order` is the moment route's, NaN when no degree
     clears its threshold, and `slope_raw` the unrounded slope.
     """
@@ -460,7 +496,7 @@ def order_at_infinity(mesh, g, side="left") -> OrderReport:
         return OrderReport(-math.inf, -math.inf, first_deg, thresholds,
                            norms, False)
     keep = mags > 0
-    slope_raw = float(np.polyfit(np.log(np.tile(radii, 3))[keep],
-                                 np.log(mags[keep]), 1)[0])
+    slope_raw = line_fit(np.log(np.tile(radii, 3))[keep],
+                         np.log(mags[keep]))[0]
     return OrderReport(moment_order, slope_raw, first_deg, thresholds, norms,
                        undetermined)

@@ -88,7 +88,9 @@ class DomainSpec:
 class SurfaceMesh:
     """Nodes, outward unit normals and positive area weights on Gamma: the
     only constructor arguments, with at least two nodes (one has no h).
-    Meshes compare and hash by identity.
+    The mesh keeps read-only float64 copies of the three, so the caller's
+    arrays stay writeable and no write can leave the cached operators
+    stale.  Meshes compare and hash by identity.
 
     Attributes
     ----------
@@ -128,9 +130,9 @@ class SurfaceMesh:
     cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        nodes = np.ascontiguousarray(self.nodes, dtype=np.float64)
-        normals = np.ascontiguousarray(self.normals, dtype=np.float64)
-        weights = np.ascontiguousarray(self.weights, dtype=np.float64)
+        nodes, normals, weights = (np.array(a, dtype=np.float64, order="C")
+                                   for a in (self.nodes, self.normals,
+                                             self.weights))
         if nodes.ndim != 2 or nodes.shape != normals.shape or \
                 weights.shape != (nodes.shape[0],):
             raise MeshFormatError("inconsistent mesh array shapes")
@@ -151,9 +153,10 @@ class SurfaceMesh:
         pair = _coincident_rows(nodes)
         if pair is not None:
             raise MeshFormatError("nodes rows %d and %d coincide" % pair)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "normals", normals)
-        object.__setattr__(self, "weights", weights)
+        for name, values in (("nodes", nodes), ("normals", normals),
+                             ("weights", weights)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     @cached_property
     def h(self):
@@ -528,8 +531,16 @@ def _point(w, n=None, name="w"):
     return _points(w, n, name, rows=False)[0][0]
 
 
+def _check_mesh(mesh):
+    """TypeError naming mesh unless it is a SurfaceMesh."""
+    if not isinstance(mesh, SurfaceMesh):
+        raise TypeError("mesh must be a SurfaceMesh, got %s"
+                        % type(mesh).__name__)
+
+
 def refine(mesh: SurfaceMesh) -> SurfaceMesh:
     """Next refinement level of the same spec; h at most halves (x1.5 slack)."""
+    _check_mesh(mesh)
     if mesh.spec is None:
         raise ValueError("mesh has no builder spec (not made by build_mesh); "
                          "build a finer mesh from a DomainSpec instead")

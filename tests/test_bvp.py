@@ -61,6 +61,7 @@ from hypercauchy._corpus import (
 )
 
 from conftest import coordinate_sums
+from test_fueter import dirac_apply
 
 JUMP_TOL = 1e-4
 MOMENT_EXACT_TOL = 1e-10
@@ -363,16 +364,39 @@ def test_constant_gap_reduces_to_jump(circle_mesh):
 
 
 def test_unit_gap_residual_is_jump_residual(circle_mesh):
-    # one sampler feeds both residuals; with G = 1, no gap inverse and no
-    # polynomial part the two differ only by the rounding of the product
-    # with G and of the final sums
+    # jump_residual is constant_gap_residual with G = 1, on either side
     g = random_smooth(circle_mesh, 9)
-    sol, rep = solve_jump_rm(circle_mesh, g, -1)
-    assert rep.verdict == "unconditional" and sol.polynomial == ()
-    jump = jump_residual(circle_mesh, sol, g)
-    gap = constant_gap_residual(circle_mesh, sol, g, 1.0)
-    scale = 3.0 * float(np.abs(g.samples).max()) + jump
-    assert abs(gap - jump) <= 8.0 * 2.0 ** -53 * scale
+    for side in ("left", "right"):
+        sol, rep = solve_jump_rm(circle_mesh, g, -1, side=side)
+        assert rep.verdict == "unconditional" and sol.polynomial == ()
+        assert jump_residual(circle_mesh, sol, g) == \
+            constant_gap_residual(circle_mesh, sol, g, 1.0)
+
+
+def test_right_constant_gap_is_the_mirror_of_the_left():
+    # a constant factor keeps a right-regular function regular on its left
+    # only: the right problem is Phi+ = G Phi- + g with X = G^{-1} on the
+    # left, the reversion of the left problem for rev g and rev G
+    mesh = build_mesh(DomainSpec("sphere", 2, center=(0.0,) * 3,
+                                 radius=1.0), 1)
+    ctx = mesh.context
+    rev = ctx.reverse_sign
+    g = random_smooth(mesh, 3)
+    G = np.array([2.0, 1.0, 0.5, 0.3])  # 2 + e1 + 0.5 e2 + 0.3 e12
+    right, _ = solve_constant_gap(mesh, g, G, 0, side="right")
+    w = np.array([1.6, 0.3, -0.4])
+    assert np.abs(dirac_apply(ctx, right.exterior, w,
+                              side="right").coeffs).max() <= 1e-8
+    g_rev = BoundaryDensity(mesh, g.samples * rev, regularity=g.regularity)
+    left, _ = solve_constant_gap(mesh, g_rev, G * rev, 0)
+    for name, point in (("exterior", w), ("interior", 0.3 * w)):
+        got = getattr(right, name)(point).coeffs * rev
+        want = getattr(left, name)(point).coeffs
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    res = constant_gap_residual(mesh, right, g, G)
+    assert res == pytest.approx(constant_gap_residual(mesh, left, g_rev,
+                                                      G * rev), rel=1e-12)
+    assert res <= 1e-3
 
 
 @pytest.mark.parametrize("residual", ["jump", "constant-gap",

@@ -1,7 +1,9 @@
 """Fueter polynomials, moments, Taylor/Laurent machinery, order at infinity."""
 
 import itertools
+import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypercauchy.fueter import (
     hyper_variable,
     kernel_derivative,
     laurent_term,
+    line_fit,
     multi_indices,
     order_at_infinity,
     surface_hull_radius,
@@ -28,7 +31,7 @@ from hypercauchy.fueter import (
 )
 from hypercauchy import fueter
 from hypercauchy.bvp import SectionalSolution
-from hypercauchy.surface import DomainSpec, build_mesh
+from hypercauchy.surface import DomainSpec, build_mesh, refine
 from hypercauchy._corpus import (interior_pole, kernel_combo, kernel_trace,
                                  random_smooth)
 
@@ -563,3 +566,99 @@ def test_moments_and_derivatives_reject_density_from_another_mesh(call):
     # another mesh object with the same nodes is accepted
     same = random_smooth(build_mesh(unit, 3), 1)
     assert np.all(np.isfinite(call(mesh, same)))
+
+
+# -- the closed-form line fit --------------------------------------------------------
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _lstsq_fit(x, y):
+    """The fit by LAPACK, the oracle: np.polyfit's slope and the 2 sigma
+    width var * inv(A^T A)[0, 0] of an SVD least-squares solve, NaN for
+    two points."""
+    slope = float(np.polyfit(x, y, 1)[0])
+    if x.size == 2:
+        return slope, math.nan
+    A = np.vstack([x, np.ones_like(x)]).T
+    res = np.linalg.lstsq(A, y, rcond=None)[1]
+    var = float(res[0]) / (x.size - 2)
+    return slope, 2.0 * math.sqrt(var * np.linalg.inv(A.T @ A)[0, 0])
+
+
+def _golden_lines():
+    """(name, log h, log error_maxnorm) of every recorded run's table, over
+    the rows with positive h and error, as the CLI fits them."""
+    lines = []
+    for path in sorted(GOLDEN.glob("*/*.json")):
+        rows = [(r["h"], r["error_maxnorm"])
+                for r in json.loads(path.read_text())["table"]
+                if r["h"] > 0.0 and r["error_maxnorm"] > 0.0]
+        if len(rows) >= 2:
+            x, y = np.log(np.array(rows)).T
+            lines.append((path.parent.name, x, y))
+    return lines
+
+
+def _seeded_lines(count=20):
+    rng = np.random.default_rng(11)
+    lines = []
+    for k in range(count):
+        m = int(rng.integers(3, 12))
+        x = rng.uniform(-8.0, 2.0, m)
+        y = rng.normal(0.0, 3.0) * x + rng.normal(0.0, 5.0) \
+            + rng.normal(0.0, 10.0 ** rng.uniform(-8, 0), m)
+        lines.append(("seeded-%d" % k, x, y))
+    return lines
+
+
+@pytest.mark.parametrize("x, y", [
+    pytest.param(x, y, id=name)
+    for name, x, y in _golden_lines() + _seeded_lines()])
+def test_line_fit_matches_lapack_least_squares(x, y):
+    # both are rounding-accurate: the slope's rounding error scales with
+    # the data, max|y| / |x - mean x|, which a near-zero slope (a constant
+    # error column) does not shrink
+    slope, width = line_fit(x, y)
+    want_slope, want_width = _lstsq_fit(x, y)
+    scale = float(np.abs(y).max() / np.linalg.norm(x - x.mean()))
+    assert abs(slope - want_slope) <= 1e-12 * max(abs(want_slope), scale)
+    if math.isnan(want_width):
+        assert math.isnan(width)
+    else:
+        assert abs(width - want_width) <= 1e-12 * max(want_width, scale)
+
+
+def test_golden_lines_cover_every_config_on_a_mesh():
+    # algebra-laws runs no mesh: its rows have h = 0 and are not fitted
+    names = {name.rsplit("-seed", 1)[0] for name, _, _ in _golden_lines()}
+    configs = {p.name.rsplit("-seed", 1)[0] for p in GOLDEN.iterdir()
+               if p.is_dir()}
+    assert names == configs - {"algebra-laws"}
+
+
+def test_line_fit_of_two_points_has_no_width():
+    slope, width = line_fit([1.0, 3.0], [2.0, -2.0])
+    assert slope == -2.0 and math.isnan(width)
+    assert all(math.isnan(v) for v in line_fit([1.0], [2.0]))
+    assert all(math.isnan(v) for v in line_fit([1.0, 1.0, 1.0], [1.0, 2.0,
+                                                                 3.0]))
+
+
+def test_line_fit_of_an_exact_line_is_exact():
+    slope, width = line_fit([0.0, 1.0, 2.0, 3.0], [1.0, 3.0, 5.0, 7.0])
+    assert slope == 2.0 and width == 0.0
+
+
+# -- arguments named in their TypeErrors ----------------------------------------------
+
+@pytest.mark.parametrize("call, name", [
+    (lambda mesh: refine(None), "mesh"),
+    (lambda mesh: taylor_component(lambda x: x, 1, None), "mesh"),
+    (lambda mesh: order_at_infinity(mesh, None), "g"),
+    (lambda mesh: laurent_term(mesh, None, 1), "g"),
+], ids=["refine", "taylor_component", "order_at_infinity", "laurent_term"])
+def test_a_missing_argument_raises_a_type_error_naming_it(circle_mesh, call,
+                                                          name):
+    with pytest.raises(TypeError, match="^%s must be a " % name):
+        call(circle_mesh)

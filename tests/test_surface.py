@@ -167,6 +167,24 @@ def test_constructor_takes_the_three_arrays_only(circle_mesh):
     assert mesh.spec is None and mesh.level == 0
 
 
+@pytest.mark.parametrize("field", ["nodes", "normals", "weights"])
+def test_mesh_keeps_read_only_copies_of_its_arrays(circle_mesh, field):
+    # a write to the caller's arrays or to the mesh's would leave the kept
+    # self-sums and stencil stale; the mesh copies, and refuses writes
+    arrays = {"nodes": circle_mesh.nodes.copy(),
+              "normals": circle_mesh.normals.copy(),
+              "weights": circle_mesh.weights.copy()}
+    mesh = SurfaceMesh(arrays["nodes"], arrays["normals"], arrays["weights"])
+    kept = getattr(mesh, field)
+    assert not np.shares_memory(kept, arrays[field])
+    assert arrays[field].flags.writeable and not kept.flags.writeable
+    arrays[field][0] *= 2.0
+    assert np.array_equal(kept, getattr(circle_mesh, field))
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0] *= 2.0
+    assert not getattr(circle_mesh, field).flags.writeable
+
+
 def test_copies_carry_no_builder_facts(sphere_mesh):
     copy = dataclasses.replace(sphere_mesh, nodes=2.0 * sphere_mesh.nodes,
                                weights=4.0 * sphere_mesh.weights)
