@@ -255,8 +255,9 @@ def _circle_sums(G, nodes, circle):
     return out
 
 
-def _accumulate(ctx, targets, nodes, g, excl, circle):
-    """Left kernel sums of g, one density (N, 2^n) or a stack (K, N, 2^n).
+def accum_left(ctx, targets, nodes, g, excl=None, *, circle):
+    """sum_j E(x_j - w_i) g_j for each target row w_i, skipping node excl[i]:
+    the left kernel sums of g, one density (N, 2^n) or a stack (K, N, 2^n).
 
     Each kernel block is built once and contracted with every density in
     turn, so the rows of density k are bitwise those of a call with g[k].
@@ -287,18 +288,10 @@ def _accumulate(ctx, targets, nodes, g, excl, circle):
     return out.reshape(g.shape[:-2] + (M, ctx.dim))
 
 
-def accum_left(ctx, targets, nodes, g, excl=None, *, circle):
-    """sum_j E(x_j - w_i) g_j for each target row w_i, skipping node excl[i].
-
-    g (one density or a stack) and circle (no default) as in _accumulate.
-    """
-    return _accumulate(ctx, targets, nodes, g, excl, circle)
-
-
 def accum_right(ctx, targets, nodes, g, excl=None, *, circle):
     """sum_j g_j E(x_j - w_i) for each target row w_i, skipping node excl[i].
 
-    g (one density or a stack) and circle (no default) as in _accumulate.
+    g (one density or a stack) and circle (no default) as in accum_left.
     """
     return ctx.reverse_sign * accum_left(
         ctx, targets, nodes, np.multiply(g, ctx.reverse_sign), excl, circle=circle)

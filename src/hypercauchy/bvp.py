@@ -22,13 +22,13 @@ import numpy as np
 
 from . import _accel
 from .clifford_core import (Multivector, SingularInputError, _check_side,
-                            _is_int, as_coeffs, batch_product, sided_sum)
+                            _integer, as_coeffs, batch_product, sided_sum)
 from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, principal_value_nodes,
                      symmetric_difference_limit, symmetric_difference_steps,
                      unit_sphere_area, _density_samples, _integral_rows,
                      _pv_core, _scale, _warn_if_continuous)
-from .surface import _first_nonfinite_row
+from .surface import _check_mesh, _first_nonfinite_row
 from .fueter import (MAX_DEGREE, DegreeOverflowError, multi_indices,
                      _moment_norms, _moment_threshold, _polynomial,
                      _refined_density)
@@ -75,6 +75,7 @@ class SectionalSolution:
     interior_only: bool = False
 
     def __post_init__(self):
+        _density_samples(self.mesh, self.density, name="density")
         _check_side(self.side, self.mesh.context)
 
     def _poly_rows(self, pts):
@@ -137,14 +138,6 @@ class SolvabilityReport:
     threshold: float
 
 
-def _zero_poly_slots(ctx, m):
-    slots = []
-    for k in range(m + 1):
-        for alpha in multi_indices(ctx.n, k):
-            slots.append((alpha, np.zeros(ctx.dim)))
-    return tuple(slots)
-
-
 def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
     """Solve the jump problem Phi+ - Phi- = g in the class R_m.
 
@@ -152,7 +145,7 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
     ----------
     m : int
         Admissible order at infinity of the exterior part; anything but an
-        integer (_is_int) raises ValueError before any sum.
+        integer (_integer) raises ValueError before any sum.
 
     Returns
     -------
@@ -165,8 +158,8 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
         evaluator is returned.  A slot or a moment degree past MAX_DEGREE,
         m outside -n-MAX_DEGREE-1..MAX_DEGREE, raises DegreeOverflowError.
     """
-    if not _is_int(m):
-        raise ValueError("m must be an integer, got %r" % (m,))
+    m = _integer(m, "m")
+    _density_samples(mesh, g, name="g")
     _warn_if_continuous(g)
     ctx = mesh.context
     n = ctx.n
@@ -174,7 +167,8 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
         raise DegreeOverflowError("order bound m = %d needs polynomial "
                                   "slots past max degree %d" % (m, MAX_DEGREE))
     if m >= -n:
-        poly = _zero_poly_slots(ctx, m) if m >= 0 else ()
+        poly = tuple((alpha, np.zeros(ctx.dim)) for k in range(m + 1)
+                     for alpha in multi_indices(n, k))
         sol = SectionalSolution(mesh, g, side, poly)
         return sol, SolvabilityReport("unconditional", {}, 0.0)
     K = -(n + m) - 1
@@ -198,15 +192,9 @@ def solve_jump_rm(mesh, g: BoundaryDensity, m: int, side="left"):
 
 def _sample_indices(N, sample_nodes, seed):
     """min(sample_nodes, N) distinct seeded node indices; none raises."""
-    if not _is_int(sample_nodes) or sample_nodes < 1:
-        raise ValueError("sample_nodes must be an integer >= 1, got %r"
-                         % (sample_nodes,))
+    sample_nodes = _integer(sample_nodes, "sample_nodes", 1)
     return np.random.default_rng(seed).choice(N, size=min(sample_nodes, N),
                                               replace=False)
-
-
-def _max_row_norm(rows):
-    return float(np.linalg.norm(rows, axis=1).max(initial=0.0))
 
 
 def jump_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
@@ -288,6 +276,7 @@ def solve_constant_gap(mesh, g: BoundaryDensity, G, m: int, side="left"):
     clifford_core.as_coeffs); invert_rows computes G^{-1} and raises
     SingularInputError when G is not two-sided invertible.
     """
+    _density_samples(mesh, g, name="g")
     ctx = mesh.context
     Ginv = invert_rows(ctx, as_coeffs(ctx, G)[None, :])[0]
     sol, report = solve_jump_rm(mesh, g, m, side=side)
@@ -301,6 +290,7 @@ def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
     """Max-norm of Phi+ - Phi- G - g (left) or Phi+ - G Phi- - g (right)
     at sampled nodes via approach limits, boundary_limit's Richardson
     ladders along the normal."""
+    _density_samples(mesh, g, name="g")
     ctx = mesh.context
     Gc = as_coeffs(ctx, G)
     rev = _check_side(sol.side, ctx)
@@ -310,8 +300,8 @@ def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
                    boundary_limit(mesh, sol.density, idx, side=sol.side))
     if sol.gap_inverse is not None:
         minus = _mirrored_product(ctx, minus, sol.gap_inverse, rev)
-    return _max_row_norm(plus - _mirrored_product(ctx, minus, Gc, rev)
-                         - g.samples[idx])
+    residual = plus - _mirrored_product(ctx, minus, Gc, rev) - g.samples[idx]
+    return float(np.linalg.norm(residual, axis=1).max())
 
 
 # -- interior Dirichlet-type problem ----------------------------------------------
@@ -391,10 +381,10 @@ def solve_dirichlet(mesh, g, threshold=None):
     bitwise that of its density alone: its residuals, threshold and
     verdict are its own.
     """
+    # a density from another mesh raises before any sum is taken
+    _density_samples(mesh, g, name="g")
     single = isinstance(g, BoundaryDensity)
     gs = [g] if single else list(g)
-    # a density from another mesh raises before any sum is taken
-    _density_samples(mesh, g if single else gs)
     if threshold is None and (mesh.spec is None or
                               any(gk.evaluator is None for gk in gs)):
         raise ValueError("automatic threshold needs an evaluator-backed "
@@ -468,7 +458,7 @@ def invert_cauchy_pv(mesh, f, side="left"):
     principal_value_nodes call, each bitwise that of its f alone.
     """
     single = isinstance(f, BoundaryDensity)
-    fs = [f] if single else list(f)
+    fs = [f] if single else f
     rows = 2.0 * principal_value_nodes(mesh, fs, side=side)
     phis = [BoundaryDensity(mesh, r, regularity=fk.regularity)
             for r, fk in zip(rows, fs)]
@@ -488,15 +478,15 @@ class CharacteristicCoefficients:
 
     a: BoundaryDensity
     b: BoundaryDensity
-    quotient: np.ndarray
     quotient_spread: float
     sum_inverse: np.ndarray
     diff_inverse: np.ndarray
 
     @classmethod
     def from_ab(cls, mesh, a: BoundaryDensity, b: BoundaryDensity):
+        A, = _density_samples(mesh, a, name="a")
+        B, = _density_samples(mesh, b, name="b")
         ctx = mesh.context
-        (A,), (B,) = _density_samples(mesh, a), _density_samples(mesh, b)
         sum_inv = invert_rows(ctx, A + B)
         diff_inv = invert_rows(ctx, A - B)
         Grows = batch_product(ctx, A - B, sum_inv)
@@ -507,7 +497,7 @@ class CharacteristicCoefficients:
             raise ValueError(
                 "right quotient (a-b)(a+b)^{-1} varies across nodes "
                 "(relative spread %.3g > 1e-08)" % spread)
-        return cls(a, b, Gmean, spread, sum_inv, diff_inv)
+        return cls(a, b, spread, sum_inv, diff_inv)
 
 
 @dataclass(frozen=True)
@@ -525,8 +515,9 @@ def apply_characteristic_lhs(mesh, a: BoundaryDensity, b: BoundaryDensity,
     phi is one density, giving (N, dim) rows, or a sequence of K, giving
     (K, N, dim) rows from one principal-value call.
     """
+    A, = _density_samples(mesh, a, name="a")
+    B, = _density_samples(mesh, b, name="b")
     ctx = mesh.context
-    (A,), (B,) = _density_samples(mesh, a), _density_samples(mesh, b)
     lhs = 2.0 * batch_product(ctx, principal_value_nodes(mesh, phi), B)
     single = isinstance(phi, BoundaryDensity)
     for rows, p in zip([lhs] if single else lhs, [phi] if single else phi):
@@ -551,11 +542,11 @@ def solve_characteristic_sie(mesh, coefficients, f):
     its right-hand side alone.  A coefficient or right-hand side sampled
     on a mesh with other nodes raises ValueError.
     """
-    ctx = mesh.context
     single = isinstance(f, BoundaryDensity)
-    fs = [f] if single else list(f)
+    fs = [f] if single else f
     # a stack, since psi and the half-sum below are products of all of them
     F = np.stack(_density_samples(mesh, fs))
+    ctx = mesh.context
     a, b = coefficients.a, coefficients.b
     sum_inv, diff_inv = coefficients.sum_inverse, coefficients.diff_inverse
     # a coefficient from another mesh raises here, before any sum is taken
@@ -665,9 +656,9 @@ def apply_full_sie_lhs(mesh, a: BoundaryDensity, k, phi: BoundaryDensity):
     are _matrix_pv_rows's of the left factor phi f.  Evaluation-only: no
     inversion theory is attached to the full kernel.
     """
+    phi_rows, = _density_samples(mesh, phi, name="phi")
+    a_rows, = _density_samples(mesh, a, name="a")
     ctx = mesh.context
-    phi_rows, = _density_samples(mesh, phi)
-    a_rows, = _density_samples(mesh, a)
     k = _kernel_matrix(mesh, k)
     pv = _matrix_pv_rows(mesh, batch_product(ctx, phi_rows, k.left),
                          k.right)[0] / unit_sphere_area(mesh.n)
@@ -740,6 +731,7 @@ def poincare_bertrand_discrepancy(mesh, k=None, f: BoundaryDensity = None,
     Returns a PoincareBertrandReport; interpretation (convergence trends
     under refinement) is left to the caller.
     """
+    _check_mesh(mesh)
     if (k is None) == (f is None):
         raise ValueError("pass exactly one of k or f")
     ctx = mesh.context
@@ -774,6 +766,7 @@ def pair_orthogonality(mesh, sample_nodes, seed):
     which must vanish in the limit, at t = x_i, tau = x_(i + N//3 mod N)
     over the sampled nodes i of poincare_bertrand_discrepancy (tau = t
     skipped; 0.0 when none is left), in one _pair_orthogonality call."""
+    _check_mesh(mesh)
     N = mesh.node_count
     its = np.sort(_sample_indices(N, sample_nodes, seed))
     jts = (its + N // 3) % N

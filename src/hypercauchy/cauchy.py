@@ -33,13 +33,13 @@ from .clifford_core import (
     Paravector,
     SingularInputError,
     _check_side,
-    _is_int,
+    _integer,
     _is_real,
     _product_into,
     as_coeffs,
     batch_product,
 )
-from .surface import (FIBONACCI_NEIGHBOURS, SurfaceMesh,
+from .surface import (FIBONACCI_NEIGHBOURS, SurfaceMesh, _check_mesh,
                       _first_nonfinite_row, _node_indices, _point,
                       _points, neighbour_lists)
 
@@ -62,9 +62,8 @@ class DegenerateStencilError(ValueError):
 
 def unit_sphere_area(n: int) -> float:
     """Area of the unit sphere S^n in R^{n+1}: 2 pi^{(n+1)/2} / Gamma((n+1)/2);
-    n must be an integer >= 1 (_is_int), else ValueError."""
-    if not _is_int(n) or n < 1:
-        raise ValueError("n must be an integer >= 1, got %r" % (n,))
+    n must be an integer >= 1 (_integer), else ValueError."""
+    n = _integer(n, "n", 1)
     return 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0)
 
 
@@ -137,6 +136,7 @@ class BoundaryDensity:
     regularity: tuple = ("holder", 1.0, None)
 
     def __post_init__(self):
+        _check_mesh(self.mesh)
         samples = np.ascontiguousarray(self.samples, dtype=np.float64)
         ctx = self.mesh.context
         if samples.shape != (self.mesh.node_count, ctx.dim):
@@ -253,20 +253,28 @@ def _measure_density(mesh, samples, out=None):
     return out
 
 
-def _density_samples(mesh, f, side="left"):
-    """The node samples of f, one density or a sequence of them, as a tuple
-    of (N, 2^n) rows, one per density, read-only: each density's own rows,
-    never a stacked copy, or for side 'right' a reversed copy of each.
+def _density_samples(mesh, f, side="left", name="f"):
+    """The node samples of f, one density or a list or tuple of them, as a
+    tuple of (N, 2^n) rows, one per density, read-only: each density's own
+    rows, never a stacked copy, or for side 'right' a reversed copy of each.
 
-    Every density must be sampled on mesh: one from another mesh object
-    with other nodes is rejected, naming its position in the sequence.
-    This is the one check of a pass's densities, made once per pass.
+    The one check of a call's mesh and densities, in this order: mesh
+    takes _check_mesh; anything but a BoundaryDensity raises TypeError
+    naming the argument, name or name[k]; a density sampled on another
+    mesh object with other nodes raises ValueError naming its position in
+    the sequence, and an empty sequence ValueError.  Public calls make it
+    on entry, before they read the mesh or a density.
     """
+    _check_mesh(mesh)
     single = isinstance(f, BoundaryDensity)
-    fs = [f] if single else list(f)
+    fs = list(f) if isinstance(f, (list, tuple)) else [f]
     if not fs:
         raise ValueError("need at least one density")
     for k, fk in enumerate(fs):
+        if not isinstance(fk, BoundaryDensity):
+            raise TypeError("%s must be a BoundaryDensity, got %s"
+                            % (name if fk is f else "%s[%d]" % (name, k),
+                               type(fk).__name__))
         if fk.mesh is not mesh and not np.array_equal(fk.mesh.nodes,
                                                       mesh.nodes):
             where = "density" if single else "densities[%d]" % k
@@ -403,7 +411,7 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
         value, reliability flag (distance >= 3h for raw evaluation) and
         the distance to Gamma.
     """
-    ctx = mesh.context
+    _density_samples(mesh, f)
     tagged = w if isinstance(w, SideTaggedPoint) else None
     point = _point(w if tagged is None else w.point, mesh.n)
     if tagged is None and mesh.spec is not None:
@@ -421,7 +429,8 @@ def cauchy_integral(mesh, f: BoundaryDensity, w, side="left",
     total = _integral_rows(mesh, f, point[None, :], side, node,
                            [side_name == "interior"])[0]
     reliable = node is not None or dist >= NEAR_BAND_FACTOR * mesh.h
-    return CauchyValue(Multivector(ctx, total), reliable, dist, side_name)
+    return CauchyValue(Multivector(mesh.context, total), reliable, dist,
+                       side_name)
 
 
 # -- tangential gradients on the mesh -------------------------------------------
@@ -681,10 +690,10 @@ def principal_value_nodes(mesh, f, side="left", indices=None):
     ValueError before any sum is taken, and indices that are not node
     indices raise NodeIndexError.
     """
+    samples = _density_samples(mesh, f, side)
     rev = _check_side(side, mesh.context)
     idx = (None if indices is None
            else _node_indices(mesh, indices, "indices"))
-    samples = _density_samples(mesh, f, side)
     core, corrections = _pv_core(mesh, samples, idx)
     core += corrections
     core /= unit_sphere_area(mesh.n)
@@ -721,6 +730,7 @@ def principal_value(mesh, f: BoundaryDensity, t, side="left") -> Multivector:
     t : node index or point
         Boundary point; plain points snap to the nearest node within h/2.
     """
+    _density_samples(mesh, f)
     _warn_if_continuous(f)
     i = _snap_node(mesh, t)
     row = principal_value_nodes(mesh, f, side=side, indices=[i])[0]
@@ -733,10 +743,8 @@ def plemelj_values(mesh, f: BoundaryDensity, t, side="left"):
     plus = f(t)/2 + PV C[f](t), minus = -f(t)/2 + PV C[f](t); their
     difference is f(t) up to the rounding of the two sums.
     """
-    i = _snap_node(mesh, t)
-    pv = principal_value(mesh, f, i, side=side)
-    ctx = mesh.context
-    half = Multivector(ctx, 0.5 * f.samples[i])
+    pv = principal_value(mesh, f, t, side=side)
+    half = Multivector(mesh.context, 0.5 * f.samples[_snap_node(mesh, t)])
     return half + pv, (-half) + pv
 
 
@@ -792,6 +800,7 @@ def boundary_limit(mesh, f: BoundaryDensity, t, side="left"):
     densities.  Every rung sums f - f(t) and adds f(t) back inside
     (_ladder_rows), on loaded and hand-made meshes as on built ones.
     """
+    _density_samples(mesh, f)
     # the circle mesh is fine enough for a deeper extrapolation ladder
     frac, terms = (0.25, 5) if mesh.n == 1 else (0.35, RICHARDSON_TERMS)
     lams = _halving_steps(mesh, frac, terms)
@@ -825,6 +834,7 @@ def symmetric_difference_limit(mesh, f: BoundaryDensity, p, lambdas,
     the result take boundary_limit's forms, and both ladders subtract f
     at the node as boundary_limit's does.
     """
+    _density_samples(mesh, f)
     lams = np.asarray(lambdas, dtype=np.float64)
     if lams.ndim != 1 or lams.size < 2:
         raise ValueError("need at least two lambda values")
@@ -852,6 +862,7 @@ def span_indicator(mesh, w) -> SpanResult:
     Cauchy integral of the constant density.  A raw value farther than
     0.25 from every admissible value raises InconclusiveSpanError.
     """
+    _check_mesh(mesh)
     ctx = mesh.context
     point = _point(w, mesh.n)
     ones = BoundaryDensity.constant(mesh, 1.0)

@@ -38,9 +38,7 @@ class AlgebraContext:
     """
 
     def __init__(self, n: int):
-        if not 1 <= n <= 8:
-            raise ValueError(f"n must be in 1..8, got {n}")
-        self.n = n
+        self.n = n = _integer(n, "n", 1, 8)
         self.dim = 1 << n
         d = self.dim
 
@@ -89,6 +87,20 @@ def _is_int(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _integer(value, name, low=None, high=None):
+    """value as an int: the one integer check.  A bool or non-integer
+    (_is_int), or one outside low..high (a bound None is open), raises
+    ValueError("<name> must be an integer[ in low..high | >= low], got
+    <value>")."""
+    if not (_is_int(value) and (low is None or value >= low)
+            and (high is None or value <= high)):
+        span = ("" if low is None else " >= %d" % low if high is None
+                else " in %d..%d" % (low, high))
+        raise ValueError("%s must be an integer%s, got %r"
+                         % (name, span, value))
+    return int(value)
+
+
 # the scalar types of Multivector arithmetic, each a scalar to as_coeffs
 REAL_SCALARS = (int, float, np.integer, np.floating, np.bool_)
 
@@ -110,9 +122,7 @@ def _is_scalar(value):
 def get_context(n: int) -> AlgebraContext:
     """Shared AlgebraContext instances keyed by n, an integer in 1..8; a
     bool or any other value raises ValueError before the cache is read."""
-    if not _is_int(n):
-        raise ValueError(f"n must be an integer in 1..8, got {n!r}")
-    return _context(int(n))
+    return _context(_integer(n, "n", 1, 8))
 
 
 @lru_cache(maxsize=None)

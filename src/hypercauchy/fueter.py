@@ -18,8 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford_core import (Multivector, SingularInputError,
-                            _check_side, _is_int, as_coeffs, batch_product,
+from .clifford_core import (Multivector, SingularInputError, _check_side,
+                            _integer, _is_int, as_coeffs, batch_product,
                             sided_sum)
 from .cauchy import (
     BoundaryDensity,
@@ -44,11 +44,9 @@ class QuadratureDegeneracyError(ValueError):
 
 def _check_degree(degree, cap=MAX_DEGREE):
     """The one degree check of multi-indices and expansion degrees: a
-    non-negative integer, else ValueError, and at most cap (None: no cap),
-    else DegreeOverflowError."""
-    if not _is_int(degree) or degree < 0:
-        raise ValueError("degree must be a non-negative integer, got %r"
-                         % (degree,))
+    non-negative integer (_integer), else ValueError, and at most cap
+    (None: no cap), else DegreeOverflowError."""
+    degree = _integer(degree, "degree", 0)
     if cap is not None and degree > cap:
         raise DegreeOverflowError("degree %d exceeds max %d" % (degree, cap))
 
@@ -70,10 +68,9 @@ def _as_alpha(alpha, n, cap=MAX_DEGREE):
 
 def multi_indices(n, degree):
     """All multi-indices of n entries with |alpha| = degree, lexicographic;
-    n must be an integer >= 1 (_is_int), else ValueError, and the degree
+    n must be an integer >= 1 (_integer), else ValueError, and the degree
     takes _check_degree's check, with no cap."""
-    if not _is_int(n) or n < 1:
-        raise ValueError("n must be an integer >= 1, got %r" % (n,))
+    _integer(n, "n", 1)
     _check_degree(degree, cap=None)
     if n == 1:
         return iter([(degree,)])
@@ -83,8 +80,7 @@ def multi_indices(n, degree):
 
 def hyper_variable(ctx, j, x) -> Multivector:
     """z_j(x) = x_j e_0 - x_0 e_j for an int j in 1..n."""
-    if not (_is_int(j) and 1 <= j <= ctx.n):
-        raise ValueError("j must be an integer in 1..%d, got %r" % (ctx.n, j))
+    j = _integer(j, "j", 1, ctx.n)
     point = _point(x, ctx.n, "x")
     return Multivector(ctx, _hyper_variable_rows(ctx, j, point[None])[0])
 
@@ -219,6 +215,7 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
     ((-1)^|alpha|/V_n) sum_j [d^alpha E](x_j - w) nu w_j f_j (left case),
     as d^alpha_w E(x - w) = (-1)^|alpha| [d^alpha E](x - w).
     """
+    _density_samples(mesh, f)
     alpha = _as_alpha(alpha, mesh.n, cap=4)
     point = _point(w, mesh.n)
     if _boundary_distance(mesh, point) < 1e-12:
@@ -232,19 +229,11 @@ def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):
 
 # -- boundary moments -------------------------------------------------------------
 
-def _check_density(g):
-    """TypeError naming g unless it is a BoundaryDensity."""
-    if not isinstance(g, BoundaryDensity):
-        raise TypeError("g must be a BoundaryDensity, got %s"
-                        % type(g).__name__)
-
-
 def _node_sums(mesh, g: BoundaryDensity, table, side):
     """{key: sum_j R_j nu w_j g_j} (left; the right case mirrored) for each
     key's (N, 2^n) or (N, n+1) node rows R in table: the one node sum of
     fueter, with one measure density nu w g for the whole table.  Reversion
     fixes every R (d^alpha E, Z^alpha), as cauchy._density_samples needs."""
-    _check_density(g)
     rev = _check_side(side, mesh.context)
     t, = _measure_density(mesh, _density_samples(mesh, g, side))
     return {key: sided_sum(mesh.context, rows, t) * rev
@@ -253,6 +242,7 @@ def _node_sums(mesh, g: BoundaryDensity, table, side):
 
 def boundary_moment(mesh, g: BoundaryDensity, alpha, side="left") -> Multivector:
     """Moment integral int Z^alpha dsigma g (left) or int g dsigma Z^alpha."""
+    _density_samples(mesh, g, name="g")
     alpha = _as_alpha(alpha, mesh.n)
     powers = _symmetric_powers(mesh.context, [alpha], mesh.nodes)
     return Multivector(mesh.context, _node_sums(mesh, g, powers, side)[alpha])
@@ -261,6 +251,7 @@ def boundary_moment(mesh, g: BoundaryDensity, alpha, side="left") -> Multivector
 def build_moment_table(mesh, g: BoundaryDensity, max_degree, side="left"):
     """{alpha: int Z^alpha dsigma g} (left; right mirrored) for |alpha| <=
     max_degree, by degree, lexicographic inside each degree."""
+    _density_samples(mesh, g, name="g")
     _check_degree(max_degree)
     powers = _symmetric_powers(mesh.context, [
         a for k in range(max_degree + 1) for a in multi_indices(mesh.n, k)],
@@ -285,7 +276,6 @@ def _moment_norms(mesh, g: BoundaryDensity, max_degree, side):
     With an evaluator and a mesh spec (refined) fine holds the norms of g
     resampled on the refined mesh; otherwise fine is coarse.
     """
-    _check_density(g)
     refined = g.evaluator is not None and mesh.spec is not None
     pairs = [(mesh, g)]
     if refined:
@@ -331,9 +321,8 @@ def taylor_component(f, k, mesh, side="left"):
 
     Parameters
     ----------
-    f : callable or BoundaryDensity
-        The function (regular in a ball of radius > R); callables are
-        sampled on the mesh nodes.
+    f : BoundaryDensity
+        The samples of a function regular in a ball of radius > R.
     mesh : SurfaceMesh
         Sphere about the origin carrying the quadrature, of radius
         R = surface_hull_radius(mesh) (laurent_term's rho); degree k needs
@@ -348,7 +337,7 @@ def taylor_component(f, k, mesh, side="left"):
         one point to a Multivector and (M, n+1) rows to (M, 2^n) rows, and
         exposes .coefficients, a dict alpha -> coefficients.
     """
-    _check_mesh(mesh)
+    _density_samples(mesh, f)
     ctx = mesh.context
     _check_degree(k)
     rev = _check_side(side, ctx)
@@ -357,8 +346,6 @@ def taylor_component(f, k, mesh, side="left"):
         raise QuadratureDegeneracyError(
             "mesh h = %.3g too coarse for degree %d on radius %.3g"
             % (mesh.h, k, R))
-    if not isinstance(f, BoundaryDensity):
-        f = BoundaryDensity.from_function(mesh, f)
     # d^alpha C[f](0), as cauchy_derivative at the origin
     sums = _node_sums(mesh, f, {
         alpha: kernel_derivative(ctx, alpha).evaluate_components(mesh.nodes)
@@ -380,6 +367,7 @@ def taylor_component(f, k, mesh, side="left"):
 # -- Laurent terms ------------------------------------------------------------------
 
 def surface_hull_radius(mesh):
+    _check_mesh(mesh)
     return float(np.linalg.norm(mesh.nodes, axis=1).max())
 
 
@@ -393,6 +381,7 @@ def laurent_term(mesh, g: BoundaryDensity, k, side="left"):
     The evaluator takes points as taylor_component's, raises on |w| <= rho
     and exposes .rho and the .moments m_alpha.
     """
+    _density_samples(mesh, g, name="g")
     ctx = mesh.context
     _check_degree(k)
     rev = _check_side(side, ctx)
@@ -473,6 +462,7 @@ def order_at_infinity(mesh, g, side="left") -> OrderReport:
     Both are reported: `order` is the moment route's, NaN when no degree
     clears its threshold, and `slope_raw` the unrounded slope.
     """
+    _density_samples(mesh, g, name="g")
     n = mesh.n
     # the largest moment norm of each degree, on the mesh and refined
     coarse, norms = [{k: max(v[a] for a in multi_indices(n, k))

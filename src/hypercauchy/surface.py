@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford_core import _is_int, _is_real, get_context
+from .clifford_core import _integer, _is_real, get_context
 
 
 class UnsupportedDomainError(ValueError):
@@ -55,9 +55,7 @@ class DomainSpec:
         kind = self.kind.lower() if isinstance(self.kind, str) else None
         if kind not in ("circle", "sphere"):
             raise UnsupportedDomainError("unknown surface kind %r" % (self.kind,))
-        if not _is_int(self.n):
-            raise ValueError("n must be an integer, got %r" % (self.n,))
-        n = int(self.n)
+        n = _integer(self.n, "n")
         if n == 0:
             n = 1 if kind == "circle" else 2
         if kind == "circle" and n != 1:
@@ -465,8 +463,7 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     a 2-sphere's lists are searched only when a stencil reads them
     (neighbour_lists).
     """
-    if not _is_int(level) or level < 0:
-        raise ValueError("level must be an integer >= 0")
+    level = _integer(level, "level", 0)
     make = (_circle_nodes if spec.kind == "circle" else
             _fibonacci_nodes if spec.n == 2 else _sphere3_nodes)
     # a radius whose square or cube (numpy powers) leaves float64 gives inf
@@ -550,6 +547,7 @@ def refine(mesh: SurfaceMesh) -> SurfaceMesh:
 def save_mesh(mesh: SurfaceMesh, path) -> None:
     """Write the text format: header 'n <int> nodes <int>', then per node
     n+1 coordinates, n+1 normal components, 1 weight."""
+    _check_mesh(mesh)
     with open(path, "w") as fh:
         fh.write("n %d nodes %d\n" % (mesh.n, mesh.node_count))
         for x, nu, w in zip(mesh.nodes, mesh.normals, mesh.weights):

@@ -339,9 +339,9 @@ def test_pb_rhs_takes_no_kernel_pass(mesh, monkeypatch):
     left, right, _ = _factors(ctx, N, 23)
     S1 = _shared_sums(ctx, mesh.nodes, nuw, left)
     calls = []
-    original = _accel._accumulate
-    monkeypatch.setattr(_accel, "_accumulate",
-                        lambda *args: calls.append(args) or original(*args))
+    original = _accel.accum_left
+    monkeypatch.setattr(_accel, "accum_left", lambda *args, **kwargs: (
+        calls.append(args) or original(*args, **kwargs)))
     rhs = _accel.pb_rhs(ctx, mesh.nodes, nuw, left, right, np.arange(3), S1)
     assert calls == []
     assert rhs.shape == (3, ctx.dim) and np.all(np.isfinite(rhs))

@@ -161,6 +161,20 @@ def test_jump_decaying_class_needs_vanishing_moments(circle_spec, circle_mesh):
     assert abs(residual - unit_sphere_area(1)) <= MOMENT_EXACT_TOL
 
 
+def test_jump_without_refinement_warns_and_takes_the_moment_floor(
+        circle_spec, circle_mesh):
+    # a density without an evaluator is not resampled on the refined mesh,
+    # so the moment change is 0 and the threshold is the absolute floor
+    # 1e-8 max|g| alone, which a warning names
+    pole = kernel_trace(circle_mesh, interior_pole(circle_spec, seed=2,
+                                                   frac=0.35), scale=-1.0)
+    bare = BoundaryDensity(circle_mesh, pole.samples)
+    with pytest.warns(UserWarning, match="^no evaluator/spec for refinement"):
+        sol, rep = solve_jump_rm(circle_mesh, bare, -2)
+    assert rep.threshold == 1e-8 * np.abs(bare.samples).max()
+    assert sol is None and rep.verdict == "unsolvable"
+
+
 def test_jump_degree_overflow(circle_mesh):
     g = random_smooth(circle_mesh, 7)
     # moments past degree 6 (m = -9), or polynomial slots past it (m = 7)
@@ -353,7 +367,7 @@ def test_invert_rows_verdicts_do_not_depend_on_scale():
             assert verdicts(scale) == want
 
 
-def test_constant_gap_reduces_to_jump(circle_mesh):
+def test_constant_gap_reduces_to_jump(circle_spec, circle_mesh):
     g = random_smooth(circle_mesh, 7)
     G = np.array([2.0, 1.0])
     sol, rep = solve_constant_gap(circle_mesh, g, G, 0)
@@ -361,6 +375,14 @@ def test_constant_gap_reduces_to_jump(circle_mesh):
     assert sol.gap_inverse is not None
     res = constant_gap_residual(circle_mesh, sol, g, G)
     assert res <= JUMP_TOL
+    # the gap does not change the moment conditions: a single pole has
+    # full charge, so R_-2 has no solution and the report is the jump
+    # problem's
+    pole = kernel_trace(circle_mesh, interior_pole(circle_spec, seed=2,
+                                                   frac=0.35), scale=-1.0)
+    sol, rep = solve_constant_gap(circle_mesh, pole, G, -2)
+    assert sol is None and rep.verdict == "unsolvable"
+    assert rep == solve_jump_rm(circle_mesh, pole, -2)[1]
 
 
 def test_unit_gap_residual_is_jump_residual(circle_mesh):
@@ -444,9 +466,9 @@ def test_jump_solvers_refuse_a_non_integer_order_bound(circle_mesh, m,
     # refused with m named before any kernel or moment sum
     g = random_smooth(circle_mesh, 7)
     sums = []
-    original = _accel._accumulate
-    monkeypatch.setattr(_accel, "_accumulate",
-                        lambda *args: sums.append(1) or original(*args))
+    original = _accel.accum_left
+    monkeypatch.setattr(_accel, "accum_left", lambda *args, **kwargs: (
+        sums.append(1) or original(*args, **kwargs)))
     for solve in (lambda: solve_jump_rm(circle_mesh, g, m),
                   lambda: solve_constant_gap(circle_mesh, g, [2.0, 1.0], m)):
         with pytest.raises(ValueError, match="^m must be an integer, got "):
@@ -595,6 +617,16 @@ def test_sie_rejects_varying_quotient(circle_mesh):
     b = BoundaryDensity.constant(circle_mesh, 1.0)
     with pytest.raises(ValueError):
         CharacteristicCoefficients.from_ab(circle_mesh, a, b)
+    # a - b = x_0 - 1 vanishes at a node, so the refusal above is
+    # invert_rows'; a = 3 + x_0/2 keeps a + b and a - b invertible at every
+    # node, and (a - b)(a + b)^-1 = (2 + x_0/2) / (4 + x_0/2) varies, which
+    # the quotient check itself refuses
+    rows = np.zeros((circle_mesh.node_count, 2))
+    rows[:, 0] = 3.0 + 0.5 * circle_mesh.nodes[:, 0]
+    with pytest.raises(ValueError, match=r"^right quotient \(a-b\)\(a\+b\)"
+                                         r"\^\{-1\} varies across nodes"):
+        CharacteristicCoefficients.from_ab(
+            circle_mesh, BoundaryDensity(circle_mesh, rows), b)
 
 
 def test_full_sie_matches_characteristic_for_constant_kernel(circle_spec):
@@ -611,11 +643,11 @@ def test_full_sie_matches_characteristic_for_constant_kernel(circle_spec):
 
 
 def _counted_sums(monkeypatch):
-    """Record every _accel._accumulate call, the home of every kernel sum."""
+    """Record every _accel.accum_left call, the home of every kernel sum."""
     calls = []
-    original = _accel._accumulate
-    monkeypatch.setattr(_accel, "_accumulate",
-                        lambda *args: calls.append(1) or original(*args))
+    original = _accel.accum_left
+    monkeypatch.setattr(_accel, "accum_left", lambda *args, **kwargs: (
+        calls.append(1) or original(*args, **kwargs)))
     return calls
 
 
@@ -1113,21 +1145,21 @@ _PB_SPECS = {
 
 
 def _measure_sums(monkeypatch, mesh):
-    """Record each _accel._accumulate call with every node as a target
+    """Record each _accel.accum_left call with every node as a target
     whose stack holds the measure density nu w, as "left": every kernel
     sum is a left sum."""
     measure = paravectors_as_coeffs(mesh.context, mesh.measure_coeffs())
     N = mesh.node_count
     seen = []
-    original = _accel._accumulate
+    original = _accel.accum_left
 
-    def counted(ctx, targets, nodes, g, excl, circle):
+    def counted(ctx, targets, nodes, g, excl=None, *, circle):
         if np.array_equal(np.atleast_2d(targets), mesh.nodes):
             G = np.reshape(g, (-1, N, ctx.dim))
             seen.extend("left" for Gk in G if np.array_equal(Gk, measure))
-        return original(ctx, targets, nodes, g, excl, circle)
+        return original(ctx, targets, nodes, g, excl, circle=circle)
 
-    monkeypatch.setattr(_accel, "_accumulate", counted)
+    monkeypatch.setattr(_accel, "accum_left", counted)
     return seen
 
 

@@ -7,6 +7,7 @@ numbers there, so monomial traces z^k reproduce w^k inside and 0 outside.
 import dataclasses
 import inspect
 import math
+import os
 
 import numpy as np
 import pytest
@@ -985,10 +986,16 @@ SIDED_FUNCTIONS = sorted(
 def _sweep_arguments():
     mesh = _small_mesh("circle-L1")
     f = random_smooth(mesh, 2)
+    const = BoundaryDensity.constant
     return {"mesh": mesh, "f": f, "g": f, "t": 0, "p": 0, "w": (0.3, 0.1),
             "alpha": (1,), "k": 1, "m": 0, "G": [2.0, 1.0], "max_degree": 1,
             "lambdas": [0.2, 0.1], "a": mesh.context.scalar(1.0),
-            "b": embed_point([1.0, 0.5])}
+            "b": embed_point([1.0, 0.5]), "phi": f, "density": f,
+            "samples": f.samples, "side": "left", "sample_nodes": 2,
+            "seed": 0, "path": os.devnull,
+            "sol": bvp.solve_jump_rm(mesh, f, 0)[0],
+            "coefficients": bvp.CharacteristicCoefficients.from_ab(
+                mesh, const(mesh, 3.0), const(mesh, 1.0))}
 
 
 def test_side_sweep_finds_every_sided_entry_point():
@@ -1031,11 +1038,59 @@ def test_every_sided_entry_point_rejects_an_unknown_side(name, side,
               for p in inspect.signature(fn).parameters.values()
               if p.default is p.empty and p.name != "side"}
     sums = []
-    original = _accel._accumulate
-    monkeypatch.setattr(_accel, "_accumulate",
-                        lambda *args: sums.append(1) or original(*args))
+    original = _accel.accum_left
+    monkeypatch.setattr(_accel, "accum_left", lambda *args, **kw: (
+        sums.append(1) or original(*args, **kw)))
     with pytest.raises(ValueError, match="^side must be 'left' or 'right'"):
         fn(side=side, **kwargs)
+    assert sums == []
+
+
+# (callable, slot) for every public function and class of the package
+# (exceptions aside) with a mesh, f or g parameter that None does not
+# select: a new entry point is swept as soon as it is exported
+NONE_PROBES = sorted(
+    (name, slot) for name, obj in vars(hypercauchy).items()
+    if not name.startswith("_") and (inspect.isfunction(obj) or (
+        inspect.isclass(obj) and not issubclass(obj, Exception)))
+    for slot, p in inspect.signature(obj).parameters.items()
+    if slot in ("mesh", "f", "g") and p.default is not None)
+
+
+def test_none_sweep_finds_every_mesh_and_density_taker():
+    assert len(NONE_PROBES) >= 48
+    # the calls whose None mesh or density once escaped as an
+    # AttributeError or a bare TypeError
+    assert {(name, "mesh") for name in (
+        "principal_value_nodes", "cauchy_integral", "boundary_limit",
+        "symmetric_difference_limit", "plemelj_values", "span_indicator",
+        "cauchy_derivative", "boundary_moment", "build_moment_table",
+        "laurent_term", "order_at_infinity", "solve_jump_rm",
+        "poincare_bertrand_discrepancy")} <= set(NONE_PROBES)
+    assert {("principal_value_nodes", "f"), ("principal_value", "f"),
+            ("cauchy_integral", "f"), ("solve_dirichlet", "g"),
+            ("invert_cauchy_pv", "f"), ("solve_jump_rm", "g")} <= set(
+                NONE_PROBES)
+
+
+@pytest.mark.parametrize("name, slot", NONE_PROBES,
+                         ids=["%s-%s" % probe for probe in NONE_PROBES])
+def test_a_none_mesh_or_density_raises_a_type_error_naming_it(name, slot,
+                                                              monkeypatch):
+    # refused where it enters, naming the argument, before any kernel sum:
+    # not an AttributeError from deep inside, nor a bare TypeError
+    fn = getattr(hypercauchy, name)
+    values = _sweep_arguments()
+    kwargs = {p.name: values[p.name]
+              for p in inspect.signature(fn).parameters.values()
+              if p.default is p.empty}
+    kwargs[slot] = None
+    sums = []
+    original = _accel.accum_left
+    monkeypatch.setattr(_accel, "accum_left", lambda *args, **kw: (
+        sums.append(1) or original(*args, **kw)))
+    with pytest.raises(TypeError, match="^%s must be a " % slot):
+        fn(**kwargs)
     assert sums == []
 
 

@@ -200,6 +200,19 @@ def test_unsolvable_jump_scores_its_worst_moment_residual():
     assert mx == l2 == max(rep.residuals.values()) > 1.0
 
 
+@pytest.mark.parametrize("expect, passed", [("unsolvable", True),
+                                            ("solvable", False)])
+def test_jump_verdict_criterion_follows_expect(expect, passed):
+    # an interior-pole trace is unsolvable in R_-2: the verdict criterion
+    # passes when the config expects that, and fails when it expects a
+    # solution
+    cfg = resolve_config({"experiment": "jump-rm"}, [
+        "density=etrace:in", "jump_m=-2", "levels=3", "expect=" + expect])
+    verdict, = [c for c in cli.run_experiment(cfg).criteria
+                if c["name"] == "verdict"]
+    assert verdict["passed"] is passed and verdict["value"] == float(passed)
+
+
 def test_run_records_runtime_when_asked(tmp_path, capsys):
     cfg = _fast_config(tmp_path, record_runtime="true")
     assert main(["run", cfg]) == 0

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from hypercauchy.cauchy import BoundaryDensity, cauchy_integral, unit_sphere_area
-from hypercauchy.clifford_core import (Multivector, as_coeffs, batch_product,
-                                       get_context, sided_sum)
+from hypercauchy.clifford_core import (Multivector, SingularInputError,
+                                       as_coeffs, batch_product, get_context,
+                                       sided_sum)
 from hypercauchy.fueter import (
     DegreeOverflowError,
     MAX_DEGREE,
@@ -662,3 +663,12 @@ def test_a_missing_argument_raises_a_type_error_naming_it(circle_mesh, call,
                                                           name):
     with pytest.raises(TypeError, match="^%s must be a " % name):
         call(circle_mesh)
+
+
+def test_cauchy_derivative_refuses_a_target_on_the_surface(circle_mesh):
+    # the kernel derivatives are singular at a node: a target at boundary
+    # distance below 1e-12 is refused before any sum
+    with pytest.raises(SingularInputError,
+                       match="^derivative target lies on the surface$"):
+        cauchy_derivative(circle_mesh, random_smooth(circle_mesh, 3),
+                          circle_mesh.nodes[5], (1,))

@@ -267,11 +267,11 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _accumulate_calls(monkeypatch):
-    """Record every _accel._accumulate call, the home of every kernel sum."""
+    """Record every _accel.accum_left call, the home of every kernel sum."""
     calls = []
-    original = _accel._accumulate
-    monkeypatch.setattr(_accel, "_accumulate",
-                        lambda *args: calls.append(1) or original(*args))
+    original = _accel.accum_left
+    monkeypatch.setattr(_accel, "accum_left", lambda *args, **kwargs: (
+        calls.append(1) or original(*args, **kwargs)))
     return calls
 
 

@@ -125,7 +125,11 @@ def test_load_rejects_bad_header(tmp_path):
             # n out of range is named before any record is read
             ("n 0 nodes 2\n1 1 1\n-1 -1 1\n",
              r"header n = 0 is outside 1\.\.8"),
-            ("n 9 nodes 1\n", r"header n = 9 is outside 1\.\.8")]:
+            ("n 9 nodes 1\n", r"header n = 9 is outside 1\.\.8"),
+            # a record field that is not a number is a format error, not
+            # numpy's bare ValueError
+            ("n 1 nodes 2\n1 0 1 0 3.14\n-1 0 x 0 3.14\n",
+             "^malformed node record: ")]:
         path.write_text(text)
         with pytest.raises(MeshFormatError, match=message):
             load_mesh(path)
