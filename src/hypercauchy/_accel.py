@@ -3,24 +3,25 @@
 Every kernel value E(x_j - w_i) is built here as component planes: a block
 of C targets against N nodes has shape (n+1, C, N), plane k holding
 paravector component k, built from the transposed (n+1, N) nodes.  Every
-sum is a matmul of the planes plus one clifford_core.scatter_pairs over
-the blade-pair table that batch_product uses too.  Their order is fixed
-(blocks, tiles and gemms in order, the table's scatter order), so results
-do not depend on the thread count.
+sum is a matmul of the planes plus the blade-pair table that
+batch_product uses too, applied one left column at a time
+(clifford_core.scatter_column).  Their order is fixed (blocks, tiles and
+gemms in order, the table's order), so results do not depend on the
+thread count.
 
-Each sum form is one loop.  accum_left contracts the planes with a stack
-of K densities, g of shape (K, N, 2^n), one BLAS gemm per plane and
-density, into a plane-major term stack (n+1, K, M, 2^n) for M targets,
-which one scatter_pairs call turns into the (K, M, 2^n) sums, the plane
-axis giving the left factor's columns.  Every sum is a left sum:
-accum_right, which no library path calls, is rev(accum_left(rev(g))) for
-the reversion rev, as E is a paravector.  Each step is a matmul row or an
-elementwise scatter, so the rows of density k are bitwise those of a call
-with that density alone.  The terms come from one of two passes, each building its
-blocks in one bounded work buffer of two rows (_block_planes): r^-(n+1) in
-one, then each plane p = 0..n in the other, contracted with every density
-before plane p+1 is built.  The buffer dies when the pass returns, before
-the scatter allocates.
+Each sum form is one loop.  accum_left allocates its (K, M, 2^n) sums of
+a stack of K densities, g of shape (K, N, 2^n), at M targets once, and
+contracts each plane p with every density, one BLAS gemm per plane and
+density, adding the terms onto the sums through the table's column p,
+plane p's basis blade e_p on the left of each product: no pass holds an
+(n+1, K, M, 2^n) term stack.  Every sum is a left sum: accum_right,
+which no library path calls, is rev(accum_left(rev(g))) for the
+reversion rev, as E is a paravector.  Each step is a matmul row or an
+elementwise add, so the rows of density k are bitwise those of a call
+with that density alone.  The terms come from one of two passes, each
+building its blocks in one bounded work buffer of two rows
+(_block_planes): r^-(n+1) in one, then each plane p = 0..n in the other,
+contracted with every density before plane p+1 is built.
 
 - Targets that are not the nodes (_row_block_terms) take row blocks of the
   largest multiple of GEMM_ROWS rows whose two rows fit ROW_BLOCK_BYTES
@@ -28,17 +29,23 @@ the scatter allocates.
   contracted as stacked gemms of GEMM_ROWS rows, the last block padded with
   its last target: a gemm of fixed row count rounds every row alike
   wherever it stands, so a target's sum does not depend on which targets
-  share its call.
+  share its call.  Each sum takes the planes' terms in plane order,
+  bitwise what one scatter of a whole term stack gives.
 - Node targets, each skipping its own node, build each kernel value once
   (_tile_terms, the one walk over node-pair tiles): E(x_i - x_j) =
   -E(x_j - x_i) exactly in float64 (negating a difference is exact, and
   r^2, the power and the sign then round identically), so the walk takes
   upper-triangular tiles (I, J >= I) of edge TILE_EDGE = 256, a buffer of
   2 * 65536 floats for every n, each plane taken onto rows I and, for
-  J != I, negated and transposed onto rows J.  The tile edge is fixed, not
-  sized by bytes: it sets how each node target's sum groups its terms, so
-  another edge moves sphere principal values by rounding.  Tile sums agree
-  with row-block sums to rounding, not bitwise.
+  J != I, negated and transposed onto rows J.  Rows J take
+  -Ep^T @ (e_p G[:, I]) as each tile comes, the signed permutation e_p G
+  of the stripe's rows formed once per row stripe I, and rows I their
+  planes' terms summed over the stripe's tiles, through the table once
+  the stripe is done: a stripe holds 2n + 1 blocks of (K, TILE_EDGE, 2^n).
+  The tile edge is fixed, not sized by bytes: it sets how each node
+  target's sum groups its terms, so another edge moves sphere principal
+  values by rounding.  Tile sums agree with row-block sums to rounding,
+  not bitwise.
 
 Callers that read every plane at once (pb_rhs, pv_matrix,
 cauchy.kernel_E_rows and bvp._pair_orthogonality) stack the same planes
@@ -71,7 +78,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .clifford_core import batch_product, scatter_pairs, sided_sum
+from .clifford_core import batch_product, scatter_column, sided_sum
 
 # edge of a node-target tile: it sets how each target's sum groups its
 # terms, so changing it moves values by rounding
@@ -158,12 +165,14 @@ def _kernel_E_block(targets, nodes_T, n, skip=None):
     return E
 
 
-def _row_block_terms(T, targets, nodes, G, excl, n):
-    """T[:, k] = E @ G[k] over row blocks, every block built in one two-row
-    work buffer of at most ROW_BLOCK_BYTES (GEMM_ROWS rows when those are
-    larger), each plane contracted as stacked GEMM_ROWS-row gemms; the
-    last block repeats its last target and excluded node up to a multiple
-    of GEMM_ROWS, and the repeated rows are dropped."""
+def _row_block_terms(out, ctx, targets, nodes, G, excl):
+    """out[k] += sum_j E(x_j - w_i) G[k, j] over row blocks, every block
+    built in one two-row work buffer of at most ROW_BLOCK_BYTES (GEMM_ROWS
+    rows when those are larger), each plane contracted as stacked
+    GEMM_ROWS-row gemms and its terms added onto the block's rows of out
+    (scatter_column) before the next; the last block repeats its last
+    target and excluded node up to a multiple of GEMM_ROWS, and the
+    repeated rows are dropped."""
     nodes_T = np.ascontiguousarray(nodes.T)
     M, N = targets.shape[0], nodes_T.shape[1]
     groups = ROW_BLOCK_BYTES // (8 * 2 * N * GEMM_ROWS)
@@ -173,35 +182,46 @@ def _row_block_terms(T, targets, nodes, G, excl, n):
         e = min(s + chunk, M)
         rows = np.minimum(np.arange(s, e + (s - e) % GEMM_ROWS), e - 1)
         skip = None if excl is None else np.asarray(excl)[rows]
-        for p, Ep in enumerate(_block_planes(targets[rows], nodes_T, n, skip,
-                                             work)):
+        for p, Ep in enumerate(_block_planes(targets[rows], nodes_T, ctx.n,
+                                             skip, work)):
             # one (GEMM_ROWS, N) @ (N, 2^n) gemm per group and density
             terms = Ep.reshape(-1, GEMM_ROWS, N) @ G[:, None]
-            T[p, :, s:e] = terms.reshape(len(G), -1, G.shape[2])[:, :e - s]
+            terms = terms.reshape(len(G), -1, ctx.dim)[:, :e - s]
+            scatter_column(ctx, p, ctx.n + 1, terms, out[:, s:e])
 
 
-def _tile_terms(T, nodes, G, n):
-    """T[:, k] = sum_j E(x_j - x_i) G[k, j] at every node i, j != i, over the
-    upper-triangular node-pair tiles (rows I, nodes J >= I) of edge
+def _tile_terms(out, ctx, nodes, G):
+    """out[k] += sum_j E(x_j - x_i) G[k, j] at every node i, j != i, over
+    the upper-triangular node-pair tiles (rows I, nodes J >= I) of edge
     TILE_EDGE, each pair once: the kernel of rows I against nodes J is
     E(x_j - x_i), and -E^T that of rows J against nodes I (see the module
     docstring).  A diagonal tile skips each row's own node.  Each plane is
     built in one two-row work buffer and contracted with the K densities
-    before the next."""
+    before the next.  A row stripe I holds the n products e_p G[:, I],
+    p >= 1, e_p plane p's basis blade, and its n + 1 planes' terms while
+    its tiles are walked."""
     N = nodes.shape[0]
     nodes_T = np.ascontiguousarray(nodes.T)
     work = np.empty((2, min(TILE_EDGE, N) ** 2))
     for s in range(0, N, TILE_EDGE):
         I = slice(s, min(s + TILE_EDGE, N))
+        # e_p G[:, I], an exact signed permutation of each row's blades
+        GI = [G[:, I]] + [scatter_column(ctx, p, ctx.n + 1, G[:, I])
+                          for p in range(1, ctx.n + 1)]
+        terms = np.zeros((ctx.n + 1,) + GI[0].shape)
         for t in range(s, N, TILE_EDGE):
             J = slice(t, min(t + TILE_EDGE, N))
             skip = np.arange(I.stop - s) if t == s else None
-            for p, Ep in enumerate(_block_planes(nodes[I], nodes_T[:, J], n,
-                                                 skip, work)):
-                # one gemm per density
-                T[p, :, I] += Ep @ G[:, J]
+            for p, Ep in enumerate(_block_planes(nodes[I], nodes_T[:, J],
+                                                 ctx.n, skip, work)):
+                # one gemm per density and side
+                terms[p] += Ep @ G[:, J]
                 if t != s:
-                    T[p, :, J] -= Ep.T @ G[:, I]
+                    out[:, J] -= Ep.T @ GI[p]
+        for p in range(ctx.n + 1):
+            scatter_column(ctx, p, ctx.n + 1, terms[p], out[:, I])
+        # before the next stripe's blocks are allocated
+        del GI, terms
 
 
 def uniform_circle(nodes):
@@ -275,16 +295,11 @@ def accum_left(ctx, targets, nodes, g, excl=None, *, circle):
                     and np.array_equal(targets, nodes))
     if node_targets and circle is not None:
         return _circle_sums(G, nodes, circle).reshape(g.shape)
-    # the terms E @ g of every density before the blade scatter, plane
-    # major, so that the K densities' M rows merge into one axis
-    T = np.zeros((ctx.n + 1, G.shape[0], M, ctx.dim))
+    out = np.zeros((G.shape[0], M, ctx.dim))
     if node_targets:
-        _tile_terms(T, nodes, G, ctx.n)
+        _tile_terms(out, ctx, nodes, G)
     else:
-        _row_block_terms(T, targets, nodes, G, excl, ctx.n)
-    # one scatter of the whole stack, the planes' axis on the left of each
-    # product
-    out = scatter_pairs(ctx, T.reshape(ctx.n + 1, -1, ctx.dim))
+        _row_block_terms(out, ctx, targets, nodes, G, excl)
     return out.reshape(g.shape[:-2] + (M, ctx.dim))
 
 

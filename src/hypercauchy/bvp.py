@@ -21,8 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _accel
-from .clifford_core import (Multivector, SingularInputError, _check_side,
-                            _integer, as_coeffs, batch_product, sided_sum)
+from .clifford_core import (AlgebraContext, Multivector, SingularInputError,
+                            _check_side, _instance, _integer, as_coeffs,
+                            batch_product, sided_sum)
 from .cauchy import (BoundaryDensity, SideTaggedPoint, boundary_limit,
                      cauchy_integral, principal_value_nodes,
                      symmetric_difference_limit, symmetric_difference_steps,
@@ -219,6 +220,7 @@ def invert_rows(ctx, rows):
     invertible.  The bound's norms come from hypot, so they stay finite
     for any finite rows and the verdict does not depend on their scale.
     """
+    _instance(ctx, AlgebraContext, "ctx")
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     bad = _first_nonfinite_row(rows)
     if bad is not None:
@@ -291,6 +293,7 @@ def constant_gap_residual(mesh, sol: SectionalSolution, g: BoundaryDensity,
     at sampled nodes via approach limits, boundary_limit's Richardson
     ladders along the normal."""
     _density_samples(mesh, g, name="g")
+    _instance(sol, SectionalSolution, "sol")
     ctx = mesh.context
     Gc = as_coeffs(ctx, G)
     rev = _check_side(sol.side, ctx)
@@ -546,6 +549,7 @@ def solve_characteristic_sie(mesh, coefficients, f):
     fs = [f] if single else f
     # a stack, since psi and the half-sum below are products of all of them
     F = np.stack(_density_samples(mesh, fs))
+    _instance(coefficients, CharacteristicCoefficients, "coefficients")
     ctx = mesh.context
     a, b = coefficients.a, coefficients.b
     sum_inv, diff_inv = coefficients.sum_inverse, coefficients.diff_inverse

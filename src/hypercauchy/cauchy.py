@@ -33,15 +33,16 @@ from .clifford_core import (
     Paravector,
     SingularInputError,
     _check_side,
+    _instance,
     _integer,
     _is_real,
     _product_into,
     as_coeffs,
     batch_product,
 )
-from .surface import (FIBONACCI_NEIGHBOURS, SurfaceMesh, _check_mesh,
-                      _first_nonfinite_row, _node_indices, _point,
-                      _points, neighbour_lists)
+from .surface import (FIBONACCI_NEIGHBOURS, DomainSpec, SurfaceMesh,
+                      _check_mesh, _first_nonfinite_row, _node_indices,
+                      _point, _points, neighbour_lists)
 
 RICHARDSON_RATIO = 2.0   # step shrinks by 1/2 per term
 RICHARDSON_TERMS = 4
@@ -158,6 +159,7 @@ class BoundaryDensity:
         array; per node when that call raises TypeError or ValueError or
         returns any other result of at most one dimension, and when
         N = 2^n, where an (N,) result could be one coefficient row."""
+        _check_mesh(mesh)
         ctx = mesh.context
         N = mesh.node_count
         try:
@@ -179,6 +181,7 @@ class BoundaryDensity:
     def constant(cls, mesh, value=1.0):
         """The constant density; its evaluator gives one (2^n,) row for
         one point and M rows for an (M, n+1) point array (surface._points)."""
+        _check_mesh(mesh)
         ctx = mesh.context
         samples = _as_coeff_rows(ctx, value, mesh.node_count)
         ev = samples[0].copy()
@@ -199,7 +202,7 @@ def side_of(spec, w):
     """Membership side of point w for a sphere/circle spec; points within
     1e-9 max(1, R) of the sphere of radius R are on the boundary; w takes
     _point's check."""
-    w = _point(w, spec.n)
+    w = _point(w, _instance(spec, DomainSpec, "spec").n)
     r = np.linalg.norm(w - spec.center_array)
     if abs(r - spec.radius) <= 1e-9 * max(1.0, spec.radius):
         return "boundary"
@@ -271,10 +274,8 @@ def _density_samples(mesh, f, side="left", name="f"):
     if not fs:
         raise ValueError("need at least one density")
     for k, fk in enumerate(fs):
-        if not isinstance(fk, BoundaryDensity):
-            raise TypeError("%s must be a BoundaryDensity, got %s"
-                            % (name if fk is f else "%s[%d]" % (name, k),
-                               type(fk).__name__))
+        _instance(fk, BoundaryDensity,
+                  name if fk is f else "%s[%d]" % (name, k))
         if fk.mesh is not mesh and not np.array_equal(fk.mesh.nodes,
                                                       mesh.nodes):
             where = "density" if single else "densities[%d]" % k
@@ -575,15 +576,18 @@ def tangential_gradient(mesh, samples, idx=None):
     stencil rows of idx are read (gradient_stencil) and applied one
     neighbour column at a time, so no (len(idx), k, m) gather is held.
     The K arrays are laid side by side as one transient (N, K m) array, so
-    each column takes one gather for all K; _pv_core builds it after its
-    kernel pass has freed its buffers.
+    each column takes one gather for all K, added into each direction on
+    its own: no (d, len(idx), K m) product is formed.  _pv_core builds it
+    after its kernel pass has freed its buffers.
     """
     nb, wts, frame = gradient_stencil(mesh, idx)
     K, m = len(samples), np.shape(samples[0])[-1]
     flat = np.concatenate(samples, axis=1)
     derivs = np.zeros((len(wts), len(nb), K * m))
     for j in range(nb.shape[1]):
-        derivs += wts[..., j, None] * flat[nb[:, j]]
+        column = flat[nb[:, j]]
+        for a in range(len(wts)):
+            derivs[a] += wts[a, :, j, None] * column
     return derivs.reshape(len(wts), len(nb), K, m).transpose(2, 0, 1, 3), frame
 
 
@@ -647,7 +651,8 @@ def _cell_corrections(mesh, derivs, frame, sums, idx=None):
     out = np.zeros(derivs[..., 0, :, :].shape)
     for a in range(d):
         out += batch_product(ctx, G[a], derivs[..., a, :, :])
-    return out * scale
+    out *= scale
+    return out
 
 
 def _grid_cell_coefficients(mesh, frame, sums, idx=None):

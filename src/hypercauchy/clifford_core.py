@@ -101,6 +101,16 @@ def _integer(value, name, low=None, high=None):
     return int(value)
 
 
+def _instance(value, cls, name):
+    """value, the one type check of an argument: anything but a cls
+    raises TypeError("<name> must be a[n] <cls>, got <type>")."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError("%s must be %s %s, got %s"
+                        % (name, article, cls.__name__, type(value).__name__))
+    return value
+
+
 # the scalar types of Multivector arithmetic, each a scalar to as_coeffs
 REAL_SCALARS = (int, float, np.integer, np.floating, np.bool_)
 
@@ -137,6 +147,7 @@ class Multivector:
     __array_priority__ = 100  # keep numpy from hijacking mv * array
 
     def __init__(self, ctx: AlgebraContext, coeffs):
+        _instance(ctx, AlgebraContext, "ctx")
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != (ctx.dim,):
             raise ValueError(f"expected {ctx.dim} coefficients, got {coeffs.shape}")
@@ -146,7 +157,7 @@ class Multivector:
     # -- construction helpers -------------------------------------------------
     @classmethod
     def zero(cls, ctx: AlgebraContext) -> "Multivector":
-        return cls(ctx, np.zeros(ctx.dim))
+        return cls(_instance(ctx, AlgebraContext, "ctx"), np.zeros(ctx.dim))
 
     # -- ring operations ------------------------------------------------------
     def _check(self, other: "Multivector"):
@@ -426,18 +437,34 @@ def scatter_pairs(ctx: AlgebraContext, T: np.ndarray) -> np.ndarray:
 
     T's first axis runs over the left factor's columns and its last axis
     over the right factor's, each dense (2^n) or paravector (n+1) as in
-    batch_product; the result has shape T.shape[1:-1] + (2^n,).  Terms
-    are added, or subtracted where the sign is -1 (bitwise adding them
-    times the sign, as in batch_product), in the order of _column_pairs,
-    left column outer.
+    batch_product; the result has shape T.shape[1:-1] + (2^n,).  It takes
+    one scatter_column per left column, in column order.
     """
     out = np.zeros(T.shape[1:-1] + (ctx.dim,))
-    for i, terms in _column_pairs(ctx.n, T.shape[0], T.shape[-1]):
-        for j, blade, plus in terms:
-            if plus:
-                out[..., blade] += T[i, ..., j]
-            else:
-                out[..., blade] -= T[i, ..., j]
+    for i in range(T.shape[0]):
+        scatter_column(ctx, i, T.shape[0], T[i], out)
+    return out
+
+
+def scatter_column(ctx: AlgebraContext, i, width, T, out=None):
+    """Add the terms of left column i onto out: e_a T, row by row.
+
+    e_a is the basis blade of column i of a left factor of width columns
+    (dense 2^n or paravector n+1, as in batch_product), and T holds right
+    factor rows along its last axis in either layout.  Blade a b of out,
+    of shape T.shape[:-1] + (2^n,), takes sign(a, b) T[..., b], added, or
+    subtracted where the sign is -1 (bitwise adding it times the sign, as
+    in batch_product), in the order of _column_pairs.  With out None the
+    terms land on zeros, so the result is e_a T, an exact signed
+    permutation of dense rows.  Returns out.
+    """
+    if out is None:
+        out = np.zeros(T.shape[:-1] + (ctx.dim,))
+    for j, blade, plus in _column_pairs(ctx.n, width, T.shape[-1])[i][1]:
+        if plus:
+            out[..., blade] += T[..., j]
+        else:
+            out[..., blade] -= T[..., j]
     return out
 
 

@@ -18,9 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford_core import (Multivector, SingularInputError, _check_side,
-                            _integer, _is_int, as_coeffs, batch_product,
-                            sided_sum)
+from .clifford_core import (AlgebraContext, Multivector, SingularInputError,
+                            _check_side, _instance, _integer, _is_int,
+                            as_coeffs, batch_product, sided_sum)
 from .cauchy import (
     BoundaryDensity,
     _boundary_distance,
@@ -205,8 +205,8 @@ def _kernel_derivative_cached(n, alpha):
 
 def kernel_derivative(ctx, alpha) -> KernelDerivative:
     """Closed form d^alpha E for the algebra context (|alpha| <= 6)."""
-    alpha = _as_alpha(alpha, ctx.n)
-    return _kernel_derivative_cached(ctx.n, alpha)
+    n = _instance(ctx, AlgebraContext, "ctx").n
+    return _kernel_derivative_cached(n, _as_alpha(alpha, n))
 
 
 def cauchy_derivative(mesh, f: BoundaryDensity, w, alpha, side="left"):

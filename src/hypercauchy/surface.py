@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford_core import _integer, _is_real, get_context
+from .clifford_core import _instance, _integer, _is_real, get_context
 
 
 class UnsupportedDomainError(ValueError):
@@ -463,6 +463,7 @@ def build_mesh(spec: DomainSpec, level: int) -> SurfaceMesh:
     a 2-sphere's lists are searched only when a stencil reads them
     (neighbour_lists).
     """
+    _instance(spec, DomainSpec, "spec")
     level = _integer(level, "level", 0)
     make = (_circle_nodes if spec.kind == "circle" else
             _fibonacci_nodes if spec.n == 2 else _sphere3_nodes)
@@ -530,9 +531,7 @@ def _point(w, n=None, name="w"):
 
 def _check_mesh(mesh):
     """TypeError naming mesh unless it is a SurfaceMesh."""
-    if not isinstance(mesh, SurfaceMesh):
-        raise TypeError("mesh must be a SurfaceMesh, got %s"
-                        % type(mesh).__name__)
+    _instance(mesh, SurfaceMesh, "mesh")
 
 
 def refine(mesh: SurfaceMesh) -> SurfaceMesh:

@@ -26,7 +26,8 @@ from hypercauchy.cauchy import (BoundaryDensity, gradient_stencil, kernel_E,
                                 kernel_E_rows, principal_value_nodes)
 from hypercauchy.clifford_core import (Multivector, Paravector, batch_product,
                                        get_context, paravectors_as_coeffs,
-                                       product, scatter_pairs, sided_sum)
+                                       product, scatter_column, scatter_pairs,
+                                       sided_sum)
 from hypercauchy.surface import (DomainSpec, SurfaceMesh, build_mesh,
                                  load_mesh, save_mesh)
 from hypercauchy._corpus import random_smooth, rough_holder
@@ -152,6 +153,33 @@ def test_node_node_tiles_match_row_blocks(N, n, side, monkeypatch):
     tol = _tolerance(N * (n + 1), abs_sum.T)
     _assert_within(tiles, rows, tol)
     _assert_within(one, rows[1], tol[1])
+
+
+@pytest.mark.parametrize("excluded", [False, True])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name, level", [("circle", 3), ("sphere2", 2),
+                                         ("sphere3", 1)])
+def test_row_blocks_match_a_term_stack_bitwise(name, level, side, excluded):
+    # row blocks add each plane's terms onto the sums as they are formed;
+    # the sums are bitwise those of a term stack: every plane of every
+    # target (_kernel_E_block), one matmul per plane in gemms of GEMM_ROWS
+    # rows, then one scatter_pairs.  88 targets fill whole gemm groups in
+    # each row block (sphere3 L1 takes blocks of 32, 32 and 24 rows)
+    mesh = build_mesh(SPECS[name], level)
+    ctx, N = mesh.context, mesh.node_count
+    rng = np.random.default_rng(level)
+    G = rng.normal(size=(3, N, ctx.dim))
+    t = rng.choice(N, 88, replace=False)
+    targets, excl = (mesh.nodes[t], t) if excluded else (1.5 * mesh.nodes[t],
+                                                         None)
+    rev = 1.0 if side == "left" else ctx.reverse_sign
+    E = _accel._kernel_E_block(targets, mesh.nodes.T, ctx.n, excl)
+    T = np.stack([(Ep.reshape(-1, _accel.GEMM_ROWS, N) @ (rev * G)[:, None])
+                  .reshape(3, -1, ctx.dim) for Ep in E])
+    want = rev * scatter_pairs(ctx, T)
+    accum = _accel.accum_left if side == "left" else _accel.accum_right
+    got = accum(ctx, targets, mesh.nodes, G, excl, circle=None)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_pv_matrix_matches_pair_loop(mesh):
@@ -569,6 +597,18 @@ def test_scatter_pairs_matches_blade_products(n):
                 abs_sum = np.abs(T[(slice(None),) + m]).sum()
                 _assert_within(got[m], total.coeffs,
                                np.asarray(_tolerance(wl * wr, abs_sum)))
+            # scatter_column's two uses: column a's terms added onto sums,
+            # and rows left-multiplied by column a's basis blade, which is
+            # an exact signed permutation, so both are exact
+            out = rng.normal(size=(2, 3, ctx.dim))
+            for a in range(wl):
+                blade = _row_mv(ctx, np.eye(wl)[a])
+                rows = scatter_column(ctx, a, wl, T[a])
+                added = scatter_column(ctx, a, wl, T[a], out.copy())
+                for m in np.ndindex(2, 3):
+                    want = product(blade, _row_mv(ctx, T[(a,) + m]))
+                    assert np.array_equal(rows[m], want.coeffs)
+                    assert np.array_equal(added[m], out[m] + want.coeffs)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

@@ -4,16 +4,18 @@ A kernel block is built one plane at a time in a work buffer of two
 rows, r^-(n+1) and the plane: a row block's holds at most
 _accel.ROW_BLOCK_BYTES, node-pair tiles keep their edge of 256, and the
 measure density rides in a kernel pass without a copy of the density
-stack, and no pass holds a copy of the densities it sums.  A full gradient-stencil fit runs in chunks of
-cauchy.STENCIL_FIT_ROWS nodes, bitwise one batched fit.  Each bound leaves every value
-bitwise the same: the blocked results here are compared with full-block,
-full-call or concatenated ones by their bytes.  Row blocks are contracted
-as gemms of _accel.GEMM_ROWS rows, so an off-surface target's sum is
-bitwise the same whichever targets share its call and whatever the budget.
+stack, and no pass holds a copy of the densities it sums.  Each plane's
+terms go onto the pass's sums as they are formed, so no pass holds a
+term stack: a traced peak bounds what a pass holds.  A full
+gradient-stencil fit runs in chunks of cauchy.STENCIL_FIT_ROWS nodes,
+bitwise one batched fit.  Each bound leaves every value bitwise the same:
+the blocked results here are compared with full-block, full-call or
+concatenated ones by their bytes.  Row blocks are contracted as gemms of
+_accel.GEMM_ROWS rows, so an off-surface target's sum is bitwise the same
+whichever targets share its call and whatever the budget.
 """
 
 import tracemalloc
-import weakref
 
 import numpy as np
 import pytest
@@ -172,33 +174,6 @@ def test_node_pair_tiles_keep_edge_256(n, monkeypatch):
     assert tiles[0][3].nbytes == 2 * _accel.TILE_EDGE ** 2 * 8
 
 
-@pytest.mark.parametrize("node_targets", [False, True])
-def test_work_buffer_dies_before_the_blade_scatter(node_targets,
-                                                   monkeypatch):
-    # the blade scatter allocates the output; no tile or row buffer may
-    # still be alive then
-    ctx = get_context(2)
-    nodes = np.random.default_rng(2).normal(size=(300, 3))
-    targets, excl = ((nodes, np.arange(300)) if node_targets
-                     else (3.0 + nodes, None))
-    buffers = []
-    original_block = _accel._block_planes
-    original_scatter = _accel.scatter_pairs
-
-    def block(targets, nodes_T, n, skip, work):
-        buffers.append(weakref.ref(work))
-        return original_block(targets, nodes_T, n, skip, work)
-
-    def scatter(ctx, T):
-        assert buffers and all(ref() is None for ref in buffers)
-        return original_scatter(ctx, T)
-
-    monkeypatch.setattr(_accel, "_block_planes", block)
-    monkeypatch.setattr(_accel, "scatter_pairs", scatter)
-    _accel.accum_left(ctx, targets, nodes, np.ones((300, ctx.dim)), excl,
-                      circle=None)
-
-
 def _concatenated_ride(mesh, samples, targets, t, excl):
     """S1 - S2 f(t) and S2 with the measure row appended by np.concatenate,
     as _shifted_sums formed its densities before they were written in
@@ -241,10 +216,43 @@ def test_measure_rides_without_a_copy(spec, level, side, K):
     assert _same_bits(got, want)
 
 
-# what a pass holds beside its one (K+1, N, 2^n) buffer and its row-block
-# work buffer: the transposed nodes, the gemm factors, the targets' term
-# stacks and sums, each O(N) or O(K M) floats
+# what a pass holds beside its one (K+1, N, 2^n) buffer, its (K+1, M, 2^n)
+# sums, its work buffer and a tile stripe's blocks: the transposed nodes,
+# the gemm factors, a row block's terms, the zero mask of a tile's r^2 and
+# the sums' kept S2, each O(N) or O(K TILE_EDGE) floats
 PASS_SLACK = 1 << 18
+
+
+@pytest.mark.parametrize("node_targets", [False, True])
+def test_kernel_passes_hold_no_term_stack(node_targets):
+    # eight densities and S2 on sphere3 L1, node targets on the tile route,
+    # off-surface ones on the row blocks: each plane's terms go onto the
+    # sums as they are formed, so a pass holds no (n+1, K+1, M, 2^n) term
+    # stack, 4 * 9 * 1024 * 8 * 8 B = 2.4 MB beside its sums; a tile
+    # stripe holds 2n + 2 blocks of (K+1, TILE_EDGE, 2^n): its n + 1
+    # planes' terms, the n products e_p G[:, I] and one gemm's result
+    mesh = build_mesh(SPHERE3, 1)
+    ctx, N, dim = mesh.context, mesh.node_count, mesh.context.dim
+    samples = np.random.default_rng(3).normal(size=(8, N, dim))
+    rows = len(samples) + 1
+    points, t = 1.5 * mesh.nodes, np.arange(N)
+    tracemalloc.start()
+    try:
+        if node_targets:
+            cauchy._shifted_sums(mesh, samples)
+        else:
+            cauchy._shifted_sums(mesh, samples, t, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ("self_sums" in mesh.cache) == node_targets
+    sums = buffer = rows * N * dim * 8
+    if node_targets:
+        work = 2 * _accel.TILE_EDGE ** 2 * 8
+        stripe = (2 * ctx.n + 2) * rows * _accel.TILE_EDGE * dim * 8
+    else:
+        work, stripe = _accel.ROW_BLOCK_BYTES, 0
+    assert peak <= sums + buffer + work + stripe + PASS_SLACK
 
 
 @pytest.mark.parametrize("case", ["boundary_limit", "principal_value_nodes"])

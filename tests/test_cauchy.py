@@ -995,7 +995,10 @@ def _sweep_arguments():
             "seed": 0, "path": os.devnull,
             "sol": bvp.solve_jump_rm(mesh, f, 0)[0],
             "coefficients": bvp.CharacteristicCoefficients.from_ab(
-                mesh, const(mesh, 3.0), const(mesh, 1.0))}
+                mesh, const(mesh, 3.0), const(mesh, 1.0)),
+            "ctx": mesh.context, "spec": mesh.spec, "level": 0,
+            "coeffs": [1.0, 0.0], "rows": np.eye(2),
+            "fn": lambda x: np.ones(len(x))}
 
 
 def test_side_sweep_finds_every_sided_entry_point():
@@ -1046,19 +1049,48 @@ def test_every_sided_entry_point_rejects_an_unknown_side(name, side,
     assert sums == []
 
 
-# (callable, slot) for every public function and class of the package
-# (exceptions aside) with a mesh, f or g parameter that None does not
-# select: a new entry point is swept as soon as it is exported
+def _public_callables():
+    """(name, callable) for every public function and class of the package
+    (exceptions aside) and every classmethod of those classes, named
+    Class.method."""
+    for name, obj in vars(hypercauchy).items():
+        if name.startswith("_"):
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj) and not issubclass(obj, Exception):
+            yield name, obj
+            yield from (("%s.%s" % (name, m), getattr(obj, m))
+                        for m, member in vars(obj).items()
+                        if isinstance(member, classmethod))
+
+
+def _public(name):
+    obj = hypercauchy
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    return obj
+
+
+# (callable, slot) for every public callable of the package with a mesh,
+# density, solution, coefficient, context or spec parameter that None does
+# not select: a new entry point is swept as soon as it is exported
 NONE_PROBES = sorted(
-    (name, slot) for name, obj in vars(hypercauchy).items()
-    if not name.startswith("_") and (inspect.isfunction(obj) or (
-        inspect.isclass(obj) and not issubclass(obj, Exception)))
+    (name, slot) for name, obj in _public_callables()
     for slot, p in inspect.signature(obj).parameters.items()
-    if slot in ("mesh", "f", "g") and p.default is not None)
+    if slot in ("mesh", "f", "g", "sol", "coefficients", "ctx", "spec")
+    and p.default is not None)
 
 
 def test_none_sweep_finds_every_mesh_and_density_taker():
-    assert len(NONE_PROBES) >= 48
+    assert len(NONE_PROBES) >= 60
+    # the calls whose None solution, coefficients, context or spec once
+    # escaped as an AttributeError, classmethods among them
+    assert {("jump_residual", "sol"), ("constant_gap_residual", "sol"),
+            ("solve_characteristic_sie", "coefficients"),
+            ("kernel_derivative", "ctx"), ("invert_rows", "ctx"),
+            ("side_of", "spec"), ("BoundaryDensity.from_function", "mesh"),
+            ("BoundaryDensity.constant", "mesh")} <= set(NONE_PROBES)
     # the calls whose None mesh or density once escaped as an
     # AttributeError or a bare TypeError
     assert {(name, "mesh") for name in (
@@ -1079,7 +1111,7 @@ def test_a_none_mesh_or_density_raises_a_type_error_naming_it(name, slot,
                                                               monkeypatch):
     # refused where it enters, naming the argument, before any kernel sum:
     # not an AttributeError from deep inside, nor a bare TypeError
-    fn = getattr(hypercauchy, name)
+    fn = _public(name)
     values = _sweep_arguments()
     kwargs = {p.name: values[p.name]
               for p in inspect.signature(fn).parameters.values()
@@ -1089,7 +1121,7 @@ def test_a_none_mesh_or_density_raises_a_type_error_naming_it(name, slot,
     original = _accel.accum_left
     monkeypatch.setattr(_accel, "accum_left", lambda *args, **kw: (
         sums.append(1) or original(*args, **kw)))
-    with pytest.raises(TypeError, match="^%s must be a " % slot):
+    with pytest.raises(TypeError, match="^%s must be an? " % slot):
         fn(**kwargs)
     assert sums == []
 
