@@ -1065,18 +1065,13 @@ def _public_callables():
                         if isinstance(member, classmethod))
 
 
-def _public(name):
-    obj = hypercauchy
-    for part in name.split("."):
-        obj = getattr(obj, part)
-    return obj
-
+PUBLIC_CALLABLES = dict(_public_callables())
 
 # (callable, slot) for every public callable of the package with a mesh,
 # density, solution, coefficient, context or spec parameter that None does
 # not select: a new entry point is swept as soon as it is exported
 NONE_PROBES = sorted(
-    (name, slot) for name, obj in _public_callables()
+    (name, slot) for name, obj in PUBLIC_CALLABLES.items()
     for slot, p in inspect.signature(obj).parameters.items()
     if slot in ("mesh", "f", "g", "sol", "coefficients", "ctx", "spec")
     and p.default is not None)
@@ -1111,7 +1106,7 @@ def test_a_none_mesh_or_density_raises_a_type_error_naming_it(name, slot,
                                                               monkeypatch):
     # refused where it enters, naming the argument, before any kernel sum:
     # not an AttributeError from deep inside, nor a bare TypeError
-    fn = _public(name)
+    fn = PUBLIC_CALLABLES[name]
     values = _sweep_arguments()
     kwargs = {p.name: values[p.name]
               for p in inspect.signature(fn).parameters.values()
